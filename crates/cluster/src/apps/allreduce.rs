@@ -15,7 +15,7 @@ use crate::apps::runtime::{
 };
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::gradient_source::SyntheticGradients;
-use crate::transport::{GoBackRetransmit, NoRound, Transport, TransportStats};
+use crate::transport::{GoBackRetransmit, NoRound, Transport};
 
 /// Blob tag for ring chunks.
 pub const TAG_RING: u32 = 4;
@@ -98,8 +98,12 @@ impl StrategyProtocol for RingProto {
         self.transport.begin_round(iter);
     }
 
-    fn transport_telemetry(&self) -> Option<(TransportStats, Option<u64>)> {
-        Some((self.transport.stats(), self.transport.current_rate_bps()))
+    fn transport(&self) -> &dyn Transport {
+        &*self.transport
+    }
+
+    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
+        &mut self.transport
     }
 
     fn start_round(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -188,16 +192,5 @@ impl RingWorker {
     /// This worker's position in the ring.
     pub fn ring_index(&self) -> usize {
         self.protocol().index
-    }
-
-    /// Replaces the wire policy (default: plain unpaced sends).
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.protocol_mut().transport = transport;
-        self
-    }
-
-    /// Transport activity counters (recovery + congestion control).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.protocol().transport.stats()
     }
 }

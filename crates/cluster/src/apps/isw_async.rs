@@ -20,7 +20,7 @@ use crate::apps::runtime::{
 };
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::gradient_source::{GradientSource, SyntheticGradients};
-use crate::transport::{GoBackRetransmit, NoRound, Transport, TransportStats};
+use crate::transport::{GoBackRetransmit, NoRound, Transport};
 
 /// How broadcast arrivals are recognized as complete aggregates.
 enum BcastTracker {
@@ -52,8 +52,12 @@ pub struct IswAsyncProto {
 }
 
 impl StrategyProtocol for IswAsyncProto {
-    fn transport_telemetry(&self) -> Option<(TransportStats, Option<u64>)> {
-        Some((self.transport.stats(), self.transport.current_rate_bps()))
+    fn transport(&self) -> &dyn Transport {
+        &*self.transport
+    }
+
+    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
+        &mut self.transport
     }
 
     fn on_start(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -178,22 +182,10 @@ impl IswAsyncWorker {
         StrategyRuntime::from_parts(core, proto, source)
     }
 
-    /// Replaces the wire policy (default: [`GoBackRetransmit`], which for
-    /// the async pipeline means plain unpaced sends).
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.protocol_mut().transport = transport;
-        self
-    }
-
     /// Sets the job's aggregation codec (default: [`CodecKind::F32`]).
     /// Must match the switches' configured codec.
     pub fn with_codec(mut self, codec: CodecKind) -> Self {
         self.protocol_mut().codec = codec;
         self
-    }
-
-    /// Transport activity counters (recovery + congestion control).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.protocol().transport.stats()
     }
 }

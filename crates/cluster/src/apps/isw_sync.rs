@@ -17,7 +17,7 @@ use crate::apps::runtime::{
 };
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::gradient_source::{GradientSource, SyntheticGradients};
-use crate::transport::{GoBackRetransmit, SendOutcome, TimerVerdict, Transport, TransportStats};
+use crate::transport::{GoBackRetransmit, SendOutcome, TimerVerdict, Transport};
 
 const P_SEND: u64 = crate::apps::runtime::PROTO_BASE;
 
@@ -116,8 +116,12 @@ impl StrategyProtocol for IswSyncProto {
         self.transport.begin_round(iter);
     }
 
-    fn transport_telemetry(&self) -> Option<(TransportStats, Option<u64>)> {
-        Some((self.transport.stats(), self.transport.current_rate_bps()))
+    fn transport(&self) -> &dyn Transport {
+        &*self.transport
+    }
+
+    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
+        &mut self.transport
     }
 
     fn start_round(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -201,12 +205,6 @@ impl IswSyncWorker {
         StrategyRuntime::from_parts(core, proto, source)
     }
 
-    /// Replaces the wire policy (default: [`GoBackRetransmit`]).
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.protocol_mut().transport = transport;
-        self
-    }
-
     /// Sets the job's aggregation codec (default: [`CodecKind::F32`]).
     /// Must match the switches' configured codec.
     pub fn with_codec(mut self, codec: CodecKind) -> Self {
@@ -219,28 +217,16 @@ impl IswSyncWorker {
     /// stamps `exponent + bias`, so the switch decodes every contribution
     /// scaled by `2^bias`. The wire stays well-formed; only the
     /// conservation invariant can catch it.
-    pub fn with_exponent_bug(mut self, bias: i8) -> Self {
+    pub fn seed_exponent_bug(&mut self, bias: i8) {
         self.protocol_mut().exp_bias = bias;
-        self
     }
 
     /// Enables loss recovery: after `timeout` without a complete result,
     /// the transport recovers missing segments (`Help` for lost result
     /// packets from the switch's cache, `FBcast` for rounds stuck on a
     /// lost contribution).
-    pub fn with_help_timeout(mut self, timeout: SimDuration) -> Self {
+    pub fn set_help_timeout(&mut self, timeout: SimDuration) {
         self.protocol_mut().transport.set_recovery_timeout(timeout);
-        self
-    }
-
-    /// `Help` requests issued (loss-recovery activity).
-    pub fn help_requests(&self) -> u64 {
-        self.protocol().transport.stats().help_requests
-    }
-
-    /// Transport activity counters (recovery + congestion control).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.protocol().transport.stats()
     }
 
     /// **Chaos-harness only**: arms the transport's deliberately-broken
@@ -248,8 +234,7 @@ impl IswSyncWorker {
     /// whole-train re-push on gaps for NACK). The in-switch accelerator
     /// counts packets, not sources, so the double-delivery must trip the
     /// gradient-conservation invariant.
-    pub fn with_naive_retransmit(mut self) -> Self {
+    pub fn seed_naive_retransmit(&mut self) {
         self.protocol_mut().transport.seed_protocol_bug();
-        self
     }
 }

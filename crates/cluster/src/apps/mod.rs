@@ -25,5 +25,6 @@ pub use isw_sync::{IswSyncProto, IswSyncWorker};
 pub use ps_async::{AsyncPsServer, AsyncPsWorker, PsAsyncProto};
 pub use ps_sync::{PsSyncProto, SyncPsServer, SyncPsWorker, TAG_GRAD, TAG_PULL, TAG_WEIGHTS};
 pub use runtime::{
-    Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore, PROTO_BASE,
+    Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore,
+    WorkerView, PROTO_BASE,
 };

@@ -23,7 +23,7 @@ use crate::apps::runtime::{
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::gradient_source::SyntheticGradients;
 use crate::staleness::StalenessLedger;
-use crate::transport::{GoBackRetransmit, NoRound, Transport, TransportStats};
+use crate::transport::{GoBackRetransmit, NoRound, Transport};
 
 const P_COMPUTE: u64 = PROTO_BASE;
 const P_PUSH: u64 = PROTO_BASE + 1;
@@ -61,8 +61,12 @@ impl StrategyProtocol for PsAsyncProto {
         self.pull(rt);
     }
 
-    fn transport_telemetry(&self) -> Option<(TransportStats, Option<u64>)> {
-        Some((self.transport.stats(), self.transport.current_rate_bps()))
+    fn transport(&self) -> &dyn Transport {
+        &*self.transport
+    }
+
+    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
+        &mut self.transport
     }
 
     fn on_timer(&mut self, rt: &mut Rt<'_, '_, '_>, token: u64) -> ProtoEvent {
@@ -142,20 +146,9 @@ impl AsyncPsWorker {
         StrategyRuntime::from_parts(core, proto, Box::new(SyntheticGradients::new(0)))
     }
 
-    /// Replaces the wire policy (default: plain unpaced sends).
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.protocol_mut().transport = transport;
-        self
-    }
-
     /// Iterations this worker completed (gradients pushed).
     pub fn pushes(&self) -> u64 {
         self.commits()
-    }
-
-    /// Transport activity counters (recovery + congestion control).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.protocol().transport.stats()
     }
 }
 

@@ -19,7 +19,7 @@ use crate::apps::runtime::{
 };
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::gradient_source::SyntheticGradients;
-use crate::transport::{GoBackRetransmit, NoRound, Transport, TransportStats};
+use crate::transport::{GoBackRetransmit, NoRound, Transport};
 
 /// Blob tag for worker→server gradient pushes.
 pub const TAG_GRAD: u32 = 1;
@@ -48,8 +48,12 @@ impl StrategyProtocol for PsSyncProto {
         self.transport.begin_round(iter);
     }
 
-    fn transport_telemetry(&self) -> Option<(TransportStats, Option<u64>)> {
-        Some((self.transport.stats(), self.transport.current_rate_bps()))
+    fn transport(&self) -> &dyn Transport {
+        &*self.transport
+    }
+
+    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
+        &mut self.transport
     }
 
     fn start_round(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -115,17 +119,6 @@ impl SyncPsWorker {
         // apply locally, so the synthetic payload is just sized bytes.
         let source = Box::new(SyntheticGradients::new(0));
         StrategyRuntime::from_parts(core, proto, source)
-    }
-
-    /// Replaces the wire policy (default: plain unpaced sends).
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.protocol_mut().transport = transport;
-        self
-    }
-
-    /// Transport activity counters (recovery + congestion control).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.protocol().transport.stats()
     }
 }
 

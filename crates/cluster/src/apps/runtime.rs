@@ -34,7 +34,7 @@ use crate::apps::common::IterLog;
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::gradient_source::GradientSource;
 use crate::staleness::StalenessLedger;
-use crate::transport::TransportStats;
+use crate::transport::{Transport, TransportStats};
 
 /// Runtime-reserved timer tokens live below this; protocol tokens must be
 /// `>= PROTO_BASE`. Token *values* never affect event ordering (ties break
@@ -280,12 +280,48 @@ pub trait StrategyProtocol: Send + 'static {
         ProtoEvent::None
     }
 
-    /// Transport telemetry for this worker's counter tracks: the cumulative
-    /// activity counters plus the current paced send rate (`None` for
-    /// transports without a rate controller — their rate track records 0).
-    /// Protocols that own no transport return `None` and record no tracks.
-    fn transport_telemetry(&self) -> Option<(TransportStats, Option<u64>)> {
-        None
+    /// The wire policy this protocol sends through: its activity counters
+    /// and paced rate feed the worker's telemetry tracks and the run's
+    /// transport summary.
+    fn transport(&self) -> &dyn Transport;
+
+    /// The slot holding the wire policy, for replacing or configuring it
+    /// before the run starts.
+    fn transport_mut(&mut self) -> &mut Box<dyn Transport>;
+}
+
+/// Post-run, strategy-independent view of a finished worker: everything
+/// a result collector reads, whatever protocol drove the worker. Obtained
+/// through a `fn(&Host) -> &dyn WorkerView` fixed when the job is built,
+/// so nothing on the per-event path goes through it.
+pub trait WorkerView {
+    /// The per-iteration span log (sync pacing).
+    fn log(&self) -> &IterLog;
+    /// Completion time of every local weight update (async pacing).
+    fn update_times(&self) -> &[SimTime];
+    /// Staleness of every committed gradient (async pacing).
+    fn staleness(&self) -> &[u32];
+    /// Transport activity counters (recovery + congestion control).
+    fn transport_stats(&self) -> TransportStats;
+    /// The gradient source backing the worker.
+    fn source(&self) -> &dyn GradientSource;
+}
+
+impl<P: StrategyProtocol> WorkerView for StrategyRuntime<P> {
+    fn log(&self) -> &IterLog {
+        self.log()
+    }
+    fn update_times(&self) -> &[SimTime] {
+        self.update_times()
+    }
+    fn staleness(&self) -> &[u32] {
+        self.staleness()
+    }
+    fn transport_stats(&self) -> TransportStats {
+        self.transport_stats()
+    }
+    fn source(&self) -> &dyn GradientSource {
+        self.source()
     }
 }
 
@@ -355,6 +391,18 @@ impl<P: StrategyProtocol> StrategyRuntime<P> {
         &mut *self.source
     }
 
+    /// Replaces the wire policy (default: [`crate::transport::GoBackRetransmit`],
+    /// which for protocols without loss recovery means plain unpaced sends).
+    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
+        *self.proto.transport_mut() = transport;
+        self
+    }
+
+    /// Transport activity counters (recovery + congestion control).
+    pub fn transport_stats(&self) -> TransportStats {
+        self.proto.transport().stats()
+    }
+
     fn rt_call<R>(
         &mut self,
         ctx: &mut HostCtx<'_, '_>,
@@ -370,15 +418,14 @@ impl<P: StrategyProtocol> StrategyRuntime<P> {
 
     /// Samples this worker's `cluster.worker.IP.*` transport tracks at the
     /// current time. Called at iteration boundaries (sync) and commit/update
-    /// boundaries (async); a no-op without a telemetry sink or when the
-    /// protocol owns no transport. Values are cumulative counters plus the
-    /// instantaneous paced rate, so the sink's change-collapse keeps idle
-    /// workers free.
+    /// boundaries (async); a no-op without a telemetry sink. Values are
+    /// cumulative counters plus the instantaneous paced rate, so the sink's
+    /// change-collapse keeps idle workers free.
     fn sample_transport(&self, ctx: &HostCtx<'_, '_>) {
         let Some(ts) = ctx.timeseries() else { return };
-        let Some((stats, rate)) = self.proto.transport_telemetry() else {
-            return;
-        };
+        let transport = self.proto.transport();
+        // Transports without a rate controller record a rate of 0.
+        let (stats, rate) = (transport.stats(), transport.current_rate_bps());
         let t = ctx.now().as_nanos();
         let base = format!("cluster.worker.{}", ctx.ip());
         ts.record(&format!("{base}.tx_rate_bps"), t, rate.unwrap_or(0) as i64);

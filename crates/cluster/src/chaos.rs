@@ -45,24 +45,18 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use iswitch_core::CodecKind;
-use iswitch_netsim::{
-    build_star, host_ip, FaultAction, FaultPlan, Host, HostApp, LinkId, LossModel, SimDuration,
-    SimTime, Simulator,
-};
+use iswitch_netsim::{FaultAction, FaultPlan, LinkId, LossModel, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
-use iswitch_rl::{make_lite_agent_scaled, paper_model, Algorithm, LocalReplica};
+use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::apps::{
-    AsyncPsServer, AsyncPsWorker, IswAsyncWorker, IswSyncWorker, RingWorker, SyncPsServer,
-    SyncPsWorker,
-};
-use crate::compute_model::ComputeModel;
+use crate::apps::IswSyncWorker;
 use crate::gradient_source::{AgentGradients, GradientSource};
+use crate::lifecycle::{build, Capture, Job};
 use crate::tenancy::{run_multi_tenant, MultiJobConfig, TenantSpec};
-use crate::timing_runner::{build_isw_topology, codec_wire_bytes, Strategy, TimingConfig};
-use crate::transport::{make_transport, TransportKind};
+use crate::timing_runner::{Strategy, TimingConfig};
+use crate::transport::TransportKind;
 
 /// One timed fault window targeting a worker's access link.
 #[derive(Debug, Clone, PartialEq)]
@@ -683,11 +677,43 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     }
 }
 
+/// The chaos cluster as a timing job: the paper's main-cluster star, the
+/// whole iteration budget measured (no warmup).
+fn timing_config(cfg: &ChaosConfig) -> TimingConfig {
+    let mut tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
+    tcfg.workers = cfg.workers;
+    tcfg.iterations = cfg.iterations;
+    tcfg.warmup = 0;
+    tcfg.seed = cfg.seed;
+    tcfg.staleness_bound = cfg.staleness_bound;
+    tcfg.transport = cfg.transport;
+    tcfg.codec = cfg.codec;
+    tcfg
+}
+
+/// Installs the schedule on the built job's worker edge links.
+fn install_schedule(job: &mut Job, schedule: &ChaosSchedule, chaos_seed: u64) {
+    let plan = schedule.resolve(&job.placed.worker_links, chaos_seed);
+    job.sim().install_fault_plan(&plan);
+}
+
+/// I2: barrier — every worker completed every iteration.
+fn check_barrier(completed: &[usize], iterations: usize, violations: &mut Vec<String>) {
+    for (w, &c) in completed.iter().enumerate() {
+        if c != iterations {
+            violations.push(format!(
+                "I2 barrier: worker {w} completed {c} of {iterations} iterations"
+            ));
+        }
+    }
+}
+
 /// iSwitch strategies: co-sim fidelity (live replicas through the in-switch
 /// datapath) so conservation can be checked on actual values.
 fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
+    let sync = cfg.strategy == Strategy::SyncIsw;
     assert!(
-        !(cfg.strategy == Strategy::SyncIsw && cfg.codec == CodecKind::TopK),
+        !(sync && cfg.codec == CodecKind::TopK),
         "top-k discards coordinates by design, so the conservation \
          invariant's subset-mean statement does not apply; chaos-check \
          the dense codecs"
@@ -706,253 +732,162 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
     for r in replicas.iter_mut().skip(1) {
         r.load_params(&init);
     }
-    let len = replicas[0].param_count();
-
-    let mut tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
-    tcfg.workers = cfg.workers;
-    tcfg.seed = cfg.seed;
-    tcfg.staleness_bound = cfg.staleness_bound;
-    tcfg.codec = cfg.codec;
-    if cfg.strategy == Strategy::SyncIsw {
-        // Arms the switches' stale-flush sweep (partial-round expiry)
-        // without adding any ambient random loss — all loss comes from the
-        // fault plan. The async pipeline sees no loss (delay-only
-        // schedule), so it keeps the sweep off.
-        tcfg.edge_loss = f64::MIN_POSITIVE;
-    }
-    let model = ComputeModel::for_algorithm(cfg.algorithm);
-    let help_timeout = if cfg.naive_retransmit {
-        // The broken-recovery self-test retries aggressively so its
-        // retransmissions land before the switch's stale-flush sweep can
-        // paper over them — the double-count must actually reach an
-        // aggregate.
-        SimDuration::from_micros(500)
-    } else {
-        SimDuration::serialization(
-            codec_wire_bytes(cfg.codec, len),
-            tcfg.topo.edge.bandwidth_bps,
-        ) * 3
-            + SimDuration::from_millis(3)
-    };
-
-    let mut sim = Simulator::new();
-    let trace = Arc::new(Trace::bounded(CHAOS_TRACE_EVENTS));
-    sim.set_trace(Arc::clone(&trace));
-    let worker_apps: Vec<Box<dyn HostApp>> = replicas
+    let sources = replicas
         .into_iter()
-        .enumerate()
-        .map(|(w, replica)| {
-            let source = Box::new(RecordingSource::new(Box::new(AgentGradients::new(replica))));
-            let seed = cfg.seed.wrapping_add(w as u64);
-            match cfg.strategy {
-                Strategy::SyncIsw => {
-                    // Install the configured transport first: the recovery
-                    // timeout and the seeded bug both land on whatever
-                    // transport is in place.
-                    let mut worker = IswSyncWorker::with_source(
-                        source,
-                        1,
-                        cfg.iterations,
-                        model.clone(),
-                        tcfg.comm.clone(),
-                        seed,
-                    )
-                    .with_codec(cfg.codec)
-                    .with_transport(make_transport(cfg.transport, tcfg.topo.edge.bandwidth_bps))
-                    .with_help_timeout(help_timeout);
-                    if cfg.naive_retransmit {
-                        worker = worker.with_naive_retransmit();
-                    }
-                    if cfg.exponent_bug != 0 {
-                        assert_eq!(
-                            cfg.codec,
-                            CodecKind::FixedPoint,
-                            "the exponent-stamp bug lives in the fixed-point encoder"
-                        );
-                        worker = worker.with_exponent_bug(cfg.exponent_bug);
-                    }
-                    Box::new(worker) as Box<dyn HostApp>
-                }
-                Strategy::AsyncIsw => Box::new(
-                    IswAsyncWorker::with_source(
-                        source,
-                        1,
-                        model.clone(),
-                        tcfg.comm.clone(),
-                        cfg.staleness_bound,
-                        seed,
-                        None,
-                    )
-                    .with_codec(cfg.codec)
-                    .with_transport(make_transport(cfg.transport, tcfg.topo.edge.bandwidth_bps)),
-                ) as Box<dyn HostApp>,
-                _ => unreachable!("handled by run_chaos_plain"),
-            }
+        .map(|replica| {
+            Box::new(RecordingSource::new(Box::new(AgentGradients::new(replica))))
+                as Box<dyn GradientSource>
         })
         .collect();
-    let topo = build_isw_topology(&mut sim, worker_apps, &tcfg, len);
-    let plan = schedule.resolve(&topo.worker_links, cfg.chaos_seed);
-    sim.install_fault_plan(&plan);
 
-    // Advance in slices until every worker reaches the budget (sync) or
-    // the probe has seen enough updates (async).
-    let slice = SimDuration::from_millis(200);
-    let mut t = SimTime::ZERO;
-    let mut stalled = true;
-    let progress = |sim: &mut Simulator, node| -> usize {
-        match cfg.strategy {
-            Strategy::SyncIsw => sim.device::<Host>(node).app::<IswSyncWorker>().log().len(),
-            Strategy::AsyncIsw => sim
-                .device::<Host>(node)
-                .app::<IswAsyncWorker>()
-                .update_times()
-                .len(),
-            _ => unreachable!(),
-        }
+    let mut tcfg = timing_config(cfg);
+    if sync {
+        // Arms the workers' recovery timeout and the switches' stale-flush
+        // sweep (partial-round expiry) with an ambient loss rate so small
+        // it never drops a packet — all loss comes from the fault plan. The
+        // async pipeline sees no loss (delay-only schedule), so it keeps
+        // both off.
+        tcfg.edge_loss = f64::MIN_POSITIVE;
+    }
+    let trace = Arc::new(Trace::bounded(CHAOS_TRACE_EVENTS));
+    let capture = Capture {
+        trace: Some(Arc::clone(&trace)),
+        ..Capture::default()
     };
+    let mut job = build(&tcfg, Some(sources), 0, capture);
+    if sync {
+        // The seeded bugs land on the built workers, whatever transport
+        // the shared build installed.
+        assert!(
+            cfg.exponent_bug == 0 || cfg.codec == CodecKind::FixedPoint,
+            "the exponent-stamp bug lives in the fixed-point encoder"
+        );
+        for w in 0..cfg.workers {
+            let worker = job.worker_mut::<IswSyncWorker>(w);
+            if cfg.naive_retransmit {
+                // The broken-recovery self-test retries aggressively so its
+                // retransmissions land before the switch's stale-flush
+                // sweep can paper over them — the double-count must
+                // actually reach an aggregate.
+                worker.set_help_timeout(SimDuration::from_micros(500));
+                worker.seed_naive_retransmit();
+            }
+            if cfg.exponent_bug != 0 {
+                worker.seed_exponent_bug(cfg.exponent_bug);
+            }
+        }
+    }
+    install_schedule(&mut job, &schedule, cfg.chaos_seed);
+
+    // Stop policy: sync lockstep waits for the *slowest* worker so the
+    // barrier invariant is checked at quiescence; async stops once the
+    // probe (worker 0) has seen enough updates.
+    let watched = if sync { cfg.workers } else { 1 };
+    let mut stalled = true;
     for _ in 0..10_000 {
-        t += slice;
-        sim.run_until(t);
-        let done = match cfg.strategy {
-            // Sync lockstep: wait for the *slowest* worker so the barrier
-            // invariant is checked at quiescence.
-            Strategy::SyncIsw => topo
-                .workers
-                .iter()
-                .all(|&w| progress(&mut sim, w) >= cfg.iterations),
-            Strategy::AsyncIsw => progress(&mut sim, topo.workers[0]) >= cfg.iterations,
-            _ => unreachable!(),
-        };
-        if done {
+        job.step(SimTime::MAX);
+        if (0..watched).all(|w| job.progress(w) >= cfg.iterations) {
             stalled = false;
             break;
         }
     }
 
+    let completed: Vec<usize> = (0..cfg.workers).map(|w| job.progress(w)).collect();
     let mut violations = Vec::new();
     if stalled {
         violations.push(format!(
-            "progress: run stalled before {} iterations (reached {:?})",
-            cfg.iterations,
-            topo.workers
-                .iter()
-                .map(|&w| progress(&mut sim, w))
-                .collect::<Vec<_>>()
+            "progress: run stalled before {} iterations (reached {completed:?})",
+            cfg.iterations
         ));
     }
 
-    let mut completed = Vec::new();
     let mut rounds_checked = 0;
     let mut help_requests = 0;
     let mut offending_rounds: BTreeSet<u64> = BTreeSet::new();
-    match cfg.strategy {
-        Strategy::SyncIsw => {
-            // Pull each worker's recorded evidence out of the simulator.
-            let mut all_computed: Vec<Vec<Vec<f32>>> = Vec::new();
-            let mut all_applied: Vec<Vec<Vec<f32>>> = Vec::new();
-            for &w in &topo.workers {
-                let app = sim.device::<Host>(w).app::<IswSyncWorker>();
-                completed.push(app.log().len());
-                help_requests += app.help_requests();
-                let rec = app
-                    .source()
-                    .as_any()
-                    .downcast_ref::<RecordingSource>()
-                    .expect("chaos workers use RecordingSource");
-                all_computed.push(rec.computed.clone());
-                all_applied.push(rec.applied.clone());
+    if sync {
+        // Pull each worker's recorded evidence out of the simulator.
+        let mut all_computed: Vec<&[Vec<f32>]> = Vec::new();
+        let mut all_applied: Vec<&[Vec<f32>]> = Vec::new();
+        for w in 0..cfg.workers {
+            let worker = job.worker(w);
+            help_requests += worker.transport_stats().help_requests;
+            let rec = worker
+                .source()
+                .as_any()
+                .downcast_ref::<RecordingSource>()
+                .expect("chaos workers use RecordingSource");
+            all_computed.push(&rec.computed);
+            all_applied.push(&rec.applied);
+        }
+        check_barrier(&completed, cfg.iterations, &mut violations);
+        // I4: one aggregate applied per completed iteration.
+        for (w, applied) in all_applied.iter().enumerate() {
+            if applied.len() != completed[w] {
+                violations.push(format!(
+                    "I4 updates: worker {w} applied {} aggregates over {} iterations",
+                    applied.len(),
+                    completed[w]
+                ));
             }
-            // I2: barrier — every worker completed every iteration.
-            for (w, &c) in completed.iter().enumerate() {
-                if c != cfg.iterations {
+        }
+        // I1: conservation — every segment of each applied aggregate
+        // is the mean of a non-empty subset of that round's gradients
+        // over that segment (the accelerator aggregates and flushes at
+        // segment granularity).
+        for (w, applied) in all_applied.iter().enumerate() {
+            for (r, agg) in applied.iter().enumerate() {
+                let candidates: Vec<&[f32]> = all_computed
+                    .iter()
+                    .filter(|c| c.len() > r)
+                    .map(|c| c[r].as_slice())
+                    .collect();
+                rounds_checked += 1;
+                if candidates.is_empty() {
                     violations.push(format!(
-                        "I2 barrier: worker {w} completed {c} of {} iterations",
-                        cfg.iterations
+                        "I1 conservation: worker {w} round {r} applied an aggregate \
+                         no worker computed a gradient for"
                     ));
+                    offending_rounds.insert(r as u64);
+                    continue;
                 }
-            }
-            // I4: one aggregate applied per completed iteration.
-            for (w, applied) in all_applied.iter().enumerate() {
-                if applied.len() != completed[w] {
-                    violations.push(format!(
-                        "I4 updates: worker {w} applied {} aggregates over {} iterations",
-                        applied.len(),
-                        completed[w]
-                    ));
-                }
-            }
-            // I1: conservation — every segment of each applied aggregate
-            // is the mean of a non-empty subset of that round's gradients
-            // over that segment (the accelerator aggregates and flushes at
-            // segment granularity).
-            for (w, applied) in all_applied.iter().enumerate() {
-                for (r, agg) in applied.iter().enumerate() {
-                    let candidates: Vec<&[f32]> = all_computed
+                let seg_elems = cfg.codec.elems_per_segment();
+                for (s, chunk) in agg.chunks(seg_elems).enumerate() {
+                    let lo = s * seg_elems;
+                    let seg_cands: Vec<&[f32]> = candidates
                         .iter()
-                        .filter(|c| c.len() > r)
-                        .map(|c| c[r].as_slice())
+                        .map(|c| &c[lo..lo + chunk.len()])
                         .collect();
-                    rounds_checked += 1;
-                    if candidates.is_empty() {
+                    let tol = codec_tolerance(cfg.codec, &seg_cands);
+                    if !matches_some_subset(chunk, &seg_cands, tol) {
                         violations.push(format!(
-                            "I1 conservation: worker {w} round {r} applied an aggregate \
-                             no worker computed a gradient for"
+                            "I1 conservation: worker {w} round {r} segment {s} applied \
+                             an aggregate matching no subset of that round's gradients"
                         ));
                         offending_rounds.insert(r as u64);
-                        continue;
-                    }
-                    let seg_elems = cfg.codec.elems_per_segment();
-                    for (s, chunk) in agg.chunks(seg_elems).enumerate() {
-                        let lo = s * seg_elems;
-                        let seg_cands: Vec<&[f32]> = candidates
-                            .iter()
-                            .map(|c| &c[lo..lo + chunk.len()])
-                            .collect();
-                        let tol = codec_tolerance(cfg.codec, &seg_cands);
-                        if !matches_some_subset(chunk, &seg_cands, tol) {
-                            violations.push(format!(
-                                "I1 conservation: worker {w} round {r} segment {s} applied \
-                                 an aggregate matching no subset of that round's gradients"
-                            ));
-                            offending_rounds.insert(r as u64);
-                        }
                     }
                 }
             }
         }
-        Strategy::AsyncIsw => {
-            for &w in &topo.workers {
-                let app = sim.device::<Host>(w).app::<IswAsyncWorker>();
-                completed.push(app.update_times().len());
-                // I3: staleness bound.
-                for (i, &s) in app.staleness().iter().enumerate() {
-                    if s > cfg.staleness_bound {
-                        violations.push(format!(
-                            "I3 staleness: worker commit {i} at staleness {s} > bound {}",
-                            cfg.staleness_bound
-                        ));
-                    }
-                }
-                // I4: the pipeline keeps applying aggregates.
-                if app.source().updates_applied() == 0 {
-                    violations.push("I4 updates: a worker applied no aggregates".into());
+    } else {
+        for w in 0..cfg.workers {
+            let worker = job.worker(w);
+            // I3: staleness bound.
+            for (i, &s) in worker.staleness().iter().enumerate() {
+                if s > cfg.staleness_bound {
+                    violations.push(format!(
+                        "I3 staleness: worker commit {i} at staleness {s} > bound {}",
+                        cfg.staleness_bound
+                    ));
                 }
             }
+            // I4: the pipeline keeps applying aggregates.
+            if worker.source().updates_applied() == 0 {
+                violations.push("I4 updates: a worker applied no aggregates".into());
+            }
         }
-        _ => unreachable!(),
     }
 
-    let params_fingerprint = {
-        let node = topo.workers[0];
-        let params = match cfg.strategy {
-            Strategy::SyncIsw => sim.device::<Host>(node).app::<IswSyncWorker>().source(),
-            Strategy::AsyncIsw => sim.device::<Host>(node).app::<IswAsyncWorker>().source(),
-            _ => unreachable!(),
-        }
-        .params()
-        .to_vec();
-        fingerprint(&params)
-    };
+    let params_fingerprint = fingerprint(job.worker(0).source().params());
     let violation_timelines = offending_rounds
         .iter()
         .map(|&r| round_timeline(&trace, r))
@@ -961,7 +896,7 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         strategy: cfg.strategy,
         chaos_seed: cfg.chaos_seed,
         schedule,
-        faults_applied: sim.stats().faults_applied,
+        faults_applied: job.sim().stats().faults_applied,
         completed,
         rounds_checked,
         help_requests,
@@ -975,156 +910,46 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
 /// latency-spike schedules — these protocols have no loss recovery, so the
 /// harness probes their tolerance to degradation, not loss.
 fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
-    let model = paper_model(cfg.algorithm);
-    let bytes = model.bytes() as u64;
-    let messages = model.networks.len() as u64;
-    let compute = ComputeModel::for_algorithm(cfg.algorithm);
-    let tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
-    let srv_ip = host_ip(0, cfg.workers);
-    let worker_ips: Vec<_> = (0..cfg.workers).map(|i| host_ip(0, i)).collect();
-
-    let mut sim = Simulator::new();
-    let mut apps: Vec<Box<dyn HostApp>> = Vec::new();
-    for w in 0..cfg.workers {
-        let seed = cfg.seed.wrapping_add(w as u64);
-        let transport = make_transport(cfg.transport, tcfg.topo.edge.bandwidth_bps);
-        let app: Box<dyn HostApp> = match cfg.strategy {
-            Strategy::SyncPs => Box::new(
-                SyncPsWorker::new(
-                    srv_ip,
-                    bytes,
-                    messages,
-                    cfg.iterations,
-                    compute.clone(),
-                    tcfg.comm.clone(),
-                    seed,
-                )
-                .with_transport(transport),
-            ),
-            Strategy::SyncAr => Box::new(
-                RingWorker::new(
-                    w,
-                    cfg.workers,
-                    worker_ips[(w + 1) % cfg.workers],
-                    bytes,
-                    messages,
-                    cfg.iterations,
-                    compute.clone(),
-                    tcfg.comm.clone(),
-                    seed,
-                )
-                .with_transport(transport),
-            ),
-            Strategy::AsyncPs => Box::new(
-                AsyncPsWorker::new(
-                    srv_ip,
-                    bytes,
-                    messages,
-                    compute.clone(),
-                    tcfg.comm.clone(),
-                    seed,
-                    None,
-                )
-                .with_transport(transport),
-            ),
-            _ => unreachable!("handled by run_chaos_isw"),
-        };
-        apps.push(app);
-    }
-    let has_server = matches!(cfg.strategy, Strategy::SyncPs | Strategy::AsyncPs);
-    if has_server {
-        let server_seed = cfg.seed.wrapping_add(0xFF);
-        let server: Box<dyn HostApp> = match cfg.strategy {
-            Strategy::SyncPs => Box::new(SyncPsServer::new(
-                worker_ips.clone(),
-                bytes,
-                messages,
-                compute.clone(),
-                tcfg.comm.clone(),
-                server_seed,
-            )),
-            Strategy::AsyncPs => Box::new(AsyncPsServer::new(
-                bytes,
-                messages,
-                compute.clone(),
-                tcfg.comm.clone(),
-                cfg.staleness_bound,
-                server_seed,
-            )),
-            _ => unreachable!(),
-        };
-        apps.push(server);
-    }
-    let star = build_star(&mut sim, apps, None, &tcfg.topo);
-    let plan = schedule.resolve(&star.host_links[..cfg.workers], cfg.chaos_seed);
-    sim.install_fault_plan(&plan);
+    let mut job = build(&timing_config(cfg), None, 0, Capture::default());
+    install_schedule(&mut job, &schedule, cfg.chaos_seed);
 
     let mut violations = Vec::new();
-    let mut completed = Vec::new();
-    match cfg.strategy {
-        Strategy::SyncPs | Strategy::SyncAr => {
-            sim.run_until_idle();
-            for (w, &node) in star.hosts[..cfg.workers].iter().enumerate() {
-                let c = match cfg.strategy {
-                    Strategy::SyncPs => sim.device::<Host>(node).app::<SyncPsWorker>().log().len(),
-                    Strategy::SyncAr => sim.device::<Host>(node).app::<RingWorker>().log().len(),
-                    _ => unreachable!(),
-                };
-                completed.push(c);
-                // I2: barrier.
-                if c != cfg.iterations {
-                    violations.push(format!(
-                        "I2 barrier: worker {w} completed {c} of {} iterations",
-                        cfg.iterations
-                    ));
-                }
+    let completed;
+    if cfg.strategy.is_async() {
+        let target = cfg.iterations + 1;
+        for _ in 0..10_000 {
+            job.step(SimTime::MAX);
+            if job.update_times().len() >= target {
+                break;
             }
         }
-        Strategy::AsyncPs => {
-            let server = *star.hosts.last().expect("server present");
-            let slice = SimDuration::from_millis(200);
-            let mut t = SimTime::ZERO;
-            let target = cfg.iterations + 1;
-            let mut stalled = true;
-            for _ in 0..10_000 {
-                t += slice;
-                sim.run_until(t);
-                let n = sim
-                    .device::<Host>(server)
-                    .app::<AsyncPsServer>()
-                    .update_times
-                    .len();
-                if n >= target {
-                    stalled = false;
-                    break;
-                }
-            }
-            let app = sim.device::<Host>(server).app::<AsyncPsServer>();
-            completed.push(app.update_times.len());
-            if stalled {
+        let updates = job.update_times().len();
+        completed = vec![updates];
+        if updates < target {
+            violations.push(format!(
+                "progress: server saw {updates} of {target} updates"
+            ));
+        }
+        // I3: staleness bound.
+        for (i, &s) in job.staleness().iter().enumerate() {
+            if s > cfg.staleness_bound {
                 violations.push(format!(
-                    "progress: server saw {} of {target} updates",
-                    app.update_times.len()
+                    "I3 staleness: commit {i} at staleness {s} > bound {}",
+                    cfg.staleness_bound
                 ));
             }
-            // I3: staleness bound.
-            for (i, &s) in app.staleness().iter().enumerate() {
-                if s > cfg.staleness_bound {
-                    violations.push(format!(
-                        "I3 staleness: commit {i} at staleness {s} > bound {}",
-                        cfg.staleness_bound
-                    ));
-                }
-            }
         }
-        _ => unreachable!(),
+    } else {
+        job.run();
+        completed = (0..cfg.workers).map(|w| job.progress(w)).collect();
+        check_barrier(&completed, cfg.iterations, &mut violations);
     }
 
     ChaosReport {
         strategy: cfg.strategy,
         chaos_seed: cfg.chaos_seed,
         schedule,
-        faults_applied: sim.stats().faults_applied,
+        faults_applied: job.sim().stats().faults_applied,
         completed,
         rounds_checked: 0,
         help_requests: 0,

@@ -15,14 +15,13 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use iswitch_core::CodecKind;
-use iswitch_netsim::{Host, HostApp, SimDuration, SimTime, Simulator};
+use iswitch_netsim::{SimDuration, SimTime};
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 
-use crate::apps::{IswAsyncWorker, IswSyncWorker};
-use crate::compute_model::ComputeModel;
 use crate::convergence::default_target;
 use crate::gradient_source::{AgentGradients, GradientSource};
-use crate::timing_runner::{build_isw_topology, Strategy, TimingConfig};
+use crate::lifecycle::{build, Capture, Job};
+use crate::timing_runner::{Strategy, TimingConfig};
 
 /// Configuration of one co-simulation run.
 #[derive(Debug, Clone)]
@@ -238,38 +237,13 @@ impl GradientSource for RefErrorRecorder {
     }
 }
 
-/// Per-worker probe state pulled out of the simulator between slices.
-struct Probe {
-    reward: Option<f32>,
-    progress: usize,
-}
-
-fn probe(sim: &mut Simulator, node: iswitch_netsim::NodeId, strategy: Strategy) -> Probe {
-    match strategy {
-        Strategy::SyncIsw => {
-            let app = sim.device::<Host>(node).app::<IswSyncWorker>();
-            Probe {
-                reward: app.source().final_average_reward(),
-                progress: app.log().len(),
-            }
-        }
-        Strategy::AsyncIsw => {
-            let app = sim.device::<Host>(node).app::<IswAsyncWorker>();
-            Probe {
-                reward: app.source().final_average_reward(),
-                progress: app.update_times().len(),
-            }
-        }
-        _ => unreachable!("co-sim is iSwitch-only"),
-    }
-}
-
-fn pooled(probes: &[Probe]) -> Option<f32> {
-    let rewards: Vec<f32> = probes.iter().filter_map(|p| p.reward).collect();
-    if rewards.len() < probes.len() {
-        return None;
-    }
-    Some(rewards.iter().sum::<f32>() / rewards.len() as f32)
+/// Pooled average reward, once every worker has one to report.
+fn pooled(job: &Job) -> Option<f32> {
+    let n = job.workers();
+    let rewards: Option<Vec<f32>> = (0..n)
+        .map(|w| job.worker(w).source().final_average_reward())
+        .collect();
+    Some(rewards?.iter().sum::<f32>() / n as f32)
 }
 
 /// Runs one co-simulation.
@@ -300,83 +274,46 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
     for r in replicas.iter_mut().skip(1) {
         r.load_params(&init);
     }
-    let len = replicas[0].param_count();
 
     // The network is the paper's main-cluster shape; only the payload
     // (real f32 gradients, lite-model sized) differs from timing mode.
     let mut tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
     tcfg.workers = cfg.workers;
+    tcfg.iterations = cfg.iterations;
+    tcfg.warmup = 0;
     tcfg.seed = cfg.seed;
     tcfg.staleness_bound = cfg.staleness_bound;
     tcfg.codec = cfg.codec;
-    let model = ComputeModel::for_algorithm(cfg.algorithm);
 
     // Aggregate-error probe (sync only: async staleness decouples the
     // round a broadcast answers from the gradient last computed).
     let ref_shared = matches!(cfg.strategy, Strategy::SyncIsw)
         .then(|| Arc::new(Mutex::new(RefErrorShared::new(cfg.workers))));
-
-    let mut sim = Simulator::new();
-    let worker_apps: Vec<Box<dyn HostApp>> = replicas
+    let sources = replicas
         .into_iter()
-        .enumerate()
-        .map(|(w, replica)| {
+        .map(|replica| -> Box<dyn GradientSource> {
             let agent = AgentGradients::new(replica);
-            let source: Box<dyn GradientSource> = match &ref_shared {
+            match &ref_shared {
                 Some(shared) => Box::new(RefErrorRecorder::new(agent, Arc::clone(shared))),
                 None => Box::new(agent),
-            };
-            let seed = cfg.seed.wrapping_add(w as u64);
-            match cfg.strategy {
-                Strategy::SyncIsw => Box::new(
-                    IswSyncWorker::with_source(
-                        source,
-                        1,
-                        cfg.iterations,
-                        model.clone(),
-                        tcfg.comm.clone(),
-                        seed,
-                    )
-                    .with_codec(cfg.codec),
-                ) as Box<dyn HostApp>,
-                Strategy::AsyncIsw => Box::new(
-                    IswAsyncWorker::with_source(
-                        source,
-                        1,
-                        model.clone(),
-                        tcfg.comm.clone(),
-                        cfg.staleness_bound,
-                        seed,
-                        None,
-                    )
-                    .with_codec(cfg.codec),
-                ) as Box<dyn HostApp>,
-                _ => unreachable!(),
             }
         })
         .collect();
-    let workers = build_isw_topology(&mut sim, worker_apps, &tcfg, len).workers;
+    let mut job = build(&tcfg, Some(sources), 0, Capture::default());
 
-    // Advance in slices, checking the reward target and the iteration
-    // budget between them (mirrors timing mode's async driver).
-    let slice = SimDuration::from_millis(200);
-    let mut t = SimTime::ZERO;
+    // Stop policy: the reward target or the iteration budget, checked
+    // between the shared 200 ms steps.
     let mut reached = false;
     let mut done = false;
     for _ in 0..1_000_000 {
-        t += slice;
-        sim.run_until(t);
-        let probes: Vec<Probe> = workers
-            .iter()
-            .map(|&w| probe(&mut sim, w, cfg.strategy))
-            .collect();
-        if let (Some(target), Some(r)) = (cfg.target_reward, pooled(&probes)) {
+        job.step(SimTime::MAX);
+        if let (Some(target), Some(r)) = (cfg.target_reward, pooled(&job)) {
             if r >= target {
                 reached = true;
                 break;
             }
         }
-        if probes[0].progress >= cfg.iterations {
+        if job.progress(0) >= cfg.iterations {
             done = true;
             break;
         }
@@ -389,22 +326,12 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
 
     // Harvest results.
     let mut curve_acc: BTreeMap<u64, (f32, usize)> = BTreeMap::new();
-    let mut pool_curve = |points: &[(u64, f32)]| {
-        for &(u, r) in points {
+    for w in 0..cfg.workers {
+        for &(u, r) in job.worker(w).source().reward_curve() {
             let e = curve_acc.entry(u).or_insert((0.0, 0));
             e.0 += r;
             e.1 += 1;
         }
-    };
-    let mut rewards = Vec::new();
-    for &w in &workers {
-        let src = match cfg.strategy {
-            Strategy::SyncIsw => sim.device::<Host>(w).app::<IswSyncWorker>().source(),
-            Strategy::AsyncIsw => sim.device::<Host>(w).app::<IswAsyncWorker>().source(),
-            _ => unreachable!(),
-        };
-        pool_curve(src.reward_curve());
-        rewards.push(src.final_average_reward());
     }
     let n = cfg.workers;
     let curve: Vec<(u64, f32)> = curve_acc
@@ -412,42 +339,24 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
         .filter(|(_, (_, k))| *k == n)
         .map(|(u, (sum, k))| (u, sum / k as f32))
         .collect();
-    let final_average_reward = if rewards.iter().all(Option::is_some) {
-        rewards.iter().map(|r| r.expect("checked")).sum::<f32>() / n as f32
-    } else {
-        f32::NEG_INFINITY
-    };
+    let final_average_reward = pooled(&job).unwrap_or(f32::NEG_INFINITY);
 
-    let (iterations, updates, per_iteration, params) = match cfg.strategy {
-        Strategy::SyncIsw => {
-            let app = sim.device::<Host>(workers[0]).app::<IswSyncWorker>();
-            let iters = app.log().len();
-            let per = if iters > 0 {
-                app.log().mean_after(0).total()
-            } else {
-                SimDuration::ZERO
-            };
-            let src = app.source();
-            (iters, src.updates_applied(), per, src.params().to_vec())
+    let probe = job.worker(0);
+    let iterations = job.progress(0);
+    let per_iteration = if cfg.strategy.is_async() {
+        let times = probe.update_times();
+        if times.len() >= 2 {
+            times.last().expect("non-empty").duration_since(times[0]) / (times.len() as u64 - 1)
+        } else {
+            SimDuration::ZERO
         }
-        Strategy::AsyncIsw => {
-            let app = sim.device::<Host>(workers[0]).app::<IswAsyncWorker>();
-            let times = app.update_times();
-            let per = if times.len() >= 2 {
-                times.last().expect("non-empty").duration_since(times[0]) / (times.len() as u64 - 1)
-            } else {
-                SimDuration::ZERO
-            };
-            let src = app.source();
-            (
-                times.len(),
-                src.updates_applied(),
-                per,
-                src.params().to_vec(),
-            )
-        }
-        _ => unreachable!(),
+    } else if iterations > 0 {
+        probe.log().mean_after(0).total()
+    } else {
+        SimDuration::ZERO
     };
+    let updates = probe.source().updates_applied();
+    let params = probe.source().params().to_vec();
 
     let (ref_error_mean, ref_error_max) = match &ref_shared {
         Some(shared) => {

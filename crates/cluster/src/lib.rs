@@ -37,6 +37,7 @@ mod convergence;
 mod cosim;
 pub mod experiments;
 mod gradient_source;
+mod lifecycle;
 pub mod report;
 mod staleness;
 mod tenancy;

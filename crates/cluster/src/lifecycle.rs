@@ -1,0 +1,1008 @@
+//! The one job lifecycle every run shares: [`validate`] → [`build`] →
+//! drive ([`Job::run`], or [`Job::drive`] / [`Job::step`] when something
+//! interleaves) → [`Job::collect`].
+//!
+//! A *job* is one training strategy deployed on one topology. Solo timing
+//! runs, sharded fat-tree runs, tenants of a shared fabric, chaos runs and
+//! co-simulations all build the same [`Job`]; they differ only in what
+//! they feed it (a gradient source, a fault plan, a tenant id) and in how
+//! they pace its drive. Completion is *queue idle* for synchronous
+//! strategies and *update count reached, checked every 200 ms of simulated
+//! time* for asynchronous ones.
+
+use std::sync::Arc;
+
+use iswitch_core::{Accelerator, AggregationRole, CodecKind, ExtensionConfig, IswitchExtension};
+use iswitch_netsim::{
+    build_fattree, build_star, build_tree, build_tree3, host_ip, Host, HostApp, IpAddr, LinkId,
+    LinkSpec, LossModel, NodeId, PortId, ShardedSim, SimDuration, SimTime, Simulator, Switch,
+    SwitchExtension, SwitchRole, TopologyConfig,
+};
+use iswitch_obs::{JsonValue, Timeseries, Trace, TraceEvent};
+use iswitch_rl::paper_model;
+
+use crate::apps::{
+    AsyncPsServer, AsyncPsWorker, BackgroundFlow, IswAsyncWorker, IswSyncWorker, IterSpans,
+    RingWorker, StrategyProtocol, StrategyRuntime, SyncPsServer, SyncPsWorker, WorkerView,
+};
+use crate::gradient_source::{GradientSource, SyntheticGradients};
+use crate::timing_runner::{
+    Breakdown, PerfSample, Strategy, TimingConfig, TimingObservation, TimingResult,
+};
+use crate::transport::TransportStats;
+
+/// Cadence at which asynchronous jobs check their update count. Every
+/// driver steps on multiples of this, so an async job stops in the same
+/// state whether it runs solo or as a tenant between arbiter barriers.
+const CHECK_CADENCE: SimDuration = SimDuration::from_millis(200);
+
+/// Cap on completion checks of a solo asynchronous run.
+const MAX_CHECKS: usize = 100_000;
+
+/// Splits `workers` into racks of at most `per_rack`.
+pub(crate) fn rack_sizes(workers: usize, per_rack: usize) -> Vec<usize> {
+    assert!(per_rack > 0);
+    let mut left = workers;
+    let mut out = Vec::new();
+    while left > 0 {
+        let take = left.min(per_rack);
+        out.push(take);
+        left -= take;
+    }
+    out
+}
+
+/// Rejects configurations no strategy can run, by panicking.
+pub(crate) fn validate(cfg: &TimingConfig) {
+    assert!(
+        cfg.workers >= 2,
+        "distributed training needs at least two workers"
+    );
+    assert!(cfg.iterations > 0, "must measure at least one iteration");
+    assert!(
+        cfg.background_flows == 0 || (cfg.workers_per_rack.is_none() && cfg.fattree.is_none()),
+        "background flows attach to the single-switch star topology"
+    );
+    assert!(
+        cfg.edge_loss <= 0.0 || cfg.strategy == Strategy::SyncIsw,
+        "edge loss needs a recovery path and only iSW (Help/FBcast) has one: \
+         {} would stall on the first lost packet",
+        cfg.strategy.label()
+    );
+    if let Some(shape) = cfg.fattree {
+        assert_eq!(
+            cfg.workers,
+            shape.workers(),
+            "fat-tree runs derive the worker count from the shape: set \
+             workers = aggs * racks_per_agg * hosts_per_rack"
+        );
+        assert_eq!(
+            cfg.strategy,
+            Strategy::SyncIsw,
+            "the sharded fat-tree currently runs only the SyncIsw strategy"
+        );
+    }
+}
+
+/// The observability sinks a job records into while it runs.
+#[derive(Default)]
+pub(crate) struct Capture {
+    /// The causal trace; a traced run also snapshots the metrics registry
+    /// at collection. `None` for perf-sampling runs: an unset trace sink
+    /// keeps the packet hot path free of any event-assembly cost.
+    pub(crate) trace: Option<Arc<Trace>>,
+    pub(crate) timeseries: Option<Arc<Timeseries>>,
+}
+
+/// The engine behind a job: one simulator, or the sharded fat-tree's
+/// per-pod domains run by `threads` OS threads.
+enum Engine {
+    Single(Box<Simulator>),
+    Sharded { sim: ShardedSim, threads: usize },
+}
+
+/// A host's address inside an [`Engine`]: `(domain, node)`, domain 0 on
+/// the single simulator.
+type HostRef = (usize, NodeId);
+
+/// Recovers a worker host's [`WorkerView`]. Monomorphised over the
+/// strategy's protocol when the job is built, so collection never matches
+/// on the strategy.
+type ViewFn = fn(&Host) -> &dyn WorkerView;
+
+impl Engine {
+    fn host(&self, (domain, node): HostRef) -> &Host {
+        match self {
+            Engine::Single(sim) => sim.device::<Host>(node),
+            Engine::Sharded { sim, .. } => sim.domain(domain).device::<Host>(node),
+        }
+    }
+
+    /// The single simulator; stepped drives, fault plans and grants exist
+    /// only there (the sharded engine only runs to completion).
+    fn single(&mut self) -> &mut Simulator {
+        match self {
+            Engine::Single(sim) => sim,
+            Engine::Sharded { .. } => panic!("the sharded engine only runs to completion"),
+        }
+    }
+
+    fn run_until_idle(&mut self) {
+        match self {
+            Engine::Single(sim) => sim.run_until_idle(),
+            Engine::Sharded { sim, threads } => sim.run(*threads),
+        };
+    }
+
+    /// Installs the tenant id (before the trace, so no traced event can
+    /// predate its stamp), the capture's sinks and the event cap.
+    fn attach(&mut self, tenant: u64, capture: &Capture, event_limit: Option<u64>) {
+        match self {
+            Engine::Single(sim) => {
+                sim.set_tenant(tenant);
+                if let Some(trace) = &capture.trace {
+                    sim.set_trace(Arc::clone(trace));
+                }
+                if let Some(ts) = &capture.timeseries {
+                    sim.set_timeseries(Arc::clone(ts));
+                }
+                if let Some(limit) = event_limit {
+                    sim.set_event_limit(limit);
+                }
+            }
+            Engine::Sharded { sim, .. } => {
+                assert_eq!(tenant, 0, "tenants run on the single-simulator topologies");
+                if let Some(limit) = event_limit {
+                    sim.set_event_limit(limit);
+                }
+                if let Some(trace) = &capture.trace {
+                    sim.set_trace(Arc::clone(trace));
+                }
+                if let Some(ts) = &capture.timeseries {
+                    sim.set_timeseries(Arc::clone(ts));
+                }
+            }
+        }
+    }
+
+    /// The metrics registry (when wanted) and the raw engine counters:
+    /// merged, summed, and at the maximum domain clock when sharded.
+    fn snapshot(&self, want_metrics: bool) -> (JsonValue, PerfSample) {
+        let (stats, now, metrics) = match self {
+            Engine::Single(sim) => (
+                sim.stats().clone(),
+                sim.now(),
+                want_metrics.then(|| sim.metrics_json()),
+            ),
+            Engine::Sharded { sim, .. } => (
+                sim.stats(),
+                sim.now(),
+                want_metrics.then(|| sim.metrics_json()),
+            ),
+        };
+        let perf = PerfSample {
+            events: stats.events_processed,
+            packets_sent: stats.packets_sent,
+            packets_delivered: stats.packets_delivered,
+            sim_ns: now.as_nanos(),
+            ecn_marked: stats.packets_ecn_marked,
+            dropped_queue: stats.packets_dropped_queue,
+            dropped_link_down: stats.packets_dropped_link_down,
+            barrier_stall_ns: stats.barrier_stall_ns,
+            epochs: stats.epochs,
+        };
+        (metrics.unwrap_or_else(JsonValue::empty_object), perf)
+    }
+}
+
+/// One built, drivable training job.
+pub(crate) struct Job {
+    pub(crate) strategy: Strategy,
+    warmup: usize,
+    engine: Engine,
+    /// Where the build put the job's hosts and switches.
+    pub(crate) placed: Placed,
+    view: ViewFn,
+    capture: Capture,
+    /// Updates an asynchronous job must observe; `None` for synchronous
+    /// jobs, which are done when the event queue empties.
+    target: Option<usize>,
+    /// Whether the completion rule has been met.
+    pub(crate) done: bool,
+    /// The job's clock: the last deadline driven to, or the time of the
+    /// last event once done.
+    pub(crate) local_now: SimTime,
+    next_check: SimTime,
+}
+
+impl Job {
+    /// The job's simulator (single-simulator topologies only).
+    pub(crate) fn sim(&mut self) -> &mut Simulator {
+        self.engine.single()
+    }
+
+    /// Number of training workers.
+    pub(crate) fn workers(&self) -> usize {
+        self.placed.workers.len()
+    }
+
+    /// Post-run (or between-steps) view of worker `w`.
+    pub(crate) fn worker(&self, w: usize) -> &dyn WorkerView {
+        (self.view)(self.engine.host(self.placed.workers[w]))
+    }
+
+    /// Visits the accelerator of every switch the job aggregates on,
+    /// root-first (fabric grants and demand accounting).
+    pub(crate) fn accelerators(&mut self, mut f: impl FnMut(&mut Accelerator)) {
+        let sim = self.engine.single();
+        for &sw in &self.placed.switches {
+            f(sim
+                .device_mut::<Switch>(sw)
+                .extension_mut::<IswitchExtension>()
+                .accelerator_mut());
+        }
+    }
+
+    /// Worker `w` as its concrete type, for pre-run configuration the
+    /// shared build does not cover (the chaos harness's seeded bugs).
+    pub(crate) fn worker_mut<T: HostApp>(&mut self, w: usize) -> &mut T {
+        let (_, node) = self.placed.workers[w];
+        self.sim().device_mut::<Host>(node).app_mut::<T>()
+    }
+
+    /// Rounds worker `w` has completed: logged iterations (sync) or
+    /// observed weight updates (async).
+    pub(crate) fn progress(&self, w: usize) -> usize {
+        if self.strategy.is_async() {
+            self.worker(w).update_times().len()
+        } else {
+            self.worker(w).log().len()
+        }
+    }
+
+    fn async_server(&self) -> Option<&AsyncPsServer> {
+        let server = self.placed.server.filter(|_| self.strategy.is_async());
+        server.map(|node| self.engine.host((0, node)).app::<AsyncPsServer>())
+    }
+
+    /// The job's update clock: completion time of every global weight
+    /// update (asynchronous strategies).
+    pub(crate) fn update_times(&self) -> &[SimTime] {
+        match self.async_server() {
+            Some(server) => &server.update_times,
+            None => self.worker(0).update_times(),
+        }
+    }
+
+    /// Staleness of every committed gradient, in worker order.
+    pub(crate) fn staleness(&self) -> Vec<u32> {
+        match self.async_server() {
+            Some(server) => server.staleness().to_vec(),
+            None => (0..self.workers())
+                .flat_map(|w| self.worker(w).staleness())
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// The one completion step: runs the simulation to the next 200 ms
+    /// check point, or to `deadline` if that comes first. Returns whether
+    /// a check point was reached.
+    pub(crate) fn step(&mut self, deadline: SimTime) -> bool {
+        let until = self.next_check.min(deadline);
+        self.sim().run_until(until);
+        self.local_now = until;
+        let at_check = until == self.next_check;
+        if at_check {
+            self.next_check += CHECK_CADENCE;
+        }
+        at_check
+    }
+
+    /// Drives the job to local time `deadline`, stopping early once the
+    /// completion rule is met: queue idle (sync), or the update target
+    /// reached at a check point (async).
+    pub(crate) fn drive(&mut self, deadline: SimTime) {
+        while !self.done && self.local_now < deadline {
+            let at_check = self.step(deadline);
+            self.done = match self.target {
+                None => self.sim().is_idle(),
+                Some(target) => at_check && self.update_times().len() >= target,
+            };
+        }
+        if self.done {
+            self.local_now = self.sim().now();
+        }
+    }
+
+    /// Drives the job to completion with nothing else to interleave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an asynchronous job fails to reach its update target.
+    pub(crate) fn run(&mut self) {
+        let Some(target) = self.target else {
+            self.engine.run_until_idle();
+            self.done = true;
+            return;
+        };
+        for _ in 0..MAX_CHECKS {
+            self.drive(self.next_check);
+            if self.done {
+                return;
+            }
+        }
+        panic!("async simulation failed to reach {target} updates");
+    }
+
+    /// Folds the finished workers into the run's observation (untraced
+    /// runs get an empty trace and metrics object). Metrics are captured
+    /// before the per-iteration summary events are appended to the trace.
+    pub(crate) fn collect(&self) -> (TimingObservation, PerfSample) {
+        let (metrics, perf) = self.engine.snapshot(self.capture.trace.is_some());
+        let trace = self.capture.trace.as_deref();
+        let views: Vec<&dyn WorkerView> = (0..self.workers()).map(|w| self.worker(w)).collect();
+        let transport = views.iter().fold(TransportStats::default(), |acc, v| {
+            acc.merged(v.transport_stats())
+        });
+        let result = if self.strategy.is_async() {
+            let times = self.update_times();
+            trace_updates(trace, times, self.warmup);
+            let (per_iteration, measured) = mean_update_interval(times, self.warmup);
+            // Only the parameter server discards: iSwitch's bound check
+            // happens before the commit.
+            let discarded = self.async_server().map_or(0, AsyncPsServer::discarded);
+            let staleness = self.staleness();
+            let pushed = staleness.len() as f64 + discarded as f64;
+            TimingResult {
+                per_iteration,
+                breakdown: Breakdown {
+                    compute: SimDuration::ZERO,
+                    aggregation: per_iteration,
+                    update: SimDuration::ZERO,
+                },
+                staleness,
+                discard_fraction: if pushed > 0.0 {
+                    discarded as f64 / pushed
+                } else {
+                    0.0
+                },
+                iterations_measured: measured,
+                transport,
+            }
+        } else {
+            summarize_sync_logs(&views, self.warmup, trace, transport)
+        };
+        let trace = self.capture.trace.clone().unwrap_or_default();
+        trace.flush();
+        let observation = TimingObservation {
+            result,
+            metrics,
+            trace,
+            timeseries: self.capture.timeseries.clone(),
+        };
+        (observation, perf)
+    }
+}
+
+/// Builds one job: run metadata into the trace, the strategy's workers
+/// (and server), the topology with its in-switch extensions, then the
+/// tenant id (0 outside multi-tenant runs), sinks and event cap.
+///
+/// `sources` is the one input fidelity modes vary: `None` is timing
+/// fidelity (synthetic paper-sized gradients); `Some` supplies one live
+/// gradient source per worker of an iSwitch strategy (chaos, co-sim).
+pub(crate) fn build(
+    cfg: &TimingConfig,
+    sources: Option<Vec<Box<dyn GradientSource>>>,
+    tenant: u64,
+    capture: Capture,
+) -> Job {
+    emit_run_meta(cfg, capture.trace.as_deref());
+    let apps = make_apps(cfg, sources);
+    let (mut engine, placed) = build_topology(cfg, apps.grad_len, apps.workers, apps.server);
+    engine.attach(tenant, &capture, cfg.event_limit);
+    let is_async = cfg.strategy.is_async();
+    Job {
+        strategy: cfg.strategy,
+        warmup: cfg.warmup,
+        engine,
+        placed,
+        view: apps.view,
+        capture,
+        target: is_async.then_some(cfg.warmup + cfg.iterations + 1),
+        done: false,
+        local_now: SimTime::ZERO,
+        next_check: SimTime::ZERO + CHECK_CADENCE,
+    }
+}
+
+/// The host applications of one job.
+struct Apps {
+    workers: Vec<Box<dyn HostApp>>,
+    server: Option<Box<dyn HostApp>>,
+    view: ViewFn,
+    /// Gradient length the switches aggregate; `None` for host-side
+    /// strategies, whose switches only forward.
+    grad_len: Option<usize>,
+}
+
+fn view_of<P: StrategyProtocol>(host: &Host) -> &dyn WorkerView {
+    host.app::<StrategyRuntime<P>>()
+}
+
+/// Boxes one worker per index and pairs them with their view.
+fn workers_of<P: StrategyProtocol>(
+    n: usize,
+    mut mk: impl FnMut(usize) -> StrategyRuntime<P>,
+) -> (Vec<Box<dyn HostApp>>, ViewFn) {
+    let apps = (0..n)
+        .map(|w| Box::new(mk(w)) as Box<dyn HostApp>)
+        .collect();
+    (apps, view_of::<P>)
+}
+
+/// The worker + server factory: the only place a run's host applications
+/// are constructed. Worker `w` seeds its jitter with `seed + w`, the
+/// server with `seed + 0xFF`.
+fn make_apps(cfg: &TimingConfig, sources: Option<Vec<Box<dyn GradientSource>>>) -> Apps {
+    let paper = paper_model(cfg.algorithm);
+    let model = cfg.compute_model();
+    let comm = &cfg.comm;
+    let total_iters = cfg.warmup + cfg.iterations;
+    let seed = |w: usize| cfg.seed.wrapping_add(w as u64);
+    let bytes = paper.bytes() as u64;
+    // Timing fidelity pushes the paper-sized model, one collective per
+    // constituent network (DDPG's dual model aggregates actor and critic
+    // separately); live sources push their own gradient as one.
+    let (len, msgs) = match &sources {
+        Some(live) => (live[0].grad_len(), 1),
+        None => (paper.param_count(), paper.networks.len() as u64),
+    };
+    let mut sources = sources.map(Vec::into_iter);
+    let mut source = || -> Box<dyn GradientSource> {
+        match &mut sources {
+            Some(live) => live.next().expect("one gradient source per worker"),
+            None => Box::new(SyntheticGradients::new(len)),
+        }
+    };
+    let n = cfg.workers;
+    let server_seed = cfg.seed.wrapping_add(0xFF);
+    let mut server: Option<Box<dyn HostApp>> = None;
+    let (workers, view) = match cfg.strategy {
+        Strategy::SyncPs => {
+            let ip = server_ip(cfg);
+            let workers = workers_of(n, |w| {
+                SyncPsWorker::new(
+                    ip,
+                    bytes,
+                    msgs,
+                    total_iters,
+                    model.clone(),
+                    comm.clone(),
+                    seed(w),
+                )
+                .with_transport(cfg.make_transport())
+            });
+            server = Some(Box::new(SyncPsServer::new(
+                worker_ips(cfg),
+                bytes,
+                msgs,
+                model,
+                comm.clone(),
+                server_seed,
+            )));
+            workers
+        }
+        Strategy::SyncAr => {
+            let ips = worker_ips(cfg);
+            workers_of(n, |w| {
+                RingWorker::new(
+                    w,
+                    n,
+                    ips[(w + 1) % n],
+                    bytes,
+                    msgs,
+                    total_iters,
+                    model.clone(),
+                    comm.clone(),
+                    seed(w),
+                )
+                .with_transport(cfg.make_transport())
+            })
+        }
+        Strategy::SyncIsw => {
+            // Loss recovery: retry somewhat after a full round would
+            // normally complete (serialization up + broadcast down + jitter
+            // headroom). Round tags make premature retries harmless and the
+            // worker caps each retry's Help batch, so the timeout only
+            // trades recovery latency.
+            let help_timeout = SimDuration::serialization(
+                codec_wire_bytes(cfg.codec, len),
+                cfg.topo.edge.bandwidth_bps,
+            ) * 3
+                + SimDuration::from_millis(3);
+            workers_of(n, |w| {
+                let mut worker = IswSyncWorker::with_source(
+                    source(),
+                    msgs,
+                    total_iters,
+                    model.clone(),
+                    comm.clone(),
+                    seed(w),
+                )
+                .with_codec(cfg.codec)
+                .with_transport(cfg.make_transport());
+                if cfg.lossy() {
+                    worker.set_help_timeout(help_timeout);
+                }
+                worker
+            })
+        }
+        Strategy::AsyncPs => {
+            let ip = server_ip(cfg);
+            let workers = workers_of(n, |w| {
+                AsyncPsWorker::new(ip, bytes, msgs, model.clone(), comm.clone(), seed(w), None)
+                    .with_transport(cfg.make_transport())
+            });
+            server = Some(Box::new(AsyncPsServer::new(
+                bytes,
+                msgs,
+                model,
+                comm.clone(),
+                cfg.staleness_bound,
+                server_seed,
+            )));
+            workers
+        }
+        Strategy::AsyncIsw => workers_of(n, |w| {
+            IswAsyncWorker::with_source(
+                source(),
+                msgs,
+                model.clone(),
+                comm.clone(),
+                cfg.staleness_bound,
+                seed(w),
+                None,
+            )
+            .with_codec(cfg.codec)
+            .with_transport(cfg.make_transport())
+        }),
+    };
+    let in_switch = matches!(cfg.strategy, Strategy::SyncIsw | Strategy::AsyncIsw);
+    Apps {
+        workers,
+        server,
+        view,
+        grad_len: in_switch.then_some(len),
+    }
+}
+
+/// Bytes one worker pushes per round under `codec` — the serialization
+/// term of the recovery/stale-flush timeout formulas. F32 keeps the
+/// legacy `len * 4` payload bound exactly (timeout values feed replay
+/// identity); the quantized codecs sum their real per-segment packet
+/// sizes, so smaller wire formats get proportionally tighter timers.
+fn codec_wire_bytes(codec: CodecKind, len: usize) -> usize {
+    if codec == CodecKind::F32 {
+        return len * 4;
+    }
+    let elems = codec.elems_per_segment();
+    let c = codec.codec();
+    let mut bytes = (len / elems) * c.contribution_bytes(elems);
+    if !len.is_multiple_of(elems) {
+        bytes += c.contribution_bytes(len % elems);
+    }
+    bytes
+}
+
+/// Which deployment a switch belongs to. The three honour different
+/// subsets of the run's extension tuning — a known asymmetry (DESIGN.md
+/// §12) preserved because closing it moves behaviour on lossy trees.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Deployment {
+    /// `aggregation_mode`, `stale_flush` and `threshold_override`.
+    Star,
+    /// A level of the unsharded tree: none of the three (hierarchical
+    /// thresholds stay child counts so every level completes consistently).
+    Tree,
+    /// A level of the sharded fat-tree: `aggregation_mode`, `stale_flush`.
+    Fattree,
+}
+
+/// The switch-extension constructor: the accelerator of `switch` in a
+/// hierarchy whose ToR `r` has `tors[r]` hosts, AGG `a` has `aggs[a]` racks
+/// and whose root has `top` children (a star is a root over its workers).
+/// Children sit on ports `0..children`, the uplink after them. `None` when
+/// the strategy aggregates on hosts (`len` is `None`) and switches only
+/// forward.
+fn switch_extension(
+    cfg: &TimingConfig,
+    len: Option<usize>,
+    deployment: Deployment,
+    switch: SwitchRole,
+    (tors, aggs, top): (&[usize], &[usize], usize),
+) -> Option<Box<dyn SwitchExtension>> {
+    let len = len?;
+    let below_root = |children: usize| {
+        let uplink = PortId::new(children);
+        (AggregationRole::Intermediate { uplink }, children)
+    };
+    let (role, children) = match switch {
+        SwitchRole::Tor(r) => below_root(tors[r]),
+        SwitchRole::Agg(a) => below_root(aggs[a]),
+        SwitchRole::Core => (AggregationRole::Root, top),
+    };
+    let ports: Vec<PortId> = (0..children).map(PortId::new).collect();
+    let mut ext = match deployment {
+        Deployment::Star => ExtensionConfig::for_star(ports, len),
+        Deployment::Tree | Deployment::Fattree => ExtensionConfig::for_tree_level(role, ports, len),
+    };
+    ext.codec = cfg.codec;
+    if deployment != Deployment::Tree {
+        ext.mode = cfg.aggregation_mode;
+        if cfg.lossy() {
+            // Expire partial rounds stuck on a lost contribution (round
+            // tags keep expired flushes from polluting newer rounds).
+            let age = SimDuration::serialization(
+                codec_wire_bytes(cfg.codec, len),
+                cfg.topo.edge.bandwidth_bps,
+            ) + SimDuration::from_millis(2);
+            ext.stale_flush = Some(age);
+        }
+    }
+    if let (Deployment::Star, Some(h)) = (deployment, cfg.threshold_override) {
+        ext.threshold = h;
+    }
+    // The multi-tenant datapath flags; both default off.
+    if cfg.host_fallback {
+        ext = ext.with_host_fallback();
+    }
+    if cfg.slot_leak_bug {
+        ext = ext.with_slot_leak_bug();
+    }
+    Some(Box::new(IswitchExtension::new(ext)))
+}
+
+/// Where [`build_topology`] put the job's hosts and switches.
+pub(crate) struct Placed {
+    workers: Vec<HostRef>,
+    /// Edge link of each worker, index-aligned with the workers — the
+    /// fault-plan targets. Empty on the fat-tree.
+    pub(crate) worker_links: Vec<LinkId>,
+    /// Every switch carrying an [`IswitchExtension`], root-first (core,
+    /// then AGGs, then ToRs; a star has just its one switch) — the grant
+    /// and churn-reset targets. Empty for host-side strategies, which hold
+    /// no fabric resources, and on the fat-tree.
+    pub(crate) switches: Vec<NodeId>,
+    /// The parameter server. The asynchronous one's update log is the
+    /// job's update clock (async iSwitch reads worker 0's instead).
+    server: Option<NodeId>,
+}
+
+/// The physical link specs of a run: the configured egress queue on every
+/// edge and uplink direction, random loss on the edge links.
+fn physical_specs(cfg: &TimingConfig) -> TopologyConfig {
+    let mut topo = cfg.topo.clone();
+    if let Some(q) = cfg.queue {
+        topo.edge.queue = Some(q);
+        topo.uplink.queue = Some(q);
+    }
+    if cfg.edge_loss > 0.0 {
+        topo.edge.loss = LossModel::Random {
+            probability: cfg.edge_loss,
+            seed: cfg.seed,
+        };
+    }
+    topo
+}
+
+/// The AGG↔Core links of the sharded fat-tree: uplink bandwidth with the
+/// longer propagation of inter-pod fibre runs (paper §3.4 scales beyond a
+/// single rack). The propagation is also the conservative lookahead bound
+/// of the sharded engine, so the longer fibre directly widens the parallel
+/// epochs.
+fn core_uplink_spec(topo: &TopologyConfig) -> LinkSpec {
+    let mut spec = topo.uplink.clone();
+    spec.propagation = spec.propagation.max(SimDuration::from_micros(5));
+    spec
+}
+
+/// Wires the worker apps (plus an optional server) into the configured
+/// topology — star, two-level tree, three-level tree, or sharded fat-tree
+/// — with an in-switch extension on every switch when `len` is set.
+/// Host-side strategies ignore `racks_per_agg`: they have always run on
+/// the two-level tree.
+fn build_topology(
+    cfg: &TimingConfig,
+    len: Option<usize>,
+    mut apps: Vec<Box<dyn HostApp>>,
+    server: Option<Box<dyn HostApp>>,
+) -> (Engine, Placed) {
+    let topo = physical_specs(cfg);
+    let n = cfg.workers;
+    let has_server = server.is_some();
+    let on_sim = |nodes: &[NodeId]| nodes.iter().map(|&node| (0, node)).collect();
+    let isw_switches = |switches: Vec<NodeId>| if len.is_some() { switches } else { Vec::new() };
+
+    if let Some(shape) = cfg.fattree {
+        // Pod-major worker order, grouped into (pod, rack).
+        let mut rest = apps.into_iter();
+        let grouped = (0..shape.aggs)
+            .map(|_| {
+                (0..shape.racks_per_agg)
+                    .map(|_| rest.by_ref().take(shape.hosts_per_rack).collect())
+                    .collect()
+            })
+            .collect();
+        let tors = vec![shape.hosts_per_rack; shape.racks()];
+        let aggs = vec![shape.racks_per_agg; shape.aggs];
+        let sizes = (&tors[..], &aggs[..], shape.aggs);
+        let mut sim = ShardedSim::new();
+        let ft = build_fattree(
+            &mut sim,
+            grouped,
+            &mut |role| switch_extension(cfg, len, Deployment::Fattree, role, sizes),
+            &topo,
+            &core_uplink_spec(&topo),
+        );
+        let placed = Placed {
+            workers: ft.all_hosts().collect(),
+            worker_links: Vec::new(),
+            switches: Vec::new(),
+            server: None,
+        };
+        let threads = cfg.threads;
+        return (Engine::Sharded { sim, threads }, placed);
+    }
+
+    let mut sim = Box::new(Simulator::new());
+    let Some(per_rack) = cfg.workers_per_rack else {
+        // Child ports are the *workers* only: the server and background
+        // hosts sit on higher ports and stay ordinary FIB traffic, never
+        // counted toward the aggregation threshold.
+        apps.extend(server);
+        append_background(&mut apps, cfg);
+        let ext = switch_extension(cfg, len, Deployment::Star, SwitchRole::Core, (&[], &[], n));
+        let star = build_star(&mut sim, apps, ext, &topo);
+        let placed = Placed {
+            workers: on_sim(&star.hosts[..n]),
+            worker_links: star.host_links[..n].to_vec(),
+            switches: isw_switches(vec![star.switch]),
+            server: has_server.then(|| star.hosts[n]),
+        };
+        return (Engine::Single(sim), placed);
+    };
+
+    let sizes = rack_sizes(n, per_rack);
+    let n_racks = sizes.len();
+    let mut rest = apps.into_iter();
+    let mut racks: Vec<Vec<Box<dyn HostApp>>> = sizes
+        .iter()
+        .map(|&k| rest.by_ref().take(k).collect())
+        .collect();
+    // The PS server joins the first rack (extra port on ToR 0), so it sits
+    // at flattened host index `sizes[0]`.
+    racks[0].extend(server);
+    let (mut hosts, mut links, switches): (Vec<NodeId>, Vec<LinkId>, Vec<NodeId>) =
+        match cfg.racks_per_agg.filter(|_| len.is_some()) {
+            None => {
+                let tree = build_tree(
+                    &mut sim,
+                    racks,
+                    &mut |role| {
+                        switch_extension(cfg, len, Deployment::Tree, role, (&sizes, &[], n_racks))
+                    },
+                    &topo,
+                );
+                (
+                    tree.hosts.into_iter().flatten().collect(),
+                    tree.host_links.into_iter().flatten().collect(),
+                    std::iter::once(tree.core).chain(tree.tors).collect(),
+                )
+            }
+            Some(fanout) => {
+                let group_sizes = rack_sizes(n_racks, fanout.max(1));
+                let mut rest = racks.into_iter();
+                let grouped = group_sizes
+                    .iter()
+                    .map(|&k| rest.by_ref().take(k).collect())
+                    .collect();
+                let sizes = (&sizes[..], &group_sizes[..], group_sizes.len());
+                let tree3 = build_tree3(
+                    &mut sim,
+                    grouped,
+                    &mut |role| switch_extension(cfg, len, Deployment::Tree, role, sizes),
+                    &topo,
+                );
+                (
+                    tree3.hosts.into_iter().flatten().flatten().collect(),
+                    tree3.host_links.into_iter().flatten().flatten().collect(),
+                    std::iter::once(tree3.core)
+                        .chain(tree3.aggs)
+                        .chain(tree3.tors.into_iter().flatten())
+                        .collect(),
+                )
+            }
+        };
+    let server = has_server.then(|| {
+        links.remove(sizes[0]);
+        hosts.remove(sizes[0])
+    });
+    let placed = Placed {
+        workers: on_sim(&hosts),
+        worker_links: links,
+        switches: isw_switches(switches),
+        server,
+    };
+    (Engine::Single(sim), placed)
+}
+
+/// Appends `cfg.background_flows` bursting sources plus one counting sink
+/// to a star topology's app list. Sources stagger deterministically off
+/// the run seed; the burst budget scales with the run length so the
+/// cross traffic spans the measured window yet always drains (the
+/// simulator still reaches idle).
+fn append_background(apps: &mut Vec<Box<dyn HostApp>>, cfg: &TimingConfig) {
+    if cfg.background_flows == 0 {
+        return;
+    }
+    let sink_ip = host_ip(0, apps.len() + cfg.background_flows);
+    let bursts = (cfg.warmup + cfg.iterations) as u64 * 8;
+    for j in 0..cfg.background_flows {
+        apps.push(Box::new(BackgroundFlow::source(
+            sink_ip,
+            cfg.seed.wrapping_add(j as u64),
+            bursts,
+        )));
+    }
+    apps.push(Box::new(BackgroundFlow::sink()));
+}
+
+/// The parameter server's IP: the slot after the workers on the star, the
+/// extra host of the first rack on a tree.
+fn server_ip(cfg: &TimingConfig) -> IpAddr {
+    match cfg.workers_per_rack {
+        None => host_ip(0, cfg.workers),
+        Some(per_rack) => host_ip(0, rack_sizes(cfg.workers, per_rack)[0]),
+    }
+}
+
+/// Worker IPs in flattened order for the current layout.
+fn worker_ips(cfg: &TimingConfig) -> Vec<IpAddr> {
+    let racks = match (cfg.fattree, cfg.workers_per_rack) {
+        // Pod-major global racks, exactly like build_tree3/build_fattree.
+        (Some(shape), _) => vec![shape.hosts_per_rack; shape.racks()],
+        (None, Some(per_rack)) => rack_sizes(cfg.workers, per_rack),
+        (None, None) => vec![cfg.workers],
+    };
+    racks
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &k)| (0..k).map(move |i| host_ip(r, i)))
+        .collect()
+}
+
+/// Records run-level metadata at the head of the trace: the experiment
+/// shape (one `run` event) and the worker index ↔ IPv4 mapping (one
+/// `worker` event each) that analyzers use to resolve the `worker`
+/// attribute causal events carry (the address as `u32`).
+fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
+    let Some(trace) = trace else {
+        return;
+    };
+    let mut run_ev = TraceEvent::new(0, "run")
+        .with_str("strategy", cfg.strategy.label())
+        .with_str("algorithm", &cfg.algorithm.to_string())
+        .with_u64("workers", cfg.workers as u64)
+        .with_u64("iterations", cfg.iterations as u64)
+        .with_u64("warmup", cfg.warmup as u64)
+        .with_u64("seed", cfg.seed);
+    if cfg.codec != CodecKind::F32 {
+        // Only non-default codecs appear: f32 runs keep the exact byte
+        // layout of pre-codec trace artifacts.
+        run_ev = run_ev.with_str("codec", cfg.codec.label());
+    }
+    if let Some(shape) = cfg.fattree {
+        // Sharded runs only: existing (non-fattree) traces keep their exact
+        // byte layout. `threads` is deliberately omitted — artifacts must
+        // not depend on how many threads executed the run.
+        run_ev = run_ev
+            .with_u64("pods", shape.aggs as u64)
+            .with_u64("racks_per_pod", shape.racks_per_agg as u64)
+            .with_u64("hosts_per_rack", shape.hosts_per_rack as u64);
+    }
+    trace.record(run_ev);
+    let host_ev = |ev: TraceEvent, ip: IpAddr| {
+        ev.with_u64("addr", u64::from(ip.as_u32()))
+            .with_str("ip", &ip.to_string())
+    };
+    for (i, ip) in worker_ips(cfg).into_iter().enumerate() {
+        trace.record(host_ev(
+            TraceEvent::new(0, "worker").with_u64("index", i as u64),
+            ip,
+        ));
+    }
+    if matches!(cfg.strategy, Strategy::SyncPs | Strategy::AsyncPs) {
+        trace.record(host_ev(
+            TraceEvent::new(0, "host").with_str("role", "server"),
+            server_ip(cfg),
+        ));
+    }
+}
+
+/// Folds per-worker iteration logs into the mean breakdown, emitting one
+/// `iteration` trace event per logged iteration when a trace is attached.
+fn summarize_sync_logs(
+    workers: &[&dyn WorkerView],
+    warmup: usize,
+    trace: Option<&Trace>,
+    transport: TransportStats,
+) -> TimingResult {
+    let mut spans: Vec<IterSpans> = Vec::new();
+    let mut measured = 0;
+    for (widx, log) in workers.iter().map(|w| w.log()).enumerate() {
+        if let Some(trace) = trace {
+            for (i, (span, end)) in log.spans().iter().zip(log.end_times()).enumerate() {
+                trace.record(
+                    TraceEvent::new(end.as_nanos(), "iteration")
+                        .with_u64("worker", widx as u64)
+                        .with_u64("iter", i as u64)
+                        .with_str("phase", if i < warmup { "warmup" } else { "measure" })
+                        .with_u64("lgc_ns", span.compute.as_nanos())
+                        .with_u64("ga_ns", span.aggregation.as_nanos())
+                        .with_u64("lwu_ns", span.update.as_nanos())
+                        .with_u64("total_ns", span.total().as_nanos()),
+                );
+            }
+        }
+        spans.push(log.mean_after(warmup));
+        measured += log.len().saturating_sub(warmup);
+    }
+    let n = spans.len() as u64;
+    let mean = |f: fn(&IterSpans) -> SimDuration| {
+        SimDuration::from_nanos(spans.iter().map(|s| f(s).as_nanos()).sum::<u64>() / n)
+    };
+    let breakdown = Breakdown {
+        compute: mean(|s| s.compute),
+        aggregation: mean(|s| s.aggregation),
+        update: mean(|s| s.update),
+    };
+    TimingResult {
+        per_iteration: breakdown.total(),
+        breakdown,
+        staleness: Vec::new(),
+        discard_fraction: 0.0,
+        iterations_measured: measured,
+        transport,
+    }
+}
+
+/// Mean interval between consecutive update timestamps after warmup.
+fn mean_update_interval(times: &[SimTime], warmup: usize) -> (SimDuration, usize) {
+    assert!(
+        times.len() > warmup + 1,
+        "need more than {warmup} + 1 updates, got {}",
+        times.len()
+    );
+    let tail = &times[warmup..];
+    let span = tail.last().expect("non-empty").duration_since(tail[0]);
+    let n = tail.len() - 1;
+    (span / n as u64, n)
+}
+
+/// Emits one `update` event per observed weight-update timestamp.
+fn trace_updates(trace: Option<&Trace>, times: &[SimTime], warmup: usize) {
+    let Some(trace) = trace else {
+        return;
+    };
+    for (i, t) in times.iter().enumerate() {
+        let mut ev = TraceEvent::new(t.as_nanos(), "update")
+            .with_u64("index", i as u64)
+            .with_str("phase", if i < warmup { "warmup" } else { "measure" });
+        if i > 0 {
+            ev = ev.with_u64("interval_ns", t.duration_since(times[i - 1]).as_nanos());
+        }
+        trace.record(ev);
+    }
+}

@@ -11,10 +11,10 @@
 //!
 //! ## Execution model
 //!
-//! Every tenant runs its *own* [`Simulator`] over its own virtual topology
-//! — exactly the simulation its job would run solo — stamped with the
-//! tenant's id ([`Simulator::set_tenant`]) so every causal trace event
-//! attributes to it. What the tenants share is the *fabric*: a pool of
+//! Every tenant is one [`Job`] of the shared lifecycle — the same build a
+//! solo run makes, over its own simulator and virtual topology — stamped
+//! with the tenant's id ([`iswitch_netsim::Simulator::set_tenant`]) so
+//! every causal trace event attributes to it. What the tenants share is the *fabric*: a pool of
 //! aggregation slots and accumulator bytes ([`FabricConfig`]) arbitrated at
 //! fixed simulated-time **epoch barriers**. At each barrier the arbiter
 //! harvests every tenant's previous-epoch slot demand
@@ -46,24 +46,12 @@
 
 use std::sync::Arc;
 
-use iswitch_core::{IswitchExtension, FAULT_RESET_TOKEN};
-use iswitch_netsim::{
-    FaultAction, FaultPlan, Host, HostApp, LossModel, NodeId, SimDuration, SimTime, Simulator,
-    Switch,
-};
+use iswitch_core::FAULT_RESET_TOKEN;
+use iswitch_netsim::{FaultAction, FaultPlan, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
 
-use crate::apps::{
-    AsyncPsServer, AsyncPsWorker, IswAsyncWorker, IswSyncWorker, RingWorker, SyncPsServer,
-    SyncPsWorker,
-};
-use crate::timing_runner::{
-    append_background, apply_event_limit, attach_trace, build_isw_topology, build_plain_topology,
-    capture_metrics, codec_wire_bytes, collect_sync_result, emit_run_meta, grad_len,
-    mean_update_interval, messages, model_bytes, server_ip, trace_updates, worker_ips, Breakdown,
-    PerfSample, RunObs, Strategy, TimingConfig, TimingObservation, TimingResult,
-};
-use crate::transport::TransportStats;
+use crate::lifecycle::{self, build, Capture, Job};
+use crate::timing_runner::{PerfSample, TimingConfig, TimingObservation};
 
 /// Guaranteed minimum fabric share of one tenant. Zero means best-effort:
 /// the tenant only receives what the demand-driven water-fill and the
@@ -236,55 +224,14 @@ pub struct MultiTenantOutcome {
     pub fabric_report: JsonValue,
 }
 
-/// How one tenant's simulation detects completion.
-#[derive(Clone, Copy)]
-enum Driver {
-    /// Synchronous job: done when the event queue empties.
-    Sync(SyncKind),
-    /// Async parameter server: done when the server has observed the
-    /// target number of weight updates. Checked on the same 200 ms
-    /// cadence as the solo async driver, so the stop state is identical.
-    AsyncPs { server: NodeId, target: usize },
-    /// Async iSwitch: done when the probe worker (worker 0) has observed
-    /// the target number of updates.
-    AsyncIsw { probe: NodeId, target: usize },
-}
-
-#[derive(Clone, Copy)]
-enum SyncKind {
-    Ps,
-    Ar,
-    Isw,
-}
-
-/// The solo async driver's completion-check cadence
-/// (`run_async_until`'s slice). Multi-tenant async tenants check
-/// completion only at local times that are multiples of this, so they
-/// stop in exactly the state their solo run would.
-const ASYNC_CHECK: SimDuration = SimDuration::from_millis(200);
-
 /// Hard cap on arbitration barriers (mirrors the solo async driver's
-/// 100 000-slice cap; epochs may be much shorter than slices).
+/// check cap; epochs may be much shorter than its 200 ms slices).
 const MAX_BARRIERS: u64 = 2_000_000;
 
-/// One tenant's built, drivable simulation.
-struct TenantJob {
-    name: String,
-    id: u64,
-    join_at: SimDuration,
-    quota: TenantQuota,
-    warmup: usize,
-    strategy: Strategy,
-    sim: Simulator,
-    obs: RunObs,
-    driver: Driver,
-    workers: Vec<NodeId>,
-    /// Accelerator-bearing switches (empty for PS/AR tenants, which hold
-    /// no fabric resources).
-    switches: Vec<NodeId>,
-    done: bool,
-    local_now: SimTime,
-    next_check: SimTime,
+/// One tenant: its job plus the fabric accounting the arbiter keeps.
+struct TenantJob<'a> {
+    spec: &'a TenantSpec,
+    job: Job,
     /// Last harvested slot-demand peak (max over the tenant's switches).
     demand: u32,
     /// Maximum demand peak seen over the whole run (reporting).
@@ -294,22 +241,18 @@ struct TenantJob {
     grant_bytes: usize,
 }
 
-impl TenantJob {
+impl TenantJob<'_> {
+    /// Whether the tenant still holds fabric resources (PS/AR tenants
+    /// have no accelerator-bearing switches and never do).
     fn contends(&self) -> bool {
-        !self.done && !self.switches.is_empty()
+        !self.job.done && !self.job.placed.switches.is_empty()
     }
 
     /// Max slot-demand peak over the tenant's switches, re-arming each.
     fn harvest_demand(&mut self) {
         let mut peak = 0;
-        for &sw in &self.switches {
-            let accel = self
-                .sim
-                .device_mut::<Switch>(sw)
-                .extension_mut::<IswitchExtension>()
-                .accelerator_mut();
-            peak = peak.max(accel.take_demand_peak());
-        }
+        self.job
+            .accelerators(|accel| peak = peak.max(accel.take_demand_peak()));
         self.demand = peak;
         self.demand_max = self.demand_max.max(peak);
     }
@@ -318,87 +261,8 @@ impl TenantJob {
     fn install_grant(&mut self, slots: u32, bytes: usize) {
         self.grant_slots = slots;
         self.grant_bytes = bytes;
-        for &sw in &self.switches {
-            self.sim
-                .device_mut::<Switch>(sw)
-                .extension_mut::<IswitchExtension>()
-                .accelerator_mut()
-                .set_grant(Some(slots), Some(bytes));
-        }
-    }
-
-    /// Drives the simulation to local time `deadline`, marking completion.
-    fn drive(&mut self, deadline: SimTime) {
-        match self.driver {
-            Driver::Sync(_) => {
-                self.sim.run_until(deadline);
-                self.local_now = deadline;
-                if self.sim.is_idle() {
-                    self.done = true;
-                    self.finish();
-                }
-            }
-            Driver::AsyncPs { server, target } => {
-                while self.local_now < deadline && !self.done {
-                    let step = self.next_check.min(deadline);
-                    self.sim.run_until(step);
-                    self.local_now = step;
-                    if step == self.next_check {
-                        let n = self
-                            .sim
-                            .device::<Host>(server)
-                            .app::<AsyncPsServer>()
-                            .update_times
-                            .len();
-                        if n >= target {
-                            self.done = true;
-                            self.finish();
-                        }
-                        self.next_check += ASYNC_CHECK;
-                    }
-                }
-            }
-            Driver::AsyncIsw { probe, target } => {
-                while self.local_now < deadline && !self.done {
-                    let step = self.next_check.min(deadline);
-                    self.sim.run_until(step);
-                    self.local_now = step;
-                    if step == self.next_check {
-                        let n = self
-                            .sim
-                            .device::<Host>(probe)
-                            .app::<IswAsyncWorker>()
-                            .update_times()
-                            .len();
-                        if n >= target {
-                            self.done = true;
-                            self.finish();
-                        }
-                        self.next_check += ASYNC_CHECK;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records completion ("leave" churn): the local finish time.
-    fn finish(&mut self) {
-        self.local_now = self.sim.now();
-    }
-
-    /// Sums an accelerator-stat field over the tenant's switches.
-    fn sum_accel(&self, f: impl Fn(&iswitch_core::AcceleratorStats) -> u64) -> u64 {
-        self.switches
-            .iter()
-            .map(|&sw| {
-                f(self
-                    .sim
-                    .device::<Switch>(sw)
-                    .extension::<IswitchExtension>()
-                    .accelerator()
-                    .stats())
-            })
-            .sum()
+        self.job
+            .accelerators(|accel| accel.set_grant(Some(slots), Some(bytes)));
     }
 }
 
@@ -447,6 +311,7 @@ fn validate(cfg: &MultiJobConfig) {
             "multi-tenant runs use the single-simulator topologies; \
              threads parallelize across tenants, not fat-tree pods"
         );
+        lifecycle::validate(&t.job);
     }
     let slot_sum: u64 = cfg.tenants.iter().map(|t| u64::from(t.quota.slots)).sum();
     assert!(
@@ -476,7 +341,7 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
     // installed before the first event runs so the fabric is never
     // ungated.
     arbitrate(&mut jobs, &cfg.fabric, global + epoch);
-    while jobs.iter().any(|j| !j.done) {
+    while jobs.iter().any(|j| !j.job.done) {
         global += epoch;
         barriers += 1;
         assert!(
@@ -493,29 +358,28 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
     let mut tenants = Vec::with_capacity(jobs.len());
     let mut tenant_rows = Vec::with_capacity(jobs.len());
     for mut j in jobs {
-        let result = collect(&mut j);
-        let perf = j.obs.perf.take().expect("every tenant captures perf");
-        let trace = j.obs.trace.take().unwrap_or_else(|| Arc::new(Trace::new()));
-        trace.flush();
-        let observation = TimingObservation {
-            result,
-            metrics: j.obs.metrics.take().unwrap_or_else(JsonValue::empty_object),
-            trace,
-            timeseries: j.obs.timeseries.take(),
-        };
-        let slot_denials = j.sum_accel(|s| s.slot_denials);
-        let fallback_rounds = j.sum_accel(|s| s.fallback_rounds);
-        let switch_rounds = j
-            .sum_accel(|s| s.segments_emitted)
-            .saturating_sub(fallback_rounds);
+        let (observation, perf) = j.job.collect();
+        let (mut slot_denials, mut fallback_rounds, mut emitted) = (0, 0, 0);
+        j.job.accelerators(|accel| {
+            slot_denials += accel.stats().slot_denials;
+            fallback_rounds += accel.stats().fallback_rounds;
+            emitted += accel.stats().segments_emitted;
+        });
+        let switch_rounds = emitted.saturating_sub(fallback_rounds);
         let mut row = JsonValue::empty_object();
-        row.insert("name", JsonValue::Str(j.name.clone()));
-        row.insert("id", JsonValue::UInt(j.id));
-        row.insert("strategy", JsonValue::Str(j.strategy.label().into()));
-        row.insert("join_at_ns", JsonValue::UInt(j.join_at.as_nanos()));
-        row.insert("finished_at_ns", JsonValue::UInt(j.local_now.as_nanos()));
-        row.insert("quota_slots", JsonValue::UInt(u64::from(j.quota.slots)));
-        row.insert("quota_bytes", JsonValue::UInt(j.quota.bytes as u64));
+        row.insert("name", JsonValue::Str(j.spec.name.clone()));
+        row.insert("id", JsonValue::UInt(j.spec.id));
+        row.insert("strategy", JsonValue::Str(j.job.strategy.label().into()));
+        row.insert("join_at_ns", JsonValue::UInt(j.spec.join_at.as_nanos()));
+        row.insert(
+            "finished_at_ns",
+            JsonValue::UInt(j.job.local_now.as_nanos()),
+        );
+        row.insert(
+            "quota_slots",
+            JsonValue::UInt(u64::from(j.spec.quota.slots)),
+        );
+        row.insert("quota_bytes", JsonValue::UInt(j.spec.quota.bytes as u64));
         row.insert("grant_slots", JsonValue::UInt(u64::from(j.grant_slots)));
         row.insert("grant_bytes", JsonValue::UInt(j.grant_bytes as u64));
         row.insert("demand_peak", JsonValue::UInt(u64::from(j.demand_max)));
@@ -524,14 +388,14 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
         row.insert("switch_rounds", JsonValue::UInt(switch_rounds));
         tenant_rows.push(row);
         tenants.push(TenantRun {
-            name: j.name.clone(),
-            id: j.id,
+            name: j.spec.name.clone(),
+            id: j.spec.id,
             observation,
             perf,
             slot_denials,
             fallback_rounds,
             switch_rounds,
-            finished_at: j.local_now,
+            finished_at: j.job.local_now,
         });
     }
 
@@ -556,14 +420,13 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
 /// `global - join_at`, partitioned over `threads` OS threads. Each thread
 /// touches a disjoint set of tenants and the arbiter only runs at
 /// barriers, so results are byte-identical at any thread count.
-fn drive_epoch(jobs: &mut [TenantJob], global: SimDuration, threads: usize) {
-    fn drive_part(part: &mut [TenantJob], global: SimDuration) {
+fn drive_epoch(jobs: &mut [TenantJob<'_>], global: SimDuration, threads: usize) {
+    fn drive_part(part: &mut [TenantJob<'_>], global: SimDuration) {
         for j in part.iter_mut() {
-            if j.done || global <= j.join_at {
+            if j.job.done || global <= j.spec.join_at {
                 continue;
             }
-            let deadline = SimTime::ZERO + (global - j.join_at);
-            j.drive(deadline);
+            j.job.drive(SimTime::ZERO + (global - j.spec.join_at));
         }
     }
     if threads <= 1 || jobs.len() <= 1 {
@@ -586,11 +449,11 @@ fn drive_epoch(jobs: &mut [TenantJob], global: SimDuration, threads: usize) {
 /// always fully assigned, so an uncontended tenant's grant is far above
 /// anything it can use and never binds (which is what keeps uncontended
 /// multi-tenant runs byte-identical to solo runs).
-fn arbitrate(jobs: &mut [TenantJob], fabric: &FabricConfig, horizon: SimDuration) {
+fn arbitrate(jobs: &mut [TenantJob<'_>], fabric: &FabricConfig, horizon: SimDuration) {
     let active: Vec<usize> = jobs
         .iter()
         .enumerate()
-        .filter(|(_, j)| j.contends() && j.join_at < horizon)
+        .filter(|(_, j)| j.contends() && j.spec.join_at < horizon)
         .map(|(i, _)| i)
         .collect();
     if active.is_empty() {
@@ -601,7 +464,7 @@ fn arbitrate(jobs: &mut [TenantJob], fabric: &FabricConfig, horizon: SimDuration
     // Slots: quota floor, demand water-fill, then round-robin remainder.
     let mut grant: Vec<u64> = active
         .iter()
-        .map(|&i| u64::from(jobs[i].quota.slots))
+        .map(|&i| u64::from(jobs[i].spec.quota.slots))
         .collect();
     let mut want: Vec<u64> = active
         .iter()
@@ -636,7 +499,7 @@ fn arbitrate(jobs: &mut [TenantJob], fabric: &FabricConfig, horizon: SimDuration
 
     // Bytes: quota floor plus the equal split of the leftover (no byte
     // demand signal exists; the slot grant is the contended axis).
-    let byte_floor: Vec<usize> = active.iter().map(|&i| jobs[i].quota.bytes).collect();
+    let byte_floor: Vec<usize> = active.iter().map(|&i| jobs[i].spec.quota.bytes).collect();
     let byte_leftover = fabric.buffer_bytes - byte_floor.iter().sum::<usize>();
     let bbase = byte_leftover / n as usize;
     let brem = byte_leftover % n as usize;
@@ -648,50 +511,23 @@ fn arbitrate(jobs: &mut [TenantJob], fabric: &FabricConfig, horizon: SimDuration
     }
 }
 
-/// Builds one tenant's simulation: the exact build phase its solo runner
-/// would execute (same apps, same seeds, same topology, same trace
-/// metadata), stopped just short of driving it.
-fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob {
-    let cfg = &{
-        let mut cfg = spec.job.clone();
-        if let Some(q) = cfg.queue {
-            cfg.topo.edge.queue = Some(q);
-            cfg.topo.uplink.queue = Some(q);
-        }
-        cfg
-    };
-    assert!(
-        cfg.workers >= 2,
-        "distributed training needs at least two workers"
-    );
-    assert!(cfg.iterations > 0, "must measure at least one iteration");
-    assert!(
-        cfg.background_flows == 0 || cfg.workers_per_rack.is_none(),
-        "background flows attach to the single-switch star topology"
-    );
-    let mut obs = RunObs {
-        metrics: None,
-        want_metrics: observed,
+/// Builds one tenant: the shared lifecycle build stamped with the
+/// tenant's id, plus the tenant's reset churn as a fault plan installed
+/// after the topology.
+fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
+    let capture = Capture {
         trace: observed.then(|| Arc::new(Trace::new())),
         timeseries: None,
-        perf: None,
     };
-    emit_run_meta(cfg, &mut Some(&mut obs));
-    let mut job = match cfg.strategy {
-        Strategy::SyncPs => build_sync_ps(spec, cfg, &mut obs),
-        Strategy::SyncAr => build_sync_ar(spec, cfg, &mut obs),
-        Strategy::SyncIsw => build_sync_isw(spec, cfg, &mut obs),
-        Strategy::AsyncPs => build_async_ps(spec, cfg, &mut obs),
-        Strategy::AsyncIsw => build_async_isw(spec, cfg, &mut obs),
-    };
+    let mut job = build(&spec.job, None, spec.id, capture);
     if let Some(at) = spec.reset_at {
         assert!(
-            !job.switches.is_empty(),
+            !job.placed.switches.is_empty(),
             "reset churn targets iSwitch switches; tenant {} has none",
             spec.name
         );
         let mut plan = FaultPlan::new();
-        for &sw in &job.switches {
+        for &sw in &job.placed.switches {
             plan.push(
                 SimTime::ZERO + at,
                 FaultAction::InjectTimer {
@@ -700,38 +536,11 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob {
                 },
             );
         }
-        job.sim.install_fault_plan(&plan);
+        job.sim().install_fault_plan(&plan);
     }
-    job.obs = obs;
-    job
-}
-
-/// Shared [`TenantJob`] scaffolding for the per-strategy builders.
-fn new_job(spec: &TenantSpec, cfg: &TimingConfig, sim: Simulator, driver: Driver) -> TenantJob {
     TenantJob {
-        name: spec.name.clone(),
-        id: spec.id,
-        join_at: spec.join_at,
-        quota: spec.quota,
-        warmup: cfg.warmup,
-        strategy: cfg.strategy,
-        sim,
-        // Placeholder: `build_tenant` installs the real capture after the
-        // builder returns (the builders only need its trace for
-        // `attach_trace`, which they take by parameter instead).
-        obs: RunObs {
-            metrics: None,
-            want_metrics: false,
-            trace: None,
-            timeseries: None,
-            perf: None,
-        },
-        driver,
-        workers: Vec::new(),
-        switches: Vec::new(),
-        done: false,
-        local_now: SimTime::ZERO,
-        next_check: SimTime::ZERO + ASYNC_CHECK,
+        spec,
+        job,
         demand: 0,
         demand_max: 0,
         grant_slots: 0,
@@ -739,294 +548,10 @@ fn new_job(spec: &TenantSpec, cfg: &TimingConfig, sim: Simulator, driver: Driver
     }
 }
 
-fn build_sync_ps(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> TenantJob {
-    let bytes = model_bytes(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let mut sim = Simulator::new();
-    sim.set_tenant(spec.id);
-    attach_trace(&mut sim, &Some(obs));
-    let srv_ip = server_ip(cfg);
-    let worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                SyncPsWorker::new(
-                    srv_ip,
-                    bytes,
-                    messages(cfg.algorithm),
-                    total_iters,
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.seed.wrapping_add(w as u64),
-                )
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    let server = Box::new(SyncPsServer::new(
-        worker_ips(cfg),
-        bytes,
-        messages(cfg.algorithm),
-        model,
-        cfg.comm.clone(),
-        cfg.seed.wrapping_add(0xFF),
-    ));
-    let (workers, _server) = build_plain_topology(&mut sim, worker_apps, Some(server), cfg);
-    let mut job = new_job(spec, cfg, sim, Driver::Sync(SyncKind::Ps));
-    job.workers = workers;
-    job
-}
-
-fn build_sync_ar(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> TenantJob {
-    let bytes = model_bytes(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let ips = worker_ips(cfg);
-    let mut sim = Simulator::new();
-    sim.set_tenant(spec.id);
-    attach_trace(&mut sim, &Some(obs));
-    let worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                RingWorker::new(
-                    w,
-                    cfg.workers,
-                    ips[(w + 1) % cfg.workers],
-                    bytes,
-                    messages(cfg.algorithm),
-                    total_iters,
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.seed.wrapping_add(w as u64),
-                )
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    let (workers, _) = build_plain_topology(&mut sim, worker_apps, None, cfg);
-    let mut job = new_job(spec, cfg, sim, Driver::Sync(SyncKind::Ar));
-    job.workers = workers;
-    job
-}
-
-fn build_sync_isw(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> TenantJob {
-    let len = grad_len(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let mut cfg = cfg.clone();
-    let help_timeout = SimDuration::serialization(
-        codec_wire_bytes(cfg.codec, len),
-        cfg.topo.edge.bandwidth_bps,
-    ) * 3
-        + SimDuration::from_millis(3);
-    if cfg.edge_loss > 0.0 {
-        cfg.topo.edge.loss = LossModel::Random {
-            probability: cfg.edge_loss,
-            seed: cfg.seed,
-        };
-    }
-    let mut sim = Simulator::new();
-    sim.set_tenant(spec.id);
-    attach_trace(&mut sim, &Some(obs));
-    apply_event_limit(&mut sim, &cfg);
-    let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            let mut worker = IswSyncWorker::new(
-                len,
-                messages(cfg.algorithm),
-                total_iters,
-                model.clone(),
-                cfg.comm.clone(),
-                cfg.seed.wrapping_add(w as u64),
-            )
-            .with_codec(cfg.codec)
-            .with_transport(cfg.make_transport());
-            if cfg.lossy() {
-                worker = worker.with_help_timeout(help_timeout);
-            }
-            Box::new(worker) as Box<dyn HostApp>
-        })
-        .collect();
-    append_background(&mut worker_apps, &cfg);
-    let topo = build_isw_topology(&mut sim, worker_apps, &cfg, len);
-    let mut job = new_job(spec, &cfg, sim, Driver::Sync(SyncKind::Isw));
-    job.workers = topo.workers;
-    job.switches = topo.switches;
-    job
-}
-
-fn build_async_ps(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> TenantJob {
-    let bytes = model_bytes(cfg.algorithm);
-    let model = cfg.compute_model();
-    let mut sim = Simulator::new();
-    sim.set_tenant(spec.id);
-    attach_trace(&mut sim, &Some(obs));
-    let srv_ip = server_ip(cfg);
-    let worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                AsyncPsWorker::new(
-                    srv_ip,
-                    bytes,
-                    messages(cfg.algorithm),
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.seed.wrapping_add(w as u64),
-                    None,
-                )
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    let server = Box::new(AsyncPsServer::new(
-        bytes,
-        messages(cfg.algorithm),
-        model,
-        cfg.comm.clone(),
-        cfg.staleness_bound,
-        cfg.seed.wrapping_add(0xFF),
-    ));
-    let (workers, server_node) = build_plain_topology(&mut sim, worker_apps, Some(server), cfg);
-    let server_node = server_node.expect("async PS has a server");
-    let target = cfg.warmup + cfg.iterations + 1;
-    let mut job = new_job(
-        spec,
-        cfg,
-        sim,
-        Driver::AsyncPs {
-            server: server_node,
-            target,
-        },
-    );
-    job.workers = workers;
-    job
-}
-
-fn build_async_isw(spec: &TenantSpec, cfg: &TimingConfig, obs: &mut RunObs) -> TenantJob {
-    let len = grad_len(cfg.algorithm);
-    let model = cfg.compute_model();
-    let mut sim = Simulator::new();
-    sim.set_tenant(spec.id);
-    attach_trace(&mut sim, &Some(obs));
-    let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                IswAsyncWorker::new(
-                    len,
-                    messages(cfg.algorithm),
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.staleness_bound,
-                    cfg.seed.wrapping_add(w as u64),
-                    None,
-                )
-                .with_codec(cfg.codec)
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    append_background(&mut worker_apps, cfg);
-    let topo = build_isw_topology(&mut sim, worker_apps, cfg, len);
-    let probe = topo.workers[0];
-    let target = cfg.warmup + cfg.iterations + 1;
-    let mut job = new_job(spec, cfg, sim, Driver::AsyncIsw { probe, target });
-    job.workers = topo.workers;
-    job.switches = topo.switches;
-    job
-}
-
-/// Collects one finished tenant's [`TimingResult`], mirroring the solo
-/// runners' post-run phase (metrics capture first, then per-strategy
-/// summarization — the trace-event order solo artifacts have).
-fn collect(j: &mut TenantJob) -> TimingResult {
-    let mut obs_opt = Some(&mut j.obs);
-    capture_metrics(&j.sim, &mut obs_opt);
-    let warmup = j.warmup;
-    match j.driver {
-        Driver::Sync(SyncKind::Ps) => collect_sync_result::<SyncPsWorker>(
-            &mut j.sim,
-            &j.workers,
-            warmup,
-            obs_opt,
-            |a| a.log(),
-            |a| a.transport_stats(),
-        ),
-        Driver::Sync(SyncKind::Ar) => collect_sync_result::<RingWorker>(
-            &mut j.sim,
-            &j.workers,
-            warmup,
-            obs_opt,
-            |a| a.log(),
-            |a| a.transport_stats(),
-        ),
-        Driver::Sync(SyncKind::Isw) => collect_sync_result::<IswSyncWorker>(
-            &mut j.sim,
-            &j.workers,
-            warmup,
-            obs_opt,
-            |a| a.log(),
-            |a| a.transport_stats(),
-        ),
-        Driver::AsyncPs { server, .. } => {
-            let transport = j.workers.iter().fold(TransportStats::default(), |acc, &w| {
-                acc.merged(
-                    j.sim
-                        .device::<Host>(w)
-                        .app::<AsyncPsWorker>()
-                        .transport_stats(),
-                )
-            });
-            let app = j.sim.device::<Host>(server).app::<AsyncPsServer>();
-            trace_updates(&mut obs_opt, &app.update_times, warmup);
-            let (per_iteration, measured) = mean_update_interval(&app.update_times, warmup);
-            let pushed = app.staleness().len() as f64 + app.discarded() as f64;
-            TimingResult {
-                per_iteration,
-                breakdown: Breakdown {
-                    compute: SimDuration::ZERO,
-                    aggregation: per_iteration,
-                    update: SimDuration::ZERO,
-                },
-                staleness: app.staleness().to_vec(),
-                discard_fraction: if pushed > 0.0 {
-                    app.discarded() as f64 / pushed
-                } else {
-                    0.0
-                },
-                iterations_measured: measured,
-                transport,
-            }
-        }
-        Driver::AsyncIsw { probe, .. } => {
-            let mut staleness = Vec::new();
-            let mut transport = TransportStats::default();
-            for &w in &j.workers {
-                let app = j.sim.device::<Host>(w).app::<IswAsyncWorker>();
-                staleness.extend_from_slice(app.staleness());
-                transport = transport.merged(app.transport_stats());
-            }
-            let app = j.sim.device::<Host>(probe).app::<IswAsyncWorker>();
-            trace_updates(&mut obs_opt, app.update_times(), warmup);
-            let (per_iteration, measured) = mean_update_interval(app.update_times(), warmup);
-            TimingResult {
-                per_iteration,
-                breakdown: Breakdown {
-                    compute: SimDuration::ZERO,
-                    aggregation: per_iteration,
-                    update: SimDuration::ZERO,
-                },
-                staleness,
-                discard_fraction: 0.0,
-                iterations_measured: measured,
-                transport,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing_runner::Strategy;
     use iswitch_rl::Algorithm;
 
     fn quick(alg: Algorithm, strategy: Strategy) -> TimingConfig {
@@ -1052,18 +577,47 @@ mod tests {
     #[test]
     fn uncontended_tenants_match_their_solo_runs_byte_for_byte() {
         // The tentpole isolation claim: when quotas never bind, a tenant
-        // sharing the fabric produces artifacts byte-identical to the
-        // same job running alone on a dedicated switch.
-        let a = TenantSpec::new("ppo-isw", 1, quick(Algorithm::Ppo, Strategy::SyncIsw));
-        let b = TenantSpec::new("dqn-async", 2, quick(Algorithm::Dqn, Strategy::AsyncIsw));
-        let shared = run_multi_tenant(&MultiJobConfig::new(vec![a.clone(), b.clone()]));
-        let solo_a = run_multi_tenant(&MultiJobConfig::new(vec![a]));
-        let solo_b = run_multi_tenant(&MultiJobConfig::new(vec![b]));
+        // sharing the fabric produces artifacts (report JSON + trace JSONL)
+        // byte-identical to the same job alone on a dedicated fabric, and
+        // the same summary as the plain solo runner — for every strategy,
+        // on the star and on the two-level tree.
+        const STAR: Option<usize> = None;
+        const TREE: Option<usize> = Some(3);
+        let rows = [
+            (Algorithm::Ppo, Strategy::SyncIsw, STAR),
+            (Algorithm::Dqn, Strategy::AsyncIsw, STAR),
+            (Algorithm::Ppo, Strategy::SyncPs, STAR),
+            (Algorithm::Ppo, Strategy::SyncAr, STAR),
+            (Algorithm::Ppo, Strategy::AsyncPs, STAR),
+            (Algorithm::Ppo, Strategy::SyncIsw, TREE),
+            (Algorithm::Ppo, Strategy::AsyncIsw, TREE),
+            (Algorithm::Ppo, Strategy::SyncPs, TREE),
+            (Algorithm::Ppo, Strategy::SyncAr, TREE),
+            (Algorithm::Ppo, Strategy::AsyncPs, TREE),
+        ];
+        let specs: Vec<TenantSpec> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(alg, strategy, per_rack))| {
+                let mut job = quick(alg, strategy);
+                job.workers_per_rack = per_rack;
+                job.workers = if per_rack.is_some() { 6 } else { 4 };
+                TenantSpec::new(format!("{strategy:?}-{per_rack:?}"), i as u64 + 1, job)
+            })
+            .collect();
+        let shared = run_multi_tenant(&MultiJobConfig::new(specs.clone()));
         let shared_art = artifacts(&shared);
-        assert_eq!(shared_art[0], artifacts(&solo_a)[0], "tenant A perturbed");
-        assert_eq!(shared_art[1], artifacts(&solo_b)[0], "tenant B perturbed");
-        assert_eq!(shared.tenants[0].slot_denials, 0);
-        assert_eq!(shared.tenants[1].slot_denials, 0);
+        for (i, spec) in specs.into_iter().enumerate() {
+            let name = spec.name.clone();
+            let summary = crate::run_timing(&spec.job);
+            let alone = run_multi_tenant(&MultiJobConfig::new(vec![spec]));
+            assert_eq!(shared_art[i], artifacts(&alone)[0], "{name} perturbed");
+            assert_eq!(shared.tenants[i].slot_denials, 0, "{name}");
+            let result = &alone.tenants[0].observation.result;
+            assert_eq!(result.per_iteration, summary.per_iteration, "{name}");
+            assert_eq!(result.staleness, summary.staleness, "{name}");
+            assert_eq!(result.transport, summary.transport, "{name}");
+        }
     }
 
     #[test]

@@ -5,23 +5,14 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use iswitch_core::{
-    AggregationMode, AggregationRole, CodecKind, ExtensionConfig, IswitchExtension,
-};
-use iswitch_netsim::{
-    build_fattree, build_star, build_tree, build_tree3, host_ip, EgressQueue, Fattree,
-    FattreeShape, Host, HostApp, LinkId, LinkSpec, LossModel, NodeId, PortId, ShardedSim,
-    SimDuration, SimTime, Simulator, SwitchExtension, SwitchRole, TopologyConfig,
-};
-use iswitch_obs::{JsonValue, Timeseries, Trace, TraceEvent};
-use iswitch_rl::{paper_model, Algorithm};
+use iswitch_core::{AggregationMode, CodecKind};
+use iswitch_netsim::{EgressQueue, FattreeShape, SimDuration, TopologyConfig};
+use iswitch_obs::{JsonValue, Timeseries, Trace};
+use iswitch_rl::Algorithm;
 use serde::{Deserialize, Serialize};
 
-use crate::apps::{
-    AsyncPsServer, AsyncPsWorker, BackgroundFlow, IswAsyncWorker, IswSyncWorker, IterSpans,
-    RingWorker, SyncPsServer, SyncPsWorker,
-};
 use crate::compute_model::{CommCosts, ComputeModel};
+use crate::lifecycle::{build, validate, Capture};
 use crate::transport::{make_transport, TransportKind, TransportStats};
 
 /// A distributed-training strategy from the paper's evaluation (§5.2).
@@ -273,20 +264,6 @@ impl TimingResult {
     }
 }
 
-/// Observability capture accumulated while a timing run executes.
-///
-/// `trace` is `None` for perf-sampling runs ([`run_timing_perf`]): leaving
-/// the simulator's trace sink unset keeps the packet hot path free of any
-/// event-assembly cost, so wall-clock measurements reflect the engine, not
-/// the instrumentation.
-pub(crate) struct RunObs {
-    pub(crate) metrics: Option<JsonValue>,
-    pub(crate) want_metrics: bool,
-    pub(crate) trace: Option<Arc<Trace>>,
-    pub(crate) timeseries: Option<Arc<Timeseries>>,
-    pub(crate) perf: Option<PerfSample>,
-}
-
 /// Raw engine-side counters of one timing run, captured for benchmark
 /// harnesses (`perfgate`). All fields are deterministic for a fixed
 /// [`TimingConfig`]: they come from the seeded simulation, not the host.
@@ -349,8 +326,8 @@ pub struct TimingObservation {
     /// The summary [`run_timing`] would have returned.
     pub result: TimingResult,
     /// Engine + per-switch metrics snapshot
-    /// ([`Simulator::metrics_json`]): link backlog histograms, queue
-    /// depths, aggregation latencies, Help/flush counters.
+    /// ([`iswitch_netsim::Simulator::metrics_json`]): link backlog
+    /// histograms, queue depths, aggregation latencies, Help/flush counters.
     pub metrics: JsonValue,
     /// The causal trace. Export with [`Trace::to_jsonl`]; events appear in
     /// record order, not sorted by timestamp.
@@ -417,40 +394,16 @@ impl TimingObservation {
     }
 }
 
-pub(crate) fn model_bytes(alg: Algorithm) -> u64 {
-    paper_model(alg).bytes() as u64
-}
-
-pub(crate) fn grad_len(alg: Algorithm) -> usize {
-    paper_model(alg).param_count()
-}
-
-/// Collectives per iteration: one per constituent network (DDPG's dual
-/// model aggregates actor and critic separately).
-pub(crate) fn messages(alg: Algorithm) -> u64 {
-    paper_model(alg).networks.len() as u64
-}
-
-/// Splits `workers` into racks of at most `per_rack`.
-fn rack_sizes(workers: usize, per_rack: usize) -> Vec<usize> {
-    assert!(per_rack > 0);
-    let mut left = workers;
-    let mut out = Vec::new();
-    while left > 0 {
-        let take = left.min(per_rack);
-        out.push(take);
-        left -= take;
-    }
-    out
-}
-
 /// Runs one timing experiment.
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (zero workers/iterations).
+/// Panics on configurations no strategy can run: fewer than two workers,
+/// zero iterations, background flows off the star, edge loss on a strategy
+/// other than [`Strategy::SyncIsw`], or a fat-tree shape that disagrees
+/// with the worker count or strategy.
 pub fn run_timing(cfg: &TimingConfig) -> TimingResult {
-    dispatch(cfg, None)
+    run_timing_perf(cfg).0
 }
 
 /// Runs one timing experiment and captures its full observability export
@@ -458,7 +411,7 @@ pub fn run_timing(cfg: &TimingConfig) -> TimingResult {
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (zero workers/iterations).
+/// Panics on the configurations [`run_timing`] rejects.
 pub fn run_timing_observed(cfg: &TimingConfig) -> TimingObservation {
     run_timing_observed_with(cfg, TraceOptions::default())
 }
@@ -468,7 +421,7 @@ pub fn run_timing_observed(cfg: &TimingConfig) -> TimingObservation {
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (zero workers/iterations).
+/// Panics on the configurations [`run_timing`] rejects.
 pub fn run_timing_observed_with(cfg: &TimingConfig, opts: TraceOptions) -> TimingObservation {
     let mut trace = match opts.capacity {
         Some(cap) => Trace::bounded(cap),
@@ -477,22 +430,11 @@ pub fn run_timing_observed_with(cfg: &TimingConfig, opts: TraceOptions) -> Timin
     if let Some(sink) = opts.stream {
         trace = trace.with_writer(sink);
     }
-    let mut obs = RunObs {
-        metrics: None,
-        want_metrics: true,
+    let capture = Capture {
         trace: Some(Arc::new(trace)),
         timeseries: opts.timeseries,
-        perf: None,
     };
-    let result = dispatch(cfg, Some(&mut obs));
-    let trace = obs.trace.expect("observed runs keep their trace");
-    trace.flush();
-    TimingObservation {
-        result,
-        metrics: obs.metrics.unwrap_or_else(JsonValue::empty_object),
-        trace,
-        timeseries: obs.timeseries,
-    }
+    run(cfg, capture).0
 }
 
 /// Runs one timing experiment and returns the engine's raw event/packet
@@ -503,1009 +445,24 @@ pub fn run_timing_observed_with(cfg: &TimingConfig, opts: TraceOptions) -> Timin
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (zero workers/iterations).
+/// Panics on the configurations [`run_timing`] rejects.
 pub fn run_timing_perf(cfg: &TimingConfig) -> (TimingResult, PerfSample) {
-    let mut obs = RunObs {
-        metrics: None,
-        want_metrics: false,
-        trace: None,
-        timeseries: None,
-        perf: None,
-    };
-    let result = dispatch(cfg, Some(&mut obs));
-    let perf = obs.perf.expect("every strategy captures a perf sample");
-    (result, perf)
+    let (observation, perf) = run(cfg, Capture::default());
+    (observation.result, perf)
 }
 
-fn dispatch(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    assert!(
-        cfg.workers >= 2,
-        "distributed training needs at least two workers"
-    );
-    assert!(cfg.iterations > 0, "must measure at least one iteration");
-    assert!(
-        cfg.background_flows == 0 || (cfg.workers_per_rack.is_none() && cfg.fattree.is_none()),
-        "background flows attach to the single-switch star topology"
-    );
-    // Install the configured egress queue on the physical specs once, so
-    // every topology builder below picks it up.
-    let cfg = &{
-        let mut cfg = cfg.clone();
-        if let Some(q) = cfg.queue {
-            cfg.topo.edge.queue = Some(q);
-            cfg.topo.uplink.queue = Some(q);
-        }
-        cfg
-    };
-    if let Some(shape) = cfg.fattree {
-        assert_eq!(
-            cfg.workers,
-            shape.workers(),
-            "fat-tree runs derive the worker count from the shape: set \
-             workers = aggs * racks_per_agg * hosts_per_rack"
-        );
-        assert_eq!(
-            cfg.strategy,
-            Strategy::SyncIsw,
-            "the sharded fat-tree currently runs only the SyncIsw strategy"
-        );
-        emit_run_meta(cfg, &mut obs);
-        return run_sync_isw_sharded(cfg, obs);
-    }
-    emit_run_meta(cfg, &mut obs);
-    match cfg.strategy {
-        Strategy::SyncPs => run_sync_ps(cfg, obs),
-        Strategy::SyncAr => run_sync_ar(cfg, obs),
-        Strategy::SyncIsw => run_sync_isw(cfg, obs),
-        Strategy::AsyncPs => run_async_ps(cfg, obs),
-        Strategy::AsyncIsw => run_async_isw(cfg, obs),
-    }
-}
-
-/// Builds either a star or a tree over the given worker apps (plus an
-/// optional trailing server app placed in the first rack), returning the
-/// worker node ids (and the server node id last, when present).
-pub(crate) fn build_plain_topology(
-    sim: &mut Simulator,
-    mut worker_apps: Vec<Box<dyn HostApp>>,
-    server_app: Option<Box<dyn HostApp>>,
-    cfg: &TimingConfig,
-) -> (Vec<iswitch_netsim::NodeId>, Option<iswitch_netsim::NodeId>) {
-    match cfg.workers_per_rack {
-        None => {
-            let has_server = server_app.is_some();
-            if let Some(s) = server_app {
-                worker_apps.push(s);
-            }
-            let n_protocol = worker_apps.len();
-            append_background(&mut worker_apps, cfg);
-            let star = build_star(sim, worker_apps, None, &cfg.topo);
-            let mut nodes = star.hosts;
-            nodes.truncate(n_protocol);
-            let server = if has_server { nodes.pop() } else { None };
-            (nodes, server)
-        }
-        Some(per_rack) => {
-            let sizes = rack_sizes(cfg.workers, per_rack);
-            let mut apps = worker_apps.into_iter();
-            let mut racks: Vec<Vec<Box<dyn HostApp>>> = sizes
-                .iter()
-                .map(|&k| (0..k).map(|_| apps.next().expect("enough apps")).collect())
-                .collect();
-            // The PS server joins the first rack (extra port on ToR 0).
-            let has_server = server_app.is_some();
-            if let Some(s) = server_app {
-                racks[0].push(s);
-            }
-            let tree = build_tree(sim, racks, &mut |_| None, &cfg.topo);
-            let mut nodes: Vec<_> = tree.hosts.iter().flatten().copied().collect();
-            let server = if has_server {
-                // Last host of rack 0 is the server; remove it from the
-                // flattened worker list (it sits at index sizes[0]).
-                let idx = rack_sizes(cfg.workers, per_rack)[0];
-                Some(nodes.remove(idx))
-            } else {
-                None
-            };
-            (nodes, server)
-        }
-    }
-}
-
-/// Appends `cfg.background_flows` bursting sources plus one counting sink
-/// to a star topology's app list. Sources stagger deterministically off
-/// the run seed; the burst budget scales with the run length so the
-/// cross traffic spans the measured window yet always drains (the
-/// simulator still reaches idle).
-pub(crate) fn append_background(apps: &mut Vec<Box<dyn HostApp>>, cfg: &TimingConfig) {
-    if cfg.background_flows == 0 {
-        return;
-    }
-    let sink_ip = host_ip(0, apps.len() + cfg.background_flows);
-    let bursts = (cfg.warmup + cfg.iterations) as u64 * 8;
-    for j in 0..cfg.background_flows {
-        apps.push(Box::new(BackgroundFlow::source(
-            sink_ip,
-            cfg.seed.wrapping_add(j as u64),
-            bursts,
-        )));
-    }
-    apps.push(Box::new(BackgroundFlow::sink()));
-}
-
-/// The IP a host at flattened position `i` has (accounting for rack layout
-/// and the optional server slot).
-pub(crate) fn server_ip(cfg: &TimingConfig) -> iswitch_netsim::IpAddr {
-    match cfg.workers_per_rack {
-        None => host_ip(0, cfg.workers),
-        Some(per_rack) => host_ip(0, rack_sizes(cfg.workers, per_rack)[0]),
-    }
-}
-
-pub(crate) fn collect_sync_result<T: HostApp>(
-    sim: &mut Simulator,
-    workers: &[iswitch_netsim::NodeId],
-    warmup: usize,
-    obs: Option<&mut RunObs>,
-    log_of: impl Fn(&T) -> &crate::apps::IterLog,
-    stats_of: impl Fn(&T) -> TransportStats,
-) -> TimingResult {
-    let apps: Vec<&T> = workers
-        .iter()
-        .map(|&w| sim.device::<Host>(w).app::<T>())
-        .collect();
-    let logs: Vec<&crate::apps::IterLog> = apps.iter().map(|a| log_of(a)).collect();
-    let transport = apps
-        .iter()
-        .fold(TransportStats::default(), |acc, a| acc.merged(stats_of(a)));
-    summarize_sync_logs(&logs, warmup, obs, transport)
-}
-
-/// Like [`collect_sync_result`] for a sharded fat-tree: workers live in
-/// per-pod domains, in the same flattened (pod-major) order.
-fn collect_sync_result_sharded<T: HostApp>(
-    sharded: &ShardedSim,
-    ft: &Fattree,
-    warmup: usize,
-    obs: Option<&mut RunObs>,
-    log_of: impl Fn(&T) -> &crate::apps::IterLog,
-    stats_of: impl Fn(&T) -> TransportStats,
-) -> TimingResult {
-    let apps: Vec<&T> = ft
-        .all_hosts()
-        .map(|(d, n)| sharded.domain(d).device::<Host>(n).app::<T>())
-        .collect();
-    let logs: Vec<&crate::apps::IterLog> = apps.iter().map(|a| log_of(a)).collect();
-    let transport = apps
-        .iter()
-        .fold(TransportStats::default(), |acc, a| acc.merged(stats_of(a)));
-    summarize_sync_logs(&logs, warmup, obs, transport)
-}
-
-/// Folds per-worker iteration logs into the mean breakdown, emitting one
-/// `iteration` trace event per logged iteration when a trace is attached.
-fn summarize_sync_logs(
-    logs: &[&crate::apps::IterLog],
-    warmup: usize,
-    mut obs: Option<&mut RunObs>,
-    transport: TransportStats,
-) -> TimingResult {
-    let mut spans: Vec<IterSpans> = Vec::new();
-    let mut measured = 0;
-    for (widx, log) in logs.iter().enumerate() {
-        if let Some(trace) = obs.as_deref_mut().and_then(|o| o.trace.as_deref()) {
-            for (i, (span, end)) in log.spans().iter().zip(log.end_times()).enumerate() {
-                trace.record(
-                    TraceEvent::new(end.as_nanos(), "iteration")
-                        .with_u64("worker", widx as u64)
-                        .with_u64("iter", i as u64)
-                        .with_str("phase", if i < warmup { "warmup" } else { "measure" })
-                        .with_u64("lgc_ns", span.compute.as_nanos())
-                        .with_u64("ga_ns", span.aggregation.as_nanos())
-                        .with_u64("lwu_ns", span.update.as_nanos())
-                        .with_u64("total_ns", span.total().as_nanos()),
-                );
-            }
-        }
-        spans.push(log.mean_after(warmup));
-        measured += log.len().saturating_sub(warmup);
-    }
-    let n = spans.len() as u64;
-    let mean = |f: fn(&IterSpans) -> SimDuration| {
-        SimDuration::from_nanos(spans.iter().map(|s| f(s).as_nanos()).sum::<u64>() / n)
-    };
-    let breakdown = Breakdown {
-        compute: mean(|s| s.compute),
-        aggregation: mean(|s| s.aggregation),
-        update: mean(|s| s.update),
-    };
-    TimingResult {
-        per_iteration: breakdown.total(),
-        breakdown,
-        staleness: Vec::new(),
-        discard_fraction: 0.0,
-        iterations_measured: measured,
-        transport,
-    }
-}
-
-/// Snapshots the simulation's metrics registry and raw engine counters
-/// into the capture, if any.
-pub(crate) fn capture_metrics(sim: &Simulator, obs: &mut Option<&mut RunObs>) {
-    if let Some(obs) = obs.as_deref_mut() {
-        if obs.want_metrics {
-            obs.metrics = Some(sim.metrics_json());
-        }
-        let stats = sim.stats();
-        obs.perf = Some(PerfSample {
-            events: stats.events_processed,
-            packets_sent: stats.packets_sent,
-            packets_delivered: stats.packets_delivered,
-            sim_ns: sim.now().as_nanos(),
-            ecn_marked: stats.packets_ecn_marked,
-            dropped_queue: stats.packets_dropped_queue,
-            dropped_link_down: stats.packets_dropped_link_down,
-            barrier_stall_ns: stats.barrier_stall_ns,
-            epochs: stats.epochs,
-        });
-    }
-}
-
-/// [`capture_metrics`] for a sharded run: merged registry, summed engine
-/// counters, and the maximum domain clock.
-fn capture_metrics_sharded(sharded: &ShardedSim, obs: &mut Option<&mut RunObs>) {
-    if let Some(obs) = obs.as_deref_mut() {
-        if obs.want_metrics {
-            obs.metrics = Some(sharded.metrics_json());
-        }
-        let stats = sharded.stats();
-        obs.perf = Some(PerfSample {
-            events: stats.events_processed,
-            packets_sent: stats.packets_sent,
-            packets_delivered: stats.packets_delivered,
-            sim_ns: sharded.now().as_nanos(),
-            ecn_marked: stats.packets_ecn_marked,
-            dropped_queue: stats.packets_dropped_queue,
-            dropped_link_down: stats.packets_dropped_link_down,
-            barrier_stall_ns: stats.barrier_stall_ns,
-            epochs: stats.epochs,
-        });
-    }
-}
-
-/// Hands the capture's trace and telemetry sinks (if wanted) to the
-/// simulator so hosts, links, and switches record causal events and
-/// counter tracks as the run executes.
-pub(crate) fn attach_trace(sim: &mut Simulator, obs: &Option<&mut RunObs>) {
-    if let Some(trace) = obs.as_deref().and_then(|o| o.trace.as_ref()) {
-        sim.set_trace(Arc::clone(trace));
-    }
-    if let Some(ts) = obs.as_deref().and_then(|o| o.timeseries.as_ref()) {
-        sim.set_timeseries(Arc::clone(ts));
-    }
-}
-
-/// Records run-level metadata at the head of the trace: the experiment
-/// shape (one `run` event) and the worker index ↔ IPv4 mapping (one
-/// `worker` event each) that analyzers use to resolve the `worker`
-/// attribute causal events carry (the address as `u32`).
-pub(crate) fn emit_run_meta(cfg: &TimingConfig, obs: &mut Option<&mut RunObs>) {
-    let Some(trace) = obs.as_deref_mut().and_then(|o| o.trace.as_deref()) else {
-        return;
-    };
-    let mut run_ev = TraceEvent::new(0, "run")
-        .with_str("strategy", cfg.strategy.label())
-        .with_str("algorithm", &cfg.algorithm.to_string())
-        .with_u64("workers", cfg.workers as u64)
-        .with_u64("iterations", cfg.iterations as u64)
-        .with_u64("warmup", cfg.warmup as u64)
-        .with_u64("seed", cfg.seed);
-    if cfg.codec != CodecKind::F32 {
-        // Only non-default codecs appear: f32 runs keep the exact byte
-        // layout of pre-codec trace artifacts.
-        run_ev = run_ev.with_str("codec", cfg.codec.label());
-    }
-    if let Some(shape) = cfg.fattree {
-        // Sharded runs only: existing (non-fattree) traces keep their exact
-        // byte layout. `threads` is deliberately omitted — artifacts must
-        // not depend on how many threads executed the run.
-        run_ev = run_ev
-            .with_u64("pods", shape.aggs as u64)
-            .with_u64("racks_per_pod", shape.racks_per_agg as u64)
-            .with_u64("hosts_per_rack", shape.hosts_per_rack as u64);
-    }
-    trace.record(run_ev);
-    for (i, ip) in worker_ips(cfg).iter().enumerate() {
-        trace.record(
-            TraceEvent::new(0, "worker")
-                .with_u64("index", i as u64)
-                .with_u64("addr", u64::from(ip.as_u32()))
-                .with_str("ip", &ip.to_string()),
-        );
-    }
-    if matches!(cfg.strategy, Strategy::SyncPs | Strategy::AsyncPs) {
-        let ip = server_ip(cfg);
-        trace.record(
-            TraceEvent::new(0, "host")
-                .with_str("role", "server")
-                .with_u64("addr", u64::from(ip.as_u32()))
-                .with_str("ip", &ip.to_string()),
-        );
-    }
-}
-
-fn run_sync_ps(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    let bytes = model_bytes(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let mut sim = Simulator::new();
-    attach_trace(&mut sim, &obs);
-    let srv_ip = server_ip(cfg);
-    let worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                SyncPsWorker::new(
-                    srv_ip,
-                    bytes,
-                    messages(cfg.algorithm),
-                    total_iters,
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.seed.wrapping_add(w as u64),
-                )
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    let worker_ips: Vec<_> = worker_ips(cfg);
-    let server = Box::new(SyncPsServer::new(
-        worker_ips,
-        bytes,
-        messages(cfg.algorithm),
-        model,
-        cfg.comm.clone(),
-        cfg.seed.wrapping_add(0xFF),
-    ));
-    let (workers, _server) = build_plain_topology(&mut sim, worker_apps, Some(server), cfg);
-    sim.run_until_idle();
-    capture_metrics(&sim, &mut obs);
-    collect_sync_result::<SyncPsWorker>(
-        &mut sim,
-        &workers,
-        cfg.warmup,
-        obs,
-        |a| a.log(),
-        |a| a.transport_stats(),
-    )
-}
-
-/// Worker IPs in flattened order for the current layout.
-pub(crate) fn worker_ips(cfg: &TimingConfig) -> Vec<iswitch_netsim::IpAddr> {
-    if let Some(shape) = cfg.fattree {
-        // Pod-major global racks, exactly like build_tree3/build_fattree.
-        return (0..shape.racks())
-            .flat_map(|r| (0..shape.hosts_per_rack).map(move |i| host_ip(r, i)))
-            .collect();
-    }
-    match cfg.workers_per_rack {
-        None => (0..cfg.workers).map(|i| host_ip(0, i)).collect(),
-        Some(per_rack) => {
-            let sizes = rack_sizes(cfg.workers, per_rack);
-            let mut out = Vec::new();
-            for (r, &k) in sizes.iter().enumerate() {
-                for i in 0..k {
-                    out.push(host_ip(r, i));
-                }
-            }
-            out
-        }
-    }
-}
-
-fn run_sync_ar(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    let bytes = model_bytes(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let ips = worker_ips(cfg);
-    let mut sim = Simulator::new();
-    attach_trace(&mut sim, &obs);
-    let worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                RingWorker::new(
-                    w,
-                    cfg.workers,
-                    ips[(w + 1) % cfg.workers],
-                    bytes,
-                    messages(cfg.algorithm),
-                    total_iters,
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.seed.wrapping_add(w as u64),
-                )
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    let (workers, _) = build_plain_topology(&mut sim, worker_apps, None, cfg);
-    sim.run_until_idle();
-    capture_metrics(&sim, &mut obs);
-    collect_sync_result::<RingWorker>(
-        &mut sim,
-        &workers,
-        cfg.warmup,
-        obs,
-        |a| a.log(),
-        |a| a.transport_stats(),
-    )
-}
-
-/// Bytes one worker pushes per round under `codec` — the serialization
-/// term of the recovery/stale-flush timeout formulas. F32 keeps the
-/// legacy `len * 4` payload bound exactly (timeout values feed replay
-/// identity); the quantized codecs sum their real per-segment packet
-/// sizes, so smaller wire formats get proportionally tighter timers.
-pub(crate) fn codec_wire_bytes(codec: CodecKind, len: usize) -> usize {
-    if codec == CodecKind::F32 {
-        return len * 4;
-    }
-    let elems = codec.elems_per_segment();
-    let c = codec.codec();
-    let mut bytes = (len / elems) * c.contribution_bytes(elems);
-    if !len.is_multiple_of(elems) {
-        bytes += c.contribution_bytes(len % elems);
-    }
-    bytes
-}
-
-/// What [`build_isw_topology`] produced: the worker nodes plus the
-/// fault-plan targets of the deployment (worker edge links) and every
-/// accelerator-bearing switch (grant installation / churn-reset targets).
-pub(crate) struct IswTopology {
-    /// Worker host nodes in flattened order.
-    pub workers: Vec<NodeId>,
-    /// Edge link of each worker, index-aligned with `workers`.
-    pub worker_links: Vec<LinkId>,
-    /// Every switch carrying an [`IswitchExtension`], root-first (core,
-    /// then AGGs, then ToRs; a star has just its one switch).
-    pub switches: Vec<NodeId>,
-}
-
-/// Applies the multi-tenant datapath flags to an extension config: the
-/// host-aggregation fallback path and the seeded slot-leak bug. Both
-/// default off, leaving single-tenant configs bit-for-bit unchanged.
-fn apply_tenant_flags(mut ext_cfg: ExtensionConfig, cfg: &TimingConfig) -> ExtensionConfig {
-    if cfg.host_fallback {
-        ext_cfg = ext_cfg.with_host_fallback();
-    }
-    if cfg.slot_leak_bug {
-        ext_cfg = ext_cfg.with_slot_leak_bug();
-    }
-    ext_cfg
-}
-
-/// Builds the iSwitch topology (star or tree with accelerators installed)
-/// over the given worker apps.
-pub(crate) fn build_isw_topology(
-    sim: &mut Simulator,
-    worker_apps: Vec<Box<dyn HostApp>>,
-    cfg: &TimingConfig,
-    len: usize,
-) -> IswTopology {
-    let tune = |mut ext_cfg: ExtensionConfig, cfg: &TimingConfig| {
-        ext_cfg.mode = cfg.aggregation_mode;
-        ext_cfg.codec = cfg.codec;
-        if let Some(h) = cfg.threshold_override {
-            ext_cfg.threshold = h;
-        }
-        if cfg.lossy() {
-            // Expire partial rounds stuck on a lost contribution (round
-            // tags keep expired flushes from polluting newer rounds).
-            let age = SimDuration::serialization(
-                codec_wire_bytes(cfg.codec, len),
-                cfg.topo.edge.bandwidth_bps,
-            ) + SimDuration::from_millis(2);
-            ext_cfg.stale_flush = Some(age);
-        }
-        apply_tenant_flags(ext_cfg, cfg)
-    };
-    match cfg.workers_per_rack {
-        None => {
-            // Child ports are the *workers* only: background hosts sit on
-            // higher ports and must stay ordinary FIB traffic, never
-            // counted toward the aggregation threshold.
-            let n = cfg.workers;
-            let child_ports: Vec<PortId> = (0..n).map(PortId::new).collect();
-            let ext = IswitchExtension::new(tune(ExtensionConfig::for_star(child_ports, len), cfg));
-            let star = build_star(sim, worker_apps, Some(Box::new(ext)), &cfg.topo);
-            let mut workers = star.hosts;
-            workers.truncate(n);
-            let mut worker_links = star.host_links;
-            worker_links.truncate(n);
-            IswTopology {
-                workers,
-                worker_links,
-                switches: vec![star.switch],
-            }
-        }
-        Some(per_rack) => {
-            let sizes = rack_sizes(cfg.workers, per_rack);
-            let mut apps = worker_apps.into_iter();
-            let racks: Vec<Vec<Box<dyn HostApp>>> = sizes
-                .iter()
-                .map(|&k| (0..k).map(|_| apps.next().expect("enough apps")).collect())
-                .collect();
-            let n_racks = sizes.len();
-            match cfg.racks_per_agg {
-                None => {
-                    let mut mk_ext = |role: SwitchRole| -> Option<Box<dyn SwitchExtension>> {
-                        // The threshold/mode ablations target the
-                        // single-switch deployment; hierarchical thresholds
-                        // stay child-counts so every level completes
-                        // consistently.
-                        let ext = match role {
-                            SwitchRole::Tor(r) => IswitchExtension::new(apply_tenant_flags(
-                                ExtensionConfig::for_tree_level(
-                                    AggregationRole::Intermediate {
-                                        uplink: PortId::new(sizes[r]),
-                                    },
-                                    (0..sizes[r]).map(PortId::new).collect(),
-                                    len,
-                                )
-                                .with_codec(cfg.codec),
-                                cfg,
-                            )),
-                            SwitchRole::Core => IswitchExtension::new(apply_tenant_flags(
-                                ExtensionConfig::for_tree_level(
-                                    AggregationRole::Root,
-                                    (0..n_racks).map(PortId::new).collect(),
-                                    len,
-                                )
-                                .with_codec(cfg.codec),
-                                cfg,
-                            )),
-                            SwitchRole::Agg(_) => {
-                                unreachable!("two-level trees have no aggregation layer")
-                            }
-                        };
-                        Some(Box::new(ext))
-                    };
-                    let tree = build_tree(sim, racks, &mut mk_ext, &cfg.topo);
-                    let mut switches = vec![tree.core];
-                    switches.extend_from_slice(&tree.tors);
-                    IswTopology {
-                        workers: tree.hosts.into_iter().flatten().collect(),
-                        worker_links: tree.host_links.into_iter().flatten().collect(),
-                        switches,
-                    }
-                }
-                Some(fanout) => {
-                    let fanout = fanout.max(1);
-                    let mut racks = racks.into_iter();
-                    let mut grouped: Vec<Vec<Vec<Box<dyn HostApp>>>> = Vec::new();
-                    let mut group_sizes: Vec<usize> = Vec::new();
-                    let mut i = 0;
-                    while i < n_racks {
-                        let take = fanout.min(n_racks - i);
-                        grouped.push((0..take).map(|_| racks.next().expect("racks")).collect());
-                        group_sizes.push(take);
-                        i += take;
-                    }
-                    let n_aggs = grouped.len();
-                    let mut mk_ext = |role: SwitchRole| -> Option<Box<dyn SwitchExtension>> {
-                        let ext = match role {
-                            SwitchRole::Tor(r) => IswitchExtension::new(apply_tenant_flags(
-                                ExtensionConfig::for_tree_level(
-                                    AggregationRole::Intermediate {
-                                        uplink: PortId::new(sizes[r]),
-                                    },
-                                    (0..sizes[r]).map(PortId::new).collect(),
-                                    len,
-                                )
-                                .with_codec(cfg.codec),
-                                cfg,
-                            )),
-                            SwitchRole::Agg(a) => IswitchExtension::new(apply_tenant_flags(
-                                ExtensionConfig::for_tree_level(
-                                    AggregationRole::Intermediate {
-                                        uplink: PortId::new(group_sizes[a]),
-                                    },
-                                    (0..group_sizes[a]).map(PortId::new).collect(),
-                                    len,
-                                )
-                                .with_codec(cfg.codec),
-                                cfg,
-                            )),
-                            SwitchRole::Core => IswitchExtension::new(apply_tenant_flags(
-                                ExtensionConfig::for_tree_level(
-                                    AggregationRole::Root,
-                                    (0..n_aggs).map(PortId::new).collect(),
-                                    len,
-                                )
-                                .with_codec(cfg.codec),
-                                cfg,
-                            )),
-                        };
-                        Some(Box::new(ext))
-                    };
-                    let tree3 = build_tree3(sim, grouped, &mut mk_ext, &cfg.topo);
-                    let mut switches = vec![tree3.core];
-                    switches.extend_from_slice(&tree3.aggs);
-                    switches.extend(tree3.tors.iter().flatten().copied());
-                    IswTopology {
-                        workers: tree3.hosts.into_iter().flatten().flatten().collect(),
-                        worker_links: tree3.host_links.into_iter().flatten().flatten().collect(),
-                        switches,
-                    }
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn apply_event_limit(sim: &mut Simulator, cfg: &TimingConfig) {
-    if let Some(limit) = cfg.event_limit {
-        sim.set_event_limit(limit);
-    }
-}
-
-fn run_sync_isw(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    let len = grad_len(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let mut cfg = cfg.clone();
-    // Loss recovery: retry somewhat after a full round would normally
-    // complete (serialization up + broadcast down + jitter headroom).
-    // Round tags make premature retries harmless and the worker caps each
-    // retry's Help batch, so the timeout only trades recovery latency.
-    let help_timeout = SimDuration::serialization(
-        codec_wire_bytes(cfg.codec, len),
-        cfg.topo.edge.bandwidth_bps,
-    ) * 3
-        + SimDuration::from_millis(3);
-    if cfg.edge_loss > 0.0 {
-        cfg.topo.edge.loss = LossModel::Random {
-            probability: cfg.edge_loss,
-            seed: cfg.seed,
-        };
-    }
-    let mut sim = Simulator::new();
-    attach_trace(&mut sim, &obs);
-    apply_event_limit(&mut sim, &cfg);
-    let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            let mut worker = IswSyncWorker::new(
-                len,
-                messages(cfg.algorithm),
-                total_iters,
-                model.clone(),
-                cfg.comm.clone(),
-                cfg.seed.wrapping_add(w as u64),
-            )
-            .with_codec(cfg.codec)
-            .with_transport(cfg.make_transport());
-            if cfg.lossy() {
-                worker = worker.with_help_timeout(help_timeout);
-            }
-            Box::new(worker) as Box<dyn HostApp>
-        })
-        .collect();
-    append_background(&mut worker_apps, &cfg);
-    let workers = build_isw_topology(&mut sim, worker_apps, &cfg, len).workers;
-    sim.run_until_idle();
-    capture_metrics(&sim, &mut obs);
-    collect_sync_result::<IswSyncWorker>(
-        &mut sim,
-        &workers,
-        cfg.warmup,
-        obs,
-        |a| a.log(),
-        |a| a.transport_stats(),
-    )
-}
-
-/// The AGG↔Core links of the sharded fat-tree: uplink bandwidth with the
-/// longer propagation of inter-pod fibre runs (paper §3.4 scales beyond a
-/// single rack). The propagation is also the conservative lookahead bound
-/// of the sharded engine, so the longer fibre directly widens the parallel
-/// epochs.
-fn core_uplink_spec(topo: &TopologyConfig) -> LinkSpec {
-    let mut spec = topo.uplink.clone();
-    spec.propagation = spec.propagation.max(SimDuration::from_micros(5));
-    spec
-}
-
-/// [`run_sync_isw`] over the sharded fat-tree: one simulation domain per
-/// AGG subtree plus the core, executed by `cfg.threads` workers. The
-/// switch extensions and port layout match [`build_isw_topology`]'s
-/// three-level tree exactly; only the execution is partitioned.
-fn run_sync_isw_sharded(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    let shape = cfg.fattree.expect("sharded runs carry a fat-tree shape");
-    let len = grad_len(cfg.algorithm);
-    let model = cfg.compute_model();
-    let total_iters = cfg.warmup + cfg.iterations;
-    let mut cfg = cfg.clone();
-    let help_timeout = SimDuration::serialization(
-        codec_wire_bytes(cfg.codec, len),
-        cfg.topo.edge.bandwidth_bps,
-    ) * 3
-        + SimDuration::from_millis(3);
-    if cfg.edge_loss > 0.0 {
-        cfg.topo.edge.loss = LossModel::Random {
-            probability: cfg.edge_loss,
-            seed: cfg.seed,
-        };
-    }
-    // Flat worker apps in pod-major order, then grouped into (pod, rack).
-    let mut flat: Vec<Box<dyn HostApp>> = (0..shape.workers())
-        .map(|w| {
-            let mut worker = IswSyncWorker::new(
-                len,
-                messages(cfg.algorithm),
-                total_iters,
-                model.clone(),
-                cfg.comm.clone(),
-                cfg.seed.wrapping_add(w as u64),
-            )
-            .with_codec(cfg.codec)
-            .with_transport(cfg.make_transport());
-            if cfg.lossy() {
-                worker = worker.with_help_timeout(help_timeout);
-            }
-            Box::new(worker) as Box<dyn HostApp>
-        })
-        .collect();
-    let mut apps: Vec<Vec<Vec<Box<dyn HostApp>>>> = Vec::with_capacity(shape.aggs);
-    let mut rest = flat.drain(..);
-    for _ in 0..shape.aggs {
-        let mut pod = Vec::with_capacity(shape.racks_per_agg);
-        for _ in 0..shape.racks_per_agg {
-            pod.push((&mut rest).take(shape.hosts_per_rack).collect());
-        }
-        apps.push(pod);
-    }
-    drop(rest);
-    let tune = |mut ext_cfg: ExtensionConfig| {
-        ext_cfg.mode = cfg.aggregation_mode;
-        ext_cfg.codec = cfg.codec;
-        if cfg.lossy() {
-            let age = SimDuration::serialization(
-                codec_wire_bytes(cfg.codec, len),
-                cfg.topo.edge.bandwidth_bps,
-            ) + SimDuration::from_millis(2);
-            ext_cfg.stale_flush = Some(age);
-        }
-        apply_tenant_flags(ext_cfg, &cfg)
-    };
-    let mut mk_ext = |role: SwitchRole| -> Option<Box<dyn SwitchExtension>> {
-        let ext = match role {
-            SwitchRole::Tor(_) => IswitchExtension::new(tune(ExtensionConfig::for_tree_level(
-                AggregationRole::Intermediate {
-                    uplink: PortId::new(shape.hosts_per_rack),
-                },
-                (0..shape.hosts_per_rack).map(PortId::new).collect(),
-                len,
-            ))),
-            SwitchRole::Agg(_) => IswitchExtension::new(tune(ExtensionConfig::for_tree_level(
-                AggregationRole::Intermediate {
-                    uplink: PortId::new(shape.racks_per_agg),
-                },
-                (0..shape.racks_per_agg).map(PortId::new).collect(),
-                len,
-            ))),
-            SwitchRole::Core => IswitchExtension::new(tune(ExtensionConfig::for_tree_level(
-                AggregationRole::Root,
-                (0..shape.aggs).map(PortId::new).collect(),
-                len,
-            ))),
-        };
-        Some(Box::new(ext))
-    };
-    let mut sharded = ShardedSim::new();
-    let ft = build_fattree(
-        &mut sharded,
-        apps,
-        &mut mk_ext,
-        &cfg.topo,
-        &core_uplink_spec(&cfg.topo),
-    );
-    if let Some(limit) = cfg.event_limit {
-        sharded.set_event_limit(limit);
-    }
-    if let Some(trace) = obs.as_deref().and_then(|o| o.trace.as_ref()) {
-        sharded.set_trace(Arc::clone(trace));
-    }
-    if let Some(ts) = obs.as_deref().and_then(|o| o.timeseries.as_ref()) {
-        sharded.set_timeseries(Arc::clone(ts));
-    }
-    sharded.run(cfg.threads);
-    capture_metrics_sharded(&sharded, &mut obs);
-    collect_sync_result_sharded::<IswSyncWorker>(
-        &sharded,
-        &ft,
-        cfg.warmup,
-        obs,
-        |a| a.log(),
-        |a| a.transport_stats(),
-    )
-}
-
-/// Mean interval between consecutive update timestamps after warmup.
-pub(crate) fn mean_update_interval(times: &[SimTime], warmup: usize) -> (SimDuration, usize) {
-    assert!(
-        times.len() > warmup + 1,
-        "need more than {warmup} + 1 updates, got {}",
-        times.len()
-    );
-    let tail = &times[warmup..];
-    let span = tail.last().expect("non-empty").duration_since(tail[0]);
-    let n = tail.len() - 1;
-    (span / n as u64, n)
-}
-
-/// Runs an open-ended async simulation until `target_updates` have been
-/// observed by `count` (or the event cap trips).
-fn run_async_until(
-    sim: &mut Simulator,
-    target_updates: usize,
-    mut count: impl FnMut(&mut Simulator) -> usize,
-) {
-    let slice = SimDuration::from_millis(200);
-    let mut t = SimTime::ZERO;
-    for _ in 0..100_000 {
-        t += slice;
-        sim.run_until(t);
-        if count(sim) >= target_updates {
-            return;
-        }
-    }
-    panic!("async simulation failed to reach {target_updates} updates");
-}
-
-/// Emits one `update` event per observed weight-update timestamp.
-pub(crate) fn trace_updates(obs: &mut Option<&mut RunObs>, times: &[SimTime], warmup: usize) {
-    if let Some(trace) = obs.as_deref_mut().and_then(|o| o.trace.as_deref()) {
-        for (i, t) in times.iter().enumerate() {
-            let mut ev = TraceEvent::new(t.as_nanos(), "update")
-                .with_u64("index", i as u64)
-                .with_str("phase", if i < warmup { "warmup" } else { "measure" });
-            if i > 0 {
-                ev = ev.with_u64("interval_ns", t.duration_since(times[i - 1]).as_nanos());
-            }
-            trace.record(ev);
-        }
-    }
-}
-
-fn run_async_ps(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    let bytes = model_bytes(cfg.algorithm);
-    let model = cfg.compute_model();
-    let mut sim = Simulator::new();
-    attach_trace(&mut sim, &obs);
-    let srv_ip = server_ip(cfg);
-    let worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                AsyncPsWorker::new(
-                    srv_ip,
-                    bytes,
-                    messages(cfg.algorithm),
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.seed.wrapping_add(w as u64),
-                    None,
-                )
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    let server = Box::new(AsyncPsServer::new(
-        bytes,
-        messages(cfg.algorithm),
-        model,
-        cfg.comm.clone(),
-        cfg.staleness_bound,
-        cfg.seed.wrapping_add(0xFF),
-    ));
-    let (workers, server_node) = build_plain_topology(&mut sim, worker_apps, Some(server), cfg);
-    let server_node = server_node.expect("async PS has a server");
-    let target = cfg.warmup + cfg.iterations + 1;
-    run_async_until(&mut sim, target, |sim| {
-        sim.device::<Host>(server_node)
-            .app::<AsyncPsServer>()
-            .update_times
-            .len()
-    });
-    capture_metrics(&sim, &mut obs);
-    let transport = workers.iter().fold(TransportStats::default(), |acc, &w| {
-        acc.merged(
-            sim.device::<Host>(w)
-                .app::<AsyncPsWorker>()
-                .transport_stats(),
-        )
-    });
-    let app = sim.device::<Host>(server_node).app::<AsyncPsServer>();
-    trace_updates(&mut obs, &app.update_times, cfg.warmup);
-    let (per_iteration, measured) = mean_update_interval(&app.update_times, cfg.warmup);
-    let pushed = app.staleness().len() as f64 + app.discarded() as f64;
-    TimingResult {
-        per_iteration,
-        breakdown: Breakdown {
-            compute: SimDuration::ZERO,
-            aggregation: per_iteration,
-            update: SimDuration::ZERO,
-        },
-        staleness: app.staleness().to_vec(),
-        discard_fraction: if pushed > 0.0 {
-            app.discarded() as f64 / pushed
-        } else {
-            0.0
-        },
-        iterations_measured: measured,
-        transport,
-    }
-}
-
-fn run_async_isw(cfg: &TimingConfig, mut obs: Option<&mut RunObs>) -> TimingResult {
-    let len = grad_len(cfg.algorithm);
-    let model = cfg.compute_model();
-    let mut sim = Simulator::new();
-    attach_trace(&mut sim, &obs);
-    let mut worker_apps: Vec<Box<dyn HostApp>> = (0..cfg.workers)
-        .map(|w| {
-            Box::new(
-                IswAsyncWorker::new(
-                    len,
-                    messages(cfg.algorithm),
-                    model.clone(),
-                    cfg.comm.clone(),
-                    cfg.staleness_bound,
-                    cfg.seed.wrapping_add(w as u64),
-                    None,
-                )
-                .with_codec(cfg.codec)
-                .with_transport(cfg.make_transport()),
-            ) as Box<dyn HostApp>
-        })
-        .collect();
-    append_background(&mut worker_apps, cfg);
-    let workers = build_isw_topology(&mut sim, worker_apps, cfg, len).workers;
-    let probe = workers[0];
-    let target = cfg.warmup + cfg.iterations + 1;
-    run_async_until(&mut sim, target, |sim| {
-        sim.device::<Host>(probe)
-            .app::<IswAsyncWorker>()
-            .update_times()
-            .len()
-    });
-    capture_metrics(&sim, &mut obs);
-    let mut staleness = Vec::new();
-    let mut transport = TransportStats::default();
-    for &w in &workers {
-        let app = sim.device::<Host>(w).app::<IswAsyncWorker>();
-        staleness.extend_from_slice(app.staleness());
-        transport = transport.merged(app.transport_stats());
-    }
-    let app = sim.device::<Host>(probe).app::<IswAsyncWorker>();
-    trace_updates(&mut obs, app.update_times(), cfg.warmup);
-    let (per_iteration, measured) = mean_update_interval(app.update_times(), cfg.warmup);
-    TimingResult {
-        per_iteration,
-        breakdown: Breakdown {
-            compute: SimDuration::ZERO,
-            aggregation: per_iteration,
-            update: SimDuration::ZERO,
-        },
-        staleness,
-        discard_fraction: 0.0,
-        iterations_measured: measured,
-        transport,
-    }
+/// The solo lifecycle: validate, build, drive to completion, collect.
+fn run(cfg: &TimingConfig, capture: Capture) -> (TimingObservation, PerfSample) {
+    validate(cfg);
+    let mut job = build(cfg, None, 0, capture);
+    job.run();
+    job.collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::rack_sizes;
 
     fn quick(alg: Algorithm, strategy: Strategy) -> TimingConfig {
         let mut cfg = TimingConfig::main_cluster(alg, strategy);
@@ -1588,13 +545,7 @@ mod tests {
 
     #[test]
     fn tree_topology_runs_all_strategies() {
-        for strategy in [
-            Strategy::SyncPs,
-            Strategy::SyncAr,
-            Strategy::SyncIsw,
-            Strategy::AsyncPs,
-            Strategy::AsyncIsw,
-        ] {
+        for strategy in ALL_STRATEGIES {
             let mut cfg = quick(Algorithm::Ppo, strategy);
             cfg.workers = 6;
             cfg.workers_per_rack = Some(3);
@@ -1753,6 +704,56 @@ mod tests {
             t.per_iteration
         );
         assert_eq!(s.iterations_measured, t.iterations_measured);
+    }
+
+    const ALL_STRATEGIES: [Strategy; 5] = [
+        Strategy::SyncPs,
+        Strategy::SyncAr,
+        Strategy::SyncIsw,
+        Strategy::AsyncPs,
+        Strategy::AsyncIsw,
+    ];
+
+    fn panic_message(cfg: &TimingConfig) -> Option<String> {
+        let err = std::panic::catch_unwind(|| run_timing(cfg)).err()?;
+        let text = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_owned()));
+        Some(text.unwrap_or_default())
+    }
+
+    #[test]
+    fn event_limit_caps_every_strategy() {
+        // The cap is installed at the one build site, so no strategy can
+        // run past it: ~100 events is far short of a single iteration.
+        for strategy in ALL_STRATEGIES {
+            let mut cfg = quick(Algorithm::Ppo, strategy);
+            cfg.event_limit = Some(100);
+            let msg = panic_message(&cfg)
+                .unwrap_or_else(|| panic!("{strategy:?} ran past its 100-event cap"));
+            assert!(msg.contains("event limit"), "{strategy:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn edge_loss_is_rejected_without_a_recovery_path() {
+        // Only SyncIsw recovers lost packets (Help/FBcast); every other
+        // strategy must refuse the knob instead of silently running
+        // lossless, and the message must name the offender.
+        for strategy in ALL_STRATEGIES {
+            let mut cfg = quick(Algorithm::Ppo, strategy);
+            cfg.edge_loss = 0.01;
+            match (strategy, panic_message(&cfg)) {
+                (Strategy::SyncIsw, None) => {}
+                (Strategy::SyncIsw, Some(msg)) => panic!("iSW must honour edge loss: {msg}"),
+                (_, Some(msg)) => assert!(
+                    msg.contains("edge loss") && msg.contains(strategy.label()),
+                    "{strategy:?}: {msg}"
+                ),
+                (_, None) => panic!("{strategy:?} accepted edge loss it cannot recover from"),
+            }
+        }
     }
 
     #[test]

@@ -80,8 +80,9 @@ OPTIONS:
     --max-iterations <N>               convergence cap (default: per-algorithm)
     --seed <N>                         RNG seed (default: 42)
     --edge-loss <P>                    random per-packet loss probability on
-                                       every worker edge link (timing only;
-                                       exercises Help/FBcast recovery)
+                                       every worker edge link (timing,
+                                       --strategy isw only: exercises its
+                                       Help/FBcast recovery)
     --codec <f32|fixed-point|block-float|top-k>
                                        aggregation codec: how gradients are
                                        laid out on the wire and summed in
@@ -399,6 +400,10 @@ fn cmd_timing(args: &[String]) {
     if let Some(p) = parse_f64(args, "--edge-loss") {
         if !(0.0..1.0).contains(&p) {
             eprintln!("--edge-loss expects a probability in [0, 1), got {p}");
+            exit(2);
+        }
+        if p > 0.0 && strategy != Strategy::SyncIsw {
+            eprintln!("--edge-loss applies to the isw strategy: only its Help/FBcast recovery survives loss");
             exit(2);
         }
         cfg.edge_loss = p;
