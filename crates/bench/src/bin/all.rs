@@ -5,24 +5,7 @@ use std::process::Command;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let bins = [
-        "table1",
-        "fig4",
-        "fig8",
-        "table4",
-        "table5",
-        "table3",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "resources",
-        "ablations",
-        "quantization",
-        "loss_recovery",
-        "bandwidth_sweep",
-    ];
-    for bin in bins {
+    for bin in iswitch_bench::ALL_BINS {
         let mut cmd = Command::new(
             std::env::current_exe()
                 .expect("self path")

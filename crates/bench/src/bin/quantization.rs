@@ -1,96 +1,72 @@
-//! Extension study: INT16 quantized gradient transport (the direction of
-//! the paper's related work on bandwidth-efficient aggregation, §7),
-//! adapted to in-switch constraints — a fixed shared scale so the switch
-//! sums raw integers.
+//! Wire cost of each aggregation codec (`--codec`) on the paper's four
+//! models: segments (one packet per worker per round each), the
+//! contribution bytes a worker sends per round, and the wide result bytes
+//! the switch broadcasts back.
 //!
-//! Reports (1) the wire savings per benchmark, (2) the projected
-//! aggregation-time saving for synchronous iSwitch, and (3) the training
-//! cost of the quantization error, measured by real convergence runs.
+//! Precision and convergence under each codec are measured end to end by
+//! `iswitch-sim timing --fidelity cosim --codec <kind>` (EXPERIMENTS.md).
 
 use iswitch_bench::banner;
 use iswitch_cluster::report::render_table;
-use iswitch_cluster::{run_convergence, ConvergenceConfig};
-use iswitch_core::{num_quant_segments, num_segments};
-use iswitch_netsim::SimDuration;
+use iswitch_core::{CodecKind, DataSegment};
 use iswitch_rl::{paper_model, Algorithm};
 
-fn main() {
-    banner("Quantization", "INT16 gradient transport (extension)");
+/// Contribution and wide-result payload bytes of one `len`-element round.
+fn round_bytes(kind: CodecKind, len: usize) -> (usize, usize) {
+    let codec = kind.codec();
+    let per = kind.elems_per_segment();
+    let (full, tail) = (len / per, len % per);
+    let over_segments =
+        |bytes: &dyn Fn(usize) -> usize| full * bytes(per) + if tail > 0 { bytes(tail) } else { 0 };
+    let result_bytes = |n: usize| {
+        let aggregate = DataSegment {
+            seg: 0,
+            count: 1,
+            values: vec![0.0; n],
+        };
+        codec.encode_result(&aggregate).len()
+    };
+    (
+        over_segments(&|n| codec.contribution_bytes(n)),
+        over_segments(&result_bytes),
+    )
+}
 
-    // --- 1 & 2: wire savings and projected aggregation-time saving -------
+fn main() {
+    banner("Quantization", "Wire cost per aggregation codec");
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
         let len = paper_model(alg).param_count();
-        let f32_pkts = num_segments(len);
-        let q_pkts = num_quant_segments(len);
-        let f32_time = SimDuration::serialization(len * 4, 10_000_000_000);
-        let q_time = SimDuration::serialization(len * 2, 10_000_000_000);
-        rows.push(vec![
-            alg.name().to_string(),
-            format!("{f32_pkts}"),
-            format!("{q_pkts}"),
-            format!("{:.1}%", 100.0 * (1.0 - q_pkts as f64 / f32_pkts as f64)),
-            format!("{}", f32_time),
-            format!("{}", q_time),
-        ]);
+        let (f32_up, f32_down) = round_bytes(CodecKind::F32, len);
+        for kind in CodecKind::ALL {
+            let (up, down) = round_bytes(kind, len);
+            rows.push(vec![
+                alg.name().to_string(),
+                kind.label().to_string(),
+                format!("{}", kind.num_segments(len)),
+                format!("{up}"),
+                format!("{:.1}%", 100.0 * up as f64 / f32_up as f64),
+                format!("{down}"),
+                format!("{:.1}%", 100.0 * down as f64 / f32_down as f64),
+            ]);
+        }
     }
     println!(
         "{}",
         render_table(
             &[
                 "Algorithm",
-                "f32 packets",
-                "i16 packets",
-                "Packet saving",
-                "f32 stream",
-                "i16 stream"
+                "Codec",
+                "Packets/round",
+                "Contribution B",
+                "vs f32",
+                "Result B",
+                "vs f32"
             ],
             &rows
         )
     );
-
-    // --- 3: convergence quality under quantization -----------------------
-    println!("\nTraining quality with quantized aggregation (A2C, 4 workers):\n");
-    let base = ConvergenceConfig {
-        max_iterations: 12_000,
-        check_every: 25,
-        ..ConvergenceConfig::sync_main(Algorithm::A2c)
-    };
-    let fp32 = run_convergence(&base);
-    let quant = run_convergence(&ConvergenceConfig {
-        quantize_clip: Some(1.0),
-        ..base.clone()
-    });
-    let coarse = run_convergence(&ConvergenceConfig {
-        quantize_clip: Some(16.0), // deliberately wasteful scale
-        ..base
-    });
-    println!(
-        "{}",
-        render_table(
-            &["Transport", "Iterations", "Reached target", "Final reward"],
-            &[
-                vec![
-                    "f32 (paper)".into(),
-                    format!("{}", fp32.iterations),
-                    format!("{}", fp32.reached_target),
-                    format!("{:.2}", fp32.final_average_reward),
-                ],
-                vec![
-                    "i16, clip 1.0".into(),
-                    format!("{}", quant.iterations),
-                    format!("{}", quant.reached_target),
-                    format!("{:.2}", quant.final_average_reward),
-                ],
-                vec![
-                    "i16, clip 16.0".into(),
-                    format!("{}", coarse.iterations),
-                    format!("{}", coarse.reached_target),
-                    format!("{:.2}", coarse.final_average_reward),
-                ],
-            ]
-        )
-    );
-    println!("A well-chosen clip preserves convergence at half the bytes and");
-    println!("replaces the FP adder array with integer accumulators.");
+    println!("Fixed-point halves contribution bytes but not packets: its i32 wide");
+    println!("result caps a segment at 365 elements (f32: 366). Top-k lists its");
+    println!("worst case (every kept element sent as a 6-byte sparse entry).");
 }

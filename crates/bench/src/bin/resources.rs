@@ -5,7 +5,7 @@
 
 use iswitch_bench::{banner, paper};
 use iswitch_cluster::report::render_table;
-use iswitch_core::{segment_gradient, Accelerator, AcceleratorConfig};
+use iswitch_core::{decode_data_meta, gradient_packets, Accelerator, AcceleratorConfig};
 use iswitch_netsim::IpAddr;
 use iswitch_rl::{paper_model, Algorithm};
 
@@ -14,7 +14,6 @@ fn main() {
         "§3.5 resources",
         "Accelerator resource accounting (FPGA analog)",
     );
-    let _ = IpAddr::UNSPECIFIED; // keep netsim linked in the resource demo
 
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
@@ -26,11 +25,11 @@ fn main() {
         // so their packets interleave per segment — the on-the-fly window
         // stays small. (Strictly sequential full-vector pushes would need
         // the whole model resident and genuinely exceed the BRAM budget.)
-        let grad = vec![1.0f32; len];
-        let packets = segment_gradient(&grad);
-        for seg in &packets {
+        let packets = gradient_packets(IpAddr::UNSPECIFIED, &vec![1.0f32; len]);
+        for pkt in &packets {
+            let meta = decode_data_meta(pkt).expect("well-formed contribution");
             for _ in 0..4 {
-                let _ = accel.ingest(seg);
+                let _ = accel.ingest_wire(meta, &pkt.payload);
             }
         }
         let r = accel.resources();

@@ -19,7 +19,7 @@
 //! | `fig15` | Fig. 15 — PPO/DDPG scalability |
 //! | `resources` | §3.5 — accelerator resource accounting |
 //! | `ablations` | design-choice ablations (on-the-fly, SetH, hierarchy) |
-//! | `quantization` | INT16 gradient-transport extension |
+//! | `quantization` | wire cost per aggregation codec (`--codec`) |
 //! | `loss_recovery` | failure injection: Help/FBcast under random loss |
 //! | `bandwidth_sweep` | iSwitch advantage vs edge-link speed |
 //! | `all` | everything above, in order |
@@ -126,6 +126,26 @@ pub fn write_metrics(path: &Path, doc: &JsonValue) -> std::io::Result<()> {
     }
     std::fs::write(path, format!("{}\n", doc.render()))
 }
+
+/// The binaries `--bin all` runs, in paper order. Each must name a sibling
+/// executable of this package (`tests/smoke.rs` checks).
+pub const ALL_BINS: [&str; 15] = [
+    "table1",
+    "fig4",
+    "fig8",
+    "table4",
+    "table5",
+    "table3",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "resources",
+    "ablations",
+    "quantization",
+    "loss_recovery",
+    "bandwidth_sweep",
+];
 
 /// Prints the standard header for a regenerated artifact.
 pub fn banner(artifact: &str, description: &str) {

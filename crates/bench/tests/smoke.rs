@@ -70,3 +70,20 @@ fn bins_run_without_flags() {
         assert!(!output.stdout.is_empty(), "{bin} printed nothing to stdout");
     }
 }
+
+#[test]
+fn every_bin_all_launches_exists() {
+    // `all` launches siblings of its own executable by name; Cargo builds
+    // every bin of the package next to it before running this test.
+    let all = std::path::Path::new(env!("CARGO_BIN_EXE_all"));
+    for bin in iswitch_bench::ALL_BINS {
+        let exe = all
+            .with_file_name(bin)
+            .with_extension(std::env::consts::EXE_EXTENSION);
+        assert!(
+            exe.is_file(),
+            "`all` lists `{bin}` but {} is missing",
+            exe.display()
+        );
+    }
+}

@@ -311,7 +311,7 @@ impl IterLog {
     ///
     /// Panics if fewer than `skip + 1` iterations completed.
     pub fn mean_after(&self, skip: usize) -> IterSpans {
-        let tail = &self.spans[skip..];
+        let tail = self.spans.get(skip..).unwrap_or_default();
         assert!(!tail.is_empty(), "no measured iterations after warmup");
         let n = tail.len() as u64;
         let sum = |f: fn(&IterSpans) -> SimDuration| {

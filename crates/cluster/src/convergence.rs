@@ -11,7 +11,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use iswitch_core::QuantConfig;
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,10 +67,6 @@ pub struct ConvergenceConfig {
     /// Learning-rate multiplier (async experiments reduce the rate — the
     /// standard stale-gradient practice — identically for all strategies).
     pub lr_scale: f32,
-    /// When set, every worker gradient is INT16-quantized with this clip
-    /// range before aggregation and the switch sums integers — the
-    /// quantized-transport extension (see `iswitch_core::QuantConfig`).
-    pub quantize_clip: Option<f32>,
 }
 
 impl ConvergenceConfig {
@@ -87,7 +82,6 @@ impl ConvergenceConfig {
             curve_every: 0,
             seed: 42,
             lr_scale: 1.0,
-            quantize_clip: None,
         }
     }
 }
@@ -139,34 +133,18 @@ fn pooled_reward(workers: &[ReplayGradients]) -> Option<f32> {
     Some(rewards.iter().sum::<f32>() / rewards.len() as f32)
 }
 
-fn mean_gradient(grads: &[Vec<f32>], quantize: Option<f32>) -> Vec<f32> {
+fn mean_gradient(grads: &[Vec<f32>]) -> Vec<f32> {
     let n = grads.len() as f32;
-    match quantize {
-        None => {
-            let mut out = vec![0.0f32; grads[0].len()];
-            for g in grads {
-                for (o, v) in out.iter_mut().zip(g) {
-                    *o += v;
-                }
-            }
-            for o in &mut out {
-                *o /= n;
-            }
-            out
-        }
-        Some(clip) => {
-            // The quantized-transport path: each worker quantizes, the
-            // switch sums integers, workers dequantize and average.
-            let cfg = QuantConfig::new(clip);
-            let mut acc = vec![0i32; grads[0].len()];
-            for g in grads {
-                for (a, &v) in acc.iter_mut().zip(g) {
-                    *a += i32::from(cfg.quantize(v));
-                }
-            }
-            acc.into_iter().map(|a| a as f32 * cfg.step() / n).collect()
+    let mut out = vec![0.0f32; grads[0].len()];
+    for g in grads {
+        for (o, v) in out.iter_mut().zip(g) {
+            *o += v;
         }
     }
+    for o in &mut out {
+        *o /= n;
+    }
+    out
 }
 
 /// Runs one convergence experiment.
@@ -239,7 +217,7 @@ pub fn run_convergence(cfg: &ConvergenceConfig) -> ConvergenceResult {
                         w.gradient().to_vec()
                     })
                     .collect();
-                let mean = mean_gradient(&grads, cfg.quantize_clip);
+                let mean = mean_gradient(&grads);
                 opt.step(&mut params, &mean);
             }
             AggregationSemantics::AsyncSingle { .. } => {

@@ -580,7 +580,6 @@ fn async_iteration_inflation(samples: &[u32], strategy: Strategy, scale: &Scale)
         curve_every: 0,
         seed: 42,
         lr_scale: async_lr_scale(Algorithm::A2c),
-        quantize_clip: None,
     };
     let fresh = run_convergence(&mk(AggregationSemantics::Synchronous));
     let semantics = match strategy {

@@ -371,7 +371,14 @@ impl Job {
                 transport,
             }
         } else {
-            summarize_sync_logs(&views, self.warmup, trace, transport)
+            summarize_sync_logs(
+                self.strategy,
+                &views,
+                self.warmup,
+                perf.dropped_queue,
+                trace,
+                transport,
+            )
         };
         let trace = self.capture.trace.clone().unwrap_or_default();
         trace.flush();
@@ -933,9 +940,17 @@ fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
 
 /// Folds per-worker iteration logs into the mean breakdown, emitting one
 /// `iteration` trace event per logged iteration when a trace is attached.
+///
+/// # Panics
+///
+/// Panics, naming the stalled worker, if one logged no iteration past the
+/// warmup: the run went idle before it could be measured (a host-side
+/// strategy that lost a packet to a full queue has nothing to resend it).
 fn summarize_sync_logs(
+    strategy: Strategy,
     workers: &[&dyn WorkerView],
     warmup: usize,
+    dropped_queue: u64,
     trace: Option<&Trace>,
     transport: TransportStats,
 ) -> TimingResult {
@@ -956,6 +971,14 @@ fn summarize_sync_logs(
                 );
             }
         }
+        assert!(
+            log.len() > warmup,
+            "{} run stalled before it could be measured: worker {widx} logged {} iteration(s), \
+             {} needed; dropped_queue = {dropped_queue} packet(s) tail-dropped by full egress queues",
+            strategy.label(),
+            log.len(),
+            warmup + 1,
+        );
         spans.push(log.mean_after(warmup));
         measured += log.len().saturating_sub(warmup);
     }

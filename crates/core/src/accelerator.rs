@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use iswitch_netsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::protocol::codec::{accumulate_f32, AccEffects, CodecKind, WireAcc};
+use crate::protocol::codec::{CodecKind, WireAcc};
 use crate::protocol::{DataSegment, SegmentMeta};
 
 /// Slowdown of the fallback-to-host path relative to the line-rate
@@ -114,6 +114,12 @@ pub struct AcceleratorStats {
     /// free list; their bytes stay resident). Diagnostic only.
     #[serde(default)]
     pub leaked_slots: u64,
+    /// Contributions whose header parsed but whose body the codec refused
+    /// for the open round (length or layout disagrees with the round's
+    /// accumulator, sparse index out of range). Dropped without touching
+    /// the round, like any frame the hardware cannot add.
+    #[serde(default)]
+    pub malformed_drops: u64,
 }
 
 /// Static resource accounting — the reproduction's analog of the paper's
@@ -189,8 +195,11 @@ pub struct Accelerator {
     /// slower by [`HOST_PATH_LATENCY_FACTOR`], but numerically identical.
     host_fallback: bool,
     /// Open host-path rounds, keyed like `index`. Lives in switch-CPU
-    /// DRAM, so it is not charged against the BRAM budget.
-    fallback: HashMap<u64, HostSlot>,
+    /// DRAM, so it is not charged against the BRAM budget. The switch CPU
+    /// runs the identical codec arithmetic in software, so a round
+    /// completes with the same values whichever path it took — only an
+    /// order of magnitude slower per packet.
+    fallback: HashMap<u64, Slot>,
     /// Seeded bug for the chaos harness: completed rounds "forget" to
     /// return their slot to the free list, so occupancy and resident bytes
     /// only ever grow. See the I6 isolation tests.
@@ -202,8 +211,10 @@ pub struct Accelerator {
     stats: AcceleratorStats,
 }
 
-/// Per-open-round aggregation state: the BRAM buffer plus the hardware's
+/// Per-open-round aggregation state: the buffer plus the hardware's
 /// per-segment counters, kept together so one packet touches one slot.
+/// BRAM and host-path rounds use the same state; only where it is
+/// resident differs.
 #[derive(Debug, Clone)]
 struct Slot {
     /// Partial sums for this round, in the codec's native representation.
@@ -215,33 +226,29 @@ struct Slot {
     workers: u16,
 }
 
-/// An open round on the fallback-to-host path. Same codec-native
-/// accumulator as a BRAM slot — the switch CPU runs the identical
-/// arithmetic in software, so a round completes with the same values
-/// whichever path it took — but resident in DRAM and an order of
-/// magnitude slower per packet.
-#[derive(Debug, Clone)]
-struct HostSlot {
-    acc: WireAcc,
-    contributions: u16,
-    workers: u16,
+/// Where an open round's [`Slot`] is resident.
+#[derive(Debug, Clone, Copy)]
+enum Home {
+    /// The BRAM slot pool, at this dense slot id.
+    Bram(u32),
+    /// Switch-CPU DRAM (the fallback-to-host path).
+    Host,
 }
 
-/// One arriving contribution, either as decoded floats or as a raw wire
-/// payload (headers included — the codec parses its own sub-header).
-/// Keeping the two behind one ingest path guarantees both charge latency
-/// through the same model and land in the same accumulator.
-enum Contribution<'a> {
-    /// Decoded f32 values (the owned [`DataSegment`] path).
-    Floats(&'a [f32]),
-    /// A full wire payload in the accelerator's codec format.
-    Wire(&'a [u8]),
+impl Slot {
+    fn new(codec: CodecKind, len: usize) -> Self {
+        Slot {
+            acc: codec.codec().new_acc(len),
+            contributions: 0,
+            workers: 0,
+        }
+    }
 }
 
 impl Accelerator {
     /// An accelerator for gradient vectors of `num_segments` segments,
     /// aggregating `threshold` contributions per segment. The final segment
-    /// may be shorter than [`FLOATS_PER_SEGMENT`]; buffers size themselves
+    /// may be shorter than [`crate::FLOATS_PER_SEGMENT`]; buffers size themselves
     /// on first arrival.
     ///
     /// # Panics
@@ -397,299 +404,192 @@ impl Accelerator {
         latency
     }
 
-    /// Ingests one contribution packet, accumulating on the fly.
-    ///
-    /// Returns the completed aggregate (when this arrival made the counter
-    /// reach `H`) and the datapath latency charged to this packet.
+    /// Ingests one owned contribution: encodes it under this accelerator's
+    /// codec and feeds the bytes to [`Accelerator::ingest_wire`], the only
+    /// datapath. For f32 the round trip is exact, so sums are bit-identical
+    /// to adding `seg.values` directly.
     ///
     /// # Panics
     ///
-    /// Panics if the segment index is out of range, a segment arrives with
-    /// an inconsistent length, or (for quantized codecs) a value is
-    /// non-finite — the floats path re-encodes through the codec, and
-    /// quantized formats reject NaN/Inf.
+    /// Panics if the segment exceeds the codec's per-segment capacity or
+    /// (for quantized codecs) a value is non-finite.
     pub fn ingest(&mut self, seg: &DataSegment) -> (Option<DataSegment>, SimDuration) {
-        self.ingest_inner(
-            seg.seg,
-            seg.count,
-            seg.values.len(),
-            Contribution::Floats(&seg.values),
-        )
+        let codec = self.codec.codec();
+        let payload = codec
+            .encode_contribution(seg.seg, &seg.values)
+            .expect("finite contribution values");
+        let (seg, count, len) = (seg.seg, seg.count, seg.values.len());
+        self.ingest_wire(SegmentMeta { seg, count, len }, &payload)
     }
 
-    /// Ingests one contribution straight from its encoded UDP payload
-    /// (`meta` from the codec's `decode_meta`, `payload` the full wire
-    /// payload including all headers).
+    /// Ingests one contribution from its encoded UDP payload, accumulating
+    /// on the fly (`meta` from the codec's `decode_meta`, `payload` the
+    /// full wire payload including all headers).
     ///
-    /// Semantically identical to decoding into a [`DataSegment`] and
-    /// calling [`Accelerator::ingest`] — same latency model, same
-    /// accumulator — but the per-packet value vector is never materialized,
-    /// which is what the hardware does too: adders read bus beats, not heap
-    /// allocations. The payload may carry the codec's narrow contribution
-    /// or wide result encoding (hierarchical aggregation feeds parent
-    /// switches with wide child aggregates).
+    /// Returns the completed aggregate (when this arrival made the counter
+    /// reach `H`) and the latency charged to this packet: every packet
+    /// occupies the datapath for the bytes actually streamed, and a
+    /// host-path round pays [`HOST_PATH_LATENCY_FACTOR`]× that. Adders read
+    /// bus beats, not heap allocations — the per-packet value vector is
+    /// never materialized. The payload may carry the codec's narrow
+    /// contribution or wide result encoding (hierarchical aggregation
+    /// feeds parent switches with wide child aggregates).
     ///
-    /// # Panics
-    ///
-    /// Panics if the segment index is out of range, the length is
-    /// inconsistent, or the payload does not parse under this
-    /// accelerator's codec.
+    /// A payload the codec refuses for the open round is dropped and
+    /// counted in [`AcceleratorStats::malformed_drops`]; the round is left
+    /// as it was.
     pub fn ingest_wire(
         &mut self,
         meta: SegmentMeta,
         payload: &[u8],
     ) -> (Option<DataSegment>, SimDuration) {
-        self.ingest_inner(meta.seg, meta.count, meta.len, Contribution::Wire(payload))
-    }
-
-    fn ingest_inner(
-        &mut self,
-        idx: u64,
-        count: u16,
-        len: usize,
-        values: Contribution<'_>,
-    ) -> (Option<DataSegment>, SimDuration) {
         self.stats.packets_in += 1;
-        let codec = self.codec.codec();
-        // Datapath occupancy follows the bytes actually streamed: the real
-        // payload length on the wire path, the codec's contribution size on
-        // the floats path. For f32 both equal the legacy `len * 4 + 8`.
-        let payload_bytes = match values {
-            Contribution::Floats(_) => codec.contribution_bytes(len),
-            Contribution::Wire(payload) => payload.len(),
-        };
-        let latency = self.charge(payload_bytes);
-
-        let slot_id = match self.index.get(&idx) {
-            Some(&slot_id) => slot_id,
-            None => {
-                // A round that already fell back stays on the host path:
-                // its accumulator lives in DRAM, so later contributions
-                // must land there too.
-                if self.fallback.contains_key(&idx) {
-                    return self.ingest_host(idx, count, len, values, latency);
-                }
-                // Opening a new round requires BRAM for its buffer and a
-                // slot under the tenant grant. When either is exhausted
-                // the round falls back to the host path if enabled;
-                // otherwise the packet is dropped, exactly as the
-                // hardware would. (Drops genuinely happen when loss
-                // desynchronizes workers by an iteration: N-1 full vectors
-                // may contend for a buffer that holds less than one.)
-                let acc_bytes = self.codec.acc_bytes(len);
-                let byte_budget = self
-                    .byte_grant
-                    .map_or(self.cfg.buffer_bytes, |g| g.min(self.cfg.buffer_bytes));
-                let over_slots = self
-                    .slot_grant
-                    .is_some_and(|g| self.open_rounds() >= g as usize);
-                if over_slots || self.resident_bytes + acc_bytes > byte_budget {
-                    if self.host_fallback {
-                        self.stats.slot_denials += 1;
-                        return self.ingest_host(idx, count, len, values, latency);
-                    }
+        let datapath = self.charge(payload.len());
+        let idx = meta.seg;
+        let home = match self.index.get(&idx) {
+            Some(&slot_id) => Home::Bram(slot_id),
+            // A round that already fell back stays on the host path: its
+            // accumulator lives in DRAM, so later contributions must land
+            // there too.
+            None if self.fallback.contains_key(&idx) => Home::Host,
+            None => match self.open_round(idx, meta.len) {
+                Some(home) => home,
+                None => {
                     self.stats.bram_drops += 1;
-                    return (None, latency);
+                    return (None, datapath);
                 }
-                self.resident_bytes += acc_bytes;
-                let slot_id = match self.free.pop() {
-                    Some(recycled) => {
-                        let slot = &mut self.slots[recycled as usize];
-                        slot.acc.reset(len);
-                        slot.contributions = 0;
-                        slot.workers = 0;
-                        recycled
-                    }
-                    None => {
-                        self.slots.push(Slot {
-                            acc: codec.new_acc(len),
-                            contributions: 0,
-                            workers: 0,
-                        });
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.index.insert(idx, slot_id);
-                self.note_demand();
-                slot_id
-            }
+            },
         };
-        let slot = &mut self.slots[slot_id as usize];
-        assert_eq!(
-            slot.acc.len(),
-            len,
-            "segment {idx:#x} length changed between contributions"
-        );
-        let effects = match values {
-            // The legacy owned-floats fast path: f32 accumulators add the
-            // decoded values directly, bit-identically to the wire path.
-            Contribution::Floats(src) => {
-                if let WireAcc::F32(sums) = &mut slot.acc {
-                    accumulate_f32(sums, src);
-                    AccEffects::default()
-                } else {
-                    // Quantized codecs have no direct floats path in
-                    // hardware either — the contribution passes through the
-                    // codec's narrow encoding, quantization error included.
-                    let payload = codec
-                        .encode_contribution(idx, src)
-                        .expect("finite contribution values");
-                    codec
-                        .accumulate(&mut slot.acc, &payload)
-                        .expect("self-encoded payload accumulates")
-                }
-            }
-            Contribution::Wire(payload) => codec
-                .accumulate(&mut slot.acc, payload)
-                .expect("payload matches the accelerator codec"),
+        let (slot, latency) = match home {
+            Home::Bram(slot_id) => (&mut self.slots[slot_id as usize], datapath),
+            Home::Host => (
+                self.fallback.get_mut(&idx).expect("host round resident"),
+                datapath * HOST_PATH_LATENCY_FACTOR,
+            ),
         };
+        let Ok(effects) = self.codec.codec().accumulate(&mut slot.acc, payload) else {
+            self.stats.malformed_drops += 1;
+            if slot.contributions == 0 {
+                // Opened by this very packet: a resident round always
+                // holds at least one contribution, so close it again.
+                let _ = self.release(idx);
+            }
+            return (None, latency);
+        };
+        slot.contributions = slot.contributions.saturating_add(1);
+        slot.workers = slot.workers.saturating_add(meta.count.max(1));
+        let done = slot.contributions >= self.threshold;
         self.stats.codec_saturations += effects.saturations;
         self.stats.codec_rebases += effects.rebases;
-        if self.resident_bytes > self.stats.peak_buffer_bytes {
-            self.stats.peak_buffer_bytes = self.resident_bytes;
+        if matches!(home, Home::Host) {
+            self.stats.fallback_contributions += 1;
         }
-        slot.contributions = slot.contributions.saturating_add(1);
-        slot.workers = slot.workers.saturating_add(count.max(1));
-
-        if slot.contributions >= self.threshold {
-            (Some(self.complete(idx)), latency)
-        } else {
-            (None, latency)
-        }
+        (if done { self.emit(idx) } else { None }, latency)
     }
 
-    /// Accumulates one contribution into the DRAM-resident host-path slot
-    /// for `idx`, creating it on first arrival. Same codec arithmetic as
-    /// the BRAM path — the aggregate is numerically identical — but every
-    /// packet pays [`HOST_PATH_LATENCY_FACTOR`]× the datapath latency.
-    fn ingest_host(
-        &mut self,
-        idx: u64,
-        count: u16,
-        len: usize,
-        values: Contribution<'_>,
-        datapath_latency: SimDuration,
-    ) -> (Option<DataSegment>, SimDuration) {
-        let latency = datapath_latency * HOST_PATH_LATENCY_FACTOR;
-        let codec = self.codec.codec();
-        let slot = self.fallback.entry(idx).or_insert_with(|| HostSlot {
-            acc: codec.new_acc(len),
-            contributions: 0,
-            workers: 0,
-        });
-        assert_eq!(
-            slot.acc.len(),
-            len,
-            "segment {idx:#x} length changed between contributions"
-        );
-        let effects = match values {
-            Contribution::Floats(src) => {
-                if let WireAcc::F32(sums) = &mut slot.acc {
-                    accumulate_f32(sums, src);
-                    AccEffects::default()
-                } else {
-                    let payload = codec
-                        .encode_contribution(idx, src)
-                        .expect("finite contribution values");
-                    codec
-                        .accumulate(&mut slot.acc, &payload)
-                        .expect("self-encoded payload accumulates")
-                }
+    /// Finds a home for the first contribution of round `idx`. Opening a
+    /// round requires BRAM for its buffer and a slot under the tenant
+    /// grant; when either is exhausted the round falls back to the host
+    /// path if enabled, and is otherwise refused (`None`) — the packet
+    /// drops, exactly as the hardware would. (Drops genuinely happen when
+    /// loss desynchronizes workers by an iteration: N-1 full vectors may
+    /// contend for a buffer that holds less than one.)
+    fn open_round(&mut self, idx: u64, len: usize) -> Option<Home> {
+        let acc_bytes = self.codec.acc_bytes(len);
+        let byte_budget = self
+            .byte_grant
+            .map_or(self.cfg.buffer_bytes, |g| g.min(self.cfg.buffer_bytes));
+        let over_slots = self
+            .slot_grant
+            .is_some_and(|g| self.open_rounds() >= g as usize);
+        let home = if over_slots || self.resident_bytes + acc_bytes > byte_budget {
+            if !self.host_fallback {
+                return None;
             }
-            Contribution::Wire(payload) => codec
-                .accumulate(&mut slot.acc, payload)
-                .expect("payload matches the accelerator codec"),
-        };
-        self.stats.codec_saturations += effects.saturations;
-        self.stats.codec_rebases += effects.rebases;
-        self.stats.fallback_contributions += 1;
-        slot.contributions = slot.contributions.saturating_add(1);
-        slot.workers = slot.workers.saturating_add(count.max(1));
-        if slot.contributions >= self.threshold {
-            self.note_demand();
-            (Some(self.complete_host(idx)), latency)
+            self.stats.slot_denials += 1;
+            self.fallback.insert(idx, Slot::new(self.codec, len));
+            Home::Host
         } else {
-            self.note_demand();
-            (None, latency)
-        }
-    }
-
-    /// Updates the demand high-water mark after a round opens.
-    fn note_demand(&mut self) {
+            self.resident_bytes += acc_bytes;
+            self.stats.peak_buffer_bytes = self.stats.peak_buffer_bytes.max(self.resident_bytes);
+            let slot_id = match self.free.pop() {
+                Some(recycled) => {
+                    let slot = &mut self.slots[recycled as usize];
+                    slot.acc.reset(len);
+                    slot.contributions = 0;
+                    slot.workers = 0;
+                    recycled
+                }
+                None => {
+                    self.slots.push(Slot::new(self.codec, len));
+                    (self.slots.len() - 1) as u32
+                }
+            };
+            self.index.insert(idx, slot_id);
+            Home::Bram(slot_id)
+        };
+        // The demand high-water mark only moves when a round opens.
         let open = (self.open_rounds() + self.fallback.len()) as u32;
-        if open > self.demand_peak {
-            self.demand_peak = open;
+        self.demand_peak = self.demand_peak.max(open);
+        Some(home)
+    }
+
+    /// Retires round `idx` from wherever it is resident, returning where
+    /// that was, its sums and its worker count; `None` if it is not open.
+    fn release(&mut self, idx: u64) -> Option<(Home, Vec<f32>, u16)> {
+        let codec = self.codec.codec();
+        // f32 slots hand their buffer to the result without a copy;
+        // integer accumulators decode to fresh f32 sums.
+        let sums = |slot: &mut Slot| match &mut slot.acc {
+            WireAcc::F32(sums) => std::mem::take(sums),
+            acc => codec.decode_acc(acc),
+        };
+        if let Some(slot_id) = self.index.remove(&idx) {
+            let slot = &mut self.slots[slot_id as usize];
+            let freed = slot.acc.resident_bytes();
+            let out = (Home::Bram(slot_id), sums(slot), slot.workers);
+            if self.slot_leak_bug {
+                // Seeded bug: the slot never returns to the free list and
+                // its bytes stay accounted as resident, so occupancy only
+                // grows.
+                self.stats.leaked_slots += 1;
+            } else {
+                self.free.push(slot_id);
+                self.resident_bytes -= freed;
+            }
+            Some(out)
+        } else {
+            let mut slot = self.fallback.remove(&idx)?;
+            Some((Home::Host, sums(&mut slot), slot.workers))
         }
     }
 
-    fn complete(&mut self, idx: u64) -> DataSegment {
-        let slot_id = self
-            .index
-            .remove(&idx)
-            .expect("completing a resident segment");
-        let slot = &mut self.slots[slot_id as usize];
-        let freed = slot.acc.resident_bytes();
-        // f32 slots hand their buffer to the result without a copy (the
-        // legacy path); integer accumulators decode to fresh f32 sums.
-        let values = match &mut slot.acc {
-            WireAcc::F32(sums) => std::mem::take(sums),
-            acc => self.codec.codec().decode_acc(acc),
-        };
-        let count = slot.workers;
-        if self.slot_leak_bug {
-            // Seeded bug: the slot never returns to the free list and its
-            // bytes stay accounted as resident, so occupancy only grows.
-            self.stats.leaked_slots += 1;
-        } else {
-            self.free.push(slot_id);
-            self.resident_bytes -= freed;
-        }
+    /// Releases round `idx` and publishes its aggregate: counted as
+    /// emitted and cached for `Help`.
+    fn emit(&mut self, idx: u64) -> Option<DataSegment> {
+        let (home, values, count) = self.release(idx)?;
         self.stats.segments_emitted += 1;
+        if matches!(home, Home::Host) {
+            self.stats.fallback_rounds += 1;
+        }
         let result = DataSegment {
             seg: idx,
             count,
             values,
         };
         self.last_results.insert(idx, result.clone());
-        result
-    }
-
-    /// Emits and retires the host-path round `idx`.
-    fn complete_host(&mut self, idx: u64) -> DataSegment {
-        let mut slot = self
-            .fallback
-            .remove(&idx)
-            .expect("completing a resident host-path round");
-        let values = match &mut slot.acc {
-            WireAcc::F32(sums) => std::mem::take(sums),
-            acc => self.codec.codec().decode_acc(acc),
-        };
-        self.stats.segments_emitted += 1;
-        self.stats.fallback_rounds += 1;
-        let result = DataSegment {
-            seg: idx,
-            count: slot.workers,
-            values,
-        };
-        self.last_results.insert(idx, result.clone());
-        result
+        Some(result)
     }
 
     /// Forces out the partial aggregate of `seg` (the `FBcast` control
     /// action), if any contributions have arrived — on either the BRAM or
     /// the host path. The buffer and counter reset either way.
     pub fn force_broadcast(&mut self, seg: u64) -> Option<DataSegment> {
-        // A resident slot always holds at least one contribution (slots are
-        // created by the ingest that first contributes).
-        if self.index.contains_key(&seg) {
-            self.stats.forced_broadcasts += 1;
-            Some(self.complete(seg))
-        } else if self.fallback.contains_key(&seg) {
-            self.stats.forced_broadcasts += 1;
-            Some(self.complete_host(seg))
-        } else {
-            None
-        }
+        // A resident round always holds at least one contribution (rounds
+        // are opened by the ingest that first contributes).
+        let flushed = self.emit(seg)?;
+        self.stats.forced_broadcasts += 1;
+        Some(flushed)
     }
 
     /// The most recently emitted aggregate for `seg`, serving `Help`
@@ -956,6 +856,73 @@ mod tests {
         a.ingest(&seg(1, vec![1.0; 8]));
         assert_eq!(a.open_rounds(), 2);
         assert_eq!(a.resident_bytes(), 2 * resident_one);
+    }
+
+    /// Feeds `values` for round `idx` through `ingest_wire` in `codec`'s
+    /// contribution format.
+    fn wire(a: &mut Accelerator, idx: u64, values: &[f32]) -> (Option<DataSegment>, SimDuration) {
+        let codec = a.codec().codec();
+        let payload = codec.encode_contribution(idx, values).unwrap();
+        let meta = codec.decode_meta(&payload).unwrap();
+        a.ingest_wire(meta, &payload)
+    }
+
+    #[test]
+    fn contribution_disagreeing_with_the_open_round_is_dropped_and_counted() {
+        for kind in CodecKind::ALL {
+            let mut a = Accelerator::with_codec(AcceleratorConfig::default(), 1, 2, kind);
+            let full = vec![1.0f32; kind.elems_per_segment()];
+            assert!(wire(&mut a, 0, &full).0.is_none());
+            // Well-formed on its own, but three elements where the round
+            // holds a full segment.
+            let (done, latency) = wire(&mut a, 0, &[9.0, 9.0, 9.0]);
+            assert!(done.is_none(), "{kind}");
+            assert!(latency > SimDuration::ZERO, "{kind}");
+            assert_eq!(a.stats().malformed_drops, 1, "{kind}");
+            assert_eq!(a.stats().packets_in, 2, "{kind}");
+            assert_eq!(a.partial_segments(), vec![0], "{kind}");
+            // The round is intact: the next well-formed contribution
+            // completes it as if the bad packet had never arrived.
+            let done = wire(&mut a, 0, &full).0.expect("round completes");
+            assert_eq!(done.count, 2, "{kind}");
+            let mut clean = Accelerator::with_codec(AcceleratorConfig::default(), 1, 2, kind);
+            wire(&mut clean, 0, &full);
+            assert_eq!(Some(done), wire(&mut clean, 0, &full).0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn body_shorter_than_its_meta_is_dropped_on_both_paths() {
+        // The caller's meta promises four elements; the fixed-point body
+        // carries three. The first such packet opens no round (BRAM or
+        // host); a later one leaves the open round untouched.
+        for host in [false, true] {
+            let mut a =
+                Accelerator::with_codec(AcceleratorConfig::default(), 1, 2, CodecKind::FixedPoint);
+            if host {
+                a.set_grant(Some(0), None);
+                a.set_host_fallback(true);
+            }
+            let codec = CodecKind::FixedPoint.codec();
+            let short = codec.encode_contribution(0, &[1.0, 2.0, 3.0]).unwrap();
+            let lying = SegmentMeta {
+                seg: 0,
+                count: 1,
+                len: 4,
+            };
+            assert!(a.ingest_wire(lying, &short).0.is_none());
+            assert_eq!(a.stats().malformed_drops, 1);
+            assert!(a.partial_segments().is_empty());
+            assert_eq!(a.resident_bytes(), 0);
+
+            wire(&mut a, 0, &[1.0, 2.0, 3.0, 4.0]);
+            assert!(a.ingest_wire(lying, &short).0.is_none());
+            assert_eq!(a.stats().malformed_drops, 2);
+            let done = wire(&mut a, 0, &[1.0, 2.0, 3.0, 4.0]).0.expect("completes");
+            assert_eq!(done.count, 2);
+            assert_eq!(a.stats().fallback_rounds, u64::from(host));
+            assert_eq!(a.stats().segments_emitted, 1);
+        }
     }
 
     #[test]

@@ -49,7 +49,9 @@ use bytes::Bytes;
 use iswitch_netsim::MAX_UDP_PAYLOAD;
 
 use crate::error::ProtocolError;
-use crate::protocol::data::{DataSegment, SegmentMeta, FLOATS_PER_SEGMENT, SEG_HEADER_BYTES};
+use crate::protocol::data::{
+    seg_header, split_seg_header, DataSegment, SegmentMeta, FLOATS_PER_SEGMENT, SEG_HEADER_BYTES,
+};
 
 /// Bytes of the codec sub-header following the `Seg` header (non-f32 only).
 pub const CODEC_HEADER_BYTES: usize = 4;
@@ -358,34 +360,11 @@ pub trait AggregationCodec: Sync {
     fn error_bound(&self, max_abs: f32, workers: usize) -> f32;
 }
 
-/// Adds `src` into `acc` element-wise, chunked to the datapath's eight
-/// parallel f32 adders (one 256-bit AXI bus beat) so the compiler emits
-/// vector adds. Lanes are independent — no reassociation — so results are
-/// bit-identical to the scalar loop.
-pub(crate) fn accumulate_f32(acc: &mut [f32], src: &[f32]) {
-    const LANES: usize = 8;
-    let mut acc_chunks = acc.chunks_exact_mut(LANES);
-    let mut src_chunks = src.chunks_exact(LANES);
-    for (a, s) in acc_chunks.by_ref().zip(src_chunks.by_ref()) {
-        for i in 0..LANES {
-            a[i] += s[i];
-        }
-    }
-    for (a, s) in acc_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(src_chunks.remainder())
-    {
-        *a += s;
-    }
-}
-
-/// Adds big-endian f32 wire data into `acc` element-wise, without first
-/// materializing a decoded `Vec<f32>`. Element order matches
-/// [`accumulate_f32`] exactly, so sums are bit-identical to the
-/// decode-then-accumulate path. This is *the* big-endian f32 accumulate —
-/// the accelerator and the assemblers both reach it through the codec.
-pub(crate) fn accumulate_f32_be(acc: &mut [f32], bytes: &[u8]) {
+/// Adds big-endian f32 wire data into `acc` element-wise, in element
+/// order, without first materializing a decoded `Vec<f32>`. This is *the*
+/// big-endian f32 accumulate — the accelerator and the assemblers both
+/// reach it through the codec.
+fn accumulate_f32_be(acc: &mut [f32], bytes: &[u8]) {
     debug_assert_eq!(acc.len() * 4, bytes.len());
     for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(4)) {
         *a += f32::from_be_bytes(c.try_into().expect("4 bytes"));
@@ -425,8 +404,7 @@ fn max_abs(values: &[f32]) -> f32 {
 
 /// Writes the 8-byte `Seg` header and the 4-byte codec sub-header.
 fn codec_header(buf: &mut [u8], seg: u64, count: u16, id: u8, flags: u8, param: u16) {
-    let header = (seg << 16) | u64::from(count);
-    buf[..SEG_HEADER_BYTES].copy_from_slice(&header.to_be_bytes());
+    buf[..SEG_HEADER_BYTES].copy_from_slice(&seg_header(seg, count));
     buf[8] = id;
     buf[9] = flags;
     buf[10..12].copy_from_slice(&param.to_be_bytes());
@@ -443,22 +421,22 @@ struct CodecPayload<'a> {
 
 /// Splits a non-f32 payload into headers and body, checking the codec id.
 fn parse_codec_payload(id: u8, payload: &[u8]) -> Result<CodecPayload<'_>, ProtocolError> {
-    if payload.len() < BODY {
+    let (seg, count, rest) = split_seg_header(payload)?;
+    let Some((&[codec_id, flags, p0, p1], body)) = rest.split_first_chunk() else {
         return Err(ProtocolError::Truncated {
             needed: BODY,
             got: payload.len(),
         });
-    }
-    let header = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-    if payload[8] != id {
+    };
+    if codec_id != id {
         return Err(ProtocolError::InvalidField("codec id"));
     }
     Ok(CodecPayload {
-        seg: header >> 16,
-        count: (header & 0xFFFF) as u16,
-        flags: payload[9],
-        param: u16::from_be_bytes(payload[10..12].try_into().expect("2 bytes")),
-        body: &payload[BODY..],
+        seg,
+        count,
+        flags,
+        param: u16::from_be_bytes([p0, p1]),
+        body,
     })
 }
 
@@ -1116,14 +1094,16 @@ impl AggregationCodec for TopKCodec {
             if !p.body.len().is_multiple_of(6) {
                 return Err(ProtocolError::MisalignedPayload(p.body.len()));
             }
+            let index = |entry: &[u8]| usize::from(u16::from_be_bytes([entry[0], entry[1]]));
+            // Reject before touching `sums`: a refused payload must leave
+            // the round exactly as it found it.
+            if p.body.chunks_exact(6).any(|e| index(e) >= sums.len()) {
+                return Err(ProtocolError::InvalidField("sparse index"));
+            }
             // Scatter-add: untouched indices contribute zero, exactly as if
             // the worker had sent an explicit zero there.
             for entry in p.body.chunks_exact(6) {
-                let i = usize::from(u16::from_be_bytes(entry[..2].try_into().expect("2 bytes")));
-                if i >= sums.len() {
-                    return Err(ProtocolError::InvalidField("sparse index"));
-                }
-                sums[i] += f32::from_be_bytes(entry[2..].try_into().expect("4 bytes"));
+                sums[index(entry)] += f32::from_be_bytes(entry[2..].try_into().expect("4 bytes"));
             }
         } else {
             if p.body.len() != sums.len() * 4 {

@@ -104,12 +104,32 @@ pub(crate) fn encode_segment(seg: u64, count: u16, values: &[f32]) -> Bytes {
     // inline and autovectorize, where per-element `BufMut::put_f32` calls
     // would each go through a capacity check and an outlined extend.
     let mut buf = vec![0u8; SEG_HEADER_BYTES + values.len() * 4];
-    let header = (seg << 16) | u64::from(count);
-    buf[..SEG_HEADER_BYTES].copy_from_slice(&header.to_be_bytes());
+    buf[..SEG_HEADER_BYTES].copy_from_slice(&seg_header(seg, count));
     for (dst, v) in buf[SEG_HEADER_BYTES..].chunks_exact_mut(4).zip(values) {
         dst.copy_from_slice(&v.to_be_bytes());
     }
     Bytes::from(buf)
+}
+
+/// The 8-byte `Seg` header every data payload begins with: the 48-bit
+/// round-tagged segment field above the 16-bit contributor count.
+pub(crate) fn seg_header(seg: u64, count: u16) -> [u8; SEG_HEADER_BYTES] {
+    ((seg << 16) | u64::from(count)).to_be_bytes()
+}
+
+/// Splits the `Seg` header off a data payload, yielding the round-tagged
+/// segment field, the contributor count and the bytes after the header —
+/// the inverse of [`seg_header`] and the only place the header is parsed.
+pub(crate) fn split_seg_header(payload: &[u8]) -> Result<(u64, u16, &[u8]), ProtocolError> {
+    let (head, rest) =
+        payload
+            .split_first_chunk::<SEG_HEADER_BYTES>()
+            .ok_or(ProtocolError::Truncated {
+                needed: SEG_HEADER_BYTES,
+                got: payload.len(),
+            })?;
+    let header = u64::from_be_bytes(*head);
+    Ok((header >> 16, (header & 0xFFFF) as u16, rest))
 }
 
 /// Reads just the round-tagged `Seg` field of a data payload, without
@@ -122,14 +142,7 @@ pub(crate) fn encode_segment(seg: u64, count: u16, values: &[f32]) -> Bytes {
 /// Returns [`ProtocolError::Truncated`] if the payload is shorter than the
 /// header.
 pub fn decode_seg_field(payload: &[u8]) -> Result<u64, ProtocolError> {
-    if payload.len() < SEG_HEADER_BYTES {
-        return Err(ProtocolError::Truncated {
-            needed: SEG_HEADER_BYTES,
-            got: payload.len(),
-        });
-    }
-    let header = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-    Ok(header >> 16)
+    split_seg_header(payload).map(|(seg, _, _)| seg)
 }
 
 impl DataSegment {
@@ -151,21 +164,14 @@ impl DataSegment {
     /// Returns [`ProtocolError`] under exactly the same conditions as
     /// [`DataSegment::decode`].
     pub fn decode_meta(payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
-        if payload.len() < SEG_HEADER_BYTES {
-            return Err(ProtocolError::Truncated {
-                needed: SEG_HEADER_BYTES,
-                got: payload.len(),
-            });
-        }
-        let header = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-        let data_len = payload.len() - SEG_HEADER_BYTES;
-        if !data_len.is_multiple_of(4) {
-            return Err(ProtocolError::MisalignedPayload(data_len));
+        let (seg, count, data) = split_seg_header(payload)?;
+        if !data.len().is_multiple_of(4) {
+            return Err(ProtocolError::MisalignedPayload(data.len()));
         }
         Ok(SegmentMeta {
-            seg: header >> 16,
-            count: (header & 0xFFFF) as u16,
-            len: data_len / 4,
+            seg,
+            count,
+            len: data.len() / 4,
         })
     }
 
@@ -176,24 +182,14 @@ impl DataSegment {
     /// Returns [`ProtocolError`] if the payload is shorter than the header
     /// or its data is not f32-aligned.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        if payload.len() < SEG_HEADER_BYTES {
-            return Err(ProtocolError::Truncated {
-                needed: SEG_HEADER_BYTES,
-                got: payload.len(),
-            });
-        }
-        let header = u64::from_be_bytes(payload[..8].try_into().expect("8 bytes"));
-        let data = &payload[SEG_HEADER_BYTES..];
-        if !data.len().is_multiple_of(4) {
-            return Err(ProtocolError::MisalignedPayload(data.len()));
-        }
-        let values = data
+        let meta = Self::decode_meta(payload)?;
+        let values = payload[SEG_HEADER_BYTES..]
             .chunks_exact(4)
             .map(|c| f32::from_be_bytes(c.try_into().expect("4 bytes")))
             .collect();
         Ok(DataSegment {
-            seg: header >> 16,
-            count: (header & 0xFFFF) as u16,
+            seg: meta.seg,
+            count: meta.count,
             values,
         })
     }
@@ -299,7 +295,8 @@ impl GradientAssembler {
     /// # Errors
     ///
     /// Returns [`ProtocolError::InvalidField`] if the segment index is out
-    /// of range or its length does not match its position.
+    /// of range, its length does not match its position, or its
+    /// contributor count is zero.
     pub fn insert(&mut self, seg: &DataSegment) -> Result<bool, ProtocolError> {
         let idx = seg_index(seg.seg) as usize;
         if idx >= self.received.len() {
@@ -309,6 +306,10 @@ impl GradientAssembler {
         let expect = (self.grad_len - offset).min(self.seg_elems);
         if seg.values.len() != expect {
             return Err(ProtocolError::InvalidField("payload length"));
+        }
+        if seg.count == 0 {
+            // A zero count would divide the segment by zero in `into_mean`.
+            return Err(ProtocolError::InvalidField("count"));
         }
         self.values[offset..offset + expect].copy_from_slice(&seg.values);
         self.counts[idx] = seg.count;
@@ -461,78 +462,47 @@ impl RoundAssembler {
             .collect()
     }
 
-    /// Feeds one received segment.
-    pub fn insert(&mut self, seg: &DataSegment) -> RoundInsert {
-        match self.admit(seg.seg) {
-            Ok(idx) => {
-                if let Some(asm) = &mut self.values {
-                    if asm.insert(seg).is_err() {
-                        return RoundInsert::Stale; // malformed payload length
-                    }
-                }
-                self.mark_received(idx)
-            }
-            Err(verdict) => verdict,
-        }
-    }
-
-    /// Feeds one received segment straight from its encoded wire payload,
-    /// parsed under the assembler's codec. This is the single wire-decode
-    /// path for broadcast results: the codec owns both the accelerator's
-    /// accumulate and this decode, so the two cannot drift.
+    /// Feeds one received result segment from its encoded wire payload,
+    /// parsed under the assembler's codec — the single decode path for
+    /// broadcast results, owned by the same codec as the accelerator's
+    /// accumulate, so the two cannot drift.
     ///
-    /// Equivalent to the codec's full decode followed by
-    /// [`RoundAssembler::insert`], except that bookkeeping-only assemblers
-    /// (timing mode) never materialize the value vector — the hot path for
-    /// broadcast results fanned out to every worker. Malformed payloads
-    /// report [`RoundInsert::Stale`].
+    /// Bookkeeping-only assemblers (timing mode) stop at the header and
+    /// never materialize the value vector — the hot path for results
+    /// fanned out to every worker. Malformed payloads report
+    /// [`RoundInsert::Stale`].
     pub fn insert_wire(&mut self, payload: &[u8]) -> RoundInsert {
         let codec = self.codec.codec();
         let Ok(meta) = codec.decode_meta(payload) else {
             return RoundInsert::Stale;
         };
-        match self.admit(meta.seg) {
-            Ok(idx) => {
-                if let Some(asm) = self.values.as_mut() {
-                    // Co-simulation keeps the aggregate values: fall back to
-                    // the full decode (checks run only once — `admit` already
-                    // filtered stale rounds and duplicates).
-                    let Ok(seg) = codec.decode_values(payload) else {
-                        return RoundInsert::Stale;
-                    };
-                    if asm.insert(&seg).is_err() {
-                        return RoundInsert::Stale; // malformed payload length
-                    }
-                }
-                self.mark_received(idx)
-            }
-            Err(verdict) => verdict,
+        if self
+            .round
+            .is_some_and(|round| seg_round(meta.seg) != round & 0xFFFF)
+        {
+            return RoundInsert::Stale;
         }
-    }
-
-    /// Round/range/duplicate filtering shared by the owned and wire insert
-    /// paths; `Ok` holds the spatial index of an admissible segment.
-    fn admit(&self, tagged: u64) -> Result<usize, RoundInsert> {
-        if let Some(round) = self.round {
-            if seg_round(tagged) != round & 0xFFFF {
-                return Err(RoundInsert::Stale);
-            }
-        }
-        let idx = seg_index(tagged) as usize;
+        let idx = seg_index(meta.seg) as usize;
         if idx >= self.received.len() {
-            return Err(RoundInsert::Stale);
+            return RoundInsert::Stale;
         }
         if self.done || self.received[idx] {
-            return Err(RoundInsert::Duplicate);
+            return RoundInsert::Duplicate;
         }
-        Ok(idx)
-    }
-
-    fn mark_received(&mut self, idx: usize) -> RoundInsert {
+        if let Some(asm) = self.values.as_mut() {
+            // Co-simulation keeps the aggregate values: full decode, once,
+            // after the stale and duplicate filters above.
+            let installed = codec
+                .decode_values(payload)
+                .and_then(|seg| asm.insert(&seg));
+            if installed.is_err() {
+                return RoundInsert::Stale;
+            }
+        }
         self.received[idx] = true;
         self.pending -= 1;
-        if self.pending == 0 {
-            self.done = true;
+        self.done = self.pending == 0;
+        if self.done {
             RoundInsert::Completed
         } else {
             RoundInsert::Accepted
@@ -694,18 +664,18 @@ mod tests {
 
         // A segment from round 4 is stale.
         let stale = &segment_gradient_round(&grad, 4)[0];
-        assert_eq!(asm.insert(stale), RoundInsert::Stale);
+        assert_eq!(asm.insert_wire(&stale.encode()), RoundInsert::Stale);
         assert_eq!(asm.received_count(), 0);
 
         let segs = segment_gradient_round(&grad, 5);
-        assert_eq!(asm.insert(&segs[0]), RoundInsert::Accepted);
-        assert_eq!(asm.insert(&segs[0]), RoundInsert::Duplicate);
+        assert_eq!(asm.insert_wire(&segs[0].encode()), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&segs[0].encode()), RoundInsert::Duplicate);
         assert_eq!(asm.missing(), vec![1, 2]);
-        assert_eq!(asm.insert(&segs[1]), RoundInsert::Accepted);
-        assert_eq!(asm.insert(&segs[2]), RoundInsert::Completed);
+        assert_eq!(asm.insert_wire(&segs[1].encode()), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&segs[2].encode()), RoundInsert::Completed);
         assert!(asm.is_done());
         // Everything after completion is a duplicate until the next round.
-        assert_eq!(asm.insert(&segs[1]), RoundInsert::Duplicate);
+        assert_eq!(asm.insert_wire(&segs[1].encode()), RoundInsert::Duplicate);
         // Bookkeeping-only assembler has no values to return.
         assert_eq!(asm.take_mean(), None);
 
@@ -722,7 +692,7 @@ mod tests {
         asm.begin_round(Some(0));
         for mut seg in segment_gradient_round(&summed, 0) {
             seg.count = 3; // aggregated over three workers
-            asm.insert(&seg);
+            asm.insert_wire(&seg.encode());
         }
         let mean = asm.take_mean().expect("complete with values");
         assert!(mean.iter().all(|&v| (v - 2.0).abs() < 1e-6));
@@ -738,7 +708,7 @@ mod tests {
         asm.begin_round(None);
         let r0 = segment_gradient_round(&grad, 0);
         let r7 = segment_gradient_round(&grad, 7);
-        assert_eq!(asm.insert(&r0[0]), RoundInsert::Accepted);
-        assert_eq!(asm.insert(&r7[1]), RoundInsert::Completed);
+        assert_eq!(asm.insert_wire(&r0[0].encode()), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&r7[1].encode()), RoundInsert::Completed);
     }
 }

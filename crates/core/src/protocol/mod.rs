@@ -4,7 +4,6 @@
 pub(crate) mod codec;
 mod control;
 pub(crate) mod data;
-mod quant;
 mod tos;
 
 pub use codec::{
@@ -13,14 +12,9 @@ pub use codec::{
     CODEC_HEADER_BYTES, FIXED_ELEMS_PER_SEGMENT, TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT,
 };
 pub use control::ControlMessage;
-pub(crate) use data::encode_segment;
 pub use data::{
     decode_seg_field, num_segments, seg_index, seg_round, segment_gradient, segment_gradient_round,
     tag_round, DataSegment, GradientAssembler, RoundAssembler, RoundInsert, SegmentMeta,
     FLOATS_PER_SEGMENT, MAX_SEG_INDEX, ROUND_SHIFT, SEG_HEADER_BYTES,
-};
-pub use quant::{
-    num_quant_segments, quantize_gradient, QuantAccelerator, QuantConfig, QuantSegment,
-    INTS_PER_SEGMENT,
 };
 pub use tos::{dscp, is_iswitch_tos, ISWITCH_UDP_PORT, TOS_CONTROL, TOS_DATA};

@@ -486,12 +486,9 @@ impl IswitchExtension {
                 // Globally aggregated result coming down: fan out unchanged.
                 // The payload is already the exact bytes the children expect,
                 // so relay it zero-copy instead of decode + re-encode.
-                let meta = self
-                    .cfg
-                    .codec
-                    .codec()
-                    .decode_meta(&pkt.payload)
-                    .expect("malformed result packet from parent switch");
+                let Ok(meta) = self.cfg.codec.codec().decode_meta(&pkt.payload) else {
+                    return; // malformed: dropped, like the upward path below
+                };
                 let mut relay = crate::worker::data_packet_wire(
                     self.cfg.switch_ip,
                     RESULT_BROADCAST_IP,
@@ -523,6 +520,7 @@ impl IswitchExtension {
         let reb_before = self.accel.stats().codec_rebases;
         let den_before = self.accel.stats().slot_denials;
         let fbr_before = self.accel.stats().fallback_rounds;
+        let mal_before = self.accel.stats().malformed_drops;
         let (done, latency) = self.accel.ingest_wire(meta, &pkt.payload);
         let sat_total = self.accel.stats().codec_saturations;
         let reb_total = self.accel.stats().codec_rebases;
@@ -545,6 +543,13 @@ impl IswitchExtension {
         }
         if let Some(c) = &obs.fallback_rounds {
             c.add(fbr_total - fbr_before);
+        }
+        let malformed = self.accel.stats().malformed_drops - mal_before;
+        if malformed > 0 {
+            // Registered by the first drop, so a run that never sees a
+            // malformed contribution keeps its metric report unchanged.
+            let name = format!("core.switch.n{:03}.malformed_drops", sw.node().index());
+            sw.metrics().counter(&name).add(malformed);
         }
         match done {
             Some(agg) => {

@@ -5,23 +5,35 @@ use bytes::Bytes;
 use iswitch_netsim::{CausalKey, IpAddr, Packet};
 
 use crate::protocol::codec::{CodecKind, FixedPointCodec};
+use crate::protocol::data::seg_header;
 use crate::protocol::{
-    dscp, encode_segment, seg_index, seg_round, tag_round, ControlMessage, DataSegment,
-    SegmentMeta, FLOATS_PER_SEGMENT, ISWITCH_UDP_PORT, SEG_HEADER_BYTES, TOS_CONTROL, TOS_DATA,
+    dscp, seg_index, seg_round, tag_round, ControlMessage, DataSegment, SegmentMeta,
+    ISWITCH_UDP_PORT, SEG_HEADER_BYTES, TOS_CONTROL, TOS_DATA,
 };
 use crate::switch_ext::UPSTREAM_IP;
 
-/// Encodes one contribution chunk under `codec`, honoring the seeded
-/// exponent-stamp bias for fixed-point (the chaos harness's codec bug; a
-/// bias of zero is correct operation and the only value other codecs
-/// accept a stamp for).
-fn encode_codec_segment(codec: CodecKind, seg: u64, values: &[f32], exp_bias: i8) -> Bytes {
-    let payload = if exp_bias != 0 && codec == CodecKind::FixedPoint {
-        FixedPointCodec.encode_contribution_biased(seg, values, exp_bias)
-    } else {
-        codec.codec().encode_contribution(seg, values)
-    };
-    payload.expect("gradient values are finite")
+/// The one packetiser: splits `grad` into `codec`-sized segments tagged
+/// with `round` and encodes each as a worker contribution, yielding the
+/// wire `Seg` value next to its payload. `exp_bias` seeds the fixed-point
+/// exponent-stamp bug (the chaos harness's codec bug); zero is correct
+/// operation and the only value other codecs accept a stamp for.
+fn contribution_payloads(
+    grad: &[f32],
+    round: u32,
+    codec: CodecKind,
+    exp_bias: i8,
+) -> impl Iterator<Item = (u64, Bytes)> + '_ {
+    grad.chunks(codec.elems_per_segment())
+        .enumerate()
+        .map(move |(i, chunk)| {
+            let seg = tag_round(i as u64, round);
+            let payload = if exp_bias != 0 && codec == CodecKind::FixedPoint {
+                FixedPointCodec.encode_contribution_biased(seg, chunk, exp_bias)
+            } else {
+                codec.codec().encode_contribution(seg, chunk)
+            };
+            (seg, payload.expect("gradient values are finite"))
+        })
 }
 
 /// Builds the sequence of data packets carrying `grad` from a worker at
@@ -38,23 +50,12 @@ pub fn gradient_packets(src: IpAddr, grad: &[f32]) -> Vec<Packet> {
 /// `Seg` field (see [`crate::tag_round`]); receivers use the tag to ignore
 /// stale re-broadcasts.
 pub fn gradient_packets_round(src: IpAddr, grad: &[f32], round: u32) -> Vec<Packet> {
-    // Encode each chunk of the gradient straight into its payload — no
-    // intermediate owned `DataSegment` per packet (this runs once per
-    // worker per iteration on the hot path).
-    grad.chunks(FLOATS_PER_SEGMENT)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let seg = tag_round(i as u64, round);
-            sealed_data_packet(src, UPSTREAM_IP, seg, encode_segment(seg, 1, chunk))
-        })
-        .collect()
+    gradient_packets_round_codec(src, grad, round, CodecKind::F32, 0)
 }
 
 /// Like [`gradient_packets_round`] with the contribution payloads encoded
 /// under `codec`. `exp_bias` seeds the fixed-point exponent-stamp bug
-/// (zero for correct operation; ignored by other codecs). For
-/// [`CodecKind::F32`] with zero bias the packets are byte-identical to
-/// [`gradient_packets_round`].
+/// (zero for correct operation; ignored by other codecs).
 ///
 /// # Panics
 ///
@@ -67,32 +68,20 @@ pub fn gradient_packets_round_codec(
     codec: CodecKind,
     exp_bias: i8,
 ) -> Vec<Packet> {
-    if codec == CodecKind::F32 {
-        return gradient_packets_round(src, grad, round);
-    }
-    grad.chunks(codec.elems_per_segment())
-        .enumerate()
-        .map(|(i, chunk)| {
-            let seg = tag_round(i as u64, round);
-            sealed_data_packet(
-                src,
-                UPSTREAM_IP,
-                seg,
-                encode_codec_segment(codec, seg, chunk, exp_bias),
-            )
-        })
+    contribution_payloads(grad, round, codec, exp_bias)
+        .map(|(seg, payload)| sealed_data_packet(src, UPSTREAM_IP, seg, payload))
         .collect()
 }
 
 /// Pre-encoded contribution payloads for a gradient vector whose contents
 /// do not change between iterations (timing-mode synthetic gradients).
 ///
-/// [`gradient_packets_round`] re-reads and byteswaps every f32 each
+/// [`gradient_packets_round_codec`] re-encodes every element each
 /// iteration even though only the 8-byte round-tagged header differs
 /// between rounds. This cache encodes the vector once; per iteration,
 /// round 0 packets reuse the stored [`Bytes`] outright (refcount clone),
 /// and other rounds pay one memcpy plus an 8-byte header patch per packet.
-/// Output is byte-for-byte identical to [`gradient_packets_round`].
+/// Output is byte-for-byte identical to [`gradient_packets_round_codec`].
 pub struct EncodedGradient {
     src: IpAddr,
     /// Encoded payloads tagged with round 0 (identity tag).
@@ -100,7 +89,7 @@ pub struct EncodedGradient {
 }
 
 impl EncodedGradient {
-    /// Encodes `grad` once as worker contributions (count = 1).
+    /// Encodes `grad` once as f32 worker contributions (count = 1).
     pub fn new(src: IpAddr, grad: &[f32]) -> Self {
         Self::with_codec(src, grad, CodecKind::F32, 0)
     }
@@ -116,40 +105,30 @@ impl EncodedGradient {
     /// Panics if the gradient contains non-finite values and the codec is
     /// quantized.
     pub fn with_codec(src: IpAddr, grad: &[f32], codec: CodecKind, exp_bias: i8) -> Self {
-        let encode = |i: usize, chunk: &[f32]| {
-            let seg = tag_round(i as u64, 0);
-            if codec == CodecKind::F32 {
-                encode_segment(seg, 1, chunk)
-            } else {
-                encode_codec_segment(codec, seg, chunk, exp_bias)
-            }
-        };
         EncodedGradient {
             src,
-            round0: grad
-                .chunks(codec.elems_per_segment())
-                .enumerate()
-                .map(|(i, chunk)| encode(i, chunk))
+            round0: contribution_payloads(grad, 0, codec, exp_bias)
+                .map(|(_, payload)| payload)
                 .collect(),
         }
     }
 
     /// Builds the packet sequence for `round` — the cached-template
-    /// equivalent of [`gradient_packets_round`].
+    /// equivalent of [`gradient_packets_round_codec`].
     pub fn packets_round(&self, round: u32) -> Vec<Packet> {
         self.round0
             .iter()
             .enumerate()
             .map(|(i, template)| {
                 let seg = tag_round(i as u64, round);
-                let header = (seg << 16) | 1;
-                let payload = if template[..SEG_HEADER_BYTES] == header.to_be_bytes() {
+                let header = seg_header(seg, 1);
+                let payload = if template[..SEG_HEADER_BYTES] == header {
                     // Header already matches (segment 0 of round 0, and any
                     // template whose patch would be a no-op): share storage.
                     template.clone()
                 } else {
                     let mut buf = template.to_vec();
-                    buf[..SEG_HEADER_BYTES].copy_from_slice(&header.to_be_bytes());
+                    buf[..SEG_HEADER_BYTES].copy_from_slice(&header);
                     Bytes::from(buf)
                 };
                 sealed_data_packet(self.src, UPSTREAM_IP, seg, payload)

@@ -881,3 +881,50 @@ fn non_iswitch_traffic_passes_through_untouched() {
     let sw = sim.device_mut::<Switch>(star.switch);
     assert_eq!(sw.extension::<IswitchExtension>().stats().passed_through, 2);
 }
+
+#[test]
+fn switch_drops_and_counts_a_contribution_that_disagrees_with_the_open_round() {
+    // Worker 0 opens every round; then a fourth host sends a well-formed
+    // three-float packet for segment 0, whose open round holds a full
+    // segment; then workers 1 and 2 contribute. The switch must drop the
+    // odd packet, count it, and still aggregate the three honest workers.
+    let (n, len) = (3, 1000);
+    let mut apps: Vec<Box<dyn HostApp>> = (0..n)
+        .map(|w| {
+            let start = SimDuration::from_micros(w as u64 * 200);
+            Box::new(ScriptedWorker::new(worker_grad(w, len), start)) as Box<dyn HostApp>
+        })
+        .collect();
+    // A worker that believes the model has three parameters.
+    let odd = ScriptedWorker::new(vec![9.0; 3], SimDuration::from_micros(100));
+    apps.push(Box::new(odd));
+    let child_ports: Vec<PortId> = (0..=n).map(PortId::new).collect();
+    let ext =
+        IswitchExtension::new(ExtensionConfig::for_star(child_ports, len).with_threshold(n as u16));
+    let mut sim = Simulator::new();
+    let star = build_star(
+        &mut sim,
+        apps,
+        Some(Box::new(ext)),
+        &TopologyConfig::default(),
+    );
+    sim.run_until_idle();
+
+    let expect = expected_mean(n, len);
+    for &h in &star.hosts[..n] {
+        let worker = sim
+            .device::<iswitch_netsim::Host>(h)
+            .app::<ScriptedWorker>();
+        let got = worker.result.as_ref().expect("honest workers finish");
+        for (a, b) in got.iter().zip(&expect) {
+            assert!((a - b).abs() < 1e-4, "aggregate mismatch: {a} vs {b}");
+        }
+    }
+    let exported = format!("core.switch.n{:03}.malformed_drops", star.switch.index());
+    assert_eq!(sim.metrics().counter(&exported).get(), 1);
+    let sw = sim.device_mut::<Switch>(star.switch);
+    let stats = sw.extension::<IswitchExtension>().accelerator().stats();
+    assert_eq!(stats.malformed_drops, 1);
+    assert_eq!(stats.packets_in as usize, n * 3 + 1);
+    assert_eq!(stats.segments_emitted, 3);
+}

@@ -1,0 +1,204 @@
+//! Malformed-input battery: whatever bytes arrive, every wire decoder
+//! returns an error, `Stale`, or a counted drop — never a panic. The
+//! switch sees arbitrary frames; so do the workers listening for results.
+//!
+//! Inputs are arbitrary byte strings up to a full UDP payload, and valid
+//! payloads of every codec (narrow contribution and wide result) with one
+//! header, sub-header or body byte flipped, or the tail cut.
+
+use iswitch_core::{
+    decode_seg_field, Accelerator, AcceleratorConfig, CodecKind, ControlMessage, DataSegment,
+    RoundAssembler, RoundInsert,
+};
+use iswitch_netsim::MAX_UDP_PAYLOAD;
+use proptest::prelude::*;
+
+/// A well-formed payload for segment 0 under `kind`: a contribution, or
+/// (`wide`) the result encoding an intermediate switch sends upward.
+fn valid_payload(kind: CodecKind, wide: bool, values: &[f32]) -> Vec<u8> {
+    let codec = kind.codec();
+    if wide {
+        let aggregate = DataSegment {
+            seg: 0,
+            count: 3,
+            values: values.to_vec(),
+        };
+        codec.encode_result(&aggregate).to_vec()
+    } else {
+        codec
+            .encode_contribution(0, values)
+            .expect("finite values")
+            .to_vec()
+    }
+}
+
+/// Flips bits of one byte, or cuts the tail, as `how` selects. `at` picks
+/// the byte or the cut; low values of `region` aim at the 8-byte `Seg`
+/// header and the 4-byte codec sub-header, where the structure lives.
+fn mutate(mut payload: Vec<u8>, how: u8, region: u8, at: usize, mask: u8) -> Vec<u8> {
+    if how.is_multiple_of(4) {
+        payload.truncate(at % payload.len());
+        return payload;
+    }
+    let span = match region % 3 {
+        0 => 8.min(payload.len()),
+        1 => 12.min(payload.len()),
+        _ => payload.len(),
+    };
+    payload[at % span] ^= mask | 1;
+    payload
+}
+
+/// Drives every decoder that can meet `bytes` and checks they agree on
+/// whether the payload is well-formed.
+fn decode_everywhere(kind: CodecKind, bytes: &[u8], len: usize) {
+    let codec = kind.codec();
+    let meta = codec.decode_meta(bytes);
+    let values = codec.decode_values(bytes);
+    if let (Ok(meta), Ok(values)) = (&meta, &values) {
+        assert_eq!(
+            (meta.seg, meta.count, meta.len),
+            (values.seg, values.count, values.values.len()),
+            "{kind}: header-only and full decode disagree"
+        );
+    }
+    if meta.is_err() {
+        assert!(values.is_err(), "{kind}: values decoded past a bad header");
+    }
+    assert_eq!(decode_seg_field(bytes).is_err(), bytes.len() < 8);
+
+    // A switch accumulator already holding one valid contribution.
+    let mut acc = codec.new_acc(len);
+    let first = valid_payload(kind, false, &vec![1.0; len]);
+    codec
+        .accumulate(&mut acc, &first)
+        .expect("valid first contribution");
+    let _ = codec.accumulate(&mut acc, bytes);
+    assert_eq!(acc.len(), len, "{kind}: accumulator resized by a payload");
+
+    // A worker waiting for the one-segment result of round 0, with and
+    // without value storage.
+    for store_values in [false, true] {
+        let mut asm = RoundAssembler::with_codec(len, store_values, kind);
+        asm.begin_round(Some(0));
+        let verdict = asm.insert_wire(bytes);
+        if meta.is_err() {
+            assert_eq!(verdict, RoundInsert::Stale, "{kind}");
+        }
+        if verdict == RoundInsert::Completed && store_values {
+            assert_eq!(asm.take_mean().expect("values stored").len(), len);
+        }
+    }
+}
+
+/// Feeds `bytes` to an accelerator whose round 0 is already open, then
+/// checks the round still completes — and, if the packet was refused,
+/// completes with exactly the aggregate of a switch that never saw it.
+fn ingest_after_a_valid_first(kind: CodecKind, bytes: &[u8], len: usize, host_path: bool) {
+    let codec = kind.codec();
+    let Ok(meta) = codec.decode_meta(bytes) else {
+        return; // the switch extension drops these before the accelerator
+    };
+    let new_accel = || {
+        let mut a = Accelerator::with_codec(AcceleratorConfig::default(), 1, 3, kind);
+        if host_path {
+            a.set_grant(Some(0), None);
+            a.set_host_fallback(true);
+        }
+        a
+    };
+    let valid = |v: f32| valid_payload(kind, false, &vec![v; len]);
+    let feed = |a: &mut Accelerator, payload: &[u8]| {
+        let meta = codec.decode_meta(payload).expect("well-formed");
+        a.ingest_wire(meta, payload).0
+    };
+
+    let mut accel = new_accel();
+    assert!(feed(&mut accel, &valid(1.0)).is_none());
+    let _ = accel.ingest_wire(meta, bytes);
+    let stats = accel.stats().clone();
+    assert_eq!(stats.packets_in, 2);
+    assert!(stats.malformed_drops <= 1);
+    if stats.malformed_drops == 1 {
+        assert_eq!(
+            stats.segments_emitted, 0,
+            "{kind}: a refused packet emitted"
+        );
+        assert_eq!(accel.partial_segments(), vec![0], "{kind}");
+        assert!(feed(&mut accel, &valid(2.0)).is_none());
+        let done = feed(&mut accel, &valid(4.0)).expect("round 0 completes");
+        let mut clean = new_accel();
+        feed(&mut clean, &valid(1.0));
+        feed(&mut clean, &valid(2.0));
+        assert_eq!(Some(done), feed(&mut clean, &valid(4.0)), "{kind}");
+    } else {
+        // Accepted, into round 0 or into a round of its own: round 0 still
+        // completes within the two contributions it may be missing.
+        let second = feed(&mut accel, &valid(2.0));
+        assert!(second.is_some() || feed(&mut accel, &valid(4.0)).is_some());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary and truncated byte strings, 0..=1,472 bytes.
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..MAX_UDP_PAYLOAD + 1),
+        len in 1usize..64,
+        host_path in any::<bool>(),
+    ) {
+        let _ = ControlMessage::decode(&bytes);
+        for kind in CodecKind::ALL {
+            decode_everywhere(kind, &bytes, len);
+            ingest_after_a_valid_first(kind, &bytes, len, host_path);
+        }
+    }
+
+    /// Valid payloads with one byte flipped or the tail cut.
+    #[test]
+    fn damaged_valid_payloads_never_panic(
+        values in prop::collection::vec(-100.0f32..100.0, 1..366),
+        wide in any::<bool>(),
+        same_len in any::<bool>(),
+        how in any::<u8>(),
+        region in any::<u8>(),
+        at in any::<u64>(),
+        mask in any::<u8>(),
+        host_path in any::<bool>(),
+    ) {
+        for kind in CodecKind::ALL {
+            let values = &values[..values.len().min(kind.elems_per_segment())];
+            let damaged = mutate(valid_payload(kind, wide, values), how, region, at as usize, mask);
+            // Against a round of the payload's own length (only the damage
+            // is wrong) or of another length (the shape is wrong too).
+            let len = if same_len { values.len() } else { values.len() % 7 + 1 };
+            decode_everywhere(kind, &damaged, len);
+            ingest_after_a_valid_first(kind, &damaged, len, host_path);
+        }
+    }
+
+    /// Control packets with one byte flipped or the tail cut.
+    #[test]
+    fn damaged_control_messages_never_panic(
+        worker_id in any::<u32>(),
+        seg in any::<u64>(),
+        how in any::<u8>(),
+        at in any::<u64>(),
+        mask in any::<u8>(),
+    ) {
+        for msg in [
+            ControlMessage::Join { worker_id, grad_len: worker_id.rotate_left(7) },
+            ControlMessage::Leave { worker_id },
+            ControlMessage::SetH { h: worker_id },
+            ControlMessage::FBcast { seg },
+            ControlMessage::Help { seg },
+            ControlMessage::Ack { of: mask, ok: true },
+            ControlMessage::Reset,
+        ] {
+            let damaged = mutate(msg.encode().to_vec(), how, 2, at as usize, mask);
+            let _ = ControlMessage::decode(&damaged);
+        }
+    }
+}

@@ -8,6 +8,7 @@
 //! ```
 
 use std::io::BufWriter;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -358,6 +359,14 @@ fn cmd_cosim(args: &[String], alg: Algorithm, strategy: Strategy) {
     }
 }
 
+/// Runs a timing simulation the library may refuse at run time. It
+/// reports a run it cannot summarise (a host-side strategy stalled on a
+/// tail-dropped packet) by panicking with the reason; the panic hook has
+/// printed that message, so exit like every other refused invocation.
+fn run_or_refuse<T>(run: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| exit(2))
+}
+
 fn cmd_timing(args: &[String]) {
     let alg = parse_algorithm(args);
     let strategy = parse_strategy(args);
@@ -465,7 +474,7 @@ fn cmd_timing(args: &[String]) {
             });
             opts.stream = Some(Box::new(BufWriter::new(file)));
         }
-        let obs = run_timing_observed_with(&cfg, opts);
+        let obs = run_or_refuse(|| run_timing_observed_with(&cfg, opts));
         if let Some(path) = &metrics_out {
             write_artifact(path, &format!("{}\n", obs.report_json().render()));
             println!("metrics written to {path}");
@@ -506,7 +515,7 @@ fn cmd_timing(args: &[String]) {
         }
         obs.result
     } else {
-        run_timing(&cfg)
+        run_or_refuse(|| run_timing(&cfg))
     };
     println!("per-iteration time : {}", r.per_iteration);
     println!("  compute          : {}", r.breakdown.compute);

@@ -82,27 +82,6 @@ fn more_workers_do_not_slow_convergence() {
 }
 
 #[test]
-fn quantized_transport_preserves_convergence() {
-    // The INT16 extension: same target, same ballpark iteration count.
-    let fp32 = run_convergence(&ConvergenceConfig {
-        max_iterations: 10_000,
-        ..ConvergenceConfig::sync_main(Algorithm::A2c)
-    });
-    let quant = run_convergence(&ConvergenceConfig {
-        max_iterations: 10_000,
-        quantize_clip: Some(1.0),
-        ..ConvergenceConfig::sync_main(Algorithm::A2c)
-    });
-    assert!(fp32.reached_target && quant.reached_target);
-    assert!(
-        (quant.iterations as f64) < 2.5 * fp32.iterations as f64,
-        "quantization should not blow up iterations: {} vs {}",
-        quant.iterations,
-        fp32.iterations
-    );
-}
-
-#[test]
 fn curves_track_convergence_progress() {
     let r = run_convergence(&ConvergenceConfig {
         max_iterations: 3_000,
