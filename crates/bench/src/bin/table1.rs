@@ -42,11 +42,8 @@ fn main() {
                 row.insert("algorithm", JsonValue::Str(r.algorithm.clone()));
                 row.insert("environment", JsonValue::Str(r.environment.clone()));
                 row.insert("model_bytes", JsonValue::UInt(r.model_bytes as u64));
-                row.insert("paper_bytes", JsonValue::UInt(r.paper_bytes as u64));
-                row.insert(
-                    "paper_iterations",
-                    JsonValue::UInt(r.paper_iterations as u64),
-                );
+                row.insert("paper_bytes", JsonValue::UInt(r.paper_bytes));
+                row.insert("paper_iterations", JsonValue::UInt(r.paper_iterations));
                 row
             })
             .collect();

@@ -483,7 +483,7 @@ mod blob_props {
                 for pkt in train.iter().take(train.len() - 1) {
                     arrivals.push((i, pkt.clone()));
                     // Duplicate a random strict subset of the train.
-                    if next(&mut state) % 2 == 0 {
+                    if next(&mut state).is_multiple_of(2) {
                         arrivals.push((i, pkt.clone()));
                     }
                 }

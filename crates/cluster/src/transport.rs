@@ -27,13 +27,16 @@
 //! engine's replayability (and the sharded engine's thread-count
 //! invariance) intact.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use iswitch_core::{control_packet, tag_round, ControlMessage, RoundAssembler, UPSTREAM_IP};
+use iswitch_core::{
+    control_packet, decode_seg_field, seg_index, seg_round, tag_round, ControlMessage,
+    RoundAssembler, UPSTREAM_IP,
+};
 use iswitch_netsim::{Packet, SimDuration};
 
 use crate::apps::runtime::Rt;
@@ -142,8 +145,11 @@ pub trait RoundInfo {
     fn is_done(&self) -> bool;
     /// Segments received so far (the retry stall detector's progress).
     fn received_count(&self) -> usize;
-    /// Spatial indices of the segments still missing.
-    fn missing(&self) -> Vec<u64>;
+    /// The lowest spatial index in `[from, below)` still missing, if any.
+    /// Allocates nothing and inspects no index outside the range; walk a
+    /// range's holes by restarting one past each hit, which costs the
+    /// range's length in total.
+    fn next_missing(&self, from: u64, below: u64) -> Option<u64>;
 }
 
 impl RoundInfo for RoundAssembler {
@@ -153,8 +159,8 @@ impl RoundInfo for RoundAssembler {
     fn received_count(&self) -> usize {
         RoundAssembler::received_count(self)
     }
-    fn missing(&self) -> Vec<u64> {
-        RoundAssembler::missing(self)
+    fn next_missing(&self, from: u64, below: u64) -> Option<u64> {
+        self.missing_in(from, below).next()
     }
 }
 
@@ -169,8 +175,8 @@ impl RoundInfo for NoRound {
     fn received_count(&self) -> usize {
         0
     }
-    fn missing(&self) -> Vec<u64> {
-        Vec::new()
+    fn next_missing(&self, _from: u64, _below: u64) -> Option<u64> {
+        None
     }
 }
 
@@ -231,6 +237,11 @@ pub trait Transport: Send + 'static {
 
     /// Observes an arriving result/data packet (gap detection, ECN echo).
     /// Called before the protocol's own reassembly ingests it.
+    ///
+    /// Cost contract: this runs once per delivered data packet, so an
+    /// arrival that exposes no gap does O(1) work and allocates nothing;
+    /// whatever a transport scans of `round` must add up to O(segments)
+    /// over a round, not per packet.
     fn on_data(&mut self, rt: &mut Rt<'_, '_, '_>, pkt: &Packet, iter: u32, round: &dyn RoundInfo);
 
     /// Activity counters.
@@ -369,12 +380,12 @@ impl Transport for GoBackRetransmit {
         // re-request a vector's worth of traffic (a premature timeout
         // would otherwise trigger a retransmission storm).
         let escalate = self.stall.observe(round.received_count()) >= 2;
-        let mut budget = HELP_BATCH;
-        for seg in round.missing() {
-            if budget == 0 {
+        let mut from = 0;
+        for _ in 0..HELP_BATCH {
+            let Some(seg) = round.next_missing(from, u64::MAX) else {
                 break;
-            }
-            budget -= 1;
+            };
+            from = seg + 1;
             self.stats.help_requests += 1;
             let seg = tag_round(seg, iter);
             let help = control_packet(rt.ip(), UPSTREAM_IP, &ControlMessage::Help { seg });
@@ -415,10 +426,16 @@ impl Transport for GoBackRetransmit {
 /// immediately instead of waiting out a timeout. Each segment is NACKed at
 /// most once per round; the go-back timeout machinery stays armed as the
 /// last resort for tail losses that no later arrival exposes.
+///
+/// The once-per-round bookkeeping is one high-water mark, not a set:
+/// within a round the missing set only shrinks, and every hole below an
+/// arrival is NACKed at that arrival, so the holes already requested are
+/// exactly the ones below the highest index seen so far.
 pub struct NackReliable {
     fallback: GoBackRetransmit,
-    /// Spatial segment indices already NACKed this round.
-    nacked: HashSet<u64>,
+    /// Every index below this that is still missing has been NACKed this
+    /// round: the highest current-round arrival index seen so far.
+    nacked_below: u64,
     /// Chaos mode: on every detected gap, re-push the *whole* contribution
     /// train instead of NACKing the hole — the storm double-delivers and
     /// the conservation invariant must trip.
@@ -439,7 +456,7 @@ impl NackReliable {
     pub fn new() -> Self {
         NackReliable {
             fallback: GoBackRetransmit::new(),
-            nacked: HashSet::new(),
+            nacked_below: 0,
             storm: false,
             train: Vec::new(),
             stats: TransportStats::default(),
@@ -457,7 +474,7 @@ impl Transport for NackReliable {
     }
 
     fn begin_round(&mut self, iter: u32) {
-        self.nacked.clear();
+        self.nacked_below = 0;
         self.train.clear();
         self.fallback.begin_round(iter);
     }
@@ -487,31 +504,34 @@ impl Transport for NackReliable {
         // Header-only parse: gap detection needs just the `Seg` field,
         // which every codec layout shares, so NACK transports work under
         // any aggregation format.
-        let Ok(seg_field) = iswitch_core::decode_seg_field(&pkt.payload) else {
+        let Ok(seg_field) = decode_seg_field(&pkt.payload) else {
             return;
         };
-        let arrived = iswitch_core::seg_index(seg_field);
-        // Everything still missing *below* the arrival is a proven gap.
-        let gaps: Vec<u64> = round
-            .missing()
-            .into_iter()
-            .filter(|&m| m < arrived && !self.nacked.contains(&m))
-            .collect();
-        if gaps.is_empty() {
-            return;
-        }
+        let arrived = seg_index(seg_field);
         if self.storm {
             // Seeded bug: the gap triggers a full re-push — every segment,
             // not just the holes, and without marking anything as already
-            // requested, so consecutive gaps storm repeatedly.
-            self.stats.retransmits += 1;
-            for p in self.train.clone() {
-                rt.send(p);
+            // requested, so consecutive gaps storm repeatedly. It reads
+            // any arrival as gap evidence, whatever round it belongs to.
+            if round.next_missing(0, arrived).is_some() {
+                self.stats.retransmits += 1;
+                for p in self.train.clone() {
+                    rt.send(p);
+                }
             }
             return;
         }
-        for m in gaps {
-            self.nacked.insert(m);
+        // A late `Help` reply or duplicate from another round says nothing
+        // about this round's emission order: it is not gap evidence.
+        if seg_round(seg_field) != iter & 0xFFFF {
+            return;
+        }
+        // Everything still missing *below* the arrival is a proven gap;
+        // the holes below `nacked_below` were requested by the earlier
+        // arrival that exposed them.
+        let mut from = self.nacked_below;
+        while let Some(m) = round.next_missing(from, arrived) {
+            from = m + 1;
             self.stats.nacks_sent += 1;
             // The NACK rides the existing Help control path: the switch
             // serves the cached result segment back to the requester.
@@ -519,6 +539,7 @@ impl Transport for NackReliable {
             let nack = control_packet(rt.ip(), UPSTREAM_IP, &ControlMessage::Help { seg });
             rt.send(nack);
         }
+        self.nacked_below = self.nacked_below.max(arrived);
     }
 
     fn stats(&self) -> TransportStats {
@@ -728,7 +749,7 @@ mod tests {
     fn no_round_is_inert() {
         assert!(NoRound.is_done());
         assert_eq!(NoRound.received_count(), 0);
-        assert!(NoRound.missing().is_empty());
+        assert_eq!(NoRound.next_missing(0, u64::MAX), None);
     }
 
     #[test]

@@ -219,6 +219,20 @@ pub fn segment_gradient_round(grad: &[f32], round: u32) -> Vec<DataSegment> {
         .collect()
 }
 
+/// Indices in `[from, below)` whose `received` flag is still clear, in
+/// ascending order — the one missing-segment scan both assemblers share.
+/// Bounds past the end of `received` are clamped; nothing is allocated.
+fn missing_in(received: &[bool], from: u64, below: u64) -> impl Iterator<Item = u64> + '_ {
+    let n = received.len();
+    let hi = usize::try_from(below).map_or(n, |b| b.min(n));
+    let lo = usize::try_from(from).map_or(hi, |f| f.min(hi));
+    received[lo..hi]
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !**r)
+        .map(move |(i, _)| (lo + i) as u64)
+}
+
 /// Reassembles aggregated segments back into a full gradient vector.
 ///
 /// Tracks per-segment contributor counts so callers can average even when
@@ -278,14 +292,9 @@ impl GradientAssembler {
         self.pending == 0
     }
 
-    /// Indices of segments not yet received.
-    pub fn missing(&self) -> Vec<u64> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !**r)
-            .map(|(i, _)| i as u64)
-            .collect()
+    /// Indices in `[from, below)` of segments not yet received, ascending.
+    pub fn missing_in(&self, from: u64, below: u64) -> impl Iterator<Item = u64> + '_ {
+        missing_in(&self.received, from, below)
     }
 
     /// Installs a segment. Duplicate arrivals overwrite (results are
@@ -390,6 +399,12 @@ pub struct RoundAssembler {
     values: Option<GradientAssembler>,
     store_values: bool,
     received: Vec<bool>,
+    /// Low-water cursor: the lowest index not yet received this round
+    /// (`received.len()` once none is left). Everything below it has
+    /// arrived, so a missing-segment scan never needs to look there; it
+    /// only moves forward within a round and costs O(segments) per round
+    /// in total. 32 bits, like the spatial index on the wire.
+    low_water: u32,
     pending: usize,
     done: bool,
 }
@@ -423,6 +438,7 @@ impl RoundAssembler {
                 .then(|| GradientAssembler::with_seg_elems(grad_len, codec.elems_per_segment())),
             store_values,
             received: vec![false; n],
+            low_water: 0,
             pending: n,
             done: false,
         }
@@ -432,6 +448,7 @@ impl RoundAssembler {
     pub fn begin_round(&mut self, round: Option<u32>) {
         self.round = round;
         self.received.fill(false);
+        self.low_water = 0;
         self.pending = self.received.len();
         self.done = false;
         if self.store_values {
@@ -452,14 +469,12 @@ impl RoundAssembler {
         self.received.len() - self.pending
     }
 
-    /// Spatial indices of segments not yet received this round.
-    pub fn missing(&self) -> Vec<u64> {
-        self.received
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !**r)
-            .map(|(i, _)| i as u64)
-            .collect()
+    /// Spatial indices in `[from, below)` not yet received this round,
+    /// ascending. The scan starts no lower than the low-water cursor, so
+    /// its cost is bounded by the part of the range above the received
+    /// prefix: an in-order round asks about an empty range every time.
+    pub fn missing_in(&self, from: u64, below: u64) -> impl Iterator<Item = u64> + '_ {
+        missing_in(&self.received, from.max(u64::from(self.low_water)), below)
     }
 
     /// Feeds one received result segment from its encoded wire payload,
@@ -500,6 +515,9 @@ impl RoundAssembler {
             }
         }
         self.received[idx] = true;
+        while self.received.get(self.low_water as usize) == Some(&true) {
+            self.low_water += 1;
+        }
         self.pending -= 1;
         self.done = self.pending == 0;
         if self.done {
@@ -566,9 +584,10 @@ mod tests {
         let segs = segment_gradient(&grad);
         let mut asm = GradientAssembler::new(grad.len());
         asm.insert(&segs[2]).unwrap();
-        assert_eq!(asm.missing(), vec![0, 1]);
+        assert_eq!(asm.missing_in(0, u64::MAX).collect::<Vec<_>>(), [0, 1]);
         asm.insert(&segs[2]).unwrap(); // duplicate is fine
-        assert_eq!(asm.missing(), vec![0, 1]);
+        assert_eq!(asm.missing_in(0, u64::MAX).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(asm.missing_in(1, 2).collect::<Vec<_>>(), [1]);
         asm.insert(&segs[0]).unwrap();
         asm.insert(&segs[1]).unwrap();
         assert!(asm.is_complete());
@@ -670,7 +689,7 @@ mod tests {
         let segs = segment_gradient_round(&grad, 5);
         assert_eq!(asm.insert_wire(&segs[0].encode()), RoundInsert::Accepted);
         assert_eq!(asm.insert_wire(&segs[0].encode()), RoundInsert::Duplicate);
-        assert_eq!(asm.missing(), vec![1, 2]);
+        assert_eq!(asm.missing_in(0, u64::MAX).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(asm.insert_wire(&segs[1].encode()), RoundInsert::Accepted);
         assert_eq!(asm.insert_wire(&segs[2].encode()), RoundInsert::Completed);
         assert!(asm.is_done());
@@ -682,6 +701,73 @@ mod tests {
         asm.begin_round(Some(6));
         assert!(!asm.is_done());
         assert_eq!(asm.received_count(), 0);
+    }
+
+    proptest::proptest! {
+        /// The ranged query against a plain flag vector, after every step
+        /// of an arbitrary history: in-order runs that drag the low-water
+        /// cursor along, holes, duplicates, stale-round and out-of-range
+        /// segments, and round resets. The cursor may never hide a hole.
+        #[test]
+        fn ranged_missing_query_matches_a_flag_vector_model(
+            n in 1usize..40,
+            store_values in proptest::any::<bool>(),
+            ops in proptest::prop::collection::vec(proptest::any::<u64>(), 1..160),
+        ) {
+            let len = FLOATS_PER_SEGMENT * (n - 1) + 1; // short last segment
+            let mut asm = RoundAssembler::new(len, store_values);
+            let mut round = 65_535u32;
+            asm.begin_round(Some(round));
+            let mut model = vec![false; n];
+            let mut next = 0u64; // where an in-order stream would be
+            for op in ops {
+                let pick = (op >> 8) % (n as u64 + 2);
+                let (idx, tag) = match op % 8 {
+                    0 => {
+                        round += 1;
+                        asm.begin_round(Some(round));
+                        model.fill(false);
+                        next = 0;
+                        continue;
+                    }
+                    1 => (pick, round),     // anywhere, possibly past the end
+                    2 => (pick, round - 1), // stale round
+                    3 => {
+                        next += 1; // lost in order: leaves a hole behind
+                        continue;
+                    }
+                    _ => {
+                        next += 1;
+                        ((next - 1) % n as u64, round)
+                    }
+                };
+                let elems = (len - (idx as usize).min(n - 1) * FLOATS_PER_SEGMENT)
+                    .min(FLOATS_PER_SEGMENT);
+                let seg = DataSegment {
+                    seg: tag_round(idx, tag),
+                    count: 1,
+                    values: vec![0.5; elems],
+                };
+                let fresh = tag == round && (idx as usize) < n && !model[idx as usize];
+                let outcome = asm.insert_wire(&seg.encode());
+                assert_eq!(
+                    matches!(outcome, RoundInsert::Accepted | RoundInsert::Completed),
+                    fresh
+                );
+                if fresh {
+                    model[idx as usize] = true;
+                }
+                let (from, below) = ((op >> 16) % (n as u64 + 3), (op >> 24) % (n as u64 + 3));
+                for (from, below) in [(0, u64::MAX), (from, below), (from, u64::MAX)] {
+                    let expect: Vec<u64> = (from..below.min(n as u64))
+                        .filter(|&i| !model[i as usize])
+                        .collect();
+                    let got: Vec<u64> = asm.missing_in(from, below).collect();
+                    assert_eq!(got, expect, "[{from}, {below})");
+                }
+                assert_eq!(asm.received_count(), model.iter().filter(|&&r| r).count());
+            }
+        }
     }
 
     #[test]

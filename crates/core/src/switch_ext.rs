@@ -511,17 +511,25 @@ impl IswitchExtension {
             Err(_) => return,
         };
         let idx = meta.seg as usize;
-        if pkt.ecn_ce() {
-            self.ecn_seen.insert(idx);
-        }
         let now = sw.now();
-        self.round_open.entry(idx).or_insert(now);
         let sat_before = self.accel.stats().codec_saturations;
         let reb_before = self.accel.stats().codec_rebases;
         let den_before = self.accel.stats().slot_denials;
         let fbr_before = self.accel.stats().fallback_rounds;
         let mal_before = self.accel.stats().malformed_drops;
+        let bram_before = self.accel.stats().bram_drops;
         let (done, latency) = self.accel.ingest_wire(meta, &pkt.payload);
+        let malformed = self.accel.stats().malformed_drops - mal_before;
+        if malformed == 0 && self.accel.stats().bram_drops == bram_before {
+            // Only a contribution the accelerator took in belongs to the
+            // round: a refused packet must neither start the round's
+            // latency clock nor lend it a CE mark, or the entries would
+            // outlive it and be read by the next round under this key.
+            if pkt.ecn_ce() {
+                self.ecn_seen.insert(idx);
+            }
+            self.round_open.entry(idx).or_insert(now);
+        }
         let sat_total = self.accel.stats().codec_saturations;
         let reb_total = self.accel.stats().codec_rebases;
         let den_total = self.accel.stats().slot_denials;
@@ -544,7 +552,6 @@ impl IswitchExtension {
         if let Some(c) = &obs.fallback_rounds {
             c.add(fbr_total - fbr_before);
         }
-        let malformed = self.accel.stats().malformed_drops - mal_before;
         if malformed > 0 {
             // Registered by the first drop, so a run that never sees a
             // malformed contribution keeps its metric report unchanged.

@@ -27,6 +27,9 @@ struct ScriptedWorker {
     /// the recovery a worker needs when the *switch* lost its state (a
     /// restart wipes partial sums, so there is nothing to Help-serve).
     retransmit_on_timeout: bool,
+    /// Sends the contribution CE-marked, as if every packet had crossed a
+    /// congested queue on its way to the switch.
+    mark_ce: bool,
     assembler: GradientAssembler,
     result: Option<Vec<f32>>,
     result_at: Option<SimTime>,
@@ -46,6 +49,7 @@ impl ScriptedWorker {
             worker_id: 0,
             help_timeout: None,
             retransmit_on_timeout: false,
+            mark_ce: false,
             assembler,
             result: None,
             result_at: None,
@@ -70,7 +74,10 @@ impl HostApp for ScriptedWorker {
                     let pkt = control_packet(ctx.ip(), iswitch_core::UPSTREAM_IP, &join);
                     ctx.send(pkt);
                 }
-                for pkt in gradient_packets(ctx.ip(), &self.grad) {
+                for mut pkt in gradient_packets(ctx.ip(), &self.grad) {
+                    if self.mark_ce {
+                        pkt.mark_ecn_ce();
+                    }
                     ctx.send(pkt);
                 }
                 if let Some(timeout) = self.help_timeout {
@@ -83,7 +90,7 @@ impl HostApp for ScriptedWorker {
                 }
             }
             TIMER_HELP if self.result.is_none() => {
-                for seg in self.assembler.missing() {
+                for seg in self.assembler.missing_in(0, u64::MAX) {
                     let pkt = control_packet(
                         ctx.ip(),
                         iswitch_core::UPSTREAM_IP,
@@ -927,4 +934,61 @@ fn switch_drops_and_counts_a_contribution_that_disagrees_with_the_open_round() {
     assert_eq!(stats.malformed_drops, 1);
     assert_eq!(stats.packets_in as usize, n * 3 + 1);
     assert_eq!(stats.segments_emitted, 3);
+}
+
+#[test]
+fn refused_contribution_leaves_no_latency_clock_or_ce_mark_behind() {
+    // BRAM holds one segment, H = 2, three workers 300 µs apart, two
+    // segments. Worker 0 (CE-marked) opens segment 0; its segment 1 is
+    // refused for lack of BRAM. Worker 1 completes segment 0 and opens
+    // segment 1; worker 2's segment 0 is refused in turn and its segment 1
+    // completes that round. The refused packets belong to no round: the
+    // segment-1 window runs from worker 1's arrival, not worker 0's, and
+    // its result — summed from two clean contributions — carries no echo.
+    let (n, len) = (3, 500);
+    let step = SimDuration::from_micros(300);
+    let apps: Vec<Box<dyn HostApp>> = (0..n)
+        .map(|w| {
+            let mut worker = ScriptedWorker::new(worker_grad(w, len), step * w as u64);
+            worker.mark_ce = w == 0;
+            Box::new(worker) as Box<dyn HostApp>
+        })
+        .collect();
+    let mut cfg =
+        ExtensionConfig::for_star((0..n).map(PortId::new).collect(), len).with_threshold(2);
+    cfg.accel.buffer_bytes = iswitch_core::FLOATS_PER_SEGMENT * 4;
+    let mut sim = Simulator::new();
+    let star = build_star(
+        &mut sim,
+        apps,
+        Some(Box::new(IswitchExtension::new(cfg))),
+        &TopologyConfig::default(),
+    );
+    sim.run_until_idle();
+
+    for &h in &star.hosts {
+        let worker = sim
+            .device::<iswitch_netsim::Host>(h)
+            .app::<ScriptedWorker>();
+        let got = worker.result.as_ref().expect("both rounds reach everyone");
+        // Segment 0 is workers 0 and 1, segment 1 is workers 1 and 2.
+        let seg0 = (worker_grad(0, len)[0] + worker_grad(1, len)[0]) / 2.0;
+        let seg1 = (worker_grad(1, len)[400] + worker_grad(2, len)[400]) / 2.0;
+        assert!((got[0] - seg0).abs() < 1e-4);
+        assert!((got[400] - seg1).abs() < 1e-4);
+    }
+    let latency = sim.metrics().histogram(&format!(
+        "core.switch.n{:03}.agg_latency_ns",
+        star.switch.index()
+    ));
+    assert_eq!(latency.count(), 2);
+    assert!(
+        latency.max_value() < 2 * step.as_nanos(),
+        "a window was clocked from a refused packet: {} ns",
+        latency.max_value()
+    );
+    let sw = sim.device_mut::<Switch>(star.switch);
+    let ext = sw.extension::<IswitchExtension>();
+    assert_eq!(ext.accelerator().stats().bram_drops, 2);
+    assert_eq!(ext.stats().ecn_echoed, 1, "only segment 0 saw a CE mark");
 }

@@ -378,8 +378,9 @@ mod tests {
 
     #[test]
     fn window_queries_see_the_value_current_at_window_open() {
-        let mut tr = CounterTrack::default();
-        tr.samples = vec![(0, 10), (100, 50), (200, 20)];
+        let tr = CounterTrack {
+            samples: vec![(0, 10), (100, 50), (200, 20)],
+        };
         assert_eq!(tr.peak_in(150, 300), Some(50));
         assert_eq!(tr.value_at(150), Some(50));
         assert_eq!(tr.delta_in(0, 200), Some(10));
