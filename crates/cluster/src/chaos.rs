@@ -45,7 +45,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use iswitch_core::CodecKind;
-use iswitch_netsim::{FaultAction, FaultPlan, LinkId, LossModel, SimDuration, SimTime};
+use iswitch_netsim::{FaultAction, LinkId, LossModel, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 use rand::rngs::StdRng;
@@ -232,54 +232,54 @@ impl ChaosSchedule {
         Ok(out)
     }
 
-    /// Resolves worker indices to link ids, producing the engine-level
-    /// fault plan. Each window becomes an apply/restore action pair.
-    fn resolve(&self, worker_links: &[LinkId], loss_seed: u64) -> FaultPlan {
-        let mut plan = FaultPlan::new();
+    /// Resolves worker indices to their edge links, producing the
+    /// engine-level faults as `(domain, time, action)`. Each window becomes
+    /// an apply/restore action pair.
+    fn resolve(
+        &self,
+        worker_links: &[(usize, LinkId)],
+        loss_seed: u64,
+    ) -> Vec<(usize, SimTime, FaultAction)> {
+        let mut plan = Vec::new();
         for (i, f) in self.faults.iter().enumerate() {
-            let link = worker_links[f.worker()];
-            match *f {
-                ChaosFault::EdgeDown { at, duration, .. } => {
-                    plan.push(SimTime::ZERO + at, FaultAction::LinkDown { link });
-                    plan.push(SimTime::ZERO + at + duration, FaultAction::LinkUp { link });
-                }
+            let (domain, link) = worker_links[f.worker()];
+            let (at, duration, apply, restore) = match *f {
+                ChaosFault::EdgeDown { at, duration, .. } => (
+                    at,
+                    duration,
+                    FaultAction::LinkDown { link },
+                    FaultAction::LinkUp { link },
+                ),
                 ChaosFault::EdgeLoss {
                     at,
                     duration,
                     probability,
                     ..
                 } => {
-                    plan.push(
-                        SimTime::ZERO + at,
-                        FaultAction::SetLinkLoss {
-                            link,
-                            loss: LossModel::Random {
-                                probability,
-                                seed: loss_seed.wrapping_add(i as u64),
-                            },
-                        },
-                    );
-                    plan.push(
-                        SimTime::ZERO + at + duration,
-                        FaultAction::SetLinkLoss {
-                            link,
-                            loss: LossModel::None,
-                        },
-                    );
+                    let seed = loss_seed.wrapping_add(i as u64);
+                    let loss = LossModel::Random { probability, seed };
+                    let clear = LossModel::None;
+                    (
+                        at,
+                        duration,
+                        FaultAction::SetLinkLoss { link, loss },
+                        FaultAction::SetLinkLoss { link, loss: clear },
+                    )
                 }
                 ChaosFault::DelaySpike {
                     at,
                     duration,
                     extra,
                     ..
-                } => {
-                    plan.push(SimTime::ZERO + at, FaultAction::DelaySpike { link, extra });
-                    plan.push(
-                        SimTime::ZERO + at + duration,
-                        FaultAction::ClearDelaySpike { link },
-                    );
-                }
-            }
+                } => (
+                    at,
+                    duration,
+                    FaultAction::DelaySpike { link, extra },
+                    FaultAction::ClearDelaySpike { link },
+                ),
+            };
+            plan.push((domain, SimTime::ZERO + at, apply));
+            plan.push((domain, SimTime::ZERO + at + duration, restore));
         }
         plan
     }
@@ -693,8 +693,9 @@ fn timing_config(cfg: &ChaosConfig) -> TimingConfig {
 
 /// Installs the schedule on the built job's worker edge links.
 fn install_schedule(job: &mut Job, schedule: &ChaosSchedule, chaos_seed: u64) {
-    let plan = schedule.resolve(&job.placed.worker_links, chaos_seed);
-    job.sim().install_fault_plan(&plan);
+    for (domain, at, action) in schedule.resolve(&job.placed.worker_links, chaos_seed) {
+        job.schedule_fault(domain, at, action);
+    }
 }
 
 /// I2: barrier — every worker completed every iteration.
@@ -896,7 +897,7 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         strategy: cfg.strategy,
         chaos_seed: cfg.chaos_seed,
         schedule,
-        faults_applied: job.sim().stats().faults_applied,
+        faults_applied: job.stats().faults_applied,
         completed,
         rounds_checked,
         help_requests,
@@ -949,7 +950,7 @@ fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         strategy: cfg.strategy,
         chaos_seed: cfg.chaos_seed,
         schedule,
-        faults_applied: job.sim().stats().faults_applied,
+        faults_applied: job.stats().faults_applied,
         completed,
         rounds_checked: 0,
         help_requests: 0,

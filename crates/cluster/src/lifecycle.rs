@@ -2,21 +2,24 @@
 //! drive ([`Job::run`], or [`Job::drive`] / [`Job::step`] when something
 //! interleaves) → [`Job::collect`].
 //!
-//! A *job* is one training strategy deployed on one topology. Solo timing
-//! runs, sharded fat-tree runs, tenants of a shared fabric, chaos runs and
+//! A *job* is one training strategy deployed on one topology, run by one
+//! engine: a [`ShardedSim`] whose partition is a single domain for the
+//! star and the trees and one domain per pod (plus the core) for the
+//! fat-tree. Solo timing runs, tenants of a shared fabric, chaos runs and
 //! co-simulations all build the same [`Job`]; they differ only in what
 //! they feed it (a gradient source, a fault plan, a tenant id) and in how
 //! they pace its drive. Completion is *queue idle* for synchronous
 //! strategies and *update count reached, checked every 200 ms of simulated
-//! time* for asynchronous ones.
+//! time* for asynchronous ones. Everything the build placed is addressed
+//! as `(domain, id)`.
 
 use std::sync::Arc;
 
 use iswitch_core::{Accelerator, AggregationRole, CodecKind, ExtensionConfig, IswitchExtension};
 use iswitch_netsim::{
-    build_fattree, build_star, build_tree, build_tree3, host_ip, Host, HostApp, IpAddr, LinkId,
-    LinkSpec, LossModel, NodeId, PortId, ShardedSim, SimDuration, SimTime, Simulator, Switch,
-    SwitchExtension, SwitchRole, TopologyConfig,
+    build_fattree, build_star, build_tree, build_tree3, host_ip, Fattree, FaultAction, Host,
+    HostApp, IpAddr, LinkId, LinkSpec, LossModel, NodeId, PortId, ShardedSim, SimDuration,
+    SimStats, SimTime, Switch, SwitchExtension, SwitchRole, TopologyConfig,
 };
 use iswitch_obs::{JsonValue, Timeseries, Trace, TraceEvent};
 use iswitch_rl::paper_model;
@@ -76,11 +79,6 @@ pub(crate) fn validate(cfg: &TimingConfig) {
             "fat-tree runs derive the worker count from the shape: set \
              workers = aggs * racks_per_agg * hosts_per_rack"
         );
-        assert_eq!(
-            cfg.strategy,
-            Strategy::SyncIsw,
-            "the sharded fat-tree currently runs only the SyncIsw strategy"
-        );
     }
 }
 
@@ -94,112 +92,21 @@ pub(crate) struct Capture {
     pub(crate) timeseries: Option<Arc<Timeseries>>,
 }
 
-/// The engine behind a job: one simulator, or the sharded fat-tree's
-/// per-pod domains run by `threads` OS threads.
-enum Engine {
-    Single(Box<Simulator>),
-    Sharded { sim: ShardedSim, threads: usize },
-}
-
-/// A host's address inside an [`Engine`]: `(domain, node)`, domain 0 on
-/// the single simulator.
-type HostRef = (usize, NodeId);
+/// A node's address in the job's engine.
+type NodeRef = (usize, NodeId);
 
 /// Recovers a worker host's [`WorkerView`]. Monomorphised over the
 /// strategy's protocol when the job is built, so collection never matches
 /// on the strategy.
 type ViewFn = fn(&Host) -> &dyn WorkerView;
 
-impl Engine {
-    fn host(&self, (domain, node): HostRef) -> &Host {
-        match self {
-            Engine::Single(sim) => sim.device::<Host>(node),
-            Engine::Sharded { sim, .. } => sim.domain(domain).device::<Host>(node),
-        }
-    }
-
-    /// The single simulator; stepped drives, fault plans and grants exist
-    /// only there (the sharded engine only runs to completion).
-    fn single(&mut self) -> &mut Simulator {
-        match self {
-            Engine::Single(sim) => sim,
-            Engine::Sharded { .. } => panic!("the sharded engine only runs to completion"),
-        }
-    }
-
-    fn run_until_idle(&mut self) {
-        match self {
-            Engine::Single(sim) => sim.run_until_idle(),
-            Engine::Sharded { sim, threads } => sim.run(*threads),
-        };
-    }
-
-    /// Installs the tenant id (before the trace, so no traced event can
-    /// predate its stamp), the capture's sinks and the event cap.
-    fn attach(&mut self, tenant: u64, capture: &Capture, event_limit: Option<u64>) {
-        match self {
-            Engine::Single(sim) => {
-                sim.set_tenant(tenant);
-                if let Some(trace) = &capture.trace {
-                    sim.set_trace(Arc::clone(trace));
-                }
-                if let Some(ts) = &capture.timeseries {
-                    sim.set_timeseries(Arc::clone(ts));
-                }
-                if let Some(limit) = event_limit {
-                    sim.set_event_limit(limit);
-                }
-            }
-            Engine::Sharded { sim, .. } => {
-                assert_eq!(tenant, 0, "tenants run on the single-simulator topologies");
-                if let Some(limit) = event_limit {
-                    sim.set_event_limit(limit);
-                }
-                if let Some(trace) = &capture.trace {
-                    sim.set_trace(Arc::clone(trace));
-                }
-                if let Some(ts) = &capture.timeseries {
-                    sim.set_timeseries(Arc::clone(ts));
-                }
-            }
-        }
-    }
-
-    /// The metrics registry (when wanted) and the raw engine counters:
-    /// merged, summed, and at the maximum domain clock when sharded.
-    fn snapshot(&self, want_metrics: bool) -> (JsonValue, PerfSample) {
-        let (stats, now, metrics) = match self {
-            Engine::Single(sim) => (
-                sim.stats().clone(),
-                sim.now(),
-                want_metrics.then(|| sim.metrics_json()),
-            ),
-            Engine::Sharded { sim, .. } => (
-                sim.stats(),
-                sim.now(),
-                want_metrics.then(|| sim.metrics_json()),
-            ),
-        };
-        let perf = PerfSample {
-            events: stats.events_processed,
-            packets_sent: stats.packets_sent,
-            packets_delivered: stats.packets_delivered,
-            sim_ns: now.as_nanos(),
-            ecn_marked: stats.packets_ecn_marked,
-            dropped_queue: stats.packets_dropped_queue,
-            dropped_link_down: stats.packets_dropped_link_down,
-            barrier_stall_ns: stats.barrier_stall_ns,
-            epochs: stats.epochs,
-        };
-        (metrics.unwrap_or_else(JsonValue::empty_object), perf)
-    }
-}
-
 /// One built, drivable training job.
 pub(crate) struct Job {
     pub(crate) strategy: Strategy,
     warmup: usize,
-    engine: Engine,
+    sim: ShardedSim,
+    /// OS threads driving the engine's domains; never changes a result.
+    threads: usize,
     /// Where the build put the job's hosts and switches.
     pub(crate) placed: Placed,
     view: ViewFn,
@@ -216,27 +123,27 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// The job's simulator (single-simulator topologies only).
-    pub(crate) fn sim(&mut self) -> &mut Simulator {
-        self.engine.single()
-    }
-
     /// Number of training workers.
     pub(crate) fn workers(&self) -> usize {
         self.placed.workers.len()
     }
 
+    fn host(&self, (domain, node): NodeRef) -> &Host {
+        self.sim.domain(domain).device::<Host>(node)
+    }
+
     /// Post-run (or between-steps) view of worker `w`.
     pub(crate) fn worker(&self, w: usize) -> &dyn WorkerView {
-        (self.view)(self.engine.host(self.placed.workers[w]))
+        (self.view)(self.host(self.placed.workers[w]))
     }
 
     /// Visits the accelerator of every switch the job aggregates on,
     /// root-first (fabric grants and demand accounting).
     pub(crate) fn accelerators(&mut self, mut f: impl FnMut(&mut Accelerator)) {
-        let sim = self.engine.single();
-        for &sw in &self.placed.switches {
-            f(sim
+        for &(domain, sw) in &self.placed.switches {
+            f(self
+                .sim
+                .domain_mut(domain)
                 .device_mut::<Switch>(sw)
                 .extension_mut::<IswitchExtension>()
                 .accelerator_mut());
@@ -246,8 +153,19 @@ impl Job {
     /// Worker `w` as its concrete type, for pre-run configuration the
     /// shared build does not cover (the chaos harness's seeded bugs).
     pub(crate) fn worker_mut<T: HostApp>(&mut self, w: usize) -> &mut T {
-        let (_, node) = self.placed.workers[w];
-        self.sim().device_mut::<Host>(node).app_mut::<T>()
+        let (domain, node) = self.placed.workers[w];
+        let host = self.sim.domain_mut(domain).device_mut::<Host>(node);
+        host.app_mut::<T>()
+    }
+
+    /// Schedules one fault action in the domain its target lives in.
+    pub(crate) fn schedule_fault(&mut self, domain: usize, at: SimTime, action: FaultAction) {
+        self.sim.domain_mut(domain).schedule_fault(at, action);
+    }
+
+    /// The engine's counters so far, summed over its domains.
+    pub(crate) fn stats(&self) -> SimStats {
+        self.sim.stats()
     }
 
     /// Rounds worker `w` has completed: logged iterations (sync) or
@@ -262,7 +180,7 @@ impl Job {
 
     fn async_server(&self) -> Option<&AsyncPsServer> {
         let server = self.placed.server.filter(|_| self.strategy.is_async());
-        server.map(|node| self.engine.host((0, node)).app::<AsyncPsServer>())
+        server.map(|at| self.host(at).app::<AsyncPsServer>())
     }
 
     /// The job's update clock: completion time of every global weight
@@ -290,7 +208,7 @@ impl Job {
     /// a check point was reached.
     pub(crate) fn step(&mut self, deadline: SimTime) -> bool {
         let until = self.next_check.min(deadline);
-        self.sim().run_until(until);
+        self.sim.run_until(until, self.threads);
         self.local_now = until;
         let at_check = until == self.next_check;
         if at_check {
@@ -306,23 +224,26 @@ impl Job {
         while !self.done && self.local_now < deadline {
             let at_check = self.step(deadline);
             self.done = match self.target {
-                None => self.sim().is_idle(),
+                None => self.sim.is_idle(),
                 Some(target) => at_check && self.update_times().len() >= target,
             };
         }
         if self.done {
-            self.local_now = self.sim().now();
+            self.local_now = self.sim.now();
         }
     }
 
-    /// Drives the job to completion with nothing else to interleave.
+    /// Drives the job to completion with nothing else to interleave: a
+    /// synchronous job in one unstepped drive (pausing a cut partition
+    /// re-cuts its epochs, see [`ShardedSim::run_until`]), an asynchronous
+    /// one check point by check point.
     ///
     /// # Panics
     ///
     /// Panics if an asynchronous job fails to reach its update target.
     pub(crate) fn run(&mut self) {
         let Some(target) = self.target else {
-            self.engine.run_until_idle();
+            self.sim.run(self.threads);
             self.done = true;
             return;
         };
@@ -339,8 +260,20 @@ impl Job {
     /// runs get an empty trace and metrics object). Metrics are captured
     /// before the per-iteration summary events are appended to the trace.
     pub(crate) fn collect(&self) -> (TimingObservation, PerfSample) {
-        let (metrics, perf) = self.engine.snapshot(self.capture.trace.is_some());
         let trace = self.capture.trace.as_deref();
+        let metrics = trace.map_or_else(JsonValue::empty_object, |_| self.sim.metrics_json());
+        let stats = self.sim.stats();
+        let perf = PerfSample {
+            events: stats.events_processed,
+            packets_sent: stats.packets_sent,
+            packets_delivered: stats.packets_delivered,
+            sim_ns: self.sim.now().as_nanos(),
+            ecn_marked: stats.packets_ecn_marked,
+            dropped_queue: stats.packets_dropped_queue,
+            dropped_link_down: stats.packets_dropped_link_down,
+            barrier_stall_ns: stats.barrier_stall_ns,
+            epochs: stats.epochs,
+        };
         let views: Vec<&dyn WorkerView> = (0..self.workers()).map(|w| self.worker(w)).collect();
         let transport = views.iter().fold(TransportStats::default(), |acc, v| {
             acc.merged(v.transport_stats())
@@ -407,13 +340,25 @@ pub(crate) fn build(
 ) -> Job {
     emit_run_meta(cfg, capture.trace.as_deref());
     let apps = make_apps(cfg, sources);
-    let (mut engine, placed) = build_topology(cfg, apps.grad_len, apps.workers, apps.server);
-    engine.attach(tenant, &capture, cfg.event_limit);
+    let (mut sim, placed) = build_topology(cfg, apps.grad_len, apps.workers, apps.server);
+    // The tenant id goes in before the trace, so no traced event can
+    // predate its stamp.
+    sim.set_tenant(tenant);
+    if let Some(trace) = &capture.trace {
+        sim.set_trace(Arc::clone(trace));
+    }
+    if let Some(ts) = &capture.timeseries {
+        sim.set_timeseries(Arc::clone(ts));
+    }
+    if let Some(limit) = cfg.event_limit {
+        sim.set_event_limit(limit);
+    }
     let is_async = cfg.strategy.is_async();
     Job {
         strategy: cfg.strategy,
         warmup: cfg.warmup,
-        engine,
+        sim,
+        threads: cfg.threads.max(1),
         placed,
         view: apps.view,
         capture,
@@ -671,20 +616,21 @@ fn switch_extension(
     Some(Box::new(IswitchExtension::new(ext)))
 }
 
-/// Where [`build_topology`] put the job's hosts and switches.
+/// Where [`build_topology`] put the job's hosts and switches, each as
+/// `(domain, id)`.
 pub(crate) struct Placed {
-    workers: Vec<HostRef>,
+    workers: Vec<NodeRef>,
     /// Edge link of each worker, index-aligned with the workers — the
-    /// fault-plan targets. Empty on the fat-tree.
-    pub(crate) worker_links: Vec<LinkId>,
+    /// fault-plan targets.
+    pub(crate) worker_links: Vec<(usize, LinkId)>,
     /// Every switch carrying an [`IswitchExtension`], root-first (core,
     /// then AGGs, then ToRs; a star has just its one switch) — the grant
     /// and churn-reset targets. Empty for host-side strategies, which hold
-    /// no fabric resources, and on the fat-tree.
-    pub(crate) switches: Vec<NodeId>,
+    /// no fabric resources.
+    pub(crate) switches: Vec<NodeRef>,
     /// The parameter server. The asynchronous one's update log is the
     /// job's update clock (async iSwitch reads worker 0's instead).
-    server: Option<NodeId>,
+    server: Option<NodeRef>,
 }
 
 /// The physical link specs of a run: the configured egress queue on every
@@ -715,70 +661,57 @@ fn core_uplink_spec(topo: &TopologyConfig) -> LinkSpec {
     spec
 }
 
+/// Tags each id of a per-pod nesting with the domain its pod lives in.
+fn in_pods<T>(
+    pods: impl IntoIterator<Item = impl IntoIterator<Item = T>>,
+    pod_domain: fn(usize) -> usize,
+) -> Vec<(usize, T)> {
+    (pods.into_iter().enumerate())
+        .flat_map(|(a, pod)| pod.into_iter().map(move |id| (pod_domain(a), id)))
+        .collect()
+}
+
 /// Wires the worker apps (plus an optional server) into the configured
-/// topology — star, two-level tree, three-level tree, or sharded fat-tree
-/// — with an in-switch extension on every switch when `len` is set.
-/// Host-side strategies ignore `racks_per_agg`: they have always run on
-/// the two-level tree.
+/// topology — star, two-level tree, three-level tree, or fat-tree — with
+/// an in-switch extension on every switch when `len` is set. Only the
+/// fat-tree cuts the partition (one domain per pod plus the core's);
+/// every other shape is the one-domain partition. Host-side strategies
+/// ignore `racks_per_agg`: off the fat-tree they have always run on the
+/// two-level tree.
 fn build_topology(
     cfg: &TimingConfig,
     len: Option<usize>,
     mut apps: Vec<Box<dyn HostApp>>,
     server: Option<Box<dyn HostApp>>,
-) -> (Engine, Placed) {
+) -> (ShardedSim, Placed) {
     let topo = physical_specs(cfg);
     let n = cfg.workers;
     let has_server = server.is_some();
-    let on_sim = |nodes: &[NodeId]| nodes.iter().map(|&node| (0, node)).collect();
-    let isw_switches = |switches: Vec<NodeId>| if len.is_some() { switches } else { Vec::new() };
+    let isw_switches = |switches: Vec<NodeRef>| if len.is_some() { switches } else { Vec::new() };
+    let mut sim = ShardedSim::new();
 
-    if let Some(shape) = cfg.fattree {
-        // Pod-major worker order, grouped into (pod, rack).
-        let mut rest = apps.into_iter();
-        let grouped = (0..shape.aggs)
-            .map(|_| {
-                (0..shape.racks_per_agg)
-                    .map(|_| rest.by_ref().take(shape.hosts_per_rack).collect())
-                    .collect()
-            })
-            .collect();
-        let tors = vec![shape.hosts_per_rack; shape.racks()];
-        let aggs = vec![shape.racks_per_agg; shape.aggs];
-        let sizes = (&tors[..], &aggs[..], shape.aggs);
-        let mut sim = ShardedSim::new();
-        let ft = build_fattree(
-            &mut sim,
-            grouped,
-            &mut |role| switch_extension(cfg, len, Deployment::Fattree, role, sizes),
-            &topo,
-            &core_uplink_spec(&topo),
-        );
-        let placed = Placed {
-            workers: ft.all_hosts().collect(),
-            worker_links: Vec::new(),
-            switches: Vec::new(),
-            server: None,
-        };
-        let threads = cfg.threads;
-        return (Engine::Sharded { sim, threads }, placed);
-    }
-
-    let mut sim = Box::new(Simulator::new());
-    let Some(per_rack) = cfg.workers_per_rack else {
+    // (hosts per rack, racks per AGG) of a hierarchy; a star has neither.
+    let hierarchy = match (cfg.fattree, cfg.workers_per_rack) {
+        (Some(shape), _) => Some((shape.hosts_per_rack, Some(shape.racks_per_agg))),
+        (None, Some(per_rack)) => Some((per_rack, cfg.racks_per_agg.filter(|_| len.is_some()))),
+        (None, None) => None,
+    };
+    let Some((per_rack, fanout)) = hierarchy else {
         // Child ports are the *workers* only: the server and background
         // hosts sit on higher ports and stay ordinary FIB traffic, never
         // counted toward the aggregation threshold.
         apps.extend(server);
         append_background(&mut apps, cfg);
         let ext = switch_extension(cfg, len, Deployment::Star, SwitchRole::Core, (&[], &[], n));
-        let star = build_star(&mut sim, apps, ext, &topo);
+        sim.add_domain();
+        let star = build_star(sim.domain_mut(0), apps, ext, &topo);
         let placed = Placed {
-            workers: on_sim(&star.hosts[..n]),
-            worker_links: star.host_links[..n].to_vec(),
-            switches: isw_switches(vec![star.switch]),
-            server: has_server.then(|| star.hosts[n]),
+            workers: star.hosts[..n].iter().map(|&h| (0, h)).collect(),
+            worker_links: star.host_links[..n].iter().map(|&l| (0, l)).collect(),
+            switches: isw_switches(vec![(0, star.switch)]),
+            server: has_server.then(|| (0, star.hosts[n])),
         };
-        return (Engine::Single(sim), placed);
+        return (sim, placed);
     };
 
     let sizes = rack_sizes(n, per_rack);
@@ -791,58 +724,79 @@ fn build_topology(
     // The PS server joins the first rack (extra port on ToR 0), so it sits
     // at flattened host index `sizes[0]`.
     racks[0].extend(server);
-    let (mut hosts, mut links, switches): (Vec<NodeId>, Vec<LinkId>, Vec<NodeId>) =
-        match cfg.racks_per_agg.filter(|_| len.is_some()) {
-            None => {
-                let tree = build_tree(
+    let (mut hosts, mut links, switches) = match fanout {
+        None => {
+            sim.add_domain();
+            let tree = build_tree(
+                sim.domain_mut(0),
+                racks,
+                &mut |role| {
+                    switch_extension(cfg, len, Deployment::Tree, role, (&sizes, &[], n_racks))
+                },
+                &topo,
+            );
+            let switches = std::iter::once(tree.core).chain(tree.tors);
+            (
+                tree.hosts.into_iter().flatten().map(|h| (0, h)).collect(),
+                (tree.host_links.into_iter().flatten())
+                    .map(|l| (0, l))
+                    .collect(),
+                switches.map(|sw| (0, sw)).collect(),
+            )
+        }
+        Some(fanout) => {
+            let group_sizes = rack_sizes(n_racks, fanout.max(1));
+            let mut rest = racks.into_iter();
+            let grouped = group_sizes
+                .iter()
+                .map(|&k| rest.by_ref().take(k).collect())
+                .collect();
+            let sizes = (&sizes[..], &group_sizes[..], group_sizes.len());
+            // Same hierarchy either way; the fat-tree cuts it between the
+            // AGGs and the core, one domain per pod.
+            let (tree3, pod_domain): (_, fn(usize) -> usize) = if cfg.fattree.is_some() {
+                let ft = build_fattree(
                     &mut sim,
-                    racks,
-                    &mut |role| {
-                        switch_extension(cfg, len, Deployment::Tree, role, (&sizes, &[], n_racks))
-                    },
+                    grouped,
+                    &mut |role| switch_extension(cfg, len, Deployment::Fattree, role, sizes),
                     &topo,
+                    &core_uplink_spec(&topo),
                 );
-                (
-                    tree.hosts.into_iter().flatten().collect(),
-                    tree.host_links.into_iter().flatten().collect(),
-                    std::iter::once(tree.core).chain(tree.tors).collect(),
-                )
-            }
-            Some(fanout) => {
-                let group_sizes = rack_sizes(n_racks, fanout.max(1));
-                let mut rest = racks.into_iter();
-                let grouped = group_sizes
-                    .iter()
-                    .map(|&k| rest.by_ref().take(k).collect())
-                    .collect();
-                let sizes = (&sizes[..], &group_sizes[..], group_sizes.len());
+                (ft.tree, Fattree::pod_domain)
+            } else {
+                sim.add_domain();
                 let tree3 = build_tree3(
-                    &mut sim,
+                    sim.domain_mut(0),
                     grouped,
                     &mut |role| switch_extension(cfg, len, Deployment::Tree, role, sizes),
                     &topo,
                 );
-                (
-                    tree3.hosts.into_iter().flatten().flatten().collect(),
-                    tree3.host_links.into_iter().flatten().flatten().collect(),
-                    std::iter::once(tree3.core)
-                        .chain(tree3.aggs)
-                        .chain(tree3.tors.into_iter().flatten())
-                        .collect(),
-                )
-            }
-        };
+                (tree3, |_| 0)
+            };
+            let mut switches = vec![(Fattree::CORE_DOMAIN, tree3.core)];
+            switches.extend(in_pods(tree3.aggs.into_iter().map(Some), pod_domain));
+            switches.extend(in_pods(tree3.tors, pod_domain));
+            (
+                in_pods(tree3.hosts.into_iter().map(|pod| pod.concat()), pod_domain),
+                in_pods(
+                    tree3.host_links.into_iter().map(|pod| pod.concat()),
+                    pod_domain,
+                ),
+                switches,
+            )
+        }
+    };
     let server = has_server.then(|| {
         links.remove(sizes[0]);
         hosts.remove(sizes[0])
     });
     let placed = Placed {
-        workers: on_sim(&hosts),
+        workers: hosts,
         worker_links: links,
         switches: isw_switches(switches),
         server,
     };
-    (Engine::Single(sim), placed)
+    (sim, placed)
 }
 
 /// Appends `cfg.background_flows` bursting sources plus one counting sink
@@ -867,11 +821,12 @@ fn append_background(apps: &mut Vec<Box<dyn HostApp>>, cfg: &TimingConfig) {
 }
 
 /// The parameter server's IP: the slot after the workers on the star, the
-/// extra host of the first rack on a tree.
+/// extra host of the first rack on a tree or fat-tree.
 fn server_ip(cfg: &TimingConfig) -> IpAddr {
-    match cfg.workers_per_rack {
-        None => host_ip(0, cfg.workers),
-        Some(per_rack) => host_ip(0, rack_sizes(cfg.workers, per_rack)[0]),
+    match (cfg.fattree, cfg.workers_per_rack) {
+        (Some(shape), _) => host_ip(0, shape.hosts_per_rack),
+        (None, Some(per_rack)) => host_ip(0, rack_sizes(cfg.workers, per_rack)[0]),
+        (None, None) => host_ip(0, cfg.workers),
     }
 }
 
@@ -911,7 +866,7 @@ fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
         run_ev = run_ev.with_str("codec", cfg.codec.label());
     }
     if let Some(shape) = cfg.fattree {
-        // Sharded runs only: existing (non-fattree) traces keep their exact
+        // Fat-tree runs only: existing (non-fattree) traces keep their exact
         // byte layout. `threads` is deliberately omitted — artifacts must
         // not depend on how many threads executed the run.
         run_ev = run_ev

@@ -12,8 +12,8 @@
 //! ## Execution model
 //!
 //! Every tenant is one [`Job`] of the shared lifecycle — the same build a
-//! solo run makes, over its own simulator and virtual topology — stamped
-//! with the tenant's id ([`iswitch_netsim::Simulator::set_tenant`]) so
+//! solo run makes, over its own engine and virtual topology — stamped
+//! with the tenant's id ([`iswitch_netsim::ShardedSim::set_tenant`]) so
 //! every causal trace event attributes to it. What the tenants share is the *fabric*: a pool of
 //! aggregation slots and accumulator bytes ([`FabricConfig`]) arbitrated at
 //! fixed simulated-time **epoch barriers**. At each barrier the arbiter
@@ -47,7 +47,7 @@
 use std::sync::Arc;
 
 use iswitch_core::FAULT_RESET_TOKEN;
-use iswitch_netsim::{FaultAction, FaultPlan, SimDuration, SimTime};
+use iswitch_netsim::{FaultAction, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
 
 use crate::lifecycle::{self, build, Capture, Job};
@@ -99,9 +99,11 @@ pub struct TenantSpec {
     /// tenant's simulation (standing in for a VLAN/overlay tag). Must be
     /// unique within a [`MultiJobConfig`].
     pub id: u64,
-    /// The tenant's training job. `fattree` must be `None`: multi-tenant
-    /// runs use the single-simulator topologies (threads parallelize
-    /// across tenants instead of across fat-tree pods).
+    /// The tenant's training job. `fattree` must be `None`: arbiter
+    /// barriers pause every tenant, and a cut partition paused there is not
+    /// byte-identical to its solo, unpaused run (DESIGN.md §12) — the
+    /// identity multi-tenancy is held to. Threads parallelize across
+    /// tenants instead of across fat-tree pods.
     pub job: TimingConfig,
     /// Guaranteed fabric share.
     pub quota: TenantQuota,
@@ -308,8 +310,9 @@ fn validate(cfg: &MultiJobConfig) {
     for t in &cfg.tenants {
         assert!(
             t.job.fattree.is_none(),
-            "multi-tenant runs use the single-simulator topologies; \
-             threads parallelize across tenants, not fat-tree pods"
+            "multi-tenant runs use the one-domain topologies: arbiter barriers \
+             would pause the fat-tree's cut partition, and a paused cut is not \
+             byte-identical to the tenant's solo run"
         );
         lifecycle::validate(&t.job);
     }
@@ -512,8 +515,8 @@ fn arbitrate(jobs: &mut [TenantJob<'_>], fabric: &FabricConfig, horizon: SimDura
 }
 
 /// Builds one tenant: the shared lifecycle build stamped with the
-/// tenant's id, plus the tenant's reset churn as a fault plan installed
-/// after the topology.
+/// tenant's id, plus the tenant's reset churn as faults scheduled after
+/// the topology.
 fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
     let capture = Capture {
         trace: observed.then(|| Arc::new(Trace::new())),
@@ -526,17 +529,11 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
             "reset churn targets iSwitch switches; tenant {} has none",
             spec.name
         );
-        let mut plan = FaultPlan::new();
-        for &sw in &job.placed.switches {
-            plan.push(
-                SimTime::ZERO + at,
-                FaultAction::InjectTimer {
-                    node: sw,
-                    token: FAULT_RESET_TOKEN,
-                },
-            );
+        for (domain, node) in job.placed.switches.clone() {
+            let token = FAULT_RESET_TOKEN;
+            let reset = FaultAction::InjectTimer { node, token };
+            job.schedule_fault(domain, SimTime::ZERO + at, reset);
         }
-        job.sim().install_fault_plan(&plan);
     }
     TenantJob {
         spec,

@@ -81,17 +81,17 @@ pub struct TimingConfig {
     /// Overrides the aggregation threshold `H` on iSwitch switches (the
     /// `SetH` partial-aggregation ablation). `None` keeps `H` = children.
     pub threshold_override: Option<u16>,
-    /// `Some(shape)` builds the *sharded* fat-tree instead of the
-    /// single-simulator topologies: one simulation domain per AGG subtree
-    /// plus one for the core, connected by cross-domain AGG↔Core uplinks
-    /// (see [`iswitch_netsim::ShardedSim`]). `workers` must equal
-    /// `shape.workers()` and the strategy must be [`Strategy::SyncIsw`].
-    /// `workers_per_rack`/`racks_per_agg` are ignored — the shape already
-    /// fixes the hierarchy.
+    /// `Some(shape)` builds the fat-tree: the three-level hierarchy cut
+    /// into one simulation domain per AGG subtree plus one for the core,
+    /// connected by cross-domain AGG↔Core uplinks (see
+    /// [`iswitch_netsim::ShardedSim`]); every other topology is the
+    /// one-domain partition of the same engine. `workers` must equal
+    /// `shape.workers()`. `workers_per_rack`/`racks_per_agg` are ignored —
+    /// the shape already fixes the hierarchy.
     pub fattree: Option<FattreeShape>,
-    /// Worker threads driving a sharded (`fattree`) run. Results are
-    /// byte-identical for every value; threads > 1 only changes wall-clock
-    /// time. Ignored by the single-simulator topologies.
+    /// Worker threads driving the engine's domains (more than one only on
+    /// a `fattree`). Results are byte-identical for every value;
+    /// threads > 1 only changes wall-clock time.
     pub threads: usize,
     /// Per-packet random loss probability on edge links (failure
     /// injection). iSwitch workers recover via `Help`/`FBcast`.
@@ -287,10 +287,10 @@ pub struct PerfSample {
     #[serde(default)]
     pub dropped_link_down: u64,
     /// Simulated nanoseconds domains spent stalled at lookahead barriers
-    /// (sharded runs; 0 otherwise).
+    /// (partitions with a cut; 0 otherwise).
     #[serde(default)]
     pub barrier_stall_ns: u64,
-    /// Lookahead epochs executed (sharded runs; 0 otherwise).
+    /// Lookahead epochs executed (partitions with a cut; 0 otherwise).
     #[serde(default)]
     pub epochs: u64,
 }
@@ -401,7 +401,7 @@ impl TimingObservation {
 /// Panics on configurations no strategy can run: fewer than two workers,
 /// zero iterations, background flows off the star, edge loss on a strategy
 /// other than [`Strategy::SyncIsw`], or a fat-tree shape that disagrees
-/// with the worker count or strategy.
+/// with the worker count.
 pub fn run_timing(cfg: &TimingConfig) -> TimingResult {
     run_timing_perf(cfg).0
 }
@@ -651,59 +651,70 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fattree_is_thread_count_invariant() {
-        // The tentpole determinism claim at the runner level: the full
-        // observability export (summary + merged metrics + merged trace)
-        // is byte-identical no matter how many threads executed the run.
+    fn every_strategy_on_the_fattree_is_thread_count_invariant() {
+        // One engine behind every job: all five strategies run on the cut
+        // partition, and the full observability export (summary + merged
+        // metrics + merged trace) is byte-identical run-twice and no
+        // matter how many threads executed the run. The synchronous ones
+        // run unstepped, the asynchronous ones pause every 200 ms.
         let shape = FattreeShape {
             aggs: 2,
             racks_per_agg: 2,
             hosts_per_rack: 2,
         };
-        let mut cfg = quick(Algorithm::Ppo, Strategy::SyncIsw);
-        cfg.workers = shape.workers();
-        cfg.fattree = Some(shape);
-        let mut exports = Vec::new();
-        for threads in [1, 2, 4] {
-            cfg.threads = threads;
-            let obs = run_timing_observed(&cfg);
-            assert!(obs.result.per_iteration > SimDuration::ZERO);
-            exports.push((obs.report_json().render(), obs.trace.to_jsonl()));
+        for strategy in ALL_STRATEGIES {
+            let mut cfg = quick(Algorithm::Ppo, strategy);
+            cfg.workers = shape.workers();
+            cfg.fattree = Some(shape);
+            let export = |threads: usize| {
+                let mut cfg = cfg.clone();
+                cfg.threads = threads;
+                let obs = run_timing_observed(&cfg);
+                assert!(obs.result.per_iteration > SimDuration::ZERO, "{strategy:?}");
+                (obs.report_json().render(), obs.trace.to_jsonl())
+            };
+            let base = export(1);
+            assert!(base.0.contains("\"domains\":3"), "{strategy:?}: not cut");
+            assert_eq!(base, export(1), "{strategy:?}: run-twice differs");
+            assert_eq!(base, export(2), "{strategy:?}: threads=1 vs threads=2");
+            assert_eq!(base, export(4), "{strategy:?}: threads=1 vs threads=4");
         }
-        assert_eq!(exports[0], exports[1], "threads=1 vs threads=2 differ");
-        assert_eq!(exports[0], exports[2], "threads=1 vs threads=4 differ");
     }
 
     #[test]
-    fn sharded_fattree_matches_tree3_iteration_scale() {
-        // Same hierarchy, different execution: the sharded fat-tree only
-        // lengthens the AGG↔Core fibre (5 µs vs 1 µs propagation), so its
-        // per-iteration time must sit within a few percent of the
-        // single-simulator three-level tree.
+    fn fattree_matches_the_uncut_hierarchy_iteration_scale() {
+        // Same hierarchy, different partition: the fat-tree only lengthens
+        // the AGG↔Core fibre (5 µs vs 1 µs propagation), so per-iteration
+        // time must sit within 10 % of the same racks in one domain — the
+        // three-level tree for iSW, the two-level tree host-side strategies
+        // have always run on (which also saves them a switch hop) for PS
+        // and AR.
         let shape = FattreeShape {
             aggs: 2,
             racks_per_agg: 2,
             hosts_per_rack: 3,
         };
-        let mut sharded = quick(Algorithm::Ppo, Strategy::SyncIsw);
-        sharded.workers = shape.workers();
-        sharded.fattree = Some(shape);
-        let s = run_timing(&sharded);
+        for strategy in [Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw] {
+            let mut cut = quick(Algorithm::Ppo, strategy);
+            cut.workers = shape.workers();
+            cut.fattree = Some(shape);
+            let s = run_timing(&cut);
 
-        let mut tree3 = quick(Algorithm::Ppo, Strategy::SyncIsw);
-        tree3.workers = shape.workers();
-        tree3.workers_per_rack = Some(shape.hosts_per_rack);
-        tree3.racks_per_agg = Some(shape.racks_per_agg);
-        let t = run_timing(&tree3);
+            let mut whole = quick(Algorithm::Ppo, strategy);
+            whole.workers = shape.workers();
+            whole.workers_per_rack = Some(shape.hosts_per_rack);
+            whole.racks_per_agg = Some(shape.racks_per_agg);
+            let t = run_timing(&whole);
 
-        let ratio = s.per_iteration.as_secs_f64() / t.per_iteration.as_secs_f64();
-        assert!(
-            (1.0..1.10).contains(&ratio),
-            "sharded {} vs tree3 {} (ratio {ratio:.3})",
-            s.per_iteration,
-            t.per_iteration
-        );
-        assert_eq!(s.iterations_measured, t.iterations_measured);
+            let ratio = s.per_iteration.as_secs_f64() / t.per_iteration.as_secs_f64();
+            assert!(
+                (1.0..1.10).contains(&ratio),
+                "{strategy:?}: fat-tree {} vs uncut {} (ratio {ratio:.3})",
+                s.per_iteration,
+                t.per_iteration
+            );
+            assert_eq!(s.iterations_measured, t.iterations_measured, "{strategy:?}");
+        }
     }
 
     const ALL_STRATEGIES: [Strategy; 5] = [

@@ -14,7 +14,7 @@ use iswitch_obs::{JsonValue, Registry, Timeseries, Trace, TraceEvent};
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{LinkId, NodeId, PortId, TimerId};
-use crate::link::{Link, LinkDir, LinkEnd, LinkSpec};
+use crate::link::{Link, LinkDir, LinkEnd, LinkSpec, LossModel};
 use crate::obs::EngineObs;
 use crate::packet::{IpAddr, Packet};
 use crate::shard::{CrossDst, CrossMsg};
@@ -168,9 +168,46 @@ pub(crate) struct SimCore {
     tenant: u64,
     /// Next quantized sampling boundary (multiple of the series interval).
     next_sample_ns: u64,
+    /// Offset making this simulator's link ids unique across the domains of
+    /// a [`crate::ShardedSim`]: `domain * LINK_UID_STRIDE`. Zero for domain
+    /// 0 and for a standalone simulator.
+    link_uid_base: u64,
 }
 
+/// Links one domain may hold before its run-unique link identities would
+/// run into the next domain's (decimal, so `1000004` reads "domain 1,
+/// link 4").
+const LINK_UID_STRIDE: u64 = 1_000_000;
+
 impl SimCore {
+    /// The run-unique identity of a link: its local id qualified by the
+    /// owning domain. It seeds the link's loss stream, is the `link`
+    /// attribute of `pkt.*` trace events and names the link's telemetry
+    /// tracks, so none of the three aliases a same-numbered link of
+    /// another domain. Domain 0 keeps the bare local id.
+    fn link_uid(&self, link: LinkId) -> u64 {
+        self.link_uid_base + link.0 as u64
+    }
+
+    /// Builds the link `link_id` from `spec`, decorrelating its loss
+    /// stream: links built from one shared spec must not drop the same
+    /// sequence positions, in this domain or any other.
+    fn new_link(&self, link_id: LinkId, spec: &LinkSpec, a: LinkEnd, b: LinkEnd) -> Link {
+        assert!(
+            (link_id.0 as u64) < LINK_UID_STRIDE,
+            "a domain holds at most {LINK_UID_STRIDE} links"
+        );
+        let mut link = Link::new(spec, a, b);
+        if let LossModel::Random { probability, seed } = spec.loss {
+            let mixed = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(self.link_uid(link_id) + 1);
+            link.set_loss(LossModel::Random {
+                probability,
+                seed: mixed,
+            });
+        }
+        link
+    }
+
     /// Builds the common prefix of a packet lifecycle trace event — kind,
     /// causal key, endpoints — or `None` when the packet is untagged or
     /// tracing is off. Field order is fixed so exports are byte-stable.
@@ -238,7 +275,7 @@ impl SimCore {
             self.flows.record_drop(pkt.ip.src, pkt.ip.dst);
             if let Some(ev) = self.pkt_event("pkt.drop", &pkt) {
                 self.record(
-                    ev.with_u64("link", link_id.index() as u64)
+                    ev.with_u64("link", self.link_uid(link_id))
                         .with_str("reason", "link_down"),
                 );
             }
@@ -264,7 +301,7 @@ impl SimCore {
                 self.flows.record_drop(pkt.ip.src, pkt.ip.dst);
                 if let Some(ev) = self.pkt_event("pkt.drop", &pkt) {
                     self.record(
-                        ev.with_u64("link", link_id.index() as u64)
+                        ev.with_u64("link", self.link_uid(link_id))
                             .with_u64("queued_bytes", queued)
                             .with_str("reason", "queue_full"),
                     );
@@ -299,64 +336,55 @@ impl SimCore {
             self.flows.record_drop(pkt.ip.src, pkt.ip.dst);
             if let Some(ev) = self.pkt_event("pkt.drop", &pkt) {
                 self.record(
-                    ev.with_u64("link", link_id.index() as u64)
+                    ev.with_u64("link", self.link_uid(link_id))
                         .with_str("reason", "loss"),
                 );
             }
             return;
         }
-        if let Some(remote) = &self.cross_dst[link_id.index()] {
-            // Cross-domain half-link: the arrival timestamp is computed here
-            // (the remote rx overhead was captured at wiring time) and the
-            // packet is parked in the outbox for the next epoch barrier. The
-            // in-flight gauge is skipped — delivery happens in a domain that
-            // has no handle on this link's metrics.
-            let arrive = depart + link.propagation + link.extra_delay + remote.rx_overhead;
-            let msg = CrossMsg {
-                arrive,
-                dst_domain: remote.domain,
-                dst_node: remote.node,
-                dst_port: remote.port,
-                pkt,
-            };
-            self.flows
-                .record_delivery(msg.pkt.ip.src, msg.pkt.ip.dst, wire, self.now, arrive);
-            if let Some(ev) = self.pkt_event("pkt.tx", &msg.pkt) {
-                self.record(
-                    ev.with_u64("link", link_id.index() as u64)
-                        .with_u64("backlog_ns", backlog.as_nanos())
-                        .with_u64("depart_ns", depart.as_nanos())
-                        .with_u64("arrive_ns", arrive.as_nanos()),
-                );
-            }
-            self.outbox.push(msg);
-            return;
-        }
-        self.obs.links[link_id.index()][dir].inflight.inc();
+        // A cross-domain half-link knows its remote end only by the rx
+        // overhead captured at wiring time; a local link reads its peer.
         let link = &self.links[link_id.index()];
+        let remote = self.cross_dst[link_id.index()].as_ref();
         let dest = link.dest(dir);
-        let arrive = depart
-            + link.propagation
-            + link.extra_delay
-            + self.node_opts[dest.node.index()].rx_overhead;
+        let rx_overhead = remote.map_or_else(
+            || self.node_opts[dest.node.index()].rx_overhead,
+            |r| r.rx_overhead,
+        );
+        let arrive = depart + link.propagation + link.extra_delay + rx_overhead;
         self.flows
             .record_delivery(pkt.ip.src, pkt.ip.dst, wire, self.now, arrive);
         if let Some(ev) = self.pkt_event("pkt.tx", &pkt) {
             self.record(
-                ev.with_u64("link", link_id.index() as u64)
+                ev.with_u64("link", self.link_uid(link_id))
                     .with_u64("backlog_ns", backlog.as_nanos())
                     .with_u64("depart_ns", depart.as_nanos())
                     .with_u64("arrive_ns", arrive.as_nanos()),
             );
         }
-        self.schedule(
-            arrive,
-            EventKind::Deliver {
-                node: dest.node,
-                port: dest.port,
+        match remote {
+            // Parked in the outbox for the next epoch barrier. The in-flight
+            // gauge is skipped — delivery happens in a domain that has no
+            // handle on this link's metrics.
+            Some(remote) => self.outbox.push(CrossMsg {
+                arrive,
+                dst_domain: remote.domain,
+                dst_node: remote.node,
+                dst_port: remote.port,
                 pkt,
-            },
-        );
+            }),
+            None => {
+                self.obs.links[link_id.index()][dir].inflight.inc();
+                self.schedule(
+                    arrive,
+                    EventKind::Deliver {
+                        node: dest.node,
+                        port: dest.port,
+                        pkt,
+                    },
+                );
+            }
+        }
     }
 
     /// Samples every link's telemetry tracks at the latest quantized
@@ -385,7 +413,7 @@ impl SimCore {
                 let Some(label) = &self.obs.link_labels[i][dir] else {
                     continue;
                 };
-                let base = format!("netsim.link.{i:03}.{label}");
+                let base = format!("netsim.link.{:03}.{label}", self.link_uid(LinkId(i)));
                 let obs = &self.obs.links[i][dir];
                 ts.record(
                     &format!("{base}.queue_bytes"),
@@ -540,11 +568,21 @@ impl Simulator {
                 timeseries: None,
                 next_sample_ns: 0,
                 tenant: 0,
+                link_uid_base: 0,
             },
             nodes: Vec::new(),
             started: false,
             event_limit: u64::MAX,
         }
+    }
+
+    /// An empty simulator that is domain `domain` of a [`crate::ShardedSim`]:
+    /// its link identities are qualified by the domain (see
+    /// `SimCore::link_uid`).
+    pub(crate) fn in_domain(domain: usize) -> Self {
+        let mut sim = Simulator::new();
+        sim.core.link_uid_base = domain as u64 * LINK_UID_STRIDE;
+        sim
     }
 
     /// Caps the total number of events processed; exceeding it panics.
@@ -593,20 +631,12 @@ impl Simulator {
         let link_id = LinkId(self.core.links.len());
         let pa = PortId(self.nodes[a.index()].ports.len());
         let pb = PortId(self.nodes[b.index()].ports.len());
-        let mut link = Link::new(
+        let link = self.core.new_link(
+            link_id,
             spec,
             LinkEnd { node: a, port: pa },
             LinkEnd { node: b, port: pb },
         );
-        // Decorrelate per-link loss streams: links built from one shared
-        // spec must not drop the same sequence positions.
-        if let crate::link::LossModel::Random { probability, seed } = spec.loss {
-            let mixed = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(link_id.0 as u64 + 1);
-            link.set_loss(crate::link::LossModel::Random {
-                probability,
-                seed: mixed,
-            });
-        }
         self.core.links.push(link);
         self.core.cross_dst.push(None);
         let core = &mut self.core;
@@ -644,20 +674,11 @@ impl Simulator {
         let port = PortId(self.nodes[node.index()].ports.len());
         let end = LinkEnd { node, port };
         // Both ends carry the local attachment: the `b` end is a
-        // placeholder that is never resolved (transmit branches to the
-        // outbox before looking at it).
-        let mut link = Link::new(spec, end, end);
-        // Same per-link loss decorrelation as `connect`. The local link id
-        // is deterministic given the construction order, and each direction
-        // of a cross link gets its own stream — which a shared two-ended
-        // link could not provide across domains anyway.
-        if let crate::link::LossModel::Random { probability, seed } = spec.loss {
-            let mixed = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(link_id.0 as u64 + 1);
-            link.set_loss(crate::link::LossModel::Random {
-                probability,
-                seed: mixed,
-            });
-        }
+        // placeholder whose node is never delivered to (transmit parks the
+        // packet in the outbox instead). Each direction of a cross link
+        // gets its own loss stream — which a shared two-ended link could
+        // not provide across domains anyway.
+        let link = self.core.new_link(link_id, spec, end, end);
         self.core.links.push(link);
         self.core.cross_dst.push(Some(dst));
         let core = &mut self.core;
@@ -885,7 +906,7 @@ impl Simulator {
                 if let Some(ev) = self.core.pkt_event("pkt.rx", &pkt) {
                     let label = &self.core.node_opts[node.index()].label;
                     self.core.record(
-                        ev.with_u64("link", link_id.index() as u64)
+                        ev.with_u64("link", self.core.link_uid(link_id))
                             .with_str("node", label),
                     );
                 }
@@ -912,7 +933,7 @@ impl Simulator {
                     let (link_id, _) = self.core.node_ports[node.index()][port.index()];
                     let label = &self.core.node_opts[node.index()].label;
                     self.core.record(
-                        ev.with_u64("link", link_id.index() as u64)
+                        ev.with_u64("link", self.core.link_uid(link_id))
                             .with_str("node", label),
                     );
                 }
@@ -968,16 +989,7 @@ impl Simulator {
     /// Runs until the clock reaches `deadline` (events at later times stay
     /// queued) or the queue empties. Returns the final time.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.ensure_started();
-        loop {
-            match self.core.queue.next_at() {
-                Some(at) if at <= deadline.as_nanos() => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        self.core.now = self.core.now.max(deadline.min(self.core.now));
+        self.run_until_before(deadline.as_nanos().saturating_add(1));
         self.core.now
     }
 
@@ -1023,9 +1035,8 @@ impl Simulator {
     /// because its work ran out before the horizon. Both are pure functions
     /// of domain clocks (never wall time), so the counters and the
     /// `shard.domain.NNN.*` telemetry tracks they feed are byte-identical
-    /// at every thread count. A `u64::MAX` horizon means the run has no
-    /// cross-domain links (single unbounded epoch) — stall is meaningless
-    /// there, so nothing is recorded.
+    /// at every thread count. Only partitions with a cut call this: without
+    /// cross-domain links there is no barrier to stall at.
     pub(crate) fn record_epoch(
         &mut self,
         domain: usize,
@@ -1033,9 +1044,6 @@ impl Simulator {
         horizon: u64,
         events_before: u64,
     ) {
-        if horizon == u64::MAX {
-            return;
-        }
         let width = horizon - t_min;
         let busy = self.core.now.as_nanos().saturating_sub(t_min).min(width);
         let stall = width - busy;

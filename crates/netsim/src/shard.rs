@@ -10,7 +10,8 @@
 //! 1. Every domain reports the time of its earliest pending event; the
 //!    global minimum `t_min` plus the *lookahead bound* `L` — the minimum
 //!    over all cross-domain links of propagation delay + receiver overhead —
-//!    defines the epoch horizon `H = t_min + L`.
+//!    defines the epoch horizon `H = t_min + L` (clamped to a deadline when
+//!    the drive has one, see below).
 //! 2. Each domain independently processes every event strictly before `H`.
 //!    Any packet it sends across a boundary departs at or after its local
 //!    clock, so it *arrives* at or after `t_min + L = H`: no domain can
@@ -34,6 +35,20 @@
 //! timings, final application state) still matches, which the property tests
 //! in `tests/shard_props.rs` assert.
 //!
+//! **Stepped drives.** [`ShardedSim::run_until`] pauses the same loop at a
+//! deadline by clamping the horizon of the epoch that straddles it to
+//! `deadline + 1 ns`; [`ShardedSim::run`] is the drive with no deadline.
+//! The deadline list is part of the schedule in exactly the way the
+//! partition is: the same list replays byte-identically at any thread
+//! count, while a different list (or none) splits epochs elsewhere, so
+//! epoch counts, barrier stall and the order of a crossing against a local
+//! event of the same nanosecond may differ.
+//!
+//! **One domain** is the degenerate partition: there is no cut, so the
+//! lookahead is unbounded, a drive is a single epoch, nothing is exchanged
+//! or accounted at a barrier, sinks are handed straight to the lone
+//! [`Simulator`], and every export is byte-for-byte that simulator's own.
+//!
 //! Cross-domain links are built as *half-links*: each direction is a
 //! separate [`crate::link::Link`] owned by the sending domain, carrying its
 //! own FIFO serialization state, loss RNG and sequence counter, with a
@@ -44,7 +59,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use iswitch_obs::{JsonValue, Registry, Timeseries, Trace, TraceEvent};
+use iswitch_obs::{JsonValue, Registry, Timeseries, Trace};
 
 use crate::engine::Simulator;
 use crate::ids::{LinkId, NodeId, PortId};
@@ -94,25 +109,28 @@ const SPAN_ID_STRIDE: u64 = 1 << 40;
 /// the link id and local port bound on that side's node.
 pub type CrossAttach = (LinkId, PortId);
 
-/// A parallel discrete-event simulation composed of sharded domains.
+/// A caller's observability sink paired with the per-domain staging
+/// buffers that feed it (index-aligned with the domains).
+type Staged<T> = Option<(Arc<T>, Vec<Arc<T>>)>;
+
+/// A discrete-event simulation partitioned into domains.
 ///
 /// Build domains with [`ShardedSim::add_domain`], populate each through
 /// [`ShardedSim::domain_mut`] exactly like a standalone [`Simulator`], join
-/// them with [`ShardedSim::connect_cross`], then [`ShardedSim::run`] with
-/// any thread count — results are byte-identical regardless.
+/// them with [`ShardedSim::connect_cross`], then [`ShardedSim::run`] (or
+/// step with [`ShardedSim::run_until`]) with any thread count — results are
+/// byte-identical regardless. A partition of one domain is the degenerate
+/// case: no cut, no barrier, and every export is that of the bare
+/// [`Simulator`].
 pub struct ShardedSim {
     domains: Vec<Simulator>,
     /// Minimum cross-link latency (propagation + receiver overhead); the
-    /// conservative lookahead bound. `None` until the first cross link.
+    /// conservative lookahead bound. `None` while the partition has no cut.
     lookahead: Option<SimDuration>,
-    /// Per-domain in-memory traces (same length as `domains`) when tracing;
-    /// merged into `user_trace` when the run completes.
-    domain_traces: Vec<Arc<Trace>>,
-    user_trace: Option<Arc<Trace>>,
-    /// Per-domain telemetry series when sampling; merged into
-    /// `user_timeseries` in domain order when the run completes.
-    domain_timeseries: Vec<Arc<Timeseries>>,
-    user_timeseries: Option<Arc<Timeseries>>,
+    /// `Some` only with several domains: one domain records straight into
+    /// the caller's sink.
+    trace: Staged<Trace>,
+    timeseries: Staged<Timeseries>,
 }
 
 impl Default for ShardedSim {
@@ -127,16 +145,17 @@ impl ShardedSim {
         ShardedSim {
             domains: Vec::new(),
             lookahead: None,
-            domain_traces: Vec::new(),
-            user_trace: None,
-            domain_timeseries: Vec::new(),
-            user_timeseries: None,
+            trace: None,
+            timeseries: None,
         }
     }
 
     /// Adds an empty domain and returns its index.
     pub fn add_domain(&mut self) -> usize {
-        self.domains.push(Simulator::new());
+        // A partition is laid out once: no spare slots (a `Simulator` is
+        // close to a kilobyte, and `push` would start at four of them).
+        self.domains.reserve_exact(1);
+        self.domains.push(Simulator::in_domain(self.domains.len()));
         self.domains.len() - 1
     }
 
@@ -184,17 +203,14 @@ impl ShardedSim {
             da, db,
             "connect_cross joins two different domains; use Simulator::connect within one"
         );
-        let latency_a = spec.propagation + self.domains[db].node_rx_overhead(nb);
-        let latency_b = spec.propagation + self.domains[da].node_rx_overhead(na);
-        let min_latency = latency_a.min(latency_b);
+        let rx_a = self.domains[da].node_rx_overhead(na);
+        let rx_b = self.domains[db].node_rx_overhead(nb);
+        let min_latency = spec.propagation + rx_a.min(rx_b);
         assert!(
             min_latency > SimDuration::ZERO,
             "cross-domain links need positive propagation + rx overhead (lookahead bound)"
         );
-        self.lookahead = Some(match self.lookahead {
-            Some(l) => l.min(min_latency),
-            None => min_latency,
-        });
+        self.lookahead = Some(self.lookahead.map_or(min_latency, |l| l.min(min_latency)));
         // The ports bound on each side must reference each other, and a
         // half-link occupies the next free port on its node — so both sides'
         // port numbers are known before either half-link exists.
@@ -202,8 +218,6 @@ impl ShardedSim {
         let pb = PortId::new(self.domains[db].port_count_of(nb));
         let label_a = self.domains[da].node_label(na).to_owned();
         let label_b = self.domains[db].node_label(nb).to_owned();
-        let rx_a = self.domains[da].node_rx_overhead(na);
-        let rx_b = self.domains[db].node_rx_overhead(nb);
         let (la, pa_actual) = self.domains[da].connect_remote(
             na,
             spec,
@@ -231,45 +245,53 @@ impl ShardedSim {
         ((la, pa), (lb, pb))
     }
 
-    /// Installs a causal trace sink for the whole sharded run.
+    /// Installs a causal trace sink for the whole run.
     ///
-    /// Each domain records into a private in-memory buffer during the run
-    /// (streaming directly to a shared sink would interleave domains
-    /// nondeterministically); when [`ShardedSim::run`] completes, the
-    /// buffers are merged into `trace` in `(time, domain)` order, which
-    /// preserves streaming/bounding behaviour the caller configured on it.
-    /// Span IDs are disjoint per domain (see `SPAN_ID_STRIDE`).
+    /// A lone domain records straight into `trace`. Several domains each
+    /// record into a private in-memory buffer (streaming directly to a
+    /// shared sink would interleave domains nondeterministically); every
+    /// time [`ShardedSim::run_until`] returns, the buffers are drained into
+    /// `trace` in `(time, domain)` order, which preserves the
+    /// streaming/bounding behaviour the caller configured on it. Span IDs
+    /// are disjoint per domain (see `SPAN_ID_STRIDE`).
     ///
-    /// Call after every domain has been added and before the first `run`.
+    /// Call after every domain has been added and before the first run.
     pub fn set_trace(&mut self, trace: Arc<Trace>) {
-        self.domain_traces = (0..self.domains.len())
-            .map(|d| Arc::new(Trace::new().with_span_start((d as u64 + 1) * SPAN_ID_STRIDE)))
+        if let [only] = &mut self.domains[..] {
+            return only.set_trace(trace);
+        }
+        let staged: Vec<_> = (1..=self.domains.len() as u64)
+            .map(|d| Arc::new(Trace::new().with_span_start(d * SPAN_ID_STRIDE)))
             .collect();
-        for (sim, t) in self.domains.iter_mut().zip(&self.domain_traces) {
+        for (sim, t) in self.domains.iter_mut().zip(&staged) {
             sim.set_trace(Arc::clone(t));
         }
-        self.user_trace = Some(trace);
+        self.trace = Some((trace, staged));
     }
 
-    /// Installs a counter-track telemetry sink for the whole sharded run.
+    /// Installs a counter-track telemetry sink for the whole run.
     ///
-    /// Mirrors [`ShardedSim::set_trace`]: each domain samples into a
-    /// private [`Timeseries`] (a shared instance would interleave domains
-    /// nondeterministically under threads); when [`ShardedSim::run`]
-    /// completes, the per-domain series merge into `ts` in ascending domain
-    /// order. Track names are globally unique (node labels and domain
-    /// indices disambiguate), so the merged export is byte-identical for
-    /// every thread count.
+    /// Mirrors [`ShardedSim::set_trace`]: a lone domain samples straight
+    /// into `ts`; several domains each sample into a private
+    /// [`Timeseries`] (a shared instance would interleave domains
+    /// nondeterministically under threads), drained into `ts` in ascending
+    /// domain order every time [`ShardedSim::run_until`] returns. Track
+    /// names are globally unique (node labels, run-unique link identities
+    /// and domain indices disambiguate), so the merged export is
+    /// byte-identical for every thread count.
     ///
-    /// Call after every domain has been added and before the first `run`.
+    /// Call after every domain has been added and before the first run.
     pub fn set_timeseries(&mut self, ts: Arc<Timeseries>) {
-        self.domain_timeseries = (0..self.domains.len())
+        if let [only] = &mut self.domains[..] {
+            return only.set_timeseries(ts);
+        }
+        let staged: Vec<_> = (0..self.domains.len())
             .map(|_| Arc::new(Timeseries::new(ts.interval_ns())))
             .collect();
-        for (sim, t) in self.domains.iter_mut().zip(&self.domain_timeseries) {
+        for (sim, t) in self.domains.iter_mut().zip(&staged) {
             sim.set_timeseries(Arc::clone(t));
         }
-        self.user_timeseries = Some(ts);
+        self.timeseries = Some((ts, staged));
     }
 
     /// Caps the number of events each domain may process; exceeding it
@@ -281,6 +303,14 @@ impl ShardedSim {
         }
     }
 
+    /// Declares which tenant the whole partition belongs to (see
+    /// [`Simulator::set_tenant`]).
+    pub fn set_tenant(&mut self, tenant: u64) {
+        for sim in &mut self.domains {
+            sim.set_tenant(tenant);
+        }
+    }
+
     /// The global simulation clock: the furthest any domain has advanced.
     pub fn now(&self) -> SimTime {
         self.domains
@@ -288,6 +318,14 @@ impl ShardedSim {
             .map(|s| s.now())
             .max()
             .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Whether no domain has a pending event: a run driven in
+    /// [`ShardedSim::run_until`] slices is finished exactly when this turns
+    /// true (crossings are handed over before every return, so none is in
+    /// limbo between slices).
+    pub fn is_idle(&mut self) -> bool {
+        self.domains.iter_mut().all(|s| s.is_idle())
     }
 
     /// Aggregate statistics summed across domains (`max_link_backlog` takes
@@ -310,11 +348,15 @@ impl ShardedSim {
         merged
     }
 
-    /// Deterministic JSON snapshot mirroring [`Simulator::metrics_json`]:
-    /// engine summary (global clock, summed event counts, total links and
-    /// nodes, plus the domain and thread-independence metadata) and the
-    /// merged metric registry.
+    /// Deterministic JSON snapshot. A lone domain renders exactly
+    /// [`Simulator::metrics_json`]; a partition with several renders the
+    /// same engine summary over all of them (global clock, summed event
+    /// counts, total links and nodes) plus what only a cut has — domain
+    /// count, lookahead, epochs, barrier stall — and the merged registry.
     pub fn metrics_json(&self) -> JsonValue {
+        if let [only] = &self.domains[..] {
+            return only.metrics_json();
+        }
         let now = self.now();
         let stats = self.stats();
         let mut engine = JsonValue::empty_object();
@@ -348,56 +390,64 @@ impl ShardedSim {
         root
     }
 
-    /// Runs every domain to quiescence using up to `threads` worker
-    /// threads, then merges per-domain traces into the caller's sink.
-    /// Returns the final global clock.
+    /// Runs every domain to quiescence: [`ShardedSim::run_until`] with no
+    /// deadline.
+    pub fn run(&mut self, threads: usize) -> SimTime {
+        self.run_until(SimTime::MAX, threads)
+    }
+
+    /// Processes every event up to and including `deadline` (later ones
+    /// stay queued) using up to `threads` worker threads, then drains the
+    /// per-domain trace and telemetry buffers into the caller's sinks.
+    /// Returns the global clock.
     ///
     /// The thread count caps actual parallelism at the domain count and is
     /// *never* part of the simulation semantics — see the module docs for
-    /// the determinism argument.
-    pub fn run(&mut self, threads: usize) -> SimTime {
+    /// the determinism argument. The deadline *is*: it clamps the epoch
+    /// that straddles it, so a run paused at given deadlines replays
+    /// byte-identically for those deadlines at any thread count, but its
+    /// epoch accounting (and same-nanosecond ties between a crossing and a
+    /// local event) can differ from the same run paused elsewhere or not
+    /// at all.
+    pub fn run_until(&mut self, deadline: SimTime, threads: usize) -> SimTime {
         assert!(threads >= 1, "need at least one worker thread");
-        if !self.domains.is_empty() {
-            let lookahead = self
-                .lookahead
-                .map_or(u64::MAX, |l| l.as_nanos().max(1))
-                .max(1);
-            let threads = threads.min(self.domains.len());
-            if threads == 1 {
-                self.run_epochs_sequential(lookahead);
-            } else {
-                self.run_epochs_parallel(lookahead, threads);
-            }
+        let epochs = Epochs {
+            lookahead: self.lookahead.map(|l| l.as_nanos()),
+            deadline: deadline.as_nanos(),
+        };
+        let threads = threads.min(self.domains.len());
+        if threads > 1 {
+            self.run_epochs_parallel(epochs, threads);
+        } else {
+            self.run_epochs_sequential(epochs);
         }
-        self.merge_traces();
-        self.merge_timeseries();
+        self.drain_traces();
+        if let Some((user, staged)) = &self.timeseries {
+            // Ascending domain order; track names are disjoint across
+            // domains, so this is a union independent of thread count.
+            staged.iter().for_each(|ts| ts.drain_into(user));
+        }
         self.now()
     }
 
     /// Single-threaded epoch loop: the reference semantics the parallel
     /// path must (and does) reproduce exactly.
-    fn run_epochs_sequential(&mut self, lookahead: u64) {
+    fn run_epochs_sequential(&mut self, epochs: Epochs) {
         loop {
             let t_min = self
                 .domains
                 .iter_mut()
                 .filter_map(|s| s.next_event_at())
-                .min();
-            let Some(t_min) = t_min else { break };
-            let horizon = t_min.saturating_add(lookahead);
-            let mut crossings: Vec<(u64, usize, CrossMsg)> = Vec::new();
+                .min()
+                .unwrap_or(IDLE);
+            let Some(horizon) = epochs.horizon(t_min) else {
+                break;
+            };
+            let mut crossings = Vec::new();
             for (d, sim) in self.domains.iter_mut().enumerate() {
-                let epoch_start_events = sim.stats().events_processed;
-                sim.run_until_before(horizon);
-                sim.record_epoch(d, t_min, horizon, epoch_start_events);
-                crossings.extend(
-                    sim.take_outbox()
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, m)| (i as u64, d, m)),
-                );
+                crossings.extend(epochs.run_domain(d, sim, t_min, horizon));
             }
-            deliver_crossings(&mut self.domains, crossings);
+            deliver_crossings(&mut self.domains, 0, crossings);
         }
     }
 
@@ -407,7 +457,7 @@ impl ShardedSim {
     /// domains, and applies the (globally sorted) boundary merge to its own
     /// domains only — so no value anywhere depends on which worker ran
     /// first.
-    fn run_epochs_parallel(&mut self, lookahead: u64, threads: usize) {
+    fn run_epochs_parallel(&mut self, epochs: Epochs, threads: usize) {
         let n = self.domains.len();
         // Contiguous balanced chunks: first `n % threads` workers get one
         // extra domain. The assignment affects load balance only.
@@ -419,9 +469,9 @@ impl ShardedSim {
             bounds.push(bounds[w] + base + usize::from(w < extra));
         }
         // One slot per worker: the crossings its chunk emitted this epoch,
-        // as `(arrival_ns, global domain index, claimable message)`.
+        // as `(send index, global domain index, claimable message)`.
         type OutboxSlot = Mutex<Vec<(u64, usize, Option<CrossMsg>)>>;
-        let mins: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let mins: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(IDLE)).collect();
         let outboxes: Vec<OutboxSlot> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
         let barrier = Barrier::new(threads);
 
@@ -439,14 +489,13 @@ impl ShardedSim {
                 let outboxes = &outboxes;
                 let barrier = &barrier;
                 scope.spawn(move || {
-                    let chunk_base = chunk_base;
                     let chunk_len = chunk.len();
                     loop {
                         let local_min = chunk
                             .iter_mut()
                             .filter_map(|s| s.next_event_at())
                             .min()
-                            .unwrap_or(u64::MAX);
+                            .unwrap_or(IDLE);
                         mins[w].store(local_min, Ordering::Relaxed);
                         barrier.wait();
                         let t_min = mins
@@ -454,21 +503,15 @@ impl ShardedSim {
                             .map(|m| m.load(Ordering::Relaxed))
                             .min()
                             .expect("at least one worker");
-                        if t_min == u64::MAX {
+                        let Some(horizon) = epochs.horizon(t_min) else {
                             break;
-                        }
-                        let horizon = t_min.saturating_add(lookahead);
+                        };
                         let mut sent = Vec::new();
                         for (i, sim) in chunk.iter_mut().enumerate() {
-                            let d = chunk_base + i;
-                            let epoch_start_events = sim.stats().events_processed;
-                            sim.run_until_before(horizon);
-                            sim.record_epoch(d, t_min, horizon, epoch_start_events);
                             sent.extend(
-                                sim.take_outbox()
-                                    .into_iter()
-                                    .enumerate()
-                                    .map(|(j, m)| (j as u64, d, Some(m))),
+                                epochs
+                                    .run_domain(chunk_base + i, sim, t_min, horizon)
+                                    .map(|(j, d, m)| (j, d, Some(m))),
                             );
                         }
                         *outboxes[w].lock().expect("outbox lock") = sent;
@@ -490,7 +533,7 @@ impl ShardedSim {
                                 }
                             }
                         }
-                        deliver_crossings_offset(&mut *chunk, chunk_base, mine);
+                        deliver_crossings(&mut *chunk, chunk_base, mine);
                         // Third barrier: nobody may overwrite an outbox slot
                         // for the next epoch while another worker still
                         // scans it.
@@ -501,56 +544,84 @@ impl ShardedSim {
         });
     }
 
-    /// Merges per-domain trace buffers into the user's sink in
+    /// Drains the per-domain trace buffers into the caller's sink in
     /// `(time, domain, per-domain order)` order. Within a domain the buffer
     /// is already time-sorted (each domain's clock is monotone), so a
     /// stable k-way merge by timestamp with the domain index as tiebreak
-    /// yields one deterministic, time-sorted stream.
-    fn merge_traces(&mut self) {
-        let Some(user) = self.user_trace.as_ref() else {
+    /// yields one deterministic, time-sorted stream; and every event up to
+    /// the deadline just reached is in a buffer now, so successive drains
+    /// concatenate into one too.
+    fn drain_traces(&self) {
+        let Some((user, staged)) = &self.trace else {
             return;
         };
-        let buffers: Vec<Vec<TraceEvent>> =
-            self.domain_traces.iter().map(|t| t.snapshot()).collect();
-        let mut cursors = vec![0usize; buffers.len()];
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (d, buf) in buffers.iter().enumerate() {
-                if let Some(ev) = buf.get(cursors[d]) {
-                    if best.is_none_or(|(t, _)| ev.t_ns < t) {
-                        best = Some((ev.t_ns, d));
-                    }
-                }
-            }
-            let Some((_, d)) = best else { break };
-            user.record(buffers[d][cursors[d]].clone());
-            cursors[d] += 1;
-        }
-    }
-
-    /// Folds per-domain telemetry series into the user's sink in ascending
-    /// domain order. Track names are globally unique across domains, so the
-    /// merge is a disjoint union; [`Timeseries::merge_from`] re-sorts each
-    /// track by time, making the result independent of thread count.
-    fn merge_timeseries(&mut self) {
-        let Some(user) = self.user_timeseries.as_ref() else {
-            return;
-        };
-        for ts in &self.domain_timeseries {
-            user.merge_from(ts);
+        let mut buffers: Vec<_> = staged
+            .iter()
+            .map(|t| t.drain().into_iter().peekable())
+            .collect();
+        while let Some((_, d)) = buffers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(d, buf)| buf.peek().map(|ev| (ev.t_ns, d)))
+            .min()
+        {
+            user.record(buffers[d].next().expect("peeked"));
         }
     }
 }
 
-/// Applies a batch of boundary crossings to `domains` in the global
-/// deterministic order `(arrival, source domain, per-domain send index)`.
-fn deliver_crossings(domains: &mut [Simulator], crossings: Vec<(u64, usize, CrossMsg)>) {
-    deliver_crossings_offset(domains, 0, crossings)
+/// `t_min` when no domain has a pending event.
+const IDLE: u64 = u64::MAX;
+
+/// The epoch schedule of one [`ShardedSim::run_until`] drive.
+#[derive(Clone, Copy)]
+struct Epochs {
+    /// The lookahead bound in nanoseconds; `None` without a cut.
+    lookahead: Option<u64>,
+    /// Last instant to process, in nanoseconds.
+    deadline: u64,
 }
 
-/// Same as [`deliver_crossings`], for a contiguous chunk of domains
-/// starting at global index `base`. Messages outside the chunk are a bug.
-fn deliver_crossings_offset(
+impl Epochs {
+    /// The one horizon rule: the epoch opening at `t_min` (the earliest
+    /// pending event anywhere) runs to `min(t_min + L, deadline + 1 ns)`,
+    /// exclusive. `None` ends the drive: nothing is pending, or nothing at
+    /// or before the deadline. Without a cut `L` is unbounded, so the whole
+    /// drive is one epoch.
+    fn horizon(&self, t_min: u64) -> Option<u64> {
+        (t_min != IDLE && t_min <= self.deadline).then(|| {
+            t_min
+                .saturating_add(self.lookahead.unwrap_or(u64::MAX))
+                .min(self.deadline.saturating_add(1))
+        })
+    }
+
+    /// Runs domain `d` through the epoch `[t_min, horizon)`, books the
+    /// epoch (a partition without a cut has no barrier to account for) and
+    /// returns what the domain sent across the cut, keyed for the merge as
+    /// `(per-domain send index, source domain, message)`.
+    fn run_domain(
+        &self,
+        d: usize,
+        sim: &mut Simulator,
+        t_min: u64,
+        horizon: u64,
+    ) -> impl Iterator<Item = (u64, usize, CrossMsg)> {
+        let events_before = sim.stats().events_processed;
+        sim.run_until_before(horizon);
+        if self.lookahead.is_some() {
+            sim.record_epoch(d, t_min, horizon, events_before);
+        }
+        let sent = sim.take_outbox().into_iter().enumerate();
+        sent.map(move |(i, m)| (i as u64, d, m))
+    }
+}
+
+/// Applies a batch of boundary crossings to `domains` — a contiguous chunk
+/// starting at global index `base`; messages outside it are a bug — in the
+/// global deterministic order `(arrival, source domain, per-domain send
+/// index)`.
+fn deliver_crossings(
     domains: &mut [Simulator],
     base: usize,
     mut crossings: Vec<(u64, usize, CrossMsg)>,

@@ -1,11 +1,19 @@
 //! Topology builders for the paper's deployment shapes.
 //!
-//! Two shapes cover the whole evaluation:
+//! Four shapes cover the whole evaluation:
 //!
 //! * a **star** — all workers (plus, for the PS baseline, a parameter
-//!   server) hang off one switch (paper Fig. 1), and
+//!   server) hang off one switch (paper Fig. 1),
 //! * a **two-layer tree** — racks of workers under ToR switches joined by a
-//!   core switch (paper Fig. 10), used for the rack-scale scalability study.
+//!   core switch, used for the rack-scale scalability study,
+//! * a **three-level tree** — ToR/AGG/Core, the full hierarchy of the
+//!   paper's Fig. 10, and
+//! * a **fat-tree** — that same three-level hierarchy with each AGG subtree
+//!   (pod) cut into its own [`ShardedSim`] domain.
+//!
+//! Every rack is wired by one helper and the three-level hierarchy by one
+//! builder; the last two shapes differ only in where the builder is told
+//! to put the pods.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,15 +79,64 @@ pub struct Star {
     pub host_links: Vec<LinkId>,
 }
 
-impl Star {
-    /// The (trivial) domain partition: a star has no inter-switch link to
-    /// cut, so the whole topology is one domain. Metadata only; see
-    /// [`Tree::domain_partition`].
-    pub fn domain_partition(&self) -> Vec<Vec<NodeId>> {
-        let mut all = vec![self.switch];
-        all.extend_from_slice(&self.hosts);
-        vec![all]
+/// Adds a switch labelled `label`, carrying `ext` if one is given (this is
+/// how the iSwitch accelerator is deployed). Routes are installed later.
+fn add_switch(
+    sim: &mut Simulator,
+    label: String,
+    ext: Option<Box<dyn SwitchExtension>>,
+    cfg: &TopologyConfig,
+) -> NodeId {
+    let dev = match ext {
+        Some(e) => Switch::with_extension(RouteTable::new(), e),
+        None => Switch::new(RouteTable::new()),
+    };
+    sim.add_node(
+        Box::new(dev),
+        NodeOpts::new(label).with_rx_overhead(cfg.switch_latency),
+    )
+}
+
+/// The hosts hung off one switch by edge links, in port order.
+#[derive(Default)]
+struct Attached {
+    hosts: Vec<NodeId>,
+    ips: Vec<IpAddr>,
+    links: Vec<LinkId>,
+    /// Switch port facing each host.
+    ports: Vec<PortId>,
+    /// Host routes of the switch.
+    routes: RouteTable,
+}
+
+/// Hangs one host per app off `switch`: host `i` is labelled by `label(i)`,
+/// gets IP `10.0.rack.(i+1)` and faces the switch's next free port.
+fn attach_hosts(
+    sim: &mut Simulator,
+    switch: NodeId,
+    rack: usize,
+    label: impl Fn(usize) -> String,
+    apps: Vec<Box<dyn HostApp>>,
+    cfg: &TopologyConfig,
+) -> Attached {
+    let mut at = Attached::default();
+    for (i, app) in apps.into_iter().enumerate() {
+        let ip = host_ip(rack, i);
+        let node = sim.add_node(
+            Box::new(Host::new(ip, app)),
+            NodeOpts::new(label(i))
+                .with_tx_overhead(cfg.host_tx_overhead)
+                .with_backpressure()
+                .with_rx_overhead(cfg.host_rx_overhead),
+        );
+        let (link, _, port) = sim.connect(node, switch, &cfg.edge);
+        at.routes.add(ip, port);
+        at.hosts.push(node);
+        at.ips.push(ip);
+        at.links.push(link);
+        at.ports.push(port);
     }
+    at
 }
 
 /// Builds a star: one switch with `apps.len()` hosts attached by edge links.
@@ -92,47 +149,20 @@ pub fn build_star(
     ext: Option<Box<dyn SwitchExtension>>,
     cfg: &TopologyConfig,
 ) -> Star {
-    let switch_dev = match ext {
-        Some(e) => Switch::with_extension(RouteTable::new(), e),
-        None => Switch::new(RouteTable::new()),
-    };
-    let switch = sim.add_node(
-        Box::new(switch_dev),
-        NodeOpts::new("switch").with_rx_overhead(cfg.switch_latency),
-    );
-    let mut hosts = Vec::new();
-    let mut host_ips = Vec::new();
-    let mut switch_ports = Vec::new();
-    let mut host_links = Vec::new();
-    let mut routes = RouteTable::new();
-    for (i, app) in apps.into_iter().enumerate() {
-        let ip = host_ip(0, i);
-        let node = sim.add_node(
-            Box::new(Host::new(ip, app)),
-            NodeOpts::new(format!("host{i}"))
-                .with_tx_overhead(cfg.host_tx_overhead)
-                .with_backpressure()
-                .with_rx_overhead(cfg.host_rx_overhead),
-        );
-        let (link, _, sw_port) = sim.connect(node, switch, &cfg.edge);
-        routes.add(ip, sw_port);
-        hosts.push(node);
-        host_ips.push(ip);
-        switch_ports.push(sw_port);
-        host_links.push(link);
-    }
-    *sim.device_mut::<Switch>(switch).routes_mut() = routes;
+    let switch = add_switch(sim, "switch".to_owned(), ext, cfg);
+    let at = attach_hosts(sim, switch, 0, |i| format!("host{i}"), apps, cfg);
+    *sim.device_mut::<Switch>(switch).routes_mut() = at.routes;
     Star {
         switch,
-        hosts,
-        host_ips,
-        switch_ports,
-        host_links,
+        hosts: at.hosts,
+        host_ips: at.ips,
+        switch_ports: at.ports,
+        host_links: at.links,
     }
 }
 
 /// Which switch an extension is being created for in [`build_tree`] /
-/// [`build_tree3`].
+/// [`build_tree3`] / [`build_fattree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchRole {
     /// Top-of-rack switch for (global) rack index.
@@ -141,6 +171,47 @@ pub enum SwitchRole {
     Agg(usize),
     /// The core (root) switch.
     Core,
+}
+
+/// One rack wired under its parent switch.
+struct Rack {
+    tor: NodeId,
+    hosts: Vec<NodeId>,
+    ips: Vec<IpAddr>,
+    host_links: Vec<LinkId>,
+    /// The ToR-to-parent uplink, the ToR port it leaves by and the parent
+    /// port it arrives at.
+    uplink: LinkId,
+    tor_up: PortId,
+    parent_down: PortId,
+}
+
+/// The one rack-wiring loop: ToR `tor{r}` with host `i` (`r{r}h{i}`, IP
+/// `10.0.r.(i+1)`) on its port `i`, then — after the host ports, the
+/// convention extensions rely on — the uplink to `parent`, which becomes
+/// the ToR's default route.
+fn build_rack(
+    sim: &mut Simulator,
+    r: usize,
+    apps: Vec<Box<dyn HostApp>>,
+    ext: Option<Box<dyn SwitchExtension>>,
+    parent: NodeId,
+    cfg: &TopologyConfig,
+) -> Rack {
+    let tor = add_switch(sim, format!("tor{r}"), ext, cfg);
+    let mut at = attach_hosts(sim, tor, r, |i| format!("r{r}h{i}"), apps, cfg);
+    let (uplink, tor_up, parent_down) = sim.connect(tor, parent, &cfg.uplink);
+    at.routes.set_default(tor_up);
+    *sim.device_mut::<Switch>(tor).routes_mut() = at.routes;
+    Rack {
+        tor,
+        hosts: at.hosts,
+        ips: at.ips,
+        host_links: at.links,
+        uplink,
+        tor_up,
+        parent_down,
+    }
 }
 
 /// Handles to a two-layer tree built by [`build_tree`].
@@ -169,20 +240,6 @@ impl Tree {
     pub fn all_hosts(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.hosts.iter().flatten().copied()
     }
-
-    /// The natural domain partition for sharded execution: one domain per
-    /// rack subtree (ToR + its hosts) plus one for the core. Metadata only —
-    /// nodes of one [`Simulator`] cannot be re-sharded after construction;
-    /// [`build_fattree`] builds the sharded equivalent directly.
-    pub fn domain_partition(&self) -> Vec<Vec<NodeId>> {
-        let mut parts = vec![vec![self.core]];
-        for (tor, rack) in self.tors.iter().zip(&self.hosts) {
-            let mut p = vec![*tor];
-            p.extend_from_slice(rack);
-            parts.push(p);
-        }
-        parts
-    }
 }
 
 /// Builds a two-layer tree: a core switch over `rack_apps.len()` ToR
@@ -198,82 +255,38 @@ pub fn build_tree(
     mk_ext: &mut dyn FnMut(SwitchRole) -> Option<Box<dyn SwitchExtension>>,
     cfg: &TopologyConfig,
 ) -> Tree {
-    let core_dev = match mk_ext(SwitchRole::Core) {
-        Some(e) => Switch::with_extension(RouteTable::new(), e),
-        None => Switch::new(RouteTable::new()),
-    };
-    let core = sim.add_node(
-        Box::new(core_dev),
-        NodeOpts::new("core").with_rx_overhead(cfg.switch_latency),
-    );
-
-    let mut tors = Vec::new();
-    let mut hosts = Vec::new();
-    let mut host_ips = Vec::new();
-    let mut tor_uplink = Vec::new();
-    let mut core_downlink = Vec::new();
-    let mut host_links = Vec::new();
-    let mut uplink_links = Vec::new();
+    let core = add_switch(sim, "core".to_owned(), mk_ext(SwitchRole::Core), cfg);
     let mut core_routes = RouteTable::new();
-
+    let mut tree = Tree {
+        core,
+        tors: Vec::new(),
+        hosts: Vec::new(),
+        host_ips: Vec::new(),
+        tor_uplink: Vec::new(),
+        core_downlink: Vec::new(),
+        host_links: Vec::new(),
+        uplink_links: Vec::new(),
+    };
     for (r, apps) in rack_apps.into_iter().enumerate() {
-        let tor_dev = match mk_ext(SwitchRole::Tor(r)) {
-            Some(e) => Switch::with_extension(RouteTable::new(), e),
-            None => Switch::new(RouteTable::new()),
-        };
-        let tor = sim.add_node(
-            Box::new(tor_dev),
-            NodeOpts::new(format!("tor{r}")).with_rx_overhead(cfg.switch_latency),
-        );
-        let mut tor_routes = RouteTable::new();
-        let mut rack_hosts = Vec::new();
-        let mut rack_ips = Vec::new();
-        let mut rack_links = Vec::new();
-        for (i, app) in apps.into_iter().enumerate() {
-            let ip = host_ip(r, i);
-            let node = sim.add_node(
-                Box::new(Host::new(ip, app)),
-                NodeOpts::new(format!("r{r}h{i}"))
-                    .with_tx_overhead(cfg.host_tx_overhead)
-                    .with_backpressure()
-                    .with_rx_overhead(cfg.host_rx_overhead),
-            );
-            let (link, _, tor_port) = sim.connect(node, tor, &cfg.edge);
-            tor_routes.add(ip, tor_port);
-            rack_hosts.push(node);
-            rack_ips.push(ip);
-            rack_links.push(link);
+        let rack = build_rack(sim, r, apps, mk_ext(SwitchRole::Tor(r)), core, cfg);
+        for ip in &rack.ips {
+            core_routes.add(*ip, rack.parent_down);
         }
-        // Uplink after host ports so host i <-> ToR port i.
-        let (up_link, tor_up, core_down) = sim.connect(tor, core, &cfg.uplink);
-        tor_routes.set_default(tor_up);
-        for ip in &rack_ips {
-            core_routes.add(*ip, core_down);
-        }
-        *sim.device_mut::<Switch>(tor).routes_mut() = tor_routes;
-        tors.push(tor);
-        hosts.push(rack_hosts);
-        host_ips.push(rack_ips);
-        tor_uplink.push(tor_up);
-        core_downlink.push(core_down);
-        host_links.push(rack_links);
-        uplink_links.push(up_link);
+        tree.tors.push(rack.tor);
+        tree.hosts.push(rack.hosts);
+        tree.host_ips.push(rack.ips);
+        tree.tor_uplink.push(rack.tor_up);
+        tree.core_downlink.push(rack.parent_down);
+        tree.host_links.push(rack.host_links);
+        tree.uplink_links.push(rack.uplink);
     }
     *sim.device_mut::<Switch>(core).routes_mut() = core_routes;
-    Tree {
-        core,
-        tors,
-        hosts,
-        host_ips,
-        tor_uplink,
-        core_downlink,
-        host_links,
-        uplink_links,
-    }
+    tree
 }
 
-/// Handles to a three-level ToR/AGG/Core tree built by [`build_tree3`]
-/// (the full hierarchy of the paper's Fig. 10).
+/// Handles to a three-level ToR/AGG/Core tree (the full hierarchy of the
+/// paper's Fig. 10), built whole by [`build_tree3`] or cut into pods by
+/// [`build_fattree`].
 #[derive(Debug)]
 pub struct Tree3 {
     /// Root switch.
@@ -284,13 +297,15 @@ pub struct Tree3 {
     pub tors: Vec<Vec<NodeId>>,
     /// Hosts per (agg, tor).
     pub hosts: Vec<Vec<Vec<NodeId>>>,
-    /// Host IPs per (agg, tor).
+    /// Host IPs per (agg, tor); global rack indices run agg-major.
     pub host_ips: Vec<Vec<Vec<IpAddr>>>,
     /// Edge link of each host, per (agg, tor) — fault-plan targets.
     pub host_links: Vec<Vec<Vec<LinkId>>>,
     /// ToR-to-AGG uplinks per AGG (fault-plan targets).
     pub tor_uplinks: Vec<Vec<LinkId>>,
-    /// AGG-to-core uplinks (fault-plan targets).
+    /// AGG-to-core uplinks (fault-plan targets). On a fat-tree, the AGG's
+    /// half of the cross-domain link (the core's half is the reverse
+    /// direction, a separate link in the core's domain).
     pub agg_uplinks: Vec<LinkId>,
 }
 
@@ -299,127 +314,132 @@ impl Tree3 {
     pub fn all_hosts(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.hosts.iter().flatten().flatten().copied()
     }
+}
 
-    /// The natural domain partition for sharded execution: one domain per
-    /// AGG subtree (AGG + its ToRs + their hosts) plus one for the core —
-    /// the cut [`build_fattree`] realises as actual sharded domains.
-    /// Metadata only; see [`Tree::domain_partition`].
-    pub fn domain_partition(&self) -> Vec<Vec<NodeId>> {
-        let mut parts = vec![vec![self.core]];
-        for (a, agg) in self.aggs.iter().enumerate() {
-            let mut p = vec![*agg];
-            p.extend(self.tors[a].iter().copied());
-            p.extend(self.hosts[a].iter().flatten().copied());
-            parts.push(p);
+/// Where the three-level builder puts the hierarchy: whole in one
+/// simulator, or cut between the AGGs and the core.
+enum PodCut<'a> {
+    /// Every node in one simulator; AGG↔core links are ordinary uplinks.
+    Whole(&'a mut Simulator),
+    /// Core in domain [`Fattree::CORE_DOMAIN`], pod `a` in domain
+    /// [`Fattree::pod_domain`]`(a)`; AGG↔core links are cross-domain links
+    /// of the given spec.
+    Pods(&'a mut ShardedSim, &'a LinkSpec),
+}
+
+impl PodCut<'_> {
+    /// The simulator holding `domain` of the cut (the one there is, when
+    /// whole).
+    fn sim(&mut self, domain: usize) -> &mut Simulator {
+        match self {
+            PodCut::Whole(sim) => sim,
+            PodCut::Pods(sharded, _) => sharded.domain_mut(domain),
         }
-        parts
+    }
+
+    /// Joins pod `a`'s AGG to the core. Returns the AGG's (half of the)
+    /// link, the AGG port it leaves by and the core port it arrives at.
+    fn join(
+        &mut self,
+        a: usize,
+        agg: NodeId,
+        core: NodeId,
+        uplink: &LinkSpec,
+    ) -> (LinkId, PortId, PortId) {
+        match self {
+            PodCut::Whole(sim) => sim.connect(agg, core, uplink),
+            PodCut::Pods(sharded, spec) => {
+                let ((_, core_down), (agg_link, agg_up)) = sharded.connect_cross(
+                    (Fattree::CORE_DOMAIN, core),
+                    (Fattree::pod_domain(a), agg),
+                    spec,
+                );
+                (agg_link, agg_up, core_down)
+            }
+        }
     }
 }
 
-/// Builds a three-level tree: a core switch over AGG switches, each over
+/// The one three-level builder: a core switch over AGG switches, each over
 /// ToR switches, each over its workers. `apps[a][t]` holds the worker apps
-/// of ToR `t` under AGG `a`; global rack indices run agg-major. Port
-/// layout on every switch: children first (in order), then the uplink —
-/// so an extension's uplink port equals its child count.
+/// of ToR `t` under AGG `a`; global rack indices run agg-major. Port layout
+/// on every switch: children first (in order), then the uplink — so an
+/// extension's uplink port equals its child count, and core port `a` faces
+/// pod `a`.
+fn build_three_level(
+    mut cut: PodCut<'_>,
+    apps: Vec<Vec<Vec<Box<dyn HostApp>>>>,
+    mk_ext: &mut dyn FnMut(SwitchRole) -> Option<Box<dyn SwitchExtension>>,
+    cfg: &TopologyConfig,
+) -> Tree3 {
+    let core_ext = mk_ext(SwitchRole::Core);
+    let core = add_switch(
+        cut.sim(Fattree::CORE_DOMAIN),
+        "core".to_owned(),
+        core_ext,
+        cfg,
+    );
+    let mut core_routes = RouteTable::new();
+    let mut tree = Tree3 {
+        core,
+        aggs: Vec::new(),
+        tors: Vec::new(),
+        hosts: Vec::new(),
+        host_ips: Vec::new(),
+        host_links: Vec::new(),
+        tor_uplinks: Vec::new(),
+        agg_uplinks: Vec::new(),
+    };
+    let mut r = 0usize;
+    for (a, agg_apps) in apps.into_iter().enumerate() {
+        let sim = cut.sim(Fattree::pod_domain(a));
+        let agg = add_switch(sim, format!("agg{a}"), mk_ext(SwitchRole::Agg(a)), cfg);
+        let mut agg_routes = RouteTable::new();
+        let (mut tors, mut hosts, mut ips) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut host_links, mut tor_uplinks) = (Vec::new(), Vec::new());
+        for tor_apps in agg_apps {
+            let rack = build_rack(sim, r, tor_apps, mk_ext(SwitchRole::Tor(r)), agg, cfg);
+            for ip in &rack.ips {
+                agg_routes.add(*ip, rack.parent_down);
+            }
+            tors.push(rack.tor);
+            hosts.push(rack.hosts);
+            ips.push(rack.ips);
+            host_links.push(rack.host_links);
+            tor_uplinks.push(rack.uplink);
+            r += 1;
+        }
+        let (agg_link, agg_up, core_down) = cut.join(a, agg, core, &cfg.uplink);
+        agg_routes.set_default(agg_up);
+        for ip in ips.iter().flatten() {
+            core_routes.add(*ip, core_down);
+        }
+        *cut.sim(Fattree::pod_domain(a))
+            .device_mut::<Switch>(agg)
+            .routes_mut() = agg_routes;
+        tree.aggs.push(agg);
+        tree.tors.push(tors);
+        tree.hosts.push(hosts);
+        tree.host_ips.push(ips);
+        tree.host_links.push(host_links);
+        tree.tor_uplinks.push(tor_uplinks);
+        tree.agg_uplinks.push(agg_link);
+    }
+    *cut.sim(Fattree::CORE_DOMAIN)
+        .device_mut::<Switch>(core)
+        .routes_mut() = core_routes;
+    tree
+}
+
+/// Builds a three-level tree in one simulator (see `build_three_level` for
+/// the layout both this and [`build_fattree`] share).
 pub fn build_tree3(
     sim: &mut Simulator,
     apps: Vec<Vec<Vec<Box<dyn HostApp>>>>,
     mk_ext: &mut dyn FnMut(SwitchRole) -> Option<Box<dyn SwitchExtension>>,
     cfg: &TopologyConfig,
 ) -> Tree3 {
-    let mk_switch = |ext: Option<Box<dyn SwitchExtension>>| match ext {
-        Some(e) => Switch::with_extension(RouteTable::new(), e),
-        None => Switch::new(RouteTable::new()),
-    };
-    let core = sim.add_node(
-        Box::new(mk_switch(mk_ext(SwitchRole::Core))),
-        NodeOpts::new("core").with_rx_overhead(cfg.switch_latency),
-    );
-    let mut core_routes = RouteTable::new();
-    let mut aggs = Vec::new();
-    let mut tors = Vec::new();
-    let mut hosts = Vec::new();
-    let mut host_ips = Vec::new();
-    let mut host_links = Vec::new();
-    let mut tor_uplinks = Vec::new();
-    let mut agg_uplinks = Vec::new();
-    let mut global_rack = 0usize;
-
-    for (a, agg_apps) in apps.into_iter().enumerate() {
-        let agg = sim.add_node(
-            Box::new(mk_switch(mk_ext(SwitchRole::Agg(a)))),
-            NodeOpts::new(format!("agg{a}")).with_rx_overhead(cfg.switch_latency),
-        );
-        let mut agg_routes = RouteTable::new();
-        let mut agg_tors = Vec::new();
-        let mut agg_hosts = Vec::new();
-        let mut agg_ips = Vec::new();
-        let mut agg_host_links = Vec::new();
-        let mut agg_tor_uplinks = Vec::new();
-        for tor_apps in agg_apps {
-            let tor = sim.add_node(
-                Box::new(mk_switch(mk_ext(SwitchRole::Tor(global_rack)))),
-                NodeOpts::new(format!("tor{global_rack}")).with_rx_overhead(cfg.switch_latency),
-            );
-            let mut tor_routes = RouteTable::new();
-            let mut rack_hosts = Vec::new();
-            let mut rack_ips = Vec::new();
-            let mut rack_links = Vec::new();
-            for (i, app) in tor_apps.into_iter().enumerate() {
-                let ip = host_ip(global_rack, i);
-                let node = sim.add_node(
-                    Box::new(Host::new(ip, app)),
-                    NodeOpts::new(format!("r{global_rack}h{i}"))
-                        .with_tx_overhead(cfg.host_tx_overhead)
-                        .with_backpressure()
-                        .with_rx_overhead(cfg.host_rx_overhead),
-                );
-                let (link, _, tor_port) = sim.connect(node, tor, &cfg.edge);
-                tor_routes.add(ip, tor_port);
-                rack_hosts.push(node);
-                rack_ips.push(ip);
-                rack_links.push(link);
-            }
-            let (tor_up_link, tor_up, agg_down) = sim.connect(tor, agg, &cfg.uplink);
-            tor_routes.set_default(tor_up);
-            for ip in &rack_ips {
-                agg_routes.add(*ip, agg_down);
-            }
-            *sim.device_mut::<Switch>(tor).routes_mut() = tor_routes;
-            agg_tors.push(tor);
-            agg_hosts.push(rack_hosts);
-            agg_ips.push(rack_ips);
-            agg_host_links.push(rack_links);
-            agg_tor_uplinks.push(tor_up_link);
-            global_rack += 1;
-        }
-        let (agg_up_link, agg_up, core_down) = sim.connect(agg, core, &cfg.uplink);
-        agg_routes.set_default(agg_up);
-        for rack in &agg_ips {
-            for ip in rack {
-                core_routes.add(*ip, core_down);
-            }
-        }
-        *sim.device_mut::<Switch>(agg).routes_mut() = agg_routes;
-        aggs.push(agg);
-        tors.push(agg_tors);
-        hosts.push(agg_hosts);
-        host_ips.push(agg_ips);
-        host_links.push(agg_host_links);
-        tor_uplinks.push(agg_tor_uplinks);
-        agg_uplinks.push(agg_up_link);
-    }
-    *sim.device_mut::<Switch>(core).routes_mut() = core_routes;
-    Tree3 {
-        core,
-        aggs,
-        tors,
-        hosts,
-        host_ips,
-        host_links,
-        tor_uplinks,
-        agg_uplinks,
-    }
+    build_three_level(PodCut::Whole(sim), apps, mk_ext, cfg)
 }
 
 /// Shape of a sharded fat-tree built by [`build_fattree`]: `aggs` AGG
@@ -462,19 +482,11 @@ impl FattreeShape {
 /// ToRs, and their hosts).
 #[derive(Debug)]
 pub struct Fattree {
-    /// The shape the tree was built from.
-    pub shape: FattreeShape,
-    /// Root switch (lives in domain [`Fattree::CORE_DOMAIN`]).
-    pub core: NodeId,
-    /// AGG switch of each pod (in that pod's domain).
-    pub aggs: Vec<NodeId>,
-    /// ToR switches per pod.
-    pub tors: Vec<Vec<NodeId>>,
-    /// Hosts per (pod, rack).
-    pub hosts: Vec<Vec<Vec<NodeId>>>,
-    /// Host IPs per (pod, rack); global rack indices run pod-major, exactly
-    /// like [`build_tree3`].
-    pub host_ips: Vec<Vec<Vec<IpAddr>>>,
+    /// The hierarchy, exactly as [`build_tree3`] reports it — except that
+    /// every id is local to its domain: `core` lives in
+    /// [`Fattree::CORE_DOMAIN`], everything indexed by pod `a` in
+    /// [`Fattree::pod_domain`]`(a)`.
+    pub tree: Tree3,
 }
 
 impl Fattree {
@@ -489,25 +501,23 @@ impl Fattree {
     /// All `(domain, host node)` pairs, pod-major then rack-major — the
     /// same worker order as [`Tree3::all_hosts`].
     pub fn all_hosts(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
-        self.hosts
+        self.tree
+            .hosts
             .iter()
             .enumerate()
             .flat_map(|(a, pod)| pod.iter().flatten().map(move |h| (Self::pod_domain(a), *h)))
     }
 }
 
-/// Builds a fat-tree as *sharded domains* of a [`ShardedSim`]: structurally
-/// the same three-level ToR/AGG/Core hierarchy as [`build_tree3`] (same
-/// labels, IPs, per-switch port layout, and route tables), but each AGG
-/// subtree is its own simulation domain and the AGG↔Core uplinks are
-/// cross-domain links described by `core_uplink`. The lookahead bound is
-/// therefore `core_uplink.propagation + switch_latency` — pick a
-/// propagation matching the longer inter-pod fibre runs of a full-scale
-/// deployment (paper §3.4), which also widens the parallel epochs.
-///
-/// `apps[a][t]` holds the worker apps of ToR `t` in pod `a`; `mk_ext` is
-/// invoked once per switch exactly as in [`build_tree3`] (port numbering is
-/// identical, so the same extension configs apply).
+/// Builds a fat-tree as *sharded domains* of the (empty) `sharded`: the same
+/// three-level ToR/AGG/Core hierarchy as [`build_tree3`] (same labels, IPs,
+/// per-switch port layout, route tables and `mk_ext` calls, so the same
+/// extension configs apply), but each AGG subtree is its own simulation
+/// domain and the AGG↔Core uplinks are cross-domain links described by
+/// `core_uplink`. The lookahead bound is therefore
+/// `core_uplink.propagation + switch_latency` — pick a propagation matching
+/// the longer inter-pod fibre runs of a full-scale deployment (paper §3.4),
+/// which also widens the parallel epochs.
 pub fn build_fattree(
     sharded: &mut ShardedSim,
     apps: Vec<Vec<Vec<Box<dyn HostApp>>>>,
@@ -515,105 +525,16 @@ pub fn build_fattree(
     cfg: &TopologyConfig,
     core_uplink: &LinkSpec,
 ) -> Fattree {
-    let shape = FattreeShape {
-        aggs: apps.len(),
-        racks_per_agg: apps.first().map_or(0, |a| a.len()),
-        hosts_per_rack: apps.first().and_then(|a| a.first()).map_or(0, |t| t.len()),
-    };
-    let mk_switch = |ext: Option<Box<dyn SwitchExtension>>| match ext {
-        Some(e) => Switch::with_extension(RouteTable::new(), e),
-        None => Switch::new(RouteTable::new()),
-    };
-    let core_domain = sharded.add_domain();
-    debug_assert_eq!(core_domain, Fattree::CORE_DOMAIN);
-    let core = sharded.domain_mut(core_domain).add_node(
-        Box::new(mk_switch(mk_ext(SwitchRole::Core))),
-        NodeOpts::new("core").with_rx_overhead(cfg.switch_latency),
+    assert_eq!(
+        sharded.domain_count(),
+        0,
+        "build_fattree lays out the domains"
     );
-    let mut core_routes = RouteTable::new();
-    let mut aggs = Vec::new();
-    let mut tors = Vec::new();
-    let mut hosts = Vec::new();
-    let mut host_ips = Vec::new();
-    let mut global_rack = 0usize;
-
-    for (a, agg_apps) in apps.into_iter().enumerate() {
-        let d = sharded.add_domain();
-        debug_assert_eq!(d, Fattree::pod_domain(a));
-        let sim = sharded.domain_mut(d);
-        let agg = sim.add_node(
-            Box::new(mk_switch(mk_ext(SwitchRole::Agg(a)))),
-            NodeOpts::new(format!("agg{a}")).with_rx_overhead(cfg.switch_latency),
-        );
-        let mut agg_routes = RouteTable::new();
-        let mut agg_tors = Vec::new();
-        let mut agg_hosts = Vec::new();
-        let mut agg_ips = Vec::new();
-        for tor_apps in agg_apps {
-            let tor = sim.add_node(
-                Box::new(mk_switch(mk_ext(SwitchRole::Tor(global_rack)))),
-                NodeOpts::new(format!("tor{global_rack}")).with_rx_overhead(cfg.switch_latency),
-            );
-            let mut tor_routes = RouteTable::new();
-            let mut rack_hosts = Vec::new();
-            let mut rack_ips = Vec::new();
-            for (i, app) in tor_apps.into_iter().enumerate() {
-                let ip = host_ip(global_rack, i);
-                let node = sim.add_node(
-                    Box::new(Host::new(ip, app)),
-                    NodeOpts::new(format!("r{global_rack}h{i}"))
-                        .with_tx_overhead(cfg.host_tx_overhead)
-                        .with_backpressure()
-                        .with_rx_overhead(cfg.host_rx_overhead),
-                );
-                let (_, _, tor_port) = sim.connect(node, tor, &cfg.edge);
-                tor_routes.add(ip, tor_port);
-                rack_hosts.push(node);
-                rack_ips.push(ip);
-            }
-            // Uplink after host ports, so host i <-> ToR port i (the
-            // build_tree3 convention extensions rely on).
-            let (_, tor_up, agg_down) = sim.connect(tor, agg, &cfg.uplink);
-            tor_routes.set_default(tor_up);
-            for ip in &rack_ips {
-                agg_routes.add(*ip, agg_down);
-            }
-            *sim.device_mut::<Switch>(tor).routes_mut() = tor_routes;
-            agg_tors.push(tor);
-            agg_hosts.push(rack_hosts);
-            agg_ips.push(rack_ips);
-            global_rack += 1;
-        }
-        // The AGG's cross-domain uplink binds after its ToR downlinks, so
-        // its uplink port equals its child count — again as in build_tree3.
-        // Connecting core-side in pod order makes core port `a` face pod
-        // `a`, matching the tree3 core port layout.
-        let ((_, core_down), (_, agg_up)) =
-            sharded.connect_cross((core_domain, core), (d, agg), core_uplink);
-        agg_routes.set_default(agg_up);
-        for rack in &agg_ips {
-            for ip in rack {
-                core_routes.add(*ip, core_down);
-            }
-        }
-        *sharded.domain_mut(d).device_mut::<Switch>(agg).routes_mut() = agg_routes;
-        aggs.push(agg);
-        tors.push(agg_tors);
-        hosts.push(agg_hosts);
-        host_ips.push(agg_ips);
+    for _ in 0..=apps.len() {
+        sharded.add_domain();
     }
-    *sharded
-        .domain_mut(core_domain)
-        .device_mut::<Switch>(core)
-        .routes_mut() = core_routes;
-    Fattree {
-        shape,
-        core,
-        aggs,
-        tors,
-        hosts,
-        host_ips,
-    }
+    let tree = build_three_level(PodCut::Pods(sharded, core_uplink), apps, mk_ext, cfg);
+    Fattree { tree }
 }
 
 #[cfg(test)]
@@ -768,7 +689,7 @@ mod tests {
             sh.run(threads);
             let got = sh
                 .domain(Fattree::pod_domain(1))
-                .device::<Host>(ft.hosts[1][0][0])
+                .device::<Host>(ft.tree.hosts[1][0][0])
                 .app::<OneShot>()
                 .got
                 .clone();
@@ -779,33 +700,5 @@ mod tests {
         assert_eq!(got1, vec![host_ip(0, 0)]);
         assert_eq!(got1, got2);
         assert_eq!(m1, m2, "thread count must not change the metrics export");
-    }
-
-    #[test]
-    fn domain_partitions_cover_every_node_once() {
-        let mut sim = Simulator::new();
-        let apps: Vec<Vec<Vec<Box<dyn HostApp>>>> = (0..2)
-            .map(|_| {
-                (0..2)
-                    .map(|_| {
-                        (0..2)
-                            .map(|_| {
-                                Box::new(OneShot {
-                                    dst: None,
-                                    got: vec![],
-                                }) as Box<dyn HostApp>
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let tree = build_tree3(&mut sim, apps, &mut |_| None, &TopologyConfig::default());
-        let parts = tree.domain_partition();
-        assert_eq!(parts.len(), 3, "core + one per AGG subtree");
-        let mut all: Vec<usize> = parts.iter().flatten().map(|n| n.index()).collect();
-        all.sort_unstable();
-        let expect: Vec<usize> = (0..sim.node_count()).collect();
-        assert_eq!(all, expect, "partition covers every node exactly once");
     }
 }

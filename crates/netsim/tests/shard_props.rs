@@ -1,14 +1,20 @@
-//! Property tests on the sharded engine: thread-count invariance and
-//! behavioural equivalence with the single-threaded engine, plus a
-//! regression test for a cross-domain packet landing exactly on the
-//! conservative lookahead horizon.
+//! Property tests on the sharded engine: thread-count invariance,
+//! behavioural equivalence with a bare `Simulator`, the stepped drive
+//! (thread-invariant per deadline list, delivery-equivalent to the
+//! unpaused run), the one-domain partition (byte-identical to a bare
+//! `Simulator` however it is paused), plus regression tests for a
+//! cross-domain packet landing exactly on the conservative lookahead
+//! horizon and for loss streams of same-numbered links in different
+//! domains.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use iswitch_netsim::{
-    host_ip, Host, HostApp, HostCtx, IpAddr, LinkSpec, NodeOpts, Packet, RouteTable, ShardedSim,
-    SimDuration, Simulator, Switch,
+    host_ip, CausalKey, Host, HostApp, HostCtx, IpAddr, LinkSpec, LossModel, NodeId, NodeOpts,
+    Packet, RouteTable, ShardedSim, SimDuration, SimStats, SimTime, Simulator, Switch,
 };
+use iswitch_obs::{JsonValue, Timeseries, Trace};
 use proptest::prelude::*;
 
 /// One scheduled transmission: `(delay_ns, destination, payload_bytes)`.
@@ -35,8 +41,15 @@ impl HostApp for ScriptedHost {
     }
     fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: u64) {
         let (_, dst, len) = self.sends[token as usize];
+        // Tagged, so the engine traces every hop.
+        let cause = CausalKey {
+            round: 0,
+            segment: token,
+            worker: u64::from(ctx.ip().as_u32()),
+            tenant: 0,
+        };
         let pkt = Packet::udp(ctx.ip(), dst, 7, 7, 0).with_payload(vec![0xAB; len]);
-        ctx.send(pkt);
+        ctx.send(pkt.with_cause(cause));
     }
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
         self.got
@@ -117,35 +130,65 @@ struct Outcome {
     packets_delivered: u64,
 }
 
-/// Builds the two-rack topology as two sharded domains and runs it with
-/// the given thread count. Returns the outcome plus the rendered merged
-/// metrics (for byte-identity assertions).
-fn run_sharded(case: &Case, threads: usize) -> (Outcome, String) {
+impl Outcome {
+    /// Arrival records as per-host sorted multisets: simultaneous arrivals
+    /// at one host may interleave differently across engines and across
+    /// step schedules.
+    fn sorted(mut self) -> Self {
+        self.got.iter_mut().for_each(|got| got.sort_unstable());
+        self
+    }
+}
+
+/// Builds rack `r` of the case in `sim`: a switch with the rack's scripted
+/// hosts on edge links. Returns the switch and the hosts.
+fn build_rack(
+    sim: &mut Simulator,
+    case: &Case,
+    r: usize,
+    schedules: &mut impl Iterator<Item = Vec<Send>>,
+) -> (NodeId, Vec<NodeId>) {
+    let sw = sim.add_node(
+        Box::new(Switch::new(RouteTable::new())),
+        NodeOpts::new("sw"),
+    );
+    let mut routes = RouteTable::new();
+    let mut nodes = Vec::new();
+    for i in 0..case.hosts[r] {
+        let ip = host_ip(r, i);
+        let app = ScriptedHost::new(schedules.next().expect("one schedule per host"));
+        let node = sim.add_node(
+            Box::new(Host::new(ip, Box::new(app))),
+            NodeOpts::new(format!("h{r}x{i}")),
+        );
+        let (_, _, sw_port) = sim.connect(node, sw, &LinkSpec::ten_gbe());
+        routes.add(ip, sw_port);
+        nodes.push(node);
+    }
+    *sim.device_mut::<Switch>(sw).routes_mut() = routes;
+    (sw, nodes)
+}
+
+fn outcome(stats: &SimStats, got: impl Iterator<Item = Vec<(u64, u32, usize)>>) -> Outcome {
+    Outcome {
+        got: got.collect(),
+        packets_sent: stats.packets_sent,
+        bytes_sent: stats.bytes_sent,
+        packets_delivered: stats.packets_delivered,
+    }
+}
+
+/// The two-rack topology as two sharded domains joined rack-to-rack by one
+/// cross link, with a trace sink attached. Returns the engine, its sink and
+/// each rack's hosts.
+fn build_sharded(case: &Case) -> (ShardedSim, Arc<Trace>, Vec<Vec<NodeId>>) {
     let mut schedules = case.schedules().into_iter();
     let mut sharded = ShardedSim::new();
     let mut switches = Vec::new();
     let mut rack_hosts = Vec::new();
     for r in 0..2 {
         let d = sharded.add_domain();
-        let sim = sharded.domain_mut(d);
-        let sw = sim.add_node(
-            Box::new(Switch::new(RouteTable::new())),
-            NodeOpts::new("sw"),
-        );
-        let mut routes = RouteTable::new();
-        let mut nodes = Vec::new();
-        for i in 0..case.hosts[r] {
-            let ip = host_ip(r, i);
-            let app = ScriptedHost::new(schedules.next().expect("one schedule per host"));
-            let node = sim.add_node(
-                Box::new(Host::new(ip, Box::new(app))),
-                NodeOpts::new(format!("h{r}x{i}")),
-            );
-            let (_, _, sw_port) = sim.connect(node, sw, &LinkSpec::ten_gbe());
-            routes.add(ip, sw_port);
-            nodes.push(node);
-        }
-        *sim.device_mut::<Switch>(sw).routes_mut() = routes;
+        let (sw, nodes) = build_rack(sharded.domain_mut(d), case, r, &mut schedules);
         switches.push(sw);
         rack_hosts.push(nodes);
     }
@@ -159,90 +202,151 @@ fn run_sharded(case: &Case, threads: usize) -> (Outcome, String) {
             .routes_mut()
             .set_default(port);
     }
-    sharded.run(threads);
-    let stats = sharded.stats();
-    let got = (0..2)
-        .flat_map(|r| {
-            rack_hosts[r]
-                .iter()
-                .map(move |&n| (r, n))
-                .collect::<Vec<_>>()
+    let trace = Arc::new(Trace::new());
+    sharded.set_trace(Arc::clone(&trace));
+    (sharded, trace, rack_hosts)
+}
+
+/// The outcome of a (finished or paused) sharded run plus everything it
+/// exported, rendered (for byte-identity assertions).
+fn sharded_exports(
+    sharded: &ShardedSim,
+    trace: &Trace,
+    rack_hosts: &[Vec<NodeId>],
+) -> (Outcome, String, String) {
+    let got = (0..2).flat_map(|r| {
+        rack_hosts[r].iter().map(move |&n| {
+            let host = sharded.domain(r).device::<Host>(n);
+            host.app::<ScriptedHost>().got.clone()
         })
-        .map(|(r, n)| {
-            sharded
-                .domain(r)
-                .device::<Host>(n)
-                .app::<ScriptedHost>()
-                .got
-                .clone()
-        })
-        .collect();
+    });
     (
-        Outcome {
-            got,
-            packets_sent: stats.packets_sent,
-            bytes_sent: stats.bytes_sent,
-            packets_delivered: stats.packets_delivered,
-        },
+        outcome(&sharded.stats(), got),
         sharded.metrics_json().render(),
+        trace.to_jsonl(),
     )
 }
 
-/// The same topology in one classic `Simulator`, with the inter-switch
-/// link as a plain local link. Same construction order, same port layout.
-fn run_single(case: &Case) -> Outcome {
+/// Runs the two-domain topology to completion with the given thread count.
+fn run_sharded(case: &Case, threads: usize) -> (Outcome, String, String) {
+    let (mut sharded, trace, rack_hosts) = build_sharded(case);
+    sharded.run(threads);
+    sharded_exports(&sharded, &trace, &rack_hosts)
+}
+
+/// Drives the two-domain topology deadline by deadline, then to completion.
+fn run_stepped(case: &Case, deadlines: &[u64], threads: usize) -> (Outcome, String, String) {
+    let (mut sharded, trace, rack_hosts) = build_sharded(case);
+    for &deadline in deadlines {
+        let now = sharded.run_until(SimTime::from_nanos(deadline), threads);
+        assert!(now.as_nanos() <= deadline, "ran past the deadline");
+    }
+    sharded.run(threads);
+    assert!(sharded.is_idle());
+    sharded_exports(&sharded, &trace, &rack_hosts)
+}
+
+/// The same topology in one simulator, with the inter-switch link as a
+/// plain local link. Same construction order, same port layout. Returns
+/// each rack's hosts.
+fn build_single(sim: &mut Simulator, case: &Case) -> Vec<Vec<NodeId>> {
     let mut schedules = case.schedules().into_iter();
+    let (sw0, hosts0) = build_rack(sim, case, 0, &mut schedules);
+    let (sw1, hosts1) = build_rack(sim, case, 1, &mut schedules);
+    let (_, sw0_up, sw1_up) = sim.connect(sw0, sw1, &case.cross_spec());
+    sim.device_mut::<Switch>(sw0)
+        .routes_mut()
+        .set_default(sw0_up);
+    sim.device_mut::<Switch>(sw1)
+        .routes_mut()
+        .set_default(sw1_up);
+    vec![hosts0, hosts1]
+}
+
+/// Attaches fresh trace and telemetry sinks through `attach` and returns
+/// them.
+fn sinks(attach: impl FnOnce(Arc<Trace>, Arc<Timeseries>)) -> (Arc<Trace>, Arc<Timeseries>) {
+    let (trace, ts) = (Arc::new(Trace::new()), Arc::new(Timeseries::new(1_000)));
+    attach(Arc::clone(&trace), Arc::clone(&ts));
+    (trace, ts)
+}
+
+fn jsonl(ts: &Timeseries) -> String {
+    let mut out = Vec::new();
+    ts.to_jsonl(&mut out).expect("jsonl to memory");
+    String::from_utf8(out).expect("jsonl is utf-8")
+}
+
+/// Runs the one-simulator topology in a bare `Simulator`.
+fn run_single(case: &Case) -> (Outcome, [String; 3]) {
     let mut sim = Simulator::new();
-    let mut switches = Vec::new();
-    let mut rack_hosts = Vec::new();
-    for r in 0..2 {
-        let sw = sim.add_node(
-            Box::new(Switch::new(RouteTable::new())),
-            NodeOpts::new("sw"),
-        );
-        let mut routes = RouteTable::new();
-        let mut nodes = Vec::new();
-        for i in 0..case.hosts[r] {
-            let ip = host_ip(r, i);
-            let app = ScriptedHost::new(schedules.next().expect("one schedule per host"));
-            let node = sim.add_node(
-                Box::new(Host::new(ip, Box::new(app))),
-                NodeOpts::new(format!("h{r}x{i}")),
-            );
-            let (_, _, sw_port) = sim.connect(node, sw, &LinkSpec::ten_gbe());
-            routes.add(ip, sw_port);
-            nodes.push(node);
-        }
-        *sim.device_mut::<Switch>(sw).routes_mut() = routes;
-        switches.push(sw);
-        rack_hosts.push(nodes);
-    }
-    let (_, sw0_up, sw1_up) = sim.connect(switches[0], switches[1], &case.cross_spec());
-    for (r, &port) in [sw0_up, sw1_up].iter().enumerate() {
-        let sw = switches[r];
-        sim.device_mut::<Switch>(sw).routes_mut().set_default(port);
-    }
+    let rack_hosts = build_single(&mut sim, case);
+    let (trace, ts) = sinks(|trace, ts| {
+        sim.set_trace(trace);
+        sim.set_timeseries(ts);
+    });
     sim.run_until_idle();
-    let stats = sim.stats();
-    let got = rack_hosts
-        .iter()
-        .flatten()
-        .map(|&n| sim.device::<Host>(n).app::<ScriptedHost>().got.clone())
-        .collect();
-    Outcome {
-        got,
-        packets_sent: stats.packets_sent,
-        bytes_sent: stats.bytes_sent,
-        packets_delivered: stats.packets_delivered,
+    let got = rack_hosts.iter().flatten();
+    let got = got.map(|&n| sim.device::<Host>(n).app::<ScriptedHost>().got.clone());
+    (
+        outcome(sim.stats(), got),
+        [sim.metrics_json().render(), trace.to_jsonl(), jsonl(&ts)],
+    )
+}
+
+/// Runs the one-simulator topology as the one-domain partition of a
+/// `ShardedSim`, paused at every deadline.
+fn run_one_domain_stepped(case: &Case, deadlines: &[u64]) -> [String; 3] {
+    let mut sharded = ShardedSim::new();
+    let d = sharded.add_domain();
+    build_single(sharded.domain_mut(d), case);
+    let (trace, ts) = sinks(|trace, ts| {
+        sharded.set_trace(trace);
+        sharded.set_timeseries(ts);
+    });
+    for &deadline in deadlines {
+        sharded.run_until(SimTime::from_nanos(deadline), 1);
     }
+    sharded.run(2);
+    [
+        sharded.metrics_json().render(),
+        trace.to_jsonl(),
+        jsonl(&ts),
+    ]
+}
+
+/// A random increasing deadline list for `case`, salted with the instants
+/// a pause is most likely to get wrong: either side of the first epoch's
+/// horizon (`t_min = 0`, `L` = the cross propagation) and of every
+/// cross-domain arrival of the unpaused run.
+fn deadlines(case: &Case, raw: &[u64], unpaused_trace: &str) -> Vec<u64> {
+    let mut out: Vec<u64> = raw.iter().map(|r| r % 2_200_000).collect();
+    let l = case.cross_propagation_ns;
+    out.extend([l - 1, l]);
+    // The cross half-link is the first link after each switch's host links.
+    let cross_links = [case.hosts[0] as u64, 1_000_000 + case.hosts[1] as u64];
+    for line in unpaused_trace.lines() {
+        let ev = JsonValue::parse(line).expect("trace line parses");
+        let field = |name: &str| ev.get(name).and_then(JsonValue::as_u64);
+        if ev.get("kind").and_then(JsonValue::as_str) == Some("pkt.tx")
+            && cross_links.contains(&field("link").expect("tx names its link"))
+        {
+            let arrive = field("arrive_ns").expect("tx names its arrival");
+            out.extend([arrive - 1, arrive]);
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Sharded runs are invariant in the thread count: arrival records,
-    /// packet counters, and the full rendered metrics registry are
-    /// identical whether one thread or several execute the domains.
+    /// packet counters, the full rendered metrics registry and the merged
+    /// trace are identical whether one thread or several execute the
+    /// domains.
     #[test]
     fn sharded_engine_is_thread_count_invariant(
         hosts_a in 1usize..4,
@@ -251,21 +355,15 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 0..32),
     ) {
         let case = mk_case(hosts_a, hosts_b, cross_ns, &raw);
-        let (o1, m1) = run_sharded(&case, 1);
-        let (o2, m2) = run_sharded(&case, 2);
-        let (o3, m3) = run_sharded(&case, 3);
-        prop_assert_eq!(&o1, &o2);
-        prop_assert_eq!(&o1, &o3);
-        prop_assert_eq!(&m1, &m2);
-        prop_assert_eq!(&m1, &m3);
+        let one = run_sharded(&case, 1);
+        prop_assert_eq!(&one, &run_sharded(&case, 2));
+        prop_assert_eq!(&one, &run_sharded(&case, 3));
     }
 
     /// Sharding is an execution strategy, not a model change: every host
     /// sees the same packets at the same simulated instants as in one
     /// classic single-queue simulation of the same network, and the
-    /// headline counters agree. (Per-host arrival records are compared as
-    /// sorted multisets: simultaneous arrivals at one host may interleave
-    /// differently across engines.)
+    /// headline counters agree.
     #[test]
     fn sharded_engine_matches_single_engine(
         hosts_a in 1usize..4,
@@ -274,12 +372,51 @@ proptest! {
         raw in prop::collection::vec(0u64..u64::MAX, 0..32),
     ) {
         let case = mk_case(hosts_a, hosts_b, cross_ns, &raw);
-        let (mut sharded, _) = run_sharded(&case, 2);
-        let mut single = run_single(&case);
-        for got in sharded.got.iter_mut().chain(single.got.iter_mut()) {
-            got.sort_unstable();
-        }
-        prop_assert_eq!(sharded, single);
+        let (sharded, _, _) = run_sharded(&case, 2);
+        let (single, _) = run_single(&case);
+        prop_assert_eq!(sharded.sorted(), single.sorted());
+    }
+
+    /// The stepped drive: pausing at an arbitrary increasing deadline list
+    /// is byte-identical across thread counts *for that list* (arrivals,
+    /// counters, metrics, merged trace), and delivers exactly what one
+    /// unpaused run delivers — same instants, sources, sizes and packet
+    /// counters. (It is *not* byte-identical to the unpaused run: the
+    /// clamped epochs count and tie-break differently.)
+    #[test]
+    fn stepped_drive_is_thread_invariant_and_delivery_equivalent(
+        hosts_a in 1usize..4,
+        hosts_b in 1usize..4,
+        cross_ns in 100u64..5_000,
+        raw in prop::collection::vec(0u64..u64::MAX, 0..32),
+        raw_deadlines in prop::collection::vec(0u64..u64::MAX, 0..12),
+    ) {
+        let case = mk_case(hosts_a, hosts_b, cross_ns, &raw);
+        let (unpaused, _, unpaused_trace) = run_sharded(&case, 1);
+        let deadlines = deadlines(&case, &raw_deadlines, &unpaused_trace);
+        let one = run_stepped(&case, &deadlines, 1);
+        prop_assert_eq!(&one, &run_stepped(&case, &deadlines, 2));
+        prop_assert_eq!(one.0.sorted(), unpaused.sorted());
+        // Every traced event reached the sink exactly once.
+        prop_assert_eq!(one.2.lines().count(), unpaused_trace.lines().count());
+    }
+
+    /// One domain is the degenerate partition: however it is paused, its
+    /// metrics, trace and telemetry are byte-for-byte those of the bare
+    /// simulator run to idle.
+    #[test]
+    fn one_domain_partition_is_the_bare_simulator(
+        hosts_a in 1usize..4,
+        hosts_b in 1usize..4,
+        cross_ns in 100u64..5_000,
+        raw in prop::collection::vec(0u64..u64::MAX, 0..32),
+        raw_deadlines in prop::collection::vec(0u64..2_200_000, 0..12),
+    ) {
+        let case = mk_case(hosts_a, hosts_b, cross_ns, &raw);
+        let mut deadlines = raw_deadlines;
+        deadlines.sort_unstable();
+        let (_, bare) = run_single(&case);
+        prop_assert_eq!(run_one_domain_stepped(&case, &deadlines), bare);
     }
 }
 
@@ -367,4 +504,68 @@ fn packet_on_the_lookahead_horizon_is_delivered() {
             "threads={threads}: reverse crossing must arrive once, at t=78 ns"
         );
     }
+}
+
+/// A sender streaming 400 sequence-numbered packets (the payload length is
+/// the sequence number) to a sink over one 10 %-lossy link — local link 0
+/// of whatever simulator it is built in. Returns the sink.
+fn lossy_pair(sim: &mut Simulator, r: usize) -> NodeId {
+    let loss = LossModel::Random {
+        probability: 0.1,
+        seed: 7,
+    };
+    let sends = (0..400).map(|i| (i as u64 * 2_000, host_ip(r, 1), i));
+    let tx = sim.add_node(
+        Box::new(Host::new(
+            host_ip(r, 0),
+            Box::new(ScriptedHost::new(sends.collect())),
+        )),
+        NodeOpts::new("tx"),
+    );
+    let rx = sim.add_node(
+        Box::new(Host::new(
+            host_ip(r, 1),
+            Box::new(ScriptedHost::new(vec![])),
+        )),
+        NodeOpts::new("rx"),
+    );
+    sim.connect(tx, rx, &LinkSpec::ten_gbe().with_loss(loss));
+    rx
+}
+
+/// The sequence numbers that survived the lossy link into sink `rx`.
+fn survivors(sim: &Simulator, rx: NodeId) -> Vec<usize> {
+    let got = &sim.device::<Host>(rx).app::<ScriptedHost>().got;
+    got.iter().map(|&(_, _, seq)| seq).collect()
+}
+
+/// Links built from one shared lossy spec must not drop the same sequence
+/// positions — across domains too. Every domain numbers its links from 0,
+/// so the stream is keyed by the run-unique (domain-qualified) identity;
+/// domain 0 keeps the stream a bare simulator has always drawn.
+#[test]
+fn same_numbered_links_of_two_domains_draw_independent_loss_streams() {
+    let mut bare = Simulator::new();
+    let bare_rx = lossy_pair(&mut bare, 0);
+    bare.run_until_idle();
+
+    let mut sharded = ShardedSim::new();
+    let sinks: Vec<NodeId> = (0..2)
+        .map(|r| {
+            let d = sharded.add_domain();
+            lossy_pair(sharded.domain_mut(d), r)
+        })
+        .collect();
+    sharded.run(2);
+    let survived = |d: usize| survivors(sharded.domain(d), sinks[d]);
+    assert_eq!(survived(0), survivors(&bare, bare_rx), "domain 0 moved");
+    assert!(
+        survived(0).len() < 400 && survived(1).len() < 400,
+        "no loss"
+    );
+    assert_ne!(
+        survived(0),
+        survived(1),
+        "both domains lost the same positions"
+    );
 }

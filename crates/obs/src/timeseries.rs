@@ -107,14 +107,17 @@ struct Inner {
     tracks: std::collections::BTreeMap<String, CounterTrack>,
     /// Total samples accepted (post-collapse).
     recorded: u64,
+    /// Tracks whose first stored sample already went out in a
+    /// [`Timeseries::drain_into`] and stays only as the collapse reference.
+    drained: std::collections::BTreeSet<String>,
 }
 
 /// A deterministic set of counter tracks (see module docs).
 ///
 /// Interior mutability follows [`crate::Trace`]: the engine hands shared
 /// `Arc<Timeseries>` handles to devices, each execution domain records into
-/// its own instance, and sharded runs merge per-domain instances in domain
-/// order after the run.
+/// its own instance, and sharded runs drain per-domain instances into the
+/// caller's in domain order whenever the run returns.
 #[derive(Debug)]
 pub struct Timeseries {
     interval_ns: u64,
@@ -189,24 +192,38 @@ impl Timeseries {
             .collect()
     }
 
-    /// Folds another series' tracks into this one. Shared track names
-    /// append sample-lists and re-sort stably by time, so merging
-    /// per-domain instances in ascending domain order yields the same
-    /// bytes as a single-domain recording — the sharded engine's
+    /// Moves every sample recorded since the previous drain into `dst`.
+    /// Shared track names append sample-lists and re-sort stably by time,
+    /// so draining per-domain instances in ascending domain order yields
+    /// the same bytes as a single-domain recording — the sharded engine's
     /// thread-count-invariance argument extends to telemetry unchanged.
-    pub fn merge_from(&self, other: &Timeseries) {
-        let theirs = other.snapshot();
+    ///
+    /// Each drained track keeps its last sample behind as the reference
+    /// [`Timeseries::record`] collapses against, so pausing a run to drain
+    /// never splits a flat stretch into two stored samples. This instance
+    /// is therefore a staging buffer from then on: only `dst` holds the
+    /// series.
+    pub fn drain_into(&self, dst: &Timeseries) {
         let mut inner = self.inner.lock().expect("timeseries lock");
-        for (name, tr) in theirs {
-            let dst = inner.tracks.entry(name).or_default();
-            let added = tr.samples.len() as u64;
-            if dst.samples.is_empty() {
-                dst.samples = tr.samples;
-            } else {
-                dst.samples.extend(tr.samples);
-                dst.samples.sort_by_key(|&(t, _)| t);
+        let Inner {
+            tracks, drained, ..
+        } = &mut *inner;
+        let mut out = dst.inner.lock().expect("timeseries lock");
+        for (name, tr) in tracks.iter_mut() {
+            let skip = usize::from(drained.contains(name));
+            let Some(&last) = tr.samples[skip..].last() else {
+                continue;
+            };
+            out.recorded += (tr.samples.len() - skip) as u64;
+            let into = out.tracks.entry(name.clone()).or_default();
+            let resort = !into.samples.is_empty();
+            into.samples.extend(tr.samples.drain(skip..));
+            if resort {
+                into.samples.sort_by_key(|&(t, _)| t);
             }
-            inner.recorded += added;
+            tr.samples.clear();
+            tr.samples.push(last);
+            drained.insert(name.clone());
         }
     }
 
@@ -369,11 +386,29 @@ mod tests {
         b.record("t", 10, 2);
         b.record("only.b", 5, 9);
         let merged = Timeseries::new(10);
-        merged.merge_from(&a);
-        merged.merge_from(&b);
+        a.drain_into(&merged);
+        b.drain_into(&merged);
         let snap = merged.snapshot();
         assert_eq!(snap[1].1.samples, vec![(0, 1), (10, 2), (30, 3)]);
         assert_eq!(snap[0].0, "only.b");
+    }
+
+    #[test]
+    fn repeated_drains_export_each_sample_once_and_keep_collapsing() {
+        let staged = Timeseries::new(10);
+        let whole = Timeseries::new(10);
+        let out = Timeseries::new(10);
+        let samples = [(0, 1), (10, 1), (20, 2), (30, 2), (40, 2), (50, 3)];
+        for (i, &(t, v)) in samples.iter().enumerate() {
+            staged.record("t", t, v);
+            whole.record("t", t, v);
+            if i % 2 == 1 {
+                staged.drain_into(&out);
+                staged.drain_into(&out); // nothing new: a no-op
+            }
+        }
+        assert_eq!(out.snapshot(), whole.snapshot());
+        assert_eq!(out.sample_count(), whole.sample_count());
     }
 
     #[test]

@@ -259,6 +259,14 @@ impl Trace {
             .collect()
     }
 
+    /// Removes and returns the buffered events in record order, leaving the
+    /// buffer empty (counters are untouched). The sharded engine drains its
+    /// per-domain buffers with this, so each event reaches the caller's
+    /// sink exactly once however often a run is paused.
+    pub fn drain(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut self.inner.lock().expect("trace lock").events).into()
+    }
+
     /// Renders the buffered events as JSON Lines: one event object per
     /// line, each line terminated by `\n`. (Streamed events already written
     /// to a sink are not re-rendered here.)

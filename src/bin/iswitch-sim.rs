@@ -32,6 +32,9 @@ iswitch-sim — packet-level simulation of in-switch gradient aggregation
 
 USAGE:
     iswitch-sim <COMMAND> [OPTIONS]
+    iswitch-sim <COMMAND> --help
+
+A flag the command does not take is an error, never ignored.
 
 COMMANDS:
     timing        per-iteration time of one strategy (packet simulation)
@@ -65,8 +68,8 @@ OPTIONS:
                                        the core), --per-agg racks per pod
                                        (default 2), --per-rack hosts per
                                        rack (default 3); the worker count is
-                                       derived from the shape (timing,
-                                       --strategy isw only)
+                                       derived from the shape (timing only,
+                                       every strategy)
     --threads <N>                      worker threads driving a --fattree
                                        run, or tenant simulations of a
                                        multi run (default 1); every
@@ -77,7 +80,7 @@ OPTIONS:
                                        gradients summed by the simulated
                                        switch — reward curve AND timing
                                        from one run (isw strategies only)
-    --iterations <N>                   timing iterations (default: 20)
+    --iterations <N>                   timing iterations (default: 30)
     --max-iterations <N>               convergence cap (default: per-algorithm)
     --seed <N>                         RNG seed (default: 42)
     --edge-loss <P>                    random per-packet loss probability on
@@ -185,6 +188,117 @@ OPTIONS:
                                        and the gating worker's transport
                                        rate (analyze only)
 ";
+
+/// The flags a subcommand accepts, each with whether a value follows it.
+type Flags = &'static [(&'static str, bool)];
+
+const TIMING_FLAGS: Flags = &[
+    ("--algorithm", true),
+    ("--strategy", true),
+    ("--fidelity", true),
+    ("--workers", true),
+    ("--per-rack", true),
+    ("--per-agg", true),
+    ("--fattree", true),
+    ("--threads", true),
+    ("--iterations", true),
+    ("--seed", true),
+    ("--edge-loss", true),
+    ("--transport", true),
+    ("--codec", true),
+    ("--incast", false),
+    ("--background", true),
+    ("--metrics-out", true),
+    ("--trace-out", true),
+    ("--trace-buffer", true),
+    ("--timeseries-out", true),
+    ("--timeseries-chrome", true),
+    ("--timeseries-interval", true),
+];
+
+const MULTI_FLAGS: Flags = &[
+    ("--tenants", true),
+    ("--quota", true),
+    ("--join", true),
+    ("--reset", true),
+    ("--fabric-slots", true),
+    ("--fabric-bytes", true),
+    ("--epoch-ms", true),
+    ("--iterations", true),
+    ("--seed", true),
+    ("--threads", true),
+    ("--out-dir", true),
+];
+
+const CONVERGENCE_FLAGS: Flags = &[
+    ("--algorithm", true),
+    ("--workers", true),
+    ("--max-iterations", true),
+    ("--seed", true),
+];
+
+const SCALABILITY_FLAGS: Flags = &[("--algorithm", true)];
+
+const CHAOS_FLAGS: Flags = &[
+    ("--algorithm", true),
+    ("--strategy", true),
+    ("--workers", true),
+    ("--iterations", true),
+    ("--seed", true),
+    ("--transport", true),
+    ("--codec", true),
+    ("--chaos-seed", true),
+    ("--faults", true),
+    ("--report-out", true),
+    ("--isolation", false),
+    ("--no-quota", false),
+];
+
+const ANALYZE_FLAGS: Flags = &[
+    ("--trace", true),
+    ("--timeseries", true),
+    ("--out", true),
+    ("--chrome-out", true),
+];
+
+/// A subcommand: its name, entry point and the one declaration of the
+/// flags it accepts.
+type Command = (&'static str, fn(&[String]), Flags);
+
+const COMMANDS: &[Command] = &[
+    ("timing", cmd_timing, TIMING_FLAGS),
+    ("multi", cmd_multi, MULTI_FLAGS),
+    ("analyze", cmd_analyze, ANALYZE_FLAGS),
+    ("convergence", cmd_convergence, CONVERGENCE_FLAGS),
+    ("scalability", cmd_scalability, SCALABILITY_FLAGS),
+    ("chaos", cmd_chaos, CHAOS_FLAGS),
+];
+
+/// Checks a subcommand's arguments against its flag set before anything
+/// runs, so nothing is silently ignored: `--help` prints the usage and
+/// exits 0; an argument the subcommand does not declare, or a value-taking
+/// flag with nothing after it, exits 2 naming it.
+fn check_args(cmd: &str, args: &[String], flags: Flags) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--help" || arg == "-h" {
+            print!("{USAGE}");
+            exit(0);
+        }
+        match flags.iter().find(|(name, _)| name == arg) {
+            Some((_, false)) => {}
+            Some((_, true)) if rest.next().is_some() => {}
+            Some(_) => {
+                eprintln!("{arg} expects a value");
+                exit(2);
+            }
+            None => {
+                eprintln!("`{cmd}` takes no `{arg}` (see `iswitch-sim --help`)");
+                exit(2);
+            }
+        }
+    }
+}
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -397,7 +511,7 @@ fn cmd_timing(args: &[String]) {
         cfg.fattree = Some(shape);
         cfg.threads = parse_usize(args, "--threads").unwrap_or(1).max(1);
     } else if parse_usize(args, "--threads").is_some() {
-        eprintln!("--threads only applies to sharded --fattree runs");
+        eprintln!("--threads only applies to --fattree runs: every other topology is one domain");
         exit(2);
     }
     if let Some(n) = parse_usize(args, "--iterations") {
@@ -906,19 +1020,16 @@ fn cmd_analyze(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("timing") => cmd_timing(&args[1..]),
-        Some("multi") => cmd_multi(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("convergence") => cmd_convergence(&args[1..]),
-        Some("scalability") => cmd_scalability(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("--help" | "-h") | None => {
-            print!("{USAGE}");
-        }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n\n{USAGE}");
-            exit(2);
-        }
+    let Some(name) = args.first() else {
+        return print!("{USAGE}");
+    };
+    if name == "--help" || name == "-h" {
+        return print!("{USAGE}");
     }
+    let Some((_, run, flags)) = COMMANDS.iter().find(|(cmd, ..)| cmd == name) else {
+        eprintln!("unknown command `{name}`\n\n{USAGE}");
+        exit(2);
+    };
+    check_args(name, &args[1..], flags);
+    run(&args[1..]);
 }

@@ -1,6 +1,6 @@
-//! Invocations `iswitch-sim timing` must refuse (exit code 2 with a
-//! message naming the cause) instead of running something other than what
-//! was asked for, or dying on an internal panic.
+//! Invocations `iswitch-sim` must refuse (exit code 2 with a message
+//! naming the cause) instead of running something other than what was
+//! asked for, or dying on an internal panic.
 
 use std::process::Command;
 
@@ -44,5 +44,41 @@ fn timing_reports_a_stalled_host_side_run_instead_of_a_slice_panic() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     for needle in ["PS run stalled", "worker 0 logged 0", "dropped_queue = "] {
         assert!(stderr.contains(needle), "missing `{needle}`: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_flags_are_refused_and_help_is_help() {
+    // (arguments, expected exit code, text the chosen stream must carry)
+    let rows: [(&[&str], i32, &str); 8] = [
+        (&["timing", "--worker", "8"], 2, "`--worker`"),
+        (
+            &["timing", "--iterations"],
+            2,
+            "--iterations expects a value",
+        ),
+        (&["timing", "--threads", "2"], 2, "--threads"),
+        (&["scalability", "--workers", "4"], 2, "`--workers`"),
+        (
+            &["analyze", "--trace", "t.jsonl", "--fattree", "2"],
+            2,
+            "`--fattree`",
+        ),
+        (&["chaos", "--out-dir", "x"], 2, "`--out-dir`"),
+        (&["timing", "--help"], 0, "USAGE"),
+        (&["multi", "--tenants", "a=ppo", "-h"], 0, "USAGE"),
+    ];
+    for (args, code, needle) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
+            .args(args)
+            .output()
+            .expect("iswitch-sim runs");
+        let text = if code == 0 { &out.stdout } else { &out.stderr };
+        let text = String::from_utf8_lossy(text);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
+        assert!(text.contains(needle), "{args:?}: {text}");
+        // Refused or helped, never run.
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("simulating"), "{args:?} ran: {stdout}");
     }
 }
