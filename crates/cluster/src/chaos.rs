@@ -742,14 +742,11 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         .collect();
 
     let mut tcfg = timing_config(cfg);
-    if sync {
-        // Arms the workers' recovery timeout and the switches' stale-flush
-        // sweep (partial-round expiry) with an ambient loss rate so small
-        // it never drops a packet — all loss comes from the fault plan. The
-        // async pipeline sees no loss (delay-only schedule), so it keeps
-        // both off.
-        tcfg.edge_loss = f64::MIN_POSITIVE;
-    }
+    // Arms the workers' recovery timeout and the switches' stale-flush
+    // sweep (partial-round expiry): all loss comes from the fault plan.
+    // The async pipeline sees no loss (delay-only schedule), so it keeps
+    // both off.
+    tcfg.faulted = sync;
     let trace = Arc::new(Trace::bounded(CHAOS_TRACE_EVENTS));
     let capture = Capture {
         trace: Some(Arc::clone(&trace)),

@@ -230,10 +230,19 @@ pub struct MultiTenantOutcome {
 /// check cap; epochs may be much shorter than its 200 ms slices).
 const MAX_BARRIERS: u64 = 2_000_000;
 
+/// Simulated time a joined tenant may go without one worker finishing a
+/// round before the run is refused as stalled. Generous: the slowest
+/// iteration of any job in the tree is well under a second.
+const STALL_LIMIT: SimDuration = SimDuration::from_secs(5);
+
 /// One tenant: its job plus the fabric accounting the arbiter keeps.
 struct TenantJob<'a> {
     spec: &'a TenantSpec,
     job: Job,
+    /// Rounds completed, summed over the workers, and the global time of
+    /// the barrier that last saw the sum grow.
+    progress: usize,
+    progressed_at: SimDuration,
     /// Last harvested slot-demand peak (max over the tenant's switches).
     demand: u32,
     /// Maximum demand peak seen over the whole run (reporting).
@@ -257,6 +266,22 @@ impl TenantJob<'_> {
             .accelerators(|accel| peak = peak.max(accel.take_demand_peak()));
         self.demand = peak;
         self.demand_max = self.demand_max.max(peak);
+    }
+
+    /// Refuses a run in which this tenant has stopped completing rounds.
+    /// Recovery retries forever, so such a run would never go idle.
+    fn check_progress(&mut self, global: SimDuration) {
+        let progress = (0..self.job.workers()).map(|w| self.job.progress(w)).sum();
+        if progress > self.progress || global <= self.spec.join_at {
+            (self.progress, self.progressed_at) = (progress, global);
+        }
+        assert!(
+            global - self.progressed_at <= STALL_LIMIT,
+            "tenant `{}` stalled: no worker finished a round in {STALL_LIMIT} of simulated \
+             time. A switch restart that lands inside a completed round's emission delay \
+             loses a result `Help`/`FBcast` recovery cannot re-create",
+            self.spec.name
+        );
     }
 
     /// Installs `slots`/`bytes` grants on every switch of the tenant.
@@ -352,6 +377,9 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
             "multi-tenant run failed to finish within {MAX_BARRIERS} barriers"
         );
         drive_epoch(&mut jobs, global, cfg.threads.max(1));
+        for j in jobs.iter_mut().filter(|j| !j.job.done) {
+            j.check_progress(global);
+        }
         for j in jobs.iter_mut().filter(|j| j.contends()) {
             j.harvest_demand();
         }
@@ -522,7 +550,9 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
         trace: observed.then(|| Arc::new(Trace::new())),
         timeseries: None,
     };
-    let mut job = build(&spec.job, None, spec.id, capture);
+    let mut cfg = spec.job.clone();
+    cfg.faulted = spec.reset_at.is_some();
+    let mut job = build(&cfg, None, spec.id, capture);
     if let Some(at) = spec.reset_at {
         assert!(
             !job.placed.switches.is_empty(),
@@ -538,6 +568,8 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
     TenantJob {
         spec,
         job,
+        progress: 0,
+        progressed_at: SimDuration::ZERO,
         demand: 0,
         demand_max: 0,
         grant_slots: 0,
@@ -734,16 +766,25 @@ mod tests {
     #[test]
     fn churn_join_leave_reset_completes() {
         // Tenant 2 joins 50 ms in, tenant 1 restarts its switch mid-run
-        // (paper §3.2 Reset); both finish and measure every iteration.
-        let cfg = MultiJobConfig::new(vec![
-            TenantSpec::new("steady", 1, quick(Algorithm::Ppo, Strategy::SyncIsw))
-                .with_reset_at(SimDuration::from_millis(40)),
-            TenantSpec::new("late", 2, quick(Algorithm::A2c, Strategy::SyncIsw))
-                .with_join_at(SimDuration::from_millis(50)),
-        ]);
-        let out = run_multi_tenant(&cfg);
-        for t in &out.tenants {
-            assert!(t.observation.result.iterations_measured > 0, "{}", t.name);
+        // (paper §3.2 Reset) — in compute (20, 40 ms) or mid-round (60 ms,
+        // where the wiped partial sums must be recovered); both finish and
+        // measure every iteration.
+        for reset_ms in [20, 40, 60] {
+            let cfg = MultiJobConfig::new(vec![
+                TenantSpec::new("steady", 1, quick(Algorithm::Ppo, Strategy::SyncIsw))
+                    .with_reset_at(SimDuration::from_millis(reset_ms)),
+                TenantSpec::new("late", 2, quick(Algorithm::A2c, Strategy::SyncIsw))
+                    .with_join_at(SimDuration::from_millis(50)),
+            ]);
+            let out = run_multi_tenant(&cfg);
+            for (t, spec) in out.tenants.iter().zip(&cfg.tenants) {
+                assert_eq!(
+                    t.observation.result.iterations_measured,
+                    spec.job.iterations * spec.job.workers,
+                    "{} with a reset at {reset_ms} ms",
+                    t.name
+                );
+            }
         }
     }
 

@@ -138,6 +138,11 @@ pub struct TimingConfig {
     pub slot_leak_bug: bool,
     /// Seed for compute-time jitter.
     pub seed: u64,
+    /// A fault plan will be installed on the built job (a chaos schedule,
+    /// a tenant's reset churn): packets and switch state can disappear
+    /// with no lossy link configured, so [`TimingConfig::lossy`] holds.
+    /// Set by those harnesses, never by a user.
+    pub(crate) faulted: bool,
 }
 
 impl TimingConfig {
@@ -168,6 +173,7 @@ impl TimingConfig {
             host_fallback: false,
             slot_leak_bug: false,
             seed: 0x5117c4,
+            faulted: false,
         }
     }
 
@@ -182,11 +188,11 @@ impl TimingConfig {
         cfg
     }
 
-    /// Whether packets can disappear on edge links (random loss or a
-    /// bounded queue that tail-drops), i.e. whether recovery timers and
+    /// Whether packets can disappear (random loss, a bounded queue that
+    /// tail-drops, or injected faults), i.e. whether recovery timers and
     /// stale-round flushes must be armed.
     pub fn lossy(&self) -> bool {
-        self.edge_loss > 0.0 || self.queue.is_some()
+        self.edge_loss > 0.0 || self.queue.is_some() || self.faulted
     }
 
     /// The compute model for this run: per-algorithm calibration, with

@@ -16,10 +16,10 @@
 
 use std::collections::HashMap;
 
-use iswitch_netsim::SimDuration;
+use iswitch_netsim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::protocol::codec::{CodecKind, WireAcc};
+use crate::protocol::codec::{AccEffects, CodecKind, WireAcc};
 use crate::protocol::{DataSegment, SegmentMeta};
 
 /// Slowdown of the fallback-to-host path relative to the line-rate
@@ -136,6 +136,58 @@ pub struct ResourceReport {
     pub counter_bits: usize,
 }
 
+/// What [`Accelerator::ingest_at`] did with one packet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ingest {
+    /// Whether the packet joined a round, and whether it closed it.
+    pub outcome: IngestOutcome,
+    /// Latency charged to this packet: every packet occupies the datapath
+    /// for the bytes actually streamed, and a host-path round pays
+    /// [`HOST_PATH_LATENCY_FACTOR`]× that.
+    pub latency: SimDuration,
+    /// Codec side effects of the accumulate (zero for a refused packet).
+    pub effects: AccEffects,
+    /// The packet's round was denied a slot (tenant grant or BRAM
+    /// exhausted) and opened on the host path instead.
+    pub slot_denied: bool,
+}
+
+/// The three things that can happen to an ingested packet.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IngestOutcome {
+    /// Dropped without touching any round.
+    Refused(Refusal),
+    /// Accumulated into its round, which stays open.
+    Accepted,
+    /// Accumulated, and the round's counter reached `H`.
+    Completed(ClosedRound),
+}
+
+/// Why a packet was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// No BRAM (or tenant grant) for a new round and no host fallback
+    /// ([`AcceleratorStats::bram_drops`]).
+    NoBram,
+    /// The codec refused the body for the round
+    /// ([`AcceleratorStats::malformed_drops`]).
+    Malformed,
+}
+
+/// A round that just ended with an emission: its aggregate plus what the
+/// round's slot recorded while it was open.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClosedRound {
+    /// The (possibly partial) aggregate.
+    pub aggregate: DataSegment,
+    /// Arrival of the round's first accepted contribution.
+    pub opened: SimTime,
+    /// Whether any accepted contribution arrived ECN-CE marked.
+    pub ce: bool,
+    /// Whether the round was resident on the host path.
+    pub via_host: bool,
+}
+
 /// The in-switch aggregation engine.
 ///
 /// One instance lives inside each participating switch. It is purely
@@ -165,20 +217,25 @@ pub struct Accelerator {
     codec: CodecKind,
     /// Maps the full (round-tagged) `Seg` value of each open round to its
     /// dense slot in `slots` — the SwitchML-style pool layout: one hash
-    /// lookup per packet resolves buffer, contribution counter, and worker
-    /// count together, instead of the three parallel maps this replaced.
+    /// lookup per packet resolves everything the round has, wherever it
+    /// is resident.
     index: HashMap<u64, u32>,
-    /// Aggregation state for open rounds, indexed by the dense slot ids in
-    /// `index`/`free`. A slot is resident only between a round's first
-    /// contribution and its completion. On-the-fly aggregation frees each
-    /// slot the moment its aggregate is emitted, so the BRAM footprint
-    /// tracks the *arrival skew window*, not the full gradient vector —
-    /// that is how a 6.41 MB DQN model fits the switch's ~3 MB of BRAM.
+    /// One record per open round, indexed by the dense slot ids in
+    /// `index`/`free`. A slot is occupied only between a round's first
+    /// accepted contribution and its release. On-the-fly aggregation
+    /// releases each slot the moment its aggregate is emitted, so the BRAM
+    /// footprint tracks the *arrival skew window*, not the full gradient
+    /// vector — that is how a 6.41 MB DQN model fits the switch's ~3 MB of
+    /// BRAM.
     slots: Vec<Slot>,
     /// Recycled slot ids (LIFO, so the most recently touched — and thus
     /// cache-warm — slot is reused first).
     free: Vec<u32>,
     resident_bytes: usize,
+    /// Open rounds resident on the host path. They occupy a `slots` entry
+    /// like any other but no BRAM, so they count toward neither
+    /// `resident_bytes` nor [`Accelerator::open_rounds`].
+    host_rounds: u32,
     /// Cache of the last emitted aggregate per `Seg`, serving `Help`
     /// retransmission requests for lost result packets. Held in the switch
     /// CPU's DRAM (control plane), not BRAM.
@@ -194,54 +251,77 @@ pub struct Accelerator {
     /// CPU, DRAM-resident software accumulator) instead of being dropped:
     /// slower by [`HOST_PATH_LATENCY_FACTOR`], but numerically identical.
     host_fallback: bool,
-    /// Open host-path rounds, keyed like `index`. Lives in switch-CPU
-    /// DRAM, so it is not charged against the BRAM budget. The switch CPU
-    /// runs the identical codec arithmetic in software, so a round
-    /// completes with the same values whichever path it took — only an
-    /// order of magnitude slower per packet.
-    fallback: HashMap<u64, Slot>,
-    /// Seeded bug for the chaos harness: completed rounds "forget" to
+    /// Seeded bug for the chaos harness: released BRAM rounds "forget" to
     /// return their slot to the free list, so occupancy and resident bytes
     /// only ever grow. See the I6 isolation tests.
     slot_leak_bug: bool,
-    /// High-water mark of concurrently open rounds (slots + host path)
+    /// High-water mark of concurrently open rounds (BRAM + host path)
     /// since the last [`Accelerator::take_demand_peak`] — the demand
     /// signal the multi-tenant arbiter reads at each epoch barrier.
     demand_peak: u32,
     stats: AcceleratorStats,
 }
 
-/// Per-open-round aggregation state: the buffer plus the hardware's
-/// per-segment counters, kept together so one packet touches one slot.
-/// BRAM and host-path rounds use the same state; only where it is
-/// resident differs.
+/// Where an open round's accumulator is resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Home {
+    /// The BRAM slot pool.
+    Bram,
+    /// Switch-CPU DRAM (the fallback-to-host path). The switch CPU runs
+    /// the identical codec arithmetic in software, so a round completes
+    /// with the same values whichever path it took — only an order of
+    /// magnitude slower per packet.
+    Host,
+}
+
+/// The one record of an open round — the analog of the hardware's BRAM
+/// row addressed by `Seg` (§3.3): buffer, counters, clock and congestion
+/// mark together, so one packet touches one slot and one
+/// [`Accelerator::release`] forgets the round entirely.
 #[derive(Debug, Clone)]
 struct Slot {
+    /// The round's (round-tagged) `Seg`, the `index` key that finds it.
+    seg: u64,
+    home: Home,
     /// Partial sums for this round, in the codec's native representation.
     acc: WireAcc,
-    /// Contributions (packets) received — compared against `H`.
+    /// Contributions (packets) accepted — compared against `H`.
     contributions: u16,
     /// Total workers represented (sums the incoming `count` fields) —
     /// becomes the emitted result's `count` metadata.
     workers: u16,
-}
-
-/// Where an open round's [`Slot`] is resident.
-#[derive(Debug, Clone, Copy)]
-enum Home {
-    /// The BRAM slot pool, at this dense slot id.
-    Bram(u32),
-    /// Switch-CPU DRAM (the fallback-to-host path).
-    Host,
+    /// Arrival of the first accepted contribution: the start of the
+    /// round's aggregation-latency window.
+    opened: SimTime,
+    /// Arrival of the latest accepted contribution: what the stale sweep
+    /// ages.
+    last_arrival: SimTime,
+    /// Some accepted contribution arrived ECN-CE marked; echoed on the
+    /// emission that closes the round.
+    ce: bool,
 }
 
 impl Slot {
-    fn new(codec: CodecKind, len: usize) -> Self {
+    /// An unoccupied slot for `codec`, to be filled by [`Slot::occupy`].
+    fn vacant(codec: CodecKind) -> Self {
         Slot {
-            acc: codec.codec().new_acc(len),
+            seg: 0,
+            home: Home::Bram,
+            acc: codec.codec().new_acc(0),
             contributions: 0,
             workers: 0,
+            opened: SimTime::ZERO,
+            last_arrival: SimTime::ZERO,
+            ce: false,
         }
+    }
+
+    /// Starts round `seg` of `len` elements in this slot at `now`.
+    fn occupy(&mut self, seg: u64, home: Home, len: usize, now: SimTime) {
+        self.acc.reset(len);
+        (self.seg, self.home) = (seg, home);
+        (self.contributions, self.workers) = (0, 0);
+        (self.opened, self.last_arrival, self.ce) = (now, now, false);
     }
 }
 
@@ -287,11 +367,11 @@ impl Accelerator {
             slots: Vec::new(),
             free: Vec::new(),
             resident_bytes: 0,
+            host_rounds: 0,
             last_results: HashMap::new(),
             slot_grant: None,
             byte_grant: None,
             host_fallback: false,
-            fallback: HashMap::new(),
             slot_leak_bug: false,
             demand_peak: 0,
             stats: AcceleratorStats::default(),
@@ -326,16 +406,30 @@ impl Accelerator {
     }
 
     /// `Seg` values (round-tagged) currently holding a partial round, on
-    /// either the BRAM or the host path.
+    /// either the BRAM or the host path, in ascending order.
     pub fn partial_segments(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .index
-            .keys()
-            .chain(self.fallback.keys())
-            .copied()
-            .collect();
+        let mut out: Vec<u64> = self.index.keys().copied().collect();
         out.sort_unstable();
         out
+    }
+
+    /// Open rounds whose latest accepted contribution arrived at least
+    /// `age` before `now`, in ascending `Seg` order (`HashMap` iteration
+    /// order varies between processes; callers flush in this order so
+    /// same-seed runs replay byte-identically).
+    pub fn stale_rounds(&self, now: SimTime, age: SimDuration) -> Vec<u64> {
+        let mut stale: Vec<u64> = (self.index.values())
+            .map(|&id| &self.slots[id as usize])
+            .filter(|slot| now.saturating_duration_since(slot.last_arrival) >= age)
+            .map(|slot| slot.seg)
+            .collect();
+        stale.sort_unstable();
+        stale
+    }
+
+    /// Whether no round is open on either path.
+    pub fn is_idle(&self) -> bool {
+        self.index.is_empty()
     }
 
     /// Sets this epoch's tenant grant: at most `slots` concurrently open
@@ -354,9 +448,9 @@ impl Accelerator {
         self.host_fallback = on;
     }
 
-    /// Arms the seeded slot-leak bug: completed rounds keep their slot and
-    /// bytes forever. Exists solely so the chaos harness can prove the I6
-    /// isolation invariant trips when a tenant misbehaves.
+    /// Arms the seeded slot-leak bug: released BRAM rounds keep their slot
+    /// and bytes forever. Exists solely so the chaos harness can prove the
+    /// I6 isolation invariant trips when a tenant misbehaves.
     pub fn set_slot_leak_bug(&mut self, on: bool) {
         self.slot_leak_bug = on;
     }
@@ -364,12 +458,12 @@ impl Accelerator {
     /// Rounds currently occupying BRAM slots (including any leaked by the
     /// seeded bug — a leak holds hardware, so it counts as occupancy).
     pub fn open_rounds(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len() - self.free.len() - self.host_rounds as usize
     }
 
     /// Rounds currently open on the fallback-to-host path.
     pub fn host_rounds(&self) -> usize {
-        self.fallback.len()
+        self.host_rounds as usize
     }
 
     /// Returns and rearms the demand high-water mark: the peak number of
@@ -378,7 +472,7 @@ impl Accelerator {
     /// grants; the mark restarts from the current occupancy.
     pub fn take_demand_peak(&mut self) -> u32 {
         let peak = self.demand_peak;
-        self.demand_peak = (self.open_rounds() + self.fallback.len()) as u32;
+        self.demand_peak = (self.slots.len() - self.free.len()) as u32;
         peak
     }
 
@@ -405,9 +499,9 @@ impl Accelerator {
     }
 
     /// Ingests one owned contribution: encodes it under this accelerator's
-    /// codec and feeds the bytes to [`Accelerator::ingest_wire`], the only
-    /// datapath. For f32 the round trip is exact, so sums are bit-identical
-    /// to adding `seg.values` directly.
+    /// codec and feeds the bytes to [`Accelerator::ingest_wire`]. For f32
+    /// the round trip is exact, so sums are bit-identical to adding
+    /// `seg.values` directly.
     ///
     /// # Panics
     ///
@@ -422,79 +516,100 @@ impl Accelerator {
         self.ingest_wire(SegmentMeta { seg, count, len }, &payload)
     }
 
-    /// Ingests one contribution from its encoded UDP payload, accumulating
-    /// on the fly (`meta` from the codec's `decode_meta`, `payload` the
-    /// full wire payload including all headers).
-    ///
-    /// Returns the completed aggregate (when this arrival made the counter
-    /// reach `H`) and the latency charged to this packet: every packet
-    /// occupies the datapath for the bytes actually streamed, and a
-    /// host-path round pays [`HOST_PATH_LATENCY_FACTOR`]× that. Adders read
-    /// bus beats, not heap allocations — the per-packet value vector is
-    /// never materialized. The payload may carry the codec's narrow
-    /// contribution or wide result encoding (hierarchical aggregation
-    /// feeds parent switches with wide child aggregates).
-    ///
-    /// A payload the codec refuses for the open round is dropped and
-    /// counted in [`AcceleratorStats::malformed_drops`]; the round is left
-    /// as it was.
+    /// [`Accelerator::ingest_at`] for callers with no clock and no
+    /// congestion marks (benchmarks, unit tests): the completed aggregate,
+    /// if this arrival made the counter reach `H`, and the latency charged.
     pub fn ingest_wire(
         &mut self,
         meta: SegmentMeta,
         payload: &[u8],
     ) -> (Option<DataSegment>, SimDuration) {
+        let ingest = self.ingest_at(SimTime::ZERO, false, meta, payload);
+        let done = match ingest.outcome {
+            IngestOutcome::Completed(round) => Some(round.aggregate),
+            IngestOutcome::Accepted | IngestOutcome::Refused(_) => None,
+        };
+        (done, ingest.latency)
+    }
+
+    /// Ingests one contribution arriving at `now` (CE-marked or not) from
+    /// its encoded UDP payload, accumulating on the fly (`meta` from the
+    /// codec's `decode_meta`, `payload` the full wire payload including all
+    /// headers) — the only datapath.
+    ///
+    /// Adders read bus beats, not heap allocations — the per-packet value
+    /// vector is never materialized. The payload may carry the codec's
+    /// narrow contribution or wide result encoding (hierarchical
+    /// aggregation feeds parent switches with wide child aggregates).
+    ///
+    /// A refused packet belongs to no round: it neither starts a round's
+    /// clock nor lends it a CE mark, and a round it would have opened is
+    /// released again.
+    pub fn ingest_at(
+        &mut self,
+        now: SimTime,
+        ce: bool,
+        meta: SegmentMeta,
+        payload: &[u8],
+    ) -> Ingest {
         self.stats.packets_in += 1;
         let datapath = self.charge(payload.len());
-        let idx = meta.seg;
-        let home = match self.index.get(&idx) {
-            Some(&slot_id) => Home::Bram(slot_id),
-            // A round that already fell back stays on the host path: its
-            // accumulator lives in DRAM, so later contributions must land
-            // there too.
-            None if self.fallback.contains_key(&idx) => Home::Host,
-            None => match self.open_round(idx, meta.len) {
-                Some(home) => home,
+        let mut ingest = Ingest {
+            outcome: IngestOutcome::Refused(Refusal::NoBram),
+            latency: datapath,
+            effects: AccEffects::default(),
+            slot_denied: false,
+        };
+        let (slot_id, opener) = match self.index.get(&meta.seg) {
+            Some(&slot_id) => (slot_id, false),
+            None => match self.open(meta.seg, meta.len, now) {
+                Some(slot_id) => (slot_id, true),
                 None => {
                     self.stats.bram_drops += 1;
-                    return (None, datapath);
+                    return ingest;
                 }
             },
         };
-        let (slot, latency) = match home {
-            Home::Bram(slot_id) => (&mut self.slots[slot_id as usize], datapath),
-            Home::Host => (
-                self.fallback.get_mut(&idx).expect("host round resident"),
-                datapath * HOST_PATH_LATENCY_FACTOR,
-            ),
-        };
+        let slot = &mut self.slots[slot_id as usize];
+        let via_host = slot.home == Home::Host;
+        if via_host {
+            ingest.latency = datapath * HOST_PATH_LATENCY_FACTOR;
+            ingest.slot_denied = opener;
+        }
         let Ok(effects) = self.codec.codec().accumulate(&mut slot.acc, payload) else {
             self.stats.malformed_drops += 1;
-            if slot.contributions == 0 {
-                // Opened by this very packet: a resident round always
-                // holds at least one contribution, so close it again.
-                let _ = self.release(idx);
+            if opener {
+                // A resident round always holds at least one contribution.
+                self.release(meta.seg);
             }
-            return (None, latency);
+            ingest.outcome = IngestOutcome::Refused(Refusal::Malformed);
+            return ingest;
         };
         slot.contributions = slot.contributions.saturating_add(1);
         slot.workers = slot.workers.saturating_add(meta.count.max(1));
+        slot.last_arrival = now;
+        slot.ce |= ce;
         let done = slot.contributions >= self.threshold;
         self.stats.codec_saturations += effects.saturations;
         self.stats.codec_rebases += effects.rebases;
-        if matches!(home, Home::Host) {
-            self.stats.fallback_contributions += 1;
-        }
-        (if done { self.emit(idx) } else { None }, latency)
+        self.stats.fallback_contributions += u64::from(via_host);
+        ingest.effects = effects;
+        ingest.outcome = if done {
+            IngestOutcome::Completed(self.emit(meta.seg).expect("the round is open"))
+        } else {
+            IngestOutcome::Accepted
+        };
+        ingest
     }
 
-    /// Finds a home for the first contribution of round `idx`. Opening a
-    /// round requires BRAM for its buffer and a slot under the tenant
-    /// grant; when either is exhausted the round falls back to the host
-    /// path if enabled, and is otherwise refused (`None`) — the packet
-    /// drops, exactly as the hardware would. (Drops genuinely happen when
-    /// loss desynchronizes workers by an iteration: N-1 full vectors may
+    /// Opens round `seg` at `now`, returning its slot. Opening a round
+    /// requires BRAM for its buffer and a slot under the tenant grant;
+    /// when either is exhausted the round is resident on the host path if
+    /// enabled, and is otherwise refused (`None`) — the packet drops,
+    /// exactly as the hardware would. (Drops genuinely happen when loss
+    /// desynchronizes workers by an iteration: N-1 full vectors may
     /// contend for a buffer that holds less than one.)
-    fn open_round(&mut self, idx: u64, len: usize) -> Option<Home> {
+    fn open(&mut self, seg: u64, len: usize, now: SimTime) -> Option<u32> {
         let acc_bytes = self.codec.acc_bytes(len);
         let byte_budget = self
             .byte_grant
@@ -507,86 +622,80 @@ impl Accelerator {
                 return None;
             }
             self.stats.slot_denials += 1;
-            self.fallback.insert(idx, Slot::new(self.codec, len));
+            self.host_rounds += 1;
             Home::Host
         } else {
             self.resident_bytes += acc_bytes;
             self.stats.peak_buffer_bytes = self.stats.peak_buffer_bytes.max(self.resident_bytes);
-            let slot_id = match self.free.pop() {
-                Some(recycled) => {
-                    let slot = &mut self.slots[recycled as usize];
-                    slot.acc.reset(len);
-                    slot.contributions = 0;
-                    slot.workers = 0;
-                    recycled
-                }
-                None => {
-                    self.slots.push(Slot::new(self.codec, len));
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            self.index.insert(idx, slot_id);
-            Home::Bram(slot_id)
+            Home::Bram
         };
+        let slot_id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::vacant(self.codec));
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot_id as usize].occupy(seg, home, len, now);
+        self.index.insert(seg, slot_id);
         // The demand high-water mark only moves when a round opens.
-        let open = (self.open_rounds() + self.fallback.len()) as u32;
+        let open = (self.slots.len() - self.free.len()) as u32;
         self.demand_peak = self.demand_peak.max(open);
-        Some(home)
+        Some(slot_id)
     }
 
-    /// Retires round `idx` from wherever it is resident, returning where
-    /// that was, its sums and its worker count; `None` if it is not open.
-    fn release(&mut self, idx: u64) -> Option<(Home, Vec<f32>, u16)> {
-        let codec = self.codec.codec();
-        // f32 slots hand their buffer to the result without a copy;
-        // integer accumulators decode to fresh f32 sums.
-        let sums = |slot: &mut Slot| match &mut slot.acc {
-            WireAcc::F32(sums) => std::mem::take(sums),
-            acc => codec.decode_acc(acc),
-        };
-        if let Some(slot_id) = self.index.remove(&idx) {
-            let slot = &mut self.slots[slot_id as usize];
-            let freed = slot.acc.resident_bytes();
-            let out = (Home::Bram(slot_id), sums(slot), slot.workers);
-            if self.slot_leak_bug {
+    /// Ends round `seg` — the one way a round stops being open, whatever
+    /// ended it (threshold, `FBcast`, stale sweep, reset, a refused
+    /// opener): the index forgets it and its slot and bytes return to the
+    /// pool. Returns the slot, whose contents stay readable until it is
+    /// occupied again; `None` if the round is not open.
+    fn release(&mut self, seg: u64) -> Option<u32> {
+        let slot_id = self.index.remove(&seg)?;
+        let slot = &self.slots[slot_id as usize];
+        match slot.home {
+            Home::Host => self.host_rounds -= 1,
+            Home::Bram if self.slot_leak_bug => {
                 // Seeded bug: the slot never returns to the free list and
                 // its bytes stay accounted as resident, so occupancy only
                 // grows.
                 self.stats.leaked_slots += 1;
-            } else {
-                self.free.push(slot_id);
-                self.resident_bytes -= freed;
+                return Some(slot_id);
             }
-            Some(out)
-        } else {
-            let mut slot = self.fallback.remove(&idx)?;
-            Some((Home::Host, sums(&mut slot), slot.workers))
+            Home::Bram => self.resident_bytes -= slot.acc.resident_bytes(),
         }
+        self.free.push(slot_id);
+        Some(slot_id)
     }
 
-    /// Releases round `idx` and publishes its aggregate: counted as
+    /// Releases round `seg` and publishes its aggregate: counted as
     /// emitted and cached for `Help`.
-    fn emit(&mut self, idx: u64) -> Option<DataSegment> {
-        let (home, values, count) = self.release(idx)?;
-        self.stats.segments_emitted += 1;
-        if matches!(home, Home::Host) {
-            self.stats.fallback_rounds += 1;
-        }
-        let result = DataSegment {
-            seg: idx,
-            count,
-            values,
+    fn emit(&mut self, seg: u64) -> Option<ClosedRound> {
+        let slot_id = self.release(seg)?;
+        let codec = self.codec.codec();
+        let slot = &mut self.slots[slot_id as usize];
+        let round = ClosedRound {
+            aggregate: DataSegment {
+                seg,
+                count: slot.workers,
+                // f32 slots hand their buffer to the result without a
+                // copy; integer accumulators decode to fresh f32 sums.
+                values: match &mut slot.acc {
+                    WireAcc::F32(sums) => std::mem::take(sums),
+                    acc => codec.decode_acc(acc),
+                },
+            },
+            opened: slot.opened,
+            ce: slot.ce,
+            via_host: slot.home == Home::Host,
         };
-        self.last_results.insert(idx, result.clone());
-        Some(result)
+        self.stats.segments_emitted += 1;
+        self.stats.fallback_rounds += u64::from(round.via_host);
+        self.last_results.insert(seg, round.aggregate.clone());
+        Some(round)
     }
 
     /// Forces out the partial aggregate of `seg` (the `FBcast` control
-    /// action), if any contributions have arrived — on either the BRAM or
-    /// the host path. The buffer and counter reset either way.
-    pub fn force_broadcast(&mut self, seg: u64) -> Option<DataSegment> {
-        // A resident round always holds at least one contribution (rounds
-        // are opened by the ingest that first contributes).
+    /// action and the stale sweep), if the round is open — on either the
+    /// BRAM or the host path. An open round always holds at least one
+    /// contribution, so there is always something to flush.
+    pub fn force_broadcast(&mut self, seg: u64) -> Option<ClosedRound> {
         let flushed = self.emit(seg)?;
         self.stats.forced_broadcasts += 1;
         Some(flushed)
@@ -598,15 +707,18 @@ impl Accelerator {
         self.last_results.get(&seg)
     }
 
-    /// Clears all buffers, counters, and result caches (the `Reset`
-    /// control action).
+    /// Releases every open round and clears the slot pool (including what
+    /// the seeded leak held) and the result cache — the `Reset` control
+    /// action and a switch restart.
     pub fn reset(&mut self) {
-        self.index.clear();
+        let open: Vec<u64> = self.index.keys().copied().collect();
+        for seg in open {
+            self.release(seg);
+        }
         self.slots.clear();
         self.free.clear();
         self.resident_bytes = 0;
         self.last_results.clear();
-        self.fallback.clear();
         self.demand_peak = 0;
         self.stats.resets += 1;
     }
@@ -674,7 +786,7 @@ mod tests {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 4);
         a.ingest(&seg(0, vec![3.0]));
         a.ingest(&seg(0, vec![4.0]));
-        let flushed = a.force_broadcast(0).expect("partial flushed");
+        let flushed = a.force_broadcast(0).expect("partial flushed").aggregate;
         assert_eq!(flushed.values, vec![7.0]);
         assert_eq!(flushed.count, 2);
         // Nothing left to flush.
@@ -823,7 +935,8 @@ mod tests {
         assert_eq!(a.host_rounds(), 1);
         assert_eq!(a.partial_segments(), vec![0, 1]);
         let flushed = a.force_broadcast(1).expect("host partial flushed");
-        assert_eq!(flushed.values, vec![7.0]);
+        assert!(flushed.via_host);
+        assert_eq!(flushed.aggregate.values, vec![7.0]);
         assert_eq!(a.stats().fallback_rounds, 1);
         assert_eq!(a.last_result(1).unwrap().values, vec![7.0]);
     }

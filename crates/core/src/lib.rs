@@ -48,7 +48,8 @@ mod switch_ext;
 mod worker;
 
 pub use accelerator::{
-    Accelerator, AcceleratorConfig, AcceleratorStats, ResourceReport, HOST_PATH_LATENCY_FACTOR,
+    Accelerator, AcceleratorConfig, AcceleratorStats, ClosedRound, Ingest, IngestOutcome, Refusal,
+    ResourceReport, HOST_PATH_LATENCY_FACTOR,
 };
 pub use control_plane::{Member, MemberType, MembershipTable};
 pub use error::ProtocolError;

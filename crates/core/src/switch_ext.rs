@@ -17,15 +17,15 @@
 //!   fanned out to the children.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use iswitch_netsim::{
-    ExtAction, IpAddr, Packet, PortId, SimDuration, SimTime, SwitchExtension, SwitchServices,
+    ExtAction, IpAddr, Packet, PortId, SimDuration, SwitchExtension, SwitchServices,
 };
 use iswitch_obs::{Counter, Histogram, Registry, Span, TraceEvent};
 
-use crate::accelerator::{Accelerator, AcceleratorConfig};
+use crate::accelerator::{Accelerator, AcceleratorConfig, IngestOutcome, Refusal};
 use crate::control_plane::{Member, MemberType, MembershipTable};
 use crate::protocol::codec::CodecKind;
 use crate::protocol::{
@@ -114,20 +114,9 @@ impl ExtensionConfig {
     /// Configuration for the single-switch (star) deployment of Fig. 1c:
     /// the switch is the root; `H` = number of workers.
     pub fn for_star(child_ports: Vec<PortId>, grad_len: usize) -> Self {
-        let threshold = child_ports.len() as u16;
         ExtensionConfig {
-            role: AggregationRole::Root,
-            child_ports,
-            grad_len,
-            threshold,
-            accel: AcceleratorConfig::default(),
             switch_ip: IpAddr::new(10, 0, 255, 1),
-            auto_threshold: false,
-            mode: AggregationMode::OnTheFly,
-            stale_flush: None,
-            codec: CodecKind::F32,
-            host_fallback: false,
-            slot_leak_bug: false,
+            ..Self::for_tree_level(AggregationRole::Root, child_ports, grad_len)
         }
     }
 
@@ -199,21 +188,11 @@ impl ExtensionConfig {
     }
 }
 
-/// Counters for the extension beyond the accelerator's own.
+/// The extension's counters that the metrics registry does not carry
+/// (everything else is a `core.switch.nNNN.*` counter; these two stay out
+/// of the registry so loss-free metric reports keep their shape).
 #[derive(Debug, Clone, Default)]
 pub struct ExtensionStats {
-    /// Result packets broadcast downward.
-    pub broadcasts: u64,
-    /// Aggregates forwarded up the hierarchy.
-    pub upward_forwards: u64,
-    /// Control messages handled.
-    pub control_handled: u64,
-    /// `Help` retransmissions served.
-    pub help_served: u64,
-    /// Stale partial rounds flushed by the expiry sweep.
-    pub stale_flushes: u64,
-    /// Non-iSwitch packets passed through to regular forwarding.
-    pub passed_through: u64,
     /// Injected accelerator restarts ([`FAULT_RESET_TOKEN`]).
     pub fault_resets: u64,
     /// Result emissions that carried an echoed ECN-CE mark (some
@@ -222,9 +201,16 @@ pub struct ExtensionStats {
 }
 
 enum PendingEmit {
-    Broadcast { seg: DataSegment, ce: bool },
-    Upward { seg: DataSegment, ce: bool },
-    HelpReply { seg: DataSegment, to: IpAddr },
+    /// An aggregate leaving the accelerator: broadcast down by a root,
+    /// forwarded up by an intermediate.
+    Result {
+        seg: DataSegment,
+        ce: bool,
+    },
+    HelpReply {
+        seg: DataSegment,
+        to: IpAddr,
+    },
 }
 
 /// Metric handles registered in the owning simulation's registry.
@@ -310,22 +296,11 @@ pub struct IswitchExtension {
     membership: MembershipTable,
     pending: HashMap<u64, PendingEmit>,
     next_token: u64,
-    /// Last contribution arrival per partial segment (sweep bookkeeping).
-    last_arrival: HashMap<usize, SimTime>,
     sweep_armed: bool,
     /// Completed segments held back in store-and-forward mode until the
     /// whole round is resident, with their echoed-CE flag.
     held: Vec<(DataSegment, bool)>,
     stats: ExtensionStats,
-    /// Segment rounds that saw at least one CE-marked contribution; the
-    /// mark is echoed onto the round's result emission (the congestion
-    /// feedback leg of DCQCN: senders learn of queue build-up from the
-    /// aggregate coming back). Only inserted/removed by segment index, so
-    /// iteration order never matters.
-    ecn_seen: HashSet<usize>,
-    /// First contribution time of each in-flight segment round, for the
-    /// aggregation-latency histogram.
-    round_open: HashMap<usize, SimTime>,
     obs: Option<ExtObs>,
 }
 
@@ -356,12 +331,9 @@ impl IswitchExtension {
             membership: MembershipTable::new(),
             pending: HashMap::new(),
             next_token: 0,
-            last_arrival: HashMap::new(),
             sweep_armed: false,
             held: Vec::new(),
             stats: ExtensionStats::default(),
-            ecn_seen: HashSet::new(),
-            round_open: HashMap::new(),
             obs: None,
         }
     }
@@ -404,24 +376,22 @@ impl IswitchExtension {
         sw.set_timer(delay, token);
     }
 
-    fn data_packet(&self, dst: IpAddr, seg: &DataSegment) -> Packet {
+    /// The packet carrying aggregate `seg` to `dst`, echoing the round's
+    /// congestion mark when `ce`.
+    fn data_packet(&mut self, dst: IpAddr, seg: &DataSegment, ce: bool) -> Packet {
         // Reuses the worker-side factory so switch-emitted results carry
         // the same causal key shape as worker contributions. Results leave
         // in the codec's wide format (for f32, the legacy raw encoding).
-        crate::worker::result_packet(self.cfg.switch_ip, dst, seg, self.cfg.codec)
-    }
-
-    fn broadcast_down(&mut self, sw: &mut SwitchServices<'_, '_>, seg: &DataSegment, ce: bool) {
-        let mut pkt = self.data_packet(RESULT_BROADCAST_IP, seg);
+        let mut pkt = crate::worker::result_packet(self.cfg.switch_ip, dst, seg, self.cfg.codec);
         if ce {
             pkt.mark_ecn_ce();
             self.stats.ecn_echoed += 1;
         }
-        self.fanout_down(sw, pkt);
+        pkt
     }
 
-    /// Fans a result packet out to every child port.
-    fn fanout_down(&mut self, sw: &mut SwitchServices<'_, '_>, pkt: Packet) {
+    /// Sends `pkt` out of every child port.
+    fn send_children(&self, sw: &mut SwitchServices<'_, '_>, pkt: Packet) {
         // Clone for all children but the last, which takes the packet by
         // value — one fewer refcount round-trip per broadcast.
         let (last, rest) = self
@@ -433,29 +403,29 @@ impl IswitchExtension {
             sw.send_port(port, pkt.clone());
         }
         sw.send_port(*last, pkt);
-        self.stats.broadcasts += self.cfg.child_ports.len() as u64;
+    }
+
+    /// Fans a result packet out to every child port.
+    fn fanout_down(&mut self, sw: &mut SwitchServices<'_, '_>, pkt: Packet) {
+        self.send_children(sw, pkt);
         if let Some(obs) = &self.obs {
             obs.broadcasts.add(self.cfg.child_ports.len() as u64);
         }
     }
 
+    /// Sends a closed round's aggregate on its way, `delay` from now. The
+    /// round's congestion mark rides out on exactly this emission (the
+    /// feedback leg of DCQCN: senders learn of queue build-up from the
+    /// aggregate coming back).
     fn emit_completed(
         &mut self,
         sw: &mut SwitchServices<'_, '_>,
         seg: DataSegment,
+        ce: bool,
         delay: SimDuration,
     ) {
-        // Consume the round's congestion mark: it rides out on exactly the
-        // emission that closes the round.
-        let ce = self.ecn_seen.remove(&(seg.seg as usize));
         match self.cfg.mode {
-            AggregationMode::OnTheFly => {
-                let emit = match self.cfg.role {
-                    AggregationRole::Root => PendingEmit::Broadcast { seg, ce },
-                    AggregationRole::Intermediate { .. } => PendingEmit::Upward { seg, ce },
-                };
-                self.schedule(sw, delay, emit);
-            }
+            AggregationMode::OnTheFly => self.schedule(sw, delay, PendingEmit::Result { seg, ce }),
             AggregationMode::StoreAndForward => {
                 self.held.push((seg, ce));
                 if self.held.len() == self.accel.num_segments() {
@@ -468,11 +438,7 @@ impl IswitchExtension {
                         * per_packet.as_nanos();
                     let mut when = SimDuration::from_nanos(total);
                     for (seg, ce) in std::mem::take(&mut self.held) {
-                        let emit = match self.cfg.role {
-                            AggregationRole::Root => PendingEmit::Broadcast { seg, ce },
-                            AggregationRole::Intermediate { .. } => PendingEmit::Upward { seg, ce },
-                        };
-                        self.schedule(sw, when, emit);
+                        self.schedule(sw, when, PendingEmit::Result { seg, ce });
                         when += per_packet;
                     }
                 }
@@ -510,70 +476,59 @@ impl IswitchExtension {
             // Malformed data packets are dropped, as real hardware would.
             Err(_) => return,
         };
-        let idx = meta.seg as usize;
         let now = sw.now();
-        let sat_before = self.accel.stats().codec_saturations;
-        let reb_before = self.accel.stats().codec_rebases;
-        let den_before = self.accel.stats().slot_denials;
-        let fbr_before = self.accel.stats().fallback_rounds;
-        let mal_before = self.accel.stats().malformed_drops;
-        let bram_before = self.accel.stats().bram_drops;
-        let (done, latency) = self.accel.ingest_wire(meta, &pkt.payload);
-        let malformed = self.accel.stats().malformed_drops - mal_before;
-        if malformed == 0 && self.accel.stats().bram_drops == bram_before {
-            // Only a contribution the accelerator took in belongs to the
-            // round: a refused packet must neither start the round's
-            // latency clock nor lend it a CE mark, or the entries would
-            // outlive it and be read by the next round under this key.
-            if pkt.ecn_ce() {
-                self.ecn_seen.insert(idx);
-            }
-            self.round_open.entry(idx).or_insert(now);
-        }
-        let sat_total = self.accel.stats().codec_saturations;
-        let reb_total = self.accel.stats().codec_rebases;
-        let den_total = self.accel.stats().slot_denials;
-        let fbr_total = self.accel.stats().fallback_rounds;
+        let ingest = self.accel.ingest_at(now, pkt.ecn_ce(), meta, &pkt.payload);
         if let Some(ts) = sw.timeseries() {
             // Cumulative quantization-pressure tracks; change-collapse in
             // the sink keeps clean rounds free.
             let base = format!("core.switch.n{:03}", sw.node().index());
-            let t = now.as_nanos();
-            ts.record(&format!("{base}.codec_saturations"), t, sat_total as i64);
-            ts.record(&format!("{base}.codec_rebases"), t, reb_total as i64);
+            let totals = self.accel.stats();
+            for (track, total) in [
+                ("codec_saturations", totals.codec_saturations),
+                ("codec_rebases", totals.codec_rebases),
+            ] {
+                ts.record(&format!("{base}.{track}"), now.as_nanos(), total as i64);
+            }
         }
         let obs = self.obs(sw);
         obs.data_ingested.inc();
-        obs.codec_saturations.add(sat_total - sat_before);
-        obs.codec_rebases.add(reb_total - reb_before);
+        obs.codec_saturations.add(ingest.effects.saturations);
+        obs.codec_rebases.add(ingest.effects.rebases);
         if let Some(c) = &obs.slot_denials {
-            c.add(den_total - den_before);
+            c.add(u64::from(ingest.slot_denied));
         }
-        if let Some(c) = &obs.fallback_rounds {
-            c.add(fbr_total - fbr_before);
-        }
-        if malformed > 0 {
-            // Registered by the first drop, so a run that never sees a
-            // malformed contribution keeps its metric report unchanged.
-            let name = format!("core.switch.n{:03}.malformed_drops", sw.node().index());
-            sw.metrics().counter(&name).add(malformed);
-        }
-        match done {
-            Some(agg) => {
+        match ingest.outcome {
+            IngestOutcome::Refused(Refusal::Malformed) => {
+                // Registered by the first drop, so a run that never sees a
+                // malformed contribution keeps its metric report unchanged.
+                let name = format!("core.switch.n{:03}.malformed_drops", sw.node().index());
+                sw.metrics().counter(&name).inc();
+            }
+            // Counted by the accelerator (`bram_drops`); loss recovery
+            // heals it like any other lost contribution.
+            IngestOutcome::Refused(Refusal::NoBram) => {}
+            IngestOutcome::Accepted => {
+                if let (Some(age), false) = (self.cfg.stale_flush, self.sweep_armed) {
+                    self.sweep_armed = true;
+                    sw.set_timer(age / 2, SWEEP_TOKEN);
+                }
+            }
+            IngestOutcome::Completed(round) => {
                 // Aggregation latency spans the round's first contribution
                 // to the result leaving the accelerator pipeline.
-                let opened = self.round_open.remove(&idx).unwrap_or(now);
-                let obs = self.obs.as_ref().expect("resolved above");
+                let latency = ingest.latency;
+                let window = now.saturating_duration_since(round.opened) + latency;
                 obs.h_hits.inc();
-                obs.agg_latency_ns
-                    .record(now.saturating_duration_since(opened).as_nanos() + latency.as_nanos());
-                self.last_arrival.remove(&idx);
+                obs.agg_latency_ns.record(window.as_nanos());
+                if let Some(c) = &obs.fallback_rounds {
+                    c.add(u64::from(round.via_host));
+                }
                 if let Some(trace) = sw.trace() {
                     // The contribution that crossed the threshold is the one
                     // that gated this window — name it for straggler
                     // attribution.
                     let id = trace.alloc_span_id();
-                    Span::begin(id, "switch.agg_window", opened.as_nanos())
+                    Span::begin(id, "switch.agg_window", round.opened.as_nanos())
                         .attr_u64("round", u64::from(seg_round(meta.seg)))
                         .attr_u64("seg", seg_index(meta.seg))
                         .attr_u64("last_src", u64::from(pkt.ip.src.as_u32()))
@@ -582,63 +537,64 @@ impl IswitchExtension {
                         .end((now + latency).as_nanos())
                         .emit(trace);
                 }
-                self.emit_completed(sw, agg, latency);
-            }
-            None => {
-                if let Some(age) = self.cfg.stale_flush {
-                    self.last_arrival.insert(idx, sw.now());
-                    if !self.sweep_armed {
-                        self.sweep_armed = true;
-                        sw.set_timer(age / 2, SWEEP_TOKEN);
-                    }
-                }
+                self.emit_completed(sw, round.aggregate, round.ce, latency);
             }
         }
     }
 
+    /// Forces out the partial round `seg`, if it is open — for a worker's
+    /// `FBcast` (`from`) or the stale sweep — and emits what it held.
+    fn flush(
+        &mut self,
+        sw: &mut SwitchServices<'_, '_>,
+        seg: u64,
+        reason: &str,
+        from: Option<IpAddr>,
+    ) {
+        let Some(partial) = self.accel.force_broadcast(seg) else {
+            return;
+        };
+        if let Some(trace) = sw.trace() {
+            let mut ev = TraceEvent::new(sw.now().as_nanos(), "switch.flush")
+                .with_u64("round", u64::from(seg_round(seg)))
+                .with_u64("seg", seg_index(seg))
+                .with_u64("count", u64::from(partial.aggregate.count))
+                .with_str("reason", reason);
+            if let Some(from) = from {
+                ev = ev.with_str("from", &from.to_string());
+            }
+            trace.record(ev.with_u64("node", sw.node().index() as u64));
+        }
+        self.emit_completed(sw, partial.aggregate, partial.ce, SimDuration::ZERO);
+    }
+
     /// Flushes partial rounds that have seen no contribution for the
-    /// configured age, then re-arms the sweep while partials remain.
+    /// configured age, then re-arms the sweep while rounds remain open.
     fn sweep_stale(&mut self, sw: &mut SwitchServices<'_, '_>) {
         let Some(age) = self.cfg.stale_flush else {
             self.sweep_armed = false;
             return;
         };
-        let now = sw.now();
-        let mut stale: Vec<usize> = self
-            .last_arrival
-            .iter()
-            .filter(|(_, &at)| now.saturating_duration_since(at) >= age)
-            .map(|(&idx, _)| idx)
-            .collect();
-        // HashMap iteration order varies between processes; flush in
-        // segment order so same-seed runs replay byte-identically.
-        stale.sort_unstable();
-        for idx in stale {
-            self.last_arrival.remove(&idx);
-            self.round_open.remove(&idx);
-            if let Some(partial) = self.accel.force_broadcast(idx as u64) {
-                self.stats.stale_flushes += 1;
-                if let Some(obs) = &self.obs {
-                    obs.stale_flushes.inc();
-                }
-                if let Some(trace) = sw.trace() {
-                    trace.record(
-                        TraceEvent::new(now.as_nanos(), "switch.flush")
-                            .with_u64("round", u64::from(seg_round(idx as u64)))
-                            .with_u64("seg", seg_index(idx as u64))
-                            .with_u64("count", u64::from(partial.count))
-                            .with_str("reason", "stale")
-                            .with_u64("node", sw.node().index() as u64),
-                    );
-                }
-                self.emit_completed(sw, partial, SimDuration::from_nanos(0));
-            }
+        for seg in self.accel.stale_rounds(sw.now(), age) {
+            // Stale rounds are open rounds: each one flushes.
+            self.flush(sw, seg, "stale", None);
+            self.obs(sw).stale_flushes.inc();
         }
-        if self.last_arrival.is_empty() {
-            self.sweep_armed = false;
-        } else {
+        self.sweep_armed = !self.accel.is_idle();
+        if self.sweep_armed {
             sw.set_timer(age / 2, SWEEP_TOKEN);
         }
+    }
+
+    /// Forgets every piece of volatile state: open rounds, the result
+    /// cache, held and scheduled emissions — nothing scheduled before a
+    /// reset is emitted after it. `sweep_armed` stays as-is: an in-flight
+    /// sweep timer cannot be recalled, and letting it run keeps a single
+    /// sweep chain alive.
+    fn reset(&mut self) {
+        self.accel.reset();
+        self.held.clear();
+        self.pending.clear();
     }
 
     fn ack(&self, sw: &mut SwitchServices<'_, '_>, to: IpAddr, of: u8, ok: bool) {
@@ -657,7 +613,6 @@ impl IswitchExtension {
         let Ok(msg) = ControlMessage::decode(&pkt.payload) else {
             return;
         };
-        self.stats.control_handled += 1;
         self.obs(sw).control_handled.inc();
         let code = msg.action_code();
         let from = pkt.ip.src;
@@ -691,9 +646,7 @@ impl IswitchExtension {
                 self.ack(sw, from, code, ok);
             }
             ControlMessage::Reset => {
-                self.accel.reset();
-                self.round_open.clear();
-                self.ecn_seen.clear();
+                self.reset();
                 self.ack(sw, from, code, true);
             }
             ControlMessage::SetH { h } => {
@@ -704,22 +657,7 @@ impl IswitchExtension {
                 self.ack(sw, from, code, ok);
             }
             ControlMessage::FBcast { seg } => {
-                if let Some(partial) = self.accel.force_broadcast(seg) {
-                    self.round_open.remove(&(seg as usize));
-                    if let Some(trace) = sw.trace() {
-                        trace.record(
-                            TraceEvent::new(sw.now().as_nanos(), "switch.flush")
-                                .with_u64("round", u64::from(seg_round(seg)))
-                                .with_u64("seg", seg_index(seg))
-                                .with_u64("count", u64::from(partial.count))
-                                .with_str("reason", "fbcast")
-                                .with_str("from", &from.to_string())
-                                .with_u64("node", sw.node().index() as u64),
-                        );
-                    }
-                    let latency = SimDuration::from_nanos(0);
-                    self.emit_completed(sw, partial, latency);
-                }
+                self.flush(sw, seg, "fbcast", Some(from));
             }
             ControlMessage::Help { seg } => {
                 let served = if let Some(cached) = self.accel.last_result(seg) {
@@ -727,7 +665,6 @@ impl IswitchExtension {
                         seg: cached.clone(),
                         to: from,
                     };
-                    self.stats.help_served += 1;
                     self.obs(sw).help_served.inc();
                     self.schedule(sw, SimDuration::from_nanos(0), reply);
                     true
@@ -756,15 +693,7 @@ impl IswitchExtension {
                     TOS_CONTROL,
                 )
                 .with_payload(ControlMessage::Halt.encode());
-                let (last, rest) = self
-                    .cfg
-                    .child_ports
-                    .split_last()
-                    .expect("asserted non-empty in new()");
-                for &port in rest {
-                    sw.send_port(port, pkt.clone());
-                }
-                sw.send_port(*last, pkt);
+                self.send_children(sw, pkt);
             }
             ControlMessage::Ack { .. } => {
                 // Acks terminate at the switch.
@@ -792,7 +721,6 @@ impl SwitchExtension for IswitchExtension {
                 ExtAction::Consumed
             }
             _ => {
-                self.stats.passed_through += 1;
                 self.obs(sw).passed_through.inc();
                 ExtAction::Forward(pkt)
             }
@@ -805,14 +733,7 @@ impl SwitchExtension for IswitchExtension {
             return;
         }
         if token == FAULT_RESET_TOKEN {
-            self.accel.reset();
-            self.round_open.clear();
-            self.last_arrival.clear();
-            self.held.clear();
-            self.pending.clear();
-            self.ecn_seen.clear();
-            // `sweep_armed` stays as-is: an in-flight sweep timer cannot be
-            // recalled, and letting it run keeps a single sweep chain alive.
+            self.reset();
             self.stats.fault_resets += 1;
             if let Some(trace) = sw.trace() {
                 trace.record(
@@ -826,22 +747,19 @@ impl SwitchExtension for IswitchExtension {
             return;
         };
         match emit {
-            PendingEmit::Broadcast { seg, ce } => self.broadcast_down(sw, &seg, ce),
-            PendingEmit::Upward { seg, ce } => {
-                let AggregationRole::Intermediate { uplink } = self.cfg.role else {
-                    unreachable!("upward emission only scheduled on intermediates");
-                };
-                let mut pkt = self.data_packet(UPSTREAM_IP, &seg);
-                if ce {
-                    pkt.mark_ecn_ce();
-                    self.stats.ecn_echoed += 1;
+            PendingEmit::Result { seg, ce } => match self.cfg.role {
+                AggregationRole::Root => {
+                    let pkt = self.data_packet(RESULT_BROADCAST_IP, &seg, ce);
+                    self.fanout_down(sw, pkt);
                 }
-                sw.send_port(uplink, pkt);
-                self.stats.upward_forwards += 1;
-                self.obs(sw).upward_forwards.inc();
-            }
+                AggregationRole::Intermediate { uplink } => {
+                    let pkt = self.data_packet(UPSTREAM_IP, &seg, ce);
+                    sw.send_port(uplink, pkt);
+                    self.obs(sw).upward_forwards.inc();
+                }
+            },
             PendingEmit::HelpReply { seg, to } => {
-                let pkt = self.data_packet(to, &seg);
+                let pkt = self.data_packet(to, &seg, false);
                 let _ = sw.send_routed(pkt);
             }
         }

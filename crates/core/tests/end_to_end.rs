@@ -4,6 +4,9 @@
 
 use std::any::Any;
 
+mod common;
+use common::{switch_counter, Puppet};
+
 use iswitch_core::{
     control_packet, decode_control, decode_data, gradient_packets, AggregationRole, ControlMessage,
     ExtensionConfig, GradientAssembler, IswitchExtension, FAULT_RESET_TOKEN,
@@ -527,8 +530,7 @@ fn stale_partial_rounds_expire_and_broadcast() {
             got[400]
         );
     }
-    let sw = sim.device_mut::<Switch>(switch);
-    assert_eq!(sw.extension::<IswitchExtension>().stats().stale_flushes, 1);
+    assert_eq!(switch_counter(&sim, switch, "stale_flushes"), 1);
 }
 
 #[test]
@@ -592,8 +594,7 @@ fn fault_plan_exact_drop_is_recovered_by_partial_flush() {
     }
     assert_eq!(sim.stats().faults_applied, 1);
     assert_eq!(sim.stats().packets_dropped, 1);
-    let sw = sim.device_mut::<Switch>(star.switch);
-    assert_eq!(sw.extension::<IswitchExtension>().stats().stale_flushes, 1);
+    assert_eq!(switch_counter(&sim, star.switch, "stale_flushes"), 1);
 }
 
 #[test]
@@ -885,8 +886,7 @@ fn non_iswitch_traffic_passes_through_untouched() {
             1
         );
     }
-    let sw = sim.device_mut::<Switch>(star.switch);
-    assert_eq!(sw.extension::<IswitchExtension>().stats().passed_through, 2);
+    assert_eq!(switch_counter(&sim, star.switch, "passed_through"), 2);
 }
 
 #[test]
@@ -991,4 +991,61 @@ fn refused_contribution_leaves_no_latency_clock_or_ce_mark_behind() {
     let ext = sw.extension::<IswitchExtension>();
     assert_eq!(ext.accelerator().stats().bram_drops, 2);
     assert_eq!(ext.stats().ecn_echoed, 1, "only segment 0 saw a CE mark");
+}
+
+#[test]
+fn a_reset_forgets_held_and_scheduled_emissions() {
+    // Store-and-forward on a slow (1 MHz) datapath, H = 1, two segments:
+    // a pre-reset aggregate sits in the held set (1 of 2 segments done),
+    // and a complete round sits in scheduled emissions, each when a reset
+    // lands. Neither may surface afterwards: the held aggregate would fire
+    // the next round one segment early (and phase-shift every round after
+    // it), the scheduled ones would be emitted by a switch that no longer
+    // knows them. Both ways a switch is reset must agree.
+    const LEN: usize = 500;
+    // Push A's segment 0, reset with it held; push B, reset with B's two
+    // segments scheduled (54 µs per packet: they would leave ~208 µs and
+    // ~262 µs in); push C, which alone may come back.
+    // (time in µs, gradient value, leading segments pushed)
+    let pushes = [(1, 1_000.0, 1), (100, 1.0, 2), (500, 2.0, 2)];
+    let resets = [20, 150];
+    let me = host_ip(0, 0);
+    for by_fault in [false, true] {
+        let mut script: Vec<(u64, Packet)> = Vec::new();
+        for (at, value, segments) in pushes {
+            let train = gradient_packets(me, &[value; LEN])
+                .into_iter()
+                .take(segments);
+            script.extend(train.map(|pkt| (at * 1_000, pkt)));
+        }
+        if !by_fault {
+            let reset = control_packet(me, iswitch_core::UPSTREAM_IP, &ControlMessage::Reset);
+            script.extend(resets.map(|at| (at * 1_000, reset.clone())));
+        }
+        let mut cfg = ExtensionConfig::for_star(vec![PortId::new(0)], LEN).store_and_forward();
+        cfg.accel.clock_hz = 1_000_000;
+        let mut sim = Simulator::new();
+        let star = build_star(
+            &mut sim,
+            vec![Puppet::new(script)],
+            Some(Box::new(IswitchExtension::new(cfg))),
+            &TopologyConfig::default(),
+        );
+        if by_fault {
+            let mut plan = FaultPlan::new();
+            for at in resets {
+                let (node, token) = (star.switch, FAULT_RESET_TOKEN);
+                let restart = FaultAction::InjectTimer { node, token };
+                plan.push(SimTime::from_nanos(at * 1_000), restart);
+            }
+            sim.install_fault_plan(&plan);
+        }
+        sim.run_until_idle();
+        let host = sim.device::<iswitch_netsim::Host>(star.hosts[0]);
+        let got: Vec<(u64, f32)> = (host.app::<Puppet>().got.iter())
+            .map(|(_, pkt)| decode_data(pkt).expect("a result"))
+            .map(|seg| (seg.seg, seg.values[0]))
+            .collect();
+        assert_eq!(got, [(0, 2.0), (1, 2.0)], "by_fault = {by_fault}");
+    }
 }

@@ -7,11 +7,17 @@
 //! header, sub-header or body byte flipped, or the tail cut.
 
 use iswitch_core::{
-    decode_seg_field, Accelerator, AcceleratorConfig, CodecKind, ControlMessage, DataSegment,
-    RoundAssembler, RoundInsert,
+    data_packet_wire, decode_seg_field, Accelerator, AcceleratorConfig, CodecKind, ControlMessage,
+    DataSegment, ExtensionConfig, IswitchExtension, RoundAssembler, RoundInsert, SegmentMeta,
+    UPSTREAM_IP,
 };
-use iswitch_netsim::MAX_UDP_PAYLOAD;
+use iswitch_netsim::{
+    build_star, host_ip, PortId, SimDuration, Simulator, Switch, TopologyConfig, MAX_UDP_PAYLOAD,
+};
 use proptest::prelude::*;
+
+mod common;
+use common::{switch_counter, Puppet};
 
 /// A well-formed payload for segment 0 under `kind`: a contribution, or
 /// (`wide`) the result encoding an intermediate switch sends upward.
@@ -137,6 +143,77 @@ fn ingest_after_a_valid_first(kind: CodecKind, bytes: &[u8], len: usize, host_pa
         let second = feed(&mut accel, &valid(2.0));
         assert!(second.is_some() || feed(&mut accel, &valid(4.0)).is_some());
     }
+}
+
+#[test]
+fn a_refused_packet_under_stale_flush_arms_nothing_and_leaves_nothing() {
+    let kind = CodecKind::TopK;
+    let elems = kind.elems_per_segment();
+    let age = SimDuration::from_millis(1);
+    // Each payload leaves the one host at its time (µs). The switch parses
+    // the payload itself; the packet's own stamp is for tracing only.
+    let run = |script: Vec<(u64, Vec<u8>)>| {
+        let (seg, count, len) = (0, 1, 0);
+        let stamp = SegmentMeta { seg, count, len };
+        let send =
+            |payload: Vec<u8>| data_packet_wire(host_ip(0, 0), UPSTREAM_IP, stamp, payload.into());
+        let script = script
+            .into_iter()
+            .map(|(at, payload)| (at * 1_000, send(payload)));
+        let mut cfg = ExtensionConfig::for_star(vec![PortId::new(0)], 2 * elems)
+            .with_threshold(2)
+            .with_codec(kind)
+            .with_stale_flush(age);
+        cfg.accel.buffer_bytes = kind.acc_bytes(elems); // one round fits
+        let mut sim = Simulator::new();
+        let star = build_star(
+            &mut sim,
+            vec![Puppet::new(script.collect())],
+            Some(Box::new(IswitchExtension::new(cfg))),
+            &TopologyConfig::default(),
+        );
+        let idle_at = sim.run_until_idle();
+        let ext = sim
+            .device::<Switch>(star.switch)
+            .extension::<IswitchExtension>();
+        assert!(ext.accelerator().is_idle());
+        assert_eq!(ext.accelerator().resident_bytes(), 0);
+        let swept = switch_counter(&sim, star.switch, "stale_flushes");
+        (idle_at, ext.accelerator().stats().clone(), swept)
+    };
+    let seg = |index: u64| {
+        let full = kind.codec().encode_contribution(index, &vec![1.0; elems]);
+        full.expect("finite values").to_vec()
+    };
+
+    // Malformed for the round it would open (its first sparse index points
+    // past the segment): the round is released again and no sweep is armed
+    // — the run is over the moment the packet is dropped.
+    let mut bad = seg(0);
+    bad[12] ^= 0x80;
+    let (idle_at, stats, swept) = run(vec![(0, bad)]);
+    assert_eq!(
+        (stats.malformed_drops, stats.segments_emitted, swept),
+        (1, 0, 0)
+    );
+    assert!(
+        idle_at.as_nanos() < age.as_nanos() / 2,
+        "a sweep was armed: {idle_at}"
+    );
+
+    // Refused for lack of BRAM while segment 0's round is open. That round
+    // goes stale and is flushed by the sweep tick 1 ms after it opened,
+    // and the chain ends there: the refused packet, 100 µs before, left no
+    // arrival time behind for another tick to come back for.
+    let (idle_at, stats, swept) = run(vec![(0, seg(0)), (900, seg(1))]);
+    assert_eq!(
+        (stats.bram_drops, stats.forced_broadcasts, swept),
+        (1, 1, 1)
+    );
+    assert!(
+        idle_at.as_nanos() < age.as_nanos() * 3 / 2,
+        "a ghost sweep ran: {idle_at}"
+    );
 }
 
 proptest! {

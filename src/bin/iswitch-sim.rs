@@ -473,10 +473,11 @@ fn cmd_cosim(args: &[String], alg: Algorithm, strategy: Strategy) {
     }
 }
 
-/// Runs a timing simulation the library may refuse at run time. It
-/// reports a run it cannot summarise (a host-side strategy stalled on a
-/// tail-dropped packet) by panicking with the reason; the panic hook has
-/// printed that message, so exit like every other refused invocation.
+/// Runs a simulation the library may refuse at run time. It reports a
+/// configuration it rejects, or a run it cannot summarise (a host-side
+/// strategy stalled on a tail-dropped packet), by panicking with the
+/// reason; the panic hook has printed that message, so exit like every
+/// other refused invocation.
 fn run_or_refuse<T>(run: impl FnOnce() -> T) -> T {
     catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| exit(2))
 }
@@ -773,7 +774,7 @@ fn cmd_multi(args: &[String]) {
         cfg.fabric.slots,
         cfg.fabric.epoch
     );
-    let out = run_multi_tenant(&cfg);
+    let out = run_or_refuse(|| run_multi_tenant(&cfg));
     println!(
         "{:<10} {:<10} {:>16} {:>9} {:>10} {:>12}",
         "tenant", "strategy", "per-iteration", "denials", "fallback", "finished"

@@ -82,3 +82,42 @@ fn unknown_flags_are_refused_and_help_is_help() {
         assert!(!stdout.contains("simulating"), "{args:?} ran: {stdout}");
     }
 }
+
+#[test]
+fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
+    // (arguments, expected exit code, text the chosen stream must carry)
+    let rows: [(&[&str], i32, &str); 3] = [
+        // A switch restart mid-run is recovered, not reported as a stall.
+        (
+            &["--tenants", "a=ppo/isw,b=a2c/isw", "--reset", "a=40"],
+            0,
+            "finished",
+        ),
+        // On a 4-slot fabric the same restart catches two completed
+        // host-path rounds inside their emission delay: their results are
+        // gone and recovery retries for ever. Refused, not run to OOM.
+        (
+            &["--fabric-slots", "4", "--join", "b=50", "--reset", "a=40"],
+            2,
+            "tenant `a` stalled",
+        ),
+        // A configuration the library rejects is a refusal, not a crash.
+        (
+            &["--tenants", "a=ppo/ps", "--reset", "a=40"],
+            2,
+            "reset churn targets iSwitch switches; tenant a has none",
+        ),
+    ];
+    for (args, code, needle) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
+            .arg("multi")
+            .args(args)
+            .args(["--iterations", "6"])
+            .output()
+            .expect("iswitch-sim runs");
+        let text = if code == 0 { &out.stdout } else { &out.stderr };
+        let text = String::from_utf8_lossy(text);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
+        assert!(text.contains(needle), "{args:?}: {text}");
+    }
+}
