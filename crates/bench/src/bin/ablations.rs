@@ -7,12 +7,13 @@
 //! 3. **Hierarchical vs flat** aggregation at 12 workers: what the
 //!    two-layer tree costs/buys against one big star.
 
-use iswitch_bench::banner;
+use iswitch_bench::{banner, check_args, QUICK};
 use iswitch_cluster::report::render_table;
 use iswitch_cluster::{run_timing, AggregationMode, Strategy, TimingConfig};
 use iswitch_rl::Algorithm;
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "Ablations",
         "On-the-fly, SetH partial aggregation, hierarchy",

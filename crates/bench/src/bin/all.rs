@@ -4,7 +4,8 @@
 use std::process::Command;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args = iswitch_bench::check_args(&[iswitch_bench::QUICK]);
+    let quick = args.iter().any(|a| a == "--quick");
     for bin in iswitch_bench::ALL_BINS {
         let mut cmd = Command::new(
             std::env::current_exe()

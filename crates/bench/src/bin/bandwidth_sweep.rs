@@ -4,13 +4,14 @@
 //! supporting larger network connections", §5.3); this sweep quantifies
 //! that choice by rerunning the sync comparison at 10/25/40/100 GbE.
 
-use iswitch_bench::banner;
+use iswitch_bench::{banner, check_args, QUICK};
 use iswitch_cluster::report::render_table;
 use iswitch_cluster::{run_timing, Strategy, TimingConfig};
 use iswitch_netsim::{LinkSpec, SimDuration};
 use iswitch_rl::Algorithm;
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "Bandwidth sweep",
         "Sync DQN per-iteration vs edge-link speed",

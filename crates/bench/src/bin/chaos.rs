@@ -9,7 +9,7 @@
 
 use std::process::exit;
 
-use iswitch_bench::banner;
+use iswitch_bench::{banner, check_args};
 use iswitch_cluster::report::render_table;
 use iswitch_cluster::{run_chaos, ChaosConfig, Strategy};
 use iswitch_rl::Algorithm;
@@ -25,6 +25,7 @@ const STRATEGIES: [Strategy; 5] = [
 ];
 
 fn main() {
+    check_args(&[]);
     banner(
         "Chaos smoke",
         "Seeded fault injection with protocol invariants on",

@@ -3,7 +3,9 @@
 //! broadcast, reassembled, applied — must land on the same weights a
 //! single-process mean-gradient step produces, up to f32 summation order.
 
-use iswitch_bench::{banner, metrics_out_from_args, rows_artifact, write_metrics};
+use iswitch_bench::{
+    banner, check_args, metrics_out_from_args, rows_artifact, write_metrics, METRICS_OUT,
+};
 use iswitch_cluster::{run_cosim, CosimConfig, Strategy};
 use iswitch_obs::JsonValue;
 use iswitch_rl::{make_lite_agent_scaled, Algorithm};
@@ -53,6 +55,7 @@ fn check(algorithm: Algorithm) -> Check {
 }
 
 fn main() {
+    check_args(&[METRICS_OUT]);
     banner(
         "Fidelity",
         "Co-simulated in-switch aggregation vs single-process mean gradient",

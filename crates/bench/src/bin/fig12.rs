@@ -1,11 +1,12 @@
 //! Regenerates Fig. 12: per-iteration time of the synchronous strategies,
 //! normalized against PS, with component breakdown.
 
-use iswitch_bench::{banner, scale_from_args};
+use iswitch_bench::{banner, check_args, scale_from_args, QUICK};
 use iswitch_cluster::experiments::fig12;
 use iswitch_cluster::report::render_table;
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "Figure 12",
         "Sync per-iteration breakdown (normalized vs PS)",

@@ -1,13 +1,14 @@
 //! Regenerates Fig. 14: DQN training curves (reward vs wall-clock) for the
 //! asynchronous strategies.
 
-use iswitch_bench::{banner, scale_from_args};
+use iswitch_bench::{banner, check_args, scale_from_args, QUICK};
 use iswitch_cluster::experiments::training_curves;
 use iswitch_cluster::report::render_ascii_chart;
 use iswitch_cluster::Strategy;
 use iswitch_rl::Algorithm;
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "Figure 14",
         "DQN async training curves: reward vs wall-clock",

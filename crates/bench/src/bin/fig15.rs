@@ -1,13 +1,14 @@
 //! Regenerates Fig. 15: rack-scale scalability of PPO and DDPG, sync and
 //! async, over the two-layer ToR/Core topology (3 workers per rack).
 
-use iswitch_bench::{banner, scale_from_args};
+use iswitch_bench::{banner, check_args, scale_from_args, QUICK};
 use iswitch_cluster::experiments::fig15;
 use iswitch_cluster::report::render_table;
 use iswitch_cluster::Strategy;
 use iswitch_rl::Algorithm;
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "Figure 15",
         "Scalability: end-to-end speedup vs worker count",

@@ -1,11 +1,12 @@
 //! Regenerates Fig. 4: per-iteration breakdown of distributed RL training
 //! with the PS and AllReduce approaches — gradient aggregation dominates.
 
-use iswitch_bench::{banner, paper, scale_from_args};
+use iswitch_bench::{banner, check_args, paper, scale_from_args, QUICK};
 use iswitch_cluster::experiments::fig4;
 use iswitch_cluster::report::render_table;
 
 fn main() {
+    check_args(&[QUICK]);
     banner("Figure 4", "Per-iteration breakdown, PS and AllReduce");
     let scale = scale_from_args();
     let rows = fig4(&scale);

@@ -1,12 +1,15 @@
 //! Regenerates Fig. 8: conventional whole-vector aggregation vs iSwitch's
 //! on-the-fly per-packet aggregation.
 
-use iswitch_bench::{banner, metrics_out_from_args, rows_artifact, write_metrics};
+use iswitch_bench::{
+    banner, check_args, metrics_out_from_args, rows_artifact, write_metrics, METRICS_OUT, QUICK,
+};
 use iswitch_cluster::experiments::fig8;
 use iswitch_cluster::report::render_table;
 use iswitch_obs::JsonValue;
 
 fn main() {
+    check_args(&[QUICK, METRICS_OUT]);
     banner("Figure 8", "Conventional vs on-the-fly aggregation latency");
     let results = fig8(4);
     let rows: Vec<Vec<String>> = results

@@ -3,12 +3,13 @@
 //! "the control plane also helps handling packet lost … with minimal
 //! overhead").
 
-use iswitch_bench::banner;
+use iswitch_bench::{banner, check_args, QUICK};
 use iswitch_cluster::report::render_table;
 use iswitch_cluster::{run_timing, Strategy, TimingConfig};
 use iswitch_rl::Algorithm;
 
 fn main() {
+    check_args(&[QUICK]);
     banner("Loss recovery", "Sync iSwitch under random packet loss");
     let mut rows = Vec::new();
     let mut baseline_ms = 0.0;

@@ -1,60 +1,40 @@
-//! `perfgate` — the repo's performance benchmark gate.
+//! `perfgate` — the repo's behaviour gate.
 //!
-//! Runs a pinned matrix of timing experiments (3 topologies × 5 strategies
-//! × fixed seeds) with tracing disabled, and reports per-cell engine
-//! throughput (events/sec), the simulated-to-wall time ratio, and peak
-//! process RSS as one deterministic JSON document (`BENCH_perf.json`).
+//! Runs a pinned matrix of 64 seeded timing experiments with tracing
+//! disabled — 3 topologies × 5 strategies × 2 seeds, the sharded fat-tree
+//! at 1/2/4 threads, every [`TransportKind`] under incast (single switch
+//! per seed, fat-tree per thread count), contended multi-tenant fabrics and
+//! the quantized codecs — and renders one deterministic JSON document.
+//! Nothing in it depends on the host: how *fast* the simulator runs is
+//! `benchmark/`'s question (see `benchmark/README.md`), not this binary's.
 //!
-//! Throughput is computed from **process CPU time**
-//! (`CLOCK_PROCESS_CPUTIME_ID`), not wall time: the gate must hold up on
-//! shared, single-core CI runners where wall-clock noise from neighbours
-//! routinely exceeds the regression threshold. Wall time is still
-//! reported per cell for the sim/wall ratio.
+//! Two checks run on every invocation:
 //!
-//! Two kinds of checks run against the checked-in baseline
-//! (`crates/bench/baselines/perfgate.json`):
+//! * **thread identity** (no baseline needed): cells whose id differs only
+//!   in thread count must have identical fingerprints — the sharded engine
+//!   and the tenant arbiter may not leak merge order into results.
+//! * **workload fingerprints** against the checked-in baseline
+//!   (`crates/bench/baselines/perfgate.json`): each cell's event/packet
+//!   counts, final simulated clock and per-iteration time must match
+//!   exactly. A mismatch means the simulation's behaviour changed, which
+//!   must be an explicit, baseline-updating decision, never an accident.
 //!
-//! * **workload fingerprints** (always): each cell's event/packet counts
-//!   and final simulated clock must match the baseline exactly. These are
-//!   seeded-simulation outputs, identical on every machine — a mismatch
-//!   means the simulation's behaviour changed, which must be an explicit,
-//!   baseline-updating decision, never an accident.
-//! * **throughput regression** (skipped under `--stable`): aggregate
-//!   events per CPU-second must stay within `--threshold` (default 0.35)
-//!   of the baseline's recorded value. CPU-time numbers are still
-//!   machine-dependent, so this check is for developer machines; CI uses
-//!   `--stable`, which also omits all measured fields from the JSON so
-//!   two runs are byte-identical.
+//! Each cell also archives its deterministic **telemetry counters** (ECN
+//! marks, queue/link drops, lookahead epochs and barrier stalls, transport
+//! recovery and congestion-control activity). They are not part of the
+//! fingerprint; they let a failing gate (or `--explain`) name the subsystem
+//! that moved, not just the symptom. The report *is* the baseline, byte for
+//! byte: CI `cmp`s `--out` against the checked-in file.
 //!
-//! Beyond the clean matrix, incast cells run every [`TransportKind`]
-//! through synchronized flushes into shallow egress queues — on the single
-//! switch (per seed) and as a per-transport thread sweep on the fat-tree,
-//! which the in-gate identity check holds byte-identical across thread
-//! counts.
-//!
-//! When the host kernel reserves isolated CPUs (`isolcpus=`), the gate
-//! pins itself to them before measuring, so cells don't share cores with
-//! ambient load (`--no-pin` opts out).
-//!
-//! Each cell also archives its deterministic **telemetry counters**
-//! (egress ECN marks, queue/link drops, lookahead epochs and barrier-stall
-//! nanoseconds, per-transport recovery and congestion-control activity)
-//! under a `telemetry` object. They are not part of the fingerprint; they
-//! exist so `--explain` can diff a diverged cell against the archived
-//! baseline and name the subsystem that moved, not just the symptom.
-//!
-//! Flags: `--quick` (reduced matrix: first seed only), `--stable` (omit
-//! measured fields; skip the throughput gate), `--out <path>` (default
-//! `BENCH_perf.json`), `--baseline <path>`, `--threshold <f>`,
-//! `--update-baseline` (rewrite the baseline from this run),
-//! `--explain` (per-subsystem regression table for every cell that
-//! diverged from the baseline, even when fingerprints pass), `--no-pin`.
+//! Flags: `--out <path>` (write the report), `--baseline <path>`,
+//! `--update-baseline` (rewrite the baseline from this run), `--explain`
+//! (per-subsystem table of every archived field that differs from the
+//! baseline, even when fingerprints pass). Anything else exits 2.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::time::Instant;
 
-use iswitch_bench::{banner, write_metrics};
+use iswitch_bench::{banner, check_args, flag_value, write_metrics, Flag};
 use iswitch_cluster::{
     run_multi_tenant_perf, run_timing_perf, MultiJobConfig, PerfSample, Strategy, TenantSpec,
     TimingConfig, TransportKind, TransportStats,
@@ -63,6 +43,42 @@ use iswitch_core::CodecKind;
 use iswitch_netsim::FattreeShape;
 use iswitch_obs::JsonValue;
 use iswitch_rl::Algorithm;
+
+const FLAGS: [Flag; 4] = [
+    ("--out", true),
+    ("--baseline", true),
+    ("--update-baseline", false),
+    ("--explain", false),
+];
+
+const DEFAULT_BASELINE: &str = "crates/bench/baselines/perfgate.json";
+
+/// The workload fingerprint: the behaviour contract of a cell.
+const FINGERPRINT: [&str; 5] = [
+    "events",
+    "packets_sent",
+    "packets_delivered",
+    "sim_ns",
+    "per_iteration_ns",
+];
+
+/// The telemetry counters archived per cell, in render order. Grouped by
+/// the subsystem that produces them so a divergence can be attributed:
+/// `netsim.*` from the packet engine's queues and links, `shard.*` from
+/// the conservative-lookahead barrier, `transport.*` from the workers'
+/// reliability/congestion layer.
+const TELEMETRY: [&str; 10] = [
+    "netsim.ecn_marked",
+    "netsim.dropped_queue",
+    "netsim.dropped_link_down",
+    "shard.epochs",
+    "shard.barrier_stall_ns",
+    "transport.help_requests",
+    "transport.nacks_sent",
+    "transport.retransmits",
+    "transport.ecn_echoes",
+    "transport.rate_cuts",
+];
 
 /// Matrix seeds: the repo-wide experiment seed plus one decorrelated seed.
 const SEEDS: [u64; 2] = [0x5117c4, 7];
@@ -78,10 +94,6 @@ const FATTREE_SHAPE: FattreeShape = FattreeShape {
 /// Thread counts of the scaling cells. All three must produce identical
 /// workload fingerprints (checked in-gate, no baseline needed).
 const FATTREE_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Minimum events/wall-sec speedup of the 4-thread fattree cell over the
-/// 1-thread cell, enforced only on hosts with at least 4 cores.
-const SCALING_FLOOR: f64 = 1.6;
 
 const STRATEGIES: [(Strategy, &str); 5] = [
     (Strategy::SyncPs, "ps"),
@@ -119,87 +131,6 @@ const TOPOLOGIES: [Topo; 3] = [
         racks_per_agg: Some(2),
     },
 ];
-
-struct Cell {
-    id: String,
-    sample: PerfSample,
-    transport: TransportStats,
-    per_iteration_ns: u64,
-    wall_ns: u64,
-    cpu_ns: u64,
-}
-
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
-extern "C" {
-    fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
-    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u8) -> i32;
-}
-
-/// Parses a kernel CPU list (`"2-5,8"`) into CPU indices.
-fn parse_cpu_list(s: &str) -> Vec<usize> {
-    let mut cpus = Vec::new();
-    for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                if let (Ok(lo), Ok(hi)) = (lo.parse::<usize>(), hi.parse::<usize>()) {
-                    cpus.extend(lo..=hi);
-                }
-            }
-            None => {
-                if let Ok(c) = part.parse::<usize>() {
-                    cpus.push(c);
-                }
-            }
-        }
-    }
-    cpus
-}
-
-/// Pins this process to the kernel's isolated CPUs (`isolcpus=`) when the
-/// host has any, so the measured cells don't share cores with ambient
-/// load. Returns the CPU list on success; a host without isolated cores
-/// (or without the procfs knob) runs unpinned, as before.
-fn pin_to_isolated_cores() -> Option<String> {
-    let raw = std::fs::read_to_string("/sys/devices/system/cpu/isolated").ok()?;
-    let list = raw.trim();
-    let cpus = parse_cpu_list(list);
-    if cpus.is_empty() {
-        return None;
-    }
-    // Linux cpu_set_t is 1024 bits.
-    let mut mask = [0u8; 128];
-    for &c in &cpus {
-        if c < mask.len() * 8 {
-            mask[c / 8] |= 1 << (c % 8);
-        }
-    }
-    // SAFETY: the mask outlives the call; pid 0 targets this process.
-    let rc = unsafe { sched_setaffinity(0, mask.len(), mask.as_ptr()) };
-    (rc == 0).then(|| list.to_owned())
-}
-
-/// CPU time consumed by this process, in nanoseconds. Unlike wall time it
-/// is insensitive to the process being descheduled, which is what makes
-/// the throughput gate usable on busy shared machines. Falls back to 0 if
-/// the clock is unavailable (callers then see wall-only data).
-fn process_cpu_ns() -> u64 {
-    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
-    let mut ts = Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: clock_gettime writes the given timespec and nothing else.
-    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    if rc != 0 {
-        return 0;
-    }
-    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
-}
 
 fn cell_config(topo: &Topo, strategy: Strategy, seed: u64) -> TimingConfig {
     let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, strategy);
@@ -282,7 +213,7 @@ const TENANT_ALGS: [(Algorithm, &str); 4] = [
 /// that perturbs only one tenant's behaviour names that tenant. Thread
 /// sweeps of the same `(n, seed)` form identity groups: the arbiter's
 /// epoch barriers must not leak the driver thread count into artifacts.
-fn tenant_cells(n: usize, threads: usize, seed: u64) -> Vec<Cell> {
+fn tenant_cells(n: usize, threads: usize, seed: u64) -> Vec<JsonValue> {
     let specs = TENANT_ALGS[..n]
         .iter()
         .enumerate()
@@ -305,68 +236,72 @@ fn tenant_cells(n: usize, threads: usize, seed: u64) -> Vec<Cell> {
     cfg.fabric.slots = if n == 2 { 64 } else { 96 };
     cfg.threads = threads;
 
-    let start = Instant::now();
-    let cpu_start = process_cpu_ns();
     let out = run_multi_tenant_perf(&cfg);
-    let cpu_ns = process_cpu_ns().saturating_sub(cpu_start) / n as u64;
-    let wall_ns = start.elapsed().as_nanos() as u64 / n as u64;
     out.tenants
         .iter()
         .map(|t| {
-            let id = format!("tenant/x{n}/{}/t{threads}/s{seed:x}", t.name);
-            let sample = t.perf;
-            println!(
-                "  {:<24} {:>9} events  sim {:>12} ns  cpu {:>7.1} ms  {:>8.0} kev/s",
-                id,
-                sample.events,
-                sample.sim_ns,
-                cpu_ns as f64 / 1e6,
-                sample.events as f64 / (cpu_ns.max(1) as f64 / 1e9) / 1e3,
-            );
-            Cell {
-                id,
-                sample,
-                transport: t.observation.result.transport,
-                per_iteration_ns: t.observation.result.per_iteration.as_nanos(),
-                // The run is measured once; wall/CPU time is split evenly
-                // across the tenant cells so totals stay a sum over cells.
-                wall_ns,
-                cpu_ns,
-            }
+            let result = &t.observation.result;
+            cell_row(
+                format!("tenant/x{n}/{}/t{threads}/s{seed:x}", t.name),
+                &t.perf,
+                &result.transport,
+                result.per_iteration.as_nanos(),
+            )
         })
         .collect()
 }
 
-fn run_one(id: String, cfg: &TimingConfig) -> Cell {
-    let start = Instant::now();
-    let cpu_start = process_cpu_ns();
+fn run_one(id: String, cfg: &TimingConfig) -> JsonValue {
     let (result, sample) = run_timing_perf(cfg);
-    let cpu_ns = process_cpu_ns().saturating_sub(cpu_start);
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    println!(
-        "  {:<24} {:>9} events  sim {:>12} ns  cpu {:>7.1} ms  {:>8.0} kev/s",
+    cell_row(
         id,
-        sample.events,
-        sample.sim_ns,
-        cpu_ns as f64 / 1e6,
-        sample.events as f64 / (cpu_ns.max(1) as f64 / 1e9) / 1e3,
-    );
-    Cell {
-        id,
-        sample,
-        transport: result.transport,
-        per_iteration_ns: result.per_iteration.as_nanos(),
-        wall_ns,
-        cpu_ns,
-    }
+        &sample,
+        &result.transport,
+        result.per_iteration.as_nanos(),
+    )
 }
 
-fn run_matrix(quick: bool) -> Vec<Cell> {
-    let seeds: &[u64] = if quick { &SEEDS[..1] } else { &SEEDS };
+/// One cell of the report: id, the five [`FINGERPRINT`] fields, and the
+/// [`TELEMETRY`] counters under `telemetry`.
+fn cell_row(id: String, s: &PerfSample, t: &TransportStats, per_iteration_ns: u64) -> JsonValue {
+    println!("  {id:<24} {:>9} events  sim {:>12} ns", s.events, s.sim_ns);
+    let fingerprint = [
+        s.events,
+        s.packets_sent,
+        s.packets_delivered,
+        s.sim_ns,
+        per_iteration_ns,
+    ];
+    let counters = [
+        s.ecn_marked,
+        s.dropped_queue,
+        s.dropped_link_down,
+        s.epochs,
+        s.barrier_stall_ns,
+        t.help_requests,
+        t.nacks_sent,
+        t.retransmits,
+        t.ecn_echoes,
+        t.rate_cuts,
+    ];
+    let mut row = JsonValue::empty_object();
+    row.insert("id", JsonValue::Str(id));
+    for (field, value) in FINGERPRINT.iter().zip(fingerprint) {
+        row.insert(field, JsonValue::UInt(value));
+    }
+    let mut telemetry = JsonValue::empty_object();
+    for (field, value) in TELEMETRY.iter().zip(counters) {
+        telemetry.insert(field, JsonValue::UInt(value));
+    }
+    row.insert("telemetry", telemetry);
+    row
+}
+
+fn run_matrix() -> JsonValue {
     let mut cells = Vec::new();
     for topo in &TOPOLOGIES {
         for &(strategy, label) in &STRATEGIES {
-            for &seed in seeds {
+            for seed in SEEDS {
                 let cfg = cell_config(topo, strategy, seed);
                 cells.push(run_one(format!("{}/{label}/s{seed:x}", topo.name), &cfg));
             }
@@ -374,7 +309,7 @@ fn run_matrix(quick: bool) -> Vec<Cell> {
     }
     // Scaling cells: the sharded fat-tree at 1/2/4 threads, first seed
     // only (the thread count is the swept variable, not the workload).
-    for &threads in &FATTREE_THREADS {
+    for threads in FATTREE_THREADS {
         let seed = SEEDS[0];
         let cfg = fattree_config(threads, seed);
         cells.push(run_one(format!("fattree/isw-t{threads}/s{seed:x}"), &cfg));
@@ -382,7 +317,7 @@ fn run_matrix(quick: bool) -> Vec<Cell> {
     // Incast cells: synchronized flushes through shallow queues, one cell
     // per transport on the single switch…
     for kind in TransportKind::ALL {
-        for &seed in seeds {
+        for seed in SEEDS {
             let cfg = incast_config(kind, seed);
             cells.push(run_one(format!("incast-star/{kind}/s{seed:x}"), &cfg));
         }
@@ -390,7 +325,7 @@ fn run_matrix(quick: bool) -> Vec<Cell> {
     // …and a thread sweep per transport on the fat-tree, fingerprint-
     // compared across thread counts by the in-gate identity check.
     for kind in TransportKind::ALL {
-        for &threads in &FATTREE_THREADS {
+        for threads in FATTREE_THREADS {
             let seed = SEEDS[0];
             let cfg = incast_fattree_config(kind, threads, seed);
             cells.push(run_one(format!("incast/{kind}/t{threads}/s{seed:x}"), &cfg));
@@ -400,157 +335,137 @@ fn run_matrix(quick: bool) -> Vec<Cell> {
     // undersized slot pool, per-tenant fingerprints, thread-swept (the
     // sweep forms per-tenant identity groups checked in-gate). First seed
     // only — the tenant mix, not the seed, is the swept variable.
-    for &(n, threads) in &[(2usize, 1usize), (2, 2), (4, 1), (4, 4)] {
+    for (n, threads) in [(2, 1), (2, 2), (4, 1), (4, 4)] {
         cells.extend(tenant_cells(n, threads, SEEDS[0]));
     }
     // Codec cells: the quantized aggregation formats through the same
     // hierarchy. The `codec/` id prefix keeps them out of the thread-
-    // identity groups (which key on `fattree/` and `incast/`).
+    // identity groups.
     for codec in [CodecKind::FixedPoint, CodecKind::TopK] {
-        for &seed in seeds {
+        for seed in SEEDS {
             let cfg = codec_config(codec, seed);
             cells.push(run_one(format!("codec/{codec}/s{seed:x}"), &cfg));
         }
     }
-    cells
-}
-
-fn report_json(cells: &[Cell], quick: bool, stable: bool, peak_rss: Option<u64>) -> JsonValue {
-    let mut rows = Vec::new();
-    for c in cells {
-        let mut row = JsonValue::empty_object();
-        row.insert("id", JsonValue::Str(c.id.clone()));
-        row.insert("events", JsonValue::UInt(c.sample.events));
-        row.insert("packets_sent", JsonValue::UInt(c.sample.packets_sent));
-        row.insert(
-            "packets_delivered",
-            JsonValue::UInt(c.sample.packets_delivered),
-        );
-        row.insert("sim_ns", JsonValue::UInt(c.sample.sim_ns));
-        row.insert("per_iteration_ns", JsonValue::UInt(c.per_iteration_ns));
-        // Deterministic telemetry counters, archived per cell so a failing
-        // gate can explain *which subsystem* moved (`--explain`). Not part
-        // of the workload fingerprint: the five fields above remain the
-        // behaviour contract.
-        let mut telemetry = JsonValue::empty_object();
-        for (field, value) in telemetry_fields(c) {
-            telemetry.insert(field, JsonValue::UInt(value));
-        }
-        row.insert("telemetry", telemetry);
-        if !stable {
-            row.insert("wall_ns", JsonValue::UInt(c.wall_ns));
-            row.insert("cpu_ns", JsonValue::UInt(c.cpu_ns));
-            row.insert(
-                "events_per_sec",
-                JsonValue::Float(c.sample.events as f64 / (c.cpu_ns.max(1) as f64 / 1e9)),
-            );
-            row.insert(
-                "sim_wall_ratio",
-                JsonValue::Float(c.sample.sim_ns as f64 / c.wall_ns as f64),
-            );
-        }
-        rows.push(row);
-    }
-    let total_events: u64 = cells.iter().map(|c| c.sample.events).sum();
-    let total_sim: u64 = cells.iter().map(|c| c.sample.sim_ns).sum();
-    let mut totals = JsonValue::empty_object();
-    totals.insert("events", JsonValue::UInt(total_events));
-    totals.insert("sim_ns", JsonValue::UInt(total_sim));
-    if !stable {
-        let total_wall: u64 = cells.iter().map(|c| c.wall_ns).sum();
-        let total_cpu: u64 = cells.iter().map(|c| c.cpu_ns).sum();
-        totals.insert("wall_ns", JsonValue::UInt(total_wall));
-        totals.insert("cpu_ns", JsonValue::UInt(total_cpu));
-        totals.insert(
-            "events_per_sec",
-            JsonValue::Float(total_events as f64 / (total_cpu.max(1) as f64 / 1e9)),
-        );
-        totals.insert(
-            "sim_wall_ratio",
-            JsonValue::Float(total_sim as f64 / total_wall as f64),
-        );
-        if let Some(rss) = peak_rss {
-            totals.insert("peak_rss_bytes", JsonValue::UInt(rss));
-        }
-    }
     let mut doc = JsonValue::empty_object();
     doc.insert("artifact", JsonValue::Str("perfgate".to_owned()));
-    doc.insert(
-        "matrix",
-        JsonValue::Str(if quick { "quick" } else { "full" }.to_owned()),
-    );
-    doc.insert("cells", JsonValue::Array(rows));
-    doc.insert("totals", totals);
+    doc.insert("cells", JsonValue::Array(cells));
     doc
 }
 
-/// The telemetry counters archived per cell, in render order. Grouped by
-/// the subsystem that produces them so `--explain` can attribute a
-/// regression: `netsim.*` from the packet engine's queues and links,
-/// `shard.*` from the conservative-lookahead barrier, `transport.*` from
-/// the workers' reliability/congestion layer.
-fn telemetry_fields(c: &Cell) -> [(&'static str, u64); 10] {
-    [
-        ("netsim.ecn_marked", c.sample.ecn_marked),
-        ("netsim.dropped_queue", c.sample.dropped_queue),
-        ("netsim.dropped_link_down", c.sample.dropped_link_down),
-        ("shard.epochs", c.sample.epochs),
-        ("shard.barrier_stall_ns", c.sample.barrier_stall_ns),
-        ("transport.help_requests", c.transport.help_requests),
-        ("transport.nacks_sent", c.transport.nacks_sent),
-        ("transport.retransmits", c.transport.retransmits),
-        ("transport.ecn_echoes", c.transport.ecn_echoes),
-        ("transport.rate_cuts", c.transport.rate_cuts),
-    ]
+/// The report's cells as `(id, row)` pairs, in document order.
+fn cells_of(doc: &JsonValue) -> Vec<(&str, &JsonValue)> {
+    let cells = doc.get("cells").and_then(|c| c.as_array()).unwrap_or(&[]);
+    cells
+        .iter()
+        .filter_map(|row| Some((row.get("id")?.as_str()?, row)))
+        .collect()
 }
 
-/// The regression explainer (`--explain`): for every cell that diverged
-/// from the baseline, a per-subsystem table of what moved — the workload
-/// fingerprint fields plus the archived telemetry counters, then vs now.
-/// A fingerprint mismatch names the *symptom* (event counts shifted); the
-/// telemetry rows name the *subsystem* (queues started marking, a domain
-/// started stalling, a transport started cutting its rate).
-fn explain_divergence(cells: &[Cell], baseline: &JsonValue) -> String {
-    use std::fmt::Write as _;
-    let base = cell_map(baseline);
-    let mut s = String::new();
-    for c in cells {
-        let Some((_, b)) = base.iter().find(|(id, _)| *id == c.id) else {
-            let _ = writeln!(s, "{}: new cell, nothing to compare against", c.id);
+fn fingerprint_of(row: &JsonValue) -> [Option<u64>; 5] {
+    FINGERPRINT.map(|field| row.get(field).and_then(|v| v.as_u64()))
+}
+
+/// Compares this run's workload fingerprints against the baseline's, cell
+/// by cell in both directions. Returns human-readable mismatch
+/// descriptions.
+fn fingerprint_mismatches(current: &JsonValue, baseline: &JsonValue) -> Vec<String> {
+    let (now, base) = (cells_of(current), cells_of(baseline));
+    let mut out = Vec::new();
+    for &(id, row) in &now {
+        let Some((_, b)) = base.iter().find(|(bid, _)| *bid == id) else {
+            out.push(format!("{id}: cell missing from baseline"));
             continue;
         };
-        // timing/ fields live at the row's top level; telemetry under the
-        // cell's `telemetry` object (absent in pre-telemetry baselines).
-        let timing: [(&str, u64); 5] = [
-            ("timing.events", c.sample.events),
-            ("timing.packets_sent", c.sample.packets_sent),
-            ("timing.packets_delivered", c.sample.packets_delivered),
-            ("timing.sim_ns", c.sample.sim_ns),
-            ("timing.per_iteration_ns", c.per_iteration_ns),
-        ];
-        let mut lines = Vec::new();
-        for (field, now) in timing.iter() {
-            let key = field.rsplit('.').next().expect("dotted field");
-            let was = b.get(key).and_then(|v| v.as_u64());
-            if was != Some(*now) {
-                lines.push((*field, was, *now));
+        let fields = FINGERPRINT.iter().zip(fingerprint_of(b));
+        for ((field, was), cur) in fields.zip(fingerprint_of(row)) {
+            if cur != was {
+                out.push(format!("{id}: {field} {was:?} -> {cur:?}"));
             }
         }
-        let base_tel = b.get("telemetry");
-        for (field, now) in telemetry_fields(c) {
-            let was = base_tel.and_then(|t| t.get(field)).and_then(|v| v.as_u64());
-            if was != Some(now) {
-                lines.push((field, was, now));
-            }
+    }
+    for (id, _) in &base {
+        if !now.iter().any(|(nid, _)| nid == id) {
+            out.push(format!("{id}: in the baseline, not in this run"));
         }
-        if lines.is_empty() {
+    }
+    out
+}
+
+/// The identity group of a cell: cells whose id differs only in thread
+/// count share one — the clean fat-tree sweep (`fattree/isw-t<n>/…`), one
+/// sweep per incast transport (`incast/<kind>/t<n>/…`), and one per
+/// (tenant-count, tenant) pair (`tenant/x<n>/<name>/t<n>/…`).
+fn identity_group(id: &str) -> Option<String> {
+    let mut parts = id.split('/');
+    match (parts.next()?, parts.next(), parts.next()) {
+        ("fattree", ..) => Some("fattree".to_owned()),
+        ("incast", Some(kind), _) => Some(format!("incast/{kind}")),
+        ("tenant", Some(size), Some(name)) => Some(format!("tenant/{size}/{name}")),
+        _ => None,
+    }
+}
+
+/// The determinism claim of the sharded engine and the tenant arbiter,
+/// checked without a baseline: every fingerprint field of an identity
+/// group must be identical across thread counts. A divergence here means
+/// merge order leaked into results, which no baseline refresh may paper
+/// over.
+fn identity_mismatches(doc: &JsonValue) -> Vec<String> {
+    let mut firsts: Vec<(String, &str, [Option<u64>; 5])> = Vec::new();
+    let mut out = Vec::new();
+    for (id, row) in cells_of(doc) {
+        let Some(group) = identity_group(id) else {
+            continue;
+        };
+        let fp = fingerprint_of(row);
+        match firsts.iter().find(|(g, ..)| *g == group) {
+            Some((_, first, first_fp)) if *first_fp != fp => {
+                out.push(format!("{id}: {fp:?} differs from {first}: {first_fp:?}"));
+            }
+            Some(_) => {}
+            None => firsts.push((group, id, fp)),
+        }
+    }
+    out
+}
+
+/// The divergence explainer: for every cell that differs from the
+/// baseline, a per-subsystem table of what moved — the fingerprint fields
+/// plus the archived telemetry counters, then vs now. A fingerprint
+/// mismatch names the *symptom* (event counts shifted); the telemetry rows
+/// name the *subsystem* (queues started marking, a domain started
+/// stalling, a transport started cutting its rate).
+fn explain_divergence(current: &JsonValue, baseline: &JsonValue) -> String {
+    use std::fmt::Write as _;
+    let base = cells_of(baseline);
+    let mut s = String::new();
+    for (id, row) in cells_of(current) {
+        let Some((_, b)) = base.iter().find(|(bid, _)| *bid == id) else {
+            let _ = writeln!(s, "{id}: new cell, nothing to compare against");
+            continue;
+        };
+        let field = |row: &JsonValue, name: &str| row.get(name).and_then(|v| v.as_u64());
+        let timing = FINGERPRINT
+            .iter()
+            .map(|name| (format!("timing.{name}"), field(b, name), field(row, name)));
+        let (tel, base_tel) = (row.get("telemetry"), b.get("telemetry"));
+        let telemetry = TELEMETRY.iter().map(|name| {
+            let of = |t: Option<&JsonValue>| t.and_then(|t| field(t, name));
+            ((*name).to_owned(), of(base_tel), of(tel))
+        });
+        let moved: Vec<_> = timing
+            .chain(telemetry)
+            .filter(|(_, was, now)| was != now)
+            .collect();
+        if moved.is_empty() {
             continue;
         }
-        let _ = writeln!(s, "{}:", c.id);
+        let _ = writeln!(s, "{id}:");
         let _ = writeln!(s, "  {:<28} {:>15} {:>15}", "field", "baseline", "now");
-        for (field, was, now) in lines {
-            let was = was.map_or("-".to_owned(), |v| v.to_string());
-            let _ = writeln!(s, "  {field:<28} {was:>15} {now:>15}");
+        let show = |v: Option<u64>| v.map_or("-".to_owned(), |v| v.to_string());
+        for (name, was, now) in moved {
+            let _ = writeln!(s, "  {name:<28} {:>15} {:>15}", show(was), show(now));
         }
     }
     if s.is_empty() {
@@ -559,251 +474,40 @@ fn explain_divergence(cells: &[Cell], baseline: &JsonValue) -> String {
     s
 }
 
-/// Peak resident-set size of this process in bytes (`VmHWM`), if the
-/// platform exposes it (Linux procfs).
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-fn cell_map(doc: &JsonValue) -> Vec<(String, JsonValue)> {
-    let Some(cells) = doc.get("cells").and_then(|c| c.as_array()) else {
-        return Vec::new();
-    };
-    cells
-        .iter()
-        .filter_map(|c| {
-            let id = c.get("id")?.as_str()?.to_owned();
-            Some((id, c.clone()))
-        })
-        .collect()
-}
-
-/// Compares this run's deterministic workload fingerprints against the
-/// baseline's. Returns human-readable mismatch descriptions.
-fn fingerprint_mismatches(current: &JsonValue, baseline: &JsonValue) -> Vec<String> {
-    const DETERMINISTIC: [&str; 5] = [
-        "events",
-        "packets_sent",
-        "packets_delivered",
-        "sim_ns",
-        "per_iteration_ns",
-    ];
-    let base = cell_map(baseline);
-    let mut out = Vec::new();
-    for (id, cell) in cell_map(current) {
-        let Some((_, b)) = base.iter().find(|(bid, _)| *bid == id) else {
-            out.push(format!("{id}: cell missing from baseline"));
-            continue;
-        };
-        for field in DETERMINISTIC {
-            let cur = cell.get(field).and_then(|v| v.as_u64());
-            let was = b.get(field).and_then(|v| v.as_u64());
-            if cur != was {
-                out.push(format!("{id}: {field} {was:?} -> {cur:?}"));
-            }
-        }
-    }
-    out
-}
-
-/// The sharded engine's determinism claim, checked in-gate without a
-/// baseline: every deterministic fingerprint field of a thread sweep (the
-/// clean fat-tree scaling cells, and each incast transport's fat-tree
-/// sweep) must be identical across thread counts. Runs on every invocation
-/// (including `--stable` and `--quick`) — a divergence here means the
-/// parallel engine's merge order leaked into results, which no baseline
-/// refresh may paper over.
-fn scaling_identity_mismatches(cells: &[Cell]) -> Vec<String> {
-    // Cells whose id differs only in thread count form one identity group:
-    // the clean fat-tree sweep, plus one sweep per incast transport.
-    let group_of = |id: &str| -> Option<String> {
-        if id.starts_with("fattree/") {
-            return Some("fattree".to_owned());
-        }
-        if let Some(rest) = id.strip_prefix("incast/") {
-            return rest.split('/').next().map(|kind| format!("incast/{kind}"));
-        }
-        // `tenant/x<n>/<name>/t<threads>/s<seed>`: one group per
-        // (tenant-count, tenant) pair, swept over threads.
-        if let Some(rest) = id.strip_prefix("tenant/") {
-            let mut parts = rest.split('/');
-            if let (Some(size), Some(name)) = (parts.next(), parts.next()) {
-                return Some(format!("tenant/{size}/{name}"));
-            }
-        }
-        None
-    };
-    let fingerprint = |c: &Cell| {
-        (
-            c.sample.events,
-            c.sample.packets_sent,
-            c.sample.packets_delivered,
-            c.sample.sim_ns,
-            c.per_iteration_ns,
-        )
-    };
-    let mut out = Vec::new();
-    let mut groups: Vec<(String, Vec<&Cell>)> = Vec::new();
-    for c in cells {
-        if let Some(g) = group_of(&c.id) {
-            match groups.iter_mut().find(|(name, _)| *name == g) {
-                Some((_, members)) => members.push(c),
-                None => groups.push((g, vec![c])),
-            }
-        }
-    }
-    for (_, members) in &groups {
-        if let Some((first, rest)) = members.split_first() {
-            for c in rest {
-                if fingerprint(c) != fingerprint(first) {
-                    out.push(format!(
-                        "{}: {:?} differs from {}: {:?}",
-                        c.id,
-                        fingerprint(c),
-                        first.id,
-                        fingerprint(first)
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Per-cell before/after throughput comparison against the baseline:
-/// events per CPU-second, then and now, with the relative change. Rendered
-/// whenever the gate fails (so a regression names its victims) and when
-/// the baseline is refreshed (so the commit shows what moved).
-fn comparison_table(cells: &[Cell], baseline: &JsonValue) -> String {
-    let base = cell_map(baseline);
-    let mut s = format!(
-        "  {:<26} {:>15} {:>15} {:>8}\n",
-        "cell", "base ev/cpu-s", "now ev/cpu-s", "delta"
-    );
-    for c in cells {
-        let now = c.sample.events as f64 / (c.cpu_ns.max(1) as f64 / 1e9);
-        let was = base
-            .iter()
-            .find(|(id, _)| *id == c.id)
-            .and_then(|(_, v)| v.get("events_per_sec"))
-            .and_then(|v| v.as_f64());
-        match was {
-            Some(b) if b > 0.0 => s.push_str(&format!(
-                "  {:<26} {:>15.0} {:>15.0} {:>+7.1}%\n",
-                c.id,
-                b,
-                now,
-                (now / b - 1.0) * 100.0
-            )),
-            _ => s.push_str(&format!(
-                "  {:<26} {:>15} {:>15.0} {:>8}\n",
-                c.id, "-", now, "new"
-            )),
-        }
-    }
-    s
-}
-
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+fn write_or_exit(path: &Path, doc: &JsonValue) {
+    write_metrics(path, doc).unwrap_or_else(|e| {
+        eprintln!("cannot write {}: {e}", path.display());
+        exit(1);
+    });
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let stable = args.iter().any(|a| a == "--stable");
-    let update_baseline = args.iter().any(|a| a == "--update-baseline");
-    let explain = args.iter().any(|a| a == "--explain");
-    let out = parse_flag(&args, "--out").unwrap_or_else(|| "BENCH_perf.json".to_owned());
-    let baseline_path = parse_flag(&args, "--baseline")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("crates/bench/baselines/perfgate.json"));
-    let threshold: f64 = parse_flag(&args, "--threshold")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--threshold expects a number, got `{v}`");
-                exit(2);
-            })
-        })
-        .unwrap_or(0.35);
+    let args = check_args(&FLAGS);
+    let has = |name: &str| args.iter().any(|a| a == name);
+    let baseline_path = PathBuf::from(flag_value(&args, "--baseline").unwrap_or(DEFAULT_BASELINE));
 
     banner(
         "perfgate",
-        "engine throughput gate (pinned topology x strategy matrix)",
+        "behaviour gate (64 pinned cells: workload fingerprints + telemetry)",
     );
-    if !args.iter().any(|a| a == "--no-pin") {
-        if let Some(list) = pin_to_isolated_cores() {
-            println!("pinned to isolated CPUs: {list}");
-        }
+    let doc = run_matrix();
+    if let Some(out) = flag_value(&args, "--out") {
+        write_or_exit(Path::new(out), &doc);
+        println!("report written to {out}");
     }
-    let cells = run_matrix(quick);
-    let doc = report_json(&cells, quick, stable, peak_rss_bytes());
-    write_metrics(std::path::Path::new(&out), &doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
-    println!("report written to {out}");
 
-    // Thread-count invariance of the sharded engine: baseline-free, always
-    // enforced — this is a correctness property, not a performance one.
-    let identity = scaling_identity_mismatches(&cells);
+    let identity = identity_mismatches(&doc);
     if !identity.is_empty() {
-        eprintln!("sharded-engine fingerprints depend on the thread count:");
+        eprintln!("fingerprints depend on the thread count:");
         for m in &identity {
             eprintln!("  {m}");
         }
         exit(1);
     }
-    println!("scaling cells are thread-count invariant ({FATTREE_THREADS:?} threads)");
+    println!("thread sweeps are thread-count invariant ({FATTREE_THREADS:?} threads)");
 
-    // Parallel speedup of the 4-thread fattree cell over 1-thread, on
-    // wall-clock throughput (process CPU time can only grow with threads;
-    // wall time is what sharding buys). Enforced only where 4 cores exist
-    // and measurements are wanted — single-core CI uses --stable.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let wall_of = |threads: usize| {
-        cells
-            .iter()
-            .find(|c| c.id.starts_with(&format!("fattree/isw-t{threads}/")))
-            .map(|c| c.wall_ns.max(1))
-    };
-    if let (Some(w1), Some(w4)) = (wall_of(1), wall_of(4)) {
-        let speedup = w1 as f64 / w4 as f64;
-        println!(
-            "fattree scaling: {speedup:.2}x events/wall-sec at 4 threads vs 1 ({cores} cores)"
-        );
-        if !stable && cores >= 4 && speedup < SCALING_FLOOR {
-            eprintln!(
-                "SCALING REGRESSION: 4-thread fattree speedup {speedup:.2}x \
-                 is below the {SCALING_FLOOR}x floor"
-            );
-            exit(1);
-        }
-    }
-
-    if update_baseline {
-        // The baseline always records the full measured document (the
-        // throughput gate needs events_per_sec even when later runs are
-        // --stable), so refuse to write one from a stable/quick run.
-        if stable || quick {
-            eprintln!("--update-baseline needs a full, non-stable run");
-            exit(2);
-        }
-        if let Ok(old) = std::fs::read_to_string(&baseline_path) {
-            if let Ok(old) = JsonValue::parse(&old) {
-                println!("per-cell throughput vs the outgoing baseline:");
-                print!("{}", comparison_table(&cells, &old));
-            }
-        }
-        write_metrics(&baseline_path, &doc).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", baseline_path.display());
-            exit(1);
-        });
+    if has("--update-baseline") {
+        write_or_exit(&baseline_path, &doc);
         println!("baseline updated at {}", baseline_path.display());
         return;
     }
@@ -827,9 +531,7 @@ fn main() {
             eprintln!("  {m}");
         }
         eprintln!("per-subsystem telemetry of the diverged cells vs the baseline:");
-        eprint!("{}", explain_divergence(&cells, &baseline));
-        eprintln!("per-cell throughput vs the baseline:");
-        eprint!("{}", comparison_table(&cells, &baseline));
+        eprint!("{}", explain_divergence(&doc, &baseline));
         eprintln!(
             "(seeded-simulation outputs changed — if intentional, refresh \
              the baseline with --update-baseline; see BENCHMARKS.md)"
@@ -838,37 +540,179 @@ fn main() {
     }
     println!(
         "workload fingerprints match the baseline ({} cells)",
-        cells.len()
+        cells_of(&doc).len()
     );
-    if explain {
+    if has("--explain") {
         println!("per-subsystem telemetry vs the baseline:");
-        print!("{}", explain_divergence(&cells, &baseline));
+        print!("{}", explain_divergence(&doc, &baseline));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A hand-made report: `(id, fingerprint value, ecn marks)` per cell,
+    /// every other field zero.
+    fn doc(cells: &[(&str, u64, u64)]) -> JsonValue {
+        let rows = cells.iter().map(|&(id, events, ecn_marked)| {
+            let mut row = JsonValue::empty_object();
+            row.insert("id", JsonValue::Str(id.to_owned()));
+            for field in FINGERPRINT {
+                let value = if field == "events" { events } else { 0 };
+                row.insert(field, JsonValue::UInt(value));
+            }
+            let mut telemetry = JsonValue::empty_object();
+            for field in TELEMETRY {
+                let value = if field == "netsim.ecn_marked" {
+                    ecn_marked
+                } else {
+                    0
+                };
+                telemetry.insert(field, JsonValue::UInt(value));
+            }
+            row.insert("telemetry", telemetry);
+            row
+        });
+        let mut doc = JsonValue::empty_object();
+        doc.insert("cells", JsonValue::Array(rows.collect()));
+        doc
     }
 
-    if !stable {
-        let current = doc
-            .get("totals")
-            .and_then(|t| t.get("events_per_sec"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let base = baseline
-            .get("totals")
-            .and_then(|t| t.get("events_per_sec"))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let floor = base * (1.0 - threshold);
-        println!(
-            "throughput: {:.0} events per cpu-sec (baseline {:.0}, floor {:.0})",
-            current, base, floor
+    #[test]
+    fn fingerprint_mismatches_name_the_cell_the_field_and_missing_cells() {
+        let base = doc(&[
+            ("star/ps/s7", 10, 0),
+            ("star/ar/s7", 20, 0),
+            ("gone/s7", 1, 0),
+        ]);
+        assert!(fingerprint_mismatches(&base, &base).is_empty());
+        // Telemetry is not part of the fingerprint.
+        let drifted = doc(&[
+            ("star/ps/s7", 10, 5),
+            ("star/ar/s7", 20, 0),
+            ("gone/s7", 1, 0),
+        ]);
+        assert!(fingerprint_mismatches(&drifted, &base).is_empty());
+        let now = doc(&[
+            ("star/ps/s7", 10, 0),
+            ("star/ar/s7", 21, 0),
+            ("new/s7", 1, 0),
+        ]);
+        assert_eq!(
+            fingerprint_mismatches(&now, &base),
+            [
+                "star/ar/s7: events Some(20) -> Some(21)",
+                "new/s7: cell missing from baseline",
+                "gone/s7: in the baseline, not in this run",
+            ]
         );
-        if base > 0.0 && current < floor {
-            eprintln!(
-                "REGRESSION: events/sec fell more than {:.0}% below the baseline",
-                threshold * 100.0
-            );
-            eprintln!("per-cell throughput vs the baseline:");
-            eprint!("{}", comparison_table(&cells, &baseline));
-            exit(1);
+    }
+
+    #[test]
+    fn identity_groups_key_on_everything_but_the_thread_count() {
+        let group = |id| identity_group(id);
+        assert_eq!(group("fattree/isw-t1/s5117c4").as_deref(), Some("fattree"));
+        assert_eq!(
+            group("fattree/isw-t4/s5117c4"),
+            group("fattree/isw-t1/s5117c4")
+        );
+        assert_eq!(
+            group("incast/nack/t2/s5117c4").as_deref(),
+            Some("incast/nack")
+        );
+        assert_ne!(
+            group("incast/nack/t2/s5117c4"),
+            group("incast/dcqcn/t2/s5117c4")
+        );
+        let tenant = group("tenant/x4/dqn/t4/s5117c4");
+        assert_eq!(tenant.as_deref(), Some("tenant/x4/dqn"));
+        assert_eq!(group("tenant/x4/dqn/t1/s5117c4"), tenant);
+        assert_ne!(group("tenant/x2/dqn/t1/s5117c4"), tenant);
+        assert_ne!(group("tenant/x4/ppo/t4/s5117c4"), tenant);
+        // Seed-swept cells are not thread sweeps.
+        for id in ["incast-star/nack/s7", "star/isw/s7", "codec/top-k/s7"] {
+            assert_eq!(group(id), None, "{id}");
         }
+    }
+
+    #[test]
+    fn identity_mismatches_compare_each_sweep_with_its_first_cell() {
+        let same = doc(&[
+            ("incast/nack/t1/s7", 5, 0),
+            ("incast/dcqcn/t1/s7", 9, 0),
+            ("incast/nack/t2/s7", 5, 3),
+            ("star/ps/s7", 1, 0),
+            ("star/ps/s8", 2, 0),
+        ]);
+        assert!(identity_mismatches(&same).is_empty());
+        let leaked = doc(&[
+            ("tenant/x2/ppo/t1/s7", 5, 0),
+            ("tenant/x2/a2c/t1/s7", 7, 0),
+            ("tenant/x2/ppo/t2/s7", 5, 0),
+            ("tenant/x2/a2c/t2/s7", 8, 0),
+        ]);
+        let found = identity_mismatches(&leaked);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].starts_with("tenant/x2/a2c/t2/s7: "), "{found:?}");
+        assert!(
+            found[0].contains("differs from tenant/x2/a2c/t1/s7"),
+            "{found:?}"
+        );
+    }
+
+    #[test]
+    fn explain_divergence_tabulates_only_what_moved() {
+        let base = doc(&[("star/ps/s7", 10, 0), ("star/ar/s7", 20, 4)]);
+        assert_eq!(
+            explain_divergence(&base, &base),
+            "every archived field matches the baseline\n"
+        );
+        let now = doc(&[
+            ("star/ps/s7", 10, 0),
+            ("star/ar/s7", 21, 6),
+            ("new/s7", 1, 0),
+        ]);
+        let table = explain_divergence(&now, &base);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 5, "{table}");
+        assert_eq!(lines[0], "star/ar/s7:");
+        let cols = |line: &str| {
+            line.split_whitespace()
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cols(lines[1]), ["field", "baseline", "now"]);
+        assert_eq!(cols(lines[2]), ["timing.events", "20", "21"]);
+        assert_eq!(cols(lines[3]), ["netsim.ecn_marked", "4", "6"]);
+        assert_eq!(lines[4], "new/s7: new cell, nothing to compare against");
+    }
+
+    #[test]
+    fn checked_in_baseline_is_the_reports_shape() {
+        let text = include_str!("../../baselines/perfgate.json");
+        let baseline = JsonValue::parse(text).expect("baseline parses");
+        // What `--out` writes: the compact rendering and one newline.
+        assert_eq!(format!("{}\n", baseline.render()), text);
+        let keys = |v: &JsonValue| match v {
+            JsonValue::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(keys(&baseline), ["artifact", "cells"]);
+        let cells = cells_of(&baseline);
+        assert_eq!(cells.len(), 64);
+        let mut row_keys = vec!["id"];
+        row_keys.extend(FINGERPRINT);
+        row_keys.push("telemetry");
+        for (id, row) in cells {
+            assert_eq!(keys(row), row_keys, "{id}");
+            assert_eq!(
+                keys(row.get("telemetry").expect("telemetry")),
+                TELEMETRY,
+                "{id}"
+            );
+            assert!(fingerprint_of(row).iter().all(Option::is_some), "{id}");
+        }
+        assert!(identity_mismatches(&baseline).is_empty());
     }
 }

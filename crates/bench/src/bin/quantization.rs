@@ -6,7 +6,7 @@
 //! Precision and convergence under each codec are measured end to end by
 //! `iswitch-sim timing --fidelity cosim --codec <kind>` (EXPERIMENTS.md).
 
-use iswitch_bench::banner;
+use iswitch_bench::{banner, check_args, QUICK};
 use iswitch_cluster::report::render_table;
 use iswitch_core::{CodecKind, DataSegment};
 use iswitch_rl::{paper_model, Algorithm};
@@ -33,6 +33,7 @@ fn round_bytes(kind: CodecKind, len: usize) -> (usize, usize) {
 }
 
 fn main() {
+    check_args(&[QUICK]);
     banner("Quantization", "Wire cost per aggregation codec");
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {

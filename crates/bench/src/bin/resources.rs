@@ -3,13 +3,14 @@
 //! target, so it reports the accelerator model's architectural resources
 //! per benchmark next to the paper's figures.
 
-use iswitch_bench::{banner, paper};
+use iswitch_bench::{banner, check_args, paper, QUICK};
 use iswitch_cluster::report::render_table;
 use iswitch_core::{decode_data_meta, gradient_packets, Accelerator, AcceleratorConfig};
 use iswitch_netsim::IpAddr;
 use iswitch_rl::{paper_model, Algorithm};
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "§3.5 resources",
         "Accelerator resource accounting (FPGA analog)",

@@ -1,11 +1,14 @@
 //! Regenerates Table 1: the study of popular RL algorithms.
 
-use iswitch_bench::{banner, metrics_out_from_args, rows_artifact, write_metrics};
+use iswitch_bench::{
+    banner, check_args, metrics_out_from_args, rows_artifact, write_metrics, METRICS_OUT, QUICK,
+};
 use iswitch_cluster::experiments::table1;
 use iswitch_cluster::report::{fmt_bytes, render_table};
 use iswitch_obs::JsonValue;
 
 fn main() {
+    check_args(&[QUICK, METRICS_OUT]);
     banner("Table 1", "A study of popular RL algorithms");
     let results = table1();
     let rows: Vec<Vec<String>> = results

@@ -1,10 +1,11 @@
 //! Regenerates Table 3: the headline summary of end-to-end speedups.
 
-use iswitch_bench::{banner, paper, scale_from_args};
+use iswitch_bench::{banner, check_args, paper, scale_from_args, QUICK};
 use iswitch_cluster::experiments::table3;
 use iswitch_cluster::report::{fmt_speedup, render_table};
 
 fn main() {
+    check_args(&[QUICK]);
     banner("Table 3", "Summary of end-to-end training-time speedups");
     let scale = scale_from_args();
     let t = table3(&scale);

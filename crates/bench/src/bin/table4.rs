@@ -1,11 +1,12 @@
 //! Regenerates Table 4: synchronous distributed training comparison
 //! (PS vs AR vs iSW — iterations, end-to-end time, final reward).
 
-use iswitch_bench::{banner, paper, scale_from_args};
+use iswitch_bench::{banner, check_args, paper, scale_from_args, QUICK};
 use iswitch_cluster::experiments::table4;
 use iswitch_cluster::report::{fmt_secs, fmt_speedup, render_table};
 
 fn main() {
+    check_args(&[QUICK]);
     banner("Table 4", "Synchronous distributed training comparison");
     let scale = scale_from_args();
     let rows = table4(&scale);

@@ -2,11 +2,12 @@
 //! (Async PS vs Async iSW — iterations, per-iteration time, end-to-end
 //! time, final reward), staleness bound S = 3 for both.
 
-use iswitch_bench::{banner, paper, scale_from_args};
+use iswitch_bench::{banner, check_args, paper, scale_from_args, QUICK};
 use iswitch_cluster::experiments::table5;
 use iswitch_cluster::report::{fmt_secs, fmt_speedup, render_table};
 
 fn main() {
+    check_args(&[QUICK]);
     banner(
         "Table 5",
         "Asynchronous distributed training comparison (S = 3)",

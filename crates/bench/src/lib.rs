@@ -2,8 +2,10 @@
 //!
 //! The evaluation harness: binaries regenerating every table and figure of
 //! the iSwitch paper (run with `cargo run -p iswitch-bench --bin <name>`),
-//! Criterion microbenches on the core datapaths, and the paper's reported
-//! numbers for side-by-side comparison.
+//! the paper's reported numbers for side-by-side comparison, and `perfgate`,
+//! the 64-cell behaviour gate (BENCHMARKS.md). How fast the simulator runs
+//! on a host is measured by the standalone `benchmark/` package, whose
+//! recorded baseline is in `benchmark/README.md`.
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -86,8 +88,59 @@ pub mod paper {
     pub const FPGA_DSP: u32 = 17;
 }
 
+/// One flag a binary accepts: its name, and whether a value follows it.
+pub type Flag = (&'static str, bool);
+
+/// `--quick`: the CI-sized configuration ([`scale_from_args`]). `all`
+/// forwards it to every artifact binary, so each of them declares it.
+pub const QUICK: Flag = ("--quick", false);
+
+/// `--metrics-out <path>` ([`metrics_out_from_args`]).
+pub const METRICS_OUT: Flag = ("--metrics-out", true);
+
+/// Checks the process arguments against the flags the calling binary
+/// declares, before anything runs, so nothing is silently ignored: an
+/// argument it does not declare, or a value-taking flag with nothing after
+/// it, exits 2 naming it. Returns the arguments.
+pub fn check_args(flags: &[Flag]) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(refusal) = refused_arg(&args, flags) {
+        eprintln!("{refusal}");
+        std::process::exit(2);
+    }
+    args
+}
+
+fn refused_arg(args: &[String], flags: &[Flag]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match flags.iter().find(|(name, _)| name == arg) {
+            Some((_, false)) => {}
+            Some((_, true)) if rest.next().is_some() => {}
+            Some(_) => return Err(format!("{arg} expects a value")),
+            None => {
+                let names: Vec<&str> = flags.iter().map(|(name, _)| *name).collect();
+                let takes = match names.as_slice() {
+                    [] => "no arguments".to_owned(),
+                    names => names.join(", "),
+                };
+                return Err(format!(
+                    "unknown argument `{arg}` (this binary takes: {takes})"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The value following flag `name`, if the flag is present.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    let at = args.iter().position(|a| a == name)?;
+    args.get(at + 1).map(String::as_str)
+}
+
 /// Parses the scale argument shared by all binaries: `--quick` selects the
-/// CI-sized configuration, anything else (default) runs full scale.
+/// CI-sized configuration, the default runs full scale.
 pub fn scale_from_args() -> Scale {
     if std::env::args().any(|a| a == "--quick") {
         Scale::quick()
@@ -101,10 +154,7 @@ pub fn scale_from_args() -> Scale {
 /// document to the given path alongside the printed table.
 pub fn metrics_out_from_args() -> Option<PathBuf> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+    flag_value(&args, METRICS_OUT.0).map(PathBuf::from)
 }
 
 /// Wraps artifact rows in the standard report envelope:
@@ -178,6 +228,34 @@ mod tests {
             let isw = paper::SYNC_PS_HOURS[i] / paper::SYNC_ISW_HOURS[i];
             assert!((isw - paper::SYNC_ISW_SPEEDUP[i]).abs() < 0.08, "iSW {i}");
         }
+    }
+
+    #[test]
+    fn undeclared_arguments_and_missing_values_are_refused() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        let flags = [QUICK, METRICS_OUT];
+        assert_eq!(refused_arg(&args(&[]), &flags), Ok(()));
+        let ok = args(&["--metrics-out", "m.json", "--quick"]);
+        assert_eq!(refused_arg(&ok, &flags), Ok(()));
+        assert_eq!(flag_value(&ok, "--metrics-out"), Some("m.json"));
+        assert_eq!(flag_value(&ok, "--out"), None);
+        let typo = refused_arg(&args(&["--quik"]), &flags).unwrap_err();
+        assert!(
+            typo.contains("`--quik`") && typo.contains("--quick"),
+            "{typo}"
+        );
+        let bare = refused_arg(&args(&["--quick", "--metrics-out"]), &flags).unwrap_err();
+        assert_eq!(bare, "--metrics-out expects a value");
+        // A flag's value is not itself checked against the flag list.
+        assert_eq!(
+            refused_arg(&args(&["--metrics-out", "--quick"]), &flags),
+            Ok(())
+        );
+        let none = refused_arg(&args(&["x"]), &[]).unwrap_err();
+        assert!(
+            none.contains("`x`") && none.contains("no arguments"),
+            "{none}"
+        );
     }
 
     #[test]

@@ -87,3 +87,44 @@ fn every_bin_all_launches_exists() {
         );
     }
 }
+
+#[test]
+fn undeclared_arguments_exit_2_naming_them() {
+    let perfgate = env!("CARGO_BIN_EXE_perfgate");
+    // (binary, arguments, what stderr must name). The first four are the
+    // flags `perfgate` lost with its measuring half: a script that still
+    // passes one must fail loudly, before any cell runs.
+    let rows: [(&str, &[&str], &str); 10] = [
+        (perfgate, &["--stable"], "`--stable`"),
+        (perfgate, &["--quick"], "`--quick`"),
+        (perfgate, &["--threshold", "0.1"], "`--threshold`"),
+        (perfgate, &["--no-pin"], "`--no-pin`"),
+        (perfgate, &["--stabel"], "`--stabel`"),
+        (perfgate, &["--explain", "--out"], "--out expects a value"),
+        (env!("CARGO_BIN_EXE_table3"), &["--quik"], "`--quik`"),
+        (
+            env!("CARGO_BIN_EXE_table3"),
+            &["--metrics-out", "m.json"],
+            "`--metrics-out`",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig8"),
+            &["--quick", "--metrics-out"],
+            "--metrics-out expects a value",
+        ),
+        (env!("CARGO_BIN_EXE_all"), &["--quik"], "`--quik`"),
+    ];
+    for (exe, args, named) in rows {
+        let output = Command::new(exe)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+        assert!(stderr.contains(named), "{exe} {args:?}: {stderr}");
+        assert!(
+            output.stdout.is_empty(),
+            "{exe} {args:?} ran before refusing"
+        );
+    }
+}

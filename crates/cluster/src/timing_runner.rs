@@ -270,9 +270,10 @@ impl TimingResult {
     }
 }
 
-/// Raw engine-side counters of one timing run, captured for benchmark
-/// harnesses (`perfgate`). All fields are deterministic for a fixed
-/// [`TimingConfig`]: they come from the seeded simulation, not the host.
+/// Raw engine-side counters of one timing run, captured for `perfgate`'s
+/// fingerprints and the repo benchmark. All fields are deterministic for
+/// a fixed [`TimingConfig`]: they come from the seeded simulation, not the
+/// host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PerfSample {
     /// Discrete events processed by the simulator.
@@ -445,9 +446,9 @@ pub fn run_timing_observed_with(cfg: &TimingConfig, opts: TraceOptions) -> Timin
 
 /// Runs one timing experiment and returns the engine's raw event/packet
 /// counters alongside the summary, with **no tracing attached**: the packet
-/// hot path runs exactly as in [`run_timing`], so wall-clock time measured
-/// around this call is an honest engine benchmark. Used by the `perfgate`
-/// benchmark gate.
+/// hot path runs exactly as in [`run_timing`]. `perfgate` fingerprints the
+/// counters; the repo benchmark times the call (its recorded baseline is
+/// in `benchmark/README.md`).
 ///
 /// # Panics
 ///

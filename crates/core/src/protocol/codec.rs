@@ -90,9 +90,15 @@ const FIXED_WIDE_Q_MAX: i64 = 1 << 30;
 const BLOCK_Q_MAX: i32 = i8::MAX as i32;
 /// Largest block-float result mantissa (symmetric i16 range).
 const BLOCK_WIDE_Q_MAX: i64 = i16::MAX as i64;
-/// Exponent search range (binary f32 exponent range, sans denormals).
+/// Scaling exponents on the wire lie in `[EXP_MIN, EXP_MAX]`. The floor is
+/// the smallest normal f32 exponent. The ceiling is the largest exponent at
+/// which a saturated accumulator still decodes finite: `i32::MAX as f32 ·
+/// 2^96 = 2^127 < f32::MAX`, one more overflows. Encoders search no higher
+/// (a magnitude past `q_max · 2^96`, ≳ 1e31, clips to the mantissa range);
+/// decoders refuse anything outside ([`wire_exp`]), because the exponent is
+/// the one field of an integer payload that can make the switch emit `inf`.
 const EXP_MIN: i32 = -126;
-const EXP_MAX: i32 = 127;
+const EXP_MAX: i32 = 96;
 /// Block-float exponent bias: stored byte `e` means true exponent
 /// `e - 127`; the sentinel 0 marks an all-zero block.
 const BLOCK_EXP_BIAS: i32 = 127;
@@ -376,9 +382,9 @@ fn exp2(e: i32) -> f32 {
     f32::from_bits((((e + 127) as u32) & 0xFF) << 23)
 }
 
-/// Smallest exponent `e` in `[EXP_MIN, EXP_MAX]` with `m / 2^e <= q_max`.
-/// A bounded upward search — no `log2`, so the result is a deterministic
-/// pure function of the bits of `m`.
+/// Smallest exponent `e` in `[EXP_MIN, EXP_MAX]` with `m / 2^e <= q_max`
+/// (`EXP_MAX` if there is none). A bounded upward search — no `log2`, so
+/// the result is a deterministic pure function of the bits of `m`.
 fn scaling_exp(m: f32, q_max: f32) -> i32 {
     debug_assert!(m.is_finite() && m >= 0.0);
     let mut e = EXP_MIN;
@@ -386,6 +392,15 @@ fn scaling_exp(m: f32, q_max: f32) -> i32 {
         e += 1;
     }
     e
+}
+
+/// Admits a scaling exponent read off the wire (see [`EXP_MAX`]).
+fn wire_exp(e: i32) -> Result<i32, ProtocolError> {
+    if (EXP_MIN..=EXP_MAX).contains(&e) {
+        Ok(e)
+    } else {
+        Err(ProtocolError::InvalidField("scaling exponent"))
+    }
 }
 
 /// Checks every element is finite (quantized codecs reject NaN/Inf).
@@ -635,8 +650,7 @@ impl AggregationCodec for FixedPointCodec {
 
     fn decode_values(&self, payload: &[u8]) -> Result<DataSegment, ProtocolError> {
         let p = parse_codec_payload(FIXED_ID, payload)?;
-        let exp = i32::from((p.param >> 8) as u8 as i8);
-        let scale = exp2(exp);
+        let scale = exp2(wire_exp(i32::from((p.param >> 8) as u8 as i8))?);
         let (unit, values): (usize, Vec<f32>) = if p.flags & FLAG_WIDE != 0 {
             (
                 4,
@@ -683,7 +697,7 @@ impl AggregationCodec for FixedPointCodec {
             return Err(ProtocolError::InvalidField("payload length"));
         }
         let mut fx = AccEffects::default();
-        let e_in = i32::from((p.param >> 8) as u8 as i8);
+        let e_in = wire_exp(i32::from((p.param >> 8) as u8 as i8))?;
         if !*seeded {
             *exp = e_in as i8;
             *seeded = true;
@@ -750,6 +764,15 @@ fn block_body_bytes(len: usize, wide: bool) -> usize {
     let full = len / BLOCK_ELEMS;
     let tail = len % BLOCK_ELEMS;
     full * block_bytes(BLOCK_ELEMS, wide) + if tail > 0 { block_bytes(tail, wide) } else { 0 }
+}
+
+/// A block's true exponent from its exponent byte; `None` for the
+/// all-zero sentinel.
+fn block_exp(e_byte: u8) -> Result<Option<i32>, ProtocolError> {
+    match e_byte {
+        0 => Ok(None),
+        e => wire_exp(i32::from(e) - BLOCK_EXP_BIAS).map(Some),
+    }
 }
 
 impl AggregationCodec for BlockFloatCodec {
@@ -842,12 +865,8 @@ impl AggregationCodec for BlockFloatCodec {
         let mut remaining = meta.len;
         while remaining > 0 {
             let blen = remaining.min(BLOCK_ELEMS);
-            let e = p.body[at];
-            let scale = if e == 0 {
-                0.0 // all-zero block
-            } else {
-                exp2(i32::from(e) - BLOCK_EXP_BIAS)
-            };
+            // An all-zero block decodes through a zero scale.
+            let scale = block_exp(p.body[at])?.map_or(0.0, exp2);
             if wide {
                 for c in p.body[at + 1..at + 1 + blen * 2].chunks_exact(2) {
                     let m = i16::from_be_bytes(c.try_into().expect("2 bytes"));
@@ -883,6 +902,12 @@ impl AggregationCodec for BlockFloatCodec {
         let wide = p.flags & FLAG_WIDE != 0;
         if usize::from(p.param) != acc.len() || p.body.len() != block_body_bytes(acc.len(), wide) {
             return Err(ProtocolError::InvalidField("payload length"));
+        }
+        // Reject before touching `acc`: a refused payload must leave the
+        // round exactly as it found it. Every block but the last is full,
+        // so the exponent bytes sit one full block apart.
+        for &e_byte in p.body.iter().step_by(block_bytes(BLOCK_ELEMS, wide)) {
+            block_exp(e_byte)?;
         }
         let mut fx = AccEffects::default();
         let mut at = 0;
@@ -1248,6 +1273,37 @@ mod tests {
                 (b - 2.0 * h).abs() <= 1e-6,
                 "bias 1 must double: {h} vs {b}"
             );
+        }
+    }
+
+    #[test]
+    fn every_exponent_an_encoder_stamps_its_decoders_admit() {
+        for kind in [CodecKind::FixedPoint, CodecKind::BlockFloat] {
+            let codec = kind.codec();
+            for mag in [0.0, 1e-38, 1e-30, 1.0, 1e6, 1e30, 1e33, f32::MAX] {
+                let values = vec![mag, -mag / 2.0, 0.0];
+                let aggregate = DataSegment {
+                    seg: 0,
+                    count: 2,
+                    values: values.clone(),
+                };
+                let narrow = codec.encode_contribution(0, &values).unwrap();
+                for payload in [narrow, codec.encode_result(&aggregate)] {
+                    let decoded = codec.decode_values(&payload).expect("own output");
+                    let mut acc = codec.new_acc(values.len());
+                    codec.accumulate(&mut acc, &payload).expect("own output");
+                    assert_eq!(codec.decode_acc(&acc), decoded.values, "{kind} at {mag}");
+                    // Precision holds between the exponent range's ends:
+                    // below 2^EXP_MIN mantissas round to 0 or 1, past
+                    // q_max · 2^EXP_MAX they clip.
+                    let banded = (1e-30..=1e30).contains(&mag);
+                    let bound = codec.error_bound(mag, 1);
+                    for (d, v) in decoded.values.iter().zip(&values) {
+                        assert!(d.is_finite(), "{kind} at {mag}: {d}");
+                        assert!(!banded || (d - v).abs() <= bound, "{kind}: {d} vs {v}");
+                    }
+                }
+            }
         }
     }
 

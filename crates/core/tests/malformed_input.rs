@@ -8,8 +8,8 @@
 
 use iswitch_core::{
     data_packet_wire, decode_seg_field, Accelerator, AcceleratorConfig, CodecKind, ControlMessage,
-    DataSegment, ExtensionConfig, IswitchExtension, RoundAssembler, RoundInsert, SegmentMeta,
-    UPSTREAM_IP,
+    DataSegment, ExtensionConfig, IswitchExtension, ProtocolError, RoundAssembler, RoundInsert,
+    SegmentMeta, UPSTREAM_IP,
 };
 use iswitch_netsim::{
     build_star, host_ip, PortId, SimDuration, Simulator, Switch, TopologyConfig, MAX_UDP_PAYLOAD,
@@ -99,11 +99,12 @@ fn decode_everywhere(kind: CodecKind, bytes: &[u8], len: usize) {
 
 /// Feeds `bytes` to an accelerator whose round 0 is already open, then
 /// checks the round still completes — and, if the packet was refused,
-/// completes with exactly the aggregate of a switch that never saw it.
-fn ingest_after_a_valid_first(kind: CodecKind, bytes: &[u8], len: usize, host_path: bool) {
+/// that the round, its BRAM and its aggregate are exactly those of a
+/// switch that never saw it. Returns whether the accelerator refused it.
+fn ingest_after_a_valid_first(kind: CodecKind, bytes: &[u8], len: usize, host_path: bool) -> bool {
     let codec = kind.codec();
     let Ok(meta) = codec.decode_meta(bytes) else {
-        return; // the switch extension drops these before the accelerator
+        return false; // the switch extension drops these before the accelerator
     };
     let new_accel = || {
         let mut a = Accelerator::with_codec(AcceleratorConfig::default(), 1, 3, kind);
@@ -125,16 +126,18 @@ fn ingest_after_a_valid_first(kind: CodecKind, bytes: &[u8], len: usize, host_pa
     let stats = accel.stats().clone();
     assert_eq!(stats.packets_in, 2);
     assert!(stats.malformed_drops <= 1);
-    if stats.malformed_drops == 1 {
+    let refused = stats.malformed_drops == 1;
+    if refused {
         assert_eq!(
             stats.segments_emitted, 0,
             "{kind}: a refused packet emitted"
         );
-        assert_eq!(accel.partial_segments(), vec![0], "{kind}");
-        assert!(feed(&mut accel, &valid(2.0)).is_none());
-        let done = feed(&mut accel, &valid(4.0)).expect("round 0 completes");
         let mut clean = new_accel();
         feed(&mut clean, &valid(1.0));
+        assert_eq!(accel.partial_segments(), vec![0], "{kind}");
+        assert_eq!(accel.resident_bytes(), clean.resident_bytes(), "{kind}");
+        assert!(feed(&mut accel, &valid(2.0)).is_none());
+        let done = feed(&mut accel, &valid(4.0)).expect("round 0 completes");
         feed(&mut clean, &valid(2.0));
         assert_eq!(Some(done), feed(&mut clean, &valid(4.0)), "{kind}");
     } else {
@@ -142,6 +145,90 @@ fn ingest_after_a_valid_first(kind: CodecKind, bytes: &[u8], len: usize, host_pa
         // completes within the two contributions it may be missing.
         let second = feed(&mut accel, &valid(2.0));
         assert!(second.is_some() || feed(&mut accel, &valid(4.0)).is_some());
+    }
+    refused
+}
+
+/// The scaling exponent is the one byte of an integer payload that can
+/// turn a finite accumulator into `inf` (the switch's result encoder
+/// asserts against it in debug builds). Exponents past what a saturated
+/// accumulator decodes finite — 2^96 — are refused wherever outside bytes
+/// enter, in either payload width and on either path, before anything is
+/// accumulated; the largest admitted one stays finite at full saturation.
+#[test]
+fn wild_scaling_exponents_are_refused_before_anything_accumulates() {
+    const LEN: usize = 40; // two block-float blocks: 32 + 8 elements
+    let wild = Err(ProtocolError::InvalidField("scaling exponent"));
+    for wide in [false, true] {
+        // (codec, offsets of its exponent bytes, byte of the largest
+        // admitted exponent 2^96, bytes to refuse).
+        let second_block = 12 + 1 + 32 * if wide { 2 } else { 1 };
+        let rows: [(CodecKind, &[usize], u8, &[u8]); 2] = [
+            (
+                CodecKind::BlockFloat,
+                &[12, second_block],
+                223,
+                &[224, 254, 255],
+            ),
+            (CodecKind::FixedPoint, &[10], 96, &[97, 127, 0x80, 0x81]),
+        ];
+        for (kind, exponent_at, admitted, refused) in rows {
+            let codec = kind.codec();
+            // Every mantissa byte 0x7F: each element at (narrow block-float,
+            // i8) or within 1 % of its largest value. The exponent bytes are
+            // set below.
+            let mut saturated = valid_payload(kind, wide, &[1.0; LEN]);
+            saturated[12..].fill(0x7F);
+            for &at in exponent_at {
+                let tamper = |e: u8| {
+                    let mut bytes = saturated.clone();
+                    exponent_at
+                        .iter()
+                        .for_each(|&other| bytes[other] = admitted);
+                    bytes[at] = e;
+                    bytes
+                };
+                let bytes = tamper(admitted);
+                let decoded = codec.decode_values(&bytes).expect("admitted exponent");
+                assert!(decoded.values.iter().all(|v| v.is_finite()), "{kind}");
+                let mut acc = codec.new_acc(LEN);
+                for _ in 0..4 {
+                    codec
+                        .accumulate(&mut acc, &bytes)
+                        .expect("admitted exponent");
+                }
+                assert!(
+                    codec.decode_acc(&acc).iter().all(|v| v.is_finite()),
+                    "{kind}"
+                );
+
+                for &e in refused {
+                    let bytes = tamper(e);
+                    assert!(
+                        codec.decode_meta(&bytes).is_ok(),
+                        "{kind}: the header parses"
+                    );
+                    assert_eq!(codec.decode_values(&bytes).map(|_| ()), wild, "{kind} {e}");
+                    let before = codec.decode_acc(&acc);
+                    assert_eq!(
+                        codec.accumulate(&mut acc, &bytes).map(|_| ()),
+                        wild,
+                        "{kind} {e}"
+                    );
+                    assert_eq!(
+                        codec.decode_acc(&acc),
+                        before,
+                        "{kind} {e}: half-accumulated"
+                    );
+                    for host_path in [false, true] {
+                        assert!(
+                            ingest_after_a_valid_first(kind, &bytes, LEN, host_path),
+                            "{kind}: exponent byte {e} at {at} accepted (wide {wide}, host {host_path})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -229,7 +316,7 @@ proptest! {
         let _ = ControlMessage::decode(&bytes);
         for kind in CodecKind::ALL {
             decode_everywhere(kind, &bytes, len);
-            ingest_after_a_valid_first(kind, &bytes, len, host_path);
+            let _ = ingest_after_a_valid_first(kind, &bytes, len, host_path);
         }
     }
 
@@ -252,7 +339,7 @@ proptest! {
             // is wrong) or of another length (the shape is wrong too).
             let len = if same_len { values.len() } else { values.len() % 7 + 1 };
             decode_everywhere(kind, &damaged, len);
-            ingest_after_a_valid_first(kind, &damaged, len, host_path);
+            let _ = ingest_after_a_valid_first(kind, &damaged, len, host_path);
         }
     }
 

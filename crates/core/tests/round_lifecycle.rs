@@ -48,11 +48,12 @@ enum Shape {
     /// Three elements: malformed for a full-length round, a round of its
     /// own when it opens one.
     Odd,
-    /// A full top-k segment whose first sparse index points past the
-    /// segment's end: a body the codec refuses although the header parses
-    /// — the one packet a switch can be sent that is malformed for the
-    /// round it opens. The dense codecs have no such payload (their header
-    /// *is* their length) and send a full segment instead.
+    /// A full segment whose header parses but whose body the codec
+    /// refuses — the one packet a switch can be sent that is malformed for
+    /// the round it opens: a top-k sparse index past the segment's end, a
+    /// block-float or fixed-point scaling exponent past the accumulator's
+    /// range. f32 has no such payload (its header *is* its length) and
+    /// sends a full segment instead.
     Corrupt,
 }
 
@@ -81,14 +82,17 @@ fn payload_of(codec: &dyn AggregationCodec, key: usize, shape: Shape, salt: usiz
     let full = codec
         .encode_contribution(seg_of(key), &values)
         .expect("finite");
-    match shape {
-        Shape::Corrupt if codec.kind() == CodecKind::TopK => {
-            let mut bytes = full.to_vec();
-            bytes[12] ^= 0x80; // high byte of the first index
-            Bytes::from(bytes)
-        }
-        Shape::Full | Shape::Odd | Shape::Corrupt => full,
+    let Shape::Corrupt = shape else {
+        return full;
+    };
+    let mut bytes = full.to_vec();
+    match codec.kind() {
+        CodecKind::TopK => bytes[12] ^= 0x80, // high byte of the first index
+        CodecKind::BlockFloat => bytes[12] = 0xFF, // the first block's exponent byte
+        CodecKind::FixedPoint => bytes[10] = 0x7F, // the packet's exponent: 2^127
+        CodecKind::F32 => {}
     }
+    Bytes::from(bytes)
 }
 
 /// One result reaching the host, values folded to a digest so a mismatch
@@ -513,10 +517,10 @@ fn every_round_ends_once_and_leaves_nothing() {
         }
     }
     // Every way a round ends was exercised under every codec and both
-    // residencies — except that only top-k has a body the switch can
-    // refuse for the very round it opens (see `Shape::Corrupt`).
+    // residencies — except that f32 has no body the switch can refuse for
+    // the very round it opens (see `Shape::Corrupt`).
     for ((ending, kind, host_fallback), n) in endings {
-        let impossible = ending == "refused opener" && kind != CodecKind::TopK.label();
+        let impossible = ending == "refused opener" && kind == CodecKind::F32.label();
         assert!(
             n > 0 || impossible,
             "never seen: {ending} / {kind} / host path {host_fallback}"
