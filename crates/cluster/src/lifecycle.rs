@@ -39,7 +39,7 @@ use crate::transport::TransportStats;
 /// state whether it runs solo or as a tenant between arbiter barriers.
 const CHECK_CADENCE: SimDuration = SimDuration::from_millis(200);
 
-/// Cap on completion checks of a solo asynchronous run.
+/// Cap on completion checks of a solo run.
 const MAX_CHECKS: usize = 100_000;
 
 /// Splits `workers` into racks of at most `per_rack`.
@@ -233,27 +233,24 @@ impl Job {
         }
     }
 
-    /// Drives the job to completion with nothing else to interleave: a
-    /// synchronous job in one unstepped drive (pausing a cut partition
-    /// re-cuts its epochs, see [`ShardedSim::run_until`]), an asynchronous
-    /// one check point by check point.
+    /// Drives the job to completion with nothing else to interleave, check
+    /// point by check point.
     ///
     /// # Panics
     ///
-    /// Panics if an asynchronous job fails to reach its update target.
+    /// Panics if the job is still not done after `MAX_CHECKS` check points
+    /// (an asynchronous job that never reaches its update target).
     pub(crate) fn run(&mut self) {
-        let Some(target) = self.target else {
-            self.sim.run(self.threads);
-            self.done = true;
-            return;
-        };
         for _ in 0..MAX_CHECKS {
             self.drive(self.next_check);
             if self.done {
                 return;
             }
         }
-        panic!("async simulation failed to reach {target} updates");
+        panic!(
+            "{} job failed to finish within {MAX_CHECKS} completion checks",
+            self.strategy.label()
+        );
     }
 
     /// Folds the finished workers into the run's observation (untraced
@@ -982,5 +979,75 @@ fn trace_updates(trace: Option<&Trace>, times: &[SimTime], warmup: usize) {
             ev = ev.with_u64("interval_ns", t.duration_since(times[i - 1]).as_nanos());
         }
         trace.record(ev);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iswitch_netsim::FattreeShape;
+    use iswitch_rl::Algorithm;
+
+    /// Report, trace and timeseries of a traced, telemetry-sampled PPO job
+    /// on a 2×2×2 fat-tree, driven to completion by `drive`.
+    fn exports(strategy: Strategy, threads: usize, drive: impl FnOnce(&mut Job)) -> [String; 3] {
+        let shape = FattreeShape {
+            aggs: 2,
+            racks_per_agg: 2,
+            hosts_per_rack: 2,
+        };
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, strategy);
+        (cfg.iterations, cfg.warmup) = (4, 1);
+        cfg.workers = shape.workers();
+        cfg.fattree = Some(shape);
+        cfg.threads = threads;
+        let capture = Capture {
+            trace: Some(Arc::default()),
+            timeseries: Some(Arc::default()),
+        };
+        let mut job = build(&cfg, None, 0, capture);
+        drive(&mut job);
+        assert!(job.done, "{strategy:?}: the drive must finish the job");
+        let (obs, _) = job.collect();
+        let mut ts = Vec::new();
+        let sink = obs.timeseries.as_ref().expect("sampled run");
+        sink.to_jsonl(&mut ts).expect("jsonl to memory");
+        [
+            obs.report_json().render(),
+            obs.trace.to_jsonl(),
+            String::from_utf8(ts).expect("jsonl is utf-8"),
+        ]
+    }
+
+    #[test]
+    fn a_paused_fattree_job_is_byte_identical_to_job_run() {
+        // One drive regime: pausing a cut partition at deadlines no check
+        // point falls on — between and inside lookahead epochs, on one
+        // thread or two — changes no byte of the report (epoch accounting
+        // included), the merged trace or the telemetry tracks.
+        for strategy in [
+            Strategy::SyncPs,
+            Strategy::SyncAr,
+            Strategy::SyncIsw,
+            Strategy::AsyncPs,
+            Strategy::AsyncIsw,
+        ] {
+            let unpaused = exports(strategy, 1, Job::run);
+            assert!(
+                unpaused[0].contains("\"domains\":3"),
+                "{strategy:?}: not cut"
+            );
+            assert!(unpaused[2].contains("\"shard.domain."), "{strategy:?}");
+            for (threads, pause_us) in [(1, 137), (2, 1_000)] {
+                let paused = exports(strategy, threads, |job| {
+                    let mut deadline = SimTime::ZERO;
+                    while !job.done {
+                        deadline += SimDuration::from_micros(pause_us);
+                        job.drive(deadline);
+                    }
+                });
+                assert_eq!(paused, unpaused, "{strategy:?} paused every {pause_us} µs");
+            }
+        }
     }
 }

@@ -99,11 +99,9 @@ pub struct TenantSpec {
     /// tenant's simulation (standing in for a VLAN/overlay tag). Must be
     /// unique within a [`MultiJobConfig`].
     pub id: u64,
-    /// The tenant's training job. `fattree` must be `None`: arbiter
-    /// barriers pause every tenant, and a cut partition paused there is not
-    /// byte-identical to its solo, unpaused run (DESIGN.md §12) — the
-    /// identity multi-tenancy is held to. Threads parallelize across
-    /// tenants instead of across fat-tree pods.
+    /// The tenant's training job, on any topology (its own `threads`
+    /// drive a fat-tree's pods; [`MultiJobConfig::threads`] parallelizes
+    /// across tenants).
     pub job: TimingConfig,
     /// Guaranteed fabric share.
     pub quota: TenantQuota,
@@ -300,8 +298,7 @@ impl TenantJob<'_> {
 /// # Panics
 ///
 /// Panics on invalid configurations: no tenants, duplicate/zero tenant
-/// ids, quota sums exceeding the fabric pools, a `fattree` job, or a
-/// zero epoch.
+/// ids, quota sums exceeding the fabric pools, or a zero epoch.
 pub fn run_multi_tenant(cfg: &MultiJobConfig) -> MultiTenantOutcome {
     run_multi(cfg, true)
 }
@@ -333,12 +330,6 @@ fn validate(cfg: &MultiJobConfig) {
         "tenant id 0 is reserved for single-tenant runs"
     );
     for t in &cfg.tenants {
-        assert!(
-            t.job.fattree.is_none(),
-            "multi-tenant runs use the one-domain topologies: arbiter barriers \
-             would pause the fat-tree's cut partition, and a paused cut is not \
-             byte-identical to the tenant's solo run"
-        );
         lifecycle::validate(&t.job);
     }
     let slot_sum: u64 = cfg.tenants.iter().map(|t| u64::from(t.quota.slots)).sum();
@@ -581,12 +572,26 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
 mod tests {
     use super::*;
     use crate::timing_runner::Strategy;
+    use iswitch_netsim::FattreeShape;
     use iswitch_rl::Algorithm;
 
     fn quick(alg: Algorithm, strategy: Strategy) -> TimingConfig {
         let mut cfg = TimingConfig::main_cluster(alg, strategy);
         cfg.iterations = 6;
         cfg.warmup = 2;
+        cfg
+    }
+
+    /// `quick` on a 2×2×2 fat-tree: three engine domains per tenant.
+    fn quick_fattree(alg: Algorithm, strategy: Strategy) -> TimingConfig {
+        let shape = FattreeShape {
+            aggs: 2,
+            racks_per_agg: 2,
+            hosts_per_rack: 2,
+        };
+        let mut cfg = quick(alg, strategy);
+        cfg.fattree = Some(shape);
+        cfg.workers = shape.workers();
         cfg
     }
 
@@ -609,7 +614,9 @@ mod tests {
         // sharing the fabric produces artifacts (report JSON + trace JSONL)
         // byte-identical to the same job alone on a dedicated fabric, and
         // the same summary as the plain solo runner — for every strategy,
-        // on the star and on the two-level tree.
+        // on the star, the two-level tree and the fat-tree, whose cut
+        // partition the arbiter pauses at barriers no solo run stops at —
+        // at any driver thread count and arbiter epoch.
         const STAR: Option<usize> = None;
         const TREE: Option<usize> = Some(3);
         let rows = [
@@ -624,28 +631,51 @@ mod tests {
             (Algorithm::Ppo, Strategy::SyncAr, TREE),
             (Algorithm::Ppo, Strategy::AsyncPs, TREE),
         ];
-        let specs: Vec<TenantSpec> = rows
-            .iter()
+        let one_domain = rows.iter().map(|&(alg, strategy, per_rack)| {
+            let mut job = quick(alg, strategy);
+            job.workers_per_rack = per_rack;
+            job.workers = if per_rack.is_some() { 6 } else { 4 };
+            (format!("{strategy:?}-{per_rack:?}"), job)
+        });
+        // One fat-tree row per strategy: the tree rows' jobs, cut.
+        let fattree = rows[5..].iter().map(|&(alg, strategy, _)| {
+            let job = quick_fattree(alg, strategy);
+            (format!("{strategy:?}-fattree"), job)
+        });
+        let specs: Vec<TenantSpec> = one_domain
+            .chain(fattree)
             .enumerate()
-            .map(|(i, &(alg, strategy, per_rack))| {
-                let mut job = quick(alg, strategy);
-                job.workers_per_rack = per_rack;
-                job.workers = if per_rack.is_some() { 6 } else { 4 };
-                TenantSpec::new(format!("{strategy:?}-{per_rack:?}"), i as u64 + 1, job)
+            .map(|(i, (name, job))| TenantSpec::new(name, i as u64 + 1, job))
+            .collect();
+        let alone: Vec<_> = specs
+            .iter()
+            .map(|spec| {
+                let alone = run_multi_tenant(&MultiJobConfig::new(vec![spec.clone()]));
+                let summary = crate::run_timing(&spec.job);
+                let result = &alone.tenants[0].observation.result;
+                assert_eq!(result.per_iteration, summary.per_iteration, "{}", spec.name);
+                assert_eq!(result.staleness, summary.staleness, "{}", spec.name);
+                assert_eq!(result.transport, summary.transport, "{}", spec.name);
+                artifacts(&alone).remove(0)
             })
             .collect();
-        let shared = run_multi_tenant(&MultiJobConfig::new(specs.clone()));
-        let shared_art = artifacts(&shared);
-        for (i, spec) in specs.into_iter().enumerate() {
-            let name = spec.name.clone();
-            let summary = crate::run_timing(&spec.job);
-            let alone = run_multi_tenant(&MultiJobConfig::new(vec![spec]));
-            assert_eq!(shared_art[i], artifacts(&alone)[0], "{name} perturbed");
-            assert_eq!(shared.tenants[i].slot_denials, 0, "{name}");
-            let result = &alone.tenants[0].observation.result;
-            assert_eq!(result.per_iteration, summary.per_iteration, "{name}");
-            assert_eq!(result.staleness, summary.staleness, "{name}");
-            assert_eq!(result.transport, summary.transport, "{name}");
+        for (threads, epoch) in [
+            (1, FabricConfig::default().epoch),
+            (2, SimDuration::from_micros(1_370)),
+            (4, FabricConfig::default().epoch),
+        ] {
+            let mut cfg = MultiJobConfig::new(specs.clone());
+            cfg.threads = threads;
+            cfg.fabric.epoch = epoch;
+            let shared = run_multi_tenant(&cfg);
+            for (i, art) in artifacts(&shared).iter().enumerate() {
+                let name = &specs[i].name;
+                assert_eq!(
+                    art, &alone[i],
+                    "{name} perturbed ({threads} threads, {epoch})"
+                );
+                assert_eq!(shared.tenants[i].slot_denials, 0, "{name}");
+            }
         }
     }
 
@@ -731,35 +761,51 @@ mod tests {
 
     #[test]
     fn contended_run_is_deterministic_and_thread_invariant() {
-        let mk = |threads: usize| {
-            let mut cfg = MultiJobConfig::new(vec![
-                TenantSpec::new("t1", 1, quick(Algorithm::Ppo, Strategy::SyncIsw)),
-                TenantSpec::new("t2", 2, quick(Algorithm::A2c, Strategy::SyncIsw))
-                    .with_quota(2, 1 << 20),
-            ]);
-            cfg.fabric.slots = 4;
-            cfg.threads = threads;
-            cfg
-        };
-        let base = run_multi_tenant(&mk(1));
-        let again = run_multi_tenant(&mk(1));
-        assert_eq!(
-            artifacts(&base),
-            artifacts(&again),
-            "run-twice artifacts differ"
-        );
-        assert_eq!(
-            base.fabric_report.render(),
-            again.fabric_report.render(),
-            "run-twice fabric reports differ"
-        );
-        for threads in [2, 4] {
-            let t = run_multi_tenant(&mk(threads));
+        // On the star and on the fat-tree, whose tenants the arbiter pauses
+        // mid-epoch with grants that bind (PPO there: an A2C fat-tree
+        // tenant traces 1.2 M events per run).
+        type MakeJob = fn(Algorithm, Strategy) -> TimingConfig;
+        for (job, second) in [
+            (quick as MakeJob, Algorithm::A2c),
+            (quick_fattree, Algorithm::Ppo),
+        ] {
+            let mk = |threads: usize| {
+                let mut cfg = MultiJobConfig::new(vec![
+                    TenantSpec::new("t1", 1, job(Algorithm::Ppo, Strategy::SyncIsw)),
+                    TenantSpec::new("t2", 2, job(second, Strategy::SyncIsw)).with_quota(2, 1 << 20),
+                ]);
+                cfg.fabric.slots = 4;
+                cfg.threads = threads;
+                cfg
+            };
+            let base = run_multi_tenant(&mk(1));
+            let again = run_multi_tenant(&mk(1));
+            assert!(
+                base.tenants.iter().all(|t| t.slot_denials > 0),
+                "a 4-slot fabric must deny both tenants"
+            );
+            for t in &base.tenants {
+                let measured = t.observation.result.iterations_measured;
+                assert!(measured > 0, "{}: contention lost iterations", t.name);
+            }
             assert_eq!(
                 artifacts(&base),
-                artifacts(&t),
-                "threads=1 vs threads={threads} differ"
+                artifacts(&again),
+                "run-twice artifacts differ"
             );
+            assert_eq!(
+                base.fabric_report.render(),
+                again.fabric_report.render(),
+                "run-twice fabric reports differ"
+            );
+            for threads in [2, 4] {
+                let t = run_multi_tenant(&mk(threads));
+                assert_eq!(
+                    artifacts(&base),
+                    artifacts(&t),
+                    "threads=1 vs threads={threads} differ"
+                );
+            }
         }
     }
 

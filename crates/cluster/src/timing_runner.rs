@@ -662,8 +662,7 @@ mod tests {
         // One engine behind every job: all five strategies run on the cut
         // partition, and the full observability export (summary + merged
         // metrics + merged trace) is byte-identical run-twice and no
-        // matter how many threads executed the run. The synchronous ones
-        // run unstepped, the asynchronous ones pause every 200 ms.
+        // matter how many threads executed the run.
         let shape = FattreeShape {
             aggs: 2,
             racks_per_agg: 2,

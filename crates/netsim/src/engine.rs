@@ -101,12 +101,6 @@ impl NodeOpts {
     }
 }
 
-struct NodeSlot {
-    device: Option<Box<dyn Device>>,
-    /// Port index -> (link, direction-of-travel when transmitting out of it).
-    ports: Vec<(LinkId, LinkDir)>,
-}
-
 enum EventKind {
     Start {
         node: NodeId,
@@ -124,9 +118,9 @@ enum EventKind {
     Fault {
         action: FaultAction,
     },
-    /// A packet arriving from another domain (see [`crate::ShardedSim`]).
-    /// Distinct from `Deliver` because the carrying half-link's in-flight
-    /// accounting lives in the *sending* domain.
+    /// A packet arriving from another domain (see [`crate::ShardedSim`]):
+    /// a `Deliver` whose carrying half-link's in-flight accounting lives in
+    /// the *sending* domain.
     CrossDeliver {
         node: NodeId,
         port: PortId,
@@ -151,6 +145,8 @@ pub(crate) struct SimCore {
     /// deterministic merge key).
     outbox: Vec<CrossMsg>,
     node_opts: Vec<NodeOpts>,
+    /// Per node: port index -> (link, direction of travel when transmitting
+    /// out of it).
     node_ports: Vec<Vec<(LinkId, LinkDir)>>,
     /// Aggregate statistics.
     pub stats: SimStats,
@@ -535,7 +531,8 @@ impl<'a> Context<'a> {
 /// ```
 pub struct Simulator {
     core: SimCore,
-    nodes: Vec<NodeSlot>,
+    /// `None` only while the node's own callback runs (see `dispatch`).
+    nodes: Vec<Option<Box<dyn Device>>>,
     started: bool,
     event_limit: u64,
 }
@@ -612,10 +609,7 @@ impl Simulator {
         let id = NodeId(self.nodes.len());
         self.core.node_opts.push(opts);
         self.core.node_ports.push(Vec::new());
-        self.nodes.push(NodeSlot {
-            device: Some(device),
-            ports: Vec::new(),
-        });
+        self.nodes.push(Some(device));
         id
     }
 
@@ -629,8 +623,8 @@ impl Simulator {
         );
         assert_ne!(a, b, "self-links are not supported");
         let link_id = LinkId(self.core.links.len());
-        let pa = PortId(self.nodes[a.index()].ports.len());
-        let pb = PortId(self.nodes[b.index()].ports.len());
+        let pa = PortId(self.port_count_of(a));
+        let pb = PortId(self.port_count_of(b));
         let link = self.core.new_link(
             link_id,
             spec,
@@ -645,8 +639,6 @@ impl Simulator {
             &core.node_opts[a.index()].label,
             &core.node_opts[b.index()].label,
         );
-        self.nodes[a.index()].ports.push((link_id, 0));
-        self.nodes[b.index()].ports.push((link_id, 1));
         self.core.node_ports[a.index()].push((link_id, 0));
         self.core.node_ports[b.index()].push((link_id, 1));
         (link_id, pa, pb)
@@ -671,7 +663,7 @@ impl Simulator {
             "links must be added before the simulation runs"
         );
         let link_id = LinkId(self.core.links.len());
-        let port = PortId(self.nodes[node.index()].ports.len());
+        let port = PortId(self.port_count_of(node));
         let end = LinkEnd { node, port };
         // Both ends carry the local attachment: the `b` end is a
         // placeholder whose node is never delivered to (transmit parks the
@@ -687,7 +679,6 @@ impl Simulator {
             &core.node_opts[node.index()].label,
             remote_label,
         );
-        self.nodes[node.index()].ports.push((link_id, 0));
         self.core.node_ports[node.index()].push((link_id, 0));
         (link_id, port)
     }
@@ -793,7 +784,6 @@ impl Simulator {
     /// Panics if the device is not a `T`.
     pub fn device<T: Device>(&self, node: NodeId) -> &T {
         self.nodes[node.index()]
-            .device
             .as_ref()
             .expect("device is present outside of dispatch")
             .as_any()
@@ -808,7 +798,6 @@ impl Simulator {
     /// Panics if the device is not a `T`.
     pub fn device_mut<T: Device>(&mut self, node: NodeId) -> &mut T {
         self.nodes[node.index()]
-            .device
             .as_mut()
             .expect("device is present outside of dispatch")
             .as_any_mut()
@@ -894,24 +883,8 @@ impl Simulator {
                 self.core.obs.ev_start.inc();
                 self.dispatch(node, |dev, ctx| dev.on_start(ctx));
             }
-            EventKind::Deliver { node, port, pkt } => {
-                self.core.stats.packets_delivered += 1;
-                self.core.obs.ev_deliver.inc();
-                // The port's stored direction is for *transmitting* out of
-                // it; an arriving packet travelled the opposite direction.
-                let (link_id, tx_dir) = self.core.node_ports[node.index()][port.index()];
-                self.core.obs.links[link_id.index()][1 - tx_dir]
-                    .inflight
-                    .dec();
-                if let Some(ev) = self.core.pkt_event("pkt.rx", &pkt) {
-                    let label = &self.core.node_opts[node.index()].label;
-                    self.core.record(
-                        ev.with_u64("link", self.core.link_uid(link_id))
-                            .with_str("node", label),
-                    );
-                }
-                self.dispatch(node, |dev, ctx| dev.on_packet(ctx, port, pkt));
-            }
+            EventKind::Deliver { node, port, pkt } => self.deliver(node, port, pkt, true),
+            EventKind::CrossDeliver { node, port, pkt } => self.deliver(node, port, pkt, false),
             EventKind::Timer { node, id, token } => {
                 // Fast path: most runs never cancel a timer, so skip the
                 // hash lookup entirely while the set is empty.
@@ -921,23 +894,6 @@ impl Simulator {
                     self.core.obs.ev_timer.inc();
                     self.dispatch(node, |dev, ctx| dev.on_timer(ctx, token));
                 }
-            }
-            EventKind::CrossDeliver { node, port, pkt } => {
-                self.core.stats.packets_delivered += 1;
-                self.core.obs.ev_deliver.inc();
-                // No in-flight gauge update: the carrying half-link's
-                // accounting lives in the sending domain. The rx event is
-                // stamped with the *local* half-link (the reverse direction
-                // of the same logical link), which is deterministic.
-                if let Some(ev) = self.core.pkt_event("pkt.rx", &pkt) {
-                    let (link_id, _) = self.core.node_ports[node.index()][port.index()];
-                    let label = &self.core.node_opts[node.index()].label;
-                    self.core.record(
-                        ev.with_u64("link", self.core.link_uid(link_id))
-                            .with_str("node", label),
-                    );
-                }
-                self.dispatch(node, |dev, ctx| dev.on_packet(ctx, port, pkt));
             }
             EventKind::Fault { action } => {
                 self.core.obs.ev_fault.inc();
@@ -967,9 +923,33 @@ impl Simulator {
         true
     }
 
+    /// Hands `pkt` to `node` on `port`. `owns_gauge` says whether the
+    /// carrying link's in-flight gauge lives in this domain. The rx event
+    /// names the local link bound to `port` either way — for a crossing,
+    /// the reverse half-link of the same logical link.
+    fn deliver(&mut self, node: NodeId, port: PortId, pkt: Packet, owns_gauge: bool) {
+        self.core.stats.packets_delivered += 1;
+        self.core.obs.ev_deliver.inc();
+        // The port's stored direction is for *transmitting* out of it; an
+        // arriving packet travelled the opposite direction.
+        let (link_id, tx_dir) = self.core.node_ports[node.index()][port.index()];
+        if owns_gauge {
+            self.core.obs.links[link_id.index()][1 - tx_dir]
+                .inflight
+                .dec();
+        }
+        if let Some(ev) = self.core.pkt_event("pkt.rx", &pkt) {
+            let label = &self.core.node_opts[node.index()].label;
+            self.core.record(
+                ev.with_u64("link", self.core.link_uid(link_id))
+                    .with_str("node", label),
+            );
+        }
+        self.dispatch(node, |dev, ctx| dev.on_packet(ctx, port, pkt));
+    }
+
     fn dispatch(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Device, &mut Context<'_>)) {
         let mut device = self.nodes[node.index()]
-            .device
             .take()
             .expect("device re-entrancy is impossible in a single-threaded engine");
         let mut ctx = Context {
@@ -977,7 +957,7 @@ impl Simulator {
             node,
         };
         f(device.as_mut(), &mut ctx);
-        self.nodes[node.index()].device = Some(device);
+        self.nodes[node.index()] = Some(device);
     }
 
     /// Runs until the event queue is empty; returns the final time.
@@ -1084,7 +1064,7 @@ impl Simulator {
 
     /// Number of ports currently bound on `node`.
     pub(crate) fn port_count_of(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].ports.len()
+        self.core.node_ports[node.index()].len()
     }
 
     /// Number of nodes in this simulator.

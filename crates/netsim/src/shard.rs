@@ -10,8 +10,7 @@
 //! 1. Every domain reports the time of its earliest pending event; the
 //!    global minimum `t_min` plus the *lookahead bound* `L` — the minimum
 //!    over all cross-domain links of propagation delay + receiver overhead —
-//!    defines the epoch horizon `H = t_min + L` (clamped to a deadline when
-//!    the drive has one, see below).
+//!    defines the epoch horizon `H = t_min + L`.
 //! 2. Each domain independently processes every event strictly before `H`.
 //!    Any packet it sends across a boundary departs at or after its local
 //!    clock, so it *arrives* at or after `t_min + L = H`: no domain can
@@ -22,7 +21,9 @@
 //! 3. At the barrier, all boundary packets are merged in the deterministic
 //!    order `(arrival time, source domain, per-domain send order)` and
 //!    enqueued into their destination domains with fresh local sequence
-//!    numbers assigned in that global order.
+//!    numbers assigned in that global order, and every domain's staged
+//!    trace events are handed to the caller's sink in ascending domain
+//!    order.
 //!
 //! Determinism is *by partition, not by thread count*: every quantity above
 //! (`t_min`, `H`, each domain's event order, the merge order) is a pure
@@ -35,14 +36,12 @@
 //! timings, final application state) still matches, which the property tests
 //! in `tests/shard_props.rs` assert.
 //!
-//! **Stepped drives.** [`ShardedSim::run_until`] pauses the same loop at a
-//! deadline by clamping the horizon of the epoch that straddles it to
-//! `deadline + 1 ns`; [`ShardedSim::run`] is the drive with no deadline.
-//! The deadline list is part of the schedule in exactly the way the
-//! partition is: the same list replays byte-identically at any thread
-//! count, while a different list (or none) splits epochs elsewhere, so
-//! epoch counts, barrier stall and the order of a crossing against a local
-//! event of the same nanosecond may differ.
+//! **Stepped drives.** A drive of a cut partition runs *whole epochs*: a
+//! deadline never shortens one, it only ends the drive at the first barrier
+//! at which nothing is pending at or before it. A pause is therefore
+//! invisible — the epoch sequence, and with it every export, is the same
+//! however often [`ShardedSim::run_until`] is called in place of one
+//! [`ShardedSim::run`].
 //!
 //! **One domain** is the degenerate partition: there is no cut, so the
 //! lookahead is unbounded, a drive is a single epoch, nothing is exchanged
@@ -249,11 +248,13 @@ impl ShardedSim {
     ///
     /// A lone domain records straight into `trace`. Several domains each
     /// record into a private in-memory buffer (streaming directly to a
-    /// shared sink would interleave domains nondeterministically); every
-    /// time [`ShardedSim::run_until`] returns, the buffers are drained into
-    /// `trace` in `(time, domain)` order, which preserves the
-    /// streaming/bounding behaviour the caller configured on it. Span IDs
-    /// are disjoint per domain (see `SPAN_ID_STRIDE`).
+    /// shared sink would interleave domains nondeterministically); at every
+    /// epoch barrier the buffers are handed to `trace` in ascending domain
+    /// order, which preserves the streaming/bounding behaviour the caller
+    /// configured on it and holds at most one epoch of events in memory.
+    /// The stream is epoch-major, domain-minor, then record order: sorted
+    /// by time to within one lookahead. Span IDs are disjoint per domain
+    /// (see `SPAN_ID_STRIDE`).
     ///
     /// Call after every domain has been added and before the first run.
     pub fn set_trace(&mut self, trace: Arc<Trace>) {
@@ -396,19 +397,19 @@ impl ShardedSim {
         self.run_until(SimTime::MAX, threads)
     }
 
-    /// Processes every event up to and including `deadline` (later ones
-    /// stay queued) using up to `threads` worker threads, then drains the
-    /// per-domain trace and telemetry buffers into the caller's sinks.
-    /// Returns the global clock.
+    /// Processes every event up to and including `deadline` using up to
+    /// `threads` worker threads, then drains the per-domain telemetry
+    /// buffers into the caller's sink. Returns the global clock.
     ///
-    /// The thread count caps actual parallelism at the domain count and is
-    /// *never* part of the simulation semantics — see the module docs for
-    /// the determinism argument. The deadline *is*: it clamps the epoch
-    /// that straddles it, so a run paused at given deadlines replays
-    /// byte-identically for those deadlines at any thread count, but its
-    /// epoch accounting (and same-nanosecond ties between a crossing and a
-    /// local event) can differ from the same run paused elsewhere or not
-    /// at all.
+    /// A partition without a cut stops exactly at `deadline`. A cut
+    /// partition runs whole epochs and stops at the first barrier at which
+    /// nothing is pending at or before `deadline`, so domain clocks may end
+    /// up to `L − 1` ns past it; [`ShardedSim::is_idle`] between drives
+    /// still means finished.
+    ///
+    /// Neither the deadline nor the thread count (which caps parallelism at
+    /// the domain count) is part of the simulation semantics — see the
+    /// module docs for the determinism argument.
     pub fn run_until(&mut self, deadline: SimTime, threads: usize) -> SimTime {
         assert!(threads >= 1, "need at least one worker thread");
         let epochs = Epochs {
@@ -421,7 +422,6 @@ impl ShardedSim {
         } else {
             self.run_epochs_sequential(epochs);
         }
-        self.drain_traces();
         if let Some((user, staged)) = &self.timeseries {
             // Ascending domain order; track names are disjoint across
             // domains, so this is a union independent of thread count.
@@ -447,7 +447,7 @@ impl ShardedSim {
             for (d, sim) in self.domains.iter_mut().enumerate() {
                 crossings.extend(epochs.run_domain(d, sim, t_min, horizon));
             }
-            deliver_crossings(&mut self.domains, 0, crossings);
+            end_epoch(&mut self.domains, 0, crossings, &self.trace);
         }
     }
 
@@ -456,7 +456,8 @@ impl ShardedSim {
     /// same `t_min`/horizon from shared per-worker minima, runs its own
     /// domains, and applies the (globally sorted) boundary merge to its own
     /// domains only — so no value anywhere depends on which worker ran
-    /// first.
+    /// first. Between the second and third barrier no domain executes, which
+    /// is when the worker holding domain 0 hands the staged trace over.
     fn run_epochs_parallel(&mut self, epochs: Epochs, threads: usize) {
         let n = self.domains.len();
         // Contiguous balanced chunks: first `n % threads` workers get one
@@ -474,6 +475,7 @@ impl ShardedSim {
         let mins: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(IDLE)).collect();
         let outboxes: Vec<OutboxSlot> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
         let barrier = Barrier::new(threads);
+        let trace = &self.trace;
 
         let mut chunks: Vec<(usize, &mut [Simulator])> = Vec::with_capacity(threads);
         let mut rest = self.domains.as_mut_slice();
@@ -533,7 +535,7 @@ impl ShardedSim {
                                 }
                             }
                         }
-                        deliver_crossings(&mut *chunk, chunk_base, mine);
+                        end_epoch(&mut *chunk, chunk_base, mine, trace);
                         // Third barrier: nobody may overwrite an outbox slot
                         // for the next epoch while another worker still
                         // scans it.
@@ -542,31 +544,6 @@ impl ShardedSim {
                 });
             }
         });
-    }
-
-    /// Drains the per-domain trace buffers into the caller's sink in
-    /// `(time, domain, per-domain order)` order. Within a domain the buffer
-    /// is already time-sorted (each domain's clock is monotone), so a
-    /// stable k-way merge by timestamp with the domain index as tiebreak
-    /// yields one deterministic, time-sorted stream; and every event up to
-    /// the deadline just reached is in a buffer now, so successive drains
-    /// concatenate into one too.
-    fn drain_traces(&self) {
-        let Some((user, staged)) = &self.trace else {
-            return;
-        };
-        let mut buffers: Vec<_> = staged
-            .iter()
-            .map(|t| t.drain().into_iter().peekable())
-            .collect();
-        while let Some((_, d)) = buffers
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(d, buf)| buf.peek().map(|ev| (ev.t_ns, d)))
-            .min()
-        {
-            user.record(buffers[d].next().expect("peeked"));
-        }
     }
 }
 
@@ -584,15 +561,15 @@ struct Epochs {
 
 impl Epochs {
     /// The one horizon rule: the epoch opening at `t_min` (the earliest
-    /// pending event anywhere) runs to `min(t_min + L, deadline + 1 ns)`,
-    /// exclusive. `None` ends the drive: nothing is pending, or nothing at
-    /// or before the deadline. Without a cut `L` is unbounded, so the whole
-    /// drive is one epoch.
+    /// pending event anywhere) runs to `t_min + L`, exclusive — a whole
+    /// epoch, wherever the deadline falls. `None` ends the drive: nothing
+    /// is pending, or nothing at or before the deadline. Without a cut `L`
+    /// is unbounded, so the whole drive is one epoch that stops at the
+    /// deadline.
     fn horizon(&self, t_min: u64) -> Option<u64> {
-        (t_min != IDLE && t_min <= self.deadline).then(|| {
-            t_min
-                .saturating_add(self.lookahead.unwrap_or(u64::MAX))
-                .min(self.deadline.saturating_add(1))
+        (t_min != IDLE && t_min <= self.deadline).then(|| match self.lookahead {
+            Some(l) => t_min.saturating_add(l),
+            None => self.deadline.saturating_add(1),
         })
     }
 
@@ -617,17 +594,25 @@ impl Epochs {
     }
 }
 
-/// Applies a batch of boundary crossings to `domains` — a contiguous chunk
-/// starting at global index `base`; messages outside it are a bug — in the
-/// global deterministic order `(arrival, source domain, per-domain send
-/// index)`.
-fn deliver_crossings(
+/// Closes an epoch for `domains` — a contiguous chunk starting at global
+/// index `base`, called while no domain executes. Applies the chunk's batch
+/// of boundary crossings (messages outside it are a bug) in the global
+/// deterministic order `(arrival, source domain, per-domain send index)`;
+/// the one caller holding domain 0 also hands every domain's staged trace
+/// events to the caller's sink, domain by domain in record order.
+fn end_epoch(
     domains: &mut [Simulator],
     base: usize,
     mut crossings: Vec<(u64, usize, CrossMsg)>,
+    trace: &Staged<Trace>,
 ) {
     crossings.sort_by_key(|(idx, src, m)| (m.arrive, *src, *idx));
     for (_, _, m) in crossings {
         domains[m.dst_domain - base].push_cross(m.arrive, m.dst_node, m.dst_port, m.pkt);
+    }
+    if let (0, Some((user, staged))) = (base, trace) {
+        for events in staged.iter().map(|t| t.drain()) {
+            events.into_iter().for_each(|ev| user.record(ev));
+        }
     }
 }

@@ -328,11 +328,6 @@ mod tests {
     }
 
     impl RefHeap {
-        fn new() -> Self {
-            RefHeap {
-                heap: BinaryHeap::new(),
-            }
-        }
         fn push(&mut self, at: u64, seq: u64, value: u32) {
             self.heap.push(Reverse(HeapEntry(Entry { at, seq, value })));
         }
@@ -340,21 +335,82 @@ mod tests {
             let Reverse(HeapEntry(e)) = self.heap.pop()?;
             Some((e.at, e.seq, e.value))
         }
+        fn next_at(&self) -> Option<u64> {
+            self.heap.peek().map(|Reverse(HeapEntry(e))| e.at)
+        }
     }
 
-    /// Drives the wheel and the reference heap through an identical random
-    /// interleaving of pushes and pops and asserts every pop matches.
+    /// The wheel and the reference heap driven through one schedule, every
+    /// pop compared. With `peek`, `next_at` and `len` are compared after
+    /// every operation too — the engine's usage (it peeks before each
+    /// step), which advances the cursor earlier than pops alone would.
+    struct Model {
+        wheel: TimingWheel<u32>,
+        reference: RefHeap,
+        /// Time of the last popped event: the floor for pushes.
+        now: u64,
+        seq: u64,
+        peek: bool,
+    }
+
+    impl Model {
+        fn new(peek: bool) -> Self {
+            Model {
+                wheel: TimingWheel::new(),
+                reference: RefHeap {
+                    heap: BinaryHeap::new(),
+                },
+                now: 0,
+                seq: 0,
+                peek,
+            }
+        }
+
+        fn check_peek(&mut self, what: &str) {
+            if self.peek {
+                let want = self.reference.next_at();
+                assert_eq!(self.wheel.next_at(), want, "next_at after {what}");
+                assert_eq!(self.wheel.len(), self.reference.heap.len(), "{what}");
+            }
+        }
+
+        fn push(&mut self, at: u64) {
+            assert!(at >= self.now, "the schedule pushed into the past");
+            self.wheel.push(at, self.seq, self.seq as u32);
+            self.reference.push(at, self.seq, self.seq as u32);
+            self.seq += 1;
+            self.check_peek("a push");
+        }
+
+        /// Pops both queues; `false` once they are (both) empty.
+        fn pop(&mut self, what: &str) -> bool {
+            let got = self.wheel.pop();
+            assert_eq!(got, self.reference.pop(), "pop diverged ({what})");
+            self.check_peek(what);
+            let Some((at, _, _)) = got else {
+                assert_eq!(self.wheel.len(), 0);
+                return false;
+            };
+            assert!(at >= self.now, "time went backwards");
+            self.now = at;
+            true
+        }
+
+        /// Drains both to empty: the tail must match too.
+        fn drain(&mut self, what: &str) {
+            while self.pop(what) {}
+        }
+    }
+
+    /// Drives the model through a random interleaving of pushes and pops.
     fn check_stream(seed: u64, ops: usize, max_delay: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut wheel = TimingWheel::new();
-        let mut reference = RefHeap::new();
-        let mut now = 0u64;
-        let mut seq = 0u64;
+        let mut m = Model::new(false);
         for op in 0..ops {
             // Bias toward pushes so the queue stays populated, with
             // drain-heavy stretches to exercise cursor advancement.
             let push = rng.gen_range(0..5u32) < 3;
-            if push || wheel.len() == 0 {
+            if push || m.wheel.len() == 0 {
                 // Same-timestamp ties (delay 0 twice in a row) are common
                 // by construction: delay draws hit 0 with probability 1/8.
                 let delay = if rng.gen_range(0..8u32) == 0 {
@@ -362,33 +418,12 @@ mod tests {
                 } else {
                     rng.gen_range(0..max_delay + 1)
                 };
-                let at = now + delay;
-                wheel.push(at, seq, op as u32);
-                reference.push(at, seq, op as u32);
-                seq += 1;
+                m.push(m.now + delay);
             } else {
-                let got = wheel.pop();
-                let want = reference.pop();
-                assert_eq!(
-                    got, want,
-                    "pop #{op} diverged from the reference heap (seed {seed})"
-                );
-                if let Some((at, _, _)) = got {
-                    assert!(at >= now, "time went backwards");
-                    now = at;
-                }
+                m.pop(&format!("op {op}, seed {seed}"));
             }
         }
-        // Drain both to empty: the tail must match too.
-        loop {
-            let got = wheel.pop();
-            let want = reference.pop();
-            assert_eq!(got, want, "drain diverged (seed {seed})");
-            if got.is_none() {
-                assert_eq!(wheel.len(), 0);
-                break;
-            }
-        }
+        m.drain(&format!("drain, seed {seed}"));
     }
 
     #[test]
@@ -468,13 +503,10 @@ mod tests {
     /// produce.
     fn check_aligned_stream(seed: u64, ops: usize) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut wheel = TimingWheel::new();
-        let mut reference = RefHeap::new();
-        let mut now = 0u64;
-        let mut seq = 0u64;
+        let mut m = Model::new(false);
         for op in 0..ops {
             let push = rng.gen_range(0..5u32) < 3;
-            if push || wheel.len() == 0 {
+            if push || m.wheel.len() == 0 {
                 // Snap to a random level's slot boundary a few slots ahead,
                 // with occasional sub-slot jitter so slots hold mixed times.
                 let level = rng.gen_range(1..LEVELS as u32);
@@ -485,38 +517,74 @@ mod tests {
                 } else {
                     0
                 };
-                let at = ((now / span) + k) * span + jitter;
-                wheel.push(at, seq, op as u32);
-                reference.push(at, seq, op as u32);
-                seq += 1;
+                m.push(((m.now / span) + k) * span + jitter);
             } else {
-                let got = wheel.pop();
-                let want = reference.pop();
-                assert_eq!(
-                    got, want,
-                    "pop #{op} diverged from the reference heap (seed {seed})"
-                );
-                if let Some((at, _, _)) = got {
-                    assert!(at >= now, "time went backwards");
-                    now = at;
-                }
+                m.pop(&format!("op {op}, seed {seed}"));
             }
         }
-        loop {
-            let got = wheel.pop();
-            let want = reference.pop();
-            assert_eq!(got, want, "drain diverged (seed {seed})");
-            if got.is_none() {
-                assert_eq!(wheel.len(), 0);
-                break;
-            }
-        }
+        m.drain(&format!("drain, seed {seed}"));
     }
 
     #[test]
     fn matches_reference_heap_boundary_aligned() {
         for seed in 300..310 {
             check_aligned_stream(seed, 3_000);
+        }
+    }
+
+    #[test]
+    fn matches_reference_heap_on_adversarial_schedules() {
+        // The schedules a cascade is most likely to get wrong, mixed at
+        // random and peeked after every operation (whole-epoch drives lean
+        // on `next_at` being exact): pushes on a level boundary and one
+        // either side; at the last instant the wheel holds and the first
+        // that overflows; equal-time bursts pushed half before and half
+        // after the cursor moved toward their cascade; and overflow churn.
+        for seed in 400..408 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = Model::new(true);
+            for round in 0..300 {
+                let level = rng.gen_range(0..LEVELS as u32);
+                let span = 1u64 << (SHIFT + BITS * level);
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        let edge = (m.now / span + rng.gen_range(1..3u64)) * span;
+                        [edge - 1, edge, edge + 1]
+                            .into_iter()
+                            .for_each(|at| m.push(at));
+                    }
+                    1 => {
+                        // Level 3 holds 256 of its slots from the cursor's.
+                        let top = BITS * (LEVELS as u32 - 1);
+                        let edge = ((m.wheel.cursor >> top) + SLOTS as u64) << (SHIFT + top);
+                        [edge - 1, edge].into_iter().for_each(|at| m.push(at));
+                    }
+                    2 => {
+                        let start = (m.now / span + 1) * span;
+                        [start, start, start - 1]
+                            .into_iter()
+                            .for_each(|at| m.push(at));
+                        for _ in 0..rng.gen_range(1..3u32) {
+                            m.pop(&format!("burst, round {round}, seed {seed}"));
+                        }
+                        if m.now <= start {
+                            [start, start].into_iter().for_each(|at| m.push(at));
+                        }
+                    }
+                    _ => {
+                        for _ in 0..8 {
+                            let horizon = 1u64 << (SHIFT + BITS * LEVELS as u32);
+                            m.push(m.now + horizon + rng.gen_range(0..1u64 << 20));
+                            m.push(m.now + rng.gen_range(0..2_048u64));
+                            m.pop(&format!("churn, round {round}, seed {seed}"));
+                        }
+                    }
+                }
+                for _ in 0..rng.gen_range(0..4u32) {
+                    m.pop(&format!("round {round}, seed {seed}"));
+                }
+            }
+            m.drain(&format!("drain, seed {seed}"));
         }
     }
 

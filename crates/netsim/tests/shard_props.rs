@@ -1,10 +1,10 @@
 //! Property tests on the sharded engine: thread-count invariance,
 //! behavioural equivalence with a bare `Simulator`, the stepped drive
-//! (thread-invariant per deadline list, delivery-equivalent to the
-//! unpaused run), the one-domain partition (byte-identical to a bare
-//! `Simulator` however it is paused), plus regression tests for a
-//! cross-domain packet landing exactly on the conservative lookahead
-//! horizon and for loss streams of same-numbered links in different
+//! (byte-identical to the unpaused run wherever it pauses), the one-domain
+//! partition (byte-identical to a bare `Simulator` however it is paused),
+//! plus regression tests for a cross-domain packet landing exactly on the
+//! conservative lookahead horizon, for a span that outlives the epoch it
+//! began in, and for loss streams of same-numbered links in different
 //! domains.
 
 use std::any::Any;
@@ -14,7 +14,7 @@ use iswitch_netsim::{
     host_ip, CausalKey, Host, HostApp, HostCtx, IpAddr, LinkSpec, LossModel, NodeId, NodeOpts,
     Packet, RouteTable, ShardedSim, SimDuration, SimStats, SimTime, Simulator, Switch,
 };
-use iswitch_obs::{JsonValue, Timeseries, Trace};
+use iswitch_obs::{JsonValue, Span, Timeseries, Trace, TraceEvent};
 use proptest::prelude::*;
 
 /// One scheduled transmission: `(delay_ns, destination, payload_bytes)`.
@@ -132,8 +132,7 @@ struct Outcome {
 
 impl Outcome {
     /// Arrival records as per-host sorted multisets: simultaneous arrivals
-    /// at one host may interleave differently across engines and across
-    /// step schedules.
+    /// at one host may interleave differently across engines.
     fn sorted(mut self) -> Self {
         self.got.iter_mut().for_each(|got| got.sort_unstable());
         self
@@ -237,9 +236,13 @@ fn run_sharded(case: &Case, threads: usize) -> (Outcome, String, String) {
 /// Drives the two-domain topology deadline by deadline, then to completion.
 fn run_stepped(case: &Case, deadlines: &[u64], threads: usize) -> (Outcome, String, String) {
     let (mut sharded, trace, rack_hosts) = build_sharded(case);
+    let lookahead = sharded.lookahead().expect("the case has a cut").as_nanos();
     for &deadline in deadlines {
         let now = sharded.run_until(SimTime::from_nanos(deadline), threads);
-        assert!(now.as_nanos() <= deadline, "ran past the deadline");
+        assert!(
+            now.as_nanos() < deadline + lookahead,
+            "ran past the epoch that straddles the deadline"
+        );
     }
     sharded.run(threads);
     assert!(sharded.is_idle());
@@ -377,14 +380,12 @@ proptest! {
         prop_assert_eq!(sharded.sorted(), single.sorted());
     }
 
-    /// The stepped drive: pausing at an arbitrary increasing deadline list
-    /// is byte-identical across thread counts *for that list* (arrivals,
-    /// counters, metrics, merged trace), and delivers exactly what one
-    /// unpaused run delivers — same instants, sources, sizes and packet
-    /// counters. (It is *not* byte-identical to the unpaused run: the
-    /// clamped epochs count and tie-break differently.)
+    /// A pause is invisible: driving a cut partition through an arbitrary
+    /// increasing deadline list is byte-identical — arrivals, counters,
+    /// metrics (epoch accounting included) and merged trace — to one
+    /// unpaused run, at any thread count.
     #[test]
-    fn stepped_drive_is_thread_invariant_and_delivery_equivalent(
+    fn stepped_drive_is_byte_identical_to_the_unpaused_run(
         hosts_a in 1usize..4,
         hosts_b in 1usize..4,
         cross_ns in 100u64..5_000,
@@ -392,13 +393,11 @@ proptest! {
         raw_deadlines in prop::collection::vec(0u64..u64::MAX, 0..12),
     ) {
         let case = mk_case(hosts_a, hosts_b, cross_ns, &raw);
-        let (unpaused, _, unpaused_trace) = run_sharded(&case, 1);
-        let deadlines = deadlines(&case, &raw_deadlines, &unpaused_trace);
-        let one = run_stepped(&case, &deadlines, 1);
-        prop_assert_eq!(&one, &run_stepped(&case, &deadlines, 2));
-        prop_assert_eq!(one.0.sorted(), unpaused.sorted());
-        // Every traced event reached the sink exactly once.
-        prop_assert_eq!(one.2.lines().count(), unpaused_trace.lines().count());
+        for threads in [1, 2] {
+            let unpaused = run_sharded(&case, threads);
+            let deadlines = deadlines(&case, &raw_deadlines, &unpaused.2);
+            prop_assert_eq!(run_stepped(&case, &deadlines, threads), unpaused);
+        }
     }
 
     /// One domain is the degenerate partition: however it is paused, its
@@ -503,6 +502,91 @@ fn packet_on_the_lookahead_horizon_is_delivered() {
             &vec![(78, d_ip.as_u32(), 0)],
             "threads={threads}: reverse crossing must arrive once, at t=78 ns"
         );
+    }
+}
+
+/// Records into the trace on a script of `(at_ns, step)` timers.
+struct TraceScript(Vec<(u64, Step)>);
+
+#[derive(Clone, Copy)]
+enum Step {
+    /// A point event stamped now.
+    Mark,
+    /// Ends — and so records — a span that began at `begin_ns`.
+    EndSpan { begin_ns: u64 },
+}
+
+impl HostApp for TraceScript {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+        for (i, &(at, _)) in self.0.iter().enumerate() {
+            ctx.set_timer(SimDuration::from_nanos(at), i as u64);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: u64) {
+        let now = ctx.now().as_nanos();
+        let trace = ctx.trace().expect("traced run");
+        match self.0[token as usize].1 {
+            Step::Mark => trace.record(TraceEvent::new(now, "mark")),
+            Step::EndSpan { begin_ns } => Span::begin(trace.alloc_span_id(), "work", begin_ns)
+                .end(now)
+                .emit(trace),
+        }
+    }
+    fn on_packet(&mut self, _: &mut HostCtx<'_, '_>, _: Packet) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A span is stamped with its *begin* but recorded at its *end*, so a
+/// domain's staged buffer is not sorted by timestamp. Domain 1 begins a
+/// span at 20 ns and ends it three epochs later (L = 100 ns) while domain 0
+/// marks every epoch in between: the merged stream is epoch-major,
+/// domain-minor, record order — and the same stream wherever the run is
+/// paused. (A merge by timestamp put the span second unpaused and third
+/// when paused at 200 ns.)
+#[test]
+fn span_ending_in_a_later_epoch_is_ordered_the_same_paused_or_not() {
+    let run = |deadlines: &[u64], threads: usize| {
+        let mut sharded = ShardedSim::new();
+        let scripts = [
+            vec![10, 150, 310, 450]
+                .into_iter()
+                .map(|at| (at, Step::Mark))
+                .collect(),
+            vec![(400, Step::EndSpan { begin_ns: 20 }), (420, Step::Mark)],
+        ];
+        let hosts: Vec<(usize, NodeId)> = (scripts.into_iter().enumerate())
+            .map(|(r, script)| {
+                let d = sharded.add_domain();
+                let host = Host::new(host_ip(r, 0), Box::new(TraceScript(script)));
+                let node = (sharded.domain_mut(d)).add_node(Box::new(host), NodeOpts::new("h"));
+                (d, node)
+            })
+            .collect();
+        let spec = LinkSpec::new(10_000_000_000, SimDuration::from_nanos(100));
+        sharded.connect_cross(hosts[0], hosts[1], &spec);
+        let trace = Arc::new(Trace::new());
+        sharded.set_trace(Arc::clone(&trace));
+        for &deadline in deadlines {
+            sharded.run_until(SimTime::from_nanos(deadline), threads);
+        }
+        sharded.run(threads);
+        let stamps: Vec<u64> = trace.snapshot().iter().map(|ev| ev.t_ns).collect();
+        (stamps, trace.to_jsonl())
+    };
+    let unpaused = run(&[], 1);
+    // Epochs open at 10, 150, 310 and 420 ns: the third holds domain 0's
+    // mark and then the span that began at 20 ns, the fourth domain 0's
+    // mark at 450 ns before domain 1's at 420 ns.
+    assert_eq!(unpaused.0, [10, 150, 310, 20, 450, 420]);
+    for threads in [1, 2] {
+        for deadlines in [&[200][..], &[20, 399], &[400], &[9, 10, 109, 110, 310]] {
+            assert_eq!(run(deadlines, threads), unpaused, "paused at {deadlines:?}");
+        }
     }
 }
 

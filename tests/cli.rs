@@ -1,6 +1,8 @@
 //! Invocations `iswitch-sim` must refuse (exit code 2 with a message
 //! naming the cause) instead of running something other than what was
-//! asked for, or dying on an internal panic.
+//! asked for, or dying on an internal panic — and one it must run the
+//! same way at every thread count: a cut partition paused at a check
+//! point.
 
 use std::process::Command;
 
@@ -120,4 +122,49 @@ fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
         assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
         assert!(text.contains(needle), "{args:?}: {text}");
     }
+}
+
+#[test]
+fn a_paused_fattree_run_writes_the_same_files_at_every_thread_count() {
+    // 70 async-PS updates take ≈ 270 ms: the run crosses the 200 ms check
+    // point, so the fat-tree's cut partition is paused mid-run. The trace
+    // is streamed with no in-memory window, so every event counts as
+    // dropped from it.
+    let dir = std::env::temp_dir().join(format!("iswitch-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |threads: &str| {
+        let (trace, metrics) = (
+            dir.join(format!("t{threads}.jsonl")),
+            dir.join(format!("m{threads}.json")),
+        );
+        let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
+            .args(["timing", "--fattree", "2"])
+            .args(["--per-agg", "2", "--per-rack", "2"])
+            .args(["--strategy", "async-ps", "--iterations", "70"])
+            .args(["--trace-buffer", "0", "--threads", threads])
+            .arg("--trace-out")
+            .arg(&trace)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .expect("iswitch-sim runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--threads {threads}: {stderr}");
+        let read = |path| std::fs::read_to_string(path).expect("artifact written");
+        (read(trace), read(metrics))
+    };
+    let (trace, metrics) = run("1");
+    let events = trace.lines().count();
+    let (_, after) = metrics
+        .split_once("\"sim_time_ns\":")
+        .expect("engine summary");
+    let sim_ns = after.split(',').next().expect("a value").parse::<u64>();
+    assert!(
+        sim_ns.is_ok_and(|ns| ns > 200_000_000) && metrics.contains("\"domains\":3"),
+        "the run must cross the 200 ms check point on a cut partition"
+    );
+    let counts = format!("\"trace\":{{\"recorded\":{events},\"dropped\":{events},");
+    assert!(metrics.contains(&counts), "no {counts} in the report");
+    assert_eq!(run("2"), (trace, metrics), "--threads 2 differs");
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
