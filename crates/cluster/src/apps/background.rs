@@ -35,6 +35,9 @@ pub struct BackgroundFlow {
     period: SimDuration,
     start_offset: SimDuration,
     bursts_remaining: u64,
+    /// The one packet a source sends, built at start (when the host knows
+    /// its address); every send clones it and shares its payload.
+    packet: Option<Packet>,
     /// Packets this endpoint sent (source) — deterministic, so it doubles
     /// as a fingerprint for run-twice identity checks.
     pub sent: u64,
@@ -53,6 +56,7 @@ impl BackgroundFlow {
             period: SimDuration::from_micros(200 + (seed % 5) * 37),
             start_offset: SimDuration::from_micros(10 + (seed % 7) * 50),
             bursts_remaining: bursts,
+            packet: None,
             sent: 0,
             received: 0,
         }
@@ -66,6 +70,7 @@ impl BackgroundFlow {
             period: SimDuration::ZERO,
             start_offset: SimDuration::ZERO,
             bursts_remaining: 0,
+            packet: None,
             sent: 0,
             received: 0,
         }
@@ -75,6 +80,10 @@ impl BackgroundFlow {
 impl HostApp for BackgroundFlow {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
         if self.bursts_remaining > 0 {
+            self.packet = Some(
+                Packet::udp(ctx.ip(), self.dst, BACKGROUND_PORT, BACKGROUND_PORT, 0)
+                    .with_payload(vec![0u8; BACKGROUND_PAYLOAD]),
+            );
             ctx.set_timer(self.start_offset, T_BURST);
         }
     }
@@ -83,12 +92,12 @@ impl HostApp for BackgroundFlow {
         if token != T_BURST || self.bursts_remaining == 0 {
             return;
         }
+        let Some(packet) = &self.packet else {
+            return;
+        };
         self.bursts_remaining -= 1;
         for _ in 0..self.burst_packets {
-            ctx.send(
-                Packet::udp(ctx.ip(), self.dst, BACKGROUND_PORT, BACKGROUND_PORT, 0)
-                    .with_payload(vec![0u8; BACKGROUND_PAYLOAD]),
-            );
+            ctx.send(packet.clone());
             self.sent += 1;
         }
         if self.bursts_remaining > 0 {

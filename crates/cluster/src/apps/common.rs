@@ -17,9 +17,10 @@ pub const BASELINE_PORT: u16 = 9800;
 
 /// Builds the packet train for a `total_bytes` message from `src` to `dst`.
 ///
-/// Payload contents are irrelevant to timing, so packets carry only the
-/// header plus *accounted* (not materialized) data: each packet's payload
-/// is padded to its true wire size.
+/// Payload contents are irrelevant to timing, so each packet carries the
+/// header plus zeroes padding it to its true wire size. Every full-chunk
+/// packet of a train has the same bytes, so they are built once and the
+/// packets share that one buffer; only the shorter tail has its own.
 pub fn blob_packets(
     src: IpAddr,
     dst: IpAddr,
@@ -27,10 +28,18 @@ pub fn blob_packets(
     msg_id: u32,
     total_bytes: u64,
 ) -> Vec<Packet> {
-    let mut header = Vec::with_capacity(BLOB_HEADER);
-    header.extend_from_slice(&tag.to_be_bytes());
-    header.extend_from_slice(&msg_id.to_be_bytes());
-    header.extend_from_slice(&total_bytes.to_be_bytes());
+    // Exact-size zeroed allocation (alloc_zeroed), then the header on top —
+    // growing from a 16-byte header would reallocate.
+    let payload_of = |data: usize| {
+        let mut payload = vec![0u8; BLOB_HEADER + data];
+        payload[0..4].copy_from_slice(&tag.to_be_bytes());
+        payload[4..8].copy_from_slice(&msg_id.to_be_bytes());
+        payload[8..16].copy_from_slice(&total_bytes.to_be_bytes());
+        payload
+    };
+    let template = Packet::udp(src, dst, BASELINE_PORT, BASELINE_PORT, 0);
+    let full = (total_bytes >= BLOB_CHUNK as u64)
+        .then(|| template.clone().with_payload(payload_of(BLOB_CHUNK)));
 
     let n_packets = total_bytes.div_ceil(BLOB_CHUNK as u64).max(1);
     let mut out = Vec::with_capacity(n_packets as usize);
@@ -38,24 +47,19 @@ pub fn blob_packets(
     for chunk in 0..n_packets {
         let data = (remaining as usize).min(BLOB_CHUNK);
         remaining -= data as u64;
-        // Exact-size zeroed allocation up front (alloc_zeroed), rather than
-        // cloning the header and growing — resize from a 16-byte buffer
-        // reallocates every packet.
-        let mut payload = vec![0u8; BLOB_HEADER + data];
-        payload[..BLOB_HEADER].copy_from_slice(&header);
-        out.push(
-            Packet::udp(src, dst, BASELINE_PORT, BASELINE_PORT, 0)
-                .with_payload(payload)
-                // Causal identity for tracing: the msg id names the round,
-                // the chunk index stands in for the segment, and the sender
-                // address identifies the producer.
-                .with_cause(CausalKey {
-                    round: u64::from(msg_id),
-                    segment: chunk,
-                    worker: u64::from(src.as_u32()),
-                    tenant: 0,
-                }),
-        );
+        let pkt = match &full {
+            Some(full) if data == BLOB_CHUNK => full.clone(),
+            _ => template.clone().with_payload(payload_of(data)),
+        };
+        // Causal identity for tracing: the msg id names the round, the
+        // chunk index stands in for the segment, and the sender address
+        // identifies the producer.
+        out.push(pkt.with_cause(CausalKey {
+            round: u64::from(msg_id),
+            segment: chunk,
+            worker: u64::from(src.as_u32()),
+            tenant: 0,
+        }));
     }
     out
 }
@@ -75,6 +79,8 @@ pub struct BlobDone {
 /// the (single, shorter) tail chunk have arrived.
 #[derive(Debug)]
 struct BlobProgress {
+    /// The length every packet of the train must declare.
+    total: u64,
     full_expected: u64,
     full_got: u64,
     tail_bytes: u64,
@@ -86,6 +92,7 @@ impl BlobProgress {
     fn new(total: u64) -> Self {
         let tail = total % BLOB_CHUNK as u64;
         BlobProgress {
+            total,
             full_expected: total / BLOB_CHUNK as u64,
             full_got: 0,
             tail_bytes: tail,
@@ -93,6 +100,23 @@ impl BlobProgress {
             needs_tail: tail > 0 || total == 0,
             tail_got: false,
         }
+    }
+
+    /// Counts a packet declaring `total` and carrying `data` bytes; `false`
+    /// (and no change) when no packet of this train looks like that.
+    fn accept(&mut self, total: u64, data: u64) -> bool {
+        if total != self.total {
+            return false;
+        }
+        if data == BLOB_CHUNK as u64 && self.full_expected > 0 {
+            // Extra full chunks past the expected count are duplicates.
+            self.full_got = (self.full_got + 1).min(self.full_expected);
+        } else if self.needs_tail && data == self.tail_bytes {
+            self.tail_got = true;
+        } else {
+            return false;
+        }
+        true
     }
 
     fn complete(&self) -> bool {
@@ -108,9 +132,16 @@ impl BlobProgress {
 /// nor strand bytes: one train plus any partial duplication completes
 /// exactly once. On a clean stream completion still lands on the train's
 /// final packet, so timing is unchanged.
+///
+/// A packet that cannot belong to its train — its data length is neither
+/// a full chunk nor the train's tail, or it declares another total than
+/// the packet that opened the train — is refused: counted in
+/// [`BlobAssembler::refused`], and the trains in flight stay exactly as
+/// they were.
 #[derive(Debug, Default)]
 pub struct BlobAssembler {
     pending: HashMap<(IpAddr, u32, u32), BlobProgress>,
+    refused: u64,
 }
 
 impl BlobAssembler {
@@ -130,31 +161,41 @@ impl BlobAssembler {
         let total = u64::from_be_bytes(pkt.payload[8..16].try_into().expect("8 bytes"));
         let data = (pkt.payload.len() - BLOB_HEADER) as u64;
         let key = (pkt.ip.src, tag, msg_id);
-        let entry = self
-            .pending
-            .entry(key)
-            .or_insert_with(|| BlobProgress::new(total));
-        if data == BLOB_CHUNK as u64 {
-            // Extra full chunks past the expected count are duplicates.
-            entry.full_got = (entry.full_got + 1).min(entry.full_expected);
-        } else if entry.needs_tail && data == entry.tail_bytes {
-            entry.tail_got = true;
+        // The opening packet is judged against the train it would open.
+        let mut opening = None;
+        let train = match self.pending.get_mut(&key) {
+            Some(train) => train,
+            None => opening.insert(BlobProgress::new(total)),
+        };
+        if !train.accept(total, data) {
+            self.refused += 1;
+            return None;
         }
-        if entry.complete() {
-            self.pending.remove(&key);
-            Some(BlobDone {
-                src: pkt.ip.src,
-                tag,
-                msg_id,
-            })
-        } else {
-            None
+        let complete = train.complete();
+        match (opening, complete) {
+            (Some(train), false) => {
+                self.pending.insert(key, train);
+            }
+            (None, true) => {
+                self.pending.remove(&key);
+            }
+            _ => {}
         }
+        complete.then_some(BlobDone {
+            src: pkt.ip.src,
+            tag,
+            msg_id,
+        })
     }
 
     /// Number of in-flight messages.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Packets refused because they could not belong to their train.
+    pub fn refused(&self) -> u64 {
+        self.refused
     }
 }
 
@@ -353,6 +394,106 @@ mod tests {
         assert_eq!(asm.in_flight(), 0);
     }
 
+    /// `blob_packets` as it was first written: a zeroed buffer of its own
+    /// for every packet.
+    fn reference_blob_packets(
+        src: IpAddr,
+        dst: IpAddr,
+        tag: u32,
+        msg_id: u32,
+        total_bytes: u64,
+    ) -> Vec<Packet> {
+        let mut header = Vec::with_capacity(BLOB_HEADER);
+        header.extend_from_slice(&tag.to_be_bytes());
+        header.extend_from_slice(&msg_id.to_be_bytes());
+        header.extend_from_slice(&total_bytes.to_be_bytes());
+        let n_packets = total_bytes.div_ceil(BLOB_CHUNK as u64).max(1);
+        let mut remaining = total_bytes;
+        (0..n_packets)
+            .map(|chunk| {
+                let data = (remaining as usize).min(BLOB_CHUNK);
+                remaining -= data as u64;
+                let mut payload = vec![0u8; BLOB_HEADER + data];
+                payload[..BLOB_HEADER].copy_from_slice(&header);
+                Packet::udp(src, dst, BASELINE_PORT, BASELINE_PORT, 0)
+                    .with_payload(payload)
+                    .with_cause(CausalKey {
+                        round: u64::from(msg_id),
+                        segment: chunk,
+                        worker: u64::from(src.as_u32()),
+                        tenant: 0,
+                    })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_payload_trains_are_the_per_packet_trains_on_the_wire() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let chunk = BLOB_CHUNK as u64;
+        let mut rng = StdRng::seed_from_u64(0xb10b);
+        let mut totals = vec![0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk];
+        totals.extend((0..64).map(|_| rng.gen_range(0..40 * chunk)));
+        for (i, total) in totals.into_iter().enumerate() {
+            let (tag, msg_id) = (7 + i as u32, 1_000 * i as u32);
+            let got = blob_packets(ip(1), ip(2), tag, msg_id, total);
+            let want = reference_blob_packets(ip(1), ip(2), tag, msg_id, total);
+            assert_eq!(got.len(), want.len(), "total {total}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.ip, g.udp, g.cause), (w.ip, w.udp, w.cause));
+                assert_eq!(g.payload, w.payload, "total {total}");
+                assert_eq!(g.wire_bytes(), w.wire_bytes());
+            }
+            // Every full chunk of the train is the one buffer.
+            let mut full = got.iter().filter(|p| p.payload.len() == MAX_UDP_PAYLOAD);
+            if let Some(first) = full.next() {
+                assert!(full.all(|p| p.payload.as_ptr() == first.payload.as_ptr()));
+            }
+            // And the train still completes on exactly its last packet.
+            let mut asm = BlobAssembler::new();
+            let (last, rest) = got.split_last().expect("a train has a packet");
+            assert!(rest.iter().all(|p| asm.on_packet(p).is_none()));
+            assert_eq!(
+                asm.on_packet(last),
+                Some(BlobDone {
+                    src: ip(1),
+                    tag,
+                    msg_id
+                })
+            );
+            assert_eq!((asm.in_flight(), asm.refused()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_packet_that_fits_no_train_is_refused_and_changes_nothing() {
+        let misfit = |total: u64, data: usize| {
+            let mut payload = vec![0u8; BLOB_HEADER + data];
+            payload[0..4].copy_from_slice(&7u32.to_be_bytes());
+            payload[4..8].copy_from_slice(&42u32.to_be_bytes());
+            payload[8..16].copy_from_slice(&total.to_be_bytes());
+            Packet::udp(ip(1), ip(2), BASELINE_PORT, BASELINE_PORT, 0).with_payload(payload)
+        };
+        let mut asm = BlobAssembler::new();
+        // As the opening packet: no train is opened on its word.
+        assert_eq!(asm.on_packet(&misfit(5_000, 17)), None);
+        assert_eq!(asm.on_packet(&misfit(100, BLOB_CHUNK)), None);
+        assert_eq!((asm.in_flight(), asm.refused()), (0, 2));
+        // Mid-train: a wrong length, and a right length under another total.
+        let pkts = blob_packets(ip(1), ip(2), 7, 42, 5_000);
+        let (last, rest) = pkts.split_last().expect("a train has a packet");
+        assert!(rest.iter().all(|p| asm.on_packet(p).is_none()));
+        assert_eq!(asm.on_packet(&misfit(5_000, 17)), None);
+        assert_eq!(
+            asm.on_packet(&misfit(5_001, last.payload.len() - BLOB_HEADER)),
+            None
+        );
+        assert_eq!(asm.on_packet(&misfit(9_000, BLOB_CHUNK)), None);
+        assert_eq!((asm.in_flight(), asm.refused()), (1, 5));
+        assert!(asm.on_packet(last).is_some(), "the train is as it was");
+        assert_eq!(asm.in_flight(), 0);
+    }
+
     #[test]
     fn interleaved_blobs_complete_independently() {
         let a = blob_packets(ip(1), ip(9), 1, 0, 3_000);
@@ -509,6 +650,68 @@ mod blob_props {
             }
             for (id, &count) in done_per_id.iter().enumerate() {
                 prop_assert_eq!(count, 1, "blob {} completed {} times", id, count);
+            }
+        }
+
+        /// Bytes that are no blob packet at all are refused, ignored or —
+        /// when they happen to spell a train — tracked; never a panic.
+        #[test]
+        fn arbitrary_payloads_never_panic(
+            payloads in prop::collection::vec(
+                prop::collection::vec(any::<u8>(), 0..MAX_UDP_PAYLOAD + 1),
+                1..12,
+            ),
+        ) {
+            let mut asm = BlobAssembler::new();
+            let mut done = 0;
+            for (i, payload) in payloads.iter().enumerate() {
+                let pkt = Packet::udp(ip(i as u8 % 3), ip(99), BASELINE_PORT, BASELINE_PORT, 0)
+                    .with_payload(payload.clone());
+                done += usize::from(asm.on_packet(&pkt).is_some());
+            }
+            prop_assert!(done + asm.in_flight() + asm.refused() as usize <= payloads.len());
+        }
+
+        /// A train with one header bit flipped, one packet duplicated or its
+        /// last packet cut short completes at most once, and whatever it
+        /// leaves behind, the clean train after it completes on its last
+        /// packet and leaves nothing more.
+        #[test]
+        fn a_damaged_train_completes_at_most_once(
+            sizes in prop::collection::vec(BLOB_CHUNK as u64 + 1..20_000, 1..5),
+            seed in any::<u64>(),
+        ) {
+            let mut asm = BlobAssembler::new();
+            let mut state = seed;
+            for (i, &size) in sizes.iter().enumerate() {
+                let mut train = blob_packets(ip(i as u8), ip(99), 1, i as u32, size);
+                let victim = (next(&mut state) % train.len() as u64) as usize;
+                match next(&mut state) % 3 {
+                    0 => {
+                        let mut bytes = train[victim].payload.to_vec();
+                        bytes[(next(&mut state) % BLOB_HEADER as u64) as usize] ^=
+                            1 << (next(&mut state) % 8);
+                        train[victim] = train[victim].clone().with_payload(bytes);
+                    }
+                    1 => train.insert(victim, train[victim].clone()),
+                    _ => {
+                        let last = train.pop().expect("a train has a packet");
+                        let keep = (next(&mut state) % last.payload.len() as u64) as usize;
+                        train.push(last.clone().with_payload(last.payload[..keep].to_vec()));
+                    }
+                }
+                let done = train.iter().filter(|p| asm.on_packet(p).is_some()).count();
+                prop_assert!(done <= 1, "a damaged train completed {} times", done);
+
+                let before = (asm.in_flight(), asm.refused());
+                let total = next(&mut state) % 20_000;
+                let clean = blob_packets(ip(100 + i as u8), ip(99), 2, i as u32, total);
+                let (last, rest) = clean.split_last().expect("a train has a packet");
+                for p in rest {
+                    prop_assert!(asm.on_packet(p).is_none());
+                }
+                prop_assert!(asm.on_packet(last).is_some());
+                prop_assert_eq!((asm.in_flight(), asm.refused()), before);
             }
         }
     }

@@ -201,7 +201,7 @@ impl HostApp for SyncPsServer {
                 );
             }
             T_BCAST => {
-                for w in self.workers.clone() {
+                for &w in &self.workers {
                     for pkt in
                         blob_packets(ctx.ip(), w, TAG_WEIGHTS, self.apply_iter, self.model_bytes)
                     {

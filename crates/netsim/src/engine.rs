@@ -32,7 +32,10 @@ use crate::wheel::TimingWheel;
 ///
 /// Devices are `Send` so a domain (and every device in it) can run on a
 /// worker thread under [`crate::ShardedSim`]; each domain is still
-/// single-threaded internally, so no device needs `Sync`.
+/// single-threaded internally, so no device needs `Sync` — and every
+/// metric handle a device resolves through [`Context::metrics`] has one
+/// writer at a time, which is all [`iswitch_obs::metrics`] recording
+/// supports. A device must not hand such a handle to a thread of its own.
 pub trait Device: Send + 'static {
     /// Called once at simulation start (time zero), in node-creation order.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}

@@ -1,11 +1,17 @@
 //! Engine-level observability: per-link metrics and event-loop counters.
 //!
 //! Every [`crate::Simulator`] owns an [`iswitch_obs::Registry`]; the engine
-//! records into pre-resolved handles on the hot path (one atomic op per
-//! record), and devices — switch extensions, host apps — can register their
-//! own metrics into the same registry through
-//! [`crate::Context::metrics`]. One export therefore captures the whole
-//! stack of a run.
+//! records into pre-resolved handles on the hot path (a plain load and
+//! store per record, no locked instruction), and devices — switch
+//! extensions, host apps — can register their own metrics into the same
+//! registry through [`crate::Context::metrics`]. One export therefore
+//! captures the whole stack of a run.
+//!
+//! The registry is written by whichever thread is driving this simulator
+//! and by no other: a simulator is driven through `&mut self`, and
+//! [`crate::ShardedSim`] hands each domain to one worker per epoch, with a
+//! barrier between owners. That is the single-writer rule
+//! [`iswitch_obs::metrics`] asks for.
 //!
 //! Naming scheme (sorted exports keep it diffable):
 //!

@@ -9,7 +9,6 @@
 //! normal packet-process path.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use iswitch_obs::{Registry, Timeseries, Trace};
@@ -34,7 +33,9 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    exact: HashMap<IpAddr, PortId>,
+    /// Sorted by address, one entry per address: a switch knows a few
+    /// dozen at most, so a binary search beats hashing the key.
+    exact: Vec<(IpAddr, PortId)>,
     default: Option<PortId>,
 }
 
@@ -46,7 +47,10 @@ impl RouteTable {
 
     /// Adds (or replaces) an exact-match route.
     pub fn add(&mut self, dst: IpAddr, port: PortId) {
-        self.exact.insert(dst, port);
+        match self.exact.binary_search_by_key(&dst, |&(ip, _)| ip) {
+            Ok(i) => self.exact[i].1 = port,
+            Err(i) => self.exact.insert(i, (dst, port)),
+        }
     }
 
     /// Sets the default route used when no exact match exists.
@@ -56,7 +60,10 @@ impl RouteTable {
 
     /// Resolves a destination to an output port.
     pub fn lookup(&self, dst: IpAddr) -> Option<PortId> {
-        self.exact.get(&dst).copied().or(self.default)
+        match self.exact.binary_search_by_key(&dst, |&(ip, _)| ip) {
+            Ok(i) => Some(self.exact[i].1),
+            Err(_) => self.default,
+        }
     }
 
     /// Number of exact-match entries.
@@ -342,6 +349,21 @@ mod tests {
         assert_eq!(sim.device::<Recorder>(b).got.len(), 1);
         assert_eq!(sim.device::<Recorder>(b).got[0].payload.as_ref(), &[9u8; 8]);
         assert!(sim.device::<Recorder>(a).got.is_empty());
+    }
+
+    #[test]
+    fn adding_an_address_twice_replaces_its_route() {
+        let mut routes = RouteTable::new();
+        for (host, port) in [(9, 0), (2, 1), (5, 2), (2, 3), (9, 4)] {
+            routes.add(IpAddr::new(10, 0, 0, host), PortId::new(port));
+        }
+        assert_eq!(routes.len(), 3, "an address is counted once");
+        let port_of = |host| routes.lookup(IpAddr::new(10, 0, 0, host));
+        assert_eq!(port_of(2), Some(PortId::new(3)));
+        assert_eq!(port_of(5), Some(PortId::new(2)));
+        assert_eq!(port_of(9), Some(PortId::new(4)));
+        assert_eq!(port_of(3), None);
+        assert!(!routes.is_empty());
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!
 //! Four levels of 256 slots each. A level-0 slot spans `2^SHIFT` (1024) ns;
 //! each higher level's slot spans 256× the one below, so the wheel covers
-//! `256^4 * 1024` ns ≈ 50 days of simulated time ahead of the cursor.
-//! Anything beyond that horizon waits in the `overflow` min-heap and is
-//! migrated into the wheel as the cursor approaches it.
+//! `256^4 * 1024` ns = 2^42 ns ≈ 73 minutes of simulated time ahead of the
+//! cursor. Anything beyond that horizon waits in the `overflow` min-heap
+//! and is migrated into the wheel as the cursor approaches it.
 //!
 //! `cursor` is the index (in level-0 slot units) of the last drained slot.
 //! Events land in the smallest level whose window, measured from the
 //! cursor, still contains them; draining the next occupied level-0 slot
-//! moves its events into `ready`, and occupied higher-level slots whose
-//! start time has arrived are *cascaded* — redistributed into lower levels
-//! — before any later level-0 slot is drained.
+//! swaps its buffer with the (empty) `ready`, so the buffers circulate
+//! instead of being freed and reallocated, and occupied higher-level slots
+//! whose start time has arrived are *cascaded* — redistributed into lower
+//! levels — before any later level-0 slot is drained.
 //!
 //! ## Determinism
 //!
@@ -257,14 +258,17 @@ impl<T> TimingWheel<T> {
                 continue; // migrate_overflow will rebase the cursor
             };
             let idx = vslot as usize & (SLOTS - 1);
-            let events = std::mem::take(&mut self.levels[level][idx]);
             self.occupied[level][idx >> 6] &= !(1 << (idx & 63));
             self.cursor = start;
             if level == 0 {
-                self.ready = events;
+                // Swap, not take: the slot inherits the buffer `ready` just
+                // emptied, so a steady schedule stops allocating once every
+                // buffer in the rotation has grown to its working size.
+                std::mem::swap(&mut self.ready, &mut self.levels[0][idx]);
                 self.sort_ready();
                 return;
             }
+            let events = std::mem::take(&mut self.levels[level][idx]);
             // Cascade: redistribute into lower levels; events in the slot's
             // first level-0 sub-slot (== the new cursor) are due now.
             for e in events {
@@ -313,6 +317,13 @@ impl<T> TimingWheel<T> {
     fn sort_ready(&mut self) {
         self.ready
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+    }
+
+    /// Entries the buffers that circulate through level-0 drains — `ready`
+    /// and the level-0 slots — can hold without allocating.
+    #[cfg(test)]
+    fn level0_capacity(&self) -> usize {
+        self.ready.capacity() + self.levels[0].iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -586,6 +597,37 @@ mod tests {
             }
             m.drain(&format!("drain, seed {seed}"));
         }
+    }
+
+    #[test]
+    fn a_steady_schedule_stops_allocating_after_one_rotation() {
+        // Three events in every slot, each replaced 200 slots ahead as it
+        // pops. Drains recycle the slot buffers, so once the wheel has been
+        // round, no pop frees a buffer and no push grows one: the capacity
+        // in circulation is the same after every operation — and the order
+        // is still the reference heap's.
+        const AHEAD: u64 = 200;
+        let mut m = Model::new(true);
+        for slot in 1..=AHEAD {
+            for offset in [0, 300, 600] {
+                m.push((slot << SHIFT) + offset);
+            }
+        }
+        let step = |m: &mut Model| {
+            assert!(m.pop("steady"));
+            let popped = m.wheel.level0_capacity();
+            m.push(m.now + (AHEAD << SHIFT));
+            (popped, m.wheel.level0_capacity())
+        };
+        for _ in 0..3 * SLOTS {
+            step(&mut m);
+        }
+        let warm = m.wheel.level0_capacity();
+        assert!(warm >= 3 * SLOTS);
+        for op in 0..4 * 3 * SLOTS {
+            assert_eq!(step(&mut m), (warm, warm), "operation {op}");
+        }
+        m.drain("steady tail");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! 2. **Determinism.** Exports never consult wall-clock time or hash-map
 //!    iteration order; two identical seeded simulation runs produce
 //!    byte-identical artifacts. Timestamps are simulated nanoseconds.
-//! 3. **Cheap when ignored.** Recording a metric is an atomic add; the
+//! 3. **Cheap when ignored.** Recording a metric is a plain load and
+//!    store — each metric has one writer at a time (see [`metrics`]); the
 //!    expensive work (JSON assembly) happens only at export.
 //!
 //! The pieces:

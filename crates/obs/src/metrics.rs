@@ -1,15 +1,36 @@
 //! Metric primitives and the registry that exports them.
 //!
-//! All primitives use relaxed atomics: the simulator is single-threaded per
-//! run, and the experiment sweeps only share metrics within one run. Values
-//! saturate instead of wrapping so long campaigns cannot silently overflow
-//! into nonsense.
+//! **Single writer.** Every metric has one writer at a time. Recording
+//! (`add`, `set`, `record`) is a relaxed load, the computation, and a
+//! relaxed store — a plain read-modify-write with no `lock`-prefixed
+//! instruction — so two threads recording into one metric concurrently
+//! would lose updates (never tear a value or corrupt memory: the cells are
+//! still atomics, which is what keeps the handles `Send + Sync`). A metric
+//! may change writers only across a synchronisation point — a thread join
+//! or a barrier — which publishes the previous writer's stores. That is
+//! how the simulator uses them: each `Simulator` owns its [`Registry`], a
+//! sharded run hands each domain to exactly one worker as `&mut`, and
+//! domains change hands only at the epoch barrier. Reads (`get`, export)
+//! and `merge_from` into a registry nobody else writes run after the join.
+//!
+//! Values saturate instead of wrapping so long campaigns cannot silently
+//! overflow into nonsense.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::JsonValue;
+
+/// The single-writer saturating add behind every count and sum: a plain
+/// read-modify-write (see the module docs for why that is enough).
+#[inline]
+fn saturating_add(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).saturating_add(n),
+        Ordering::Relaxed,
+    );
+}
 
 /// A monotonically increasing event count. Saturates at `u64::MAX`.
 #[derive(Debug, Default)]
@@ -30,11 +51,7 @@ impl Counter {
 
     /// Adds `n`, saturating at `u64::MAX` instead of wrapping.
     pub fn add(&self, n: u64) {
-        let _ = self
-            .value
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(n))
-            });
+        saturating_add(&self.value, n);
     }
 
     /// Current count.
@@ -66,13 +83,14 @@ impl Gauge {
     /// Sets the level to `v`.
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-        self.watermark.fetch_max(v, Ordering::Relaxed);
+        if v > self.watermark.load(Ordering::Relaxed) {
+            self.watermark.store(v, Ordering::Relaxed);
+        }
     }
 
-    /// Moves the level by `delta` (may be negative).
+    /// Moves the level by `delta` (may be negative), wrapping on overflow.
     pub fn add(&self, delta: i64) {
-        let now = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.watermark.fetch_max(now, Ordering::Relaxed);
+        self.set(self.value.load(Ordering::Relaxed).wrapping_add(delta));
     }
 
     /// Raises the level by one.
@@ -163,18 +181,12 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .count
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(1))
-            });
-        let _ = self
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(value))
-            });
-        self.max.fetch_max(value, Ordering::Relaxed);
+        saturating_add(&self.buckets[Self::bucket_index(value)], 1);
+        saturating_add(&self.count, 1);
+        saturating_add(&self.sum, value);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.
@@ -363,6 +375,16 @@ impl Registry {
     }
 }
 
+// `netsim::Device: Send` (a domain moves to a worker thread with every
+// handle its devices hold) rests on the handles staying `Send + Sync`.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Registry>();
+    send_sync::<Counter>();
+    send_sync::<Gauge>();
+    send_sync::<Histogram>();
+};
+
 /// Renders one histogram as JSON, listing only non-empty buckets:
 /// `{"count": n, "sum": s, "max": m, "p50": .., "p95": .., "p99": ..,
 /// "buckets": [{"lo":..,"hi":..,"n":..}]}`.
@@ -519,6 +541,47 @@ mod tests {
         g.set(-10);
         assert_eq!(g.get(), -10);
         assert_eq!(g.watermark(), 100);
+    }
+
+    #[test]
+    fn a_handle_passed_from_thread_to_thread_keeps_every_write() {
+        // One writer at a time, each joined before the next starts: the
+        // hand-off the sharded engine performs at its barriers.
+        let reg = Registry::new();
+        let (c, g, h) = (reg.counter("c"), reg.gauge("g"), reg.histogram("h"));
+        for round in 1..=3u64 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for _ in 0..1_000 {
+                        c.inc();
+                        g.add(2);
+                        g.dec();
+                        h.record(round);
+                    }
+                    g.set(g.get() + 10);
+                    g.add(-10);
+                });
+            });
+            assert_eq!(c.get(), 1_000 * round);
+            assert_eq!(g.get(), 1_000 * round as i64);
+            assert_eq!(g.watermark(), 1_000 * round as i64 + 10);
+            assert_eq!(h.count(), 1_000 * round);
+            assert_eq!(h.max_value(), round);
+        }
+        assert_eq!(h.sum(), 1_000 * (1 + 2 + 3));
+        assert_eq!(h.bucket_counts()[1], 1_000, "value 1");
+        assert_eq!(h.bucket_counts()[2], 2_000, "values 2 and 3");
+        // Saturation survives the hand-off too.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                c.add(u64::MAX);
+                h.record(u64::MAX);
+            });
+        });
+        assert_eq!(c.get(), u64::MAX);
+        assert_eq!(h.sum(), u64::MAX);
+        assert_eq!(h.max_value(), u64::MAX);
+        assert_eq!(h.count(), 3_001);
     }
 
     #[test]
