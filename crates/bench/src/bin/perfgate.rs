@@ -26,15 +26,14 @@
 //! that moved, not just the symptom. The report *is* the baseline, byte for
 //! byte: CI `cmp`s `--out` against the checked-in file.
 //!
-//! Flags: `--out <path>` (write the report), `--baseline <path>`,
-//! `--update-baseline` (rewrite the baseline from this run), `--explain`
-//! (per-subsystem table of every archived field that differs from the
-//! baseline, even when fingerprints pass). Anything else exits 2.
+//! Its four flags are the [`iswitch_bench::perfgate`] row (`perfgate --help`
+//! prints them); anything else exits 2.
 
-use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use iswitch_bench::{banner, check_args, flag_value, write_metrics, Flag};
+use iswitch_bench::banner;
+use iswitch_bench::perfgate::{BASELINE, COMMAND, EXPLAIN, OUT, UPDATE_BASELINE};
+use iswitch_cluster::cli::write_artifact;
 use iswitch_cluster::{
     run_multi_tenant_perf, run_timing_perf, MultiJobConfig, PerfSample, Strategy, TenantSpec,
     TimingConfig, TransportKind, TransportStats,
@@ -43,15 +42,6 @@ use iswitch_core::CodecKind;
 use iswitch_netsim::FattreeShape;
 use iswitch_obs::JsonValue;
 use iswitch_rl::Algorithm;
-
-const FLAGS: [Flag; 4] = [
-    ("--out", true),
-    ("--baseline", true),
-    ("--update-baseline", false),
-    ("--explain", false),
-];
-
-const DEFAULT_BASELINE: &str = "crates/bench/baselines/perfgate.json";
 
 /// The workload fingerprint: the behaviour contract of a cell.
 const FINGERPRINT: [&str; 5] = [
@@ -474,25 +464,17 @@ fn explain_divergence(current: &JsonValue, baseline: &JsonValue) -> String {
     s
 }
 
-fn write_or_exit(path: &Path, doc: &JsonValue) {
-    write_metrics(path, doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        exit(1);
-    });
-}
-
 fn main() {
-    let args = check_args(&FLAGS);
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let baseline_path = PathBuf::from(flag_value(&args, "--baseline").unwrap_or(DEFAULT_BASELINE));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = COMMAND.parse(COMMAND.name, &argv);
+    let args = args.unwrap_or_else(|stop| stop.exit());
+    let baseline_path = args.value(BASELINE).expect("the row declares a default");
 
-    banner(
-        "perfgate",
-        "behaviour gate (64 pinned cells: workload fingerprints + telemetry)",
-    );
+    banner(COMMAND.name, COMMAND.summary);
     let doc = run_matrix();
-    if let Some(out) = flag_value(&args, "--out") {
-        write_or_exit(Path::new(out), &doc);
+    let report = format!("{}\n", doc.render());
+    if let Some(out) = args.value(OUT) {
+        write_artifact(out, &report);
         println!("report written to {out}");
     }
 
@@ -506,21 +488,18 @@ fn main() {
     }
     println!("thread sweeps are thread-count invariant ({FATTREE_THREADS:?} threads)");
 
-    if has("--update-baseline") {
-        write_or_exit(&baseline_path, &doc);
-        println!("baseline updated at {}", baseline_path.display());
+    if args.has(UPDATE_BASELINE) {
+        write_artifact(baseline_path, &report);
+        println!("baseline updated at {baseline_path}");
         return;
     }
 
-    let Ok(baseline_text) = std::fs::read_to_string(&baseline_path) else {
-        eprintln!(
-            "no baseline at {} — run with --update-baseline to create one",
-            baseline_path.display()
-        );
+    let Ok(baseline_text) = std::fs::read_to_string(baseline_path) else {
+        eprintln!("no baseline at {baseline_path} — run with {UPDATE_BASELINE} to create one");
         exit(1);
     };
     let baseline = JsonValue::parse(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("{}: {e}", baseline_path.display());
+        eprintln!("{baseline_path}: {e}");
         exit(2);
     });
 
@@ -534,7 +513,7 @@ fn main() {
         eprint!("{}", explain_divergence(&doc, &baseline));
         eprintln!(
             "(seeded-simulation outputs changed — if intentional, refresh \
-             the baseline with --update-baseline; see BENCHMARKS.md)"
+             the baseline with {UPDATE_BASELINE}; see BENCHMARKS.md)"
         );
         exit(1);
     }
@@ -542,7 +521,7 @@ fn main() {
         "workload fingerprints match the baseline ({} cells)",
         cells_of(&doc).len()
     );
-    if has("--explain") {
+    if args.has(EXPLAIN) {
         println!("per-subsystem telemetry vs the baseline:");
         print!("{}", explain_divergence(&doc, &baseline));
     }

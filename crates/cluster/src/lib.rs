@@ -32,6 +32,7 @@
 pub mod analyze;
 pub mod apps;
 mod chaos;
+pub mod cli;
 mod compute_model;
 mod convergence;
 mod cosim;

@@ -8,18 +8,18 @@
 //! ```
 
 use std::io::BufWriter;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 
 use iswitch::cluster::analyze::TraceAnalysis;
+use iswitch::cluster::cli::{create_parent, refuse, select, write_artifact, Args, Command, Flag};
 use iswitch::cluster::experiments::{fig15, Scale};
 use iswitch::cluster::{
     run_chaos, run_chaos_isolation, run_convergence, run_cosim, run_multi_tenant, run_timing,
     run_timing_observed_with, ChaosConfig, ChaosSchedule, ConvergenceConfig, CosimConfig,
     IsolationConfig, MultiJobConfig, Strategy, TenantSpec, TimingConfig, TraceOptions,
-    TransportKind,
 };
 use iswitch::core::CodecKind;
 use iswitch::netsim::{EgressQueue, FattreeShape, SimDuration};
@@ -27,375 +27,335 @@ use iswitch::obs::timeseries::DEFAULT_INTERVAL_NS;
 use iswitch::obs::{parse_timeseries_jsonl, JsonValue, Timeseries};
 use iswitch::rl::Algorithm;
 
-const USAGE: &str = "\
-iswitch-sim — packet-level simulation of in-switch gradient aggregation
+const ABOUT: &str = "packet-level simulation of in-switch gradient aggregation";
 
-USAGE:
-    iswitch-sim <COMMAND> [OPTIONS]
-    iswitch-sim <COMMAND> --help
+// Every flag, declared once: usage (a `<placeholder>` means it takes a value) and help. A command's row
+// below lists the flags it takes, each with that command's default.
+const ALGORITHM: Flag = Flag::new("--algorithm <dqn|a2c|ppo|ddpg>", "benchmark");
+const STRATEGY: Flag = Flag::new("--strategy <ps|ar|isw|async-ps|async-isw>", "strategy");
+const WORKERS: Flag = Flag::new("--workers <N>", "worker count");
+const PER_RACK: Flag = Flag::new(
+    "--per-rack <K>",
+    "build a ToR/Core tree with K >= 1 workers per rack (default: single switch)",
+);
+const PER_AGG: Flag = Flag::new(
+    "--per-agg <F>",
+    "with --per-rack, group F >= 1 racks per aggregation switch (3-level tree)",
+);
+const FATTREE: Flag = Flag::new(
+    "--fattree <PODS>",
+    "build the sharded fat-tree: PODS >= 1 AGG subtrees (one engine domain each plus \
+     the core), --per-agg racks per pod (default 2), --per-rack hosts per rack (default \
+     3); the worker count is derived from the shape; every strategy",
+);
+const THREADS: Flag = Flag::new(
+    "--threads <N>",
+    "N >= 1 worker threads driving a --fattree run, or the tenant simulations of a multi \
+     run; every artifact is byte-identical for every N",
+);
+const FIDELITY: Flag = Flag::new(
+    "--fidelity <timing|cosim>",
+    "timing: synthetic payloads, timing only; cosim: real agent gradients summed by the \
+     simulated switch — reward curve AND timing from one run (isw strategies only; reads \
+     --workers, --iterations, --seed, --codec and --metrics-out, defaulting to the lite \
+     workload's 3 workers, 6000 iterations and seed 42)",
+);
+const ITERATIONS: Flag = Flag::new("--iterations <N>", "iterations each worker runs");
+const MAX_ITERATIONS: Flag = Flag::new(
+    "--max-iterations <N>",
+    "convergence cap (default: per algorithm)",
+);
+const SEED: Flag = Flag::new("--seed <N>", "RNG seed, decimal or 0x-hexadecimal");
+const EDGE_LOSS: Flag = Flag::new(
+    "--edge-loss <P>",
+    "random per-packet loss probability on every worker edge link (--strategy isw only: \
+     exercises its Help/FBcast recovery)",
+);
+const CODEC: Flag = Flag::new(
+    "--codec <f32|fixed-point|block-float|top-k>",
+    "aggregation codec: how gradients are laid out on the wire and summed in the switch \
+     (f32 is the exact legacy format; isw strategies only). Cosim additionally reports the \
+     decoded aggregate's error against the exact host-side mean",
+);
+const TRANSPORT: Flag = Flag::new(
+    "--transport <go-back|nack|dcqcn>",
+    "reliability/congestion policy on every worker. go-back: switch-assisted Help/FBcast \
+     recovery; nack: NACK-on-gap; dcqcn: ECN-echo rate control",
+);
+const INCAST: Flag = Flag::new(
+    "--incast",
+    "incast workload: every worker flushes simultaneously (zero compute jitter) through \
+     shallow bounded egress queues; composes with --workers and --fattree",
+);
+const BACKGROUND: Flag = Flag::new(
+    "--background <K>",
+    "add K bursting background flows that share the edge links with the training \
+     traffic (single-switch star)",
+);
+const TENANTS: Flag = Flag::new(
+    "--tenants <SPEC,...>",
+    "comma-separated tenant specs, each NAME=ALG[/STRATEGY]",
+);
+const QUOTA: Flag = Flag::new(
+    "--quota <NAME=SLOTS[/BYTES],...>",
+    "guaranteed per-tenant slot (and optional buffer-byte) quotas; the rest of the fabric \
+     is shared on demand",
+);
+const JOIN: Flag = Flag::new(
+    "--join <NAME=MS,...>",
+    "tenants joining the fabric MS milliseconds into the run (§3.2 Join)",
+);
+const RESET: Flag = Flag::new(
+    "--reset <NAME=MS,...>",
+    "in-band Reset of every switch of the named tenants at MS milliseconds of \
+     tenant-local time",
+);
+const FABRIC_SLOTS: Flag = Flag::new(
+    "--fabric-slots <N>",
+    "aggregation slots on the shared fabric",
+);
+const FABRIC_BYTES: Flag = Flag::new(
+    "--fabric-bytes <N>",
+    "aggregation buffer bytes on the shared fabric",
+);
+const EPOCH_MS: Flag = Flag::new(
+    "--epoch-ms <N>",
+    "arbitration epoch in simulated milliseconds, >= 1",
+);
+const OUT_DIR: Flag = Flag::new(
+    "--out-dir <DIR>",
+    "write per-tenant artifacts (NAME.report.json, NAME.trace.jsonl) plus fabric.json to DIR",
+);
+const ISOLATION: Flag = Flag::new(
+    "--isolation",
+    "run the I6 cross-tenant isolation check instead of the fault matrix: a quota'd \
+     victim shares the fabric with a slot-leaking aggressor and must be byte-unperturbed \
+     (reads --chaos-seed, --no-quota, --report-out and --iterations, 6 unless given)",
+);
+const NO_QUOTA: Flag = Flag::new(
+    "--no-quota",
+    "isolation self-test: drop the victim's quota and *require* I6 to trip — exits \
+     non-zero if the seeded leak goes undetected (with --isolation)",
+);
+const CHAOS_SEED: Flag = Flag::new(
+    "--chaos-seed <N>",
+    "fault-schedule seed. Same seed => the same schedule and a byte-identical report",
+);
+const FAULTS: Flag = Flag::new(
+    "--faults <PATH>",
+    "run an explicit fault schedule from a JSON file instead of generating one (see \
+     DESIGN.md for the schema)",
+);
+const REPORT_OUT: Flag = Flag::new(
+    "--report-out <PATH>",
+    "write chaos reports as JSON Lines to PATH",
+);
+const METRICS_OUT: Flag = Flag::new(
+    "--metrics-out <PATH>",
+    "write the observability report (stage timings + full metrics registry) as JSON to PATH",
+);
+const TRACE_OUT: Flag = Flag::new(
+    "--trace-out <PATH>",
+    "stream the causal trace (packet lifecycle events, worker/switch spans, iteration \
+     summaries) as JSON Lines to PATH while the simulation runs; memory stays bounded \
+     regardless of run length",
+);
+const TRACE_BUFFER: Flag = Flag::new(
+    "--trace-buffer <N>",
+    "in-memory trace ring capacity in events. When the bound drops events the run \
+     report records `trace.dropped` and the CLI prints a loud warning",
+);
+const TIMESERIES_OUT: Flag = Flag::new(
+    "--timeseries-out <PATH>",
+    "write the sampled counter tracks (queue depths, ECN marks, transport rates, shard \
+     stalls, codec effects) as JSON Lines to PATH",
+);
+const TIMESERIES_CHROME: Flag = Flag::new(
+    "--timeseries-chrome <PATH>",
+    "write the counter tracks as Perfetto counter-track events to PATH",
+);
+const TIMESERIES_INTERVAL: Flag = Flag::new(
+    "--timeseries-interval <NS>",
+    "sampling cadence in simulated nanoseconds, >= 1",
+);
+const TRACE: Flag = Flag::new("--trace <PATH>", "trace file to analyze (required)");
+const OUT: Flag = Flag::new("--out <PATH>", "write the analysis report as JSON to PATH");
+const CHROME_OUT: Flag = Flag::new(
+    "--chrome-out <PATH>",
+    "write a Chrome trace-event JSON (Perfetto-loadable) to PATH",
+);
+const TIMESERIES: Flag = Flag::new(
+    "--timeseries <PATH>",
+    "timeseries JSONL (from `timing --timeseries-out`) to join against the trace: the \
+     report gains a per-round attribution section naming the gating link's queue/ECN \
+     activity and the gating worker's transport rate",
+);
 
-A flag the command does not take is an error, never ignored.
+/// A subcommand: what `--help` says, every flag it takes with the default it
+/// uses, and its entry point.
+type Row = (Command, fn(&Args));
 
-COMMANDS:
-    timing        per-iteration time of one strategy (packet simulation)
-    multi         N concurrent training jobs sharing one switch fabric:
-                  per-tenant slot/byte quotas, deterministic fallback to
-                  host aggregation on slot exhaustion, elastic join/reset
-                  churn; per-tenant artifacts plus a fabric report
-    convergence   distributed RL training to a target reward
-    scalability   end-to-end speedup across cluster sizes (Fig. 15)
-    chaos         seeded fault injection (link outages, loss windows,
-                  delay spikes) with protocol invariants checked:
-                  gradient conservation, sync barrier, staleness bound,
-                  membership/update consistency, determinism, and (with
-                  --isolation) cross-tenant isolation
-    analyze       analyze a causal trace (from `timing --trace-out`):
-                  per-round critical path with straggler attribution,
-                  stage occupancy, aggregation-latency percentiles, and
-                  a Chrome trace-event (Perfetto) export
-
-OPTIONS:
-    --algorithm <dqn|a2c|ppo|ddpg>     benchmark (default: ppo)
-    --strategy <ps|ar|isw|async-ps|async-isw>
-                                       strategy (default: isw; timing only)
-    --workers <N>                      worker count (default: 4)
-    --per-rack <K>                     build a ToR/Core tree with K workers
-                                       per rack (default: single switch)
-    --per-agg <F>                      with --per-rack, group F racks per
-                                       aggregation switch (3-level tree)
-    --fattree <PODS>                   build the sharded fat-tree: PODS AGG
-                                       subtrees (one engine domain each plus
-                                       the core), --per-agg racks per pod
-                                       (default 2), --per-rack hosts per
-                                       rack (default 3); the worker count is
-                                       derived from the shape (timing only,
-                                       every strategy)
-    --threads <N>                      worker threads driving a --fattree
-                                       run, or tenant simulations of a
-                                       multi run (default 1); every
-                                       artifact is byte-identical for
-                                       every N
-    --fidelity <timing|cosim>          timing: synthetic payloads, timing
-                                       only (default); cosim: real agent
-                                       gradients summed by the simulated
-                                       switch — reward curve AND timing
-                                       from one run (isw strategies only)
-    --iterations <N>                   timing iterations (default: 30)
-    --max-iterations <N>               convergence cap (default: per-algorithm)
-    --seed <N>                         RNG seed (default: 42)
-    --edge-loss <P>                    random per-packet loss probability on
-                                       every worker edge link (timing,
-                                       --strategy isw only: exercises its
-                                       Help/FBcast recovery)
-    --codec <f32|fixed-point|block-float|top-k>
-                                       aggregation codec: how gradients are
-                                       laid out on the wire and summed in
-                                       the switch (default: f32, the exact
-                                       legacy format; timing, cosim, and
-                                       chaos, isw strategies only). Cosim
-                                       additionally reports the decoded
-                                       aggregate's error against the exact
-                                       host-side mean
-    --transport <go-back|nack|dcqcn>   reliability/congestion policy on every
-                                       worker (default: go-back). go-back:
-                                       switch-assisted Help/FBcast recovery;
-                                       nack: NACK-on-gap; dcqcn: ECN-echo
-                                       rate control (timing and chaos)
-    --incast                           incast workload: every worker flushes
-                                       simultaneously (zero compute jitter)
-                                       through shallow bounded egress
-                                       queues; composes with --workers and
-                                       --fattree (timing only)
-    --background <K>                   add K bursting background flows that
-                                       share the edge links with the
-                                       training traffic (timing only,
-                                       single-switch star)
-    --tenants <SPEC,...>               comma-separated tenant specs, each
-                                       NAME=ALG[/STRATEGY] (multi only;
-                                       default: a=ppo/isw,b=a2c/isw)
-    --quota <NAME=SLOTS[/BYTES],...>   guaranteed per-tenant slot (and
-                                       optional buffer-byte) quotas; the
-                                       rest of the fabric is shared on
-                                       demand (multi only)
-    --join <NAME=MS,...>               tenants joining the fabric MS
-                                       milliseconds into the run (multi
-                                       only; §3.2 Join)
-    --reset <NAME=MS,...>              in-band Reset of every switch of the
-                                       named tenants at MS milliseconds of
-                                       tenant-local time (multi only)
-    --fabric-slots <N>                 aggregation slots on the shared
-                                       fabric (multi only; default 65536)
-    --fabric-bytes <N>                 aggregation buffer bytes on the
-                                       shared fabric (multi only)
-    --epoch-ms <N>                     arbitration epoch in simulated
-                                       milliseconds (multi only; default 10)
-    --out-dir <DIR>                    write per-tenant artifacts
-                                       (NAME.report.json, NAME.trace.jsonl)
-                                       plus fabric.json to DIR (multi only)
-    --isolation                        run the I6 cross-tenant isolation
-                                       check instead of the fault matrix: a
-                                       quota'd victim shares the fabric with
-                                       a slot-leaking aggressor and must be
-                                       byte-unperturbed (chaos only)
-    --no-quota                         isolation self-test: drop the
-                                       victim's quota and *require* I6 to
-                                       trip — exits non-zero if the seeded
-                                       leak goes undetected (chaos
-                                       --isolation only)
-    --chaos-seed <N>                   fault-schedule seed (chaos only;
-                                       default: 1). Same seed => the same
-                                       schedule and a byte-identical report
-    --faults <PATH>                    run an explicit fault schedule from a
-                                       JSON file instead of generating one
-                                       (chaos only; see DESIGN.md for the
-                                       schema)
-    --report-out <PATH>                write chaos reports as JSON Lines to
-                                       PATH (chaos only)
-    --metrics-out <PATH>               write the observability report (stage
-                                       timings + full metrics registry) as
-                                       JSON to PATH (timing only)
-    --trace-out <PATH>                 stream the causal trace (packet
-                                       lifecycle events, worker/switch
-                                       spans, iteration summaries) as JSON
-                                       Lines to PATH while the simulation
-                                       runs (timing only); memory stays
-                                       bounded regardless of run length
-    --trace-buffer <N>                 in-memory trace ring capacity in
-                                       events (default: 65536). When the
-                                       bound drops events the run report
-                                       records `trace.dropped` and the CLI
-                                       prints a loud warning (timing only)
-    --timeseries-out <PATH>            write the sampled counter tracks
-                                       (queue depths, ECN marks, transport
-                                       rates, shard stalls, codec effects)
-                                       as JSON Lines to PATH (timing only)
-    --timeseries-chrome <PATH>         write the counter tracks as Perfetto
-                                       counter-track events to PATH
-                                       (timing only)
-    --timeseries-interval <NS>         sampling cadence in simulated
-                                       nanoseconds (default: 10000)
-    --trace <PATH>                     trace file to analyze (analyze only)
-    --out <PATH>                       write the analysis report as JSON to
-                                       PATH (analyze only)
-    --chrome-out <PATH>                write a Chrome trace-event JSON
-                                       (Perfetto-loadable) to PATH
-                                       (analyze only)
-    --timeseries <PATH>                timeseries JSONL (from `timing
-                                       --timeseries-out`) to join against
-                                       the trace: the report gains a
-                                       per-round attribution section naming
-                                       the gating link's queue/ECN activity
-                                       and the gating worker's transport
-                                       rate (analyze only)
-";
-
-/// The flags a subcommand accepts, each with whether a value follows it.
-type Flags = &'static [(&'static str, bool)];
-
-const TIMING_FLAGS: Flags = &[
-    ("--algorithm", true),
-    ("--strategy", true),
-    ("--fidelity", true),
-    ("--workers", true),
-    ("--per-rack", true),
-    ("--per-agg", true),
-    ("--fattree", true),
-    ("--threads", true),
-    ("--iterations", true),
-    ("--seed", true),
-    ("--edge-loss", true),
-    ("--transport", true),
-    ("--codec", true),
-    ("--incast", false),
-    ("--background", true),
-    ("--metrics-out", true),
-    ("--trace-out", true),
-    ("--trace-buffer", true),
-    ("--timeseries-out", true),
-    ("--timeseries-chrome", true),
-    ("--timeseries-interval", true),
+const COMMANDS: &[Row] = &[
+    (
+        Command {
+            name: "timing",
+            summary: "per-iteration time of one strategy (packet simulation)",
+            flags: &[
+                ALGORITHM.or("ppo"),
+                STRATEGY.or("isw"),
+                FIDELITY.or("timing"),
+                WORKERS.or("4"),
+                PER_RACK,
+                PER_AGG,
+                FATTREE,
+                THREADS.or("1"),
+                ITERATIONS.or("30"),
+                SEED.or("0x5117c4"),
+                EDGE_LOSS.or("0"),
+                TRANSPORT.or("go-back"),
+                CODEC.or("f32"),
+                INCAST,
+                BACKGROUND.or("0"),
+                METRICS_OUT,
+                TRACE_OUT,
+                TRACE_BUFFER.or("65536"),
+                TIMESERIES_OUT,
+                TIMESERIES_CHROME,
+                TIMESERIES_INTERVAL.or("10000"),
+            ],
+        },
+        cmd_timing,
+    ),
+    (
+        Command {
+            name: "multi",
+            summary: "N concurrent training jobs sharing one switch fabric: per-tenant \
+                      slot/byte quotas, deterministic fallback to host aggregation on slot \
+                      exhaustion, elastic join/reset churn; per-tenant artifacts plus a \
+                      fabric report",
+            flags: &[
+                TENANTS.or("a=ppo/isw,b=a2c/isw"),
+                QUOTA,
+                JOIN,
+                RESET,
+                FABRIC_SLOTS.or("65536"),
+                FABRIC_BYTES,
+                EPOCH_MS.or("10"),
+                ITERATIONS.or("30"),
+                SEED.or("42"),
+                THREADS.or("1"),
+                OUT_DIR,
+            ],
+        },
+        cmd_multi,
+    ),
+    (
+        Command {
+            name: "analyze",
+            summary: "analyze a causal trace (from `timing --trace-out`): per-round \
+                      critical path with straggler attribution, stage occupancy, \
+                      aggregation-latency percentiles, and a Chrome trace-event (Perfetto) \
+                      export",
+            flags: &[TRACE, TIMESERIES, OUT, CHROME_OUT],
+        },
+        cmd_analyze,
+    ),
+    (
+        Command {
+            name: "convergence",
+            summary: "distributed RL training to a target reward",
+            flags: &[
+                ALGORITHM.or("ppo"),
+                WORKERS.or("4"),
+                MAX_ITERATIONS,
+                SEED.or("42"),
+            ],
+        },
+        cmd_convergence,
+    ),
+    (
+        Command {
+            name: "scalability",
+            summary: "end-to-end speedup across cluster sizes (Fig. 15)",
+            flags: &[ALGORITHM.or("ppo")],
+        },
+        cmd_scalability,
+    ),
+    (
+        Command {
+            name: "chaos",
+            summary: "seeded fault injection (link outages, loss windows, delay spikes) \
+                      with protocol invariants checked: gradient conservation, sync \
+                      barrier, staleness bound, membership/update consistency, \
+                      determinism, and (with --isolation) cross-tenant isolation",
+            flags: &[
+                ALGORITHM.or("ppo"),
+                Flag::new(STRATEGY.usage, "run one strategy instead of all five"),
+                WORKERS.or("3"),
+                ITERATIONS.or("10"),
+                SEED.or("0xC4A05"),
+                TRANSPORT.or("go-back"),
+                CODEC.or("f32"),
+                CHAOS_SEED.or("1"),
+                FAULTS,
+                REPORT_OUT,
+                ISOLATION,
+                NO_QUOTA,
+            ],
+        },
+        cmd_chaos,
+    ),
 ];
 
-const MULTI_FLAGS: Flags = &[
-    ("--tenants", true),
-    ("--quota", true),
-    ("--join", true),
-    ("--reset", true),
-    ("--fabric-slots", true),
-    ("--fabric-bytes", true),
-    ("--epoch-ms", true),
-    ("--iterations", true),
-    ("--seed", true),
-    ("--threads", true),
-    ("--out-dir", true),
+const ALGORITHMS: [(&str, Algorithm); 4] = [
+    ("ppo", Algorithm::Ppo),
+    ("dqn", Algorithm::Dqn),
+    ("a2c", Algorithm::A2c),
+    ("ddpg", Algorithm::Ddpg),
 ];
 
-const CONVERGENCE_FLAGS: Flags = &[
-    ("--algorithm", true),
-    ("--workers", true),
-    ("--max-iterations", true),
-    ("--seed", true),
+const STRATEGIES: [(&str, Strategy); 5] = [
+    ("ps", Strategy::SyncPs),
+    ("ar", Strategy::SyncAr),
+    ("isw", Strategy::SyncIsw),
+    ("async-ps", Strategy::AsyncPs),
+    ("async-isw", Strategy::AsyncIsw),
 ];
 
-const SCALABILITY_FLAGS: Flags = &[("--algorithm", true)];
-
-const CHAOS_FLAGS: Flags = &[
-    ("--algorithm", true),
-    ("--strategy", true),
-    ("--workers", true),
-    ("--iterations", true),
-    ("--seed", true),
-    ("--transport", true),
-    ("--codec", true),
-    ("--chaos-seed", true),
-    ("--faults", true),
-    ("--report-out", true),
-    ("--isolation", false),
-    ("--no-quota", false),
-];
-
-const ANALYZE_FLAGS: Flags = &[
-    ("--trace", true),
-    ("--timeseries", true),
-    ("--out", true),
-    ("--chrome-out", true),
-];
-
-/// A subcommand: its name, entry point and the one declaration of the
-/// flags it accepts.
-type Command = (&'static str, fn(&[String]), Flags);
-
-const COMMANDS: &[Command] = &[
-    ("timing", cmd_timing, TIMING_FLAGS),
-    ("multi", cmd_multi, MULTI_FLAGS),
-    ("analyze", cmd_analyze, ANALYZE_FLAGS),
-    ("convergence", cmd_convergence, CONVERGENCE_FLAGS),
-    ("scalability", cmd_scalability, SCALABILITY_FLAGS),
-    ("chaos", cmd_chaos, CHAOS_FLAGS),
-];
-
-/// Checks a subcommand's arguments against its flag set before anything
-/// runs, so nothing is silently ignored: `--help` prints the usage and
-/// exits 0; an argument the subcommand does not declare, or a value-taking
-/// flag with nothing after it, exits 2 naming it.
-fn check_args(cmd: &str, args: &[String], flags: Flags) {
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if arg == "--help" || arg == "-h" {
-            print!("{USAGE}");
-            exit(0);
-        }
-        match flags.iter().find(|(name, _)| name == arg) {
-            Some((_, false)) => {}
-            Some((_, true)) if rest.next().is_some() => {}
-            Some(_) => {
-                eprintln!("{arg} expects a value");
-                exit(2);
-            }
-            None => {
-                eprintln!("`{cmd}` takes no `{arg}` (see `iswitch-sim --help`)");
-                exit(2);
-            }
-        }
-    }
+fn named<T: Copy>(table: &[(&str, T)], text: &str) -> Option<T> {
+    let row = table.iter().find(|(name, _)| *name == text);
+    row.map(|&(_, value)| value)
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+fn algorithm(args: &Args) -> Algorithm {
+    args.get_with(ALGORITHM, |text| named(&ALGORITHMS, text))
+        .expect("every row that takes --algorithm declares its default")
 }
 
-fn parse_algorithm(args: &[String]) -> Algorithm {
-    match parse_flag(args, "--algorithm").as_deref() {
-        None | Some("ppo") => Algorithm::Ppo,
-        Some("dqn") => Algorithm::Dqn,
-        Some("a2c") => Algorithm::A2c,
-        Some("ddpg") => Algorithm::Ddpg,
-        Some(other) => {
-            eprintln!("unknown algorithm `{other}`");
-            exit(2);
-        }
-    }
+fn strategy(args: &Args) -> Option<Strategy> {
+    args.get_with(STRATEGY, |text| named(&STRATEGIES, text))
 }
 
-fn parse_strategy(args: &[String]) -> Strategy {
-    match parse_flag(args, "--strategy").as_deref() {
-        None | Some("isw") => Strategy::SyncIsw,
-        Some("ps") => Strategy::SyncPs,
-        Some("ar") => Strategy::SyncAr,
-        Some("async-ps") => Strategy::AsyncPs,
-        Some("async-isw") => Strategy::AsyncIsw,
-        Some(other) => {
-            eprintln!("unknown strategy `{other}`");
-            exit(2);
-        }
-    }
+/// A count the simulator cannot run with zero of: 0 is refused, not
+/// rewritten to 1.
+fn positive(args: &Args, flag: Flag) -> Option<usize> {
+    args.get::<NonZeroUsize>(flag).map(NonZeroUsize::get)
 }
 
-fn parse_usize(args: &[String], name: &str) -> Option<usize> {
-    parse_flag(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{name} expects a number, got `{v}`");
-            exit(2);
-        })
-    })
-}
-
-fn parse_f64(args: &[String], name: &str) -> Option<f64> {
-    parse_flag(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{name} expects a number, got `{v}`");
-            exit(2);
-        })
-    })
-}
-
-fn parse_codec(args: &[String]) -> Option<CodecKind> {
-    parse_flag(args, "--codec").map(|v| {
-        v.parse::<CodecKind>().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        })
-    })
-}
-
-fn write_artifact(path: &str, contents: &str) {
-    if let Some(parent) = Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                eprintln!("cannot create {}: {e}", parent.display());
-                exit(1);
-            });
-        }
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    });
-}
-
-fn cmd_cosim(args: &[String], alg: Algorithm, strategy: Strategy) {
+/// `timing --fidelity cosim`. `args` holds only what the user typed: the
+/// lite workload's defaults are not the timing row's.
+fn cmd_cosim(args: &Args, alg: Algorithm, strategy: Strategy) {
     if !matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
-        eprintln!(
-            "--fidelity cosim drives gradients through the in-switch \
-             datapath; pick --strategy isw or async-isw"
-        );
-        exit(2);
+        refuse(format!(
+            "{FIDELITY} cosim drives gradients through the in-switch datapath; \
+             pick {STRATEGY} isw or async-isw"
+        ));
     }
     let mut cfg = CosimConfig::lite(alg, strategy);
-    if let Some(w) = parse_usize(args, "--workers") {
-        cfg.workers = w;
-    }
-    if let Some(n) = parse_usize(args, "--iterations") {
-        cfg.iterations = n;
-    }
-    if let Some(s) = parse_usize(args, "--seed") {
-        cfg.seed = s as u64;
-    }
-    if let Some(c) = parse_codec(args) {
-        cfg.codec = c;
-    }
+    cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
+    cfg.iterations = args.get(ITERATIONS).unwrap_or(cfg.iterations);
+    cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
+    cfg.codec = args.get(CODEC).unwrap_or(cfg.codec);
     println!(
         "co-simulating {} / {} with {} workers (target reward {:?})…",
         alg,
@@ -428,7 +388,7 @@ fn cmd_cosim(args: &[String], alg: Algorithm, strategy: Strategy) {
             cfg.codec
         );
     }
-    if let Some(path) = parse_flag(args, "--metrics-out") {
+    if let Some(path) = args.value(METRICS_OUT) {
         let mut doc = JsonValue::empty_object();
         doc.insert("artifact", JsonValue::Str("cosim".to_owned()));
         doc.insert("algorithm", JsonValue::Str(alg.to_string()));
@@ -468,7 +428,7 @@ fn cmd_cosim(args: &[String], alg: Algorithm, strategy: Strategy) {
                     .collect(),
             ),
         );
-        write_artifact(&path, &format!("{}\n", doc.render()));
+        write_artifact(path, &format!("{}\n", doc.render()));
         println!("metrics written to {path}");
     }
 }
@@ -482,107 +442,83 @@ fn run_or_refuse<T>(run: impl FnOnce() -> T) -> T {
     catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| exit(2))
 }
 
-fn cmd_timing(args: &[String]) {
-    let alg = parse_algorithm(args);
-    let strategy = parse_strategy(args);
-    match parse_flag(args, "--fidelity").as_deref() {
-        None | Some("timing") => {}
-        Some("cosim") => {
-            cmd_cosim(args, alg, strategy);
-            return;
-        }
-        Some(other) => {
-            eprintln!("unknown fidelity `{other}` (expected `timing` or `cosim`)");
-            exit(2);
-        }
+fn cmd_timing(args: &Args) {
+    let alg = algorithm(args);
+    let strategy = strategy(args).expect("the timing row declares a default strategy");
+    let fidelities = [("timing", false), ("cosim", true)];
+    if args.get_with(FIDELITY, |text| named(&fidelities, text)) == Some(true) {
+        return cmd_cosim(&args.only_given(), alg, strategy);
     }
     let mut cfg = TimingConfig::main_cluster(alg, strategy);
-    if let Some(w) = parse_usize(args, "--workers") {
-        cfg.workers = w;
-    }
-    cfg.workers_per_rack = parse_usize(args, "--per-rack").map(|k| k.max(1));
-    cfg.racks_per_agg = parse_usize(args, "--per-agg").map(|f| f.max(1));
-    if let Some(pods) = parse_usize(args, "--fattree") {
+    cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
+    cfg.workers_per_rack = positive(args, PER_RACK);
+    cfg.racks_per_agg = positive(args, PER_AGG);
+    if let Some(pods) = positive(args, FATTREE) {
         let shape = FattreeShape {
-            aggs: pods.max(1),
+            aggs: pods,
             racks_per_agg: cfg.racks_per_agg.take().unwrap_or(2),
             hosts_per_rack: cfg.workers_per_rack.take().unwrap_or(3),
         };
         cfg.workers = shape.workers();
         cfg.fattree = Some(shape);
-        cfg.threads = parse_usize(args, "--threads").unwrap_or(1).max(1);
-    } else if parse_usize(args, "--threads").is_some() {
-        eprintln!("--threads only applies to --fattree runs: every other topology is one domain");
-        exit(2);
+        cfg.threads = positive(args, THREADS).unwrap_or(cfg.threads);
+    } else if args.has(THREADS) {
+        refuse(format!(
+            "{THREADS} only applies to {FATTREE} runs: every other topology is one domain"
+        ));
     }
-    if let Some(n) = parse_usize(args, "--iterations") {
-        cfg.iterations = n;
-    }
-    if let Some(s) = parse_usize(args, "--seed") {
-        cfg.seed = s as u64;
-    }
-    if let Some(p) = parse_f64(args, "--edge-loss") {
+    cfg.iterations = args.get(ITERATIONS).unwrap_or(cfg.iterations);
+    cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
+    if let Some(p) = args.get::<f64>(EDGE_LOSS) {
         if !(0.0..1.0).contains(&p) {
-            eprintln!("--edge-loss expects a probability in [0, 1), got {p}");
-            exit(2);
+            refuse(format!(
+                "{EDGE_LOSS} expects a probability in [0, 1), got {p}"
+            ));
         }
         if p > 0.0 && strategy != Strategy::SyncIsw {
-            eprintln!("--edge-loss applies to the isw strategy: only its Help/FBcast recovery survives loss");
-            exit(2);
+            refuse(format!(
+                "{EDGE_LOSS} applies to the isw strategy: only its Help/FBcast recovery survives loss"
+            ));
         }
         cfg.edge_loss = p;
     }
-    if let Some(t) = parse_flag(args, "--transport") {
-        cfg.transport = t.parse::<TransportKind>().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
+    cfg.transport = args.get(TRANSPORT).unwrap_or(cfg.transport);
+    cfg.codec = args.get(CODEC).unwrap_or(cfg.codec);
+    if cfg.codec != CodecKind::F32 && !matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
+        refuse(format!(
+            "{CODEC} applies to the in-switch strategies (isw, async-isw)"
+        ));
     }
-    if let Some(c) = parse_codec(args) {
-        if c != CodecKind::F32 && !matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
-            eprintln!("--codec applies to the in-switch strategies (isw, async-isw)");
-            exit(2);
-        }
-        cfg.codec = c;
-    }
-    if args.iter().any(|a| a == "--incast") {
+    if args.has(INCAST) {
         cfg.incast = true;
         cfg.queue.get_or_insert(EgressQueue::shallow());
     }
-    if let Some(k) = parse_usize(args, "--background") {
-        cfg.background_flows = k;
-    }
+    cfg.background_flows = args.get(BACKGROUND).unwrap_or(cfg.background_flows);
+    let metrics_out = args.value(METRICS_OUT);
+    let trace_out = args.value(TRACE_OUT);
+    let timeseries_out = args.value(TIMESERIES_OUT);
+    let timeseries_chrome = args.value(TIMESERIES_CHROME);
+    let interval_ns = args
+        .get::<NonZeroU64>(TIMESERIES_INTERVAL)
+        .map_or(DEFAULT_INTERVAL_NS, NonZeroU64::get);
+    let capacity = args.get(TRACE_BUFFER);
     println!(
         "simulating {} / {} with {} workers…",
         alg,
         strategy.label(),
         cfg.workers
     );
-    let metrics_out = parse_flag(args, "--metrics-out");
-    let trace_out = parse_flag(args, "--trace-out");
-    let timeseries_out = parse_flag(args, "--timeseries-out");
-    let timeseries_chrome = parse_flag(args, "--timeseries-chrome");
-    let interval_ns = parse_usize(args, "--timeseries-interval")
-        .map(|n| n.max(1) as u64)
-        .unwrap_or(DEFAULT_INTERVAL_NS);
     let want_timeseries = timeseries_out.is_some() || timeseries_chrome.is_some();
     let r = if metrics_out.is_some() || trace_out.is_some() || want_timeseries {
         // Stream the trace to disk as the run executes and keep only a
         // bounded window in memory, so long runs stay flat.
         let mut opts = TraceOptions {
-            capacity: Some(parse_usize(args, "--trace-buffer").unwrap_or(65_536)),
+            capacity,
             stream: None,
             timeseries: want_timeseries.then(|| Arc::new(Timeseries::new(interval_ns))),
         };
-        if let Some(path) = &trace_out {
-            if let Some(parent) = Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                        eprintln!("cannot create {}: {e}", parent.display());
-                        exit(1);
-                    });
-                }
-            }
+        if let Some(path) = trace_out {
+            create_parent(path);
             let file = std::fs::File::create(path).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
                 exit(1);
@@ -590,21 +526,24 @@ fn cmd_timing(args: &[String]) {
             opts.stream = Some(Box::new(BufWriter::new(file)));
         }
         let obs = run_or_refuse(|| run_timing_observed_with(&cfg, opts));
-        if let Some(path) = &metrics_out {
+        if let Some(path) = metrics_out {
             write_artifact(path, &format!("{}\n", obs.report_json().render()));
             println!("metrics written to {path}");
         }
-        if let Some(path) = &trace_out {
+        if let Some(path) = trace_out {
             println!("trace streamed to {path} ({} events)", obs.trace.recorded());
         }
         if obs.trace.dropped() > 0 {
             let remedy = if trace_out.is_some() {
-                "the streamed --trace-out file is complete; only the in-memory \
-                 window is truncated. Raise --trace-buffer if something reads \
-                 the in-memory trace."
+                format!(
+                    "the streamed {TRACE_OUT} file is complete; only the in-memory window \
+                     is truncated. Raise {TRACE_BUFFER} if something reads the in-memory trace."
+                )
             } else {
-                "re-run with a larger --trace-buffer (default 65536) or stream \
-                 with --trace-out for complete coverage."
+                format!(
+                    "re-run with a larger {TRACE_BUFFER} or stream with {TRACE_OUT} for \
+                     complete coverage."
+                )
             };
             eprintln!(
                 "WARNING: trace buffer overflowed — {} event(s) dropped (recorded \
@@ -613,7 +552,7 @@ fn cmd_timing(args: &[String]) {
             );
         }
         if let Some(ts) = &obs.timeseries {
-            if let Some(path) = &timeseries_out {
+            if let Some(path) = timeseries_out {
                 let mut out = Vec::new();
                 ts.to_jsonl(&mut out).expect("jsonl to memory");
                 write_artifact(path, &String::from_utf8(out).expect("jsonl is utf-8"));
@@ -623,7 +562,7 @@ fn cmd_timing(args: &[String]) {
                     ts.sample_count()
                 );
             }
-            if let Some(path) = &timeseries_chrome {
+            if let Some(path) = timeseries_chrome {
                 write_artifact(path, &format!("{}\n", ts.chrome_trace().render()));
                 println!("timeseries counter tracks written to {path}");
             }
@@ -653,120 +592,95 @@ fn cmd_timing(args: &[String]) {
 }
 
 /// Parses `NAME=VALUE,...` per-tenant assignments.
-fn parse_assignments(args: &[String], flag: &str) -> Vec<(String, String)> {
-    let Some(text) = parse_flag(args, flag) else {
-        return Vec::new();
-    };
+fn parse_assignments(args: &Args, flag: Flag) -> Vec<(&str, &str)> {
+    let text = args.value(flag).unwrap_or_default();
     text.split(',')
         .filter(|s| !s.is_empty())
         .map(|pair| {
-            let Some((name, value)) = pair.split_once('=') else {
-                eprintln!("{flag} expects NAME=VALUE pairs, got `{pair}`");
-                exit(2);
-            };
-            (name.to_owned(), value.to_owned())
+            pair.split_once('=')
+                .unwrap_or_else(|| refuse(format!("{flag} expects NAME=VALUE pairs, got `{pair}`")))
         })
         .collect()
 }
 
-fn cmd_multi(args: &[String]) {
-    let iterations = parse_usize(args, "--iterations");
-    let seed = parse_usize(args, "--seed").map(|s| s as u64).unwrap_or(42);
-    let quotas = parse_assignments(args, "--quota");
-    let joins = parse_assignments(args, "--join");
-    let resets = parse_assignments(args, "--reset");
+/// What a `NAME=VALUE,...` list assigns to tenant `name`.
+fn assigned<'a>(list: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    list.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+}
 
-    let spec_text =
-        parse_flag(args, "--tenants").unwrap_or_else(|| "a=ppo/isw,b=a2c/isw".to_owned());
+fn cmd_multi(args: &Args) {
+    let iterations = args.get::<usize>(ITERATIONS);
+    let seed = args
+        .seed(SEED)
+        .expect("the multi row declares a default seed");
+    let quotas = parse_assignments(args, QUOTA);
+    let joins = parse_assignments(args, JOIN);
+    let resets = parse_assignments(args, RESET);
+
+    let spec_text = args.value(TENANTS).unwrap_or_default();
     let mut specs = Vec::new();
     for (i, spec) in spec_text.split(',').filter(|s| !s.is_empty()).enumerate() {
         let Some((name, job_text)) = spec.split_once('=') else {
-            eprintln!("--tenants expects NAME=ALG[/STRATEGY] specs, got `{spec}`");
-            exit(2);
+            refuse(format!(
+                "{TENANTS} expects NAME=ALG[/STRATEGY] specs, got `{spec}`"
+            ));
         };
-        let (alg_text, strat_text) = match job_text.split_once('/') {
-            Some((a, s)) => (a, s),
-            None => (job_text, "isw"),
-        };
-        let alg = match alg_text {
-            "ppo" => Algorithm::Ppo,
-            "dqn" => Algorithm::Dqn,
-            "a2c" => Algorithm::A2c,
-            "ddpg" => Algorithm::Ddpg,
-            other => {
-                eprintln!("tenant `{name}`: unknown algorithm `{other}`");
-                exit(2);
-            }
-        };
-        let strategy = match strat_text {
-            "isw" => Strategy::SyncIsw,
-            "ps" => Strategy::SyncPs,
-            "ar" => Strategy::SyncAr,
-            "async-ps" => Strategy::AsyncPs,
-            "async-isw" => Strategy::AsyncIsw,
-            other => {
-                eprintln!("tenant `{name}`: unknown strategy `{other}`");
-                exit(2);
-            }
-        };
+        let (alg_text, strat_text) = job_text.split_once('/').unwrap_or((job_text, "isw"));
+        let alg = named(&ALGORITHMS, alg_text)
+            .unwrap_or_else(|| refuse(format!("tenant `{name}`: unknown algorithm `{alg_text}`")));
+        let strategy = named(&STRATEGIES, strat_text)
+            .unwrap_or_else(|| refuse(format!("tenant `{name}`: unknown strategy `{strat_text}`")));
         let mut job = TimingConfig::main_cluster(alg, strategy);
-        if let Some(n) = iterations {
-            job.iterations = n;
-        }
+        job.iterations = iterations.unwrap_or(job.iterations);
         job.seed = seed.wrapping_add(i as u64);
         let mut tenant = TenantSpec::new(name, i as u64 + 1, job);
-        let assigned = |list: &[(String, String)]| -> Option<String> {
-            list.iter().find(|(n, _)| n == name).map(|(_, v)| v.clone())
-        };
-        if let Some(q) = assigned(&quotas) {
+        if let Some(q) = assigned(&quotas, name) {
             let (slots_text, bytes_text) = match q.split_once('/') {
-                Some((s, b)) => (s.to_owned(), Some(b.to_owned())),
+                Some((s, b)) => (s, Some(b)),
                 None => (q, None),
             };
             let slots: u32 = slots_text.parse().unwrap_or_else(|_| {
-                eprintln!("tenant `{name}`: --quota expects a slot count, got `{slots_text}`");
-                exit(2);
+                refuse(format!(
+                    "tenant `{name}`: {QUOTA} expects a slot count, got `{slots_text}`"
+                ))
             });
             let bytes: usize = bytes_text.map_or(1 << 24, |b| {
                 b.parse().unwrap_or_else(|_| {
-                    eprintln!("tenant `{name}`: --quota expects a byte count, got `{b}`");
-                    exit(2);
+                    refuse(format!(
+                        "tenant `{name}`: {QUOTA} expects a byte count, got `{b}`"
+                    ))
                 })
             });
             tenant = tenant.with_quota(slots, bytes);
         }
-        let millis = |v: String, flag: &str| -> SimDuration {
+        let millis = |v: &str, flag: Flag| -> SimDuration {
             SimDuration::from_millis(v.parse().unwrap_or_else(|_| {
-                eprintln!("tenant `{name}`: {flag} expects milliseconds, got `{v}`");
-                exit(2);
+                refuse(format!(
+                    "tenant `{name}`: {flag} expects milliseconds, got `{v}`"
+                ))
             }))
         };
-        if let Some(at) = assigned(&joins) {
-            tenant = tenant.with_join_at(millis(at, "--join"));
+        if let Some(at) = assigned(&joins, name) {
+            tenant = tenant.with_join_at(millis(at, JOIN));
         }
-        if let Some(at) = assigned(&resets) {
-            tenant = tenant.with_reset_at(millis(at, "--reset"));
+        if let Some(at) = assigned(&resets, name) {
+            tenant = tenant.with_reset_at(millis(at, RESET));
         }
         specs.push(tenant);
     }
     for (n, _) in quotas.iter().chain(&joins).chain(&resets) {
         if !specs.iter().any(|t| t.name == *n) {
-            eprintln!("`{n}` names no tenant in --tenants");
-            exit(2);
+            refuse(format!("`{n}` names no tenant in {TENANTS}"));
         }
     }
 
     let mut cfg = MultiJobConfig::new(specs);
-    if let Some(s) = parse_usize(args, "--fabric-slots") {
-        cfg.fabric.slots = s as u32;
+    cfg.fabric.slots = args.get(FABRIC_SLOTS).unwrap_or(cfg.fabric.slots);
+    cfg.fabric.buffer_bytes = args.get(FABRIC_BYTES).unwrap_or(cfg.fabric.buffer_bytes);
+    if let Some(ms) = args.get::<NonZeroU64>(EPOCH_MS) {
+        cfg.fabric.epoch = SimDuration::from_millis(ms.get());
     }
-    if let Some(b) = parse_usize(args, "--fabric-bytes") {
-        cfg.fabric.buffer_bytes = b;
-    }
-    if let Some(ms) = parse_usize(args, "--epoch-ms") {
-        cfg.fabric.epoch = SimDuration::from_millis(ms.max(1) as u64);
-    }
-    cfg.threads = parse_usize(args, "--threads").unwrap_or(1).max(1);
+    cfg.threads = positive(args, THREADS).unwrap_or(cfg.threads);
 
     println!(
         "simulating {} tenants on a shared fabric ({} slots, epoch {})…",
@@ -791,7 +705,7 @@ fn cmd_multi(args: &[String]) {
         );
     }
 
-    if let Some(dir) = parse_flag(args, "--out-dir") {
+    if let Some(dir) = args.value(OUT_DIR) {
         for t in &out.tenants {
             let report = format!("{}/{}.report.json", dir, t.name);
             write_artifact(
@@ -810,18 +724,12 @@ fn cmd_multi(args: &[String]) {
     }
 }
 
-fn cmd_convergence(args: &[String]) {
-    let alg = parse_algorithm(args);
+fn cmd_convergence(args: &Args) {
+    let alg = algorithm(args);
     let mut cfg = ConvergenceConfig::sync_main(alg);
-    if let Some(w) = parse_usize(args, "--workers") {
-        cfg.workers = w;
-    }
-    if let Some(n) = parse_usize(args, "--max-iterations") {
-        cfg.max_iterations = n;
-    }
-    if let Some(s) = parse_usize(args, "--seed") {
-        cfg.seed = s as u64;
-    }
+    cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
+    cfg.max_iterations = args.get(MAX_ITERATIONS).unwrap_or(cfg.max_iterations);
+    cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
     cfg.curve_every = (cfg.max_iterations / 20).max(1);
     println!(
         "training {} with {} workers (target reward {:?})…",
@@ -843,8 +751,8 @@ fn cmd_convergence(args: &[String]) {
     );
 }
 
-fn cmd_scalability(args: &[String]) {
-    let alg = parse_algorithm(args);
+fn cmd_scalability(args: &Args) {
+    let alg = algorithm(args);
     let scale = Scale {
         scalability_workers: vec![4, 6, 9, 12],
         ..Scale::quick()
@@ -869,16 +777,15 @@ fn cmd_scalability(args: &[String]) {
 /// The I6 cross-tenant isolation check (`chaos --isolation`). With
 /// `--no-quota` the polarity flips: the run *must* trip (the harness
 /// self-test), and an undetected leak exits non-zero.
-fn cmd_chaos_isolation(args: &[String]) {
-    let chaos_seed = parse_usize(args, "--chaos-seed").unwrap_or(1) as u64;
-    let expect_trip = args.iter().any(|a| a == "--no-quota");
+fn cmd_chaos_isolation(args: &Args, chaos_seed: u64) {
+    let expect_trip = args.has(NO_QUOTA);
     let mut cfg = IsolationConfig::new(chaos_seed);
     if expect_trip {
         cfg.victim_quota = 0;
     }
-    if let Some(n) = parse_usize(args, "--iterations") {
-        cfg.iterations = n;
-    }
+    // The I6 cell is 6 iterations, not the fault matrix's default.
+    let iterations = args.only_given().get(ITERATIONS);
+    cfg.iterations = iterations.unwrap_or(cfg.iterations);
     let report = run_chaos_isolation(&cfg);
     println!(
         "I6 isolation seed={} quota={} victim: denials={} fallback={} — {}",
@@ -891,8 +798,8 @@ fn cmd_chaos_isolation(args: &[String]) {
     for v in &report.violations {
         println!("    {v}");
     }
-    if let Some(path) = parse_flag(args, "--report-out") {
-        write_artifact(&path, &format!("{}\n", report.to_json().render()));
+    if let Some(path) = args.value(REPORT_OUT) {
+        write_artifact(path, &format!("{}\n", report.to_json().render()));
         println!("report written to {path}");
     }
     if expect_trip {
@@ -906,57 +813,32 @@ fn cmd_chaos_isolation(args: &[String]) {
     }
 }
 
-fn cmd_chaos(args: &[String]) {
-    if args.iter().any(|a| a == "--isolation") {
-        cmd_chaos_isolation(args);
-        return;
+fn cmd_chaos(args: &Args) {
+    let chaos_seed = args
+        .seed(CHAOS_SEED)
+        .expect("the chaos row declares a default schedule seed");
+    if args.has(ISOLATION) {
+        return cmd_chaos_isolation(args, chaos_seed);
     }
-    let alg = parse_algorithm(args);
-    let strategies: Vec<Strategy> = if parse_flag(args, "--strategy").is_some() {
-        vec![parse_strategy(args)]
-    } else {
-        vec![
-            Strategy::SyncPs,
-            Strategy::SyncAr,
-            Strategy::SyncIsw,
-            Strategy::AsyncPs,
-            Strategy::AsyncIsw,
-        ]
+    let alg = algorithm(args);
+    let strategies: Vec<Strategy> = match strategy(args) {
+        Some(one) => vec![one],
+        None => STRATEGIES.iter().map(|&(_, strategy)| strategy).collect(),
     };
-    let chaos_seed = parse_usize(args, "--chaos-seed").unwrap_or(1) as u64;
-    let schedule = parse_flag(args, "--faults").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1);
-        });
-        ChaosSchedule::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            exit(2);
-        })
+    let schedule = args.value(FAULTS).map(|path| {
+        ChaosSchedule::from_json(&read_or_exit(path))
+            .unwrap_or_else(|e| refuse(format!("{path}: {e}")))
     });
     let mut reports = Vec::new();
     let mut failed = false;
     for strategy in strategies {
         let mut cfg = ChaosConfig::new(alg, strategy, chaos_seed);
-        if let Some(w) = parse_usize(args, "--workers") {
-            cfg.workers = w;
-        }
-        if let Some(n) = parse_usize(args, "--iterations") {
-            cfg.iterations = n;
-        }
-        if let Some(s) = parse_usize(args, "--seed") {
-            cfg.seed = s as u64;
-        }
-        if let Some(t) = parse_flag(args, "--transport") {
-            cfg.transport = t.parse::<TransportKind>().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                exit(2);
-            });
-        }
-        if let Some(c) = parse_codec(args) {
-            if matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
-                cfg.codec = c;
-            }
+        cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
+        cfg.iterations = args.get(ITERATIONS).unwrap_or(cfg.iterations);
+        cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
+        cfg.transport = args.get(TRANSPORT).unwrap_or(cfg.transport);
+        if matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
+            cfg.codec = args.get(CODEC).unwrap_or(cfg.codec);
         }
         cfg.schedule = schedule.clone();
         let report = run_chaos(&cfg);
@@ -975,8 +857,8 @@ fn cmd_chaos(args: &[String]) {
         failed |= !report.passed();
         reports.push(report.to_json().render());
     }
-    if let Some(path) = parse_flag(args, "--report-out") {
-        write_artifact(&path, &(reports.join("\n") + "\n"));
+    if let Some(path) = args.value(REPORT_OUT) {
+        write_artifact(path, &(reports.join("\n") + "\n"));
         println!("reports written to {path}");
     }
     if failed {
@@ -984,53 +866,120 @@ fn cmd_chaos(args: &[String]) {
     }
 }
 
-fn cmd_analyze(args: &[String]) {
-    let Some(path) = parse_flag(args, "--trace") else {
-        eprintln!("analyze needs --trace <PATH> (a JSONL trace from `timing --trace-out`)");
-        exit(2);
-    };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
-    });
-    let mut analysis = TraceAnalysis::from_jsonl(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        exit(2);
-    });
-    if let Some(ts_path) = parse_flag(args, "--timeseries") {
-        let ts_text = std::fs::read_to_string(&ts_path).unwrap_or_else(|e| {
-            eprintln!("cannot read {ts_path}: {e}");
-            exit(1);
-        });
-        let tracks = parse_timeseries_jsonl(&ts_text).unwrap_or_else(|e| {
-            eprintln!("{ts_path}: {e}");
-            exit(2);
-        });
+    })
+}
+
+fn cmd_analyze(args: &Args) {
+    let Some(path) = args.value(TRACE) else {
+        refuse(format!(
+            "analyze needs {TRACE} <PATH> (a JSONL trace from `timing {TRACE_OUT}`)"
+        ));
+    };
+    let mut analysis = TraceAnalysis::from_jsonl(&read_or_exit(path))
+        .unwrap_or_else(|e| refuse(format!("{path}: {e}")));
+    if let Some(ts_path) = args.value(TIMESERIES) {
+        let tracks = parse_timeseries_jsonl(&read_or_exit(ts_path))
+            .unwrap_or_else(|e| refuse(format!("{ts_path}: {e}")));
         analysis = analysis.with_timeseries(tracks);
     }
     print!("{}", analysis.summary_text());
-    if let Some(out) = parse_flag(args, "--out") {
-        write_artifact(&out, &format!("{}\n", analysis.report_json().render()));
+    if let Some(out) = args.value(OUT) {
+        write_artifact(out, &format!("{}\n", analysis.report_json().render()));
         println!("report written to {out}");
     }
-    if let Some(out) = parse_flag(args, "--chrome-out") {
-        write_artifact(&out, &format!("{}\n", analysis.chrome_trace().render()));
+    if let Some(out) = args.value(CHROME_OUT) {
+        write_artifact(out, &format!("{}\n", analysis.chrome_trace().render()));
         println!("chrome trace written to {out}");
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(name) = args.first() else {
-        return print!("{USAGE}");
-    };
-    if name == "--help" || name == "-h" {
-        return print!("{USAGE}");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let specs: Vec<Command> = COMMANDS.iter().map(|row| row.0).collect();
+    let (at, args) = select("iswitch-sim", ABOUT, &specs, &argv).unwrap_or_else(|stop| stop.exit());
+    COMMANDS[at].1(&args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iswitch::cluster::cli::Stop;
+    use iswitch::cluster::FabricConfig;
+
+    /// The row's arguments when the user types nothing: every default.
+    fn defaults(name: &str) -> Args {
+        let row = COMMANDS.iter().find(|row| row.0.name == name);
+        let parsed = row.expect("a row").0.parse(name, &[]);
+        parsed.expect("no argument is refused")
     }
-    let Some((_, run, flags)) = COMMANDS.iter().find(|(cmd, ..)| cmd == name) else {
-        eprintln!("unknown command `{name}`\n\n{USAGE}");
-        exit(2);
-    };
-    check_args(name, &args[1..], flags);
-    run(&args[1..]);
+
+    #[test]
+    fn every_rows_help_is_its_own_flags_and_defaults() {
+        // `Command::help` prints a row's flags and defaults and nothing else
+        // (`crates/cluster/tests/cli.rs`); every row answers `--help` with it.
+        for (command, _) in COMMANDS {
+            let program = format!("iswitch-sim {}", command.name);
+            let stop = command.parse(&program, &["--help".to_owned()]);
+            assert_eq!(stop.err(), Some(Stop::Help(command.help(&program))));
+            for flag in command.flags {
+                assert!(!flag.help.is_empty(), "{program}: {flag} has no help");
+            }
+        }
+    }
+
+    #[test]
+    fn declared_defaults_are_the_library_defaults() {
+        let args = defaults("timing");
+        let cfg = TimingConfig::main_cluster(algorithm(&args), strategy(&args).expect("isw"));
+        assert_eq!(
+            (cfg.algorithm, cfg.strategy),
+            (Algorithm::Ppo, Strategy::SyncIsw)
+        );
+        assert_eq!(args.get(WORKERS), Some(cfg.workers));
+        assert_eq!(args.get(ITERATIONS), Some(cfg.iterations));
+        assert_eq!(args.seed(SEED), Some(cfg.seed));
+        assert_eq!(args.get(THREADS), Some(cfg.threads));
+        assert_eq!(args.get(EDGE_LOSS), Some(cfg.edge_loss));
+        assert_eq!(args.get(TRANSPORT), Some(cfg.transport));
+        assert_eq!(args.get(CODEC), Some(cfg.codec));
+        assert_eq!(args.get(BACKGROUND), Some(cfg.background_flows));
+        assert_eq!(args.get(TIMESERIES_INTERVAL), Some(DEFAULT_INTERVAL_NS));
+        assert_eq!(args.value(FIDELITY), Some("timing"));
+
+        let args = defaults("multi");
+        let fabric = FabricConfig::default();
+        assert_eq!(args.get(FABRIC_SLOTS), Some(fabric.slots));
+        assert_eq!(
+            args.get(EPOCH_MS).map(SimDuration::from_millis),
+            Some(fabric.epoch)
+        );
+        assert_eq!(args.get(ITERATIONS), Some(cfg.iterations));
+        assert_eq!(
+            args.get(THREADS),
+            Some(MultiJobConfig::new(Vec::new()).threads)
+        );
+
+        let args = defaults("convergence");
+        let cfg = ConvergenceConfig::sync_main(algorithm(&args));
+        assert_eq!(args.get(WORKERS), Some(cfg.workers));
+        assert_eq!(args.seed(SEED), Some(cfg.seed));
+
+        let args = defaults("chaos");
+        let chaos_seed = args.seed(CHAOS_SEED).expect("declared");
+        let cfg = ChaosConfig::new(algorithm(&args), Strategy::SyncIsw, chaos_seed);
+        assert_eq!(args.get(WORKERS), Some(cfg.workers));
+        assert_eq!(args.get(ITERATIONS), Some(cfg.iterations));
+        assert_eq!(args.seed(SEED), Some(cfg.seed));
+        assert_eq!(args.get(TRANSPORT), Some(cfg.transport));
+        assert_eq!(args.get(CODEC), Some(cfg.codec));
+        assert_eq!(
+            strategy(&args),
+            None,
+            "chaos runs every strategy by default"
+        );
+    }
 }

@@ -30,7 +30,7 @@
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench`
-//! for the per-table/figure regeneration binaries.
+//! for `paper`, which regenerates every table and figure.
 
 #![warn(missing_docs)]
 

@@ -6,6 +6,9 @@
 
 use std::process::Command;
 
+use iswitch::cluster::cli;
+use iswitch_bench::{perfgate, ALL, ARTIFACTS};
+
 #[test]
 fn timing_rejects_flags_the_strategy_cannot_honour() {
     let rows: [(&[&str], &str); 5] = [
@@ -52,7 +55,7 @@ fn timing_reports_a_stalled_host_side_run_instead_of_a_slice_panic() {
 #[test]
 fn unknown_flags_are_refused_and_help_is_help() {
     // (arguments, expected exit code, text the chosen stream must carry)
-    let rows: [(&[&str], i32, &str); 8] = [
+    let rows: [(&[&str], i32, &str); 22] = [
         (&["timing", "--worker", "8"], 2, "`--worker`"),
         (
             &["timing", "--iterations"],
@@ -67,8 +70,41 @@ fn unknown_flags_are_refused_and_help_is_help() {
             "`--fattree`",
         ),
         (&["chaos", "--out-dir", "x"], 2, "`--out-dir`"),
-        (&["timing", "--help"], 0, "USAGE"),
+        // A flag given twice is refused, not resolved to one of the two.
+        (
+            &["timing", "--workers", "2", "--workers", "8"],
+            2,
+            "`--workers` given twice",
+        ),
+        (&["chaos", "--isolation", "--isolation"], 2, "given twice"),
+        // A value the simulator cannot run with is refused, not rewritten.
+        (&["timing", "--fattree", "0"], 2, "--fattree expects"),
+        (&["timing", "--per-rack", "0"], 2, "--per-rack expects"),
+        (
+            &["timing", "--per-rack", "3", "--per-agg", "0"],
+            2,
+            "--per-agg expects",
+        ),
+        (
+            &["timing", "--fattree", "2", "--threads", "0"],
+            2,
+            "--threads expects",
+        ),
+        (&["multi", "--threads", "0"], 2, "--threads expects"),
+        (&["multi", "--epoch-ms", "0"], 2, "--epoch-ms expects"),
+        (
+            &["timing", "--timeseries-interval", "0"],
+            2,
+            "--timeseries-interval expects",
+        ),
+        (&["timing", "--seed", "0x"], 2, "--seed expects"),
+        // Help is the command's own row: its flags, its defaults.
+        (&["timing", "--help"], 0, "(default: 0x5117c4)"),
+        (&["multi", "--help"], 0, "(default: 42)"),
+        (&["convergence", "--help"], 0, "(default: 42)"),
+        (&["chaos", "--help"], 0, "(default: 0xC4A05)"),
         (&["multi", "--tenants", "a=ppo", "-h"], 0, "USAGE"),
+        (&["--help"], 0, "COMMANDS"),
     ];
     for (args, code, needle) in rows {
         let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
@@ -83,6 +119,127 @@ fn unknown_flags_are_refused_and_help_is_help() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("simulating"), "{args:?} ran: {stdout}");
     }
+}
+
+/// Every `iswitch-sim`, `paper` or `perfgate` invocation inside a fenced
+/// code block of `text`, as `(program, arguments)`: a bare or
+/// `target/release/` program name, `cargo run … --bin <program> [-- …]`, or
+/// the `iswitch-sim` arguments a `ci/` replay script is given after `--`.
+/// Shell plumbing after the command (`;`, `&&`, `|`, `>`) and `#` comments are
+/// cut off; a trailing backslash continues the line.
+fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
+    let mut found = Vec::new();
+    let (mut fenced, mut pending) = (false, String::new());
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        if !fenced {
+            continue;
+        }
+        pending.push_str(line.trim_end().trim_end_matches('\\'));
+        pending.push(' ');
+        if line.trim_end().ends_with('\\') {
+            continue;
+        }
+        let command = std::mem::take(&mut pending);
+        let words: Vec<&str> = command
+            .split(';')
+            .next()
+            .expect("split yields one item")
+            .split_whitespace()
+            .take_while(|w| !w.starts_with('#') && !["&&", "|", ">", "||"].contains(w))
+            .map(|w| w.trim_matches(|c| c == '"' || c == '\''))
+            .collect();
+        let args = |from: usize| words[from..].iter().map(|w| (*w).to_owned()).collect();
+        let after_dashes = || words.iter().position(|w| *w == "--").map(|at| args(at + 1));
+        if let Some(at) = words.iter().position(|w| *w == "--bin") {
+            let name = words.get(at + 1).expect("`--bin` names a binary");
+            found.push(((*name).to_owned(), after_dashes().unwrap_or_default()));
+        } else if matches!(words.first(), Some(&("ci/identity.sh" | "ci/replay.sh"))) {
+            found.push((
+                "iswitch-sim".to_owned(),
+                after_dashes().expect("`--` first"),
+            ));
+        } else if let Some(at) = words
+            .iter()
+            .position(|w| *w == "iswitch-sim" || w.starts_with("target/release/"))
+        {
+            let name = words[at].trim_start_matches("target/release/");
+            found.push((name.to_owned(), args(at + 1)));
+        }
+    }
+    found
+}
+
+/// `iswitch-sim`'s command table as `--help` prints it (the binary's own
+/// unit test holds help to the table): one row per listed command, one flag
+/// per option line.
+fn sim_commands() -> Vec<cli::Command> {
+    let help = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
+            .args(args)
+            .output()
+            .expect("iswitch-sim runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        &*String::from_utf8(out.stdout).expect("utf-8 help").leak()
+    };
+    let list = help(&["--help"]);
+    let (_, commands) = list.split_once("COMMANDS:\n").expect("a command list");
+    let names = commands
+        .lines()
+        .filter(|l| l.starts_with("    ") && !l.starts_with("     "));
+    names
+        .map(|line| {
+            let name = line.split_whitespace().next().expect("a name");
+            let flags = help(&[name, "--help"])
+                .lines()
+                .filter(|l| l.starts_with("    --"))
+                .map(|l| cli::Flag::new(l.trim(), ""));
+            cli::Command {
+                name,
+                summary: "",
+                flags: flags.collect::<Vec<_>>().leak(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn documented_commands_parse() {
+    let sim = sim_commands();
+    assert!(sim.iter().any(|c| c.name == "timing" && c.flags.len() > 20));
+    let mut paper: Vec<cli::Command> = ARTIFACTS.iter().map(|a| a.command()).collect();
+    paper.push(ALL);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    let mut failures = Vec::new();
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "OPERATIONS.md",
+        "BENCHMARKS.md",
+        "DESIGN.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
+        for (program, args) in documented_invocations(&text) {
+            let parsed = match program.as_str() {
+                "iswitch-sim" => cli::select(&program, "", &sim, &args).map(|_| ()),
+                "paper" => cli::select(&program, "", &paper, &args).map(|_| ()),
+                "perfgate" => perfgate::COMMAND.parse(&program, &args).map(|_| ()),
+                _ => Err(cli::Stop::Refused("no such binary".to_owned())),
+            };
+            checked += 1;
+            if let Err(cli::Stop::Refused(reason)) = parsed {
+                let reason = reason.lines().next().unwrap_or_default().to_owned();
+                failures.push(format!("{doc}: `{program} {}`: {reason}", args.join(" ")));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(checked >= 50, "only {checked} documented invocations found");
 }
 
 #[test]
