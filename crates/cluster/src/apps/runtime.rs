@@ -142,7 +142,7 @@ impl WorkerCore {
 /// (sync pacing) or commit/update sequence number (async pacing); the
 /// `worker` attribute carries the host's IPv4 address as `u32`, matching
 /// the producer identity on packet lifecycle events.
-fn emit_phase(ctx: &HostCtx<'_, '_>, name: &str, start_ns: u64, seq: u64) {
+fn emit_phase(ctx: &HostCtx<'_, '_>, name: &'static str, start_ns: u64, seq: u64) {
     if let Some(trace) = ctx.trace() {
         Span::begin(trace.alloc_span_id(), name, start_ns)
             .attr_u64("worker", u64::from(ctx.ip().as_u32()))
@@ -238,7 +238,7 @@ impl Rt<'_, '_, '_> {
     /// Records a phase span `[start, now]` for this worker when tracing is
     /// enabled (no-op otherwise). Protocols that drive their own loop use
     /// this to report compute/push phases the runtime cannot see.
-    pub fn emit_phase(&self, name: &str, start: SimTime, seq: u64) {
+    pub fn emit_phase(&self, name: &'static str, start: SimTime, seq: u64) {
         emit_phase(self.ctx, name, start.as_nanos(), seq);
     }
 

@@ -624,8 +624,8 @@ const CHAOS_TRACE_EVENTS: usize = 1 << 16;
 /// same quantity as `iter`), in trace order.
 fn round_timeline(trace: &Trace, round: u64) -> JsonValue {
     let mut spans = Vec::new();
-    for line in trace.to_jsonl().lines() {
-        let Ok(doc) = JsonValue::parse(line) else {
+    for ev in trace.snapshot() {
+        let Ok(doc) = JsonValue::parse(ev.line()) else {
             continue;
         };
         if doc.get("kind").and_then(JsonValue::as_str) != Some("span") {

@@ -275,6 +275,17 @@ impl Args {
         })
     }
 
+    /// The first flag given that is not one of `reads` — for a mode that
+    /// reads only part of its command's row and must refuse the rest by
+    /// name rather than ignore it.
+    pub fn given_outside(&self, reads: &[Flag]) -> Option<&'static str> {
+        let read = |name: &str| reads.iter().any(|flag| flag.name() == name);
+        self.given
+            .iter()
+            .map(|(name, _)| *name)
+            .find(|name| !read(name))
+    }
+
     /// These arguments with only what the user typed: every getter returns
     /// `None` for a flag not given. For a mode whose defaults are not the
     /// command's (`timing --fidelity cosim`).

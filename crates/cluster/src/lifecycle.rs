@@ -852,7 +852,7 @@ fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
     };
     let mut run_ev = TraceEvent::new(0, "run")
         .with_str("strategy", cfg.strategy.label())
-        .with_str("algorithm", &cfg.algorithm.to_string())
+        .with_str("algorithm", cfg.algorithm)
         .with_u64("workers", cfg.workers as u64)
         .with_u64("iterations", cfg.iterations as u64)
         .with_u64("warmup", cfg.warmup as u64)
@@ -874,7 +874,7 @@ fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
     trace.record(run_ev);
     let host_ev = |ev: TraceEvent, ip: IpAddr| {
         ev.with_u64("addr", u64::from(ip.as_u32()))
-            .with_str("ip", &ip.to_string())
+            .with_str("ip", ip)
     };
     for (i, ip) in worker_ips(cfg).into_iter().enumerate() {
         trace.record(host_ev(

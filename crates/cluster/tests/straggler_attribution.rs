@@ -57,7 +57,7 @@ fn run_and_analyze(models: [ComputeModel; 2], bottleneck_worker: Option<usize>) 
             TraceEvent::new(0, "worker")
                 .with_u64("index", i as u64)
                 .with_u64("addr", u64::from(ip.as_u32()))
-                .with_str("ip", &ip.to_string()),
+                .with_str("ip", ip),
         );
     }
     if let Some(w) = bottleneck_worker {

@@ -254,6 +254,9 @@ struct ExtObs {
     /// Rounds completed through the fallback-to-host path (same
     /// conditional registration as `slot_denials`).
     fallback_rounds: Option<Arc<Counter>>,
+    /// Telemetry track names of the two codec counters (the metric names).
+    saturations_track: String,
+    rebases_track: String,
 }
 
 impl ExtObs {
@@ -274,6 +277,8 @@ impl ExtObs {
             codec_rebases: registry.counter(&name("codec_rebases")),
             slot_denials: tenant_metrics.then(|| registry.counter(&name("slot_denials"))),
             fallback_rounds: tenant_metrics.then(|| registry.counter(&name("fallback_rounds"))),
+            saturations_track: name("codec_saturations"),
+            rebases_track: name("codec_rebases"),
         }
     }
 }
@@ -478,19 +483,15 @@ impl IswitchExtension {
         };
         let now = sw.now();
         let ingest = self.accel.ingest_at(now, pkt.ecn_ce(), meta, &pkt.payload);
+        let totals = self.accel.stats();
+        let (saturations, rebases) = (totals.codec_saturations, totals.codec_rebases);
+        let obs = self.obs(sw);
         if let Some(ts) = sw.timeseries() {
             // Cumulative quantization-pressure tracks; change-collapse in
             // the sink keeps clean rounds free.
-            let base = format!("core.switch.n{:03}", sw.node().index());
-            let totals = self.accel.stats();
-            for (track, total) in [
-                ("codec_saturations", totals.codec_saturations),
-                ("codec_rebases", totals.codec_rebases),
-            ] {
-                ts.record(&format!("{base}.{track}"), now.as_nanos(), total as i64);
-            }
+            ts.record(&obs.saturations_track, now.as_nanos(), saturations as i64);
+            ts.record(&obs.rebases_track, now.as_nanos(), rebases as i64);
         }
-        let obs = self.obs(sw);
         obs.data_ingested.inc();
         obs.codec_saturations.add(ingest.effects.saturations);
         obs.codec_rebases.add(ingest.effects.rebases);
@@ -532,7 +533,7 @@ impl IswitchExtension {
                         .attr_u64("round", u64::from(seg_round(meta.seg)))
                         .attr_u64("seg", seg_index(meta.seg))
                         .attr_u64("last_src", u64::from(pkt.ip.src.as_u32()))
-                        .attr_str("last_src_ip", &pkt.ip.src.to_string())
+                        .attr_str("last_src_ip", pkt.ip.src)
                         .attr_u64("node", sw.node().index() as u64)
                         .end((now + latency).as_nanos())
                         .emit(trace);
@@ -548,7 +549,7 @@ impl IswitchExtension {
         &mut self,
         sw: &mut SwitchServices<'_, '_>,
         seg: u64,
-        reason: &str,
+        reason: &'static str,
         from: Option<IpAddr>,
     ) {
         let Some(partial) = self.accel.force_broadcast(seg) else {
@@ -561,7 +562,7 @@ impl IswitchExtension {
                 .with_u64("count", u64::from(partial.aggregate.count))
                 .with_str("reason", reason);
             if let Some(from) = from {
-                ev = ev.with_str("from", &from.to_string());
+                ev = ev.with_str("from", from);
             }
             trace.record(ev.with_u64("node", sw.node().index() as u64));
         }
@@ -677,7 +678,7 @@ impl IswitchExtension {
                         TraceEvent::new(sw.now().as_nanos(), "switch.help")
                             .with_u64("round", u64::from(seg_round(seg)))
                             .with_u64("seg", seg_index(seg))
-                            .with_str("from", &from.to_string())
+                            .with_str("from", from)
                             .with_u64("served", u64::from(served))
                             .with_u64("node", sw.node().index() as u64),
                     );

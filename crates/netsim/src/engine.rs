@@ -16,11 +16,10 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{LinkId, NodeId, PortId, TimerId};
 use crate::link::{Link, LinkDir, LinkEnd, LinkSpec, LossModel};
 use crate::obs::EngineObs;
-use crate::packet::{IpAddr, Packet};
+use crate::packet::Packet;
 use crate::shard::{CrossDst, CrossMsg};
 use crate::stats::SimStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{FlowStats, FlowTracker};
 use crate::wheel::TimingWheel;
 
 /// A simulated node: a host, a switch, or anything else that terminates
@@ -131,6 +130,16 @@ enum EventKind {
     },
 }
 
+/// Why `SimCore::transmit` gave a packet up.
+enum DropCause {
+    /// The link is administratively down (fault injection).
+    LinkDown,
+    /// A bounded egress queue holding `queued_bytes` had no room.
+    QueueFull { queued_bytes: u64 },
+    /// The link's loss model rolled a drop.
+    Loss,
+}
+
 /// Engine internals shared between the run loop and device callbacks.
 pub(crate) struct SimCore {
     now: SimTime,
@@ -153,7 +162,6 @@ pub(crate) struct SimCore {
     node_ports: Vec<Vec<(LinkId, LinkDir)>>,
     /// Aggregate statistics.
     pub stats: SimStats,
-    flows: FlowTracker,
     obs: EngineObs,
     /// Causal trace sink; `None` (the default) keeps the packet hot path
     /// free of any tracing cost.
@@ -210,7 +218,7 @@ impl SimCore {
     /// Builds the common prefix of a packet lifecycle trace event — kind,
     /// causal key, endpoints — or `None` when the packet is untagged or
     /// tracing is off. Field order is fixed so exports are byte-stable.
-    fn pkt_event(&self, kind: &str, pkt: &Packet) -> Option<TraceEvent> {
+    fn pkt_event(&self, kind: &'static str, pkt: &Packet) -> Option<TraceEvent> {
         let cause = pkt.cause?;
         self.trace.as_ref()?;
         let mut ev = TraceEvent::new(self.now.as_nanos(), kind)
@@ -222,15 +230,41 @@ impl SimCore {
             // stay byte-identical to the pre-tenancy format.
             ev = ev.with_u64("tenant", cause.tenant);
         }
-        Some(
-            ev.with_str("src", &pkt.ip.src.to_string())
-                .with_str("dst", &pkt.ip.dst.to_string()),
-        )
+        Some(ev.with_str("src", pkt.ip.src).with_str("dst", pkt.ip.dst))
     }
 
     fn record(&self, event: TraceEvent) {
         if let Some(trace) = self.trace.as_ref() {
             trace.record(event);
+        }
+    }
+
+    /// Counts and traces a packet `link_id` refused or lost — the one place
+    /// a drop is accounted. A packet dropped before it reaches the wire
+    /// (`LinkDown`, `QueueFull`) is counted as sent here, because the
+    /// transmit path that would have counted it is never reached.
+    fn drop_packet(&mut self, link_id: LinkId, dir: LinkDir, pkt: &Packet, cause: DropCause) {
+        self.stats.packets_dropped += 1;
+        let (reason, queued) = match cause {
+            DropCause::LinkDown => {
+                self.stats.packets_sent += 1;
+                self.stats.packets_dropped_link_down += 1;
+                ("link_down", None)
+            }
+            DropCause::QueueFull { queued_bytes } => {
+                self.stats.packets_sent += 1;
+                self.stats.packets_dropped_queue += 1;
+                ("queue_full", Some(queued_bytes))
+            }
+            DropCause::Loss => ("loss", None),
+        };
+        self.obs.links[link_id.index()][dir].drops.inc();
+        if let Some(mut ev) = self.pkt_event("pkt.drop", pkt) {
+            ev = ev.with_u64("link", self.link_uid(link_id));
+            if let Some(queued) = queued {
+                ev = ev.with_u64("queued_bytes", queued);
+            }
+            self.record(ev.with_str("reason", reason));
         }
     }
 
@@ -267,17 +301,7 @@ impl SimCore {
         if !link.up {
             // Administratively down (fault injection): the packet never
             // reaches the wire — no serialization time, no loss-model state.
-            self.stats.packets_sent += 1;
-            self.stats.packets_dropped += 1;
-            self.stats.packets_dropped_link_down += 1;
-            self.obs.links[link_id.index()][dir].drops.inc();
-            self.flows.record_drop(pkt.ip.src, pkt.ip.dst);
-            if let Some(ev) = self.pkt_event("pkt.drop", &pkt) {
-                self.record(
-                    ev.with_u64("link", self.link_uid(link_id))
-                        .with_str("reason", "link_down"),
-                );
-            }
+            self.drop_packet(link_id, dir, &pkt, DropCause::LinkDown);
             return;
         }
         if let Some(q) = link.queue {
@@ -293,18 +317,10 @@ impl SimCore {
             if !self.node_opts[node.index()].backpressured
                 && queued + wire as u64 > q.capacity_bytes
             {
-                self.stats.packets_sent += 1;
-                self.stats.packets_dropped += 1;
-                self.stats.packets_dropped_queue += 1;
-                self.obs.links[link_id.index()][dir].drops.inc();
-                self.flows.record_drop(pkt.ip.src, pkt.ip.dst);
-                if let Some(ev) = self.pkt_event("pkt.drop", &pkt) {
-                    self.record(
-                        ev.with_u64("link", self.link_uid(link_id))
-                            .with_u64("queued_bytes", queued)
-                            .with_str("reason", "queue_full"),
-                    );
-                }
+                let cause = DropCause::QueueFull {
+                    queued_bytes: queued,
+                };
+                self.drop_packet(link_id, dir, &pkt, cause);
                 return;
             }
             if queued >= q.ecn_threshold_bytes {
@@ -330,15 +346,7 @@ impl SimCore {
         link_obs.tx_bytes.add(wire as u64);
         let link = &mut self.links[link_id.index()];
         if link.roll_drop() {
-            self.stats.packets_dropped += 1;
-            self.obs.links[link_id.index()][dir].drops.inc();
-            self.flows.record_drop(pkt.ip.src, pkt.ip.dst);
-            if let Some(ev) = self.pkt_event("pkt.drop", &pkt) {
-                self.record(
-                    ev.with_u64("link", self.link_uid(link_id))
-                        .with_str("reason", "loss"),
-                );
-            }
+            self.drop_packet(link_id, dir, &pkt, DropCause::Loss);
             return;
         }
         // A cross-domain half-link knows its remote end only by the rx
@@ -351,8 +359,6 @@ impl SimCore {
             |r| r.rx_overhead,
         );
         let arrive = depart + link.propagation + link.extra_delay + rx_overhead;
-        self.flows
-            .record_delivery(pkt.ip.src, pkt.ip.dst, wire, self.now, arrive);
         if let Some(ev) = self.pkt_event("pkt.tx", &pkt) {
             self.record(
                 ev.with_u64("link", self.link_uid(link_id))
@@ -409,22 +415,14 @@ impl SimCore {
         let t = SimTime::from_nanos(boundary);
         for (i, link) in self.links.iter().enumerate() {
             for dir in 0..2 {
-                let Some(label) = &self.obs.link_labels[i][dir] else {
+                let obs = &self.obs.links[i][dir];
+                let Some(tracks) = &obs.tracks else {
                     continue;
                 };
-                let base = format!("netsim.link.{:03}.{label}", self.link_uid(LinkId(i)));
-                let obs = &self.obs.links[i][dir];
-                ts.record(
-                    &format!("{base}.queue_bytes"),
-                    boundary,
-                    link.queued_bytes(dir, t) as i64,
-                );
-                ts.record(
-                    &format!("{base}.ecn_marks"),
-                    boundary,
-                    obs.ecn_marks.get() as i64,
-                );
-                ts.record(&format!("{base}.drops"), boundary, obs.drops.get() as i64);
+                let queued = link.queued_bytes(dir, t) as i64;
+                ts.record(&tracks.queue_bytes, boundary, queued);
+                ts.record(&tracks.ecn_marks, boundary, obs.ecn_marks.get() as i64);
+                ts.record(&tracks.drops, boundary, obs.drops.get() as i64);
             }
         }
     }
@@ -562,7 +560,6 @@ impl Simulator {
                 node_opts: Vec::new(),
                 node_ports: Vec::new(),
                 stats: SimStats::default(),
-                flows: FlowTracker::default(),
                 obs: EngineObs::new(),
                 trace: None,
                 timeseries: None,
@@ -639,6 +636,7 @@ impl Simulator {
         let core = &mut self.core;
         core.obs.add_link(
             link_id.index(),
+            core.link_uid(link_id),
             &core.node_opts[a.index()].label,
             &core.node_opts[b.index()].label,
         );
@@ -679,6 +677,7 @@ impl Simulator {
         let core = &mut self.core;
         core.obs.add_link_oneway(
             link_id.index(),
+            core.link_uid(link_id),
             &core.node_opts[node.index()].label,
             remote_label,
         );
@@ -749,35 +748,6 @@ impl Simulator {
     /// The installed telemetry sink, if any.
     pub fn timeseries(&self) -> Option<&Arc<Timeseries>> {
         self.core.timeseries.as_ref()
-    }
-
-    /// Turns on per-flow (src IP, dst IP) delivery tracking. Off by
-    /// default; tracking every packet costs memory proportional to traffic.
-    pub fn enable_flow_tracking(&mut self) {
-        self.core.flows.enable();
-    }
-
-    /// Delivery statistics for one flow, if flow tracking is enabled and
-    /// the flow has seen traffic. Note: each *hop* records a delivery, so
-    /// a switched path contributes once per hop; per-hop latencies compose
-    /// the end-to-end path.
-    pub fn flow_stats(&self, src: IpAddr, dst: IpAddr) -> Option<&FlowStats> {
-        self.core.flows.flow(src, dst)
-    }
-
-    /// Aggregate statistics over all flows destined to `dst`.
-    pub fn flows_into(&self, dst: IpAddr) -> FlowStats {
-        self.core.flows.toward_dst(dst)
-    }
-
-    /// Whether per-flow tracking is on.
-    pub fn flow_tracking_enabled(&self) -> bool {
-        self.core.flows.enabled()
-    }
-
-    /// Iterates over every tracked `((src, dst), stats)` pair.
-    pub fn flows(&self) -> impl Iterator<Item = (&(IpAddr, IpAddr), &FlowStats)> {
-        self.core.flows.flows()
     }
 
     /// Borrows a node's device as concrete type `T`.
@@ -1034,10 +1004,14 @@ impl Simulator {
         self.core.stats.barrier_stall_ns += stall;
         if let Some(ts) = self.core.timeseries.as_ref() {
             let epoch_events = self.core.stats.events_processed - events_before;
-            let base = format!("shard.domain.{domain:03}");
-            ts.record(&format!("{base}.busy_ns"), t_min, busy as i64);
-            ts.record(&format!("{base}.stall_ns"), t_min, stall as i64);
-            ts.record(&format!("{base}.epoch_events"), t_min, epoch_events as i64);
+            let [busy_track, stall_track, events_track] =
+                self.core.obs.epoch_tracks.get_or_insert_with(|| {
+                    ["busy_ns", "stall_ns", "epoch_events"]
+                        .map(|track| format!("shard.domain.{domain:03}.{track}"))
+                });
+            ts.record(busy_track, t_min, busy as i64);
+            ts.record(stall_track, t_min, stall as i64);
+            ts.record(events_track, t_min, epoch_events as i64);
             if domain == 0 {
                 // One global track suffices — every domain shares the bound.
                 ts.record("shard.epoch.lookahead_ns", t_min, width as i64);
@@ -1585,12 +1559,10 @@ mod tests {
             });
         sim.run_until_idle();
         sim.core.transmit(p, PortId(0), pkt);
-        let events = trace.snapshot();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "pkt.drop");
         assert_eq!(
-            events[0].field("reason").and_then(|v| v.as_str()),
-            Some("loss")
+            trace.to_jsonl(),
+            "{\"t_ns\":0,\"kind\":\"pkt.drop\",\"round\":0,\"seg\":0,\"worker\":0,\
+             \"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"link\":0,\"reason\":\"loss\"}\n"
         );
     }
 

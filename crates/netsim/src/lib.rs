@@ -63,7 +63,6 @@ mod stats;
 mod switch;
 mod time;
 mod topology;
-mod trace;
 mod wheel;
 
 pub use engine::{Context, Device, NodeOpts, Simulator};
@@ -83,4 +82,3 @@ pub use topology::{
     build_fattree, build_star, build_tree, build_tree3, host_ip, Fattree, FattreeShape, Star,
     SwitchRole, TopologyConfig, Tree, Tree3,
 };
-pub use trace::FlowStats;

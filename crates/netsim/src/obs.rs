@@ -46,6 +46,20 @@ pub(crate) struct LinkDirObs {
     pub drops: Arc<Counter>,
     /// Packets ECN-CE marked by this directed link's egress queue.
     pub ecn_marks: Arc<Counter>,
+    /// Telemetry track names, built beside the handles so a sample formats
+    /// nothing. `None` in the unused reverse slot of a one-way half-link
+    /// (see [`EngineObs::add_link_oneway`]), so samplers skip its aliased
+    /// handles.
+    pub tracks: Option<LinkTracks>,
+}
+
+/// One directed link's telemetry track names
+/// (`netsim.link.NNN.{src}->{dst}.*`, `NNN` the run-unique link identity).
+#[derive(Debug, Clone)]
+pub(crate) struct LinkTracks {
+    pub queue_bytes: String,
+    pub ecn_marks: String,
+    pub drops: String,
 }
 
 /// Engine-wide metric handles, resolved once at construction/connect time.
@@ -66,11 +80,9 @@ pub(crate) struct EngineObs {
     pub queue_depth: Arc<Gauge>,
     /// Indexed by `links[link][direction]`.
     pub links: Vec<[LinkDirObs; 2]>,
-    /// `"{src}->{dst}"` label per `[link][direction]`, the stable middle
-    /// component of metric and telemetry-track names. One-way half-links
-    /// (see [`EngineObs::add_link_oneway`]) carry `None` in the unused
-    /// reverse slot so samplers skip its aliased handles.
-    pub link_labels: Vec<[Option<String>; 2]>,
+    /// This domain's `shard.domain.DDD.{busy_ns,stall_ns,epoch_events}`
+    /// track names, built by the first epoch that records them.
+    pub epoch_tracks: Option<[String; 3]>,
 }
 
 impl EngineObs {
@@ -84,7 +96,7 @@ impl EngineObs {
             ev_fault: registry.counter("netsim.events.fault"),
             queue_depth: registry.gauge("netsim.queue.depth"),
             links: Vec::new(),
-            link_labels: Vec::new(),
+            epoch_tracks: None,
             registry,
         }
     }
@@ -94,26 +106,41 @@ impl EngineObs {
         &self.registry
     }
 
+    /// Handles and track names of the `src->dst` direction of a link. Metric
+    /// names carry the domain-local `link_index`, telemetry tracks the
+    /// run-unique `link_uid` (per-domain registries never meet; track
+    /// exports merge).
+    fn dir_obs(&self, link_index: usize, link_uid: u64, src: &str, dst: &str) -> LinkDirObs {
+        let name = |metric: &str| format!("netsim.link.{link_index:03}.{src}->{dst}.{metric}");
+        let track = |track: &str| format!("netsim.link.{link_uid:03}.{src}->{dst}.{track}");
+        LinkDirObs {
+            backlog_ns: self.registry.histogram(&name("backlog_ns")),
+            inflight: self.registry.gauge(&name("inflight")),
+            tx_packets: self.registry.counter(&name("tx_packets")),
+            tx_bytes: self.registry.counter(&name("tx_bytes")),
+            drops: self.registry.counter(&name("drops")),
+            ecn_marks: self.registry.counter(&name("ecn_marks")),
+            tracks: Some(LinkTracks {
+                queue_bytes: track("queue_bytes"),
+                ecn_marks: track("ecn_marks"),
+                drops: track("drops"),
+            }),
+        }
+    }
+
     /// Registers the metric set for a new link. `a_label`/`b_label` are the
     /// endpoint node labels; direction 0 carries a→b traffic.
-    pub(crate) fn add_link(&mut self, link_index: usize, a_label: &str, b_label: &str) {
-        let dir_obs = |src: &str, dst: &str| {
-            let base = format!("netsim.link.{link_index:03}.{src}->{dst}");
-            LinkDirObs {
-                backlog_ns: self.registry.histogram(&format!("{base}.backlog_ns")),
-                inflight: self.registry.gauge(&format!("{base}.inflight")),
-                tx_packets: self.registry.counter(&format!("{base}.tx_packets")),
-                tx_bytes: self.registry.counter(&format!("{base}.tx_bytes")),
-                drops: self.registry.counter(&format!("{base}.drops")),
-                ecn_marks: self.registry.counter(&format!("{base}.ecn_marks")),
-            }
-        };
+    pub(crate) fn add_link(
+        &mut self,
+        link_index: usize,
+        link_uid: u64,
+        a_label: &str,
+        b_label: &str,
+    ) {
         debug_assert_eq!(link_index, self.links.len(), "links register in id order");
-        self.links
-            .push([dir_obs(a_label, b_label), dir_obs(b_label, a_label)]);
-        self.link_labels.push([
-            Some(format!("{a_label}->{b_label}")),
-            Some(format!("{b_label}->{a_label}")),
+        self.links.push([
+            self.dir_obs(link_index, link_uid, a_label, b_label),
+            self.dir_obs(link_index, link_uid, b_label, a_label),
         ]);
     }
 
@@ -122,19 +149,19 @@ impl EngineObs {
     /// a separate half-link in the peer domain), so no reverse-direction
     /// names pollute the export. The unused direction slot aliases the
     /// forward handles to keep the `[link][dir]` indexing shape.
-    pub(crate) fn add_link_oneway(&mut self, link_index: usize, src_label: &str, dst_label: &str) {
-        let base = format!("netsim.link.{link_index:03}.{src_label}->{dst_label}");
-        let fwd = LinkDirObs {
-            backlog_ns: self.registry.histogram(&format!("{base}.backlog_ns")),
-            inflight: self.registry.gauge(&format!("{base}.inflight")),
-            tx_packets: self.registry.counter(&format!("{base}.tx_packets")),
-            tx_bytes: self.registry.counter(&format!("{base}.tx_bytes")),
-            drops: self.registry.counter(&format!("{base}.drops")),
-            ecn_marks: self.registry.counter(&format!("{base}.ecn_marks")),
-        };
+    pub(crate) fn add_link_oneway(
+        &mut self,
+        link_index: usize,
+        link_uid: u64,
+        src_label: &str,
+        dst_label: &str,
+    ) {
         debug_assert_eq!(link_index, self.links.len(), "links register in id order");
-        self.links.push([fwd.clone(), fwd]);
-        self.link_labels
-            .push([Some(format!("{src_label}->{dst_label}")), None]);
+        let fwd = self.dir_obs(link_index, link_uid, src_label, dst_label);
+        let unused = LinkDirObs {
+            tracks: None,
+            ..fwd.clone()
+        };
+        self.links.push([fwd, unused]);
     }
 }

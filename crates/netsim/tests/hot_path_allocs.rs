@@ -10,14 +10,21 @@
 //! The warm-up is longer than one turn of the wheel because a drained
 //! slot's buffer moves one occupied slot along per turn: it reaches its
 //! working size only once it has sat under a full slot.
+//!
+//! With a causal trace installed and the packets tagged, every hop records a
+//! `pkt.tx` and a `pkt.rx` event, and an event is the one buffer its line is
+//! rendered into — streamed to a sink or kept in a full ring alike.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::cell::Cell;
+use std::sync::Arc;
 
 use iswitch_netsim::{
-    build_star, host_ip, Host, HostApp, HostCtx, Packet, SimDuration, Simulator, TopologyConfig,
+    build_star, host_ip, CausalKey, Host, HostApp, HostCtx, Packet, SimDuration, Simulator,
+    TopologyConfig,
 };
+use iswitch_obs::Trace;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Per thread, so
@@ -108,15 +115,27 @@ const WARM_UP: u64 = 10_000;
 const MEASURED: u64 = 10_000;
 
 /// Runs the ring and returns `(allocations, packets delivered, ticks)` of
-/// the measured phase.
-fn measure(tickers_per_host: u64) -> (u64, u64, u64) {
+/// the measured phase. With a `trace`, the packets carry a causal key, so
+/// each of a packet's two hops records a `pkt.tx` and a `pkt.rx` event.
+fn measure(tickers_per_host: u64, trace: Option<&Arc<Trace>>) -> (u64, u64, u64) {
     let per_host = (WARM_UP + MEASURED) as usize / HOSTS;
     let mut sim = Simulator::new();
+    if let Some(trace) = trace {
+        sim.set_trace(Arc::clone(trace));
+    }
     let apps: Vec<Box<dyn HostApp>> = (0..HOSTS)
         .map(|i| {
             // One payload buffer for the whole stock: the clones share it.
-            let pkt = Packet::udp(host_ip(0, i), host_ip(0, (i + 1) % HOSTS), 9, 9, 0)
+            let mut pkt = Packet::udp(host_ip(0, i), host_ip(0, (i + 1) % HOSTS), 9, 9, 0)
                 .with_payload(vec![0u8; 1_000]);
+            if trace.is_some() {
+                pkt = pkt.with_cause(CausalKey {
+                    round: 3,
+                    segment: 1,
+                    worker: u64::from(host_ip(0, i).as_u32()),
+                    tenant: 0,
+                });
+            }
             Box::new(Sender {
                 stock: vec![pkt; per_host],
                 tickers: tickers_per_host,
@@ -147,7 +166,7 @@ fn measure(tickers_per_host: u64) -> (u64, u64, u64) {
 
 #[test]
 fn ten_thousand_forwarded_packets_allocate_a_handful_of_times() {
-    let (spent, delivered, _) = measure(0);
+    let (spent, delivered, _) = measure(0, None);
     assert_eq!(delivered, MEASURED);
     assert!(
         spent <= 16,
@@ -157,11 +176,37 @@ fn ten_thousand_forwarded_packets_allocate_a_handful_of_times() {
 
 #[test]
 fn re_arming_timers_allocate_nothing_either() {
-    let (spent, delivered, ticks) = measure(16);
+    let (spent, delivered, ticks) = measure(16, None);
     assert_eq!(delivered, MEASURED);
     assert!(ticks > 5_000, "64 timers re-armed {ticks} times");
     assert!(
         spent <= 16,
         "{spent} allocations for {MEASURED} forwarded packets and {ticks} timer re-arms"
     );
+}
+
+/// Four events a packet (`pkt.tx` and `pkt.rx` on each of its two hops), one
+/// allocation an event — its line — on top of the untraced path's handful.
+fn assert_one_allocation_per_event(trace: Trace, what: &str) {
+    let trace = Arc::new(trace);
+    let (spent, delivered, _) = measure(0, Some(&trace));
+    assert_eq!(delivered, MEASURED);
+    assert_eq!(trace.recorded(), 4 * (WARM_UP + MEASURED));
+    let events = 4 * MEASURED;
+    assert!(
+        spent <= events + 16,
+        "{what}: {spent} allocations for {events} recorded events"
+    );
+}
+
+#[test]
+fn a_streamed_trace_event_is_one_allocation() {
+    let sink = Box::new(std::io::sink());
+    assert_one_allocation_per_event(Trace::bounded(0).with_writer(sink), "streamed");
+}
+
+#[test]
+fn a_full_ring_keeps_an_event_for_one_allocation() {
+    // Full, and its `VecDeque` at working size, long before the warm-up ends.
+    assert_one_allocation_per_event(Trace::bounded(64), "bounded ring");
 }

@@ -575,7 +575,8 @@ fn span_ending_in_a_later_epoch_is_ordered_the_same_paused_or_not() {
             sharded.run_until(SimTime::from_nanos(deadline), threads);
         }
         sharded.run(threads);
-        let stamps: Vec<u64> = trace.snapshot().iter().map(|ev| ev.t_ns).collect();
+        let t_ns = |ev: &TraceEvent| JsonValue::parse(ev.line()).ok()?.get("t_ns")?.as_u64();
+        let stamps: Vec<u64> = trace.snapshot().iter().filter_map(t_ns).collect();
         (stamps, trace.to_jsonl())
     };
     let unpaused = run(&[], 1);

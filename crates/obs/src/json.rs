@@ -123,19 +123,7 @@ impl JsonValue {
             JsonValue::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
-            JsonValue::Float(v) => {
-                if v.is_finite() {
-                    let start = out.len();
-                    let _ = write!(out, "{v}");
-                    // `Display` omits the fraction for whole floats; keep the
-                    // token a float so parses round-trip the variant.
-                    if !out[start..].contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Float(v) => render_f64(*v, out),
             JsonValue::Str(s) => render_string(s, out),
             JsonValue::Array(items) => {
                 out.push('[');
@@ -182,8 +170,43 @@ impl JsonValue {
     }
 }
 
+/// Appends `v` as a float token; non-finite values render as `null`.
+pub(crate) fn render_f64(v: f64, out: &mut String) {
+    if v.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        // `Display` omits the fraction for whole floats; keep the token a
+        // float so parses round-trip the variant.
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
+    }
+}
+
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Appends whatever `value` displays as one quoted string token, escaping
+/// it as it is written — an address or a label needs no `String` of its own.
+pub(crate) fn render_display(value: &dyn std::fmt::Display, out: &mut String) {
+    struct Escaped<'a>(&'a mut String);
+    impl std::fmt::Write for Escaped<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            escape_into(s, self.0);
+            Ok(())
+        }
+    }
+    out.push('"');
+    let _ = write!(Escaped(out), "{value}");
+    out.push('"');
+}
+
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -197,7 +220,6 @@ fn render_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// A parse failure with a byte offset into the input.

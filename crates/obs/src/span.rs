@@ -17,36 +17,44 @@
 //! - Attributes render in insertion order; emitters must insert in a fixed
 //!   order.
 
-use crate::json::JsonValue;
-use crate::trace::{Trace, TraceEvent};
+use std::fmt::{Display, Write as _};
+
+use crate::json::render_display;
+use crate::trace::{push_key, Trace, TraceEvent};
+
+/// The members [`Span::to_event`] writes itself; an attribute may not
+/// reuse one.
+const FIXED_KEYS: [&str; 7] = ["t_ns", "kind", "span", "parent", "name", "end_ns", "dur_ns"];
 
 /// A named interval of simulated time, optionally linked to a parent span.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Deterministic identity, allocated by [`Trace::alloc_span_id`].
     pub id: u64,
     /// Enclosing span, if any.
     pub parent: Option<u64>,
     /// Span name, e.g. `"worker.compute"` or `"switch.agg_window"`.
-    pub name: String,
+    pub name: &'static str,
     /// Start of the interval in simulated nanoseconds.
     pub start_ns: u64,
     /// End of the interval in simulated nanoseconds (set by [`Span::end`]).
     pub end_ns: u64,
-    /// Typed attributes, rendered in insertion order.
-    pub attrs: Vec<(String, JsonValue)>,
+    /// Attributes, already rendered as `,"key":value` in insertion order:
+    /// the tail of the span's line, waiting for the fixed members that
+    /// precede it (`end_ns` is not known until [`Span::end`]).
+    attrs: String,
 }
 
 impl Span {
     /// Opens a span. `id` should come from [`Trace::alloc_span_id`].
-    pub fn begin(id: u64, name: &str, start_ns: u64) -> Self {
+    pub fn begin(id: u64, name: &'static str, start_ns: u64) -> Self {
         Span {
             id,
             parent: None,
-            name: name.to_owned(),
+            name,
             start_ns,
             end_ns: start_ns,
-            attrs: Vec::new(),
+            attrs: String::new(),
         }
     }
 
@@ -56,20 +64,23 @@ impl Span {
         self
     }
 
-    /// Adds an attribute (builder style).
-    pub fn attr(mut self, key: &str, value: JsonValue) -> Self {
-        self.attrs.push((key.to_owned(), value));
-        self
+    fn key(&mut self, key: &'static str) {
+        debug_assert!(!FIXED_KEYS.contains(&key), "span attr reuses {key:?}");
+        push_key(&mut self.attrs, key);
     }
 
     /// Adds an unsigned integer attribute (builder style).
-    pub fn attr_u64(self, key: &str, value: u64) -> Self {
-        self.attr(key, JsonValue::UInt(value))
+    pub fn attr_u64(mut self, key: &'static str, value: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.attrs, "{value}");
+        self
     }
 
-    /// Adds a string attribute (builder style).
-    pub fn attr_str(self, key: &str, value: &str) -> Self {
-        self.attr(key, JsonValue::Str(value.to_owned()))
+    /// Adds a string attribute (builder style), written through `Display`.
+    pub fn attr_str(mut self, key: &'static str, value: impl Display) -> Self {
+        self.key(key);
+        render_display(&value, &mut self.attrs);
+        self
     }
 
     /// Closes the interval at `end_ns` (builder style). Ends before the
@@ -92,14 +103,10 @@ impl Span {
         if let Some(parent) = self.parent {
             ev = ev.with_u64("parent", parent);
         }
-        ev = ev
-            .with_str("name", &self.name)
+        ev.with_str("name", self.name)
             .with_u64("end_ns", self.end_ns)
-            .with_u64("dur_ns", self.dur_ns());
-        for (k, v) in &self.attrs {
-            ev.fields.push((k.clone(), v.clone()));
-        }
-        ev
+            .with_u64("dur_ns", self.dur_ns())
+            .extend(|line| line.push_str(&self.attrs))
     }
 
     /// Records the finished span into `trace`.
@@ -136,13 +143,22 @@ mod tests {
         let span = Span::begin(child, "agg", 500).child_of(parent).end(400);
         assert_eq!(span.end_ns, 500, "end clamped to start");
         assert_eq!(span.dur_ns(), 0);
-        let ev = span.to_event();
         assert_eq!(
-            ev.field("parent").and_then(|v| v.as_u64()),
-            Some(parent),
+            span.to_event().line(),
+            r#"{"t_ns":500,"kind":"span","span":2,"parent":1,"name":"agg","end_ns":500,"dur_ns":0}"#,
             "parent id survives rendering"
         );
-        assert_eq!(ev.field("span").and_then(|v| v.as_u64()), Some(child));
+        assert_eq!((parent, child), (1, 2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_attr_may_not_repeat_a_key_or_a_fixed_member() {
+        let repeat = |f: fn() -> Span| std::panic::catch_unwind(f).is_err();
+        assert!(repeat(|| Span::begin(1, "s", 0)
+            .attr_u64("seg", 1)
+            .attr_u64("seg", 2)));
+        assert!(repeat(|| Span::begin(1, "s", 0).attr_str("name", "again")));
     }
 
     #[test]

@@ -161,7 +161,13 @@ impl Timeseries {
     /// every recorder is driven by a monotone simulated clock.
     pub fn record(&self, track: &str, t_ns: u64, value: i64) {
         let mut inner = self.inner.lock().expect("timeseries lock");
-        let tr = inner.tracks.entry(track.to_owned()).or_default();
+        // Looked up by `&str`: only opening a track allocates its name.
+        if !inner.tracks.contains_key(track) {
+            inner
+                .tracks
+                .insert(track.to_owned(), CounterTrack::default());
+        }
+        let tr = inner.tracks.get_mut(track).expect("opened above");
         if let Some(&(last_t, last_v)) = tr.samples.last() {
             debug_assert!(t_ns >= last_t, "timeseries samples must be monotone");
             if last_v == value {

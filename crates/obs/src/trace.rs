@@ -1,82 +1,113 @@
 //! Structured event tracing exported as JSON Lines.
 //!
 //! A [`Trace`] is an append-only log of [`TraceEvent`]s, each stamped with
-//! simulated time. One event renders as one JSON object per line, so the
-//! artifact streams into any log tooling and diffs cleanly between runs —
-//! the determinism tests compare these exports byte for byte.
+//! simulated time. An event *is* its line: the call site renders
+//! `{"t_ns":…,"kind":"…",…}` as it names each field, and those bytes are
+//! what the ring keeps, what the sink receives and what the artifact holds
+//! — the determinism tests compare these exports byte for byte. Kinds and
+//! keys are literals (`&'static str`); values render through the one
+//! number/string writer in [`crate::json`].
 //!
 //! Long runs emit far more events than a report needs to retain, so a trace
 //! can be *bounded* (a ring buffer that drops the oldest events and counts
-//! the drops) and/or *streaming* (every event is rendered and written to a
-//! sink the moment it is recorded, so memory stays flat regardless of run
-//! length). The two are orthogonal: a streaming trace may still keep a
-//! bounded in-memory tail for post-mortem inspection.
+//! the drops) and/or *streaming* (every line is written to a sink the
+//! moment it is recorded, so memory stays flat regardless of run length).
+//! The two are orthogonal: a streaming trace may still keep a bounded
+//! in-memory tail for post-mortem inspection.
 
 use std::collections::VecDeque;
+use std::fmt::{Display, Write as _};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::json::JsonValue;
+use crate::json::{render_display, render_f64};
 
-/// One structured event at a point in simulated time.
-#[derive(Debug, Clone, PartialEq)]
+/// What closes a line; every [`TraceEvent`] ends with it at all times.
+const CLOSE: &str = "}\n";
+
+/// Bytes a line buffer starts with. The longest line the simulator emits
+/// (`pkt.tx` of a tenant run late in a long simulation) is about 240, so
+/// building and recording an event is one allocation.
+const LINE_CAPACITY: usize = 256;
+
+/// Whether the member run `line` already names `key`. A `"` inside a
+/// rendered string is always escaped, so `,"key":` (or `{"key":`) can only
+/// be a member name: a byte search, not a parse.
+fn has_key(line: &str, key: &str) -> bool {
+    line.match_indices(key).any(|(i, _)| {
+        (line[..i].ends_with(",\"") || line[..i].ends_with("{\""))
+            && line[i + key.len()..].starts_with("\":")
+    })
+}
+
+/// Appends `,"key":` to an open run of object members; the caller appends
+/// the value. Appending emits a repeated key twice (an object built through
+/// [`JsonValue::insert`](crate::JsonValue::insert) keeps one), so a repeat
+/// is a bug in the emitter and panics in debug builds.
+pub(crate) fn push_key(out: &mut String, key: &'static str) {
+    debug_assert!(!has_key(out, key), "trace event repeats key {key:?}");
+    out.push(',');
+    render_display(&key, out);
+    out.push(':');
+}
+
+/// One structured event at a point in simulated time, held as the JSONL
+/// line it is exported as: `{"t_ns":...,"kind":"...",...fields}\n`, fields
+/// in call order. The line is the only representation — the ring, the
+/// streaming sink and the sharded hand-over all carry these bytes — so
+/// readers parse [`TraceEvent::line`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Simulated timestamp in nanoseconds.
-    pub t_ns: u64,
-    /// Event kind, e.g. `"iteration"` or `"aggregation_round"`.
-    pub kind: String,
-    /// Additional fields, rendered in insertion order.
-    pub fields: Vec<(String, JsonValue)>,
+    line: String,
 }
 
 impl TraceEvent {
-    /// Starts an event of `kind` at simulated time `t_ns`.
-    pub fn new(t_ns: u64, kind: &str) -> Self {
-        TraceEvent {
-            t_ns,
-            kind: kind.to_owned(),
-            fields: Vec::new(),
-        }
+    /// Starts an event of `kind` (e.g. `"iteration"`) at simulated time
+    /// `t_ns` nanoseconds.
+    pub fn new(t_ns: u64, kind: &'static str) -> Self {
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        let _ = write!(line, "{{\"t_ns\":{t_ns},\"kind\":");
+        render_display(&kind, &mut line);
+        line.push_str(CLOSE);
+        TraceEvent { line }
     }
 
-    /// Adds a field (builder style).
-    pub fn with(mut self, key: &str, value: JsonValue) -> Self {
-        self.fields.push((key.to_owned(), value));
+    /// Reopens the line, lets `append` extend its members, and closes it.
+    pub(crate) fn extend(mut self, append: impl FnOnce(&mut String)) -> Self {
+        self.line.truncate(self.line.len() - CLOSE.len());
+        append(&mut self.line);
+        self.line.push_str(CLOSE);
         self
     }
 
     /// Adds an unsigned integer field (builder style).
-    pub fn with_u64(self, key: &str, value: u64) -> Self {
-        self.with(key, JsonValue::UInt(value))
+    pub fn with_u64(self, key: &'static str, value: u64) -> Self {
+        self.extend(|line| {
+            push_key(line, key);
+            let _ = write!(line, "{value}");
+        })
     }
 
     /// Adds a float field (builder style).
-    pub fn with_f64(self, key: &str, value: f64) -> Self {
-        self.with(key, JsonValue::Float(value))
+    pub fn with_f64(self, key: &'static str, value: f64) -> Self {
+        self.extend(|line| {
+            push_key(line, key);
+            render_f64(value, line);
+        })
     }
 
-    /// Adds a string field (builder style).
-    pub fn with_str(self, key: &str, value: &str) -> Self {
-        self.with(key, JsonValue::Str(value.to_owned()))
+    /// Adds a string field (builder style), written through `Display`.
+    pub fn with_str(self, key: &'static str, value: impl Display) -> Self {
+        self.extend(|line| {
+            push_key(line, key);
+            render_display(&value, line);
+        })
     }
 
-    /// Reads back a field by key (`t_ns` and `kind` are struct members, not
-    /// fields).
-    pub fn field(&self, key: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Renders the event as a single JSON object:
-    /// `{"t_ns":...,"kind":"...",...fields}`.
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::empty_object();
-        obj.insert("t_ns", JsonValue::UInt(self.t_ns));
-        obj.insert("kind", JsonValue::Str(self.kind.clone()));
-        for (key, value) in &self.fields {
-            obj.insert(key, value.clone());
-        }
-        obj
+    /// The event as one JSON object, without the line terminator.
+    pub fn line(&self) -> &str {
+        &self.line[..self.line.len() - 1]
     }
 }
 
@@ -162,8 +193,8 @@ impl Trace {
         }
     }
 
-    /// Attaches a streaming sink: every subsequently recorded event is
-    /// rendered and written to `writer` as one JSONL line immediately.
+    /// Attaches a streaming sink: every subsequently recorded event's line
+    /// is written to `writer` immediately.
     pub fn with_writer(self, writer: Box<dyn Write + Send>) -> Self {
         self.inner.lock().expect("trace lock").writer = Some(writer);
         self
@@ -184,13 +215,12 @@ impl Trace {
     pub fn record(&self, event: TraceEvent) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("trace lock");
-        if inner.writer.is_some() {
-            let mut line = event.to_json().render();
-            line.push('\n');
-            let writer = inner.writer.as_mut().expect("writer present");
-            if writer.write_all(line.as_bytes()).is_err() {
-                inner.write_errors = inner.write_errors.saturating_add(1);
-            }
+        let failed = inner
+            .writer
+            .as_mut()
+            .is_some_and(|w| w.write_all(event.line.as_bytes()).is_err());
+        if failed {
+            inner.write_errors = inner.write_errors.saturating_add(1);
         }
         match inner.capacity {
             Some(0) => inner.dropped += 1,
@@ -267,16 +297,12 @@ impl Trace {
         std::mem::take(&mut self.inner.lock().expect("trace lock").events).into()
     }
 
-    /// Renders the buffered events as JSON Lines: one event object per
-    /// line, each line terminated by `\n`. (Streamed events already written
-    /// to a sink are not re-rendered here.)
+    /// The buffered events as JSON Lines: their lines, concatenated.
+    /// (Events already evicted from the buffer are not here, streamed or
+    /// not.)
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.inner.lock().expect("trace lock").events.iter() {
-            out.push_str(&event.to_json().render());
-            out.push('\n');
-        }
-        out
+        let inner = self.inner.lock().expect("trace lock");
+        inner.events.iter().map(|ev| ev.line.as_str()).collect()
     }
 }
 
@@ -328,8 +354,12 @@ mod tests {
         assert_eq!(trace.len(), 3, "buffer capped at capacity");
         assert_eq!(trace.dropped(), 7, "evictions counted");
         assert_eq!(trace.recorded(), 10, "all records counted");
-        let kept: Vec<u64> = trace.snapshot().iter().map(|e| e.t_ns).collect();
-        assert_eq!(kept, vec![7, 8, 9], "newest events survive");
+        assert_eq!(
+            trace.to_jsonl(),
+            "{\"t_ns\":7,\"kind\":\"tick\",\"i\":7}\n{\"t_ns\":8,\"kind\":\"tick\",\"i\":8}\n\
+             {\"t_ns\":9,\"kind\":\"tick\",\"i\":9}\n",
+            "newest events survive"
+        );
     }
 
     #[test]
@@ -373,6 +403,38 @@ mod tests {
         for line in written.lines() {
             crate::JsonValue::parse(line).expect("streamed line parses");
         }
+    }
+
+    #[test]
+    fn values_are_escaped_as_they_are_displayed() {
+        let ev = TraceEvent::new(1, "note")
+            .with_str("text", format_args!("a \"{}\"\n", 'b'))
+            .with_f64("whole", 2.0)
+            .with_f64("nan", f64::NAN);
+        assert_eq!(
+            ev.line(),
+            r#"{"t_ns":1,"kind":"note","text":"a \"b\"\n","whole":2.0,"nan":null}"#
+        );
+        let doc = crate::JsonValue::parse(ev.line()).expect("line parses");
+        assert_eq!(doc.get("text").and_then(|v| v.as_str()), Some("a \"b\"\n"));
+    }
+
+    /// An appending renderer emits a repeated key twice, so a repeat must
+    /// not ship.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_repeated_key_panics_in_debug_builds() {
+        let repeat = |f: fn() -> TraceEvent| std::panic::catch_unwind(f).is_err();
+        assert!(repeat(|| TraceEvent::new(0, "e")
+            .with_u64("i", 1)
+            .with_str("i", "x")));
+        assert!(repeat(|| TraceEvent::new(0, "e").with_u64("t_ns", 1)));
+        assert!(repeat(|| TraceEvent::new(0, "e").with_str("kind", "k")));
+        // A value that merely looks like a member is not one.
+        let ev = TraceEvent::new(0, "e")
+            .with_str("a", ",\"b\":")
+            .with_u64("b", 1);
+        assert_eq!(ev.line(), r#"{"t_ns":0,"kind":"e","a":",\"b\":","b":1}"#);
     }
 
     #[test]

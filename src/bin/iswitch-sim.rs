@@ -58,7 +58,7 @@ const FIDELITY: Flag = Flag::new(
     "timing: synthetic payloads, timing only; cosim: real agent gradients summed by the \
      simulated switch — reward curve AND timing from one run (isw strategies only; reads \
      --workers, --iterations, --seed, --codec and --metrics-out, defaulting to the lite \
-     workload's 3 workers, 6000 iterations and seed 42)",
+     workload's 3 workers, 6000 iterations and seed 42, and refuses every other flag)",
 );
 const ITERATIONS: Flag = Flag::new("--iterations <N>", "iterations each worker runs");
 const MAX_ITERATIONS: Flag = Flag::new(
@@ -342,9 +342,28 @@ fn positive(args: &Args, flag: Flag) -> Option<usize> {
     args.get::<NonZeroUsize>(flag).map(NonZeroUsize::get)
 }
 
+/// What `timing --fidelity cosim` reads of the timing row.
+const COSIM_READS: [Flag; 8] = [
+    ALGORITHM,
+    STRATEGY,
+    FIDELITY,
+    WORKERS,
+    ITERATIONS,
+    SEED,
+    CODEC,
+    METRICS_OUT,
+];
+
 /// `timing --fidelity cosim`. `args` holds only what the user typed: the
-/// lite workload's defaults are not the timing row's.
+/// lite workload's defaults are not the timing row's, and a flag of the
+/// timing row it does not read is refused, never ignored.
 fn cmd_cosim(args: &Args, alg: Algorithm, strategy: Strategy) {
+    if let Some(flag) = args.given_outside(&COSIM_READS) {
+        refuse(format!(
+            "{FIDELITY} cosim does not read `{flag}`: it takes {}",
+            COSIM_READS.map(|f| f.name()).join(", ")
+        ));
+    }
     if !matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
         refuse(format!(
             "{FIDELITY} cosim drives gradients through the in-switch datapath; \

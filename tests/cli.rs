@@ -55,7 +55,7 @@ fn timing_reports_a_stalled_host_side_run_instead_of_a_slice_panic() {
 #[test]
 fn unknown_flags_are_refused_and_help_is_help() {
     // (arguments, expected exit code, text the chosen stream must carry)
-    let rows: [(&[&str], i32, &str); 22] = [
+    let rows: [(&[&str], i32, &str); 26] = [
         (&["timing", "--worker", "8"], 2, "`--worker`"),
         (
             &["timing", "--iterations"],
@@ -98,6 +98,28 @@ fn unknown_flags_are_refused_and_help_is_help() {
             "--timeseries-interval expects",
         ),
         (&["timing", "--seed", "0x"], 2, "--seed expects"),
+        // `--fidelity cosim` reads eight of the timing row's flags and
+        // refuses the rest, wherever the mode flag stands.
+        (
+            &["timing", "--fidelity", "cosim", "--incast"],
+            2,
+            "does not read `--incast`",
+        ),
+        (
+            &["timing", "--fattree", "2", "--fidelity", "cosim"],
+            2,
+            "does not read `--fattree`",
+        ),
+        (
+            &["timing", "--fidelity", "cosim", "--trace-out", "t.jsonl"],
+            2,
+            "does not read `--trace-out`",
+        ),
+        (
+            &["timing", "--fidelity", "cosim", "--threads", "2"],
+            2,
+            "does not read `--threads`",
+        ),
         // Help is the command's own row: its flags, its defaults.
         (&["timing", "--help"], 0, "(default: 0x5117c4)"),
         (&["multi", "--help"], 0, "(default: 42)"),
@@ -157,7 +179,10 @@ fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
         if let Some(at) = words.iter().position(|w| *w == "--bin") {
             let name = words.get(at + 1).expect("`--bin` names a binary");
             found.push(((*name).to_owned(), after_dashes().unwrap_or_default()));
-        } else if matches!(words.first(), Some(&("ci/identity.sh" | "ci/replay.sh"))) {
+        } else if matches!(
+            words.first(),
+            Some(&("ci/identity.sh" | "ci/replay.sh" | "ci/against.sh"))
+        ) {
             found.push((
                 "iswitch-sim".to_owned(),
                 after_dashes().expect("`--` first"),
