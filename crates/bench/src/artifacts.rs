@@ -832,7 +832,11 @@ fn run_loss_recovery(_: &Args) {
     // far beyond datacenter loss rates. Past ~2e-3 recovery traffic and
     // worker desynchronization compound (the BRAM window fills and drops
     // contributions faster than partial flushes drain them), which is a
-    // regime boundary of the protocol, not a useful operating point.
+    // regime boundary of the protocol, not a useful operating point. Its
+    // hard edge: a (round, segment) whose every contribution is lost never
+    // opens at the switch, every `Help` for it misses, go-back never
+    // resends a contribution, and the run is refused as stalled (per
+    // slot, the loss rate to the power of the worker count; ROADMAP item 1).
     for loss in [0.0f64, 1e-5, 1e-4, 1e-3] {
         let mut cfg = TimingConfig::main_cluster(Algorithm::A2c, Strategy::SyncIsw);
         cfg.iterations = 15;

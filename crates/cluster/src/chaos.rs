@@ -47,12 +47,12 @@ use std::sync::Arc;
 use iswitch_core::CodecKind;
 use iswitch_netsim::{FaultAction, LinkId, LossModel, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
-use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
+use iswitch_rl::Algorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::apps::IswSyncWorker;
-use crate::gradient_source::{AgentGradients, GradientSource};
+use crate::gradient_source::{live_replicas, GradientSource};
 use crate::lifecycle::{build, Capture, Job};
 use crate::tenancy::{run_multi_tenant, MultiJobConfig, TenantSpec};
 use crate::timing_runner::{Strategy, TimingConfig};
@@ -234,7 +234,8 @@ impl ChaosSchedule {
 
     /// Resolves worker indices to their edge links, producing the
     /// engine-level faults as `(domain, time, action)`. Each window becomes
-    /// an apply/restore action pair.
+    /// an apply/restore action pair (`duration_ns` of `u64::MAX` is a window
+    /// that never closes: apply only).
     fn resolve(
         &self,
         worker_links: &[(usize, LinkId)],
@@ -279,7 +280,11 @@ impl ChaosSchedule {
                 ),
             };
             plan.push((domain, SimTime::ZERO + at, apply));
-            plan.push((domain, SimTime::ZERO + at + duration, restore));
+            // A window whose end overflows the clock never closes: a
+            // permanent fault, with no restore for the stall rule to wait on.
+            if let Some(end) = at.as_nanos().checked_add(duration.as_nanos()) {
+                plan.push((domain, SimTime::from_nanos(end), restore));
+            }
         }
         plan
     }
@@ -719,26 +724,9 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
          invariant's subset-mean statement does not apply; chaos-check \
          the dense codecs"
     );
-    // Identical initial weights, like co-sim mode.
-    let mut replicas: Vec<LocalReplica> = (0..cfg.workers)
-        .map(|w| {
-            LocalReplica::new(make_lite_agent_scaled(
-                cfg.algorithm,
-                cfg.seed.wrapping_add(w as u64),
-                1.0,
-            ))
-        })
-        .collect();
-    let init = replicas[0].params().to_vec();
-    for r in replicas.iter_mut().skip(1) {
-        r.load_params(&init);
-    }
-    let sources = replicas
+    let sources = live_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0)
         .into_iter()
-        .map(|replica| {
-            Box::new(RecordingSource::new(Box::new(AgentGradients::new(replica))))
-                as Box<dyn GradientSource>
-        })
+        .map(|agent| Box::new(RecordingSource::new(Box::new(agent))) as Box<dyn GradientSource>)
         .collect();
 
     let mut tcfg = timing_config(cfg);
@@ -781,18 +769,13 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
     // barrier invariant is checked at quiescence; async stops once the
     // probe (worker 0) has seen enough updates.
     let watched = if sync { cfg.workers } else { 1 };
-    let mut stalled = true;
-    for _ in 0..10_000 {
-        job.step(SimTime::MAX);
-        if (0..watched).all(|w| job.progress(w) >= cfg.iterations) {
-            stalled = false;
-            break;
-        }
-    }
+    let finished = |job: &Job| (0..watched).all(|w| job.progress(w) >= cfg.iterations);
+    // A run given up on, or idle short of its budget, is reported below.
+    let _ = job.run_until(finished);
 
     let completed: Vec<usize> = (0..cfg.workers).map(|w| job.progress(w)).collect();
     let mut violations = Vec::new();
-    if stalled {
+    if !finished(&job) {
         violations.push(format!(
             "progress: run stalled before {} iterations (reached {completed:?})",
             cfg.iterations
@@ -911,16 +894,15 @@ fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
     let mut job = build(&timing_config(cfg), None, 0, Capture::default());
     install_schedule(&mut job, &schedule, cfg.chaos_seed);
 
+    // Stop policy: the job's own completion rule — queue idle (sync), or
+    // the server's count of `iterations + 1` updates (async). A run given
+    // up on owes rounds or updates, which the checks below report.
+    let _ = job.run_until(|_| false);
+
     let mut violations = Vec::new();
     let completed;
     if cfg.strategy.is_async() {
         let target = cfg.iterations + 1;
-        for _ in 0..10_000 {
-            job.step(SimTime::MAX);
-            if job.update_times().len() >= target {
-                break;
-            }
-        }
         let updates = job.update_times().len();
         completed = vec![updates];
         if updates < target {
@@ -938,7 +920,6 @@ fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
             }
         }
     } else {
-        job.run();
         completed = (0..cfg.workers).map(|w| job.progress(w)).collect();
         check_barrier(&completed, cfg.iterations, &mut violations);
     }
@@ -1221,6 +1202,37 @@ mod tests {
     fn fingerprint_is_order_and_value_sensitive() {
         assert_ne!(fingerprint(&[1.0, 2.0]), fingerprint(&[2.0, 1.0]));
         assert_eq!(fingerprint(&[1.0, 2.0]), fingerprint(&[1.0, 2.0]));
+    }
+
+    #[test]
+    fn an_outage_that_heals_is_slow_and_one_that_does_not_is_given_up_on() {
+        // The stall rule waits for a scheduled restore however far off (the
+        // network changes there), and gives up 5 s past the last fault when
+        // none is coming: a window that never closes.
+        let run = |duration: SimDuration| {
+            let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 1);
+            cfg.schedule = Some(ChaosSchedule {
+                faults: vec![ChaosFault::EdgeDown {
+                    worker: 0,
+                    at: SimDuration::from_millis(10),
+                    duration,
+                }],
+            });
+            run_chaos(&cfg)
+        };
+        let healed = run(SimDuration::from_secs(8));
+        assert!(healed.passed(), "{:?}", healed.violations);
+        assert_eq!(healed.faults_applied, 2);
+
+        let for_good = run(SimDuration::from_nanos(u64::MAX));
+        assert_eq!(for_good.faults_applied, 1);
+        assert!(for_good.completed[0] < 10, "{:?}", for_good.completed);
+        let lines = &for_good.violations;
+        assert!(lines[0].starts_with("progress: run stalled"), "{lines:?}");
+        assert!(lines[1].starts_with("I2 barrier: worker 0"), "{lines:?}");
+        // One `Help` batch per ~3 ms timeout for 5.2 s, not for 2,000 s
+        // (16.2 M requests under the old per-runner step cap).
+        assert!(for_good.help_requests < 100_000, "{for_good:?}");
     }
 
     #[test]

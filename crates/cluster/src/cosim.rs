@@ -15,11 +15,11 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use iswitch_core::CodecKind;
-use iswitch_netsim::{SimDuration, SimTime};
-use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
+use iswitch_netsim::SimDuration;
+use iswitch_rl::Algorithm;
 
 use crate::convergence::default_target;
-use crate::gradient_source::{AgentGradients, GradientSource};
+use crate::gradient_source::{live_replicas, AgentGradients, GradientSource};
 use crate::lifecycle::{build, Capture, Job};
 use crate::timing_runner::{Strategy, TimingConfig};
 
@@ -260,21 +260,6 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
     );
     assert!(cfg.workers >= 1, "need at least one worker");
 
-    // Live replicas with identical initial weights (decentralized storage).
-    let mut replicas: Vec<LocalReplica> = (0..cfg.workers)
-        .map(|w| {
-            LocalReplica::new(make_lite_agent_scaled(
-                cfg.algorithm,
-                cfg.seed.wrapping_add(w as u64),
-                cfg.lr_scale,
-            ))
-        })
-        .collect();
-    let init = replicas[0].params().to_vec();
-    for r in replicas.iter_mut().skip(1) {
-        r.load_params(&init);
-    }
-
     // The network is the paper's main-cluster shape; only the payload
     // (real f32 gradients, lite-model sized) differs from timing mode.
     let mut tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
@@ -289,10 +274,9 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
     // round a broadcast answers from the gradient last computed).
     let ref_shared = matches!(cfg.strategy, Strategy::SyncIsw)
         .then(|| Arc::new(Mutex::new(RefErrorShared::new(cfg.workers))));
-    let sources = replicas
+    let sources = live_replicas(cfg.algorithm, cfg.workers, cfg.seed, cfg.lr_scale)
         .into_iter()
-        .map(|replica| -> Box<dyn GradientSource> {
-            let agent = AgentGradients::new(replica);
+        .map(|agent| -> Box<dyn GradientSource> {
             match &ref_shared {
                 Some(shared) => Box::new(RefErrorRecorder::new(agent, Arc::clone(shared))),
                 None => Box::new(agent),
@@ -301,26 +285,19 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
         .collect();
     let mut job = build(&tcfg, Some(sources), 0, Capture::default());
 
-    // Stop policy: the reward target or the iteration budget, checked
-    // between the shared 200 ms steps.
-    let mut reached = false;
-    let mut done = false;
-    for _ in 0..1_000_000 {
-        job.step(SimTime::MAX);
-        if let (Some(target), Some(r)) = (cfg.target_reward, pooled(&job)) {
-            if r >= target {
-                reached = true;
-                break;
-            }
-        }
-        if job.progress(0) >= cfg.iterations {
-            done = true;
-            break;
-        }
-    }
+    // Stop policy: the reward target or the iteration budget, checked at
+    // the shared 200 ms check points.
+    let budget_spent = |job: &Job| job.progress(0) >= cfg.iterations;
+    let reached = |job: &Job| {
+        cfg.target_reward
+            .zip(pooled(job))
+            .is_some_and(|(t, r)| r >= t)
+    };
+    let stall = job.run_until(|job| reached(job) || budget_spent(job)).err();
+    let reached = reached(&job);
     assert!(
-        reached || done,
-        "co-sim stalled before reaching {} iterations",
+        reached || budget_spent(&job),
+        "co-sim stalled before reaching {} iterations: {stall:?}",
         cfg.iterations
     );
 

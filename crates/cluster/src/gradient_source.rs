@@ -19,7 +19,7 @@
 use std::any::Any;
 use std::sync::{Arc, Mutex};
 
-use iswitch_rl::LocalReplica;
+use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 use rand::rngs::StdRng;
 
 use crate::staleness::StalenessDistribution;
@@ -193,6 +193,28 @@ impl GradientSource for AgentGradients {
     }
 }
 
+/// The live sources of one co-simulated cluster (co-sim, chaos): worker
+/// `w`'s lite agent is seeded `seed + w`, and every replica starts from
+/// worker 0's weights (decentralized storage of one model).
+pub(crate) fn live_replicas(
+    algorithm: Algorithm,
+    workers: usize,
+    seed: u64,
+    lr_scale: f32,
+) -> Vec<AgentGradients> {
+    let mut replicas: Vec<LocalReplica> = (0..workers)
+        .map(|w| {
+            let seed = seed.wrapping_add(w as u64);
+            LocalReplica::new(make_lite_agent_scaled(algorithm, seed, lr_scale))
+        })
+        .collect();
+    let init = replicas[0].params().to_vec();
+    for r in replicas.iter_mut().skip(1) {
+        r.load_params(&init);
+    }
+    replicas.into_iter().map(AgentGradients::new).collect()
+}
+
 /// Staleness sampler shared by every [`ReplayGradients`] worker of one
 /// convergence run: one RNG (draws happen in worker order, preserving the
 /// historical draw sequence) over one parameter history ring.
@@ -305,7 +327,7 @@ impl GradientSource for ReplayGradients {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iswitch_rl::{make_lite_agent, Algorithm};
+    use iswitch_rl::make_lite_agent;
     use rand::SeedableRng;
 
     #[test]

@@ -1,5 +1,5 @@
 //! The one job lifecycle every run shares: [`validate`] → [`build`] →
-//! drive ([`Job::run`], or [`Job::drive`] / [`Job::step`] when something
+//! drive ([`Job::run_until`], or [`Job::drive`] when something
 //! interleaves) → [`Job::collect`].
 //!
 //! A *job* is one training strategy deployed on one topology, run by one
@@ -10,9 +10,12 @@
 //! they feed it (a gradient source, a fault plan, a tenant id) and in how
 //! they pace its drive. Completion is *queue idle* for synchronous
 //! strategies and *update count reached, checked every 200 ms of simulated
-//! time* for asynchronous ones. Everything the build placed is addressed
-//! as `(domain, id)`.
+//! time* for asynchronous ones; at the same check points the drive gives up
+//! on a job that still owes rounds and has finished none for
+//! [`STALL_LIMIT`]. Everything the build placed is addressed as
+//! `(domain, id)`.
 
+use std::fmt;
 use std::sync::Arc;
 
 use iswitch_core::{Accelerator, AggregationRole, CodecKind, ExtensionConfig, IswitchExtension};
@@ -39,8 +42,37 @@ use crate::transport::TransportStats;
 /// state whether it runs solo or as a tenant between arbiter barriers.
 const CHECK_CADENCE: SimDuration = SimDuration::from_millis(200);
 
-/// Cap on completion checks of a solo run.
-const MAX_CHECKS: usize = 100_000;
+/// Simulated time a job that still owes rounds may go without one worker
+/// finishing a round, or one scheduled fault falling due, before
+/// [`Job::drive`] gives up on it. Recovery retries for ever, so such a job
+/// never goes idle. The slowest round in the tree is DQN on a parameter
+/// server at 81.6 ms (Table 4 anchor): 5 s is over 60 of them.
+const STALL_LIMIT: SimDuration = SimDuration::from_secs(5);
+
+/// Why [`Job::drive`] gave up on a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stall {
+    /// The worker furthest behind (the lowest index among equals).
+    worker: usize,
+    /// Rounds that worker has completed.
+    rounds: usize,
+    /// The job-local check point that last saw any worker finish a round.
+    last_progress_at: SimTime,
+}
+
+impl fmt::Display for Stall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "worker {} is furthest behind with {} round(s) finished, and no worker has finished \
+             one since the check at {}: more than the {STALL_LIMIT} of simulated time a job may \
+             go without. Recovery retries for ever for what no longer exists: a round whose \
+             every contribution was lost never opens at the switch, and a switch restart inside \
+             a completed round's emission delay loses a result `Help`/`FBcast` cannot re-create",
+            self.worker, self.rounds, self.last_progress_at
+        )
+    }
+}
 
 /// Splits `workers` into racks of at most `per_rack`.
 pub(crate) fn rack_sizes(workers: usize, per_rack: usize) -> Vec<usize> {
@@ -62,6 +94,15 @@ pub(crate) fn validate(cfg: &TimingConfig) {
         "distributed training needs at least two workers"
     );
     assert!(cfg.iterations > 0, "must measure at least one iteration");
+    assert!(cfg.threads >= 1, "a run needs at least one thread");
+    assert!(
+        cfg.workers_per_rack != Some(0),
+        "a rack holds at least one worker"
+    );
+    assert!(
+        cfg.racks_per_agg != Some(0),
+        "an aggregation switch serves at least one rack"
+    );
     assert!(
         cfg.background_flows == 0 || (cfg.workers_per_rack.is_none() && cfg.fattree.is_none()),
         "background flows attach to the single-switch star topology"
@@ -111,15 +152,24 @@ pub(crate) struct Job {
     pub(crate) placed: Placed,
     view: ViewFn,
     capture: Capture,
-    /// Updates an asynchronous job must observe; `None` for synchronous
-    /// jobs, which are done when the event queue empties.
-    target: Option<usize>,
+    /// What the job owes: rounds per worker (synchronous, done once the
+    /// queue has also drained) or updates on its update clock
+    /// (asynchronous, done at the first check point that sees them).
+    target: usize,
     /// Whether the completion rule has been met.
     pub(crate) done: bool,
     /// The job's clock: the last deadline driven to, or the time of the
     /// last event once done.
     pub(crate) local_now: SimTime,
     next_check: SimTime,
+    /// The progress watch: rounds completed, summed over the workers, and
+    /// the check point that last saw the sum grow.
+    rounds: usize,
+    progressed_at: SimTime,
+    /// The latest scheduled fault. The network changes there, so no stall
+    /// is declared until [`STALL_LIMIT`] past it: an outage that heals is
+    /// slow, not stalled.
+    faults_until: SimTime,
 }
 
 impl Job {
@@ -161,6 +211,7 @@ impl Job {
     /// Schedules one fault action in the domain its target lives in.
     pub(crate) fn schedule_fault(&mut self, domain: usize, at: SimTime, action: FaultAction) {
         self.sim.domain_mut(domain).schedule_fault(at, action);
+        self.faults_until = self.faults_until.max(at);
     }
 
     /// The engine's counters so far, summed over its domains.
@@ -168,13 +219,16 @@ impl Job {
         self.sim.stats()
     }
 
-    /// Rounds worker `w` has completed: logged iterations (sync) or
-    /// observed weight updates (async).
+    /// Rounds worker `w` has completed: logged iterations (sync) or weight
+    /// updates (async) — on the job's update clock, so a parameter-server
+    /// worker, which keeps no update log, counts the server's.
     pub(crate) fn progress(&self, w: usize) -> usize {
-        if self.strategy.is_async() {
-            self.worker(w).update_times().len()
-        } else {
+        if !self.strategy.is_async() {
             self.worker(w).log().len()
+        } else if self.placed.server.is_some() {
+            self.update_times().len()
+        } else {
+            self.worker(w).update_times().len()
         }
     }
 
@@ -203,54 +257,71 @@ impl Job {
         }
     }
 
-    /// The one completion step: runs the simulation to the next 200 ms
-    /// check point, or to `deadline` if that comes first. Returns whether
-    /// a check point was reached.
-    pub(crate) fn step(&mut self, deadline: SimTime) -> bool {
-        let until = self.next_check.min(deadline);
-        self.sim.run_until(until, self.threads);
-        self.local_now = until;
-        let at_check = until == self.next_check;
-        if at_check {
-            self.next_check += CHECK_CADENCE;
-        }
-        at_check
-    }
-
-    /// Drives the job to local time `deadline`, stopping early once the
-    /// completion rule is met: queue idle (sync), or the update target
-    /// reached at a check point (async).
-    pub(crate) fn drive(&mut self, deadline: SimTime) {
+    /// The one place a job advances and the one place it is given up on:
+    /// runs the simulation to local time `deadline`, pausing at every
+    /// 200 ms check point on the way and stopping early once the
+    /// completion rule is met — queue idle (sync), or the update target
+    /// reached at a check point (async) — or a check point finds the job
+    /// hopeless ([`Job::watch`]).
+    pub(crate) fn drive(&mut self, deadline: SimTime) -> Result<(), Stall> {
         while !self.done && self.local_now < deadline {
-            let at_check = self.step(deadline);
-            self.done = match self.target {
-                None => self.sim.is_idle(),
-                Some(target) => at_check && self.update_times().len() >= target,
+            let until = self.next_check.min(deadline);
+            self.sim.run_until(until, self.threads);
+            self.local_now = until;
+            let at_check = until == self.next_check;
+            self.done = if self.strategy.is_async() {
+                at_check && self.update_times().len() >= self.target
+            } else {
+                self.sim.is_idle()
             };
+            if at_check {
+                self.next_check += CHECK_CADENCE;
+                if !self.done {
+                    self.watch()?;
+                }
+            }
         }
         if self.done {
             self.local_now = self.sim.now();
         }
+        Ok(())
     }
 
-    /// Drives the job to completion with nothing else to interleave, check
-    /// point by check point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job is still not done after `MAX_CHECKS` check points
-    /// (an asynchronous job that never reaches its update target).
-    pub(crate) fn run(&mut self) {
-        for _ in 0..MAX_CHECKS {
-            self.drive(self.next_check);
-            if self.done {
-                return;
+    /// The one stop rule, applied at a check point of an unfinished job:
+    /// stalled means some worker still owes rounds (sync; a finished job
+    /// draining its queue is not idle yet, and not stalled) or the update
+    /// target is unmet (async), and no worker has finished a round, nor a
+    /// scheduled fault fallen due, for [`STALL_LIMIT`].
+    fn watch(&mut self) -> Result<(), Stall> {
+        let per_worker = (0..self.workers()).map(|w| (self.progress(w), w));
+        let rounds = per_worker.clone().map(|(rounds, _)| rounds).sum();
+        let (behind, worker) = per_worker.min().expect("a job has workers");
+        if rounds > self.rounds {
+            (self.rounds, self.progressed_at) = (rounds, self.local_now);
+        }
+        let owes = self.strategy.is_async() || behind < self.target;
+        let quiet_since = self.progressed_at.max(self.faults_until);
+        if owes && self.local_now.saturating_duration_since(quiet_since) > STALL_LIMIT {
+            return Err(Stall {
+                worker,
+                rounds: behind,
+                last_progress_at: self.progressed_at,
+            });
+        }
+        Ok(())
+    }
+
+    /// The loop of every caller with nothing to interleave: drives check
+    /// point by check point until the completion rule is met, `stop` holds
+    /// at one, or the drive gives up.
+    pub(crate) fn run_until(&mut self, stop: impl Fn(&Job) -> bool) -> Result<(), Stall> {
+        while !self.done {
+            self.drive(self.next_check)?;
+            if stop(self) {
+                break;
             }
         }
-        panic!(
-            "{} job failed to finish within {MAX_CHECKS} completion checks",
-            self.strategy.label()
-        );
+        Ok(())
     }
 
     /// Folds the finished workers into the run's observation (untraced
@@ -335,9 +406,22 @@ pub(crate) fn build(
     tenant: u64,
     capture: Capture,
 ) -> Job {
-    emit_run_meta(cfg, capture.trace.as_deref());
-    let apps = make_apps(cfg, sources);
-    let (mut sim, placed) = build_topology(cfg, apps.grad_len, apps.workers, apps.server);
+    // Workers per rack, in rack order (pod-major on the fat-tree, exactly
+    // like build_tree3/build_fattree); a star is one rack.
+    let racks = match (cfg.fattree, cfg.workers_per_rack) {
+        (Some(shape), _) => vec![shape.hosts_per_rack; shape.racks()],
+        (None, Some(per_rack)) => rack_sizes(cfg.workers, per_rack),
+        (None, None) => vec![cfg.workers],
+    };
+    let worker_ips: Vec<IpAddr> = (racks.iter().enumerate())
+        .flat_map(|(r, &k)| (0..k).map(move |i| host_ip(r, i)))
+        .collect();
+    // A parameter server takes the slot after the workers on the star, the
+    // extra host of the first rack on a tree or fat-tree.
+    let server_ip = host_ip(0, racks[0]);
+    emit_run_meta(cfg, &worker_ips, server_ip, capture.trace.as_deref());
+    let apps = make_apps(cfg, &worker_ips, server_ip, sources);
+    let (mut sim, placed) = build_topology(cfg, &racks, apps.grad_len, apps.workers, apps.server);
     // The tenant id goes in before the trace, so no traced event can
     // predate its stamp.
     sim.set_tenant(tenant);
@@ -350,19 +434,22 @@ pub(crate) fn build(
     if let Some(limit) = cfg.event_limit {
         sim.set_event_limit(limit);
     }
-    let is_async = cfg.strategy.is_async();
     Job {
         strategy: cfg.strategy,
         warmup: cfg.warmup,
         sim,
-        threads: cfg.threads.max(1),
+        threads: cfg.threads,
         placed,
         view: apps.view,
         capture,
-        target: is_async.then_some(cfg.warmup + cfg.iterations + 1),
+        // An update interval needs two updates: one more than the rounds.
+        target: cfg.warmup + cfg.iterations + usize::from(cfg.strategy.is_async()),
         done: false,
         local_now: SimTime::ZERO,
         next_check: SimTime::ZERO + CHECK_CADENCE,
+        rounds: 0,
+        progressed_at: SimTime::ZERO,
+        faults_until: SimTime::ZERO,
     }
 }
 
@@ -394,7 +481,12 @@ fn workers_of<P: StrategyProtocol>(
 /// The worker + server factory: the only place a run's host applications
 /// are constructed. Worker `w` seeds its jitter with `seed + w`, the
 /// server with `seed + 0xFF`.
-fn make_apps(cfg: &TimingConfig, sources: Option<Vec<Box<dyn GradientSource>>>) -> Apps {
+fn make_apps(
+    cfg: &TimingConfig,
+    worker_ips: &[IpAddr],
+    server_ip: IpAddr,
+    sources: Option<Vec<Box<dyn GradientSource>>>,
+) -> Apps {
     let paper = paper_model(cfg.algorithm);
     let model = cfg.compute_model();
     let comm = &cfg.comm;
@@ -420,10 +512,9 @@ fn make_apps(cfg: &TimingConfig, sources: Option<Vec<Box<dyn GradientSource>>>) 
     let mut server: Option<Box<dyn HostApp>> = None;
     let (workers, view) = match cfg.strategy {
         Strategy::SyncPs => {
-            let ip = server_ip(cfg);
             let workers = workers_of(n, |w| {
                 SyncPsWorker::new(
-                    ip,
+                    server_ip,
                     bytes,
                     msgs,
                     total_iters,
@@ -434,7 +525,7 @@ fn make_apps(cfg: &TimingConfig, sources: Option<Vec<Box<dyn GradientSource>>>) 
                 .with_transport(cfg.make_transport())
             });
             server = Some(Box::new(SyncPsServer::new(
-                worker_ips(cfg),
+                worker_ips.to_vec(),
                 bytes,
                 msgs,
                 model,
@@ -443,23 +534,20 @@ fn make_apps(cfg: &TimingConfig, sources: Option<Vec<Box<dyn GradientSource>>>) 
             )));
             workers
         }
-        Strategy::SyncAr => {
-            let ips = worker_ips(cfg);
-            workers_of(n, |w| {
-                RingWorker::new(
-                    w,
-                    n,
-                    ips[(w + 1) % n],
-                    bytes,
-                    msgs,
-                    total_iters,
-                    model.clone(),
-                    comm.clone(),
-                    seed(w),
-                )
-                .with_transport(cfg.make_transport())
-            })
-        }
+        Strategy::SyncAr => workers_of(n, |w| {
+            RingWorker::new(
+                w,
+                n,
+                worker_ips[(w + 1) % n],
+                bytes,
+                msgs,
+                total_iters,
+                model.clone(),
+                comm.clone(),
+                seed(w),
+            )
+            .with_transport(cfg.make_transport())
+        }),
         Strategy::SyncIsw => {
             // Loss recovery: retry somewhat after a full round would
             // normally complete (serialization up + broadcast down + jitter
@@ -489,10 +577,17 @@ fn make_apps(cfg: &TimingConfig, sources: Option<Vec<Box<dyn GradientSource>>>) 
             })
         }
         Strategy::AsyncPs => {
-            let ip = server_ip(cfg);
             let workers = workers_of(n, |w| {
-                AsyncPsWorker::new(ip, bytes, msgs, model.clone(), comm.clone(), seed(w), None)
-                    .with_transport(cfg.make_transport())
+                AsyncPsWorker::new(
+                    server_ip,
+                    bytes,
+                    msgs,
+                    model.clone(),
+                    comm.clone(),
+                    seed(w),
+                    None,
+                )
+                .with_transport(cfg.make_transport())
             });
             server = Some(Box::new(AsyncPsServer::new(
                 bytes,
@@ -677,6 +772,7 @@ fn in_pods<T>(
 /// two-level tree.
 fn build_topology(
     cfg: &TimingConfig,
+    sizes: &[usize],
     len: Option<usize>,
     mut apps: Vec<Box<dyn HostApp>>,
     server: Option<Box<dyn HostApp>>,
@@ -687,13 +783,7 @@ fn build_topology(
     let isw_switches = |switches: Vec<NodeRef>| if len.is_some() { switches } else { Vec::new() };
     let mut sim = ShardedSim::new();
 
-    // (hosts per rack, racks per AGG) of a hierarchy; a star has neither.
-    let hierarchy = match (cfg.fattree, cfg.workers_per_rack) {
-        (Some(shape), _) => Some((shape.hosts_per_rack, Some(shape.racks_per_agg))),
-        (None, Some(per_rack)) => Some((per_rack, cfg.racks_per_agg.filter(|_| len.is_some()))),
-        (None, None) => None,
-    };
-    let Some((per_rack, fanout)) = hierarchy else {
+    if cfg.fattree.is_none() && cfg.workers_per_rack.is_none() {
         // Child ports are the *workers* only: the server and background
         // hosts sit on higher ports and stay ordinary FIB traffic, never
         // counted toward the aggregation threshold.
@@ -709,9 +799,13 @@ fn build_topology(
             server: has_server.then(|| (0, star.hosts[n])),
         };
         return (sim, placed);
-    };
+    }
 
-    let sizes = rack_sizes(n, per_rack);
+    // Racks per AGG of a three-level hierarchy.
+    let fanout = match cfg.fattree {
+        Some(shape) => Some(shape.racks_per_agg),
+        None => cfg.racks_per_agg.filter(|_| len.is_some()),
+    };
     let n_racks = sizes.len();
     let mut rest = apps.into_iter();
     let mut racks: Vec<Vec<Box<dyn HostApp>>> = sizes
@@ -728,7 +822,7 @@ fn build_topology(
                 sim.domain_mut(0),
                 racks,
                 &mut |role| {
-                    switch_extension(cfg, len, Deployment::Tree, role, (&sizes, &[], n_racks))
+                    switch_extension(cfg, len, Deployment::Tree, role, (sizes, &[], n_racks))
                 },
                 &topo,
             );
@@ -742,13 +836,13 @@ fn build_topology(
             )
         }
         Some(fanout) => {
-            let group_sizes = rack_sizes(n_racks, fanout.max(1));
+            let group_sizes = rack_sizes(n_racks, fanout);
             let mut rest = racks.into_iter();
             let grouped = group_sizes
                 .iter()
                 .map(|&k| rest.by_ref().take(k).collect())
                 .collect();
-            let sizes = (&sizes[..], &group_sizes[..], group_sizes.len());
+            let sizes = (sizes, &group_sizes[..], group_sizes.len());
             // Same hierarchy either way; the fat-tree cuts it between the
             // AGGs and the core, one domain per pod.
             let (tree3, pod_domain): (_, fn(usize) -> usize) = if cfg.fattree.is_some() {
@@ -817,36 +911,16 @@ fn append_background(apps: &mut Vec<Box<dyn HostApp>>, cfg: &TimingConfig) {
     apps.push(Box::new(BackgroundFlow::sink()));
 }
 
-/// The parameter server's IP: the slot after the workers on the star, the
-/// extra host of the first rack on a tree or fat-tree.
-fn server_ip(cfg: &TimingConfig) -> IpAddr {
-    match (cfg.fattree, cfg.workers_per_rack) {
-        (Some(shape), _) => host_ip(0, shape.hosts_per_rack),
-        (None, Some(per_rack)) => host_ip(0, rack_sizes(cfg.workers, per_rack)[0]),
-        (None, None) => host_ip(0, cfg.workers),
-    }
-}
-
-/// Worker IPs in flattened order for the current layout.
-fn worker_ips(cfg: &TimingConfig) -> Vec<IpAddr> {
-    let racks = match (cfg.fattree, cfg.workers_per_rack) {
-        // Pod-major global racks, exactly like build_tree3/build_fattree.
-        (Some(shape), _) => vec![shape.hosts_per_rack; shape.racks()],
-        (None, Some(per_rack)) => rack_sizes(cfg.workers, per_rack),
-        (None, None) => vec![cfg.workers],
-    };
-    racks
-        .iter()
-        .enumerate()
-        .flat_map(|(r, &k)| (0..k).map(move |i| host_ip(r, i)))
-        .collect()
-}
-
 /// Records run-level metadata at the head of the trace: the experiment
 /// shape (one `run` event) and the worker index ↔ IPv4 mapping (one
 /// `worker` event each) that analyzers use to resolve the `worker`
 /// attribute causal events carry (the address as `u32`).
-fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
+fn emit_run_meta(
+    cfg: &TimingConfig,
+    worker_ips: &[IpAddr],
+    server_ip: IpAddr,
+    trace: Option<&Trace>,
+) {
     let Some(trace) = trace else {
         return;
     };
@@ -876,7 +950,7 @@ fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
         ev.with_u64("addr", u64::from(ip.as_u32()))
             .with_str("ip", ip)
     };
-    for (i, ip) in worker_ips(cfg).into_iter().enumerate() {
+    for (i, &ip) in worker_ips.iter().enumerate() {
         trace.record(host_ev(
             TraceEvent::new(0, "worker").with_u64("index", i as u64),
             ip,
@@ -885,7 +959,7 @@ fn emit_run_meta(cfg: &TimingConfig, trace: Option<&Trace>) {
     if matches!(cfg.strategy, Strategy::SyncPs | Strategy::AsyncPs) {
         trace.record(host_ev(
             TraceEvent::new(0, "host").with_str("role", "server"),
-            server_ip(cfg),
+            server_ip,
         ));
     }
 }
@@ -1019,6 +1093,89 @@ mod tests {
         ]
     }
 
+    fn quick_job(strategy: Strategy) -> Job {
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, strategy);
+        (cfg.iterations, cfg.warmup) = (4, 1);
+        build(&cfg, None, 0, Capture::default())
+    }
+
+    #[test]
+    fn async_ps_progress_is_the_servers_update_count() {
+        // The stall rule and the completion rule read one update clock. An
+        // async-PS worker keeps no update log — the server owns the clock —
+        // so reading the workers' logs called a healthy tenant stalled.
+        let mut job = quick_job(Strategy::AsyncPs);
+        let mut seen = 0;
+        for ms in [50, 100, 150] {
+            job.drive(SimTime::ZERO + SimDuration::from_millis(ms))
+                .expect("a healthy job");
+            assert_eq!(job.progress(0), job.update_times().len());
+            assert!(job.progress(0) > seen, "no update in 50 ms");
+            seen = job.progress(0);
+        }
+        assert!(job.worker(0).update_times().is_empty());
+    }
+
+    #[test]
+    fn a_livelocked_job_is_given_up_on_within_the_stall_limit() {
+        // Seed 2 at 5 % edge loss drops all four contributions of (round 11,
+        // segment 18): the switch never opens the round, every `Help` for it
+        // misses and go-back never resends a contribution.
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        (cfg.iterations, cfg.edge_loss, cfg.seed) = (30, 0.05, 2);
+        let mut job = build(&cfg, None, 0, Capture::default());
+        let stall = job
+            .run_until(|_| false)
+            .expect_err("round 11 never completes");
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let expected = Stall {
+            worker: 0,
+            rounds: 11,
+            last_progress_at: at(200),
+        };
+        assert_eq!(stall, expected);
+        assert_eq!(job.local_now, at(5_400), "one check point past the limit");
+    }
+
+    #[test]
+    fn a_finished_job_with_a_fault_still_to_come_is_driven_to_idle() {
+        // Finished is not idle, and a pending fault is not a stall: every
+        // round is logged within 100 ms, the queue holds a fault action
+        // 30 s out, and the drive runs through it instead of refusing.
+        let mut job = quick_job(Strategy::SyncIsw);
+        let (domain, link) = job.placed.worker_links[0];
+        let at = SimTime::ZERO + SimDuration::from_secs(30);
+        job.schedule_fault(domain, at, FaultAction::LinkUp { link });
+        assert_eq!(job.run_until(|_| false), Ok(()));
+        assert!(job.done && job.local_now >= at, "{}", job.local_now);
+        assert_eq!(job.stats().faults_applied, 1);
+        assert!((0..job.workers()).all(|w| job.progress(w) == 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn validate_refuses_zero_threads() {
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        cfg.threads = 0;
+        validate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a rack holds at least one worker")]
+    fn validate_refuses_empty_racks() {
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        cfg.workers_per_rack = Some(0);
+        validate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "serves at least one rack")]
+    fn validate_refuses_an_agg_with_no_racks() {
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        (cfg.workers_per_rack, cfg.racks_per_agg) = (Some(2), Some(0));
+        validate(&cfg);
+    }
+
     #[test]
     fn a_paused_fattree_job_is_byte_identical_to_job_run() {
         // One drive regime: pausing a cut partition at deadlines no check
@@ -1032,7 +1189,9 @@ mod tests {
             Strategy::AsyncPs,
             Strategy::AsyncIsw,
         ] {
-            let unpaused = exports(strategy, 1, Job::run);
+            let unpaused = exports(strategy, 1, |job| {
+                job.run_until(|_| false).expect("a healthy job");
+            });
             assert!(
                 unpaused[0].contains("\"domains\":3"),
                 "{strategy:?}: not cut"
@@ -1043,7 +1202,7 @@ mod tests {
                     let mut deadline = SimTime::ZERO;
                     while !job.done {
                         deadline += SimDuration::from_micros(pause_us);
-                        job.drive(deadline);
+                        job.drive(deadline).expect("a healthy job");
                     }
                 });
                 assert_eq!(paused, unpaused, "{strategy:?} paused every {pause_us} µs");

@@ -224,23 +224,10 @@ pub struct MultiTenantOutcome {
     pub fabric_report: JsonValue,
 }
 
-/// Hard cap on arbitration barriers (mirrors the solo async driver's
-/// check cap; epochs may be much shorter than its 200 ms slices).
-const MAX_BARRIERS: u64 = 2_000_000;
-
-/// Simulated time a joined tenant may go without one worker finishing a
-/// round before the run is refused as stalled. Generous: the slowest
-/// iteration of any job in the tree is well under a second.
-const STALL_LIMIT: SimDuration = SimDuration::from_secs(5);
-
 /// One tenant: its job plus the fabric accounting the arbiter keeps.
 struct TenantJob<'a> {
     spec: &'a TenantSpec,
     job: Job,
-    /// Rounds completed, summed over the workers, and the global time of
-    /// the barrier that last saw the sum grow.
-    progress: usize,
-    progressed_at: SimDuration,
     /// Last harvested slot-demand peak (max over the tenant's switches).
     demand: u32,
     /// Maximum demand peak seen over the whole run (reporting).
@@ -264,22 +251,6 @@ impl TenantJob<'_> {
             .accelerators(|accel| peak = peak.max(accel.take_demand_peak()));
         self.demand = peak;
         self.demand_max = self.demand_max.max(peak);
-    }
-
-    /// Refuses a run in which this tenant has stopped completing rounds.
-    /// Recovery retries forever, so such a run would never go idle.
-    fn check_progress(&mut self, global: SimDuration) {
-        let progress = (0..self.job.workers()).map(|w| self.job.progress(w)).sum();
-        if progress > self.progress || global <= self.spec.join_at {
-            (self.progress, self.progressed_at) = (progress, global);
-        }
-        assert!(
-            global - self.progressed_at <= STALL_LIMIT,
-            "tenant `{}` stalled: no worker finished a round in {STALL_LIMIT} of simulated \
-             time. A switch restart that lands inside a completed round's emission delay \
-             loses a result `Help`/`FBcast` recovery cannot re-create",
-            self.spec.name
-        );
     }
 
     /// Installs `slots`/`bytes` grants on every switch of the tenant.
@@ -313,6 +284,7 @@ pub fn run_multi_tenant_perf(cfg: &MultiJobConfig) -> MultiTenantOutcome {
 
 fn validate(cfg: &MultiJobConfig) {
     assert!(!cfg.tenants.is_empty(), "a multi-tenant run needs tenants");
+    assert!(cfg.threads >= 1, "a run needs at least one thread");
     assert!(
         cfg.fabric.epoch > SimDuration::ZERO,
         "the arbitration epoch must be positive"
@@ -363,13 +335,8 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
     while jobs.iter().any(|j| !j.job.done) {
         global += epoch;
         barriers += 1;
-        assert!(
-            barriers <= MAX_BARRIERS,
-            "multi-tenant run failed to finish within {MAX_BARRIERS} barriers"
-        );
-        drive_epoch(&mut jobs, global, cfg.threads.max(1));
-        for j in jobs.iter_mut().filter(|j| !j.job.done) {
-            j.check_progress(global);
+        if let Err(refusal) = drive_epoch(&mut jobs, global, cfg.threads) {
+            panic!("{refusal}");
         }
         for j in jobs.iter_mut().filter(|j| j.contends()) {
             j.harvest_demand();
@@ -441,26 +408,31 @@ fn run_multi(cfg: &MultiJobConfig, observed: bool) -> MultiTenantOutcome {
 /// Drives every joined, unfinished tenant to local time
 /// `global - join_at`, partitioned over `threads` OS threads. Each thread
 /// touches a disjoint set of tenants and the arbiter only runs at
-/// barriers, so results are byte-identical at any thread count.
-fn drive_epoch(jobs: &mut [TenantJob<'_>], global: SimDuration, threads: usize) {
-    fn drive_part(part: &mut [TenantJob<'_>], global: SimDuration) {
-        for j in part.iter_mut() {
-            if j.job.done || global <= j.spec.join_at {
-                continue;
-            }
-            j.job.drive(SimTime::ZERO + (global - j.spec.join_at));
+/// barriers, so results are byte-identical at any thread count. The error
+/// is the refusal naming the first tenant (spec order) whose job stalled.
+fn drive_epoch(
+    jobs: &mut [TenantJob<'_>],
+    global: SimDuration,
+    threads: usize,
+) -> Result<(), String> {
+    let drive = move |j: &mut TenantJob<'_>| {
+        if j.job.done || global <= j.spec.join_at {
+            return Ok(());
         }
-    }
+        let deadline = SimTime::ZERO + (global - j.spec.join_at);
+        (j.job.drive(deadline))
+            .map_err(|stall| format!("tenant `{}` stalled: {stall}", j.spec.name))
+    };
     if threads <= 1 || jobs.len() <= 1 {
-        drive_part(jobs, global);
-        return;
+        return jobs.iter_mut().try_for_each(drive);
     }
     let chunk = jobs.len().div_ceil(threads);
     std::thread::scope(|s| {
-        for part in jobs.chunks_mut(chunk) {
-            s.spawn(move || drive_part(part, global));
-        }
-    });
+        let parts: Vec<_> = (jobs.chunks_mut(chunk))
+            .map(|part| s.spawn(move || part.iter_mut().try_for_each(drive)))
+            .collect();
+        (parts.into_iter()).try_for_each(|part| part.join().expect("a tenant's driver panicked"))
+    })
 }
 
 /// Computes and installs per-tenant grants for the epoch ending at
@@ -559,8 +531,6 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
     TenantJob {
         spec,
         job,
-        progress: 0,
-        progressed_at: SimDuration::ZERO,
         demand: 0,
         demand_max: 0,
         grant_slots: 0,
@@ -635,6 +605,11 @@ mod tests {
             let mut job = quick(alg, strategy);
             job.workers_per_rack = per_rack;
             job.workers = if per_rack.is_some() { 6 } else { 4 };
+            if (strategy, per_rack) == (Strategy::AsyncPs, STAR) {
+                // 5.5 s of updates: longer than `STALL_LIMIT`, which once
+                // read the workers' (empty) update logs and refused this.
+                job.iterations = 1_600;
+            }
             (format!("{strategy:?}-{per_rack:?}"), job)
         });
         // One fat-tree row per strategy: the tree rows' jobs, cut.
@@ -677,6 +652,18 @@ mod tests {
                 assert_eq!(shared.tenants[i].slot_denials, 0, "{name}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn zero_driver_threads_are_refused() {
+        let mut cfg = MultiJobConfig::new(vec![TenantSpec::new(
+            "t",
+            1,
+            quick(Algorithm::Ppo, Strategy::SyncIsw),
+        )]);
+        cfg.threads = 0;
+        run_multi_tenant(&cfg);
     }
 
     #[test]

@@ -408,7 +408,9 @@ impl TimingObservation {
 /// Panics on configurations no strategy can run: fewer than two workers,
 /// zero iterations, background flows off the star, edge loss on a strategy
 /// other than [`Strategy::SyncIsw`], or a fat-tree shape that disagrees
-/// with the worker count.
+/// with the worker count — and on a run that stalls: one that goes idle
+/// before a measured iteration, or still owes rounds and finishes none for
+/// 5 s of simulated time.
 pub fn run_timing(cfg: &TimingConfig) -> TimingResult {
     run_timing_perf(cfg).0
 }
@@ -458,11 +460,14 @@ pub fn run_timing_perf(cfg: &TimingConfig) -> (TimingResult, PerfSample) {
     (observation.result, perf)
 }
 
-/// The solo lifecycle: validate, build, drive to completion, collect.
+/// The solo lifecycle: validate, build, drive to completion, collect. A
+/// job the drive gives up on is refused by panicking with the stall.
 fn run(cfg: &TimingConfig, capture: Capture) -> (TimingObservation, PerfSample) {
     validate(cfg);
     let mut job = build(cfg, None, 0, capture);
-    job.run();
+    if let Err(stall) = job.run_until(|_| false) {
+        panic!("{} job stalled: {stall}", cfg.strategy.label());
+    }
     job.collect()
 }
 

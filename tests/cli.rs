@@ -268,6 +268,45 @@ fn documented_commands_parse() {
 }
 
 #[test]
+fn design_inventory_names_real_modules() {
+    // Every `` `name` — `` bullet under a `### iswitch-<crate>` heading of
+    // DESIGN.md is a module of that crate: `<name>.rs` or a directory
+    // (`a::b` is a path, `a::{b, c}` several).
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("DESIGN.md")).expect("doc exists");
+    let mut src = None;
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for line in text.lines() {
+        if line.starts_with('#') {
+            let name = line.strip_prefix("### iswitch-");
+            let name = name.map(|rest| rest.split(' ').next().expect("split yields one item"));
+            src = name.map(|name| root.join("crates").join(name).join("src"));
+        }
+        let (Some(src), Some(bullet)) = (&src, line.strip_prefix("- `")) else {
+            continue;
+        };
+        let Some((names, _)) = bullet.split_once("` — ") else {
+            missing.push(format!("not a `name` — bullet: {line}"));
+            continue;
+        };
+        let (stem, leaves) = match names.split_once("::{") {
+            Some((stem, leaves)) => (stem, leaves.trim_end_matches('}')),
+            None => ("", names),
+        };
+        for leaf in leaves.split(", ") {
+            let module = src.join(stem).join(leaf.replace("::", "/"));
+            if !module.with_extension("rs").is_file() && !module.is_dir() {
+                missing.push(format!("{line}: no {}[.rs]", module.display()));
+            }
+            checked += 1;
+        }
+    }
+    assert!(missing.is_empty(), "{}", missing.join("\n"));
+    assert!(checked >= 45, "only {checked} inventory bullets found");
+}
+
+#[test]
 fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
     // (arguments, expected exit code, text the chosen stream must carry)
     let rows: [(&[&str], i32, &str); 3] = [
@@ -303,6 +342,48 @@ fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
         let text = String::from_utf8_lossy(text);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
         assert!(text.contains(needle), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn a_livelocked_run_is_refused_by_name_and_a_long_healthy_one_is_not() {
+    // (arguments, expected exit code, texts the chosen stream must carry)
+    let rows: [(&str, i32, &[&str]); 2] = [
+        // All four contributions of one segment of round 11 are lost: the
+        // switch never opens the round, every `Help` for it misses and
+        // go-back never resends a contribution. Refused 5 s of simulated
+        // time past the last finished round (once: after 20,000 s, as
+        // "100000 completion checks"), naming who is stuck where.
+        (
+            "timing --strategy isw --edge-loss 0.05 --seed 2 --iterations 30",
+            2,
+            &[
+                "iSW job stalled: worker 0 is furthest behind with 11 round(s) finished",
+                "since the check at 200.000ms",
+            ],
+        ),
+        // 8.6 s of async-PS updates, whose workers keep no update log: the
+        // stall rule reads the server's clock (once: "tenant `a` stalled").
+        (
+            "multi --tenants a=ppo/async-ps --iterations 2500",
+            0,
+            &["a          Async PS", "8600.000ms"],
+        ),
+    ];
+    for (args, code, needles) in rows {
+        let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
+            .args(args.split(' '))
+            .output()
+            .expect("iswitch-sim runs");
+        let text = if code == 0 { &out.stdout } else { &out.stderr };
+        let text = String::from_utf8_lossy(text);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
+        for needle in needles {
+            assert!(
+                text.contains(needle),
+                "{args:?}: missing `{needle}`: {text}"
+            );
+        }
     }
 }
 
