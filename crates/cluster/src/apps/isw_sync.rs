@@ -8,7 +8,8 @@
 //! contribution and when the broadcast result is complete.
 
 use iswitch_core::{
-    gradient_packets_round_codec, CodecKind, EncodedGradient, RoundAssembler, RoundInsert,
+    contribution_packet, dscp, gradient_packets_round_codec, seg_index, seg_round, CodecKind,
+    ControlMessage, EncodedGradient, RoundAssembler, RoundInsert, TOS_CONTROL, TOS_DATA,
 };
 use iswitch_netsim::{Packet, SimDuration};
 
@@ -71,6 +72,32 @@ impl IswSyncProto {
                 self.exp_bias,
             ),
         }
+    }
+
+    /// The switch's answer to a `Help` it could not serve: it neither
+    /// keeps round `seg` nor has it open, so this worker's contribution
+    /// never reached it. Resent for that one segment — only in the current
+    /// round, once this round's push went out, while the segment's result
+    /// is still missing.
+    fn resend(&self, rt: &mut Rt<'_, '_, '_>, seg: u64) {
+        let (iter, index) = (rt.iter(), seg_index(seg));
+        let missing = self.asm.missing_in(index, index + 1).next().is_some();
+        if seg_round(seg) != iter & 0xFFFF || !self.sent || !missing {
+            return;
+        }
+        let index = index as usize;
+        let pkt = match &self.enc {
+            Some(enc) => enc.packet(index, iter),
+            None => contribution_packet(
+                rt.ip(),
+                rt.source.gradient(),
+                index,
+                iter,
+                self.codec,
+                self.exp_bias,
+            ),
+        };
+        rt.send(pkt);
     }
 
     /// The completed round's outcome (aggregate + timing tail).
@@ -148,8 +175,15 @@ impl StrategyProtocol for IswSyncProto {
     }
 
     fn on_packet(&mut self, rt: &mut Rt<'_, '_, '_>, pkt: Packet) -> ProtoEvent {
-        if iswitch_core::dscp(pkt.ip.tos) != iswitch_core::TOS_DATA {
-            return ProtoEvent::None;
+        match dscp(pkt.ip.tos) {
+            TOS_DATA => {}
+            TOS_CONTROL => {
+                if let Ok(ControlMessage::Help { seg }) = ControlMessage::decode(&pkt.payload) {
+                    self.resend(rt, seg);
+                }
+                return ProtoEvent::None;
+            }
+            _ => return ProtoEvent::None,
         }
         // Transport first: gap detection and ECN echo must see the round
         // state *before* this arrival is booked.
@@ -223,8 +257,8 @@ impl IswSyncWorker {
 
     /// Enables loss recovery: after `timeout` without a complete result,
     /// the transport recovers missing segments (`Help` for lost result
-    /// packets from the switch's cache, `FBcast` for rounds stuck on a
-    /// lost contribution).
+    /// packets from the results the switch keeps, `FBcast` for rounds
+    /// stuck on a lost contribution).
     pub fn set_help_timeout(&mut self, timeout: SimDuration) {
         self.protocol_mut().transport.set_recovery_timeout(timeout);
     }

@@ -439,6 +439,11 @@ pub struct ChaosReport {
     pub rounds_checked: usize,
     /// `Help` recovery requests issued across workers (sync iSwitch).
     pub help_requests: u64,
+    /// `Help` requests the switch answered by asking for the worker's
+    /// contribution back (it neither kept nor had open the round). In the
+    /// rendered report only when non-zero, as the switch's counter is in
+    /// its metrics.
+    pub resend_requests: u64,
     /// FNV-1a fingerprint of worker 0's final weights (iSwitch co-sim
     /// strategies; 0 otherwise).
     pub params_fingerprint: u64,
@@ -479,6 +484,9 @@ impl ChaosReport {
             JsonValue::UInt(self.rounds_checked as u64),
         );
         root.insert("help_requests", JsonValue::UInt(self.help_requests));
+        if self.resend_requests > 0 {
+            root.insert("resend_requests", JsonValue::UInt(self.resend_requests));
+        }
         root.insert(
             "params_fingerprint",
             JsonValue::UInt(self.params_fingerprint),
@@ -869,6 +877,7 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
     }
 
     let params_fingerprint = fingerprint(job.worker(0).source().params());
+    let resend_requests = job.extensions().map(|e| e.stats().resend_requests).sum();
     let violation_timelines = offending_rounds
         .iter()
         .map(|&r| round_timeline(&trace, r))
@@ -881,6 +890,7 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         completed,
         rounds_checked,
         help_requests,
+        resend_requests,
         params_fingerprint,
         violations,
         violation_timelines,
@@ -932,6 +942,7 @@ fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         completed,
         rounds_checked: 0,
         help_requests: 0,
+        resend_requests: 0,
         params_fingerprint: 0,
         violations,
         violation_timelines: Vec::new(),

@@ -66,9 +66,10 @@ impl fmt::Display for Stall {
             f,
             "worker {} is furthest behind with {} round(s) finished, and no worker has finished \
              one since the check at {}: more than the {STALL_LIMIT} of simulated time a job may \
-             go without. Recovery retries for ever for what no longer exists: a round whose \
-             every contribution was lost never opens at the switch, and a switch restart inside \
-             a completed round's emission delay loses a result `Help`/`FBcast` cannot re-create",
+             go without. Recovery retries for ever for a round no switch can close: on an \
+             unsharded tree, a round whose every contribution from one rack was lost never opens \
+             at that rack's ToR, which may not ask for a resend, and no tree level sweeps stale \
+             rounds",
             self.worker, self.rounds, self.last_progress_at
         )
     }
@@ -185,6 +186,15 @@ impl Job {
     /// Post-run (or between-steps) view of worker `w`.
     pub(crate) fn worker(&self, w: usize) -> &dyn WorkerView {
         (self.view)(self.host(self.placed.workers[w]))
+    }
+
+    /// The in-switch extension of every switch the job aggregates on,
+    /// root-first.
+    pub(crate) fn extensions(&self) -> impl Iterator<Item = &IswitchExtension> + '_ {
+        (self.placed.switches.iter()).map(|&(domain, sw)| {
+            let switch = self.sim.domain(domain).device::<Switch>(sw);
+            switch.extension::<IswitchExtension>()
+        })
     }
 
     /// Visits the accelerator of every switch the job aggregates on,
@@ -1117,20 +1127,36 @@ mod tests {
     }
 
     #[test]
-    fn a_livelocked_job_is_given_up_on_within_the_stall_limit() {
+    fn a_round_whose_every_contribution_was_lost_is_resent_on_request() {
         // Seed 2 at 5 % edge loss drops all four contributions of (round 11,
-        // segment 18): the switch never opens the round, every `Help` for it
-        // misses and go-back never resends a contribution.
+        // segment 18): the switch never opens the round, so it answers a
+        // `Help` for it by asking for that worker's contribution back.
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
         (cfg.iterations, cfg.edge_loss, cfg.seed) = (30, 0.05, 2);
         let mut job = build(&cfg, None, 0, Capture::default());
+        assert_eq!(job.run_until(|_| false), Ok(()));
+        let rounds = cfg.warmup + cfg.iterations;
+        assert!((0..job.workers()).all(|w| job.progress(w) == rounds));
+        let resends: u64 = job.extensions().map(|e| e.stats().resend_requests).sum();
+        assert!(resends > 0, "no resend request");
+    }
+
+    #[test]
+    fn a_livelocked_job_is_given_up_on_within_the_stall_limit() {
+        // On racks of two, seed 2 loses both rack-0 contributions of (round
+        // 4, segment 6): that ToR never opens the round, an intermediate
+        // may not ask for a resend and no tree level sweeps stale rounds.
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        (cfg.iterations, cfg.edge_loss, cfg.seed) = (30, 0.05, 2);
+        cfg.workers_per_rack = Some(2);
+        let mut job = build(&cfg, None, 0, Capture::default());
         let stall = job
             .run_until(|_| false)
-            .expect_err("round 11 never completes");
+            .expect_err("round 4 never completes");
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         let expected = Stall {
             worker: 0,
-            rounds: 11,
+            rounds: 4,
             last_progress_at: at(200),
         };
         assert_eq!(stall, expected);

@@ -373,10 +373,10 @@ impl Transport for GoBackRetransmit {
             }
             return TimerVerdict::Handled;
         }
-        // A lost *result* is recovered from the switch's cache (Help). A
-        // lost *contribution* leaves the round stuck: only after two
-        // stalled retries — i.e. genuinely no progress — flush it with a
-        // partial broadcast. The batch is capped so a retry can never
+        // A lost *result* is recovered from the results the switch keeps
+        // (Help). A lost *contribution* leaves the round stuck: only after
+        // two stalled retries — i.e. genuinely no progress — flush it with
+        // a partial broadcast. The batch is capped so a retry can never
         // re-request a vector's worth of traffic (a premature timeout
         // would otherwise trigger a retransmission storm).
         let escalate = self.stall.observe(round.received_count()) >= 2;
@@ -534,7 +534,7 @@ impl Transport for NackReliable {
             from = m + 1;
             self.stats.nacks_sent += 1;
             // The NACK rides the existing Help control path: the switch
-            // serves the cached result segment back to the requester.
+            // serves the kept result segment back to the requester.
             let seg = tag_round(m, iter);
             let nack = control_packet(rt.ip(), UPSTREAM_IP, &ControlMessage::Help { seg });
             rt.send(nack);

@@ -136,6 +136,33 @@ fn invariants_hold_across_the_codec_axis() {
     assert_eq!(a, b, "fixed-point chaos must replay byte-identically");
 }
 
+/// A worker partitioned for more rounds than the switch keeps results
+/// (`RESULT_DEPTH`) comes back still waiting on the round it left. The
+/// switch no longer has that result and the round is not open, so it asks
+/// for the worker's contribution back, and the stale sweep closes the
+/// reopened round as a partial — round after round until the worker has
+/// caught up. I1–I5 hold under both recovery transports.
+#[test]
+fn a_worker_partitioned_past_the_result_depth_catches_up_by_resending() {
+    for transport in [TransportKind::GoBack, TransportKind::Nack] {
+        let schedule = ChaosSchedule {
+            faults: vec![ChaosFault::EdgeDown {
+                worker: 0,
+                at: SimDuration::from_millis(2),
+                duration: SimDuration::from_millis(120),
+            }],
+        };
+        let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 0);
+        cfg.schedule = Some(schedule);
+        cfg.transport = transport;
+        let report = run_chaos(&cfg);
+        assert!(report.passed(), "{transport}: {:?}", report.violations);
+        assert!(report.resend_requests > 0, "{transport}: {report:?}");
+        let again = run_chaos(&cfg).to_json().render();
+        assert_eq!(report.to_json().render(), again, "{transport}: I5");
+    }
+}
+
 /// The tolerant I1 must still have teeth: seed the fixed-point encoder
 /// bug that scales mantissas with the honest exponent but stamps
 /// `exp + bias` in the header. Every packet stays wire-legal — lengths,

@@ -16,10 +16,12 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
 use iswitch_netsim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::codec::{AccEffects, CodecKind, WireAcc};
+use crate::protocol::data::encode_segment;
 use crate::protocol::{DataSegment, SegmentMeta};
 
 /// Slowdown of the fallback-to-host path relative to the line-rate
@@ -174,25 +176,34 @@ pub enum Refusal {
     Malformed,
 }
 
-/// A round that just ended with an emission: its aggregate plus what the
-/// round's slot recorded while it was open.
+/// A round that just ended with an emission: its aggregate, encoded once,
+/// plus what the round's slot recorded while it was open.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClosedRound {
-    /// The (possibly partial) aggregate.
-    pub aggregate: DataSegment,
+    /// The round's (round-tagged) `Seg`.
+    pub seg: u64,
+    /// Workers represented in the (possibly partial) aggregate.
+    pub count: u16,
+    /// The aggregate in the codec's wide result encoding — the bytes the
+    /// switch sends, shared by every copy of the result.
+    pub payload: Bytes,
     /// Arrival of the round's first accepted contribution.
     pub opened: SimTime,
     /// Whether any accepted contribution arrived ECN-CE marked.
     pub ce: bool,
     /// Whether the round was resident on the host path.
     pub via_host: bool,
+    /// The released slot, whose accumulator stays readable until the slot
+    /// is occupied again.
+    slot: u32,
 }
 
 /// The in-switch aggregation engine.
 ///
-/// One instance lives inside each participating switch. It is purely
-/// functional plus a latency model; wiring into the network (broadcast,
-/// hierarchy, control messages) lives in [`crate::IswitchExtension`].
+/// One instance lives inside each participating switch. It is the datapath
+/// alone plus a latency model: it forgets a round the moment it emits it.
+/// Wiring into the network (broadcast, hierarchy, control messages, the
+/// results kept for `Help`) lives in [`crate::IswitchExtension`].
 ///
 /// # Examples
 ///
@@ -236,10 +247,6 @@ pub struct Accelerator {
     /// like any other but no BRAM, so they count toward neither
     /// `resident_bytes` nor [`Accelerator::open_rounds`].
     host_rounds: u32,
-    /// Cache of the last emitted aggregate per `Seg`, serving `Help`
-    /// retransmission requests for lost result packets. Held in the switch
-    /// CPU's DRAM (control plane), not BRAM.
-    last_results: HashMap<u64, DataSegment>,
     /// Open-round cap granted to this tenant's share of the pool for the
     /// current arbitration epoch. `None` (the single-tenant default) means
     /// the whole pool, reproducing the legacy behavior bit for bit.
@@ -368,7 +375,6 @@ impl Accelerator {
             free: Vec::new(),
             resident_bytes: 0,
             host_rounds: 0,
-            last_results: HashMap::new(),
             slot_grant: None,
             byte_grant: None,
             host_fallback: false,
@@ -430,6 +436,11 @@ impl Accelerator {
     /// Whether no round is open on either path.
     pub fn is_idle(&self) -> bool {
         self.index.is_empty()
+    }
+
+    /// Whether round `seg` (round-tagged) is open on either path.
+    pub fn is_open(&self, seg: u64) -> bool {
+        self.index.contains_key(&seg)
     }
 
     /// Sets this epoch's tenant grant: at most `slots` concurrently open
@@ -517,8 +528,9 @@ impl Accelerator {
     }
 
     /// [`Accelerator::ingest_at`] for callers with no clock and no
-    /// congestion marks (benchmarks, unit tests): the completed aggregate,
-    /// if this arrival made the counter reach `H`, and the latency charged.
+    /// congestion marks (benchmarks, unit tests): the completed aggregate
+    /// as the released slot holds it (before the wide result encoding), if
+    /// this arrival made the counter reach `H`, and the latency charged.
     pub fn ingest_wire(
         &mut self,
         meta: SegmentMeta,
@@ -526,7 +538,14 @@ impl Accelerator {
     ) -> (Option<DataSegment>, SimDuration) {
         let ingest = self.ingest_at(SimTime::ZERO, false, meta, payload);
         let done = match ingest.outcome {
-            IngestOutcome::Completed(round) => Some(round.aggregate),
+            IngestOutcome::Completed(round) => Some(DataSegment {
+                seg: round.seg,
+                count: round.count,
+                values: self
+                    .codec
+                    .codec()
+                    .decode_acc(&self.slots[round.slot as usize].acc),
+            }),
             IngestOutcome::Accepted | IngestOutcome::Refused(_) => None,
         };
         (done, ingest.latency)
@@ -664,30 +683,34 @@ impl Accelerator {
         Some(slot_id)
     }
 
-    /// Releases round `seg` and publishes its aggregate: counted as
-    /// emitted and cached for `Help`.
+    /// Releases round `seg` and publishes its aggregate, encoded once in
+    /// the codec's result format.
     fn emit(&mut self, seg: u64) -> Option<ClosedRound> {
         let slot_id = self.release(seg)?;
         let codec = self.codec.codec();
-        let slot = &mut self.slots[slot_id as usize];
-        let round = ClosedRound {
-            aggregate: DataSegment {
+        let slot = &self.slots[slot_id as usize];
+        let count = slot.workers;
+        let payload = match &slot.acc {
+            // f32 sums are the result's values: written straight to the
+            // wire, and the slot keeps its buffer for its next round.
+            WireAcc::F32(sums) => encode_segment(seg, count, sums),
+            acc => codec.encode_result(&DataSegment {
                 seg,
-                count: slot.workers,
-                // f32 slots hand their buffer to the result without a
-                // copy; integer accumulators decode to fresh f32 sums.
-                values: match &mut slot.acc {
-                    WireAcc::F32(sums) => std::mem::take(sums),
-                    acc => codec.decode_acc(acc),
-                },
-            },
+                count,
+                values: codec.decode_acc(acc),
+            }),
+        };
+        let round = ClosedRound {
+            seg,
+            count,
+            payload,
             opened: slot.opened,
             ce: slot.ce,
             via_host: slot.home == Home::Host,
+            slot: slot_id,
         };
         self.stats.segments_emitted += 1;
         self.stats.fallback_rounds += u64::from(round.via_host);
-        self.last_results.insert(seg, round.aggregate.clone());
         Some(round)
     }
 
@@ -701,15 +724,9 @@ impl Accelerator {
         Some(flushed)
     }
 
-    /// The most recently emitted aggregate for `seg`, serving `Help`
-    /// retransmissions of lost result packets.
-    pub fn last_result(&self, seg: u64) -> Option<&DataSegment> {
-        self.last_results.get(&seg)
-    }
-
     /// Releases every open round and clears the slot pool (including what
-    /// the seeded leak held) and the result cache — the `Reset` control
-    /// action and a switch restart.
+    /// the seeded leak held) — the `Reset` control action and a switch
+    /// restart.
     pub fn reset(&mut self) {
         let open: Vec<u64> = self.index.keys().copied().collect();
         for seg in open {
@@ -718,7 +735,6 @@ impl Accelerator {
         self.slots.clear();
         self.free.clear();
         self.resident_bytes = 0;
-        self.last_results.clear();
         self.demand_peak = 0;
         self.stats.resets += 1;
     }
@@ -786,9 +802,9 @@ mod tests {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 4);
         a.ingest(&seg(0, vec![3.0]));
         a.ingest(&seg(0, vec![4.0]));
-        let flushed = a.force_broadcast(0).expect("partial flushed").aggregate;
-        assert_eq!(flushed.values, vec![7.0]);
-        assert_eq!(flushed.count, 2);
+        let flushed = a.force_broadcast(0).expect("partial flushed");
+        let result = DataSegment::decode(&flushed.payload).expect("an f32 result");
+        assert_eq!((result.count, result.values), (2, vec![7.0]));
         // Nothing left to flush.
         assert!(a.force_broadcast(0).is_none());
         // Counter restarted: needs 4 fresh contributions again.
@@ -820,11 +836,33 @@ mod tests {
     }
 
     #[test]
-    fn help_served_from_result_cache() {
-        let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 1);
-        assert!(a.last_result(0).is_none());
-        a.ingest(&seg(0, vec![5.0]));
-        assert_eq!(a.last_result(0).unwrap().values, vec![5.0]);
+    fn a_closed_round_is_encoded_once_and_its_slot_keeps_the_buffer() {
+        let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 2);
+        a.ingest(&seg(0, vec![1.0, 2.0]));
+        assert!(a.is_open(0) && !a.is_open(1));
+        let meta = SegmentMeta {
+            seg: 0,
+            count: 1,
+            len: 2,
+        };
+        let payload = seg(0, vec![3.0, 4.0]).encode();
+        let ingest = a.ingest_at(SimTime::ZERO, false, meta, &payload);
+        let IngestOutcome::Completed(round) = ingest.outcome else {
+            panic!("the second contribution completes the round");
+        };
+        assert!(!a.is_open(0));
+        let sum = DataSegment {
+            seg: 0,
+            count: 2,
+            values: vec![4.0, 6.0],
+        };
+        assert_eq!((round.seg, round.count), (0, 2));
+        assert_eq!(round.payload, sum.encode());
+        // The next round reuses the released slot's buffer.
+        let WireAcc::F32(sums) = &a.slots[round.slot as usize].acc else {
+            unreachable!("an f32 datapath");
+        };
+        assert!(sums.capacity() >= 2);
     }
 
     #[test]
@@ -834,7 +872,6 @@ mod tests {
         a.ingest(&seg(1, vec![1.0]));
         a.ingest(&seg(1, vec![1.0]));
         a.reset();
-        assert!(a.last_result(1).is_none());
         assert!(a.force_broadcast(0).is_none());
         assert_eq!(a.stats().resets, 1);
         // After reset a segment may arrive with a different length.
@@ -936,9 +973,9 @@ mod tests {
         assert_eq!(a.partial_segments(), vec![0, 1]);
         let flushed = a.force_broadcast(1).expect("host partial flushed");
         assert!(flushed.via_host);
-        assert_eq!(flushed.aggregate.values, vec![7.0]);
+        let result = DataSegment::decode(&flushed.payload).expect("an f32 result");
+        assert_eq!(result.values, vec![7.0]);
         assert_eq!(a.stats().fallback_rounds, 1);
-        assert_eq!(a.last_result(1).unwrap().values, vec![7.0]);
     }
 
     #[test]

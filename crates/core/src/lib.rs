@@ -64,10 +64,10 @@ pub use protocol::{
 };
 pub use switch_ext::{
     AggregationMode, AggregationRole, ExtensionConfig, ExtensionStats, IswitchExtension,
-    FAULT_RESET_TOKEN, RESULT_BROADCAST_IP, UPSTREAM_IP,
+    FAULT_RESET_TOKEN, RESULT_BROADCAST_IP, RESULT_DEPTH, UPSTREAM_IP,
 };
 pub use worker::{
-    control_packet, data_packet, data_packet_wire, decode_control, decode_data, decode_data_meta,
-    gradient_packets, gradient_packets_round, gradient_packets_round_codec, result_packet,
-    EncodedGradient,
+    contribution_packet, control_packet, data_packet, data_packet_wire, decode_control,
+    decode_data, decode_data_meta, gradient_packets, gradient_packets_round,
+    gradient_packets_round_codec, EncodedGradient,
 };

@@ -15,23 +15,25 @@
 //!   ("it will forward the aggregated segment to the switches in the
 //!   higher level", §3.4), and result packets arriving *on* the uplink are
 //!   fanned out to the children.
+//!
+//! Either way a switch keeps the last [`RESULT_DEPTH`] results it sent
+//! down per segment, to serve `Help` (see `ResultStore`).
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use iswitch_netsim::{
     ExtAction, IpAddr, Packet, PortId, SimDuration, SwitchExtension, SwitchServices,
 };
 use iswitch_obs::{Counter, Histogram, Registry, Span, TraceEvent};
 
-use crate::accelerator::{Accelerator, AcceleratorConfig, IngestOutcome, Refusal};
+use crate::accelerator::{Accelerator, AcceleratorConfig, ClosedRound, IngestOutcome, Refusal};
 use crate::control_plane::{Member, MemberType, MembershipTable};
 use crate::protocol::codec::CodecKind;
-use crate::protocol::{
-    dscp, seg_index, seg_round, ControlMessage, DataSegment, ISWITCH_UDP_PORT, TOS_CONTROL,
-    TOS_DATA,
-};
+use crate::protocol::{dscp, seg_index, seg_round, ControlMessage, TOS_CONTROL, TOS_DATA};
+use crate::worker::{control_packet, sealed_data_packet};
 
 /// Destination IP carried by downward result broadcasts. Worker apps accept
 /// iSwitch data packets regardless of destination address.
@@ -188,9 +190,10 @@ impl ExtensionConfig {
     }
 }
 
-/// The extension's counters that the metrics registry does not carry
-/// (everything else is a `core.switch.nNNN.*` counter; these two stay out
-/// of the registry so loss-free metric reports keep their shape).
+/// The extension's counters kept beside the metrics registry (everything
+/// else is a `core.switch.nNNN.*` counter). The first two stay out of the
+/// registry and `resend_requests` enters it with its first increment, so
+/// loss-free metric reports keep their shape.
 #[derive(Debug, Clone, Default)]
 pub struct ExtensionStats {
     /// Injected accelerator restarts ([`FAULT_RESET_TOKEN`]).
@@ -198,17 +201,65 @@ pub struct ExtensionStats {
     /// Result emissions that carried an echoed ECN-CE mark (some
     /// contribution to the segment round arrived CE-marked).
     pub ecn_echoed: u64,
+    /// `Help` requests a root answered by asking the requester to resend
+    /// its contribution (the round was neither kept nor open).
+    pub resend_requests: u64,
+}
+
+/// Results of each segment a switch keeps for `Help`: the newest round's
+/// and the one before it. A protocol constant, not a knob (DESIGN.md §11).
+pub const RESULT_DEPTH: usize = 2;
+
+/// The results a switch keeps for `Help`, sized once: entry `index ×
+/// RESULT_DEPTH + round mod RESULT_DEPTH` holds the tagged `Seg` of the
+/// latest result of that segment and round residue, and the payload it
+/// was sent in. A result replaces the one `RESULT_DEPTH` rounds older, and
+/// a `Help` reply shares the bytes of the first sending.
+struct ResultStore {
+    entries: Vec<Option<(u64, Bytes)>>,
+}
+
+impl ResultStore {
+    fn new(num_segments: usize) -> Self {
+        ResultStore {
+            entries: vec![None; num_segments * RESULT_DEPTH],
+        }
+    }
+
+    /// The entry of `seg`; `None` for a segment index past the gradient,
+    /// which only outside bytes can carry.
+    fn entry(&self, seg: u64) -> Option<usize> {
+        let segments = self.entries.len() / RESULT_DEPTH;
+        let index = usize::try_from(seg_index(seg))
+            .ok()
+            .filter(|&i| i < segments)?;
+        Some(index * RESULT_DEPTH + seg_round(seg) as usize % RESULT_DEPTH)
+    }
+
+    fn put(&mut self, seg: u64, payload: Bytes) {
+        if let Some(at) = self.entry(seg) {
+            self.entries[at] = Some((seg, payload));
+        }
+    }
+
+    fn get(&self, seg: u64) -> Option<&Bytes> {
+        let (kept, payload) = self.entries[self.entry(seg)?].as_ref()?;
+        (*kept == seg).then_some(payload)
+    }
+
+    fn bytes(&self) -> usize {
+        self.entries.iter().flatten().map(|(_, p)| p.len()).sum()
+    }
 }
 
 enum PendingEmit {
-    /// An aggregate leaving the accelerator: broadcast down by a root,
-    /// forwarded up by an intermediate.
-    Result {
-        seg: DataSegment,
-        ce: bool,
-    },
+    /// A closed round leaving the switch: broadcast down by a root,
+    /// forwarded up by an intermediate, echoing the round's CE mark.
+    Result { seg: u64, payload: Bytes, ce: bool },
+    /// A kept result re-sent to one worker.
     HelpReply {
-        seg: DataSegment,
+        seg: u64,
+        payload: Bytes,
         to: IpAddr,
     },
 }
@@ -228,9 +279,9 @@ struct ExtObs {
     h_hits: Arc<Counter>,
     /// Data packets ingested by the accelerator.
     data_ingested: Arc<Counter>,
-    /// `Help` retransmissions served from the result cache.
+    /// `Help` retransmissions served from the result store.
     help_served: Arc<Counter>,
-    /// `Help` requests that missed the result cache.
+    /// `Help` requests that missed the result store.
     help_missed: Arc<Counter>,
     /// Stale partial rounds flushed by the expiry sweep.
     stale_flushes: Arc<Counter>,
@@ -290,7 +341,7 @@ const SWEEP_TOKEN: u64 = u64::MAX;
 /// Timer token reserved for fault injection: delivered to the extension
 /// (via `iswitch-netsim`'s `FaultAction::InjectTimer`) it models a switch
 /// restart — the accelerator loses every piece of volatile state: partial
-/// sums, counters, the result cache, and any scheduled emissions. Workers
+/// sums, counters, the kept results, and any scheduled emissions. Workers
 /// recover through the ordinary `Help`/`FBcast`/retransmission paths.
 pub const FAULT_RESET_TOKEN: u64 = u64::MAX - 1;
 
@@ -299,12 +350,16 @@ pub struct IswitchExtension {
     cfg: ExtensionConfig,
     accel: Accelerator,
     membership: MembershipTable,
+    /// What `Help` is served from: the results a root broadcast, or those
+    /// an intermediate relayed down from its uplink — never the partial
+    /// sum of its own rack that it sent up.
+    results: ResultStore,
     pending: HashMap<u64, PendingEmit>,
     next_token: u64,
     sweep_armed: bool,
     /// Completed segments held back in store-and-forward mode until the
-    /// whole round is resident, with their echoed-CE flag.
-    held: Vec<(DataSegment, bool)>,
+    /// whole round is resident.
+    held: Vec<PendingEmit>,
     stats: ExtensionStats,
     obs: Option<ExtObs>,
 }
@@ -322,9 +377,10 @@ impl IswitchExtension {
             "a switch needs at least one child"
         );
         assert!(cfg.grad_len > 0, "gradient length must be positive");
+        let num_segments = cfg.codec.num_segments(cfg.grad_len);
         let mut accel = Accelerator::with_codec(
             cfg.accel.clone(),
-            cfg.codec.num_segments(cfg.grad_len),
+            num_segments,
             cfg.threshold.max(1),
             cfg.codec,
         );
@@ -334,6 +390,7 @@ impl IswitchExtension {
             cfg,
             accel,
             membership: MembershipTable::new(),
+            results: ResultStore::new(num_segments),
             pending: HashMap::new(),
             next_token: 0,
             sweep_armed: false,
@@ -374,6 +431,12 @@ impl IswitchExtension {
         &self.stats
     }
 
+    /// Payload bytes kept for `Help` — at most [`RESULT_DEPTH`] results
+    /// per segment, whatever the length of the run.
+    pub fn kept_result_bytes(&self) -> usize {
+        self.results.bytes()
+    }
+
     fn schedule(&mut self, sw: &mut SwitchServices<'_, '_>, delay: SimDuration, emit: PendingEmit) {
         let token = self.next_token;
         self.next_token += 1;
@@ -381,13 +444,12 @@ impl IswitchExtension {
         sw.set_timer(delay, token);
     }
 
-    /// The packet carrying aggregate `seg` to `dst`, echoing the round's
-    /// congestion mark when `ce`.
-    fn data_packet(&mut self, dst: IpAddr, seg: &DataSegment, ce: bool) -> Packet {
-        // Reuses the worker-side factory so switch-emitted results carry
-        // the same causal key shape as worker contributions. Results leave
-        // in the codec's wide format (for f32, the legacy raw encoding).
-        let mut pkt = crate::worker::result_packet(self.cfg.switch_ip, dst, seg, self.cfg.codec);
+    /// The packet carrying result `payload` (tagged `seg`) to `dst`,
+    /// echoing the round's congestion mark when `ce`.
+    fn data_packet(&mut self, dst: IpAddr, seg: u64, payload: Bytes, ce: bool) -> Packet {
+        // The worker-side factory, so switch-emitted results carry the same
+        // causal key shape as worker contributions.
+        let mut pkt = sealed_data_packet(self.cfg.switch_ip, dst, seg, payload);
         if ce {
             pkt.mark_ecn_ce();
             self.stats.ecn_echoed += 1;
@@ -418,21 +480,28 @@ impl IswitchExtension {
         }
     }
 
-    /// Sends a closed round's aggregate on its way, `delay` from now. The
-    /// round's congestion mark rides out on exactly this emission (the
-    /// feedback leg of DCQCN: senders learn of queue build-up from the
-    /// aggregate coming back).
+    /// Sends a closed round's aggregate on its way, `delay` from now; a
+    /// root keeps it for `Help` from this moment. The round's congestion
+    /// mark rides out on exactly this emission (the feedback leg of DCQCN:
+    /// senders learn of queue build-up from the aggregate coming back).
     fn emit_completed(
         &mut self,
         sw: &mut SwitchServices<'_, '_>,
-        seg: DataSegment,
-        ce: bool,
+        round: ClosedRound,
         delay: SimDuration,
     ) {
+        if self.cfg.role == AggregationRole::Root {
+            self.results.put(round.seg, round.payload.clone());
+        }
+        let emit = PendingEmit::Result {
+            seg: round.seg,
+            payload: round.payload,
+            ce: round.ce,
+        };
         match self.cfg.mode {
-            AggregationMode::OnTheFly => self.schedule(sw, delay, PendingEmit::Result { seg, ce }),
+            AggregationMode::OnTheFly => self.schedule(sw, delay, emit),
             AggregationMode::StoreAndForward => {
-                self.held.push((seg, ce));
+                self.held.push(emit);
                 if self.held.len() == self.accel.num_segments() {
                     // The conventional scheme only starts summing once all
                     // vectors are resident: charge one pass of every packet
@@ -442,8 +511,8 @@ impl IswitchExtension {
                         * u64::from(self.accel.threshold())
                         * per_packet.as_nanos();
                     let mut when = SimDuration::from_nanos(total);
-                    for (seg, ce) in std::mem::take(&mut self.held) {
-                        self.schedule(sw, when, PendingEmit::Result { seg, ce });
+                    for emit in std::mem::take(&mut self.held) {
+                        self.schedule(sw, when, emit);
                         when += per_packet;
                     }
                 }
@@ -460,6 +529,8 @@ impl IswitchExtension {
                 let Ok(meta) = self.cfg.codec.codec().decode_meta(&pkt.payload) else {
                     return; // malformed: dropped, like the upward path below
                 };
+                // The global result: what `Help` from this rack is owed.
+                self.results.put(meta.seg, pkt.payload.clone());
                 let mut relay = crate::worker::data_packet_wire(
                     self.cfg.switch_ip,
                     RESULT_BROADCAST_IP,
@@ -538,7 +609,7 @@ impl IswitchExtension {
                         .end((now + latency).as_nanos())
                         .emit(trace);
                 }
-                self.emit_completed(sw, round.aggregate, round.ce, latency);
+                self.emit_completed(sw, round, latency);
             }
         }
     }
@@ -559,14 +630,14 @@ impl IswitchExtension {
             let mut ev = TraceEvent::new(sw.now().as_nanos(), "switch.flush")
                 .with_u64("round", u64::from(seg_round(seg)))
                 .with_u64("seg", seg_index(seg))
-                .with_u64("count", u64::from(partial.aggregate.count))
+                .with_u64("count", u64::from(partial.count))
                 .with_str("reason", reason);
             if let Some(from) = from {
                 ev = ev.with_str("from", from);
             }
             trace.record(ev.with_u64("node", sw.node().index() as u64));
         }
-        self.emit_completed(sw, partial.aggregate, partial.ce, SimDuration::ZERO);
+        self.emit_completed(sw, partial, SimDuration::ZERO);
     }
 
     /// Flushes partial rounds that have seen no contribution for the
@@ -587,27 +658,48 @@ impl IswitchExtension {
         }
     }
 
-    /// Forgets every piece of volatile state: open rounds, the result
-    /// cache, held and scheduled emissions — nothing scheduled before a
+    /// Forgets every piece of volatile state: open rounds, the kept
+    /// results, held and scheduled emissions — nothing scheduled before a
     /// reset is emitted after it. `sweep_armed` stays as-is: an in-flight
     /// sweep timer cannot be recalled, and letting it run keeps a single
     /// sweep chain alive.
     fn reset(&mut self) {
         self.accel.reset();
+        self.results.entries.fill(None);
         self.held.clear();
         self.pending.clear();
     }
 
     fn ack(&self, sw: &mut SwitchServices<'_, '_>, to: IpAddr, of: u8, ok: bool) {
-        let pkt = Packet::udp(
+        let _ = sw.send_routed(control_packet(
             self.cfg.switch_ip,
             to,
-            ISWITCH_UDP_PORT,
-            ISWITCH_UDP_PORT,
-            TOS_CONTROL,
-        )
-        .with_payload(ControlMessage::Ack { of, ok }.encode());
-        let _ = sw.send_routed(pkt);
+            &ControlMessage::Ack { of, ok },
+        ));
+    }
+
+    /// Answers a `Help` the store cannot serve. A root that neither keeps
+    /// the round nor has it open never received any of it, or has since
+    /// kept a result [`RESULT_DEPTH`] rounds newer in its place: only the
+    /// requester can supply it, so the root sends the `Help` back and the
+    /// worker resends its contribution to that one segment. An open round
+    /// stays silent — the resend could count twice — and so does an
+    /// intermediate, above which the round may still be pending.
+    fn ask_for_resend(&mut self, sw: &mut SwitchServices<'_, '_>, seg: u64, to: IpAddr) {
+        let root = self.cfg.role == AggregationRole::Root;
+        if !root || self.results.entry(seg).is_none() || self.accel.is_open(seg) {
+            return;
+        }
+        self.stats.resend_requests += 1;
+        // Registered by the first request, so a run that never needs one
+        // keeps its metric report unchanged.
+        let name = format!("core.switch.n{:03}.resend_requests", sw.node().index());
+        sw.metrics().counter(&name).inc();
+        let _ = sw.send_routed(control_packet(
+            self.cfg.switch_ip,
+            to,
+            &ControlMessage::Help { seg },
+        ));
     }
 
     fn handle_control(&mut self, sw: &mut SwitchServices<'_, '_>, pkt: &Packet) {
@@ -661,18 +753,20 @@ impl IswitchExtension {
                 self.flush(sw, seg, "fbcast", Some(from));
             }
             ControlMessage::Help { seg } => {
-                let served = if let Some(cached) = self.accel.last_result(seg) {
+                let kept = self.results.get(seg).cloned();
+                let served = kept.is_some();
+                if let Some(payload) = kept {
+                    self.obs(sw).help_served.inc();
                     let reply = PendingEmit::HelpReply {
-                        seg: cached.clone(),
+                        seg,
+                        payload,
                         to: from,
                     };
-                    self.obs(sw).help_served.inc();
-                    self.schedule(sw, SimDuration::from_nanos(0), reply);
-                    true
+                    self.schedule(sw, SimDuration::ZERO, reply);
                 } else {
                     self.obs(sw).help_missed.inc();
-                    false
-                };
+                    self.ask_for_resend(sw, seg, from);
+                }
                 if let Some(trace) = sw.trace() {
                     trace.record(
                         TraceEvent::new(sw.now().as_nanos(), "switch.help")
@@ -686,15 +780,11 @@ impl IswitchExtension {
             }
             ControlMessage::Halt => {
                 // Relay the suspension to every child.
-                let pkt = Packet::udp(
-                    self.cfg.switch_ip,
-                    RESULT_BROADCAST_IP,
-                    ISWITCH_UDP_PORT,
-                    ISWITCH_UDP_PORT,
-                    TOS_CONTROL,
-                )
-                .with_payload(ControlMessage::Halt.encode());
-                self.send_children(sw, pkt);
+                let halt = &ControlMessage::Halt;
+                self.send_children(
+                    sw,
+                    control_packet(self.cfg.switch_ip, RESULT_BROADCAST_IP, halt),
+                );
             }
             ControlMessage::Ack { .. } => {
                 // Acks terminate at the switch.
@@ -748,19 +838,19 @@ impl SwitchExtension for IswitchExtension {
             return;
         };
         match emit {
-            PendingEmit::Result { seg, ce } => match self.cfg.role {
+            PendingEmit::Result { seg, payload, ce } => match self.cfg.role {
                 AggregationRole::Root => {
-                    let pkt = self.data_packet(RESULT_BROADCAST_IP, &seg, ce);
+                    let pkt = self.data_packet(RESULT_BROADCAST_IP, seg, payload, ce);
                     self.fanout_down(sw, pkt);
                 }
                 AggregationRole::Intermediate { uplink } => {
-                    let pkt = self.data_packet(UPSTREAM_IP, &seg, ce);
+                    let pkt = self.data_packet(UPSTREAM_IP, seg, payload, ce);
                     sw.send_port(uplink, pkt);
                     self.obs(sw).upward_forwards.inc();
                 }
             },
-            PendingEmit::HelpReply { seg, to } => {
-                let pkt = self.data_packet(to, &seg, false);
+            PendingEmit::HelpReply { seg, payload, to } => {
+                let pkt = self.data_packet(to, seg, payload, false);
                 let _ = sw.send_routed(pkt);
             }
         }

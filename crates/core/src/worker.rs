@@ -1,8 +1,10 @@
 //! Worker-side packet helpers: building gradient/control packets and
 //! parsing what comes back from the switch.
 
+use std::cell::RefCell;
+
 use bytes::Bytes;
-use iswitch_netsim::{CausalKey, IpAddr, Packet};
+use iswitch_netsim::{CausalKey, IpAddr, Ipv4Header, Packet, UdpHeader, MAX_UDP_PAYLOAD};
 
 use crate::protocol::codec::{CodecKind, FixedPointCodec};
 use crate::protocol::data::seg_header;
@@ -12,28 +14,28 @@ use crate::protocol::{
 };
 use crate::switch_ext::UPSTREAM_IP;
 
-/// The one packetiser: splits `grad` into `codec`-sized segments tagged
-/// with `round` and encodes each as a worker contribution, yielding the
-/// wire `Seg` value next to its payload. `exp_bias` seeds the fixed-point
-/// exponent-stamp bug (the chaos harness's codec bug); zero is correct
-/// operation and the only value other codecs accept a stamp for.
-fn contribution_payloads(
+/// The one packetiser: segment `index` of `grad` (its `index`-th
+/// `codec`-sized chunk), tagged with `round` and encoded as a worker
+/// contribution, as the wire `Seg` value next to its payload. `exp_bias`
+/// seeds the fixed-point exponent-stamp bug (the chaos harness's codec
+/// bug); zero is correct operation and the only value other codecs accept
+/// a stamp for.
+fn contribution_payload(
     grad: &[f32],
+    index: usize,
     round: u32,
     codec: CodecKind,
     exp_bias: i8,
-) -> impl Iterator<Item = (u64, Bytes)> + '_ {
-    grad.chunks(codec.elems_per_segment())
-        .enumerate()
-        .map(move |(i, chunk)| {
-            let seg = tag_round(i as u64, round);
-            let payload = if exp_bias != 0 && codec == CodecKind::FixedPoint {
-                FixedPointCodec.encode_contribution_biased(seg, chunk, exp_bias)
-            } else {
-                codec.codec().encode_contribution(seg, chunk)
-            };
-            (seg, payload.expect("gradient values are finite"))
-        })
+) -> (u64, Bytes) {
+    let elems = codec.elems_per_segment();
+    let chunk = &grad[index * elems..grad.len().min((index + 1) * elems)];
+    let seg = tag_round(index as u64, round);
+    let payload = if exp_bias != 0 && codec == CodecKind::FixedPoint {
+        FixedPointCodec.encode_contribution_biased(seg, chunk, exp_bias)
+    } else {
+        codec.codec().encode_contribution(seg, chunk)
+    };
+    (seg, payload.expect("gradient values are finite"))
 }
 
 /// Builds the sequence of data packets carrying `grad` from a worker at
@@ -68,9 +70,28 @@ pub fn gradient_packets_round_codec(
     codec: CodecKind,
     exp_bias: i8,
 ) -> Vec<Packet> {
-    contribution_payloads(grad, round, codec, exp_bias)
-        .map(|(seg, payload)| sealed_data_packet(src, UPSTREAM_IP, seg, payload))
+    (0..codec.num_segments(grad.len()))
+        .map(|index| contribution_packet(src, grad, index, round, codec, exp_bias))
         .collect()
+}
+
+/// Segment `index` alone of what [`gradient_packets_round_codec`] sends —
+/// the one contribution a worker resends when its switch asks for it back.
+///
+/// # Panics
+///
+/// Panics under the same conditions, or if `index` is past the last
+/// segment.
+pub fn contribution_packet(
+    src: IpAddr,
+    grad: &[f32],
+    index: usize,
+    round: u32,
+    codec: CodecKind,
+    exp_bias: i8,
+) -> Packet {
+    let (seg, payload) = contribution_payload(grad, index, round, codec, exp_bias);
+    sealed_data_packet(src, UPSTREAM_IP, seg, payload)
 }
 
 /// Pre-encoded contribution payloads for a gradient vector whose contents
@@ -78,14 +99,16 @@ pub fn gradient_packets_round_codec(
 ///
 /// [`gradient_packets_round_codec`] re-encodes every element each
 /// iteration even though only the 8-byte round-tagged header differs
-/// between rounds. This cache encodes the vector once; per iteration,
-/// round 0 packets reuse the stored [`Bytes`] outright (refcount clone),
-/// and other rounds pay one memcpy plus an 8-byte header patch per packet.
-/// Output is byte-for-byte identical to [`gradient_packets_round_codec`].
+/// between rounds. This cache encodes the vector once and keeps one
+/// payload per segment, tagged for the round it last went out in. A packet
+/// for that round shares it outright (refcount clone); for another round,
+/// its 8-byte header is patched in place once no packet of the earlier
+/// round still holds it, and copied first otherwise. Output is
+/// byte-for-byte identical to [`gradient_packets_round_codec`].
 pub struct EncodedGradient {
     src: IpAddr,
-    /// Encoded payloads tagged with round 0 (identity tag).
-    round0: Vec<Bytes>,
+    /// One encoded payload per segment (always `Some` between calls).
+    templates: RefCell<Vec<Option<Bytes>>>,
 }
 
 impl EncodedGradient {
@@ -105,35 +128,54 @@ impl EncodedGradient {
     /// Panics if the gradient contains non-finite values and the codec is
     /// quantized.
     pub fn with_codec(src: IpAddr, grad: &[f32], codec: CodecKind, exp_bias: i8) -> Self {
+        let templates = (0..codec.num_segments(grad.len()))
+            .map(|index| Some(contribution_payload(grad, index, 0, codec, exp_bias).1))
+            .collect();
         EncodedGradient {
             src,
-            round0: contribution_payloads(grad, 0, codec, exp_bias)
-                .map(|(_, payload)| payload)
-                .collect(),
+            templates: RefCell::new(templates),
         }
     }
 
     /// Builds the packet sequence for `round` — the cached-template
     /// equivalent of [`gradient_packets_round_codec`].
     pub fn packets_round(&self, round: u32) -> Vec<Packet> {
-        self.round0
-            .iter()
-            .enumerate()
-            .map(|(i, template)| {
-                let seg = tag_round(i as u64, round);
-                let header = seg_header(seg, 1);
-                let payload = if template[..SEG_HEADER_BYTES] == header {
-                    // Header already matches (segment 0 of round 0, and any
-                    // template whose patch would be a no-op): share storage.
-                    template.clone()
-                } else {
-                    let mut buf = template.to_vec();
+        let segments = self.templates.borrow().len();
+        (0..segments)
+            .map(|index| self.packet(index, round))
+            .collect()
+    }
+
+    /// Contribution `index` of `round` — the cached-template equivalent of
+    /// [`contribution_packet`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is past the last segment.
+    pub fn packet(&self, index: usize, round: u32) -> Packet {
+        let seg = tag_round(index as u64, round);
+        let header = seg_header(seg, 1);
+        let mut templates = self.templates.borrow_mut();
+        let slot = &mut templates[index];
+        let mut payload = slot.take().expect("a template per segment");
+        if payload[..SEG_HEADER_BYTES] != header {
+            payload = match payload.try_into_mut() {
+                // Nothing else holds the bytes: retag them where they are.
+                Ok(mut own) => {
+                    own[..SEG_HEADER_BYTES].copy_from_slice(&header);
+                    own.freeze()
+                }
+                // A packet of the earlier round is still in flight (or kept
+                // for retransmission): it must keep its own header.
+                Err(shared) => {
+                    let mut buf = shared.to_vec();
                     buf[..SEG_HEADER_BYTES].copy_from_slice(&header);
                     Bytes::from(buf)
-                };
-                sealed_data_packet(self.src, UPSTREAM_IP, seg, payload)
-            })
-            .collect()
+                }
+            };
+        }
+        *slot = Some(payload.clone());
+        sealed_data_packet(self.src, UPSTREAM_IP, seg, payload)
     }
 }
 
@@ -147,13 +189,6 @@ pub fn data_packet(src: IpAddr, dst: IpAddr, seg: &DataSegment) -> Packet {
     sealed_data_packet(src, dst, seg.seg, seg.encode())
 }
 
-/// Builds a result packet carrying an aggregate in `codec`'s wide result
-/// format — what iSwitch switches broadcast down (and intermediates send
-/// up). For [`CodecKind::F32`] this is exactly [`data_packet`].
-pub fn result_packet(src: IpAddr, dst: IpAddr, seg: &DataSegment, codec: CodecKind) -> Packet {
-    sealed_data_packet(src, dst, seg.seg, codec.codec().encode_result(seg))
-}
-
 /// Re-wraps an already-encoded data payload into a packet from `src` —
 /// the zero-copy relay path: an intermediate switch fanning out a result
 /// from its parent forwards the payload [`Bytes`] as-is, no decode or
@@ -164,15 +199,35 @@ pub fn data_packet_wire(src: IpAddr, dst: IpAddr, meta: SegmentMeta, payload: By
 
 /// Wraps an encoded payload whose `Seg` field is `seg` into a data packet
 /// with the standard causal stamp.
-fn sealed_data_packet(src: IpAddr, dst: IpAddr, seg: u64, payload: Bytes) -> Packet {
-    Packet::udp(src, dst, ISWITCH_UDP_PORT, ISWITCH_UDP_PORT, TOS_DATA)
-        .with_payload(payload)
-        .with_cause(CausalKey {
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_UDP_PAYLOAD`].
+pub(crate) fn sealed_data_packet(src: IpAddr, dst: IpAddr, seg: u64, payload: Bytes) -> Packet {
+    assert!(
+        payload.len() <= MAX_UDP_PAYLOAD,
+        "payload exceeds MAX_UDP_PAYLOAD"
+    );
+    // Built whole: `Packet::udp(..).with_payload(..)` would allocate a
+    // placeholder payload for every packet, only to drop it.
+    Packet {
+        ip: Ipv4Header {
+            src,
+            dst,
+            tos: TOS_DATA,
+        },
+        udp: UdpHeader {
+            src_port: ISWITCH_UDP_PORT,
+            dst_port: ISWITCH_UDP_PORT,
+        },
+        payload,
+        cause: Some(CausalKey {
             round: u64::from(seg_round(seg)),
             segment: seg_index(seg),
             worker: u64::from(src.as_u32()),
             tenant: 0,
-        })
+        }),
+    }
 }
 
 /// Builds a control packet carrying `msg` from `src` to `dst`.

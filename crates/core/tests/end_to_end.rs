@@ -9,7 +9,7 @@ use common::{switch_counter, Puppet};
 
 use iswitch_core::{
     control_packet, decode_control, decode_data, gradient_packets, AggregationRole, ControlMessage,
-    ExtensionConfig, GradientAssembler, IswitchExtension, FAULT_RESET_TOKEN,
+    DataSegment, ExtensionConfig, GradientAssembler, IswitchExtension, FAULT_RESET_TOKEN,
 };
 use iswitch_netsim::{
     build_star, build_tree, build_tree3, host_ip, FaultAction, FaultPlan, HostApp, HostCtx,
@@ -34,6 +34,8 @@ struct ScriptedWorker {
     /// congested queue on its way to the switch.
     mark_ce: bool,
     assembler: GradientAssembler,
+    /// Every result segment that arrived, in arrival order.
+    arrived: Vec<DataSegment>,
     result: Option<Vec<f32>>,
     result_at: Option<SimTime>,
     acks: Vec<ControlMessage>,
@@ -54,6 +56,7 @@ impl ScriptedWorker {
             retransmit_on_timeout: false,
             mark_ce: false,
             assembler,
+            arrived: Vec::new(),
             result: None,
             result_at: None,
             acks: Vec::new(),
@@ -108,6 +111,7 @@ impl HostApp for ScriptedWorker {
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
         if let Some(seg) = decode_data(&pkt) {
+            self.arrived.push(seg.clone());
             if self.result.is_none() && self.assembler.insert(&seg).unwrap_or(false) {
                 let asm =
                     std::mem::replace(&mut self.assembler, GradientAssembler::new(self.grad.len()));
@@ -228,23 +232,19 @@ fn interleaved_packet_arrivals_still_sum_correctly() {
     }
 }
 
-#[test]
-fn tree_hierarchical_aggregation_equals_flat_sum() {
-    // Two racks of three workers under a core switch (Fig. 10): ToRs
-    // aggregate locally, the core globally, results fan back down.
-    let len = 2000;
-    let racks = 2;
-    let per_rack = 3;
+/// `racks` racks of `per_rack` workers `mk_worker(w)` (numbered rack-major)
+/// under a core switch, every switch aggregating.
+fn build_tree_sim(
+    racks: usize,
+    per_rack: usize,
+    len: usize,
+    mk_worker: impl Fn(usize) -> ScriptedWorker,
+) -> (Simulator, iswitch_netsim::Tree) {
     let mut sim = Simulator::new();
     let rack_apps: Vec<Vec<Box<dyn HostApp>>> = (0..racks)
         .map(|r| {
             (0..per_rack)
-                .map(|i| {
-                    Box::new(ScriptedWorker::new(
-                        worker_grad(r * per_rack + i, len),
-                        SimDuration::from_micros((r * per_rack + i) as u64),
-                    )) as Box<dyn HostApp>
-                })
+                .map(|i| Box::new(mk_worker(r * per_rack + i)) as Box<dyn HostApp>)
                 .collect()
         })
         .collect();
@@ -270,6 +270,17 @@ fn tree_hierarchical_aggregation_equals_flat_sum() {
         Some(Box::new(ext))
     };
     let tree = build_tree(&mut sim, rack_apps, &mut mk_ext, &TopologyConfig::default());
+    (sim, tree)
+}
+
+#[test]
+fn tree_hierarchical_aggregation_equals_flat_sum() {
+    // Two racks of three workers under a core switch (Fig. 10): ToRs
+    // aggregate locally, the core globally, results fan back down.
+    let (len, racks, per_rack) = (2000, 2, 3);
+    let (mut sim, tree) = build_tree_sim(racks, per_rack, len, |w| {
+        ScriptedWorker::new(worker_grad(w, len), SimDuration::from_micros(w as u64))
+    });
     sim.run_until_idle();
 
     let expect = expected_mean(racks * per_rack, len);
@@ -289,6 +300,44 @@ fn tree_hierarchical_aggregation_equals_flat_sum() {
         ext.accelerator().stats().packets_in as usize,
         racks * iswitch_core::num_segments(len)
     );
+}
+
+#[test]
+fn help_inside_a_tree_is_served_the_global_result() {
+    // Two racks of two, one segment: worker 0's result is dropped on its
+    // downlink. Its ToR relayed the global result from the core and
+    // serves the `Help` from that — not from its rack's partial sum, the
+    // aggregate it sent up.
+    let (len, racks, per_rack) = (100, 2, 2);
+    let (mut sim, tree) = build_tree_sim(racks, per_rack, len, |w| {
+        let start = SimDuration::from_micros(w as u64);
+        let mut worker = ScriptedWorker::new(worker_grad(w, len), start);
+        worker.help_timeout = Some(SimDuration::from_millis(1));
+        worker
+    });
+    // Worker 0's edge link carries its contribution (packet 0), then the
+    // result (packet 1).
+    let mut plan = FaultPlan::new();
+    let (link, loss) = (tree.host_links[0][0], LossModel::Exact { drops: vec![1] });
+    plan.push(SimTime::ZERO, FaultAction::SetLinkLoss { link, loss });
+    sim.install_fault_plan(&plan);
+    sim.run_until_idle();
+
+    let worker = sim
+        .device::<iswitch_netsim::Host>(tree.hosts[0][0])
+        .app::<ScriptedWorker>();
+    let [reply] = worker.arrived.as_slice() else {
+        panic!("one result, the Help reply: {:?}", worker.arrived);
+    };
+    assert_eq!(reply.count, 4, "the global count");
+    let mean = expected_mean(racks * per_rack, len);
+    for (sum, mean) in reply.values.iter().zip(&mean) {
+        assert!(
+            (sum - 4.0 * mean).abs() < 1e-3,
+            "{sum} is not the global sum"
+        );
+    }
+    assert_eq!(switch_counter(&sim, tree.tors[0], "help_served"), 1);
 }
 
 #[test]
@@ -396,7 +445,7 @@ fn join_and_set_h_are_acknowledged() {
 #[test]
 fn lost_result_recovered_via_help() {
     // Drop exactly one switch->worker result packet; the worker times out
-    // and asks the switch to retransmit from its result cache.
+    // and asks the switch to retransmit the result it keeps.
     let (n, len) = (2, 800);
     let mut sim = Simulator::new();
     let apps: Vec<Box<dyn HostApp>> = (0..n)
@@ -601,7 +650,7 @@ fn fault_plan_exact_drop_is_recovered_by_partial_flush() {
 fn injected_switch_restart_is_recovered_by_retransmission() {
     // A FaultPlan fires the reserved fault-reset timer on the switch after
     // two of three contributions arrived: the accelerator loses all
-    // volatile state (partial sums, counters, result cache). The two wiped
+    // volatile state (partial sums, counters, kept results). The two wiped
     // workers re-push on timeout and the round completes with the full
     // three-way mean — nothing double-counted, nothing lost.
     let (n, len) = (3, 400);

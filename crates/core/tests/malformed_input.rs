@@ -7,12 +7,13 @@
 //! header, sub-header or body byte flipped, or the tail cut.
 
 use iswitch_core::{
-    data_packet_wire, decode_seg_field, Accelerator, AcceleratorConfig, CodecKind, ControlMessage,
-    DataSegment, ExtensionConfig, IswitchExtension, ProtocolError, RoundAssembler, RoundInsert,
-    SegmentMeta, UPSTREAM_IP,
+    control_packet, data_packet_wire, decode_seg_field, tag_round, Accelerator, AcceleratorConfig,
+    AggregationRole, CodecKind, ControlMessage, DataSegment, ExtensionConfig, IswitchExtension,
+    ProtocolError, RoundAssembler, RoundInsert, SegmentMeta, RESULT_BROADCAST_IP, UPSTREAM_IP,
 };
 use iswitch_netsim::{
-    build_star, host_ip, PortId, SimDuration, Simulator, Switch, TopologyConfig, MAX_UDP_PAYLOAD,
+    build_star, host_ip, Host, LinkSpec, NodeOpts, PortId, RouteTable, SimDuration, Simulator,
+    Switch, TopologyConfig, MAX_UDP_PAYLOAD,
 };
 use proptest::prelude::*;
 
@@ -301,6 +302,77 @@ fn a_refused_packet_under_stale_flush_arms_nothing_and_leaves_nothing() {
         idle_at.as_nanos() < age.as_nanos() * 3 / 2,
         "a ghost sweep ran: {idle_at}"
     );
+}
+
+#[test]
+fn segment_indices_past_the_gradient_are_kept_served_and_resent_by_no_one() {
+    // A one-segment job. A result for an index the gradient does not have
+    // arrives from above — relayed from the uplink by an intermediate, or
+    // (at a root, where that port is no child) taken as a contribution and
+    // broadcast — and then a `Help` for it. Either way the child gets the
+    // one result, no switch keeps it, and the `Help` is neither served nor
+    // answered with a resend request.
+    let len = 10;
+    let (child, above) = (host_ip(0, 0), host_ip(0, 1));
+    let uplink = PortId::new(1);
+    for role in [
+        AggregationRole::Root,
+        AggregationRole::Intermediate { uplink },
+    ] {
+        for index in [1, 2, u64::from(u32::MAX)] {
+            let seg = tag_round(index, 3);
+            let values = vec![1.0; len];
+            let result = DataSegment {
+                seg,
+                count: 2,
+                values,
+            };
+            let meta = SegmentMeta { seg, count: 2, len };
+            let result = CodecKind::F32.codec().encode_result(&result);
+            let scripts = [
+                (
+                    child,
+                    (
+                        1_000,
+                        control_packet(child, UPSTREAM_IP, &ControlMessage::Help { seg }),
+                    ),
+                ),
+                (
+                    above,
+                    (
+                        0,
+                        data_packet_wire(above, RESULT_BROADCAST_IP, meta, result),
+                    ),
+                ),
+            ];
+            let cfg = ExtensionConfig::for_tree_level(role, vec![PortId::new(0)], len);
+            let ext = Box::new(IswitchExtension::new(cfg));
+            let mut sim = Simulator::new();
+            let switch = sim.add_node(
+                Box::new(Switch::with_extension(RouteTable::new(), ext)),
+                NodeOpts::new("switch"),
+            );
+            let mut routes = RouteTable::new();
+            let mut hosts = Vec::new();
+            for (ip, step) in scripts {
+                let host = Box::new(Host::new(ip, Puppet::new(vec![step])));
+                let host = sim.add_node(host, NodeOpts::new(ip.to_string()));
+                let wire = LinkSpec::new(u64::MAX, SimDuration::ZERO);
+                let (_, _, port) = sim.connect(host, switch, &wire);
+                routes.add(ip, port);
+                hosts.push(host);
+            }
+            *sim.device_mut::<Switch>(switch).routes_mut() = routes;
+            sim.run_until_idle();
+
+            let got = &sim.device::<Host>(hosts[0]).app::<Puppet>().got;
+            assert_eq!(got.len(), 1, "{role:?} {index}: the result, and no reply");
+            let ext = sim.device::<Switch>(switch).extension::<IswitchExtension>();
+            assert_eq!(ext.kept_result_bytes(), 0, "{role:?} {index}");
+            assert_eq!(ext.stats().resend_requests, 0, "{role:?} {index}");
+            assert_eq!(switch_counter(&sim, switch, "help_missed"), 1);
+        }
+    }
 }
 
 proptest! {

@@ -17,9 +17,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 use iswitch_core::{
-    control_packet, data_packet_wire, tag_round, AcceleratorConfig, AggregationCodec, CodecKind,
-    ControlMessage, DataSegment, ExtensionConfig, IswitchExtension, WireAcc, FAULT_RESET_TOKEN,
-    HOST_PATH_LATENCY_FACTOR, UPSTREAM_IP,
+    control_packet, data_packet_wire, seg_index, seg_round, tag_round, AcceleratorConfig,
+    AggregationCodec, CodecKind, ControlMessage, DataSegment, ExtensionConfig, IswitchExtension,
+    WireAcc, FAULT_RESET_TOKEN, HOST_PATH_LATENCY_FACTOR, RESULT_DEPTH, UPSTREAM_IP,
 };
 use iswitch_netsim::{
     host_ip, FaultAction, FaultPlan, Host, LinkSpec, NodeOpts, PortId, RouteTable, SimDuration,
@@ -114,6 +114,7 @@ struct Tally {
     forced_broadcasts: u64,
     help_served: u64,
     help_missed: u64,
+    resend_requests: u64,
     bram_drops: u64,
     malformed_drops: u64,
     slot_denials: u64,
@@ -142,7 +143,9 @@ struct Model {
     host_fallback: bool,
     stale: bool,
     open: BTreeMap<u64, Round>,
-    cache: HashMap<u64, DataSegment>,
+    /// The results kept for `Help`: the latest of each segment and round
+    /// residue mod `RESULT_DEPTH`, with its full `Seg`.
+    kept: HashMap<(u64, u32), DataSegment>,
     next_sweep: Option<u64>,
     /// Expected arrivals at the host: (time, aggregate, CE echoed).
     emitted: Vec<(u64, DataSegment, bool)>,
@@ -153,6 +156,11 @@ struct Model {
     /// (coverage only: the switch counts neither).
     wiped: u64,
     refused_openers: u64,
+}
+
+/// Where the switch keeps the result of `seg`.
+fn kept_at(seg: u64) -> (u64, u32) {
+    (seg_index(seg), seg_round(seg) % RESULT_DEPTH as u32)
 }
 
 impl Model {
@@ -168,7 +176,7 @@ impl Model {
         let round = self.open.remove(&seg).expect("closing an open round");
         let (count, values) = (round.workers, self.kind.codec().decode_acc(&round.acc));
         let aggregate = DataSegment { seg, count, values };
-        self.cache.insert(seg, aggregate.clone());
+        self.kept.insert(kept_at(seg), aggregate.clone());
         self.send_down(at, aggregate, round.ce);
         self.tally.segments_emitted += 1;
         self.tally.fallback_rounds += u64::from(round.host);
@@ -259,19 +267,30 @@ impl Model {
                 self.tally.forced_broadcasts += 1;
             }
             Action::FBcast { .. } => {}
-            Action::Help { key } => match self.cache.get(&seg_of(key)) {
-                Some(cached) => {
-                    self.send_down(now, cached.clone(), false);
-                    self.tally.help_served += 1;
+            Action::Help { key } => {
+                let seg = seg_of(key);
+                match self.kept.get(&kept_at(seg)).filter(|kept| kept.seg == seg) {
+                    Some(kept) => {
+                        self.send_down(now, kept.clone(), false);
+                        self.tally.help_served += 1;
+                    }
+                    None => {
+                        self.tally.help_missed += 1;
+                        // Neither kept nor open: the root asks for the
+                        // contribution back (a control packet the puppet
+                        // does not keep).
+                        if !self.open.contains_key(&seg) {
+                            self.tally.resend_requests += 1;
+                        }
+                    }
                 }
-                None => self.tally.help_missed += 1,
-            },
-            // Either reset forgets every open round and the Help cache; a
+            }
+            // Either reset forgets every open round and the kept results; a
             // running sweep chain keeps ticking until it finds nothing.
             Action::Reset | Action::Restart => {
                 self.wiped += self.open.len() as u64;
                 self.open.clear();
-                self.cache.clear();
+                self.kept.clear();
             }
         }
     }
@@ -365,7 +384,7 @@ fn check(kind: CodecKind, host_fallback: bool, stale: bool, actions: &[(u64, Act
         host_fallback,
         stale,
         open: BTreeMap::new(),
-        cache: HashMap::new(),
+        kept: HashMap::new(),
         next_sweep: None,
         emitted: Vec::new(),
         down_free: 0,
@@ -438,6 +457,7 @@ fn check(kind: CodecKind, host_fallback: bool, stale: bool, actions: &[(u64, Act
         forced_broadcasts: stats.forced_broadcasts,
         help_served: counter("help_served"),
         help_missed: counter("help_missed"),
+        resend_requests: counter("resend_requests"),
         bram_drops: stats.bram_drops,
         malformed_drops: counter("malformed_drops"),
         slot_denials: stats.slot_denials,
@@ -448,6 +468,11 @@ fn check(kind: CodecKind, host_fallback: bool, stale: bool, actions: &[(u64, Act
     };
     assert_eq!(seen, model.tally);
     assert_eq!(stats.malformed_drops, model.tally.malformed_drops);
+    assert_eq!(ext.stats().resend_requests, model.tally.resend_requests);
+    let kept: usize = (model.kept.values())
+        .map(|result| codec.encode_result(result).len())
+        .sum();
+    assert_eq!(ext.kept_result_bytes(), kept);
     model
 }
 
@@ -509,6 +534,7 @@ fn every_round_ends_once_and_leaves_nothing() {
             ("refused opener", model.refused_openers),
             ("ce echo", t.ecn_echoed),
             ("help", t.help_served),
+            ("resend request", t.resend_requests),
             ("overflow", t.bram_drops + t.fallback_rounds),
         ] {
             *endings

@@ -1,0 +1,148 @@
+//! A round closed in the switch allocates its result once, and what the
+//! switch keeps for `Help` stops growing.
+//!
+//! Alone in its binary because it replaces the global allocator with one
+//! that counts, as `iswitch-netsim`'s `hot_path_allocs.rs` does. Two hosts
+//! under an f32 iSwitch push one segment each per round, the moment the
+//! previous round's result reaches them; every packet is built before the
+//! run. Once the engine's buffers have grown to their working size, a round
+//! — two contributions in, the round closed, its result out to both hosts —
+//! allocates the result's payload and its shared handle, and nothing else.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
+use std::cell::Cell;
+
+use iswitch_core::{
+    gradient_packets_round, ExtensionConfig, IswitchExtension, FLOATS_PER_SEGMENT, RESULT_DEPTH,
+};
+use iswitch_netsim::{
+    build_star, host_ip, Host, HostApp, HostCtx, Packet, PortId, Simulator, Switch, TopologyConfig,
+};
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. Per thread, so
+    /// the test harness's own threads do not count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a bump of a const-initialised, destructor-free thread-local, which
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, with the caller's `realloc` contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Round tags the hosts cycle through, so each result replaces the one
+/// [`RESULT_DEPTH`] rounds older in the switch's store.
+const TAGS: u32 = 16;
+const WARM_UP: u64 = 3_000;
+const MEASURED: u64 = 3_000;
+
+/// Pushes its pre-built contribution for the next round at start and on
+/// every result, until `rounds` are pushed.
+struct Pusher {
+    stock: Vec<Packet>,
+    rounds: u64,
+    pushed: u64,
+    results: u64,
+}
+
+impl Pusher {
+    fn push(&mut self, ctx: &mut HostCtx<'_, '_>) {
+        if self.pushed < self.rounds {
+            ctx.send(self.stock[(self.pushed % u64::from(TAGS)) as usize].clone());
+            self.pushed += 1;
+        }
+    }
+}
+
+impl HostApp for Pusher {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+        self.push(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, _pkt: Packet) {
+        self.results += 1;
+        self.push(ctx);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn a_closed_f32_round_allocates_its_result_and_the_store_stops_growing() {
+    const HOSTS: usize = 2;
+    let grad = vec![0.5f32; FLOATS_PER_SEGMENT];
+    let mut sim = Simulator::new();
+    let apps: Vec<Box<dyn HostApp>> = (0..HOSTS)
+        .map(|i| {
+            let stock = (0..TAGS)
+                .map(|round| gradient_packets_round(host_ip(0, i), &grad, round).remove(0))
+                .collect();
+            let rounds = WARM_UP + MEASURED;
+            let (pushed, results) = (0, 0);
+            Box::new(Pusher {
+                stock,
+                rounds,
+                pushed,
+                results,
+            }) as Box<dyn HostApp>
+        })
+        .collect();
+    let ports = (0..HOSTS).map(PortId::new).collect();
+    let ext = IswitchExtension::new(ExtensionConfig::for_star(ports, grad.len()));
+    let star = build_star(
+        &mut sim,
+        apps,
+        Some(Box::new(ext)),
+        &TopologyConfig::default(),
+    );
+    let rounds = |sim: &Simulator| sim.device::<Host>(star.hosts[0]).app::<Pusher>().results;
+    let kept = |sim: &Simulator| {
+        let switch = sim.device::<Switch>(star.switch);
+        switch.extension::<IswitchExtension>().kept_result_bytes()
+    };
+
+    while rounds(&sim) < WARM_UP {
+        assert!(sim.step(), "the rounds stopped during warm-up");
+    }
+    let kept_warm = kept(&sim);
+    let before = allocs();
+    sim.run_until_idle();
+    let spent = allocs() - before;
+
+    assert_eq!(rounds(&sim), WARM_UP + MEASURED);
+    assert!(
+        spent <= 2 * MEASURED + 16,
+        "{spent} allocations for {MEASURED} closed rounds"
+    );
+    assert_eq!(kept(&sim), kept_warm);
+    let one_result = FLOATS_PER_SEGMENT * 4 + 8;
+    assert_eq!(kept_warm, RESULT_DEPTH * one_result);
+}

@@ -317,12 +317,13 @@ fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
             "finished",
         ),
         // On a 4-slot fabric the same restart catches two completed
-        // host-path rounds inside their emission delay: their results are
-        // gone and recovery retries for ever. Refused, not run to OOM.
+        // host-path rounds inside their emission delay: the switch has
+        // neither their results nor the rounds open, so it asks every
+        // worker for its contribution back.
         (
             &["--fabric-slots", "4", "--join", "b=50", "--reset", "a=40"],
-            2,
-            "tenant `a` stalled",
+            0,
+            "finished",
         ),
         // A configuration the library rejects is a refusal, not a crash.
         (
@@ -348,19 +349,41 @@ fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
 #[test]
 fn a_livelocked_run_is_refused_by_name_and_a_long_healthy_one_is_not() {
     // (arguments, expected exit code, texts the chosen stream must carry)
-    let rows: [(&str, i32, &[&str]); 2] = [
-        // All four contributions of one segment of round 11 are lost: the
-        // switch never opens the round, every `Help` for it misses and
-        // go-back never resends a contribution. Refused 5 s of simulated
-        // time past the last finished round (once: after 20,000 s, as
-        // "100000 completion checks"), naming who is stuck where.
+    let rows: [(&str, i32, &[&str]); 6] = [
+        // Both rack-0 contributions of one segment of round 4 are lost: the
+        // ToR never opens the round, may not ask for a resend, and no tree
+        // level sweeps stale rounds. Refused 5 s of simulated time past the
+        // last finished round, naming who is stuck where.
         (
-            "timing --strategy isw --edge-loss 0.05 --seed 2 --iterations 30",
+            "timing --strategy isw --per-rack 2 --edge-loss 0.05 --seed 2 --iterations 30",
             2,
             &[
-                "iSW job stalled: worker 0 is furthest behind with 11 round(s) finished",
+                "iSW job stalled: worker 0 is furthest behind with 4 round(s) finished",
                 "since the check at 200.000ms",
             ],
+        ),
+        // On a star, a round whose every contribution was lost (seed 2:
+        // round 11, segment 18) is asked back from the workers and
+        // finishes, as do heavier losses under either recovery transport.
+        (
+            "timing --strategy isw --edge-loss 0.05 --seed 2 --iterations 30",
+            0,
+            &["per-iteration time : 13.676ms"],
+        ),
+        (
+            "timing --strategy isw --edge-loss 0.2 --iterations 30",
+            0,
+            &["per-iteration time"],
+        ),
+        (
+            "timing --strategy isw --edge-loss 0.2 --iterations 30 --transport nack",
+            0,
+            &["per-iteration time"],
+        ),
+        (
+            "timing --strategy isw --algorithm dqn --edge-loss 0.2 --iterations 3",
+            0,
+            &["per-iteration time"],
         ),
         // 8.6 s of async-PS updates, whose workers keep no update log: the
         // stall rule reads the server's clock (once: "tenant `a` stalled").
