@@ -3,17 +3,17 @@
 //! The evaluation harness. `paper` regenerates every table and figure of
 //! the iSwitch paper (`cargo run -p iswitch-bench --bin paper -- <artifact>`;
 //! [`ARTIFACTS`] is the list, `paper --help` prints it) next to the paper's
-//! reported numbers ([`paper`]); `perfgate` is the 64-cell behaviour gate
-//! (BENCHMARKS.md). How fast the simulator runs on a host is measured by
-//! the standalone `benchmark/` package, whose recorded baseline is in
-//! `benchmark/README.md`.
+//! reported numbers ([`paper`]). Its `baselines/perfgate.json` is the
+//! report the 64-cell behaviour gate must reproduce byte for byte (`cargo
+//! test -q --test perfgate`, the root package's `tests/perfgate.rs`). How
+//! fast the simulator runs on a host is measured by the standalone
+//! `benchmark/` package, whose recorded baseline is in `benchmark/README.md`.
 
 #![warn(missing_docs)]
 
 mod artifacts;
 
 pub use artifacts::{Artifact, ALL, ARTIFACTS};
-use iswitch_cluster::cli::{Command, Flag};
 
 /// Numbers the paper reports, for printing next to measured values.
 pub mod paper {
@@ -70,39 +70,8 @@ pub mod paper {
     pub const FPGA_DSP: u32 = 17;
 }
 
-/// `perfgate`'s command line. Declared here, beside [`ARTIFACTS`], so one
-/// test can check every documented invocation of this package's binaries.
-pub mod perfgate {
-    use super::{Command, Flag};
-
-    /// `--out <PATH>`.
-    pub const OUT: Flag = Flag::new("--out <PATH>", "write the report to PATH");
-    /// `--baseline <PATH>`.
-    pub const BASELINE: Flag = Flag::new("--baseline <PATH>", "the baseline to compare against");
-    /// `--update-baseline`.
-    pub const UPDATE_BASELINE: Flag =
-        Flag::new("--update-baseline", "rewrite the baseline from this run");
-    /// `--explain`.
-    pub const EXPLAIN: Flag = Flag::new(
-        "--explain",
-        "per-subsystem table of every archived field that differs from the baseline, even \
-         when fingerprints pass",
-    );
-    /// The one row.
-    pub const COMMAND: Command = Command {
-        name: "perfgate",
-        summary: "behaviour gate (64 pinned cells: workload fingerprints + telemetry)",
-        flags: &[
-            OUT,
-            BASELINE.or("crates/bench/baselines/perfgate.json"),
-            UPDATE_BASELINE,
-            EXPLAIN,
-        ],
-    };
-}
-
 /// Prints the standard header for a regenerated artifact.
-pub fn banner(artifact: &str, description: &str) {
+pub(crate) fn banner(artifact: &str, description: &str) {
     println!("================================================================");
     println!("{artifact} — {description}");
     println!("(reproduction of Li et al., ISCA 2019; shapes, not absolute");

@@ -1,4 +1,4 @@
-//! Smoke tests for the bench binaries: `paper <artifact>` must exit zero
+//! Smoke tests for the `paper` binary: `paper <artifact>` must exit zero
 //! and, when passed `--metrics-out`, write a machine-readable artifact
 //! that the in-tree JSON parser accepts; every row's `--help` must list
 //! the flags the row declares and nothing else. CI runs these so a broken
@@ -7,7 +7,7 @@
 
 use std::process::{Command, Output};
 
-use iswitch_bench::{perfgate, ALL, ARTIFACTS};
+use iswitch_bench::{ALL, ARTIFACTS};
 use iswitch_obs::JsonValue;
 
 fn paper(args: &[&str]) -> Output {
@@ -78,23 +78,10 @@ fn artifacts_run_without_flags() {
 #[test]
 fn every_row_answers_help_with_its_own_flags_and_defaults() {
     // `Command::help` prints a row's flags and defaults and nothing else
-    // (`crates/cluster/tests/cli.rs`); each binary must print exactly that.
-    let exe = |name| match name {
-        "perfgate" => (
-            env!("CARGO_BIN_EXE_perfgate"),
-            vec!["--help"],
-            name.to_owned(),
-        ),
-        _ => (
-            env!("CARGO_BIN_EXE_paper"),
-            vec![name, "--help"],
-            format!("paper {name}"),
-        ),
-    };
-    let rows = ARTIFACTS.iter().map(|a| a.command());
-    for row in rows.chain([ALL, perfgate::COMMAND]) {
-        let (exe, args, program) = exe(row.name);
-        let output = Command::new(exe).args(args).output().expect("launches");
+    // (`crates/cluster/tests/cli.rs`); `paper` must print exactly that.
+    for row in ARTIFACTS.iter().map(|a| a.command()).chain([ALL]) {
+        let program = format!("paper {}", row.name);
+        let output = paper(&[row.name, "--help"]);
         assert_eq!(output.status.code(), Some(0), "{program} --help");
         assert_eq!(String::from_utf8_lossy(&output.stdout), row.help(&program));
     }
@@ -107,62 +94,27 @@ fn every_row_answers_help_with_its_own_flags_and_defaults() {
 
 #[test]
 fn undeclared_arguments_exit_2_naming_them() {
-    let (paper, perfgate) = (env!("CARGO_BIN_EXE_paper"), env!("CARGO_BIN_EXE_perfgate"));
-    // (binary, arguments, what stderr must name). The first four are the
-    // flags `perfgate` lost with its measuring half: a script that still
-    // passes one must fail loudly, before any cell runs.
-    let rows: [(&str, &[&str], &str); 15] = [
-        (perfgate, &["--stable"], "`--stable`"),
-        (perfgate, &["--quick"], "`--quick`"),
-        (perfgate, &["--threshold", "0.1"], "`--threshold`"),
-        (perfgate, &["--no-pin"], "`--no-pin`"),
-        (perfgate, &["--stabel"], "`--stabel`"),
-        (perfgate, &["--explain", "--out"], "--out expects a value"),
+    // (arguments, what stderr must name)
+    let rows: [(&[&str], &str); 7] = [
+        (&["table3", "--quik"], "`--quik`"),
+        (&["table3", "--metrics-out", "m.json"], "`--metrics-out`"),
         (
-            perfgate,
-            &["--out", "a.json", "--out", "b.json"],
-            "`--out` given twice",
-        ),
-        (
-            perfgate,
-            &["--explain", "--explain"],
-            "`--explain` given twice",
-        ),
-        (paper, &["table3", "--quik"], "`--quik`"),
-        (
-            paper,
-            &["table3", "--metrics-out", "m.json"],
-            "`--metrics-out`",
-        ),
-        (
-            paper,
             &["fig8", "--quick", "--metrics-out"],
             "--metrics-out expects a value",
         ),
-        (
-            paper,
-            &["fig8", "--quick", "--quick"],
-            "`--quick` given twice",
-        ),
-        (paper, &["all", "--quik"], "`--quik`"),
-        (
-            paper,
-            &["all", "--metrics-out", "m.json"],
-            "`--metrics-out`",
-        ),
-        (paper, &["table33"], "unknown command `table33`"),
+        (&["fig8", "--quick", "--quick"], "`--quick` given twice"),
+        (&["all", "--quik"], "`--quik`"),
+        (&["all", "--metrics-out", "m.json"], "`--metrics-out`"),
+        (&["table33"], "unknown command `table33`"),
     ];
-    for (exe, args, named) in rows {
-        let output = Command::new(exe)
-            .args(args)
-            .output()
-            .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+    for (args, named) in rows {
+        let output = paper(args);
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{exe} {args:?}: {stderr}");
-        assert!(stderr.contains(named), "{exe} {args:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(2), "paper {args:?}: {stderr}");
+        assert!(stderr.contains(named), "paper {args:?}: {stderr}");
         assert!(
             output.stdout.is_empty(),
-            "{exe} {args:?} ran before refusing"
+            "paper {args:?} ran before refusing"
         );
     }
 }

@@ -1,5 +1,5 @@
 //! The command-line surface of every executable in the workspace
-//! (`iswitch-sim`, `paper`, `perfgate`): a [`Command`] is one table row, a
+//! (`iswitch-sim`, `paper`): a [`Command`] is one table row, a
 //! [`Flag`] is declared once in it, and that one declaration is what the
 //! refusal check, the typed getters of [`Args`] and `--help` all read — so
 //! none of them can disagree about which flags exist, whether they take a

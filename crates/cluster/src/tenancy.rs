@@ -275,9 +275,10 @@ pub fn run_multi_tenant(cfg: &MultiJobConfig) -> MultiTenantOutcome {
 }
 
 /// [`run_multi_tenant`] with **no tracing attached**: the packet hot path
-/// runs exactly as in a solo [`crate::run_timing`]. `perfgate` fingerprints
-/// its contended-switch cells from it; the repo benchmark times it (its
-/// recorded baseline is in `benchmark/README.md`).
+/// runs exactly as in a solo [`crate::run_timing`]. The perfgate test
+/// (`tests/perfgate.rs`) fingerprints its contended-switch cells from it;
+/// the repo benchmark times it (its recorded baseline is in
+/// `benchmark/README.md`).
 pub fn run_multi_tenant_perf(cfg: &MultiJobConfig) -> MultiTenantOutcome {
     run_multi(cfg, false)
 }

@@ -8,13 +8,10 @@
 //! that are supposed to be pure speedups (timing-wheel scheduler, wire-level
 //! ingest, payload caching) must leave both files untouched.
 //!
-//! If a change is *intentional*, regenerate with:
-//!
-//! ```text
-//! UPDATE_GOLDENS=1 cargo test -p iswitch-cluster --test golden_run
-//! ```
-//!
-//! and review the diff like any other semantic change.
+//! On a mismatch the test writes this run's files under
+//! `$CARGO_TARGET_TMPDIR` and prints the `cp` lines that make them the
+//! goldens. Run them only for an *intentional* change, and review the diff
+//! like any other semantic change.
 
 use std::fs;
 use std::path::Path;
@@ -50,23 +47,21 @@ fn seeded_run_reproduces_golden_artifacts_byte_for_byte() {
     let metrics_path = dir.join("timing_ppo_isw_w2_i4.metrics.json");
     let trace_path = dir.join("timing_ppo_isw_w2_i4.trace.jsonl");
 
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        fs::write(&metrics_path, &metrics).unwrap();
-        fs::write(&trace_path, &trace).unwrap();
-        return;
-    }
-
-    let want_metrics = fs::read_to_string(&metrics_path).unwrap();
-    let want_trace = fs::read_to_string(&trace_path).unwrap();
-    assert_eq!(
-        metrics, want_metrics,
-        "metrics report drifted from the golden file; if the change is \
-         intentional, regenerate with UPDATE_GOLDENS=1 (see module docs)"
-    );
-    assert_eq!(
-        trace, want_trace,
-        "causal trace drifted from the golden file; if the change is \
-         intentional, regenerate with UPDATE_GOLDENS=1 (see module docs)"
+    let moved: Vec<String> = [(&metrics_path, &metrics), (&trace_path, &trace)]
+        .into_iter()
+        .filter(|(golden, now)| fs::read_to_string(golden).ok().as_ref() != Some(now))
+        .map(|(golden, now)| {
+            let file = golden.file_name().expect("a file name");
+            let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+            fs::write(&actual, now).unwrap();
+            format!("  cp {} {}", actual.display(), golden.display())
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "the run drifted from its golden files; if the change is intentional, \
+         accept this run's files with:\n{}",
+        moved.join("\n")
     );
 }
 

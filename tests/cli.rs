@@ -7,7 +7,7 @@
 use std::process::Command;
 
 use iswitch::cluster::cli;
-use iswitch_bench::{perfgate, ALL, ARTIFACTS};
+use iswitch_bench::{ALL, ARTIFACTS};
 
 #[test]
 fn timing_rejects_flags_the_strategy_cannot_honour() {
@@ -143,10 +143,11 @@ fn unknown_flags_are_refused_and_help_is_help() {
     }
 }
 
-/// Every `iswitch-sim`, `paper` or `perfgate` invocation inside a fenced
-/// code block of `text`, as `(program, arguments)`: a bare or
-/// `target/release/` program name, `cargo run … --bin <program> [-- …]`, or
-/// the `iswitch-sim` arguments a `ci/` replay script is given after `--`.
+/// Every binary invocation inside a fenced code block of `text`, as
+/// `(program, arguments)`: a bare `iswitch-sim` or a `target/release/`
+/// program name, `cargo run … --bin <program> [-- …]`, or the `iswitch-sim`
+/// arguments a `ci/` replay script is given after `--`. A program other than
+/// `iswitch-sim` or `paper` is no binary of the workspace.
 /// Shell plumbing after the command (`;`, `&&`, `|`, `>`) and `#` comments are
 /// cut off; a trailing backslash continues the line.
 fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
@@ -244,7 +245,6 @@ fn documented_commands_parse() {
         "README.md",
         "EXPERIMENTS.md",
         "OPERATIONS.md",
-        "BENCHMARKS.md",
         "DESIGN.md",
         ".claude/skills/verify/SKILL.md",
     ] {
@@ -253,7 +253,6 @@ fn documented_commands_parse() {
             let parsed = match program.as_str() {
                 "iswitch-sim" => cli::select(&program, "", &sim, &args).map(|_| ()),
                 "paper" => cli::select(&program, "", &paper, &args).map(|_| ()),
-                "perfgate" => perfgate::COMMAND.parse(&program, &args).map(|_| ()),
                 _ => Err(cli::Stop::Refused("no such binary".to_owned())),
             };
             checked += 1;

@@ -1,47 +1,80 @@
-//! `perfgate` — the repo's behaviour gate.
+//! The behaviour gate: did the simulation's behaviour change?
 //!
-//! Runs a pinned matrix of 64 seeded timing experiments with tracing
-//! disabled — 3 topologies × 5 strategies × 2 seeds, the sharded fat-tree
-//! at 1/2/4 threads, every [`TransportKind`] under incast (single switch
-//! per seed, fat-tree per thread count), contended multi-tenant fabrics and
-//! the quantized codecs — and renders one deterministic JSON document.
-//! Nothing in it depends on the host: how *fast* the simulator runs is
-//! `benchmark/`'s question (see `benchmark/README.md`), not this binary's.
+//! One test runs 64 pinned, seeded timing experiments with tracing off and
+//! renders one JSON document holding only simulation outputs, so the report
+//! is byte-identical on every machine and *is* the checked-in baseline
+//! `crates/bench/baselines/perfgate.json`. How fast the simulator runs is
+//! `benchmark/`'s question (`benchmark/README.md`), not this file's.
 //!
-//! Two checks run on every invocation:
+//! ```console
+//! $ cargo test -q --test perfgate
+//! ```
 //!
-//! * **thread identity** (no baseline needed): cells whose id differs only
-//!   in thread count must have identical fingerprints — the sharded engine
-//!   and the tenant arbiter may not leak merge order into results.
-//! * **workload fingerprints** against the checked-in baseline
-//!   (`crates/bench/baselines/perfgate.json`): each cell's event/packet
-//!   counts, final simulated clock and per-iteration time must match
-//!   exactly. A mismatch means the simulation's behaviour changed, which
-//!   must be an explicit, baseline-updating decision, never an accident.
+//! # Fingerprints
 //!
-//! Each cell also archives its deterministic **telemetry counters** (ECN
-//! marks, queue/link drops, lookahead epochs and barrier stalls, transport
-//! recovery and congestion-control activity). They are not part of the
-//! fingerprint; they let a failing gate (or `--explain`) name the subsystem
-//! that moved, not just the symptom. The report *is* the baseline, byte for
-//! byte: CI `cmp`s `--out` against the checked-in file.
+//! A cell's **workload fingerprint** is five integers: `events` (discrete
+//! events processed), `packets_sent` (handed to links, including ones later
+//! dropped), `packets_delivered`, `sim_ns` (final simulated clock) and
+//! `per_iteration_ns` (the experiment's per-iteration time, simulated). An
+//! optimisation or refactor must never move one; a deliberate semantic
+//! change updates the baseline in the same commit and says so.
 //!
-//! Its four flags are the [`iswitch_bench::perfgate`] row (`perfgate --help`
-//! prints them); anything else exits 2.
+//! # The 64 cells
+//!
+//! | Cells | Ids | What |
+//! |---|---|---|
+//! | 30 | `{star,tree,tree3}/{ps,ar,isw,async-ps,async-isw}/s{seed}` | 4/6/8 PPO workers on one switch, a two- and a three-layer tree; every strategy; seeds `5117c4` and `7` |
+//! | 3 | `fattree/isw-t{1,2,4}/s5117c4` | DQN SyncIsw on a 4-pod × 2-rack × 2-host fat-tree (16 workers, 5 shard domains, DESIGN.md §12) at 1, 2, 4 threads |
+//! | 6 | `incast-star/{go-back,nack,dcqcn}/s{seed}` | synchronized flushes into shallow ECN queues on one switch (DESIGN.md §13), per transport, per seed |
+//! | 9 | `incast/{go-back,nack,dcqcn}/t{1,2,4}/s5117c4` | the same incast on the fat-tree, per transport, per thread count |
+//! | 12 | `tenant/x{2,4}/{name}/t{1,N}/s5117c4` | 2 and 4 SyncIsw tenants (PPO, A2C, DQN, DDPG) on an undersized slot pool, first tenant quota-protected (DESIGN.md §16); one cell per tenant, fingerprinted from that tenant's own simulator |
+//! | 4 | `codec/{fixed-point,top-k}/s{seed}` | the quantized formats through the three-layer tree (DESIGN.md §14) |
+//!
+//! # Two checks
+//!
+//! * **Thread identity** (no baseline needed): cells whose id differs only
+//!   in thread count — `fattree/*`, each `incast/<kind>`, each
+//!   `tenant/x<n>/<name>` — must have identical fingerprints. If sharding
+//!   or arbitration leaks thread scheduling into results, this trips, and
+//!   no baseline refresh can paper over it.
+//! * **The baseline**, byte for byte. Each cell also archives ten
+//!   deterministic telemetry counters (ECN marks, queue/link drops,
+//!   lookahead epochs and barrier stalls, transport recovery and
+//!   congestion-control activity, DESIGN.md §15), so a failure names the
+//!   subsystem that moved, not just the symptom. On a mismatch the test
+//!   writes the run's report to `$CARGO_TARGET_TMPDIR/perfgate.actual.json`
+//!   and panics with a table of every field that moved, per cell:
+//!
+//! ```text
+//! incast/dcqcn/t1/s5117c4:
+//!   field                               baseline             now
+//!   timing.events                        1851210         1842774
+//!   netsim.ecn_marked                        312              96
+//!   transport.retransmits                     24               0
+//!   transport.rate_cuts                       41              30
+//! ```
+//!
+//! Read it bottom-up: the subsystem whose counters moved names the layer
+//! that changed (here the transport stopped retransmitting; the event-count
+//! delta is fallout). A diverged fingerprint with matching telemetry points
+//! at timing or compute modelling rather than protocol behaviour. When the
+//! change is intended, the panic's `cp` line accepts it; put the table in
+//! the commit message.
 
-use std::process::exit;
+use std::fmt::Write as _;
+use std::path::Path;
 
-use iswitch_bench::banner;
-use iswitch_bench::perfgate::{BASELINE, COMMAND, EXPLAIN, OUT, UPDATE_BASELINE};
-use iswitch_cluster::cli::write_artifact;
-use iswitch_cluster::{
+use iswitch::cluster::{
     run_multi_tenant_perf, run_timing_perf, MultiJobConfig, PerfSample, Strategy, TenantSpec,
     TimingConfig, TransportKind, TransportStats,
 };
-use iswitch_core::CodecKind;
-use iswitch_netsim::FattreeShape;
-use iswitch_obs::JsonValue;
-use iswitch_rl::Algorithm;
+use iswitch::core::CodecKind;
+use iswitch::netsim::FattreeShape;
+use iswitch::obs::JsonValue;
+use iswitch::rl::Algorithm;
+
+/// The checked-in report, relative to the repo root.
+const BASELINE: &str = "crates/bench/baselines/perfgate.json";
 
 /// The workload fingerprint: the behaviour contract of a cell.
 const FINGERPRINT: [&str; 5] = [
@@ -82,7 +115,7 @@ const FATTREE_SHAPE: FattreeShape = FattreeShape {
 };
 
 /// Thread counts of the scaling cells. All three must produce identical
-/// workload fingerprints (checked in-gate, no baseline needed).
+/// workload fingerprints (checked without a baseline).
 const FATTREE_THREADS: [usize; 3] = [1, 2, 4];
 
 const STRATEGIES: [(Strategy, &str); 5] = [
@@ -136,8 +169,7 @@ fn cell_config(topo: &Topo, strategy: Strategy, seed: u64) -> TimingConfig {
 /// The fat-tree scaling cell at the given thread count: same seed and
 /// shape for every entry of [`FATTREE_THREADS`], so the only degree of
 /// freedom is how many threads execute the run. DQN (the largest paper
-/// model) keeps each parallel epoch dense with packet events, so the
-/// measurement reflects engine throughput rather than barrier overhead.
+/// model) keeps each parallel epoch dense with packet events.
 fn fattree_config(threads: usize, seed: u64) -> TimingConfig {
     let mut cfg = TimingConfig::main_cluster(Algorithm::Dqn, Strategy::SyncIsw);
     cfg.fattree = Some(FATTREE_SHAPE);
@@ -254,7 +286,6 @@ fn run_one(id: String, cfg: &TimingConfig) -> JsonValue {
 /// One cell of the report: id, the five [`FINGERPRINT`] fields, and the
 /// [`TELEMETRY`] counters under `telemetry`.
 fn cell_row(id: String, s: &PerfSample, t: &TransportStats, per_iteration_ns: u64) -> JsonValue {
-    println!("  {id:<24} {:>9} events  sim {:>12} ns", s.events, s.sim_ns);
     let fingerprint = [
         s.events,
         s.packets_sent,
@@ -313,7 +344,7 @@ fn run_matrix() -> JsonValue {
         }
     }
     // …and a thread sweep per transport on the fat-tree, fingerprint-
-    // compared across thread counts by the in-gate identity check.
+    // compared across thread counts by the identity check.
     for kind in TransportKind::ALL {
         for threads in FATTREE_THREADS {
             let seed = SEEDS[0];
@@ -323,8 +354,8 @@ fn run_matrix() -> JsonValue {
     }
     // Contended multi-tenant cells: 2 and 4 SyncIsw jobs sharing an
     // undersized slot pool, per-tenant fingerprints, thread-swept (the
-    // sweep forms per-tenant identity groups checked in-gate). First seed
-    // only — the tenant mix, not the seed, is the swept variable.
+    // sweep forms per-tenant identity groups). First seed only — the
+    // tenant mix, not the seed, is the swept variable.
     for (n, threads) in [(2, 1), (2, 2), (4, 1), (4, 4)] {
         cells.extend(tenant_cells(n, threads, SEEDS[0]));
     }
@@ -354,32 +385,6 @@ fn cells_of(doc: &JsonValue) -> Vec<(&str, &JsonValue)> {
 
 fn fingerprint_of(row: &JsonValue) -> [Option<u64>; 5] {
     FINGERPRINT.map(|field| row.get(field).and_then(|v| v.as_u64()))
-}
-
-/// Compares this run's workload fingerprints against the baseline's, cell
-/// by cell in both directions. Returns human-readable mismatch
-/// descriptions.
-fn fingerprint_mismatches(current: &JsonValue, baseline: &JsonValue) -> Vec<String> {
-    let (now, base) = (cells_of(current), cells_of(baseline));
-    let mut out = Vec::new();
-    for &(id, row) in &now {
-        let Some((_, b)) = base.iter().find(|(bid, _)| *bid == id) else {
-            out.push(format!("{id}: cell missing from baseline"));
-            continue;
-        };
-        let fields = FINGERPRINT.iter().zip(fingerprint_of(b));
-        for ((field, was), cur) in fields.zip(fingerprint_of(row)) {
-            if cur != was {
-                out.push(format!("{id}: {field} {was:?} -> {cur:?}"));
-            }
-        }
-    }
-    for (id, _) in &base {
-        if !now.iter().any(|(nid, _)| nid == id) {
-            out.push(format!("{id}: in the baseline, not in this run"));
-        }
-    }
-    out
 }
 
 /// The identity group of a cell: cells whose id differs only in thread
@@ -422,15 +427,15 @@ fn identity_mismatches(doc: &JsonValue) -> Vec<String> {
 
 /// The divergence explainer: for every cell that differs from the
 /// baseline, a per-subsystem table of what moved — the fingerprint fields
-/// plus the archived telemetry counters, then vs now. A fingerprint
-/// mismatch names the *symptom* (event counts shifted); the telemetry rows
-/// name the *subsystem* (queues started marking, a domain started
-/// stalling, a transport started cutting its rate).
+/// plus the archived telemetry counters, then vs now — and every cell that
+/// only one side has. A fingerprint mismatch names the *symptom* (event
+/// counts shifted); the telemetry rows name the *subsystem* (queues started
+/// marking, a domain started stalling, a transport started cutting its
+/// rate).
 fn explain_divergence(current: &JsonValue, baseline: &JsonValue) -> String {
-    use std::fmt::Write as _;
-    let base = cells_of(baseline);
+    let (now_cells, base) = (cells_of(current), cells_of(baseline));
     let mut s = String::new();
-    for (id, row) in cells_of(current) {
+    for &(id, row) in &now_cells {
         let Some((_, b)) = base.iter().find(|(bid, _)| *bid == id) else {
             let _ = writeln!(s, "{id}: new cell, nothing to compare against");
             continue;
@@ -458,240 +463,155 @@ fn explain_divergence(current: &JsonValue, baseline: &JsonValue) -> String {
             let _ = writeln!(s, "  {name:<28} {:>15} {:>15}", show(was), show(now));
         }
     }
+    for (id, _) in base {
+        if !now_cells.iter().any(|(nid, _)| *nid == id) {
+            let _ = writeln!(s, "{id}: in the baseline, not in this run");
+        }
+    }
     if s.is_empty() {
         s.push_str("every archived field matches the baseline\n");
     }
     s
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = COMMAND.parse(COMMAND.name, &argv);
-    let args = args.unwrap_or_else(|stop| stop.exit());
-    let baseline_path = args.value(BASELINE).expect("the row declares a default");
-
-    banner(COMMAND.name, COMMAND.summary);
+#[test]
+fn the_64_cells_reproduce_the_checked_in_baseline() {
     let doc = run_matrix();
-    let report = format!("{}\n", doc.render());
-    if let Some(out) = args.value(OUT) {
-        write_artifact(out, &report);
-        println!("report written to {out}");
-    }
-
     let identity = identity_mismatches(&doc);
-    if !identity.is_empty() {
-        eprintln!("fingerprints depend on the thread count:");
-        for m in &identity {
-            eprintln!("  {m}");
-        }
-        exit(1);
-    }
-    println!("thread sweeps are thread-count invariant ({FATTREE_THREADS:?} threads)");
+    assert!(
+        identity.is_empty(),
+        "fingerprints depend on the thread count:\n  {}",
+        identity.join("\n  ")
+    );
 
-    if args.has(UPDATE_BASELINE) {
-        write_artifact(baseline_path, &report);
-        println!("baseline updated at {baseline_path}");
+    let report = format!("{}\n", doc.render());
+    let baseline_path = Path::new(env!("CARGO_MANIFEST_DIR")).join(BASELINE);
+    let baseline = std::fs::read_to_string(&baseline_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", baseline_path.display()));
+    if report == baseline {
         return;
     }
-
-    let Ok(baseline_text) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("no baseline at {baseline_path} — run with {UPDATE_BASELINE} to create one");
-        exit(1);
+    let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join("perfgate.actual.json");
+    std::fs::write(&actual, &report).unwrap_or_else(|e| panic!("{}: {e}", actual.display()));
+    let table = match JsonValue::parse(&baseline) {
+        Ok(baseline) => explain_divergence(&doc, &baseline),
+        Err(e) => format!("{BASELINE} does not parse: {e}\n"),
     };
-    let baseline = JsonValue::parse(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("{baseline_path}: {e}");
-        exit(2);
-    });
-
-    let mismatches = fingerprint_mismatches(&doc, &baseline);
-    if !mismatches.is_empty() {
-        eprintln!("workload fingerprints diverged from the baseline:");
-        for m in &mismatches {
-            eprintln!("  {m}");
-        }
-        eprintln!("per-subsystem telemetry of the diverged cells vs the baseline:");
-        eprint!("{}", explain_divergence(&doc, &baseline));
-        eprintln!(
-            "(seeded-simulation outputs changed — if intentional, refresh \
-             the baseline with {UPDATE_BASELINE}; see BENCHMARKS.md)"
-        );
-        exit(1);
-    }
-    println!(
-        "workload fingerprints match the baseline ({} cells)",
-        cells_of(&doc).len()
+    panic!(
+        "the report is not {BASELINE}; per cell, what moved:\n{table}\
+         if the change is intended, accept this run's report with:\n  cp {} {}",
+        actual.display(),
+        baseline_path.display()
     );
-    if args.has(EXPLAIN) {
-        println!("per-subsystem telemetry vs the baseline:");
-        print!("{}", explain_divergence(&doc, &baseline));
+}
+
+/// A hand-made report: `(id, fingerprint value, ecn marks)` per cell,
+/// every other field zero.
+fn doc(cells: &[(&str, u64, u64)]) -> JsonValue {
+    let rows = cells.iter().map(|&(id, events, ecn_marked)| {
+        let mut row = JsonValue::empty_object();
+        row.insert("id", JsonValue::Str(id.to_owned()));
+        for field in FINGERPRINT {
+            let value = if field == "events" { events } else { 0 };
+            row.insert(field, JsonValue::UInt(value));
+        }
+        let mut telemetry = JsonValue::empty_object();
+        for field in TELEMETRY {
+            let value = if field == "netsim.ecn_marked" {
+                ecn_marked
+            } else {
+                0
+            };
+            telemetry.insert(field, JsonValue::UInt(value));
+        }
+        row.insert("telemetry", telemetry);
+        row
+    });
+    let mut doc = JsonValue::empty_object();
+    doc.insert("cells", JsonValue::Array(rows.collect()));
+    doc
+}
+
+#[test]
+fn identity_groups_key_on_everything_but_the_thread_count() {
+    let group = |id| identity_group(id);
+    assert_eq!(group("fattree/isw-t1/s5117c4").as_deref(), Some("fattree"));
+    assert_eq!(
+        group("fattree/isw-t4/s5117c4"),
+        group("fattree/isw-t1/s5117c4")
+    );
+    assert_eq!(
+        group("incast/nack/t2/s5117c4").as_deref(),
+        Some("incast/nack")
+    );
+    assert_ne!(
+        group("incast/nack/t2/s5117c4"),
+        group("incast/dcqcn/t2/s5117c4")
+    );
+    let tenant = group("tenant/x4/dqn/t4/s5117c4");
+    assert_eq!(tenant.as_deref(), Some("tenant/x4/dqn"));
+    assert_eq!(group("tenant/x4/dqn/t1/s5117c4"), tenant);
+    assert_ne!(group("tenant/x2/dqn/t1/s5117c4"), tenant);
+    assert_ne!(group("tenant/x4/ppo/t4/s5117c4"), tenant);
+    // Seed-swept cells are not thread sweeps.
+    for id in ["incast-star/nack/s7", "star/isw/s7", "codec/top-k/s7"] {
+        assert_eq!(group(id), None, "{id}");
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn identity_mismatches_compare_each_sweep_with_its_first_cell() {
+    let same = doc(&[
+        ("incast/nack/t1/s7", 5, 0),
+        ("incast/dcqcn/t1/s7", 9, 0),
+        ("incast/nack/t2/s7", 5, 3),
+        ("star/ps/s7", 1, 0),
+        ("star/ps/s8", 2, 0),
+    ]);
+    assert!(identity_mismatches(&same).is_empty());
+    let leaked = doc(&[
+        ("tenant/x2/ppo/t1/s7", 5, 0),
+        ("tenant/x2/a2c/t1/s7", 7, 0),
+        ("tenant/x2/ppo/t2/s7", 5, 0),
+        ("tenant/x2/a2c/t2/s7", 8, 0),
+    ]);
+    let found = identity_mismatches(&leaked);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].starts_with("tenant/x2/a2c/t2/s7: "), "{found:?}");
+    assert!(
+        found[0].contains("differs from tenant/x2/a2c/t1/s7"),
+        "{found:?}"
+    );
+}
 
-    /// A hand-made report: `(id, fingerprint value, ecn marks)` per cell,
-    /// every other field zero.
-    fn doc(cells: &[(&str, u64, u64)]) -> JsonValue {
-        let rows = cells.iter().map(|&(id, events, ecn_marked)| {
-            let mut row = JsonValue::empty_object();
-            row.insert("id", JsonValue::Str(id.to_owned()));
-            for field in FINGERPRINT {
-                let value = if field == "events" { events } else { 0 };
-                row.insert(field, JsonValue::UInt(value));
-            }
-            let mut telemetry = JsonValue::empty_object();
-            for field in TELEMETRY {
-                let value = if field == "netsim.ecn_marked" {
-                    ecn_marked
-                } else {
-                    0
-                };
-                telemetry.insert(field, JsonValue::UInt(value));
-            }
-            row.insert("telemetry", telemetry);
-            row
-        });
-        let mut doc = JsonValue::empty_object();
-        doc.insert("cells", JsonValue::Array(rows.collect()));
-        doc
-    }
-
-    #[test]
-    fn fingerprint_mismatches_name_the_cell_the_field_and_missing_cells() {
-        let base = doc(&[
-            ("star/ps/s7", 10, 0),
-            ("star/ar/s7", 20, 0),
-            ("gone/s7", 1, 0),
-        ]);
-        assert!(fingerprint_mismatches(&base, &base).is_empty());
-        // Telemetry is not part of the fingerprint.
-        let drifted = doc(&[
-            ("star/ps/s7", 10, 5),
-            ("star/ar/s7", 20, 0),
-            ("gone/s7", 1, 0),
-        ]);
-        assert!(fingerprint_mismatches(&drifted, &base).is_empty());
-        let now = doc(&[
-            ("star/ps/s7", 10, 0),
-            ("star/ar/s7", 21, 0),
-            ("new/s7", 1, 0),
-        ]);
-        assert_eq!(
-            fingerprint_mismatches(&now, &base),
-            [
-                "star/ar/s7: events Some(20) -> Some(21)",
-                "new/s7: cell missing from baseline",
-                "gone/s7: in the baseline, not in this run",
-            ]
-        );
-    }
-
-    #[test]
-    fn identity_groups_key_on_everything_but_the_thread_count() {
-        let group = |id| identity_group(id);
-        assert_eq!(group("fattree/isw-t1/s5117c4").as_deref(), Some("fattree"));
-        assert_eq!(
-            group("fattree/isw-t4/s5117c4"),
-            group("fattree/isw-t1/s5117c4")
-        );
-        assert_eq!(
-            group("incast/nack/t2/s5117c4").as_deref(),
-            Some("incast/nack")
-        );
-        assert_ne!(
-            group("incast/nack/t2/s5117c4"),
-            group("incast/dcqcn/t2/s5117c4")
-        );
-        let tenant = group("tenant/x4/dqn/t4/s5117c4");
-        assert_eq!(tenant.as_deref(), Some("tenant/x4/dqn"));
-        assert_eq!(group("tenant/x4/dqn/t1/s5117c4"), tenant);
-        assert_ne!(group("tenant/x2/dqn/t1/s5117c4"), tenant);
-        assert_ne!(group("tenant/x4/ppo/t4/s5117c4"), tenant);
-        // Seed-swept cells are not thread sweeps.
-        for id in ["incast-star/nack/s7", "star/isw/s7", "codec/top-k/s7"] {
-            assert_eq!(group(id), None, "{id}");
-        }
-    }
-
-    #[test]
-    fn identity_mismatches_compare_each_sweep_with_its_first_cell() {
-        let same = doc(&[
-            ("incast/nack/t1/s7", 5, 0),
-            ("incast/dcqcn/t1/s7", 9, 0),
-            ("incast/nack/t2/s7", 5, 3),
-            ("star/ps/s7", 1, 0),
-            ("star/ps/s8", 2, 0),
-        ]);
-        assert!(identity_mismatches(&same).is_empty());
-        let leaked = doc(&[
-            ("tenant/x2/ppo/t1/s7", 5, 0),
-            ("tenant/x2/a2c/t1/s7", 7, 0),
-            ("tenant/x2/ppo/t2/s7", 5, 0),
-            ("tenant/x2/a2c/t2/s7", 8, 0),
-        ]);
-        let found = identity_mismatches(&leaked);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].starts_with("tenant/x2/a2c/t2/s7: "), "{found:?}");
-        assert!(
-            found[0].contains("differs from tenant/x2/a2c/t1/s7"),
-            "{found:?}"
-        );
-    }
-
-    #[test]
-    fn explain_divergence_tabulates_only_what_moved() {
-        let base = doc(&[("star/ps/s7", 10, 0), ("star/ar/s7", 20, 4)]);
-        assert_eq!(
-            explain_divergence(&base, &base),
-            "every archived field matches the baseline\n"
-        );
-        let now = doc(&[
-            ("star/ps/s7", 10, 0),
-            ("star/ar/s7", 21, 6),
-            ("new/s7", 1, 0),
-        ]);
-        let table = explain_divergence(&now, &base);
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 5, "{table}");
-        assert_eq!(lines[0], "star/ar/s7:");
-        let cols = |line: &str| {
-            line.split_whitespace()
-                .map(str::to_owned)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(cols(lines[1]), ["field", "baseline", "now"]);
-        assert_eq!(cols(lines[2]), ["timing.events", "20", "21"]);
-        assert_eq!(cols(lines[3]), ["netsim.ecn_marked", "4", "6"]);
-        assert_eq!(lines[4], "new/s7: new cell, nothing to compare against");
-    }
-
-    #[test]
-    fn checked_in_baseline_is_the_reports_shape() {
-        let text = include_str!("../../baselines/perfgate.json");
-        let baseline = JsonValue::parse(text).expect("baseline parses");
-        // What `--out` writes: the compact rendering and one newline.
-        assert_eq!(format!("{}\n", baseline.render()), text);
-        let keys = |v: &JsonValue| match v {
-            JsonValue::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
-            _ => Vec::new(),
-        };
-        assert_eq!(keys(&baseline), ["artifact", "cells"]);
-        let cells = cells_of(&baseline);
-        assert_eq!(cells.len(), 64);
-        let mut row_keys = vec!["id"];
-        row_keys.extend(FINGERPRINT);
-        row_keys.push("telemetry");
-        for (id, row) in cells {
-            assert_eq!(keys(row), row_keys, "{id}");
-            assert_eq!(
-                keys(row.get("telemetry").expect("telemetry")),
-                TELEMETRY,
-                "{id}"
-            );
-            assert!(fingerprint_of(row).iter().all(Option::is_some), "{id}");
-        }
-        assert!(identity_mismatches(&baseline).is_empty());
-    }
+#[test]
+fn explain_divergence_tabulates_only_what_moved() {
+    let base = doc(&[
+        ("star/ps/s7", 10, 0),
+        ("star/ar/s7", 20, 4),
+        ("gone/s7", 1, 0),
+    ]);
+    assert_eq!(
+        explain_divergence(&base, &base),
+        "every archived field matches the baseline\n"
+    );
+    let now = doc(&[
+        ("star/ps/s7", 10, 0),
+        ("star/ar/s7", 21, 6),
+        ("new/s7", 1, 0),
+    ]);
+    let table = explain_divergence(&now, &base);
+    let lines: Vec<&str> = table.lines().collect();
+    assert_eq!(lines.len(), 6, "{table}");
+    assert_eq!(lines[0], "star/ar/s7:");
+    let cols = |line: &str| {
+        line.split_whitespace()
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(cols(lines[1]), ["field", "baseline", "now"]);
+    assert_eq!(cols(lines[2]), ["timing.events", "20", "21"]);
+    assert_eq!(cols(lines[3]), ["netsim.ecn_marked", "4", "6"]);
+    assert_eq!(lines[4], "new/s7: new cell, nothing to compare against");
+    assert_eq!(lines[5], "gone/s7: in the baseline, not in this run");
 }
