@@ -38,9 +38,17 @@ fn export(cfg: &TimingConfig) -> (String, String) {
     (obs.report_json().render(), obs.trace.to_jsonl())
 }
 
+/// The quantised codecs. On the fat-tree, parent switches add their
+/// children's wide aggregates, per block under block-float.
+const QUANTISED: [CodecKind; 3] = [
+    CodecKind::FixedPoint,
+    CodecKind::BlockFloat,
+    CodecKind::TopK,
+];
+
 #[test]
 fn same_seed_runs_twice_byte_identical_per_codec() {
-    for codec in [CodecKind::FixedPoint, CodecKind::TopK] {
+    for codec in QUANTISED {
         let cfg = fattree_config(codec);
         let first = export(&cfg);
         let second = export(&cfg);
@@ -50,7 +58,7 @@ fn same_seed_runs_twice_byte_identical_per_codec() {
 
 #[test]
 fn thread_count_never_leaks_into_codec_artifacts() {
-    for codec in [CodecKind::FixedPoint, CodecKind::TopK] {
+    for codec in QUANTISED {
         let mut cfg = fattree_config(codec);
         let mut exports = Vec::new();
         for threads in [1usize, 2, 4] {

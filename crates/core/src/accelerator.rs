@@ -690,15 +690,11 @@ impl Accelerator {
         let codec = self.codec.codec();
         let slot = &self.slots[slot_id as usize];
         let count = slot.workers;
+        // Every accumulator is written straight to the wire, and the slot
+        // keeps its buffer for its next round.
         let payload = match &slot.acc {
-            // f32 sums are the result's values: written straight to the
-            // wire, and the slot keeps its buffer for its next round.
             WireAcc::F32(sums) => encode_segment(seg, count, sums),
-            acc => codec.encode_result(&DataSegment {
-                seg,
-                count,
-                values: codec.decode_acc(acc),
-            }),
+            acc => codec.encode_acc(seg, count, acc),
         };
         let round = ClosedRound {
             seg,

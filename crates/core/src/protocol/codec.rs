@@ -35,12 +35,13 @@
 //!
 //! # Determinism
 //!
-//! Every codec is a pure function of its inputs: exponent selection uses
-//! bounded search loops (no `log2`), top-k selection breaks magnitude ties
-//! by ascending index, and integer accumulation is associative under the
-//! engine's deterministic packet order. The f32 accumulators (`F32`,
-//! `TopK`) add in arrival order, which the engine replays identically for
-//! any `--threads`, so sharded artifacts stay byte-identical per codec.
+//! Every codec is a pure function of its inputs: exponent selection reads
+//! the exponent bits and tests one candidate (no `log2`), top-k selection
+//! breaks magnitude ties by ascending index, and integer accumulation is
+//! associative under the engine's deterministic packet order. The f32
+//! accumulators (`F32`, `TopK`) add in arrival order, which the engine
+//! replays identically for any `--threads`, so sharded artifacts stay
+//! byte-identical per codec.
 
 use std::fmt;
 use std::str::FromStr;
@@ -323,6 +324,13 @@ pub trait AggregationCodec: Sync {
     /// For f32 this is exactly [`DataSegment::encode`].
     fn encode_result(&self, seg: &DataSegment) -> Bytes;
 
+    /// Encodes the aggregate `acc` holds as round `seg` of `count` workers:
+    /// byte for byte [`AggregationCodec::encode_result`] of what
+    /// [`AggregationCodec::decode_acc`] gives, written straight from the
+    /// accumulator with no decoded `Vec` in between — what the switch sends
+    /// when a round closes.
+    fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes;
+
     /// Parses header and element count without materializing values.
     ///
     /// # Errors
@@ -377,21 +385,57 @@ fn accumulate_f32_be(acc: &mut [f32], bytes: &[u8]) {
     }
 }
 
-/// 2^e as f32, for exponents in the normal range.
+/// 2^e as f32, for exponents in the normal range. For `e` in
+/// `[EXP_MIN, EXP_MAX]`, 2^-e is normal too, so `v * exp2(-e)` is
+/// `v / exp2(e)` bit for bit — both are the correctly rounded `v · 2^-e` —
+/// and the codecs scale by that multiply, never by a division.
 fn exp2(e: i32) -> f32 {
     f32::from_bits((((e + 127) as u32) & 0xFF) << 23)
 }
 
+/// The unbiased exponent field of `x`: ⌊log2 x⌋ for a positive normal
+/// `x`, and −127 for zero and subnormals.
+fn exp_bits(x: f32) -> i32 {
+    ((x.to_bits() >> 23) & 0xFF) as i32 - 127
+}
+
 /// Smallest exponent `e` in `[EXP_MIN, EXP_MAX]` with `m / 2^e <= q_max`
-/// (`EXP_MAX` if there is none). A bounded upward search — no `log2`, so
-/// the result is a deterministic pure function of the bits of `m`.
+/// (`EXP_MAX` if there is none) — a deterministic pure function of the
+/// bits of `m`, with no `log2` and no division ([`exp2`]). The bits put it
+/// within one: with `em = exp_bits(m)` and `eq = exp_bits(q_max)`, every
+/// `e < em − eq` has `q_max · 2^e < 2^(eq+1+e) ≤ 2^em ≤ m` and fails, and
+/// `em − eq + 1` has `q_max · 2^e ≥ 2^(em+1) > m` and passes.
 fn scaling_exp(m: f32, q_max: f32) -> i32 {
     debug_assert!(m.is_finite() && m >= 0.0);
-    let mut e = EXP_MIN;
-    while e < EXP_MAX && m / exp2(e) > q_max {
-        e += 1;
+    let e = (exp_bits(m) - exp_bits(q_max)).clamp(EXP_MIN, EXP_MAX);
+    if e < EXP_MAX && m * exp2(-e) > q_max {
+        e + 1
+    } else {
+        e
     }
-    e
+}
+
+/// `x.round().clamp(-q_max, q_max) as i32` for an integral `q_max`,
+/// without `round`'s libm call on a baseline x86-64 target and in a loop
+/// the compiler vectorises (a saturating `as i32` it does not). NaN gives
+/// 0, and clamping first commutes with rounding. Adding `h`, the largest
+/// f32 below ½, signed like `x`, then truncating rounds half away from
+/// zero: a fraction of at least ½ carries the sum to the next integer (at
+/// exactly ½ it falls `2^-25` short and rounds up to it), a smaller one
+/// leaves it at least an ulp of `x` short, and from 2^23 up, where `x` is
+/// integral, `h` is under half an ulp.
+fn quantize(x: f32, q_max: f32) -> i32 {
+    assert!(q_max < 2_147_483_648.0, "the mantissa range fits i32");
+    let x = if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(-q_max, q_max)
+    };
+    let nudged = x + 0.499_999_97f32.copysign(x);
+    // SAFETY: `nudged` is finite and truncates to within ±q_max, inside
+    // the i32 range by the assert above (`clamp` itself panics on a NaN or
+    // negative `q_max`).
+    unsafe { nudged.to_int_unchecked() }
 }
 
 /// Admits a scaling exponent read off the wire (see [`EXP_MAX`]).
@@ -412,9 +456,15 @@ fn check_finite(values: &[f32]) -> Result<(), ProtocolError> {
     }
 }
 
-/// Largest finite magnitude in `values` (0.0 when empty).
-fn max_abs(values: &[f32]) -> f32 {
-    values.iter().fold(0.0f32, |m, v| m.max(v.abs()))
+/// Largest magnitude in `values`, NaN ignored as `f32::max` ignores it
+/// (0.0 when empty). Compared as bits, which order like the magnitudes
+/// they encode, so the compiler vectorises the scan.
+fn max_abs(values: impl Iterator<Item = f32>) -> f32 {
+    let magnitude = |v: f32| match v.to_bits() & 0x7FFF_FFFF {
+        nan if nan > f32::INFINITY.to_bits() => 0,
+        bits => bits,
+    };
+    f32::from_bits(values.map(magnitude).max().unwrap_or(0))
 }
 
 /// Writes the 8-byte `Seg` header and the 4-byte codec sub-header.
@@ -464,14 +514,46 @@ fn sat_add(a: i32, v: i64, saturations: &mut u64) -> i32 {
     clamped as i32
 }
 
-/// `m · 2^shift` with arithmetic shifting and i64 headroom; `shift` is the
-/// source exponent minus the accumulator exponent.
-fn align(m: i64, shift: i32) -> i64 {
-    if shift >= 0 {
-        m.checked_shl(shift.min(62) as u32).unwrap_or(i64::MAX)
-    } else {
-        m >> (-shift).min(63)
+/// The headroom check: whether every partial sum in `acc` can take an
+/// addend of magnitude up to `bound` without passing the `±i32::MAX`
+/// rails — its largest magnitude plus `bound` fits `i32`.
+fn has_headroom(acc: &[i32], bound: u32) -> bool {
+    let Some(limit) = (i32::MAX as u32).checked_sub(bound) else {
+        return false;
+    };
+    let limit = limit as i32;
+    // `|` rather than `any`: no early exit, so the scan vectorises.
+    !acc.iter()
+        .fold(false, |over, &a| over | (a > limit) | (a < -limit))
+}
+
+/// Adds the `N`-byte big-endian mantissas of `body` (sign-extended by
+/// `mantissa`), each shifted right by `shift`, into `acc`, and returns
+/// how many sums clamped. An accumulator always sits at the largest
+/// exponent it has seen, so a contribution only ever shifts right. With
+/// `headroom` proven ([`has_headroom`]) no sum can clamp, and the adds are
+/// a plain `i32` loop the compiler vectorises; otherwise every element
+/// goes through [`sat_add`].
+fn add_mantissas<const N: usize>(
+    acc: &mut [i32],
+    body: &[u8],
+    shift: u32,
+    headroom: bool,
+    mantissa: impl Fn([u8; N]) -> i32,
+) -> u64 {
+    let (chunks, _) = body.as_chunks::<N>();
+    let shift = shift.min(31);
+    if headroom {
+        for (a, &c) in acc.iter_mut().zip(chunks) {
+            *a += mantissa(c) >> shift;
+        }
+        return 0;
     }
+    let mut saturations = 0;
+    for (a, &c) in acc.iter_mut().zip(chunks) {
+        *a = sat_add(*a, i64::from(mantissa(c) >> shift), &mut saturations);
+    }
+    saturations
 }
 
 /// Rescales an accumulator in place when a contribution arrives at a
@@ -510,6 +592,13 @@ impl AggregationCodec for F32Codec {
 
     fn encode_result(&self, seg: &DataSegment) -> Bytes {
         seg.encode()
+    }
+
+    fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes {
+        let WireAcc::F32(sums) = acc else {
+            unreachable!("f32 accumulator")
+        };
+        crate::protocol::data::encode_segment(seg, count, sums)
     }
 
     fn decode_meta(&self, payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
@@ -573,7 +662,7 @@ impl FixedPointCodec {
         stamp_bias: i8,
     ) -> Result<Bytes, ProtocolError> {
         check_finite(values)?;
-        let e = scaling_exp(max_abs(values), FIXED_Q_MAX as f32);
+        let e = scaling_exp(max_abs(values.iter().copied()), FIXED_Q_MAX as f32);
         let stamped = (e + i32::from(stamp_bias)).clamp(EXP_MIN, EXP_MAX) as i8;
         let mut buf = vec![0u8; BODY + values.len() * 2];
         codec_header(
@@ -584,14 +673,39 @@ impl FixedPointCodec {
             0,
             u16::from_be_bytes([stamped as u8, 0]),
         );
-        let scale = exp2(e);
+        let inv = exp2(-e);
         for (dst, v) in buf[BODY..].chunks_exact_mut(2).zip(values) {
-            let q = (v / scale)
-                .round()
-                .clamp(-(FIXED_Q_MAX as f32), FIXED_Q_MAX as f32) as i16;
+            let q = quantize(v * inv, FIXED_Q_MAX as f32) as i16;
             dst.copy_from_slice(&q.to_be_bytes());
         }
         Ok(Bytes::from(buf))
+    }
+
+    /// The wide result encoding of `len` aggregate `values`. Results carry
+    /// i32 mantissas with headroom below saturation, so the f32→wide→f32
+    /// round trip costs well under the contribution quantization error.
+    fn encode_wide(
+        seg: u64,
+        count: u16,
+        len: usize,
+        values: impl Iterator<Item = f32> + Clone,
+    ) -> Bytes {
+        let e = scaling_exp(max_abs(values.clone()), FIXED_WIDE_Q_MAX as f32);
+        let mut buf = vec![0u8; BODY + len * 4];
+        codec_header(
+            &mut buf,
+            seg,
+            count,
+            FIXED_ID,
+            FLAG_WIDE,
+            u16::from_be_bytes([(e as i8) as u8, 0]),
+        );
+        let inv = exp2(-e);
+        for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(values) {
+            let q = quantize(v * inv, FIXED_WIDE_Q_MAX as f32);
+            dst.copy_from_slice(&q.to_be_bytes());
+        }
+        Bytes::from(buf)
     }
 }
 
@@ -613,26 +727,20 @@ impl AggregationCodec for FixedPointCodec {
     }
 
     fn encode_result(&self, seg: &DataSegment) -> Bytes {
-        // Results carry i32 mantissas with headroom below saturation, so
-        // the f32→wide→f32 round trip costs well under the contribution
-        // quantization error.
-        let e = scaling_exp(max_abs(&seg.values), FIXED_WIDE_Q_MAX as f32);
-        let mut buf = vec![0u8; BODY + seg.values.len() * 4];
-        codec_header(
-            &mut buf,
+        Self::encode_wide(
             seg.seg,
             seg.count,
-            FIXED_ID,
-            FLAG_WIDE,
-            u16::from_be_bytes([(e as i8) as u8, 0]),
-        );
-        let scale = exp2(e);
-        for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(&seg.values) {
-            let q = f64::from(v / scale).round() as i64;
-            let q = q.clamp(-FIXED_WIDE_Q_MAX, FIXED_WIDE_Q_MAX) as i32;
-            dst.copy_from_slice(&q.to_be_bytes());
-        }
-        Bytes::from(buf)
+            seg.values.len(),
+            seg.values.iter().copied(),
+        )
+    }
+
+    fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes {
+        let WireAcc::Fixed { acc, exp, .. } = acc else {
+            unreachable!("fixed-point accumulator")
+        };
+        let scale = exp2(i32::from(*exp));
+        Self::encode_wide(seg, count, acc.len(), acc.iter().map(|&m| m as f32 * scale))
     }
 
     fn decode_meta(&self, payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
@@ -709,18 +817,23 @@ impl AggregationCodec for FixedPointCodec {
             *exp = e_in as i8;
             fx.rebases += 1;
         }
-        let shift = e_in - i32::from(*exp);
-        if wide {
-            for (a, c) in acc.iter_mut().zip(p.body.chunks_exact(4)) {
-                let m = i64::from(i32::from_be_bytes(c.try_into().expect("4 bytes")));
-                *a = sat_add(*a, align(m, shift), &mut fx.saturations);
-            }
+        let shift = (i32::from(*exp) - e_in) as u32;
+        fx.saturations = if wide {
+            // A wide payload's mantissas span all of i32: bound them by
+            // the payload's own largest.
+            let (ms, _) = p.body.as_chunks::<4>();
+            let bound = ms
+                .iter()
+                .map(|&c| i32::from_be_bytes(c).unsigned_abs())
+                .max();
+            let headroom = has_headroom(acc, bound.unwrap_or(0));
+            add_mantissas(acc, p.body, shift, headroom, i32::from_be_bytes)
         } else {
-            for (a, c) in acc.iter_mut().zip(p.body.chunks_exact(2)) {
-                let m = i64::from(i16::from_be_bytes(c.try_into().expect("2 bytes")));
-                *a = sat_add(*a, align(m, shift), &mut fx.saturations);
-            }
-        }
+            let headroom = has_headroom(acc, 1 << 15);
+            add_mantissas(acc, p.body, shift, headroom, |c| {
+                i32::from(i16::from_be_bytes(c))
+            })
+        };
         Ok(fx)
     }
 
@@ -775,6 +888,44 @@ fn block_exp(e_byte: u8) -> Result<Option<i32>, ProtocolError> {
     }
 }
 
+/// The scale of an accumulator block at exponent byte `e_byte` (0.0 for
+/// the sentinel of a block no non-zero contribution has reached).
+fn block_scale(e_byte: u8) -> f32 {
+    match e_byte {
+        0 => 0.0,
+        e => exp2(i32::from(e) - BLOCK_EXP_BIAS),
+    }
+}
+
+impl BlockFloatCodec {
+    /// The wide result encoding of `len` aggregate values, block by block:
+    /// per block the exponent byte, then i16 mantissas.
+    fn encode_wide<B>(seg: u64, count: u16, len: usize, blocks: impl Iterator<Item = B>) -> Bytes
+    where
+        B: ExactSizeIterator<Item = f32> + Clone,
+    {
+        let mut buf = vec![0u8; BODY + block_body_bytes(len, true)];
+        codec_header(&mut buf, seg, count, BLOCK_ID, FLAG_WIDE, len as u16);
+        let mut at = BODY;
+        for block in blocks {
+            let blen = block.len();
+            let m = max_abs(block.clone());
+            // An all-zero block keeps the zero sentinel and zero mantissas.
+            if m != 0.0 {
+                let t = scaling_exp(m, BLOCK_WIDE_Q_MAX as f32);
+                buf[at] = (t + BLOCK_EXP_BIAS) as u8;
+                let inv = exp2(-t);
+                for (dst, v) in buf[at + 1..].chunks_exact_mut(2).zip(block) {
+                    let q = quantize(v * inv, BLOCK_WIDE_Q_MAX as f32) as i16;
+                    dst.copy_from_slice(&q.to_be_bytes());
+                }
+            }
+            at += block_bytes(blen, true);
+        }
+        Bytes::from(buf)
+    }
+}
+
 impl AggregationCodec for BlockFloatCodec {
     fn kind(&self) -> CodecKind {
         CodecKind::BlockFloat
@@ -794,18 +945,15 @@ impl AggregationCodec for BlockFloatCodec {
         codec_header(&mut buf, seg, 1, BLOCK_ID, 0, values.len() as u16);
         let mut at = BODY;
         for block in values.chunks(BLOCK_ELEMS) {
-            let m = max_abs(block);
+            let m = max_abs(block.iter().copied());
             if m == 0.0 {
                 buf[at] = 0; // all-zero sentinel; mantissas stay zero
             } else {
                 let t = scaling_exp(m, BLOCK_Q_MAX as f32);
                 buf[at] = (t + BLOCK_EXP_BIAS) as u8;
-                let scale = exp2(t);
+                let inv = exp2(-t);
                 for (dst, v) in buf[at + 1..].iter_mut().zip(block) {
-                    *dst = ((v / scale)
-                        .round()
-                        .clamp(-(BLOCK_Q_MAX as f32), BLOCK_Q_MAX as f32)
-                        as i8) as u8;
+                    *dst = (quantize(v * inv, BLOCK_Q_MAX as f32) as i8) as u8;
                 }
             }
             at += block_bytes(block.len(), false);
@@ -814,33 +962,21 @@ impl AggregationCodec for BlockFloatCodec {
     }
 
     fn encode_result(&self, seg: &DataSegment) -> Bytes {
-        let mut buf = vec![0u8; BODY + block_body_bytes(seg.values.len(), true)];
-        codec_header(
-            &mut buf,
-            seg.seg,
-            seg.count,
-            BLOCK_ID,
-            FLAG_WIDE,
-            seg.values.len() as u16,
-        );
-        let mut at = BODY;
-        for block in seg.values.chunks(BLOCK_ELEMS) {
-            let m = max_abs(block);
-            if m == 0.0 {
-                buf[at] = 0;
-            } else {
-                let t = scaling_exp(m, BLOCK_WIDE_Q_MAX as f32);
-                buf[at] = (t + BLOCK_EXP_BIAS) as u8;
-                let scale = exp2(t);
-                for (dst, v) in buf[at + 1..].chunks_exact_mut(2).zip(block) {
-                    let q = (v / scale).round() as i64;
-                    let q = q.clamp(-BLOCK_WIDE_Q_MAX, BLOCK_WIDE_Q_MAX) as i16;
-                    dst.copy_from_slice(&q.to_be_bytes());
-                }
-            }
-            at += block_bytes(block.len(), true);
-        }
-        Bytes::from(buf)
+        let blocks = seg.values.chunks(BLOCK_ELEMS).map(|b| b.iter().copied());
+        Self::encode_wide(seg.seg, seg.count, seg.values.len(), blocks)
+    }
+
+    fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes {
+        let WireAcc::Block { acc, exps } = acc else {
+            unreachable!("block-float accumulator")
+        };
+        // A sentinel block scales to zeros, which encode as the zeros
+        // `decode_acc` gives it: the sentinel again.
+        let blocks = acc.chunks(BLOCK_ELEMS).zip(exps).map(|(block, &e)| {
+            let scale = block_scale(e);
+            block.iter().map(move |&m| m as f32 * scale)
+        });
+        Self::encode_wide(seg, count, acc.len(), blocks)
     }
 
     fn decode_meta(&self, payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
@@ -909,6 +1045,10 @@ impl AggregationCodec for BlockFloatCodec {
         for &e_byte in p.body.iter().step_by(block_bytes(BLOCK_ELEMS, wide)) {
             block_exp(e_byte)?;
         }
+        // One headroom check for the whole segment, and per block only if
+        // that fails: a rebase only shrinks partial sums, so it holds after.
+        let bound = if wide { 1 << 15 } else { 1 << 7 };
+        let segment_headroom = has_headroom(acc, bound);
         let mut fx = AccEffects::default();
         let mut at = 0;
         for (b, block) in acc.chunks_mut(BLOCK_ELEMS).enumerate() {
@@ -930,20 +1070,16 @@ impl AggregationCodec for BlockFloatCodec {
                         cur
                     }
                 };
-                let shift = e_in - e_slot;
-                if wide {
-                    for (a, c) in block
-                        .iter_mut()
-                        .zip(p.body[at + 1..at + 1 + blen * 2].chunks_exact(2))
-                    {
-                        let m = i64::from(i16::from_be_bytes(c.try_into().expect("2 bytes")));
-                        *a = sat_add(*a, align(m, shift), &mut fx.saturations);
-                    }
+                let shift = (e_slot - e_in) as u32;
+                let body = &p.body[at + 1..at + block_bytes(blen, wide)];
+                let headroom = segment_headroom || has_headroom(block, bound);
+                fx.saturations += if wide {
+                    add_mantissas(block, body, shift, headroom, |c| {
+                        i32::from(i16::from_be_bytes(c))
+                    })
                 } else {
-                    for (a, &byte) in block.iter_mut().zip(&p.body[at + 1..at + 1 + blen]) {
-                        *a = sat_add(*a, align(i64::from(byte as i8), shift), &mut fx.saturations);
-                    }
-                }
+                    add_mantissas(block, body, shift, headroom, |[b]| i32::from(b as i8))
+                };
             }
             at += block_bytes(blen, wide);
         }
@@ -951,21 +1087,19 @@ impl AggregationCodec for BlockFloatCodec {
     }
 
     fn decode_acc(&self, acc: &WireAcc) -> Vec<f32> {
-        match acc {
-            WireAcc::Block { acc, exps } => acc
-                .iter()
-                .enumerate()
-                .map(|(i, &m)| {
-                    let e = exps[i / BLOCK_ELEMS];
-                    if e == 0 {
-                        0.0
-                    } else {
-                        m as f32 * exp2(i32::from(e) - BLOCK_EXP_BIAS)
-                    }
-                })
-                .collect(),
-            _ => unreachable!("block-float accumulator"),
+        let WireAcc::Block { acc, exps } = acc else {
+            unreachable!("block-float accumulator")
+        };
+        let mut values = Vec::with_capacity(acc.len());
+        for (block, &e) in acc.chunks(BLOCK_ELEMS).zip(exps) {
+            let scale = block_scale(e);
+            values.extend(
+                block
+                    .iter()
+                    .map(|&m| if e == 0 { 0.0 } else { m as f32 * scale }),
+            );
         }
+        values
     }
 
     fn error_bound(&self, max_abs: f32, workers: usize) -> f32 {
@@ -986,21 +1120,36 @@ pub struct TopKCodec;
 
 const TOPK_ID: u8 = 3;
 
-/// Indices of the top `k` elements of `values` by magnitude, ties broken
-/// by ascending index, returned in ascending index order — a deterministic
-/// pure function of the values.
+/// Indices of the top `k` non-zero elements of finite `values` by
+/// magnitude, ties broken by ascending index, returned in ascending index
+/// order — a deterministic pure function of the values.
+///
+/// A linear-time selection: each element becomes one `u64` key whose
+/// ascending order is magnitude descending, then index ascending (the bits
+/// of a non-negative f32 order like its value), and only the `k` selected
+/// keys are sorted.
 pub fn topk_indices(values: &[f32], k: usize) -> Vec<usize> {
-    let mut by_mag: Vec<usize> = (0..values.len()).filter(|&i| values[i] != 0.0).collect();
-    by_mag.sort_by(|&a, &b| {
-        values[b]
-            .abs()
-            .partial_cmp(&values[a].abs())
-            .expect("finite values")
-            .then(a.cmp(&b))
-    });
-    by_mag.truncate(k);
-    by_mag.sort_unstable();
-    by_mag
+    let mut keys: Vec<u64> = (values.iter().enumerate())
+        .filter(|&(_, &v)| v != 0.0)
+        .map(|(i, v)| (u64::from(!v.abs().to_bits()) << 32) | i as u64)
+        .collect();
+    if k < keys.len() {
+        keys.select_nth_unstable(k);
+        keys.truncate(k);
+    }
+    let mut kept: Vec<usize> = keys.iter().map(|&key| key as u32 as usize).collect();
+    kept.sort_unstable();
+    kept
+}
+
+/// A dense top-k payload: `values` as raw big-endian f32 after the headers.
+fn topk_dense(seg: u64, count: u16, flags: u8, values: &[f32]) -> Bytes {
+    let mut buf = vec![0u8; BODY + values.len() * 4];
+    codec_header(&mut buf, seg, count, TOPK_ID, flags, values.len() as u16);
+    for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_be_bytes());
+    }
+    Bytes::from(buf)
 }
 
 impl AggregationCodec for TopKCodec {
@@ -1023,12 +1172,7 @@ impl AggregationCodec for TopKCodec {
         // Density crossover: a sparse entry costs 6 bytes against 4 dense,
         // so past 2/3 density the dense fallback is strictly smaller.
         if keep.len() * 6 >= values.len() * 4 {
-            let mut buf = vec![0u8; BODY + values.len() * 4];
-            codec_header(&mut buf, seg, 1, TOPK_ID, 0, values.len() as u16);
-            for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(values) {
-                dst.copy_from_slice(&v.to_be_bytes());
-            }
-            return Ok(Bytes::from(buf));
+            return Ok(topk_dense(seg, 1, 0, values));
         }
         let mut buf = vec![0u8; BODY + keep.len() * 6];
         codec_header(&mut buf, seg, 1, TOPK_ID, FLAG_SPARSE, values.len() as u16);
@@ -1042,19 +1186,14 @@ impl AggregationCodec for TopKCodec {
     fn encode_result(&self, seg: &DataSegment) -> Bytes {
         // Aggregates of H sparse contributions are nearly always past the
         // density crossover, so results ship dense.
-        let mut buf = vec![0u8; BODY + seg.values.len() * 4];
-        codec_header(
-            &mut buf,
-            seg.seg,
-            seg.count,
-            TOPK_ID,
-            FLAG_WIDE,
-            seg.values.len() as u16,
-        );
-        for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(&seg.values) {
-            dst.copy_from_slice(&v.to_be_bytes());
-        }
-        Bytes::from(buf)
+        topk_dense(seg.seg, seg.count, FLAG_WIDE, &seg.values)
+    }
+
+    fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes {
+        let WireAcc::TopK(sums) = acc else {
+            unreachable!("top-k accumulator")
+        };
+        topk_dense(seg, count, FLAG_WIDE, sums)
     }
 
     fn decode_meta(&self, payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
@@ -1155,6 +1294,9 @@ impl AggregationCodec for TopKCodec {
 }
 
 #[cfg(test)]
+mod fast_paths;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1248,7 +1390,9 @@ mod tests {
             assert_eq!(meta.len, 77, "{kind}");
             let decoded = codec.decode_values(&payload).unwrap();
             assert_eq!(decoded.values.len(), 77, "{kind}");
-            let bound = codec.error_bound(max_abs(&values), 1).max(1e-6);
+            let bound = codec
+                .error_bound(max_abs(values.iter().copied()), 1)
+                .max(1e-6);
             for (i, (&d, &v)) in decoded.values.iter().zip(&values).enumerate() {
                 if kind == CodecKind::TopK && d == 0.0 {
                     continue; // dropped by sparsification

@@ -234,6 +234,27 @@ fn quantized_codecs_reject_non_finite_gradients() {
 }
 
 #[test]
+fn f32_switch_adds_a_nan_like_the_papers_adder() {
+    // The f32 datapath is the paper's adder bank: no per-packet finiteness
+    // pass, so a NaN contribution is summed, not refused — the aggregate
+    // element is NaN, its neighbours are exact, and nothing is dropped.
+    let mut accel = Accelerator::new(AcceleratorConfig::default(), 1, 2);
+    let one = |values: Vec<f32>| DataSegment {
+        seg: 0,
+        count: 1,
+        values,
+    };
+    assert!(accel.ingest(&one(vec![1.0, f32::NAN, 3.0])).0.is_none());
+    let (done, _) = accel.ingest(&one(vec![2.0, 5.0, f32::INFINITY]));
+    let done = done.expect("two contributions close the round");
+    assert_eq!(done.values[0], 3.0);
+    assert!(done.values[1].is_nan());
+    assert_eq!(done.values[2], f32::INFINITY);
+    assert_eq!(accel.stats().malformed_drops, 0);
+    assert_eq!(accel.stats().segments_emitted, 1);
+}
+
+#[test]
 fn accelerator_wire_path_matches_the_codec_module() {
     // The same contributions through a real Accelerator configured for the
     // codec (full wire payloads, threshold completion) must equal the

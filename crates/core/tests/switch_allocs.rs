@@ -1,20 +1,23 @@
-//! A round closed in the switch allocates its result once, and what the
-//! switch keeps for `Help` stops growing.
+//! A round closed in the switch allocates its result once, under every
+//! codec, and what the switch keeps for `Help` stops growing.
 //!
 //! Alone in its binary because it replaces the global allocator with one
 //! that counts, as `iswitch-netsim`'s `hot_path_allocs.rs` does. Two hosts
-//! under an f32 iSwitch push one segment each per round, the moment the
+//! under an iSwitch push one segment each per round, the moment the
 //! previous round's result reaches them; every packet is built before the
 //! run. Once the engine's buffers have grown to their working size, a round
 //! — two contributions in, the round closed, its result out to both hosts —
-//! allocates the result's payload and its shared handle, and nothing else.
+//! allocates the result's payload and its shared handle, and nothing else:
+//! the accumulator is encoded straight to the wire, with no decoded values
+//! in between.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::cell::Cell;
 
 use iswitch_core::{
-    gradient_packets_round, ExtensionConfig, IswitchExtension, FLOATS_PER_SEGMENT, RESULT_DEPTH,
+    gradient_packets_round_codec, CodecKind, DataSegment, ExtensionConfig, IswitchExtension,
+    RESULT_DEPTH,
 };
 use iswitch_netsim::{
     build_star, host_ip, Host, HostApp, HostCtx, Packet, PortId, Simulator, Switch, TopologyConfig,
@@ -96,14 +99,24 @@ impl HostApp for Pusher {
 }
 
 #[test]
-fn a_closed_f32_round_allocates_its_result_and_the_store_stops_growing() {
+fn a_closed_round_allocates_its_result_and_the_store_stops_growing() {
+    for codec in CodecKind::ALL {
+        closed_rounds_allocate_their_result(codec);
+    }
+}
+
+fn closed_rounds_allocate_their_result(codec: CodecKind) {
     const HOSTS: usize = 2;
-    let grad = vec![0.5f32; FLOATS_PER_SEGMENT];
+    let grad: Vec<f32> = (0..codec.elems_per_segment())
+        .map(|i| (i % 7) as f32 * 0.25 - 0.5)
+        .collect();
     let mut sim = Simulator::new();
     let apps: Vec<Box<dyn HostApp>> = (0..HOSTS)
         .map(|i| {
             let stock = (0..TAGS)
-                .map(|round| gradient_packets_round(host_ip(0, i), &grad, round).remove(0))
+                .map(|round| {
+                    gradient_packets_round_codec(host_ip(0, i), &grad, round, codec, 0).remove(0)
+                })
                 .collect();
             let rounds = WARM_UP + MEASURED;
             let (pushed, results) = (0, 0);
@@ -116,7 +129,7 @@ fn a_closed_f32_round_allocates_its_result_and_the_store_stops_growing() {
         })
         .collect();
     let ports = (0..HOSTS).map(PortId::new).collect();
-    let ext = IswitchExtension::new(ExtensionConfig::for_star(ports, grad.len()));
+    let ext = IswitchExtension::new(ExtensionConfig::for_star(ports, grad.len()).with_codec(codec));
     let star = build_star(
         &mut sim,
         apps,
@@ -130,19 +143,23 @@ fn a_closed_f32_round_allocates_its_result_and_the_store_stops_growing() {
     };
 
     while rounds(&sim) < WARM_UP {
-        assert!(sim.step(), "the rounds stopped during warm-up");
+        assert!(sim.step(), "{codec}: the rounds stopped during warm-up");
     }
     let kept_warm = kept(&sim);
     let before = allocs();
     sim.run_until_idle();
     let spent = allocs() - before;
 
-    assert_eq!(rounds(&sim), WARM_UP + MEASURED);
+    assert_eq!(rounds(&sim), WARM_UP + MEASURED, "{codec}");
     assert!(
         spent <= 2 * MEASURED + 16,
-        "{spent} allocations for {MEASURED} closed rounds"
+        "{codec}: {spent} allocations for {MEASURED} closed rounds"
     );
-    assert_eq!(kept(&sim), kept_warm);
-    let one_result = FLOATS_PER_SEGMENT * 4 + 8;
-    assert_eq!(kept_warm, RESULT_DEPTH * one_result);
+    assert_eq!(kept(&sim), kept_warm, "{codec}");
+    let one_result = codec.codec().encode_result(&DataSegment {
+        seg: 0,
+        count: HOSTS as u16,
+        values: grad,
+    });
+    assert_eq!(kept_warm, RESULT_DEPTH * one_result.len(), "{codec}");
 }
