@@ -14,12 +14,11 @@
 //! datapath for `ceil(payload_bits / bus_bits)` cycles plus a fixed
 //! pipeline depth, which the latency model converts to wall-clock time.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use iswitch_netsim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::int_map::IntMap;
 use crate::protocol::codec::{AccEffects, CodecKind, WireAcc};
 use crate::protocol::data::encode_segment;
 use crate::protocol::{DataSegment, SegmentMeta};
@@ -67,8 +66,18 @@ impl AcceleratorConfig {
     /// Wall-clock occupancy of the datapath for one packet carrying
     /// `payload_bytes` of gradient data.
     pub fn packet_latency(&self, payload_bytes: usize) -> SimDuration {
+        self.cycles_latency(self.packet_cycles(payload_bytes))
+    }
+
+    /// Datapath cycles one packet of `payload_bytes` occupies: one per bus
+    /// beat, plus the pipeline depth.
+    fn packet_cycles(&self, payload_bytes: usize) -> u64 {
         let bursts = (payload_bytes as u64 * 8).div_ceil(u64::from(self.bus_bits));
-        let cycles = bursts + u64::from(self.pipeline_cycles);
+        bursts + u64::from(self.pipeline_cycles)
+    }
+
+    /// Wall-clock time of `cycles` datapath cycles.
+    fn cycles_latency(&self, cycles: u64) -> SimDuration {
         SimDuration::from_nanos(cycles * 1_000_000_000 / self.clock_hz)
     }
 }
@@ -229,8 +238,10 @@ pub struct Accelerator {
     /// Maps the full (round-tagged) `Seg` value of each open round to its
     /// dense slot in `slots` — the SwitchML-style pool layout: one hash
     /// lookup per packet resolves everything the round has, wherever it
-    /// is resident.
-    index: HashMap<u64, u32>,
+    /// is resident. Hashed, not direct-indexed by segment: a root also
+    /// aggregates indices past the gradient, and a lossy straggler can hold
+    /// two rounds of one index open at once (DESIGN.md §14).
+    index: IntMap<u32>,
     /// One record per open round, indexed by the dense slot ids in
     /// `index`/`free`. A slot is occupied only between a round's first
     /// accepted contribution and its release. On-the-fly aggregation
@@ -370,7 +381,7 @@ impl Accelerator {
             threshold,
             num_segments,
             codec,
-            index: HashMap::new(),
+            index: IntMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             resident_bytes: 0,
@@ -420,9 +431,9 @@ impl Accelerator {
     }
 
     /// Open rounds whose latest accepted contribution arrived at least
-    /// `age` before `now`, in ascending `Seg` order (`HashMap` iteration
-    /// order varies between processes; callers flush in this order so
-    /// same-seed runs replay byte-identically).
+    /// `age` before `now`, in ascending `Seg` order (map iteration order
+    /// is unspecified; callers flush in this order so same-seed runs
+    /// replay byte-identically).
     pub fn stale_rounds(&self, now: SimTime, age: SimDuration) -> Vec<u64> {
         let mut stale: Vec<u64> = (self.index.values())
             .map(|&id| &self.slots[id as usize])
@@ -502,11 +513,11 @@ impl Accelerator {
         }
     }
 
+    /// Counts one packet's datapath cycles as busy and returns its latency.
     fn charge(&mut self, payload_bytes: usize) -> SimDuration {
-        let latency = self.cfg.packet_latency(payload_bytes);
-        let bursts = (payload_bytes as u64 * 8).div_ceil(u64::from(self.cfg.bus_bits));
-        self.stats.busy_cycles += bursts + u64::from(self.cfg.pipeline_cycles);
-        latency
+        let cycles = self.cfg.packet_cycles(payload_bytes);
+        self.stats.busy_cycles += cycles;
+        self.cfg.cycles_latency(cycles)
     }
 
     /// Ingests one owned contribution: encodes it under this accelerator's

@@ -53,6 +53,7 @@ use crate::error::ProtocolError;
 use crate::protocol::data::{
     seg_header, split_seg_header, DataSegment, SegmentMeta, FLOATS_PER_SEGMENT, SEG_HEADER_BYTES,
 };
+use crate::protocol::wire_f32;
 
 /// Bytes of the codec sub-header following the `Seg` header (non-f32 only).
 pub const CODEC_HEADER_BYTES: usize = 4;
@@ -374,17 +375,6 @@ pub trait AggregationCodec: Sync {
     fn error_bound(&self, max_abs: f32, workers: usize) -> f32;
 }
 
-/// Adds big-endian f32 wire data into `acc` element-wise, in element
-/// order, without first materializing a decoded `Vec<f32>`. This is *the*
-/// big-endian f32 accumulate — the accelerator and the assemblers both
-/// reach it through the codec.
-fn accumulate_f32_be(acc: &mut [f32], bytes: &[u8]) {
-    debug_assert_eq!(acc.len() * 4, bytes.len());
-    for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(4)) {
-        *a += f32::from_be_bytes(c.try_into().expect("4 bytes"));
-    }
-}
-
 /// 2^e as f32, for exponents in the normal range. For `e` in
 /// `[EXP_MIN, EXP_MAX]`, 2^-e is normal too, so `v * exp2(-e)` is
 /// `v / exp2(e)` bit for bit — both are the correctly rounded `v · 2^-e` —
@@ -621,7 +611,9 @@ impl AggregationCodec for F32Codec {
         if meta.len != sums.len() {
             return Err(ProtocolError::InvalidField("payload length"));
         }
-        accumulate_f32_be(sums, &payload[SEG_HEADER_BYTES..]);
+        // The big-endian f32 accumulate, straight off the wire with no
+        // decoded `Vec<f32>` in between.
+        wire_f32::add_be(sums, &payload[SEG_HEADER_BYTES..]);
         Ok(AccEffects::default())
     }
 
@@ -1146,9 +1138,7 @@ pub fn topk_indices(values: &[f32], k: usize) -> Vec<usize> {
 fn topk_dense(seg: u64, count: u16, flags: u8, values: &[f32]) -> Bytes {
     let mut buf = vec![0u8; BODY + values.len() * 4];
     codec_header(&mut buf, seg, count, TOPK_ID, flags, values.len() as u16);
-    for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(values) {
-        dst.copy_from_slice(&v.to_be_bytes());
-    }
+    wire_f32::write_be(&mut buf[BODY..], values);
     Bytes::from(buf)
 }
 
@@ -1273,7 +1263,7 @@ impl AggregationCodec for TopKCodec {
             if p.body.len() != sums.len() * 4 {
                 return Err(ProtocolError::InvalidField("payload length"));
             }
-            accumulate_f32_be(sums, p.body);
+            wire_f32::add_be(sums, p.body);
         }
         Ok(AccEffects::default())
     }

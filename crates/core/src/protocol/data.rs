@@ -17,6 +17,7 @@ use iswitch_netsim::MAX_UDP_PAYLOAD;
 
 use crate::error::ProtocolError;
 use crate::protocol::codec::CodecKind;
+use crate::protocol::wire_f32;
 
 /// Bytes of the `Seg` header at the start of every data payload.
 pub const SEG_HEADER_BYTES: usize = 8;
@@ -100,14 +101,12 @@ pub(crate) fn encode_segment(seg: u64, count: u16, values: &[f32]) -> Bytes {
         values.len(),
         FLOATS_PER_SEGMENT
     );
-    // Write into an exact-size byte vector: the fixed 4-byte copies below
-    // inline and autovectorize, where per-element `BufMut::put_f32` calls
-    // would each go through a capacity check and an outlined extend.
+    // Write into an exact-size byte vector in one vectorised pass, where
+    // per-element `BufMut::put_f32` calls would each go through a capacity
+    // check and an outlined extend.
     let mut buf = vec![0u8; SEG_HEADER_BYTES + values.len() * 4];
     buf[..SEG_HEADER_BYTES].copy_from_slice(&seg_header(seg, count));
-    for (dst, v) in buf[SEG_HEADER_BYTES..].chunks_exact_mut(4).zip(values) {
-        dst.copy_from_slice(&v.to_be_bytes());
-    }
+    wire_f32::write_be(&mut buf[SEG_HEADER_BYTES..], values);
     Bytes::from(buf)
 }
 

@@ -5,6 +5,7 @@ pub(crate) mod codec;
 mod control;
 pub(crate) mod data;
 mod tos;
+mod wire_f32;
 
 pub use codec::{
     topk_indices, AccEffects, AggregationCodec, BlockFloatCodec, CodecKind, F32Codec,

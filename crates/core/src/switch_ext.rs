@@ -20,7 +20,6 @@
 //! down per segment, to serve `Help` (see `ResultStore`).
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -31,6 +30,7 @@ use iswitch_obs::{Counter, Histogram, Registry, Span, TraceEvent};
 
 use crate::accelerator::{Accelerator, AcceleratorConfig, ClosedRound, IngestOutcome, Refusal};
 use crate::control_plane::{Member, MemberType, MembershipTable};
+use crate::int_map::IntMap;
 use crate::protocol::codec::CodecKind;
 use crate::protocol::{dscp, seg_index, seg_round, ControlMessage, TOS_CONTROL, TOS_DATA};
 use crate::worker::{control_packet, sealed_data_packet};
@@ -354,7 +354,8 @@ pub struct IswitchExtension {
     /// an intermediate relayed down from its uplink — never the partial
     /// sum of its own rack that it sent up.
     results: ResultStore,
-    pending: HashMap<u64, PendingEmit>,
+    /// Emissions waiting out their datapath latency, by timer token.
+    pending: IntMap<PendingEmit>,
     next_token: u64,
     sweep_armed: bool,
     /// Completed segments held back in store-and-forward mode until the
@@ -391,7 +392,7 @@ impl IswitchExtension {
             accel,
             membership: MembershipTable::new(),
             results: ResultStore::new(num_segments),
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             next_token: 0,
             sweep_armed: false,
             held: Vec::new(),

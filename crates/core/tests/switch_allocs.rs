@@ -9,7 +9,11 @@
 //! — two contributions in, the round closed, its result out to both hosts —
 //! allocates the result's payload and its shared handle, and nothing else:
 //! the accumulator is encoded straight to the wire, with no decoded values
-//! in between.
+//! in between. The round also goes through both integer-hashed maps: each
+//! contribution looks up, opens or closes its round in the accelerator's
+//! open-round index, and the result waits out its latency in the
+//! extension's pending-emission map. Neither map, nor the CPU-feature
+//! check in front of the f32 loops, allocates once warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
@@ -137,25 +141,42 @@ fn closed_rounds_allocate_their_result(codec: CodecKind) {
         &TopologyConfig::default(),
     );
     let rounds = |sim: &Simulator| sim.device::<Host>(star.hosts[0]).app::<Pusher>().results;
-    let kept = |sim: &Simulator| {
+    // Payload bytes kept for `Help`, packets ingested, rounds emitted, and
+    // whether no round is open.
+    let state = |sim: &Simulator| {
         let switch = sim.device::<Switch>(star.switch);
-        switch.extension::<IswitchExtension>().kept_result_bytes()
+        let ext = switch.extension::<IswitchExtension>();
+        let accel = ext.accelerator();
+        let stats = accel.stats();
+        (
+            ext.kept_result_bytes(),
+            stats.packets_in,
+            stats.segments_emitted,
+            accel.is_idle(),
+        )
     };
 
     while rounds(&sim) < WARM_UP {
         assert!(sim.step(), "{codec}: the rounds stopped during warm-up");
     }
-    let kept_warm = kept(&sim);
+    let (kept_warm, packets_warm, emitted_warm, _) = state(&sim);
     let before = allocs();
     sim.run_until_idle();
     let spent = allocs() - before;
+    let (kept, packets, emitted, idle) = state(&sim);
 
     assert_eq!(rounds(&sim), WARM_UP + MEASURED, "{codec}");
     assert!(
         spent <= 2 * MEASURED + 16,
         "{codec}: {spent} allocations for {MEASURED} closed rounds"
     );
-    assert_eq!(kept(&sim), kept_warm, "{codec}");
+    assert_eq!(kept, kept_warm, "{codec}");
+    // Every measured contribution went through the open-round index and
+    // every measured round through the pending-emission map; no round is
+    // left open.
+    assert!(packets - packets_warm >= HOSTS as u64 * MEASURED, "{codec}");
+    assert!(emitted - emitted_warm >= MEASURED, "{codec}");
+    assert!(idle, "{codec}");
     let one_result = codec.codec().encode_result(&DataSegment {
         seg: 0,
         count: HOSTS as u16,
