@@ -3,7 +3,10 @@
 # working tree and an earlier revision — the equivalence check of a change
 # that claims to alter no artifact.
 #
-#   ci/against.sh <rev> [<out-flag>[,<out-flag>…]] -- <iswitch-sim args…>
+#   ci/against.sh <rev> [[<out-flag>[,<out-flag>…]] -- <iswitch-sim args…>]
+#
+# With no command it runs every line of ci/against.cmds, the checked-in
+# equivalence list, and stops at the first that differs.
 #
 # Builds <rev> offline from a `git archive` copy under target/against/<sha>
 # (kept, so a second command reuses the build) and the working tree in place,
@@ -16,6 +19,14 @@
 set -euo pipefail
 
 usage() { sed -n '6p' "$0" >&2; exit 2; }
+if [ $# -eq 1 ]; then
+  while read -r line; do
+    case "$line" in '' | '#'*) continue ;; esac
+    read -ra cmd <<< "$line"
+    "$0" "$1" "${cmd[@]}" < /dev/null
+  done < "$(dirname "$0")/against.cmds"
+  exit 0
+fi
 [ $# -ge 3 ] || usage
 rev=$(git rev-parse --verify "$1^{commit}")
 outs=()

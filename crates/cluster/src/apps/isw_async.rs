@@ -38,9 +38,10 @@ enum BcastTracker {
 pub struct IswAsyncProto {
     grad_len: usize,
     tracker: BcastTracker,
-    /// Pre-encoded contribution payloads for static (timing-mode) sources.
-    /// Async commits are untagged (round 0), so every commit reuses the
-    /// cached [`bytes::Bytes`] outright — no per-iteration serialization.
+    /// This worker's handle on the job's pre-encoded contribution payloads,
+    /// when the source has them (timing mode). Async commits are untagged
+    /// (round 0), so every commit of every worker shares the stored
+    /// [`bytes::Bytes`] outright — no per-iteration serialization.
     enc: Option<EncodedGradient>,
     /// The wire policy. Async commits are fire-and-forget (the pipeline
     /// tolerates loss by design), so only the pacing/ECN side of the
@@ -66,10 +67,7 @@ impl StrategyProtocol for IswAsyncProto {
             asm.begin_round(None);
             self.tracker = BcastTracker::Values(asm);
         }
-        self.enc = rt
-            .source
-            .is_static()
-            .then(|| EncodedGradient::with_codec(rt.ip(), rt.source.gradient(), self.codec, 0));
+        self.enc = rt.source.encoded(rt.ip(), self.codec);
     }
 
     fn commit(&mut self, rt: &mut Rt<'_, '_, '_>) {

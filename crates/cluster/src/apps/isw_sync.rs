@@ -35,8 +35,8 @@ pub struct IswSyncProto {
     /// the switch's stale-flush sweep); the completion is then held until
     /// the send fires so the iteration phases stay well-formed.
     sent: bool,
-    /// Pre-encoded contribution payloads, populated at start when the
-    /// gradient source is static (timing mode) — see
+    /// This worker's handle on the job's pre-encoded contribution
+    /// payloads, when the gradient source has them (timing mode) — see
     /// [`EncodedGradient`].
     enc: Option<EncodedGradient>,
     /// The job's aggregation format; must match the switches'.
@@ -59,8 +59,8 @@ impl IswSyncProto {
         }
     }
 
-    /// This round's contribution packets: from the pre-encoded cache for
-    /// static sources, re-serialized from the live gradient otherwise.
+    /// This round's contribution packets: from the pre-encoded store when
+    /// the source has one, re-serialized from the live gradient otherwise.
     fn contribution_packets(&self, rt: &Rt<'_, '_, '_>) -> Vec<Packet> {
         match &self.enc {
             Some(enc) => enc.packets_round(rt.iter()),
@@ -132,9 +132,12 @@ impl StrategyProtocol for IswSyncProto {
         // Co-sim sources need the broadcast *values*; timing sources only
         // need completion tracking.
         self.asm = RoundAssembler::with_codec(self.grad_len, rt.source.wants_values(), self.codec);
-        self.enc = rt.source.is_static().then(|| {
-            EncodedGradient::with_codec(rt.ip(), rt.source.gradient(), self.codec, self.exp_bias)
-        });
+        // A seeded exponent bug (chaos, whose sources are live anyway)
+        // stamps its own headers, so it never sends shared payloads.
+        self.enc = match self.exp_bias {
+            0 => rt.source.encoded(rt.ip(), self.codec),
+            _ => None,
+        };
     }
 
     fn begin_round(&mut self, iter: u32) {

@@ -17,8 +17,10 @@
 //!   central driver owning the optimizer step.
 
 use std::any::Any;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use iswitch_core::{CodecKind, EncodedGradient};
+use iswitch_netsim::IpAddr;
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 use rand::rngs::StdRng;
 
@@ -41,12 +43,13 @@ pub trait GradientSource: Send + 'static {
         false
     }
 
-    /// Whether [`GradientSource::gradient`] returns the same contents every
-    /// iteration. Static sources let the worker pre-encode its contribution
-    /// payloads once (see [`iswitch_core::EncodedGradient`]) instead of
-    /// re-serializing identical floats every round.
-    fn is_static(&self) -> bool {
-        false
+    /// This source's contribution payloads encoded once under `codec`, as
+    /// sent from `src`, when [`GradientSource::gradient`] returns the same
+    /// contents every iteration (see [`iswitch_core::EncodedGradient`]).
+    /// Live sources return `None`: their gradient changes every round, so
+    /// the worker re-serializes it each time.
+    fn encoded(&self, _src: IpAddr, _codec: CodecKind) -> Option<EncodedGradient> {
+        None
     }
 
     /// Produces a fresh gradient at the current local weights (LGC).
@@ -84,33 +87,62 @@ pub trait GradientSource: Send + 'static {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// Timing-mode source: a fixed synthetic vector. Packet sizes and counts
-/// match the real model exactly; values never change.
+/// Timing-mode source: a fixed synthetic vector of ones. Packet sizes and
+/// counts match the real model exactly; values never change.
+///
+/// Clones share one state, and a job hands one clone to each of its
+/// iSwitch workers: the payloads [`GradientSource::encoded`] returns are
+/// encoded once, and every worker's handle sends from that one store.
+/// Nothing gradient-sized is allocated until a worker asks for the
+/// payloads or the vector, so a job whose workers never do (the host-side
+/// strategies) pays nothing for it.
+#[derive(Clone)]
 pub struct SyntheticGradients {
-    template: Vec<f32>,
+    shared: Arc<Synthetic>,
+}
+
+struct Synthetic {
+    len: usize,
+    /// The vector itself, built on first [`GradientSource::gradient`].
+    ones: OnceLock<Vec<f32>>,
+    /// The payloads, encoded on first [`GradientSource::encoded`] under
+    /// the job's one codec.
+    encoded: OnceLock<(CodecKind, EncodedGradient)>,
 }
 
 impl SyntheticGradients {
     /// A synthetic gradient of `grad_len` f32 elements.
     pub fn new(grad_len: usize) -> Self {
-        // Packet contents don't affect timing; keep one constant vector.
         SyntheticGradients {
-            template: vec![1.0f32; grad_len],
+            shared: Arc::new(Synthetic {
+                len: grad_len,
+                ones: OnceLock::new(),
+                encoded: OnceLock::new(),
+            }),
         }
     }
 }
 
 impl GradientSource for SyntheticGradients {
     fn grad_len(&self) -> usize {
-        self.template.len()
+        self.shared.len
     }
 
-    fn is_static(&self) -> bool {
-        true
+    fn encoded(&self, src: IpAddr, codec: CodecKind) -> Option<EncodedGradient> {
+        let (encoded_as, store) = self.shared.encoded.get_or_init(|| {
+            // Encoded from a vector dropped right after, so the run keeps
+            // only the payloads.
+            let ones = vec![1.0f32; self.shared.len];
+            (codec, EncodedGradient::with_codec(src, &ones, codec, 0))
+        });
+        assert_eq!(*encoded_as, codec, "one synthetic source serves one codec");
+        Some(store.with_src(src))
     }
 
     fn gradient(&self) -> &[f32] {
-        &self.template
+        self.shared
+            .ones
+            .get_or_init(|| vec![1.0f32; self.shared.len])
     }
 
     fn as_any(&self) -> &dyn Any {

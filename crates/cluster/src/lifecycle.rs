@@ -510,11 +510,14 @@ fn make_apps(
         Some(live) => (live[0].grad_len(), 1),
         None => (paper.param_count(), paper.networks.len() as u64),
     };
+    // One synthetic source per job: its iSwitch workers share the payloads
+    // it encodes on first use, and host-side workers never touch it.
+    let synthetic = SyntheticGradients::new(len);
     let mut sources = sources.map(Vec::into_iter);
     let mut source = || -> Box<dyn GradientSource> {
         match &mut sources {
             Some(live) => live.next().expect("one gradient source per worker"),
-            None => Box::new(SyntheticGradients::new(len)),
+            None => Box::new(synthetic.clone()),
         }
     };
     let n = cfg.workers;

@@ -1,7 +1,7 @@
 //! Worker-side packet helpers: building gradient/control packets and
 //! parsing what comes back from the switch.
 
-use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use iswitch_netsim::{CausalKey, IpAddr, Ipv4Header, Packet, UdpHeader, MAX_UDP_PAYLOAD};
@@ -95,28 +95,36 @@ pub fn contribution_packet(
 }
 
 /// Pre-encoded contribution payloads for a gradient vector whose contents
-/// do not change between iterations (timing-mode synthetic gradients).
+/// do not change between iterations (timing-mode synthetic gradients),
+/// shared by every sender of that vector.
 ///
 /// [`gradient_packets_round_codec`] re-encodes every element each
 /// iteration even though only the 8-byte round-tagged header differs
-/// between rounds. This cache encodes the vector once and keeps one
-/// payload per segment, tagged for the round it last went out in. A packet
-/// for that round shares it outright (refcount clone); for another round,
-/// its 8-byte header is patched in place once no packet of the earlier
-/// round still holds it, and copied first otherwise. Output is
-/// byte-for-byte identical to [`gradient_packets_round_codec`].
+/// between rounds — and the sender's address is in the IP header, not the
+/// payload, so every worker pushing the same vector sends the same bytes.
+/// This encodes the vector once into one store of per-segment payloads,
+/// each tagged for the round it last went out in. Every handle over the
+/// store ([`EncodedGradient::with_src`]) carries its own sender address,
+/// and a segment retags by one rule:
+///
+/// * the header already matches the round: the packet shares the payload
+///   (refcount clone), so the first sender of a round retags each segment
+///   and every later sender of that round shares it;
+/// * no packet holds the payload: its 8-byte header is patched in place;
+/// * a packet of another round still holds it (in flight, or kept for
+///   retransmission): it is copied first, and that packet keeps its own.
+///
+/// The store sits behind one lock, taken once per
+/// [`EncodedGradient::packets_round`], so handles may send from the
+/// domains of a sharded run on different threads. Output is byte-for-byte
+/// identical to [`gradient_packets_round_codec`].
 pub struct EncodedGradient {
     src: IpAddr,
     /// One encoded payload per segment (always `Some` between calls).
-    templates: RefCell<Vec<Option<Bytes>>>,
+    store: Arc<Mutex<Vec<Option<Bytes>>>>,
 }
 
 impl EncodedGradient {
-    /// Encodes `grad` once as f32 worker contributions (count = 1).
-    pub fn new(src: IpAddr, grad: &[f32]) -> Self {
-        Self::with_codec(src, grad, CodecKind::F32, 0)
-    }
-
     /// Encodes `grad` once under `codec` (`exp_bias` seeds the fixed-point
     /// exponent-stamp bug; zero is correct operation). The per-round header
     /// patch in [`EncodedGradient::packets_round`] works for every codec —
@@ -128,36 +136,49 @@ impl EncodedGradient {
     /// Panics if the gradient contains non-finite values and the codec is
     /// quantized.
     pub fn with_codec(src: IpAddr, grad: &[f32], codec: CodecKind, exp_bias: i8) -> Self {
-        let templates = (0..codec.num_segments(grad.len()))
+        let store = (0..codec.num_segments(grad.len()))
             .map(|index| Some(contribution_payload(grad, index, 0, codec, exp_bias).1))
             .collect();
         EncodedGradient {
             src,
-            templates: RefCell::new(templates),
+            store: Arc::new(Mutex::new(store)),
         }
     }
 
-    /// Builds the packet sequence for `round` — the cached-template
-    /// equivalent of [`gradient_packets_round_codec`].
+    /// Another handle over the same store, sending from `src`.
+    pub fn with_src(&self, src: IpAddr) -> Self {
+        EncodedGradient {
+            src,
+            store: Arc::clone(&self.store),
+        }
+    }
+
+    /// Builds the packet sequence for `round` — the pre-encoded equivalent
+    /// of [`gradient_packets_round_codec`].
     pub fn packets_round(&self, round: u32) -> Vec<Packet> {
-        let segments = self.templates.borrow().len();
-        (0..segments)
-            .map(|index| self.packet(index, round))
+        let mut store = self.store.lock().expect("shared state lock");
+        (store.iter_mut().enumerate())
+            .map(|(index, slot)| self.retagged(slot, index, round))
             .collect()
     }
 
-    /// Contribution `index` of `round` — the cached-template equivalent of
+    /// Contribution `index` of `round` — the pre-encoded equivalent of
     /// [`contribution_packet`].
     ///
     /// # Panics
     ///
     /// Panics if `index` is past the last segment.
     pub fn packet(&self, index: usize, round: u32) -> Packet {
+        let mut store = self.store.lock().expect("shared state lock");
+        self.retagged(&mut store[index], index, round)
+    }
+
+    /// Segment `index`'s packet for `round`, retagging the stored payload
+    /// by the rule in the type's docs.
+    fn retagged(&self, slot: &mut Option<Bytes>, index: usize, round: u32) -> Packet {
         let seg = tag_round(index as u64, round);
         let header = seg_header(seg, 1);
-        let mut templates = self.templates.borrow_mut();
-        let slot = &mut templates[index];
-        let mut payload = slot.take().expect("a template per segment");
+        let mut payload = slot.take().expect("a payload per segment");
         if payload[..SEG_HEADER_BYTES] != header {
             payload = match payload.try_into_mut() {
                 // Nothing else holds the bytes: retag them where they are.
@@ -165,8 +186,8 @@ impl EncodedGradient {
                     own[..SEG_HEADER_BYTES].copy_from_slice(&header);
                     own.freeze()
                 }
-                // A packet of the earlier round is still in flight (or kept
-                // for retransmission): it must keep its own header.
+                // A packet of another round is still in flight (or kept for
+                // retransmission): it must keep its own header.
                 Err(shared) => {
                     let mut buf = shared.to_vec();
                     buf[..SEG_HEADER_BYTES].copy_from_slice(&header);
@@ -280,6 +301,76 @@ mod tests {
         assert_eq!(seg0.values.len(), FLOATS_PER_SEGMENT);
         assert_eq!(seg1.values.len(), 5);
         assert_eq!(seg1.values[4], (FLOATS_PER_SEGMENT + 4) as f32);
+    }
+
+    /// Handles with their own senders over one store, driven by a random
+    /// interleaving of whole rounds and single segments while random
+    /// packets stay alive: every packet is byte for byte the one the
+    /// packetiser builds, and a segment sent again for the round it last
+    /// went out in shares that payload's storage.
+    #[test]
+    fn handles_over_one_store_send_the_packetisers_bytes_and_share_a_round() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn send_and_sync<T: Send + Sync>() {}
+        send_and_sync::<EncodedGradient>();
+        const HANDLES: u8 = 4;
+        for codec in CodecKind::ALL {
+            let elems = codec.elems_per_segment();
+            let grad: Vec<f32> = (0..3 * elems + 7)
+                .map(|i| (i % 11) as f32 * 0.5 - 2.0)
+                .collect();
+            let segments = codec.num_segments(grad.len());
+            let first = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &grad, codec, 0);
+            let mut handles: Vec<EncodedGradient> = (1..HANDLES)
+                .map(|h| first.with_src(IpAddr::new(10, 0, 0, 1 + h)))
+                .collect();
+            handles.push(first);
+            let mut rng = StdRng::seed_from_u64(29);
+            // Per segment: the round it last went out in, and where its
+            // payload lives.
+            let mut last: Vec<Option<(u32, *const u8)>> = vec![None; segments];
+            let (mut kept, mut shared) = (Vec::new(), 0);
+            for _ in 0..400 {
+                let enc = &handles[rng.gen_range(0..handles.len())];
+                let round = rng.gen_range(0..4u32);
+                let sent: Vec<(usize, Packet)> = if rng.gen::<bool>() {
+                    enc.packets_round(round).into_iter().enumerate().collect()
+                } else {
+                    let index = rng.gen_range(0..segments);
+                    vec![(index, enc.packet(index, round))]
+                };
+                for (index, pkt) in sent {
+                    let want = contribution_packet(enc.src, &grad, index, round, codec, 0);
+                    let at = format!("{codec}: segment {index} of round {round} from {}", enc.src);
+                    assert_eq!(
+                        (pkt.ip, pkt.udp, pkt.cause),
+                        (want.ip, want.udp, want.cause),
+                        "{at}"
+                    );
+                    assert_eq!(pkt.payload[..], want.payload[..], "{at}");
+                    let ptr = pkt.payload.as_ptr();
+                    if let Some((r, p)) = last[index] {
+                        if r == round {
+                            assert_eq!(p, ptr, "{at}: not shared with its last sender");
+                            shared += 1;
+                        }
+                    }
+                    last[index] = Some((round, ptr));
+                    if rng.gen_range(0..4) == 0 {
+                        kept.push(pkt);
+                    }
+                }
+                while kept.len() > 32 {
+                    kept.swap_remove(rng.gen_range(0..kept.len()));
+                }
+            }
+            assert!(
+                shared > 100,
+                "{codec}: only {shared} sends repeated a round"
+            );
+        }
     }
 
     #[test]

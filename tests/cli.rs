@@ -180,6 +180,8 @@ fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
         if let Some(at) = words.iter().position(|w| *w == "--bin") {
             let name = words.get(at + 1).expect("`--bin` names a binary");
             found.push(((*name).to_owned(), after_dashes().unwrap_or_default()));
+        } else if words.len() == 2 && words[0] == "ci/against.sh" {
+            // The whole checked-in list, which `listed_invocations` reads.
         } else if matches!(
             words.first(),
             Some(&("ci/identity.sh" | "ci/replay.sh" | "ci/against.sh"))
@@ -197,6 +199,19 @@ fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
         }
     }
     found
+}
+
+/// The `iswitch-sim` arguments of every line of `ci/against.cmds`: what
+/// follows `--` on each line that is neither blank nor a `#` comment.
+fn listed_invocations(text: &str) -> Vec<(String, Vec<String>)> {
+    (text.lines())
+        .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            let (_, args) = line.split_once("-- ").expect("`--` first");
+            let args = args.split_whitespace().map(str::to_owned).collect();
+            ("iswitch-sim".to_owned(), args)
+        })
+        .collect()
 }
 
 /// `iswitch-sim`'s command table as `--help` prints it (the binary's own
@@ -247,9 +262,15 @@ fn documented_commands_parse() {
         "OPERATIONS.md",
         "DESIGN.md",
         ".claude/skills/verify/SKILL.md",
+        "ci/against.cmds",
     ] {
         let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
-        for (program, args) in documented_invocations(&text) {
+        let invocations = if doc.ends_with(".cmds") {
+            listed_invocations(&text)
+        } else {
+            documented_invocations(&text)
+        };
+        for (program, args) in invocations {
             let parsed = match program.as_str() {
                 "iswitch-sim" => cli::select(&program, "", &sim, &args).map(|_| ()),
                 "paper" => cli::select(&program, "", &paper, &args).map(|_| ()),
