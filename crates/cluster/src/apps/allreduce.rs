@@ -5,9 +5,7 @@
 //! neighbors through the switch. Every step costs two network hops, giving
 //! the paper's `4N - 4` hops per aggregation, linear in the cluster size.
 
-use std::collections::HashSet;
-
-use iswitch_netsim::{IpAddr, Packet, SimDuration};
+use iswitch_netsim::{IntSet, IpAddr, Packet, SimDuration};
 
 use crate::apps::common::{blob_packets, BlobAssembler};
 use crate::apps::runtime::{
@@ -37,7 +35,7 @@ pub struct RingProto {
     step: u32,
     waiting: bool,
     asm: BlobAssembler,
-    arrived: HashSet<u32>,
+    arrived: IntSet<u32>,
     /// Wire policy: pacing/ECN reaction for the ring's chunk streams
     /// (reliability is inert — the ring baseline assumes lossless links).
     transport: Box<dyn Transport>,
@@ -183,7 +181,7 @@ impl RingWorker {
             step: 0,
             waiting: false,
             asm: BlobAssembler::new(),
-            arrived: HashSet::new(),
+            arrived: IntSet::default(),
             transport: Box::new(GoBackRetransmit::new()),
         };
         StrategyRuntime::from_parts(core, proto, Box::new(SyntheticGradients::new(0)))

@@ -2,9 +2,7 @@
 //! a bulk-transfer ("blob") protocol for the PS and AllReduce baselines,
 //! and per-iteration span bookkeeping.
 
-use std::collections::HashMap;
-
-use iswitch_netsim::{CausalKey, IpAddr, Packet, SimDuration, SimTime, MAX_UDP_PAYLOAD};
+use iswitch_netsim::{CausalKey, IntMap, IpAddr, Packet, SimDuration, SimTime, MAX_UDP_PAYLOAD};
 
 /// Bytes of blob header per packet: tag (4), msg id (4), total length (8).
 pub const BLOB_HEADER: usize = 16;
@@ -41,7 +39,8 @@ pub fn blob_packets(
     let full = (total_bytes >= BLOB_CHUNK as u64)
         .then(|| template.clone().with_payload(payload_of(BLOB_CHUNK)));
 
-    let n_packets = total_bytes.div_ceil(BLOB_CHUNK as u64).max(1);
+    let n_packets = u32::try_from(total_bytes.div_ceil(BLOB_CHUNK as u64).max(1))
+        .expect("a blob train numbers its packets in 32 bits");
     let mut out = Vec::with_capacity(n_packets as usize);
     let mut remaining = total_bytes;
     for chunk in 0..n_packets {
@@ -55,9 +54,9 @@ pub fn blob_packets(
         // chunk index stands in for the segment, and the sender address
         // identifies the producer.
         out.push(pkt.with_cause(CausalKey {
-            round: u64::from(msg_id),
+            round: msg_id,
             segment: chunk,
-            worker: u64::from(src.as_u32()),
+            worker: src.as_u32(),
             tenant: 0,
         }));
     }
@@ -140,7 +139,7 @@ impl BlobProgress {
 /// they were.
 #[derive(Debug, Default)]
 pub struct BlobAssembler {
-    pending: HashMap<(IpAddr, u32, u32), BlobProgress>,
+    pending: IntMap<(IpAddr, u32, u32), BlobProgress>,
     refused: u64,
 }
 
@@ -418,9 +417,9 @@ mod tests {
                 Packet::udp(src, dst, BASELINE_PORT, BASELINE_PORT, 0)
                     .with_payload(payload)
                     .with_cause(CausalKey {
-                        round: u64::from(msg_id),
-                        segment: chunk,
-                        worker: u64::from(src.as_u32()),
+                        round: msg_id,
+                        segment: chunk as u32,
+                        worker: src.as_u32(),
                         tenant: 0,
                     })
             })

@@ -7,9 +7,8 @@
 //! link as the central bottleneck.
 
 use std::any::Any;
-use std::collections::HashMap;
 
-use iswitch_netsim::{HostApp, HostCtx, IpAddr, Packet, SimDuration, SimTime};
+use iswitch_netsim::{HostApp, HostCtx, IntMap, IpAddr, Packet, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,7 +133,7 @@ pub struct SyncPsServer {
     comm: CommCosts,
     rng: StdRng,
     asm: BlobAssembler,
-    received: HashMap<u32, usize>,
+    received: IntMap<u32, usize>,
     apply_iter: u32,
     /// Times at which weight updates completed (one per iteration).
     pub update_times: Vec<SimTime>,
@@ -158,7 +157,7 @@ impl SyncPsServer {
             comm,
             rng: StdRng::seed_from_u64(seed),
             asm: BlobAssembler::new(),
-            received: HashMap::new(),
+            received: IntMap::default(),
             apply_iter: 0,
             update_times: Vec::new(),
         }

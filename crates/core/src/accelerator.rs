@@ -15,10 +15,9 @@
 //! pipeline depth, which the latency model converts to wall-clock time.
 
 use bytes::Bytes;
-use iswitch_netsim::{SimDuration, SimTime};
+use iswitch_netsim::{IntMap, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::int_map::IntMap;
 use crate::protocol::codec::{AccEffects, CodecKind, WireAcc};
 use crate::protocol::data::encode_segment;
 use crate::protocol::{DataSegment, SegmentMeta};
@@ -241,7 +240,7 @@ pub struct Accelerator {
     /// is resident. Hashed, not direct-indexed by segment: a root also
     /// aggregates indices past the gradient, and a lossy straggler can hold
     /// two rounds of one index open at once (DESIGN.md §14).
-    index: IntMap<u32>,
+    index: IntMap<u64, u32>,
     /// One record per open round, indexed by the dense slot ids in
     /// `index`/`free`. A slot is occupied only between a round's first
     /// accepted contribution and its release. On-the-fly aggregation

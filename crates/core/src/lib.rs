@@ -43,7 +43,6 @@
 mod accelerator;
 mod control_plane;
 mod error;
-mod int_map;
 mod protocol;
 mod switch_ext;
 mod worker;

@@ -24,13 +24,12 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use iswitch_netsim::{
-    ExtAction, IpAddr, Packet, PortId, SimDuration, SwitchExtension, SwitchServices,
+    ExtAction, IntMap, IpAddr, Packet, PortId, SimDuration, SwitchExtension, SwitchServices,
 };
 use iswitch_obs::{Counter, Histogram, Registry, Span, TraceEvent};
 
 use crate::accelerator::{Accelerator, AcceleratorConfig, ClosedRound, IngestOutcome, Refusal};
 use crate::control_plane::{Member, MemberType, MembershipTable};
-use crate::int_map::IntMap;
 use crate::protocol::codec::CodecKind;
 use crate::protocol::{dscp, seg_index, seg_round, ControlMessage, TOS_CONTROL, TOS_DATA};
 use crate::worker::{control_packet, sealed_data_packet};
@@ -355,7 +354,7 @@ pub struct IswitchExtension {
     /// sum of its own rack that it sent up.
     results: ResultStore,
     /// Emissions waiting out their datapath latency, by timer token.
-    pending: IntMap<PendingEmit>,
+    pending: IntMap<u64, PendingEmit>,
     next_token: u64,
     sweep_armed: bool,
     /// Completed segments held back in store-and-forward mode until the

@@ -243,9 +243,10 @@ pub(crate) fn sealed_data_packet(src: IpAddr, dst: IpAddr, seg: u64, payload: By
         },
         payload,
         cause: Some(CausalKey {
-            round: u64::from(seg_round(seg)),
-            segment: seg_index(seg),
-            worker: u64::from(src.as_u32()),
+            round: seg_round(seg),
+            // Below 2^32: the index is the `Seg` field's low 32 bits.
+            segment: seg_index(seg) as u32,
+            worker: src.as_u32(),
             tenant: 0,
         }),
     }

@@ -7,13 +7,13 @@
 //! time are broken by scheduling order.
 
 use std::any::Any;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use iswitch_obs::{JsonValue, Registry, Timeseries, Trace, TraceEvent};
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::ids::{LinkId, NodeId, PortId, TimerId};
+use crate::int_map::IntSet;
 use crate::link::{Link, LinkDir, LinkEnd, LinkSpec, LossModel};
 use crate::obs::EngineObs;
 use crate::packet::Packet;
@@ -146,7 +146,7 @@ pub(crate) struct SimCore {
     queue: TimingWheel<EventKind>,
     next_seq: u64,
     next_timer: u64,
-    cancelled: HashSet<u64>,
+    cancelled: IntSet<u64>,
     links: Vec<Link>,
     /// Remote destination for each link, indexed by link id. `Some` marks a
     /// cross-domain half-link: packets transmitted on it are parked in
@@ -172,7 +172,7 @@ pub(crate) struct SimCore {
     timeseries: Option<Arc<Timeseries>>,
     /// Tenant id stamped on every transmitted causal packet; zero (the
     /// default) means single-tenant and stamps nothing.
-    tenant: u64,
+    tenant: u32,
     /// Next quantized sampling boundary (multiple of the series interval).
     next_sample_ns: u64,
     /// Offset making this simulator's link ids unique across the domains of
@@ -221,14 +221,15 @@ impl SimCore {
     fn pkt_event(&self, kind: &'static str, pkt: &Packet) -> Option<TraceEvent> {
         let cause = pkt.cause?;
         self.trace.as_ref()?;
+        // The key's 32-bit fields are widened here, as they are written.
         let mut ev = TraceEvent::new(self.now.as_nanos(), kind)
-            .with_u64("round", cause.round)
-            .with_u64("seg", cause.segment)
-            .with_u64("worker", cause.worker);
+            .with_u64("round", cause.round.into())
+            .with_u64("seg", cause.segment.into())
+            .with_u64("worker", cause.worker.into());
         if cause.tenant != 0 {
             // Emitted only in multi-tenant runs so single-tenant exports
             // stay byte-identical to the pre-tenancy format.
-            ev = ev.with_u64("tenant", cause.tenant);
+            ev = ev.with_u64("tenant", cause.tenant.into());
         }
         Some(ev.with_str("src", pkt.ip.src).with_str("dst", pkt.ip.dst))
     }
@@ -553,7 +554,7 @@ impl Simulator {
                 queue: TimingWheel::new(),
                 next_seq: 0,
                 next_timer: 0,
-                cancelled: HashSet::new(),
+                cancelled: IntSet::default(),
                 links: Vec::new(),
                 cross_dst: Vec::new(),
                 outbox: Vec::new(),
@@ -595,8 +596,13 @@ impl Simulator {
     /// lets traces, telemetry, and egress accounting attribute bytes per
     /// tenant. Zero (the default) is the single-tenant mode and changes
     /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenant` does not fit the key's 32-bit tenant field.
     pub fn set_tenant(&mut self, tenant: u64) {
-        self.core.tenant = tenant;
+        self.core.tenant = u32::try_from(tenant)
+            .unwrap_or_else(|_| panic!("tenant id {tenant} does not fit the causal key's 32 bits"));
     }
 
     /// Adds a node and returns its id. `on_start` runs at time zero when the
@@ -1020,8 +1026,10 @@ impl Simulator {
     }
 
     /// Drains the packets queued for other domains, in generation order.
-    pub(crate) fn take_outbox(&mut self) -> Vec<CrossMsg> {
-        std::mem::take(&mut self.core.outbox)
+    /// The outbox keeps its buffer, so the next epoch's sends need not
+    /// grow it again.
+    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, CrossMsg> {
+        self.core.outbox.drain(..)
     }
 
     /// Enqueues a packet arriving from another domain. Called only at epoch
@@ -1564,6 +1572,39 @@ mod tests {
             "{\"t_ns\":0,\"kind\":\"pkt.drop\",\"round\":0,\"seg\":0,\"worker\":0,\
              \"src\":\"10.0.0.1\",\"dst\":\"10.0.0.2\",\"link\":0,\"reason\":\"loss\"}\n"
         );
+    }
+
+    #[test]
+    fn the_widest_causal_key_renders_its_full_numbers() {
+        // A 16-bit round tag, the largest 32-bit segment index and the
+        // all-ones address: the 32-bit key widens to the same numbers the
+        // trace always carried.
+        let trace = Arc::new(iswitch_obs::Trace::new());
+        let (mut sim, p) = ping_sim(0, LinkSpec::ten_gbe());
+        sim.set_trace(Arc::clone(&trace));
+        let top = IpAddr::new(255, 255, 255, 255);
+        let pkt = Packet::udp(top, IpAddr::new(10, 0, 0, 2), 9, 9, 0).with_cause(
+            crate::packet::CausalKey {
+                round: 0xFFFF,
+                segment: u32::MAX,
+                worker: top.as_u32(),
+                tenant: 0,
+            },
+        );
+        sim.run_until_idle();
+        sim.core.transmit(p, PortId(0), pkt);
+        assert_eq!(
+            trace.to_jsonl(),
+            "{\"t_ns\":0,\"kind\":\"pkt.tx\",\"round\":65535,\"seg\":4294967295,\
+             \"worker\":4294967295,\"src\":\"255.255.255.255\",\"dst\":\"10.0.0.2\",\
+             \"link\":0,\"backlog_ns\":68,\"depart_ns\":68,\"arrive_ns\":1068}\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant id 4294967296")]
+    fn a_tenant_id_past_32_bits_is_refused_by_name() {
+        Simulator::new().set_tenant(u64::from(u32::MAX) + 1);
     }
 
     /// Sends `n` 1000-byte packets back to back at time zero.

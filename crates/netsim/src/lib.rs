@@ -55,6 +55,7 @@ mod engine;
 mod fault;
 mod host;
 mod ids;
+mod int_map;
 mod link;
 mod obs;
 mod packet;
@@ -69,6 +70,7 @@ pub use engine::{Context, Device, NodeOpts, Simulator};
 pub use fault::{FaultAction, FaultEvent, FaultPlan};
 pub use host::{Host, HostApp, HostCtx};
 pub use ids::{LinkId, NodeId, PortId, TimerId};
+pub use int_map::{IntHasher, IntMap, IntSet};
 pub use link::{EgressQueue, LinkSpec, LossModel};
 pub use packet::{
     CausalKey, IpAddr, Ipv4Header, Packet, UdpHeader, ECN_CE, ECN_MASK, ETH_OVERHEAD,

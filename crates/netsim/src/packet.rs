@@ -93,23 +93,28 @@ impl From<[u8; 4]> for IpAddr {
 /// which `worker` produced it. The simulator never interprets the key — it
 /// only copies it into per-hop trace events (`pkt.tx` / `pkt.rx` /
 /// `pkt.drop`) when tracing is enabled, so untraced runs pay nothing.
+///
+/// The fields are 32 bits wide because every value fits (a round tag is
+/// 16 bits, a segment index below 2^32, a worker an IPv4 address) and the
+/// key rides in every [`Packet`], which the timing wheel moves several
+/// times per hop; trace events widen them to `u64` as they are written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CausalKey {
     /// Aggregation round / iteration index.
-    pub round: u64,
+    pub round: u32,
     /// Gradient segment index within the round.
-    pub segment: u64,
+    pub segment: u32,
     /// Producer identity. The reproduction stamps the sender's IPv4
-    /// address as `u32`; analyzers map it back to a worker index through
+    /// address; analyzers map it back to a worker index through
     /// run-metadata events.
-    pub worker: u64,
+    pub worker: u32,
     /// Tenant (job) identity in multi-tenant runs, standing in for the
     /// VLAN/overlay tag a production deployment would carry on the wire.
     /// Zero — the single-tenant default — is never emitted into trace
     /// events, so single-tenant artifacts stay byte-identical to the
     /// pre-tenancy build. The engine stamps it at transmit time from
     /// [`crate::Simulator::set_tenant`]; applications leave it zero.
-    pub tenant: u64,
+    pub tenant: u32,
 }
 
 /// IPv4 header fields the simulator cares about.
@@ -161,6 +166,9 @@ pub struct Packet {
     /// bytes).
     pub cause: Option<CausalKey>,
 }
+
+// Every hop moves the packet through the timing wheel; keep it to six words.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 48);
 
 impl Packet {
     /// Creates an empty UDP packet between two endpoints with a ToS tag.

@@ -433,6 +433,7 @@ impl ShardedSim {
     /// Single-threaded epoch loop: the reference semantics the parallel
     /// path must (and does) reproduce exactly.
     fn run_epochs_sequential(&mut self, epochs: Epochs) {
+        let mut crossings = Vec::new();
         loop {
             let t_min = self
                 .domains
@@ -443,11 +444,10 @@ impl ShardedSim {
             let Some(horizon) = epochs.horizon(t_min) else {
                 break;
             };
-            let mut crossings = Vec::new();
             for (d, sim) in self.domains.iter_mut().enumerate() {
                 crossings.extend(epochs.run_domain(d, sim, t_min, horizon));
             }
-            end_epoch(&mut self.domains, 0, crossings, &self.trace);
+            end_epoch(&mut self.domains, 0, &mut crossings, &self.trace);
         }
     }
 
@@ -492,6 +492,10 @@ impl ShardedSim {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     let chunk_len = chunk.len();
+                    // Both buffers live as long as the drive: `sent` trades
+                    // places with this worker's slot every epoch.
+                    let mut sent = Vec::new();
+                    let mut mine: Vec<(u64, usize, CrossMsg)> = Vec::new();
                     loop {
                         let local_min = chunk
                             .iter_mut()
@@ -508,7 +512,7 @@ impl ShardedSim {
                         let Some(horizon) = epochs.horizon(t_min) else {
                             break;
                         };
-                        let mut sent = Vec::new();
+                        sent.clear();
                         for (i, sim) in chunk.iter_mut().enumerate() {
                             sent.extend(
                                 epochs
@@ -516,14 +520,13 @@ impl ShardedSim {
                                     .map(|(j, d, m)| (j, d, Some(m))),
                             );
                         }
-                        *outboxes[w].lock().expect("outbox lock") = sent;
+                        std::mem::swap(&mut *outboxes[w].lock().expect("outbox lock"), &mut sent);
                         barrier.wait();
                         // Claim the crossings destined for this worker's
                         // domains. Each message has exactly one destination,
                         // so ownership transfer is race-free under the
                         // per-slot locks; sorting afterwards restores the
                         // global deterministic order.
-                        let mut mine: Vec<(u64, usize, CrossMsg)> = Vec::new();
                         for slot in outboxes.iter() {
                             let mut slot = slot.lock().expect("outbox lock");
                             for (j, d, m) in slot.iter_mut() {
@@ -535,7 +538,7 @@ impl ShardedSim {
                                 }
                             }
                         }
-                        end_epoch(&mut *chunk, chunk_base, mine, trace);
+                        end_epoch(&mut *chunk, chunk_base, &mut mine, trace);
                         // Third barrier: nobody may overwrite an outbox slot
                         // for the next epoch while another worker still
                         // scans it.
@@ -575,21 +578,21 @@ impl Epochs {
 
     /// Runs domain `d` through the epoch `[t_min, horizon)`, books the
     /// epoch (a partition without a cut has no barrier to account for) and
-    /// returns what the domain sent across the cut, keyed for the merge as
+    /// drains what the domain sent across the cut, keyed for the merge as
     /// `(per-domain send index, source domain, message)`.
-    fn run_domain(
+    fn run_domain<'s>(
         &self,
         d: usize,
-        sim: &mut Simulator,
+        sim: &'s mut Simulator,
         t_min: u64,
         horizon: u64,
-    ) -> impl Iterator<Item = (u64, usize, CrossMsg)> {
+    ) -> impl Iterator<Item = (u64, usize, CrossMsg)> + 's {
         let events_before = sim.stats().events_processed;
         sim.run_until_before(horizon);
         if self.lookahead.is_some() {
             sim.record_epoch(d, t_min, horizon, events_before);
         }
-        let sent = sim.take_outbox().into_iter().enumerate();
+        let sent = sim.drain_outbox().enumerate();
         sent.map(move |(i, m)| (i as u64, d, m))
     }
 }
@@ -599,15 +602,18 @@ impl Epochs {
 /// of boundary crossings (messages outside it are a bug) in the global
 /// deterministic order `(arrival, source domain, per-domain send index)`;
 /// the one caller holding domain 0 also hands every domain's staged trace
-/// events to the caller's sink, domain by domain in record order.
+/// events to the caller's sink, domain by domain in record order. Leaves
+/// `crossings` empty, its buffer kept for the next epoch.
 fn end_epoch(
     domains: &mut [Simulator],
     base: usize,
-    mut crossings: Vec<(u64, usize, CrossMsg)>,
+    crossings: &mut Vec<(u64, usize, CrossMsg)>,
     trace: &Staged<Trace>,
 ) {
-    crossings.sort_by_key(|(idx, src, m)| (m.arrive, *src, *idx));
-    for (_, _, m) in crossings {
+    // `(src, idx)` is unique, so an unstable sort (which needs no scratch
+    // buffer) gives the one order.
+    crossings.sort_unstable_by_key(|(idx, src, m)| (m.arrive, *src, *idx));
+    for (_, _, m) in crossings.drain(..) {
         domains[m.dst_domain - base].push_cross(m.arrive, m.dst_node, m.dst_port, m.pkt);
     }
     if let (0, Some((user, staged))) = (base, trace) {

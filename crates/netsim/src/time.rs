@@ -9,6 +9,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 use serde::{Deserialize, Serialize};
 
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
 /// An absolute instant on the simulation clock, in nanoseconds since start.
 ///
 /// # Examples
@@ -164,9 +166,19 @@ impl SimDuration {
     /// Panics if `bits_per_sec` is zero.
     pub fn serialization(bytes: usize, bits_per_sec: u64) -> SimDuration {
         assert!(bits_per_sec > 0, "link bandwidth must be positive");
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        SimDuration(ns as u64)
+        // Every frame's `bytes × 8·10^9` fits in 64 bits (it overflows
+        // only past ~2.3 GB), so the common case is one `u64` divide; the
+        // 128-bit divide is a library call, paid on every transmit.
+        match (bytes as u64).checked_mul(8 * NANOS_PER_SEC) {
+            Some(bit_ns) => SimDuration(bit_ns.div_ceil(bits_per_sec)),
+            None => Self::serialization_u128(bytes, bits_per_sec),
+        }
+    }
+
+    /// [`SimDuration::serialization`] in 128-bit arithmetic, for any size.
+    fn serialization_u128(bytes: usize, bits_per_sec: u64) -> SimDuration {
+        let bit_ns = bytes as u128 * 8 * u128::from(NANOS_PER_SEC);
+        SimDuration(bit_ns.div_ceil(u128::from(bits_per_sec)) as u64)
     }
 }
 
@@ -278,6 +290,47 @@ mod tests {
         // 1 byte at 3 bps: 8/3 s -> ceil to nanoseconds.
         let d = SimDuration::serialization(1, 3);
         assert_eq!(d.as_nanos(), 2_666_666_667);
+    }
+
+    #[test]
+    fn the_u64_path_is_the_u128_formula_for_every_frame() {
+        for gbps in [1, 10, 40, 100] {
+            let bps = gbps * 1_000_000_000;
+            for bytes in 0..=4_096 {
+                assert_eq!(
+                    SimDuration::serialization(bytes, bps),
+                    SimDuration::serialization_u128(bytes, bps),
+                    "{bytes} B at {gbps} Gb/s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_u64_path_is_the_u128_formula_either_side_of_its_overflow() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // The largest byte count whose bit-nanoseconds fit in 64 bits.
+        let edge = (u64::MAX / (8 * NANOS_PER_SEC)) as usize;
+        assert!((edge as u64).checked_mul(8 * NANOS_PER_SEC).is_some());
+        assert!((edge as u64 + 1).checked_mul(8 * NANOS_PER_SEC).is_none());
+        let mut rng = StdRng::seed_from_u64(0x5e71a1);
+        for _ in 0..20_000 {
+            let bytes = match rng.gen_range(0..3u32) {
+                0 => edge - rng.gen_range(0..1_000usize),
+                1 => edge + 1 + rng.gen_range(0..1_000usize),
+                _ => rng.gen_range(0..2 * edge),
+            };
+            let bps = match rng.gen_range(0..3u32) {
+                0 => rng.gen_range(1..1_000u64),
+                1 => rng.gen_range(1..400_000_000_000u64),
+                _ => rng.gen_range(1..u64::MAX),
+            };
+            assert_eq!(
+                SimDuration::serialization(bytes, bps),
+                SimDuration::serialization_u128(bytes, bps),
+                "{bytes} B at {bps} b/s"
+            );
+        }
     }
 
     #[test]

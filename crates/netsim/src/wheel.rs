@@ -20,7 +20,13 @@
 //! swaps its buffer with the (empty) `ready`, so the buffers circulate
 //! instead of being freed and reallocated, and occupied higher-level slots
 //! whose start time has arrived are *cascaded* — redistributed into lower
-//! levels — before any later level-0 slot is drained.
+//! levels — before any later level-0 slot is drained. A higher-level slot
+//! is a list of fixed-size chunks drawn from one free list: a cascade hands
+//! its emptied chunks back, so a burst filed a few milliseconds ahead (a PS
+//! push) reuses the chunks the last one left, and no slot grows by copying
+//! itself into a buffer twice its size. Any chunk fits any slot, so a large
+//! slot's buffer is never parked under a small one; the free list keeps at
+//! most [`FREE_BYTES`].
 //!
 //! ## Determinism
 //!
@@ -47,6 +53,12 @@ const BITS: u32 = 8;
 const SLOTS: usize = 1 << BITS;
 /// Number of wheel levels (beyond which events overflow to the heap).
 const LEVELS: usize = 4;
+/// Entries per chunk of a higher-level slot.
+const CHUNK: usize = 64;
+/// Most bytes of empty chunks a wheel keeps. The moment a wheel holds the
+/// most events need not be the moment the run holds the most memory, so
+/// idle chunks past this are freed rather than added to the run's peak.
+const FREE_BYTES: usize = 256 << 10;
 
 /// One queued event: scheduling key plus the caller's payload.
 struct Entry<T> {
@@ -81,9 +93,14 @@ impl<T> Ord for HeapEntry<T> {
 /// every `push` satisfies `at >= the at of the last popped event` — the
 /// engine's "no scheduling into the past" invariant.
 pub(crate) struct TimingWheel<T> {
-    /// `levels[k][i]` holds events whose level-`k` virtual slot ≡ `i`
-    /// (mod 256). Intra-slot order is arbitrary; drains sort.
-    levels: [Vec<Vec<Entry<T>>>; LEVELS],
+    /// `near[i]` holds events whose level-0 virtual slot ≡ `i` (mod 256),
+    /// and `far[k - 1][i]` those whose level-`k` virtual slot ≡ `i`, as
+    /// chunks of at most `CHUNK` entries. Intra-slot order is arbitrary;
+    /// drains sort.
+    near: Vec<Vec<Entry<T>>>,
+    far: [Vec<Vec<Vec<Entry<T>>>>; LEVELS - 1],
+    /// Empty chunks, each with room for `CHUNK` entries.
+    free: Vec<Vec<Entry<T>>>,
     /// One bit per slot per level: slot non-empty.
     occupied: [[u64; SLOTS / 64]; LEVELS],
     /// Events beyond the level-3 horizon.
@@ -98,9 +115,14 @@ pub(crate) struct TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
+    /// Empty chunks kept: [`FREE_BYTES`] worth.
+    const FREE_CHUNKS: usize = FREE_BYTES / (CHUNK * std::mem::size_of::<Entry<T>>());
+
     pub fn new() -> Self {
         TimingWheel {
-            levels: std::array::from_fn(|_| (0..SLOTS).map(|_| Vec::new()).collect()),
+            near: (0..SLOTS).map(|_| Vec::new()).collect(),
+            far: std::array::from_fn(|_| (0..SLOTS).map(|_| Vec::new()).collect()),
+            free: Vec::new(),
             occupied: [[0; SLOTS / 64]; LEVELS],
             overflow: BinaryHeap::new(),
             ready: Vec::new(),
@@ -162,7 +184,11 @@ impl<T> TimingWheel<T> {
             let vslot = e.at >> shift;
             if vslot - (self.cursor >> (BITS * level as u32)) < SLOTS as u64 {
                 let idx = vslot as usize & (SLOTS - 1);
-                self.levels[level][idx].push(e);
+                if level == 0 {
+                    self.near[idx].push(e);
+                } else {
+                    self.push_far(level, idx, e);
+                }
                 self.occupied[level][idx >> 6] |= 1 << (idx & 63);
                 return;
             }
@@ -264,20 +290,13 @@ impl<T> TimingWheel<T> {
                 // Swap, not take: the slot inherits the buffer `ready` just
                 // emptied, so a steady schedule stops allocating once every
                 // buffer in the rotation has grown to its working size.
-                std::mem::swap(&mut self.ready, &mut self.levels[0][idx]);
+                std::mem::swap(&mut self.ready, &mut self.near[idx]);
                 self.sort_ready();
                 return;
             }
-            let events = std::mem::take(&mut self.levels[level][idx]);
             // Cascade: redistribute into lower levels; events in the slot's
             // first level-0 sub-slot (== the new cursor) are due now.
-            for e in events {
-                if e.at >> SHIFT <= self.cursor {
-                    self.ready.push(e);
-                } else {
-                    self.place_in_wheel(e);
-                }
-            }
+            self.cascade(level, idx);
             // Pre-existing lower-level slots may sit exactly at the new
             // cursor's position (their start tied with this cascade's).
             // `first_occupied` never looks at the cursor's own position, so
@@ -290,22 +309,14 @@ impl<T> TimingWheel<T> {
             for lvl in (1..level).rev() {
                 let idx_l = (self.cursor >> (BITS * lvl as u32)) as usize & (SLOTS - 1);
                 if self.occupied[lvl][idx_l >> 6] & (1 << (idx_l & 63)) != 0 {
-                    let tied = std::mem::take(&mut self.levels[lvl][idx_l]);
                     self.occupied[lvl][idx_l >> 6] &= !(1 << (idx_l & 63));
-                    for e in tied {
-                        if e.at >> SHIFT <= self.cursor {
-                            self.ready.push(e);
-                        } else {
-                            self.place_in_wheel(e);
-                        }
-                    }
+                    self.cascade(lvl, idx_l);
                 }
             }
             let idx0 = self.cursor as usize & (SLOTS - 1);
             if self.occupied[0][idx0 >> 6] & (1 << (idx0 & 63)) != 0 {
-                let extra = std::mem::take(&mut self.levels[0][idx0]);
                 self.occupied[0][idx0 >> 6] &= !(1 << (idx0 & 63));
-                self.ready.extend(extra);
+                self.ready.append(&mut self.near[idx0]);
             }
             if !self.ready.is_empty() {
                 self.sort_ready();
@@ -314,16 +325,56 @@ impl<T> TimingWheel<T> {
         }
     }
 
+    /// Files `e` into higher-level slot `idx` of `level`: into its last
+    /// chunk, or into a new one — a free chunk if there is one — when that
+    /// is full.
+    fn push_far(&mut self, level: usize, idx: usize, e: Entry<T>) {
+        let chunks = &mut self.far[level - 1][idx];
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(e),
+            _ => {
+                let mut chunk = self.free.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                chunk.push(e);
+                chunks.push(chunk);
+            }
+        }
+    }
+
+    /// Empties higher-level slot `idx` of `level` into `ready` (what is due
+    /// at the cursor) and lower levels, and returns its chunks to the free
+    /// list. The slot keeps its (empty) list of them.
+    fn cascade(&mut self, level: usize, idx: usize) {
+        let mut chunks = std::mem::take(&mut self.far[level - 1][idx]);
+        for mut chunk in chunks.drain(..) {
+            for e in chunk.drain(..) {
+                if e.at >> SHIFT <= self.cursor {
+                    self.ready.push(e);
+                } else {
+                    self.place_in_wheel(e);
+                }
+            }
+            if self.free.len() < Self::FREE_CHUNKS {
+                self.free.push(chunk);
+            }
+        }
+        self.far[level - 1][idx] = chunks;
+    }
+
     fn sort_ready(&mut self) {
         self.ready
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
     }
 
-    /// Entries the buffers that circulate through level-0 drains — `ready`
-    /// and the level-0 slots — can hold without allocating.
+    /// Entries and chunks the buffers in circulation — `ready`, every
+    /// slot, its list of chunks and the free list — can hold without
+    /// allocating.
     #[cfg(test)]
-    fn level0_capacity(&self) -> usize {
-        self.ready.capacity() + self.levels[0].iter().map(Vec::capacity).sum::<usize>()
+    fn capacity(&self) -> usize {
+        let lists = self.far.iter().flatten();
+        let chunks = lists.clone().flatten().chain(&self.free);
+        let buffers = self.near.iter().chain(chunks).chain([&self.ready]);
+        let entries: usize = buffers.map(Vec::capacity).sum();
+        entries + lists.map(Vec::capacity).sum::<usize>() + self.free.capacity()
     }
 }
 
@@ -602,29 +653,50 @@ mod tests {
     #[test]
     fn a_steady_schedule_stops_allocating_after_one_rotation() {
         // Three events in every slot, each replaced 200 slots ahead as it
-        // pops. Drains recycle the slot buffers, so once the wheel has been
-        // round, no pop frees a buffer and no push grows one: the capacity
-        // in circulation is the same after every operation — and the order
-        // is still the reference heap's.
+        // pops, and every 4,096 slots a burst of 4,000 events 1–5 ms ahead
+        // — the shape of a PS push, filed into level 1. Sixteen bursts tile
+        // one turn of level 1, and the whole schedule repeats from there.
+        // Drains recycle the level-0 buffers and cascades free their chunks
+        // for the next burst, so after that turn no pop frees a buffer and
+        // no push grows one: the capacity in circulation is the same after
+        // every operation — and the order is still the reference heap's.
         const AHEAD: u64 = 200;
+        const STEADY: [u64; 3] = [0, 300, 600];
+        const BURST: u64 = 4_000;
+        const PERIOD: u64 = 4_096;
         let mut m = Model::new(true);
         for slot in 1..=AHEAD {
-            for offset in [0, 300, 600] {
+            for offset in STEADY {
                 m.push((slot << SHIFT) + offset);
             }
         }
-        let step = |m: &mut Model| {
+        let mut bursts = 0;
+        let mut step = |m: &mut Model| {
+            let due = bursts * PERIOD;
+            if m.now >> SHIFT >= due {
+                // One event a slot, 1–5 ms past the burst's own time, off
+                // the steady offsets so its pops are not replaced.
+                for i in 0..BURST {
+                    m.push(((due + 1_024 + i) << SHIFT) + 900);
+                }
+                bursts += 1;
+            }
             assert!(m.pop("steady"));
-            let popped = m.wheel.level0_capacity();
-            m.push(m.now + (AHEAD << SHIFT));
-            (popped, m.wheel.level0_capacity())
+            let popped = m.wheel.capacity();
+            if STEADY.contains(&(m.now & ((1 << SHIFT) - 1))) {
+                m.push(m.now + (AHEAD << SHIFT));
+            }
+            (popped, m.wheel.capacity())
         };
-        for _ in 0..3 * SLOTS {
+        // A slot pops three steady events and about one of a burst.
+        let ops_per_burst = 4 * PERIOD as usize;
+        let turn = SLOTS * SLOTS / PERIOD as usize;
+        for _ in 0..(turn + 1) * ops_per_burst {
             step(&mut m);
         }
-        let warm = m.wheel.level0_capacity();
-        assert!(warm >= 3 * SLOTS);
-        for op in 0..4 * 3 * SLOTS {
+        let warm = m.wheel.capacity();
+        assert!(warm >= 4 * SLOTS + BURST as usize / 4);
+        for op in 0..4 * ops_per_burst {
             assert_eq!(step(&mut m), (warm, warm), "operation {op}");
         }
         m.drain("steady tail");

@@ -14,6 +14,10 @@
 //! With a causal trace installed and the packets tagged, every hop records a
 //! `pkt.tx` and a `pkt.rx` event, and an event is the one buffer its line is
 //! rendered into — streamed to a sink or kept in a full ring alike.
+//!
+//! Split over two domains of a [`iswitch_netsim::ShardedSim`], a warm run's
+//! epoch loop allocates nothing either: the outboxes and the merge buffer
+//! keep their capacity from one epoch to the next.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
@@ -21,8 +25,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use iswitch_netsim::{
-    build_star, host_ip, CausalKey, Host, HostApp, HostCtx, Packet, SimDuration, Simulator,
-    TopologyConfig,
+    build_star, host_ip, CausalKey, Host, HostApp, HostCtx, LinkSpec, NodeOpts, Packet, ShardedSim,
+    SimDuration, SimTime, Simulator, TopologyConfig,
 };
 use iswitch_obs::Trace;
 
@@ -132,7 +136,7 @@ fn measure(tickers_per_host: u64, trace: Option<&Arc<Trace>>) -> (u64, u64, u64)
                 pkt = pkt.with_cause(CausalKey {
                     round: 3,
                     segment: 1,
-                    worker: u64::from(host_ip(0, i).as_u32()),
+                    worker: host_ip(0, i).as_u32(),
                     tenant: 0,
                 });
             }
@@ -209,4 +213,55 @@ fn a_streamed_trace_event_is_one_allocation() {
 fn a_full_ring_keeps_an_event_for_one_allocation() {
     // Full, and its `VecDeque` at working size, long before the warm-up ends.
     assert_one_allocation_per_event(Trace::bounded(64), "bounded ring");
+}
+
+#[test]
+fn a_warm_sharded_run_allocates_nothing_per_epoch() {
+    // Two hosts, each its own domain, bounce packets over the one cross
+    // link: the ring above cut in two, so nearly every epoch hands a
+    // packet over the cut.
+    let per_host = (WARM_UP + MEASURED) as usize / 2;
+    let mut sharded = ShardedSim::new();
+    let hosts: Vec<(usize, _)> = (0..2)
+        .map(|d| {
+            let domain = sharded.add_domain();
+            let ip = host_ip(d, 0);
+            let pkt = Packet::udp(ip, host_ip(1 - d, 0), 9, 9, 0).with_payload(vec![0u8; 1_000]);
+            let app = Sender {
+                stock: vec![pkt; per_host],
+                tickers: 0,
+                received: 0,
+                ticks: 0,
+            };
+            let host = Host::new(ip, Box::new(app));
+            let node = sharded
+                .domain_mut(domain)
+                .add_node(Box::new(host), NodeOpts::new(format!("h{d}")));
+            (domain, node)
+        })
+        .collect();
+    sharded.connect_cross(hosts[0], hosts[1], &LinkSpec::ten_gbe());
+    let received = |sharded: &ShardedSim| -> u64 {
+        let app = |&(d, n): &(usize, _)| sharded.domain(d).device::<Host>(n).app::<Sender>();
+        hosts.iter().map(|h| app(h).received).sum()
+    };
+
+    let mut deadline = SimTime::ZERO;
+    while received(&sharded) < WARM_UP {
+        deadline += SimDuration::from_micros(10);
+        sharded.run_until(deadline, 1);
+    }
+    let (warm_rx, warm_epochs) = (received(&sharded), sharded.stats().epochs);
+
+    let before = allocs();
+    sharded.run(1);
+    let spent = allocs() - before;
+    let delivered = received(&sharded) - warm_rx;
+    let epochs = sharded.stats().epochs - warm_epochs;
+    assert!(delivered > MEASURED / 2, "{delivered} packets crossed");
+    assert!(epochs >= delivered / 2, "{epochs} epochs");
+    assert!(
+        spent <= 16,
+        "{spent} allocations over {epochs} epochs moving {delivered} packets"
+    );
 }

@@ -44,8 +44,8 @@ impl HostApp for ScriptedHost {
         // Tagged, so the engine traces every hop.
         let cause = CausalKey {
             round: 0,
-            segment: token,
-            worker: u64::from(ctx.ip().as_u32()),
+            segment: token as u32,
+            worker: ctx.ip().as_u32(),
             tenant: 0,
         };
         let pkt = Packet::udp(ctx.ip(), dst, 7, 7, 0).with_payload(vec![0xAB; len]);
