@@ -198,13 +198,6 @@ impl TraceAnalysis {
         self
     }
 
-    /// Records that the source trace dropped `n` events (bounded buffer),
-    /// so reports can flag incomplete coverage.
-    pub fn with_dropped(mut self, n: u64) -> Self {
-        self.dropped_events = n;
-        self
-    }
-
     /// Worker index for a producer address, falling back to the raw
     /// address when the trace carried no mapping.
     fn windex(&self, addr: u64) -> u64 {

@@ -186,9 +186,4 @@ impl RingWorker {
         };
         StrategyRuntime::from_parts(core, proto, Box::new(SyntheticGradients::new(0)))
     }
-
-    /// This worker's position in the ring.
-    pub fn ring_index(&self) -> usize {
-        self.protocol().index
-    }
 }

@@ -386,11 +386,6 @@ impl<P: StrategyProtocol> StrategyRuntime<P> {
         &mut self.proto
     }
 
-    /// Mutable access to the gradient source (weight seeding in co-sim).
-    pub fn source_mut(&mut self) -> &mut dyn GradientSource {
-        &mut *self.source
-    }
-
     /// Replaces the wire policy (default: [`crate::transport::GoBackRetransmit`],
     /// which for protocols without loss recovery means plain unpaced sends).
     pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {

@@ -444,9 +444,10 @@ pub struct ChaosReport {
     /// rendered report only when non-zero, as the switch's counter is in
     /// its metrics.
     pub resend_requests: u64,
-    /// FNV-1a fingerprint of worker 0's final weights (iSwitch co-sim
-    /// strategies; 0 otherwise).
-    pub params_fingerprint: u64,
+    /// FNV-1a fingerprint of each worker's final weights, in worker order
+    /// (iSwitch co-sim strategies; empty otherwise). Replicas of one model
+    /// hold equal ones.
+    pub params_fingerprints: Vec<u64>,
     /// Invariant violations, in deterministic order. Empty means the run
     /// passed.
     pub violations: Vec<String>,
@@ -488,8 +489,12 @@ impl ChaosReport {
             root.insert("resend_requests", JsonValue::UInt(self.resend_requests));
         }
         root.insert(
-            "params_fingerprint",
-            JsonValue::UInt(self.params_fingerprint),
+            "params_fingerprints",
+            JsonValue::Array(
+                (self.params_fingerprints.iter())
+                    .map(|&f| JsonValue::UInt(f))
+                    .collect(),
+            ),
         );
         root.insert(
             "violations",
@@ -876,7 +881,9 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         }
     }
 
-    let params_fingerprint = fingerprint(job.worker(0).source().params());
+    let params_fingerprints = (0..cfg.workers)
+        .map(|w| fingerprint(job.worker(w).source().params()))
+        .collect();
     let resend_requests = job.extensions().map(|e| e.stats().resend_requests).sum();
     let violation_timelines = offending_rounds
         .iter()
@@ -891,7 +898,7 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         rounds_checked,
         help_requests,
         resend_requests,
-        params_fingerprint,
+        params_fingerprints,
         violations,
         violation_timelines,
     }
@@ -943,7 +950,7 @@ fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         rounds_checked: 0,
         help_requests: 0,
         resend_requests: 0,
-        params_fingerprint: 0,
+        params_fingerprints: Vec::new(),
         violations,
         violation_timelines: Vec::new(),
     }

@@ -242,7 +242,7 @@ pub(crate) fn live_replicas(
         .collect();
     let init = replicas[0].params().to_vec();
     for r in replicas.iter_mut().skip(1) {
-        r.load_params(&init);
+        r.seed_params(&init);
     }
     replicas.into_iter().map(AgentGradients::new).collect()
 }

@@ -163,6 +163,30 @@ fn a_worker_partitioned_past_the_result_depth_catches_up_by_resending() {
     }
 }
 
+/// Every worker trains one model: each replica starts from worker 0's
+/// weights and applies the same aggregates, so all N end on the same
+/// weights — for every algorithm, under go-back and NACK recovery, with no
+/// faults and under chaos seed 7 (whose schedule sends no `Help`).
+#[test]
+fn every_replica_ends_on_the_same_weights() {
+    for algorithm in Algorithm::ALL {
+        for transport in [TransportKind::GoBack, TransportKind::Nack] {
+            for schedule in [Some(ChaosSchedule { faults: vec![] }), None] {
+                let mut cfg = ChaosConfig::new(algorithm, Strategy::SyncIsw, 7);
+                (cfg.schedule, cfg.transport) = (schedule, transport);
+                let report = run_chaos(&cfg);
+                let hashes = &report.params_fingerprints;
+                assert_eq!(hashes.len(), cfg.workers, "{algorithm:?}/{transport}");
+                assert!(
+                    hashes.iter().all(|&h| h == hashes[0]),
+                    "{algorithm:?}/{transport}, schedule {:?}: {hashes:x?}",
+                    cfg.schedule
+                );
+            }
+        }
+    }
+}
+
 /// The tolerant I1 must still have teeth: seed the fixed-point encoder
 /// bug that scales mantissas with the honest exponent but stamps
 /// `exp + bias` in the header. Every packet stays wire-legal — lengths,

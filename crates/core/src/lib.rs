@@ -55,12 +55,12 @@ pub use control_plane::{Member, MemberType, MembershipTable};
 pub use error::ProtocolError;
 pub use protocol::{
     decode_seg_field, dscp, is_iswitch_tos, num_segments, seg_index, seg_round, segment_gradient,
-    segment_gradient_round, tag_round, topk_indices, AccEffects, AggregationCodec, BlockFloatCodec,
-    CodecKind, ControlMessage, DataSegment, F32Codec, FixedPointCodec, GradientAssembler,
+    segment_gradient_round, tag_round, topk_indices, AccEffects, AggregationCodec,
+    BlockScaledCodec, CodecKind, ControlMessage, DataSegment, F32Codec, GradientAssembler,
     RoundAssembler, RoundInsert, SegmentMeta, TopKCodec, WireAcc, BLOCKFLOAT_ELEMS_PER_SEGMENT,
-    BLOCK_ELEMS, CODEC_HEADER_BYTES, FIXED_ELEMS_PER_SEGMENT, FLOATS_PER_SEGMENT, ISWITCH_UDP_PORT,
-    MAX_SEG_INDEX, ROUND_SHIFT, SEG_HEADER_BYTES, TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT,
-    TOS_CONTROL, TOS_DATA,
+    BLOCK_ELEMS, BLOCK_FLOAT, CODEC_HEADER_BYTES, FIXED_ELEMS_PER_SEGMENT, FIXED_POINT,
+    FLOATS_PER_SEGMENT, ISWITCH_UDP_PORT, MAX_SEG_INDEX, ROUND_SHIFT, SEG_HEADER_BYTES,
+    TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT, TOS_CONTROL, TOS_DATA,
 };
 pub use switch_ext::{
     AggregationMode, AggregationRole, ExtensionConfig, ExtensionStats, IswitchExtension,

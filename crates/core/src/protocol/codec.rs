@@ -84,26 +84,19 @@ pub const TOPK_ELEMS_PER_SEGMENT: usize = (MAX_UDP_PAYLOAD - BODY) / 4;
 /// Top-k keeps the `1/TOPK_DIVISOR` largest-magnitude elements per segment.
 pub const TOPK_DIVISOR: usize = 4;
 
-/// Largest fixed-point contribution mantissa (symmetric i16 range).
-const FIXED_Q_MAX: i32 = i16::MAX as i32;
-/// Largest fixed-point result mantissa (headroom below i32 saturation).
-const FIXED_WIDE_Q_MAX: i64 = 1 << 30;
-/// Largest block-float contribution mantissa (symmetric i8 range).
-const BLOCK_Q_MAX: i32 = i8::MAX as i32;
-/// Largest block-float result mantissa (symmetric i16 range).
-const BLOCK_WIDE_Q_MAX: i64 = i16::MAX as i64;
 /// Scaling exponents on the wire lie in `[EXP_MIN, EXP_MAX]`. The floor is
 /// the smallest normal f32 exponent. The ceiling is the largest exponent at
 /// which a saturated accumulator still decodes finite: `i32::MAX as f32 ·
 /// 2^96 = 2^127 < f32::MAX`, one more overflows. Encoders search no higher
 /// (a magnitude past `q_max · 2^96`, ≳ 1e31, clips to the mantissa range);
-/// decoders refuse anything outside ([`wire_exp`]), because the exponent is
-/// the one field of an integer payload that can make the switch emit `inf`.
+/// decoders refuse anything outside, because the exponent is the one field
+/// of an integer payload that can make the switch emit `inf`.
 const EXP_MIN: i32 = -126;
 const EXP_MAX: i32 = 96;
-/// Block-float exponent bias: stored byte `e` means true exponent
-/// `e - 127`; the sentinel 0 marks an all-zero block.
-const BLOCK_EXP_BIAS: i32 = 127;
+/// Exponent bias of a stored exponent byte: byte `b` means exponent
+/// `b - 127`, so `EXP_MIN` is byte 1 and the byte 0 is free to mark an
+/// all-zero block on the wire and an unseeded block in an accumulator.
+const EXP_BIAS: i32 = 127;
 
 /// The format a job aggregates in — the per-job datapath knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -148,9 +141,18 @@ impl CodecKind {
     pub fn codec(self) -> &'static dyn AggregationCodec {
         match self {
             CodecKind::F32 => &F32Codec,
-            CodecKind::FixedPoint => &FixedPointCodec,
-            CodecKind::BlockFloat => &BlockFloatCodec,
+            CodecKind::FixedPoint => &FIXED_POINT,
+            CodecKind::BlockFloat => &BLOCK_FLOAT,
             CodecKind::TopK => &TopKCodec,
+        }
+    }
+
+    /// An integer codec's block layout.
+    fn blocks(self) -> Option<Blocks> {
+        match self {
+            CodecKind::FixedPoint => Some(FIXED_POINT.blocks),
+            CodecKind::BlockFloat => Some(BLOCK_FLOAT.blocks),
+            CodecKind::F32 | CodecKind::TopK => None,
         }
     }
 
@@ -164,15 +166,14 @@ impl CodecKind {
         len.div_ceil(self.elems_per_segment())
     }
 
-    /// BRAM bytes a `len`-element accumulator will occupy (equals
-    /// [`WireAcc::resident_bytes`] of [`AggregationCodec::new_acc`], without
-    /// allocating one) — what the accelerator's admission check charges
-    /// before opening a round.
+    /// BRAM bytes a `len`-element accumulator occupies — what the
+    /// accelerator's admission check charges before opening a round, and
+    /// [`WireAcc::resident_bytes`] once it is open. A slot holds a 4-byte
+    /// sum per element (f32, or an integer codec's i32) plus each exponent
+    /// byte a block carries in the body: an integer slot is the size of a
+    /// body of 4-byte mantissas.
     pub fn acc_bytes(self, len: usize) -> usize {
-        match self {
-            CodecKind::BlockFloat => len * 4 + len.div_ceil(BLOCK_ELEMS),
-            _ => len * 4,
-        }
+        self.blocks().map_or(len * 4, |b| b.body_bytes(len, 4))
     }
 }
 
@@ -205,21 +206,14 @@ impl FromStr for CodecKind {
 pub enum WireAcc {
     /// f32 partial sums (the paper's adders).
     F32(Vec<f32>),
-    /// Saturating i32 mantissa sums at the running maximum exponent.
-    Fixed {
+    /// Saturating i32 mantissa sums of an integer codec, each block at its
+    /// running maximum exponent.
+    Int {
+        /// The integer codec the sums are in.
+        kind: CodecKind,
         /// Per-element mantissa accumulators.
         acc: Vec<i32>,
-        /// Scaling exponent the accumulators are expressed in.
-        exp: i8,
-        /// Whether any contribution has arrived (the first arrival adopts
-        /// its exponent rather than aligning to the initial placeholder).
-        seeded: bool,
-    },
-    /// Per-block i32 mantissa sums at per-block running exponents.
-    Block {
-        /// Per-element mantissa accumulators.
-        acc: Vec<i32>,
-        /// Per-block biased exponents (0 = no non-zero contribution yet).
+        /// Per-block exponents, biased by 127 (0 = no contribution yet).
         exps: Vec<u8>,
     },
     /// Dense f32 sums fed by sparse or dense top-k contributions.
@@ -231,7 +225,7 @@ impl WireAcc {
     pub fn len(&self) -> usize {
         match self {
             WireAcc::F32(v) | WireAcc::TopK(v) => v.len(),
-            WireAcc::Fixed { acc, .. } | WireAcc::Block { acc, .. } => acc.len(),
+            WireAcc::Int { acc, .. } => acc.len(),
         }
     }
 
@@ -240,13 +234,12 @@ impl WireAcc {
         self.len() == 0
     }
 
-    /// BRAM bytes this accumulator occupies (f32 and i32 buffers both cost
-    /// 4 bytes per element; block-float adds one exponent byte per block).
+    /// BRAM bytes this accumulator occupies ([`CodecKind::acc_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         match self {
-            WireAcc::F32(v) | WireAcc::TopK(v) => v.len() * 4,
-            WireAcc::Fixed { acc, .. } => acc.len() * 4,
-            WireAcc::Block { acc, exps } => acc.len() * 4 + exps.len(),
+            WireAcc::F32(v) => CodecKind::F32.acc_bytes(v.len()),
+            WireAcc::Int { kind, acc, .. } => kind.acc_bytes(acc.len()),
+            WireAcc::TopK(v) => CodecKind::TopK.acc_bytes(v.len()),
         }
     }
 
@@ -257,17 +250,12 @@ impl WireAcc {
                 v.clear();
                 v.resize(len, 0.0);
             }
-            WireAcc::Fixed { acc, exp, seeded } => {
-                acc.clear();
-                acc.resize(len, 0);
-                *exp = 0;
-                *seeded = false;
-            }
-            WireAcc::Block { acc, exps } => {
+            WireAcc::Int { kind, acc, exps } => {
+                let blocks = kind.blocks().expect("an integer codec").count(len);
                 acc.clear();
                 acc.resize(len, 0);
                 exps.clear();
-                exps.resize(len.div_ceil(BLOCK_ELEMS), 0);
+                exps.resize(blocks, 0);
             }
         }
     }
@@ -286,14 +274,6 @@ pub struct AccEffects {
     /// arrived at a coarser scale and every existing partial sum was
     /// shifted down, discarding low-order bits.
     pub rebases: u64,
-}
-
-impl AccEffects {
-    /// Folds another accumulate's effects into this one.
-    pub fn merge(&mut self, other: AccEffects) {
-        self.saturations += other.saturations;
-        self.rebases += other.rebases;
-    }
 }
 
 /// One aggregation format: payload layout, switch-side accumulation, and
@@ -379,12 +359,14 @@ pub trait AggregationCodec: Sync {
 /// `[EXP_MIN, EXP_MAX]`, 2^-e is normal too, so `v * exp2(-e)` is
 /// `v / exp2(e)` bit for bit — both are the correctly rounded `v · 2^-e` —
 /// and the codecs scale by that multiply, never by a division.
+#[inline]
 fn exp2(e: i32) -> f32 {
     f32::from_bits((((e + 127) as u32) & 0xFF) << 23)
 }
 
 /// The unbiased exponent field of `x`: ⌊log2 x⌋ for a positive normal
 /// `x`, and −127 for zero and subnormals.
+#[inline]
 fn exp_bits(x: f32) -> i32 {
     ((x.to_bits() >> 23) & 0xFF) as i32 - 127
 }
@@ -395,6 +377,7 @@ fn exp_bits(x: f32) -> i32 {
 /// within one: with `em = exp_bits(m)` and `eq = exp_bits(q_max)`, every
 /// `e < em − eq` has `q_max · 2^e < 2^(eq+1+e) ≤ 2^em ≤ m` and fails, and
 /// `em − eq + 1` has `q_max · 2^e ≥ 2^(em+1) > m` and passes.
+#[inline]
 fn scaling_exp(m: f32, q_max: f32) -> i32 {
     debug_assert!(m.is_finite() && m >= 0.0);
     let e = (exp_bits(m) - exp_bits(q_max)).clamp(EXP_MIN, EXP_MAX);
@@ -414,6 +397,7 @@ fn scaling_exp(m: f32, q_max: f32) -> i32 {
 /// exactly ½ it falls `2^-25` short and rounds up to it), a smaller one
 /// leaves it at least an ulp of `x` short, and from 2^23 up, where `x` is
 /// integral, `h` is under half an ulp.
+#[inline]
 fn quantize(x: f32, q_max: f32) -> i32 {
     assert!(q_max < 2_147_483_648.0, "the mantissa range fits i32");
     let x = if x.is_nan() {
@@ -426,15 +410,6 @@ fn quantize(x: f32, q_max: f32) -> i32 {
     // the i32 range by the assert above (`clamp` itself panics on a NaN or
     // negative `q_max`).
     unsafe { nudged.to_int_unchecked() }
-}
-
-/// Admits a scaling exponent read off the wire (see [`EXP_MAX`]).
-fn wire_exp(e: i32) -> Result<i32, ProtocolError> {
-    if (EXP_MIN..=EXP_MAX).contains(&e) {
-        Ok(e)
-    } else {
-        Err(ProtocolError::InvalidField("scaling exponent"))
-    }
 }
 
 /// Checks every element is finite (quantized codecs reject NaN/Inf).
@@ -497,6 +472,7 @@ fn parse_codec_payload(id: u8, payload: &[u8]) -> Result<CodecPayload<'_>, Proto
 
 /// Saturating add of `v` into `a`, symmetric around zero. Bumps
 /// `saturations` when the clamp fires (the hardware's overflow flag).
+#[inline]
 fn sat_add(a: i32, v: i64, saturations: &mut u64) -> i32 {
     let sum = i64::from(a) + v;
     let clamped = sum.clamp(-(i32::MAX as i64), i32::MAX as i64);
@@ -507,6 +483,7 @@ fn sat_add(a: i32, v: i64, saturations: &mut u64) -> i32 {
 /// The headroom check: whether every partial sum in `acc` can take an
 /// addend of magnitude up to `bound` without passing the `±i32::MAX`
 /// rails — its largest magnitude plus `bound` fits `i32`.
+#[inline]
 fn has_headroom(acc: &[i32], bound: u32) -> bool {
     let Some(limit) = (i32::MAX as u32).checked_sub(bound) else {
         return false;
@@ -517,43 +494,48 @@ fn has_headroom(acc: &[i32], bound: u32) -> bool {
         .fold(false, |over, &a| over | (a > limit) | (a < -limit))
 }
 
-/// Adds the `N`-byte big-endian mantissas of `body` (sign-extended by
-/// `mantissa`), each shifted right by `shift`, into `acc`, and returns
-/// how many sums clamped. An accumulator always sits at the largest
-/// exponent it has seen, so a contribution only ever shifts right. With
-/// `headroom` proven ([`has_headroom`]) no sum can clamp, and the adds are
-/// a plain `i32` loop the compiler vectorises; otherwise every element
-/// goes through [`sat_add`].
-fn add_mantissas<const N: usize>(
+/// Sign-extends an `M`-byte big-endian mantissa. Each width converts
+/// through its own integer type, which the loops vectorise.
+fn mantissa<const M: usize>(c: [u8; M]) -> i32 {
+    match *c.as_slice() {
+        [b] => i32::from(b as i8),
+        [hi, lo] => i32::from(i16::from_be_bytes([hi, lo])),
+        [a, b, c, d] => i32::from_be_bytes([a, b, c, d]),
+        _ => unreachable!("mantissas are 1, 2 or 4 bytes"),
+    }
+}
+
+/// 2^(b − 127) for a biased exponent byte `b` — and 0.0 for the 0 byte,
+/// the scale of an all-zero or unseeded block.
+#[inline]
+fn scale(b: u8) -> f32 {
+    f32::from_bits(u32::from(b) << 23)
+}
+
+/// Adds the `M`-byte mantissas `ms`, each shifted right by `shift`, into
+/// `acc`, and returns how many sums clamped. An accumulator always sits at
+/// the largest exponent it has seen, so a contribution only ever shifts
+/// right. With `headroom` proven ([`has_headroom`]) no sum can clamp, and
+/// the adds are a plain `i32` loop the compiler vectorises; otherwise every
+/// element goes through [`sat_add`].
+fn add_mantissas<const M: usize>(
     acc: &mut [i32],
-    body: &[u8],
+    ms: &[[u8; M]],
     shift: u32,
     headroom: bool,
-    mantissa: impl Fn([u8; N]) -> i32,
 ) -> u64 {
-    let (chunks, _) = body.as_chunks::<N>();
     let shift = shift.min(31);
     if headroom {
-        for (a, &c) in acc.iter_mut().zip(chunks) {
+        for (a, &c) in acc.iter_mut().zip(ms) {
             *a += mantissa(c) >> shift;
         }
         return 0;
     }
     let mut saturations = 0;
-    for (a, &c) in acc.iter_mut().zip(chunks) {
+    for (a, &c) in acc.iter_mut().zip(ms) {
         *a = sat_add(*a, i64::from(mantissa(c) >> shift), &mut saturations);
     }
     saturations
-}
-
-/// Rescales an accumulator in place when a contribution arrives at a
-/// larger exponent: every partial sum shifts down to the new scale.
-fn rescale_acc(acc: &mut [i32], down_by: i32) {
-    debug_assert!(down_by > 0);
-    let s = down_by.min(31);
-    for a in acc.iter_mut() {
-        *a >>= s;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -630,23 +612,86 @@ impl AggregationCodec for F32Codec {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-point — SwitchML-style i16 mantissas with a per-packet exponent.
+// Block-scaled integers — fixed-point and block-float, one codec.
 // ---------------------------------------------------------------------------
 
-/// i16 mantissas scaled by a per-packet power-of-two exponent, accumulated
-/// in saturating i32 at the running maximum exponent; results re-encode as
-/// i32 mantissas (wide).
-pub struct FixedPointCodec;
+/// How a block-scaled payload groups its elements under exponents, and
+/// where each exponent sits — the one thing the wire makes the two integer
+/// codecs do differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Blocks {
+    /// The whole segment is one block. Its exponent is a signed byte in
+    /// the sub-header `param`, and the body is bare mantissas, so the
+    /// element count is the body's length.
+    Segment,
+    /// Blocks of this many elements (the last may be short), each led by
+    /// its exponent byte biased by [`EXP_BIAS`], 0 marking an all-zero
+    /// block. The sub-header `param` is the element count.
+    Of(usize),
+}
 
-const FIXED_ID: u8 = 1;
+impl Blocks {
+    /// Elements per block of a `len`-element segment.
+    fn len(self, len: usize) -> usize {
+        match self {
+            Blocks::Segment => len.max(1),
+            Blocks::Of(n) => n,
+        }
+    }
 
-impl FixedPointCodec {
-    /// Encodes a contribution whose *stamped* exponent is offset from the
-    /// scaling exponent by `stamp_bias` — zero for correct operation. A
-    /// non-zero bias is the chaos harness's seeded codec bug: the switch
-    /// honors the stamp, so every biased contribution lands scaled by
-    /// `2^stamp_bias`, silently corrupting aggregates without tripping any
-    /// wire-format check.
+    /// Blocks, so exponents, of a `len`-element segment.
+    fn count(self, len: usize) -> usize {
+        len.div_ceil(self.len(len))
+    }
+
+    /// Exponent bytes each block carries in the body.
+    fn inline(self) -> usize {
+        usize::from(self != Blocks::Segment)
+    }
+
+    /// Body bytes of `len` elements in `unit`-byte mantissas.
+    fn body_bytes(self, len: usize, unit: usize) -> usize {
+        len * unit + self.count(len) * self.inline()
+    }
+}
+
+/// SwitchML-style block-scaled integer aggregation. Each block of a
+/// segment shares one power-of-two exponent, the smallest that fits its
+/// largest value; contributions carry `N`-byte mantissas, the switch sums
+/// them in saturating i32 at each block's running maximum exponent, and
+/// results re-encode as `W`-byte mantissas (wide). Its two parameter sets
+/// are [`FIXED_POINT`] and [`BLOCK_FLOAT`].
+pub struct BlockScaledCodec<const N: usize, const W: usize> {
+    kind: CodecKind,
+    id: u8,
+    blocks: Blocks,
+    elems_per_segment: usize,
+}
+
+/// Fixed-point: i16 mantissas under one exponent a packet, i32 results.
+pub static FIXED_POINT: BlockScaledCodec<2, 4> = BlockScaledCodec {
+    kind: CodecKind::FixedPoint,
+    id: 1,
+    blocks: Blocks::Segment,
+    elems_per_segment: FIXED_ELEMS_PER_SEGMENT,
+};
+
+/// Block floating point: i8 mantissas under one exponent per
+/// [`BLOCK_ELEMS`]-element block, i16 results.
+pub static BLOCK_FLOAT: BlockScaledCodec<1, 2> = BlockScaledCodec {
+    kind: CodecKind::BlockFloat,
+    id: 2,
+    blocks: Blocks::Of(BLOCK_ELEMS),
+    elems_per_segment: BLOCKFLOAT_ELEMS_PER_SEGMENT,
+};
+
+impl<const N: usize, const W: usize> BlockScaledCodec<N, W> {
+    /// Encodes a contribution whose *stamped* exponents are offset from the
+    /// scaling exponents by `stamp_bias` — zero for correct operation. A
+    /// non-zero bias is the chaos harness's seeded codec bug (fixed-point
+    /// only): the switch honors the stamp, so every biased contribution
+    /// lands scaled by `2^stamp_bias`, silently corrupting aggregates
+    /// without tripping any wire-format check.
     pub fn encode_contribution_biased(
         &self,
         seg: u64,
@@ -654,64 +699,167 @@ impl FixedPointCodec {
         stamp_bias: i8,
     ) -> Result<Bytes, ProtocolError> {
         check_finite(values)?;
-        let e = scaling_exp(max_abs(values.iter().copied()), FIXED_Q_MAX as f32);
-        let stamped = (e + i32::from(stamp_bias)).clamp(EXP_MIN, EXP_MAX) as i8;
-        let mut buf = vec![0u8; BODY + values.len() * 2];
-        codec_header(
-            &mut buf,
-            seg,
-            1,
-            FIXED_ID,
-            0,
-            u16::from_be_bytes([stamped as u8, 0]),
-        );
-        let inv = exp2(-e);
-        for (dst, v) in buf[BODY..].chunks_exact_mut(2).zip(values) {
-            let q = quantize(v * inv, FIXED_Q_MAX as f32) as i16;
-            dst.copy_from_slice(&q.to_be_bytes());
-        }
-        Ok(Bytes::from(buf))
+        let blocks = values
+            .chunks(self.blocks.len(values.len()))
+            .map(|b| b.iter().copied());
+        Ok(self.encode::<N, _>(seg, 1, 0, values.len(), blocks, stamp_bias.into()))
     }
 
-    /// The wide result encoding of `len` aggregate `values`. Results carry
-    /// i32 mantissas with headroom below saturation, so the f32→wide→f32
-    /// round trip costs well under the contribution quantization error.
-    fn encode_wide(
+    /// Encodes `len` values, given block by block, in `M`-byte mantissas
+    /// under `flags`. Each block is scaled by the smallest exponent that
+    /// fits its largest magnitude and stamped `stamp_bias` above it.
+    fn encode<const M: usize, B>(
+        &self,
         seg: u64,
         count: u16,
+        flags: u8,
         len: usize,
-        values: impl Iterator<Item = f32> + Clone,
-    ) -> Bytes {
-        let e = scaling_exp(max_abs(values.clone()), FIXED_WIDE_Q_MAX as f32);
-        let mut buf = vec![0u8; BODY + len * 4];
-        codec_header(
-            &mut buf,
-            seg,
-            count,
-            FIXED_ID,
-            FLAG_WIDE,
-            u16::from_be_bytes([(e as i8) as u8, 0]),
-        );
-        let inv = exp2(-e);
-        for (dst, v) in buf[BODY..].chunks_exact_mut(4).zip(values) {
-            let q = quantize(v * inv, FIXED_WIDE_Q_MAX as f32);
-            dst.copy_from_slice(&q.to_be_bytes());
+        blocks: impl Iterator<Item = B>,
+        stamp_bias: i32,
+    ) -> Bytes
+    where
+        B: ExactSizeIterator<Item = f32> + Clone,
+    {
+        // The largest mantissa: the `M`-byte integer's symmetric range,
+        // capped at 2^30 so an i32 result keeps headroom below saturation.
+        let q_max = ((1i64 << (8 * M - 1)) - 1).min(1 << 30) as f32;
+        let l = self.blocks;
+        let mut buf = vec![0u8; BODY + l.body_bytes(len, M)];
+        // An empty segment stamps `EXP_MIN`, as an all-zero one does.
+        let param = match l {
+            Blocks::Segment => u16::from_be_bytes([EXP_MIN as i8 as u8, 0]),
+            Blocks::Of(_) => len as u16,
+        };
+        codec_header(&mut buf, seg, count, self.id, flags, param);
+        let mut at = BODY + l.inline();
+        for block in blocks {
+            let blen = block.len();
+            let m = max_abs(block.clone());
+            let e = scaling_exp(m, q_max);
+            let stamp = (e + stamp_bias).clamp(EXP_MIN, EXP_MAX);
+            match l {
+                Blocks::Segment => buf[10] = stamp as i8 as u8,
+                // An all-zero block keeps the zero sentinel.
+                Blocks::Of(_) if m == 0.0 => {}
+                Blocks::Of(_) => buf[at - 1] = (stamp + EXP_BIAS) as u8,
+            }
+            let inv = exp2(-e);
+            let (dst, _) = buf[at..at + blen * M].as_chunks_mut::<M>();
+            for (dst, v) in dst.iter_mut().zip(block) {
+                dst.copy_from_slice(&quantize(v * inv, q_max).to_be_bytes()[4 - M..]);
+            }
+            at += blen * M + l.inline();
         }
         Bytes::from(buf)
     }
+
+    /// The element count of `p`, checked against its body's length.
+    fn len_of(&self, p: &CodecPayload<'_>) -> Result<usize, ProtocolError> {
+        let unit = if p.flags & FLAG_WIDE != 0 { W } else { N };
+        match self.blocks {
+            Blocks::Segment if p.body.len().is_multiple_of(unit) => Ok(p.body.len() / unit),
+            Blocks::Segment => Err(ProtocolError::MisalignedPayload(p.body.len())),
+            Blocks::Of(_) if p.body.len() == self.blocks.body_bytes(usize::from(p.param), unit) => {
+                Ok(usize::from(p.param))
+            }
+            Blocks::Of(_) => Err(ProtocolError::InvalidField("payload length")),
+        }
+    }
+
+    /// The blocks of a `len`-element payload `p` of `M`-byte mantissas:
+    /// each block's exponent as a biased byte (0 for an all-zero block),
+    /// refused outside `[EXP_MIN, EXP_MAX]`, and its mantissas.
+    fn split<'a, const M: usize>(
+        &self,
+        p: &CodecPayload<'a>,
+        len: usize,
+    ) -> impl Iterator<Item = (Result<u8, ProtocolError>, &'a [[u8; M]])> + Clone {
+        let (blocks, header) = (self.blocks, (p.param >> 8) as u8);
+        let stride = blocks.len(len) * M + blocks.inline();
+        let admit = |e: i32| match e {
+            EXP_MIN..=EXP_MAX => Ok((e + EXP_BIAS) as u8),
+            _ => Err(ProtocolError::InvalidField("scaling exponent")),
+        };
+        p.body.chunks(stride.max(1)).map(move |block| {
+            let (e, ms) = match blocks {
+                Blocks::Segment => (admit(i32::from(header as i8)), block),
+                Blocks::Of(_) if block[0] == 0 => (Ok(0), &block[1..]),
+                Blocks::Of(_) => (admit(i32::from(block[0]) - EXP_BIAS), &block[1..]),
+            };
+            (e, ms.as_chunks::<M>().0)
+        })
+    }
+
+    /// Decodes a `len`-element payload of `M`-byte mantissas.
+    fn decode_as<const M: usize>(
+        &self,
+        p: &CodecPayload<'_>,
+        len: usize,
+    ) -> Result<Vec<f32>, ProtocolError> {
+        let mut values = Vec::with_capacity(len);
+        for (e, ms) in self.split::<M>(p, len) {
+            let s = scale(e?);
+            values.extend(ms.iter().map(|&c| mantissa(c) as f32 * s));
+        }
+        Ok(values)
+    }
+
+    /// Accumulates the `M`-byte mantissas of `p` into `acc`, block by
+    /// block at `exps`.
+    fn add<const M: usize>(
+        &self,
+        acc: &mut [i32],
+        exps: &mut [u8],
+        p: &CodecPayload<'_>,
+    ) -> Result<AccEffects, ProtocolError> {
+        let blocks = self.split::<M>(p, acc.len());
+        // Reject before touching `acc`: a refused payload must leave the
+        // round exactly as it found it.
+        for (e, _) in blocks.clone() {
+            e?;
+        }
+        // One headroom check for the whole segment against the largest
+        // mantissa `M` bytes hold (i32 leaves none), and per block against
+        // its own largest only if that fails: a rebase only shrinks partial
+        // sums, so it holds after.
+        let segment_headroom = has_headroom(acc, 1 << (8 * M - 1));
+        let mut fx = AccEffects::default();
+        let block_len = self.blocks.len(acc.len());
+        for ((block, e), (e_in, ms)) in acc.chunks_mut(block_len).zip(exps).zip(blocks) {
+            let e_in = e_in?;
+            if e_in == 0 {
+                continue; // an all-zero block adds nothing
+            }
+            if *e == 0 {
+                *e = e_in;
+            } else if e_in > *e {
+                // The switch keeps the largest exponent seen: shift existing
+                // partial sums down to the coarser scale (SwitchML's exponent
+                // alignment), then add at unit gain.
+                let down = u32::from(e_in - *e).min(31);
+                block.iter_mut().for_each(|a| *a >>= down);
+                *e = e_in;
+                fx.rebases += 1;
+            }
+            let bound = || ms.iter().map(|&c| mantissa(c).unsigned_abs()).max();
+            let headroom = segment_headroom || has_headroom(block, bound().unwrap_or(0));
+            fx.saturations += add_mantissas(block, ms, u32::from(*e - e_in), headroom);
+        }
+        Ok(fx)
+    }
 }
 
-impl AggregationCodec for FixedPointCodec {
+impl<const N: usize, const W: usize> AggregationCodec for BlockScaledCodec<N, W> {
     fn kind(&self) -> CodecKind {
-        CodecKind::FixedPoint
+        self.kind
     }
 
     fn elems_per_segment(&self) -> usize {
-        FIXED_ELEMS_PER_SEGMENT
+        self.elems_per_segment
     }
 
     fn contribution_bytes(&self, len: usize) -> usize {
-        BODY + len * 2
+        BODY + self.blocks.body_bytes(len, N)
     }
 
     fn encode_contribution(&self, seg: u64, values: &[f32]) -> Result<Bytes, ProtocolError> {
@@ -719,58 +867,39 @@ impl AggregationCodec for FixedPointCodec {
     }
 
     fn encode_result(&self, seg: &DataSegment) -> Bytes {
-        Self::encode_wide(
-            seg.seg,
-            seg.count,
-            seg.values.len(),
-            seg.values.iter().copied(),
-        )
+        let blocks = seg.values.chunks(self.blocks.len(seg.values.len()));
+        let blocks = blocks.map(|b| b.iter().copied());
+        self.encode::<W, _>(seg.seg, seg.count, FLAG_WIDE, seg.values.len(), blocks, 0)
     }
 
     fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes {
-        let WireAcc::Fixed { acc, exp, .. } = acc else {
-            unreachable!("fixed-point accumulator")
+        let WireAcc::Int { acc, exps, .. } = acc else {
+            unreachable!("an integer accumulator")
         };
-        let scale = exp2(i32::from(*exp));
-        Self::encode_wide(seg, count, acc.len(), acc.iter().map(|&m| m as f32 * scale))
+        // An unseeded block scales to zeros, which encode as the zeros
+        // `decode_acc` gives it.
+        let blocks = acc.chunks(self.blocks.len(acc.len())).zip(exps);
+        let blocks = blocks.map(|(block, &e)| block.iter().map(move |&m| m as f32 * scale(e)));
+        self.encode::<W, _>(seg, count, FLAG_WIDE, acc.len(), blocks, 0)
     }
 
     fn decode_meta(&self, payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
-        let p = parse_codec_payload(FIXED_ID, payload)?;
-        let unit = if p.flags & FLAG_WIDE != 0 { 4 } else { 2 };
-        if !p.body.len().is_multiple_of(unit) {
-            return Err(ProtocolError::MisalignedPayload(p.body.len()));
-        }
+        let p = parse_codec_payload(self.id, payload)?;
         Ok(SegmentMeta {
             seg: p.seg,
             count: p.count,
-            len: p.body.len() / unit,
+            len: self.len_of(&p)?,
         })
     }
 
     fn decode_values(&self, payload: &[u8]) -> Result<DataSegment, ProtocolError> {
-        let p = parse_codec_payload(FIXED_ID, payload)?;
-        let scale = exp2(wire_exp(i32::from((p.param >> 8) as u8 as i8))?);
-        let (unit, values): (usize, Vec<f32>) = if p.flags & FLAG_WIDE != 0 {
-            (
-                4,
-                p.body
-                    .chunks_exact(4)
-                    .map(|c| i32::from_be_bytes(c.try_into().expect("4 bytes")) as f32 * scale)
-                    .collect(),
-            )
+        let p = parse_codec_payload(self.id, payload)?;
+        let len = self.len_of(&p)?;
+        let values = if p.flags & FLAG_WIDE != 0 {
+            self.decode_as::<W>(&p, len)?
         } else {
-            (
-                2,
-                p.body
-                    .chunks_exact(2)
-                    .map(|c| f32::from(i16::from_be_bytes(c.try_into().expect("2 bytes"))) * scale)
-                    .collect(),
-            )
+            self.decode_as::<N>(&p, len)?
         };
-        if !p.body.len().is_multiple_of(unit) {
-            return Err(ProtocolError::MisalignedPayload(p.body.len()));
-        }
         Ok(DataSegment {
             seg: p.seg,
             count: p.count,
@@ -779,328 +908,48 @@ impl AggregationCodec for FixedPointCodec {
     }
 
     fn new_acc(&self, len: usize) -> WireAcc {
-        WireAcc::Fixed {
+        WireAcc::Int {
+            kind: self.kind,
             acc: vec![0; len],
-            exp: 0,
-            seeded: false,
+            exps: vec![0; self.blocks.count(len)],
         }
     }
 
     fn accumulate(&self, acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects, ProtocolError> {
-        let WireAcc::Fixed { acc, exp, seeded } = acc else {
-            return Err(ProtocolError::InvalidField("accumulator codec"));
+        let (acc, exps) = match acc {
+            WireAcc::Int { kind, acc, exps } if *kind == self.kind => (acc, exps),
+            _ => return Err(ProtocolError::InvalidField("accumulator codec")),
         };
-        let p = parse_codec_payload(FIXED_ID, payload)?;
-        let wide = p.flags & FLAG_WIDE != 0;
-        let unit = if wide { 4 } else { 2 };
-        if p.body.len() != acc.len() * unit {
+        let p = parse_codec_payload(self.id, payload)?;
+        if self.len_of(&p) != Ok(acc.len()) {
             return Err(ProtocolError::InvalidField("payload length"));
         }
-        let mut fx = AccEffects::default();
-        let e_in = wire_exp(i32::from((p.param >> 8) as u8 as i8))?;
-        if !*seeded {
-            *exp = e_in as i8;
-            *seeded = true;
-        } else if e_in > i32::from(*exp) {
-            // The switch keeps the largest exponent seen: shift existing
-            // partial sums down to the coarser scale (SwitchML's exponent
-            // alignment), then add at unit gain.
-            rescale_acc(acc, e_in - i32::from(*exp));
-            *exp = e_in as i8;
-            fx.rebases += 1;
-        }
-        let shift = (i32::from(*exp) - e_in) as u32;
-        fx.saturations = if wide {
-            // A wide payload's mantissas span all of i32: bound them by
-            // the payload's own largest.
-            let (ms, _) = p.body.as_chunks::<4>();
-            let bound = ms
-                .iter()
-                .map(|&c| i32::from_be_bytes(c).unsigned_abs())
-                .max();
-            let headroom = has_headroom(acc, bound.unwrap_or(0));
-            add_mantissas(acc, p.body, shift, headroom, i32::from_be_bytes)
+        if p.flags & FLAG_WIDE != 0 {
+            self.add::<W>(acc, exps, &p)
         } else {
-            let headroom = has_headroom(acc, 1 << 15);
-            add_mantissas(acc, p.body, shift, headroom, |c| {
-                i32::from(i16::from_be_bytes(c))
-            })
-        };
-        Ok(fx)
+            self.add::<N>(acc, exps, &p)
+        }
     }
 
     fn decode_acc(&self, acc: &WireAcc) -> Vec<f32> {
-        match acc {
-            WireAcc::Fixed { acc, exp, .. } => {
-                let scale = exp2(i32::from(*exp));
-                acc.iter().map(|&m| m as f32 * scale).collect()
-            }
-            _ => unreachable!("fixed-point accumulator"),
-        }
-    }
-
-    fn error_bound(&self, max_abs: f32, workers: usize) -> f32 {
-        // Per contribution: rounding ≤ 0.5·2^e plus one alignment-shift ulp,
-        // with 2^e < max_abs / 2^14; the wide result re-encode adds under
-        // one contribution's worth. Rounded up generously — the bound backs
-        // invariant tolerances, not precision claims.
-        (workers as f32 + 2.0) * max_abs * exp2(-13)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Block floating point — one shared exponent per 32-element block.
-// ---------------------------------------------------------------------------
-
-/// i8 mantissas sharing one exponent per [`BLOCK_ELEMS`]-element block,
-/// accumulated in i32 at each block's running maximum exponent; results
-/// re-encode per block as i16 mantissas (wide).
-pub struct BlockFloatCodec;
-
-const BLOCK_ID: u8 = 2;
-
-/// Bytes of one `blen`-element block in the narrow/wide encoding.
-fn block_bytes(blen: usize, wide: bool) -> usize {
-    1 + blen * if wide { 2 } else { 1 }
-}
-
-/// Total body bytes for `len` elements.
-fn block_body_bytes(len: usize, wide: bool) -> usize {
-    let full = len / BLOCK_ELEMS;
-    let tail = len % BLOCK_ELEMS;
-    full * block_bytes(BLOCK_ELEMS, wide) + if tail > 0 { block_bytes(tail, wide) } else { 0 }
-}
-
-/// A block's true exponent from its exponent byte; `None` for the
-/// all-zero sentinel.
-fn block_exp(e_byte: u8) -> Result<Option<i32>, ProtocolError> {
-    match e_byte {
-        0 => Ok(None),
-        e => wire_exp(i32::from(e) - BLOCK_EXP_BIAS).map(Some),
-    }
-}
-
-/// The scale of an accumulator block at exponent byte `e_byte` (0.0 for
-/// the sentinel of a block no non-zero contribution has reached).
-fn block_scale(e_byte: u8) -> f32 {
-    match e_byte {
-        0 => 0.0,
-        e => exp2(i32::from(e) - BLOCK_EXP_BIAS),
-    }
-}
-
-impl BlockFloatCodec {
-    /// The wide result encoding of `len` aggregate values, block by block:
-    /// per block the exponent byte, then i16 mantissas.
-    fn encode_wide<B>(seg: u64, count: u16, len: usize, blocks: impl Iterator<Item = B>) -> Bytes
-    where
-        B: ExactSizeIterator<Item = f32> + Clone,
-    {
-        let mut buf = vec![0u8; BODY + block_body_bytes(len, true)];
-        codec_header(&mut buf, seg, count, BLOCK_ID, FLAG_WIDE, len as u16);
-        let mut at = BODY;
-        for block in blocks {
-            let blen = block.len();
-            let m = max_abs(block.clone());
-            // An all-zero block keeps the zero sentinel and zero mantissas.
-            if m != 0.0 {
-                let t = scaling_exp(m, BLOCK_WIDE_Q_MAX as f32);
-                buf[at] = (t + BLOCK_EXP_BIAS) as u8;
-                let inv = exp2(-t);
-                for (dst, v) in buf[at + 1..].chunks_exact_mut(2).zip(block) {
-                    let q = quantize(v * inv, BLOCK_WIDE_Q_MAX as f32) as i16;
-                    dst.copy_from_slice(&q.to_be_bytes());
-                }
-            }
-            at += block_bytes(blen, true);
-        }
-        Bytes::from(buf)
-    }
-}
-
-impl AggregationCodec for BlockFloatCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::BlockFloat
-    }
-
-    fn elems_per_segment(&self) -> usize {
-        BLOCKFLOAT_ELEMS_PER_SEGMENT
-    }
-
-    fn contribution_bytes(&self, len: usize) -> usize {
-        BODY + block_body_bytes(len, false)
-    }
-
-    fn encode_contribution(&self, seg: u64, values: &[f32]) -> Result<Bytes, ProtocolError> {
-        check_finite(values)?;
-        let mut buf = vec![0u8; BODY + block_body_bytes(values.len(), false)];
-        codec_header(&mut buf, seg, 1, BLOCK_ID, 0, values.len() as u16);
-        let mut at = BODY;
-        for block in values.chunks(BLOCK_ELEMS) {
-            let m = max_abs(block.iter().copied());
-            if m == 0.0 {
-                buf[at] = 0; // all-zero sentinel; mantissas stay zero
-            } else {
-                let t = scaling_exp(m, BLOCK_Q_MAX as f32);
-                buf[at] = (t + BLOCK_EXP_BIAS) as u8;
-                let inv = exp2(-t);
-                for (dst, v) in buf[at + 1..].iter_mut().zip(block) {
-                    *dst = (quantize(v * inv, BLOCK_Q_MAX as f32) as i8) as u8;
-                }
-            }
-            at += block_bytes(block.len(), false);
-        }
-        Ok(Bytes::from(buf))
-    }
-
-    fn encode_result(&self, seg: &DataSegment) -> Bytes {
-        let blocks = seg.values.chunks(BLOCK_ELEMS).map(|b| b.iter().copied());
-        Self::encode_wide(seg.seg, seg.count, seg.values.len(), blocks)
-    }
-
-    fn encode_acc(&self, seg: u64, count: u16, acc: &WireAcc) -> Bytes {
-        let WireAcc::Block { acc, exps } = acc else {
-            unreachable!("block-float accumulator")
-        };
-        // A sentinel block scales to zeros, which encode as the zeros
-        // `decode_acc` gives it: the sentinel again.
-        let blocks = acc.chunks(BLOCK_ELEMS).zip(exps).map(|(block, &e)| {
-            let scale = block_scale(e);
-            block.iter().map(move |&m| m as f32 * scale)
-        });
-        Self::encode_wide(seg, count, acc.len(), blocks)
-    }
-
-    fn decode_meta(&self, payload: &[u8]) -> Result<SegmentMeta, ProtocolError> {
-        let p = parse_codec_payload(BLOCK_ID, payload)?;
-        let len = usize::from(p.param);
-        if p.body.len() != block_body_bytes(len, p.flags & FLAG_WIDE != 0) {
-            return Err(ProtocolError::InvalidField("payload length"));
-        }
-        Ok(SegmentMeta {
-            seg: p.seg,
-            count: p.count,
-            len,
-        })
-    }
-
-    fn decode_values(&self, payload: &[u8]) -> Result<DataSegment, ProtocolError> {
-        let meta = self.decode_meta(payload)?;
-        let p = parse_codec_payload(BLOCK_ID, payload)?;
-        let wide = p.flags & FLAG_WIDE != 0;
-        let mut values = Vec::with_capacity(meta.len);
-        let mut at = 0;
-        let mut remaining = meta.len;
-        while remaining > 0 {
-            let blen = remaining.min(BLOCK_ELEMS);
-            // An all-zero block decodes through a zero scale.
-            let scale = block_exp(p.body[at])?.map_or(0.0, exp2);
-            if wide {
-                for c in p.body[at + 1..at + 1 + blen * 2].chunks_exact(2) {
-                    let m = i16::from_be_bytes(c.try_into().expect("2 bytes"));
-                    values.push(f32::from(m) * scale);
-                }
-            } else {
-                for &b in &p.body[at + 1..at + 1 + blen] {
-                    values.push(f32::from(b as i8) * scale);
-                }
-            }
-            at += block_bytes(blen, wide);
-            remaining -= blen;
-        }
-        Ok(DataSegment {
-            seg: p.seg,
-            count: p.count,
-            values,
-        })
-    }
-
-    fn new_acc(&self, len: usize) -> WireAcc {
-        WireAcc::Block {
-            acc: vec![0; len],
-            exps: vec![0; len.div_ceil(BLOCK_ELEMS)],
-        }
-    }
-
-    fn accumulate(&self, acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects, ProtocolError> {
-        let WireAcc::Block { acc, exps } = acc else {
-            return Err(ProtocolError::InvalidField("accumulator codec"));
-        };
-        let p = parse_codec_payload(BLOCK_ID, payload)?;
-        let wide = p.flags & FLAG_WIDE != 0;
-        if usize::from(p.param) != acc.len() || p.body.len() != block_body_bytes(acc.len(), wide) {
-            return Err(ProtocolError::InvalidField("payload length"));
-        }
-        // Reject before touching `acc`: a refused payload must leave the
-        // round exactly as it found it. Every block but the last is full,
-        // so the exponent bytes sit one full block apart.
-        for &e_byte in p.body.iter().step_by(block_bytes(BLOCK_ELEMS, wide)) {
-            block_exp(e_byte)?;
-        }
-        // One headroom check for the whole segment, and per block only if
-        // that fails: a rebase only shrinks partial sums, so it holds after.
-        let bound = if wide { 1 << 15 } else { 1 << 7 };
-        let segment_headroom = has_headroom(acc, bound);
-        let mut fx = AccEffects::default();
-        let mut at = 0;
-        for (b, block) in acc.chunks_mut(BLOCK_ELEMS).enumerate() {
-            let e_byte = p.body[at];
-            let blen = block.len();
-            if e_byte != 0 {
-                let e_in = i32::from(e_byte) - BLOCK_EXP_BIAS;
-                let e_slot = if exps[b] == 0 {
-                    exps[b] = e_byte;
-                    e_in
-                } else {
-                    let cur = i32::from(exps[b]) - BLOCK_EXP_BIAS;
-                    if e_in > cur {
-                        rescale_acc(block, e_in - cur);
-                        exps[b] = e_byte;
-                        fx.rebases += 1;
-                        e_in
-                    } else {
-                        cur
-                    }
-                };
-                let shift = (e_slot - e_in) as u32;
-                let body = &p.body[at + 1..at + block_bytes(blen, wide)];
-                let headroom = segment_headroom || has_headroom(block, bound);
-                fx.saturations += if wide {
-                    add_mantissas(block, body, shift, headroom, |c| {
-                        i32::from(i16::from_be_bytes(c))
-                    })
-                } else {
-                    add_mantissas(block, body, shift, headroom, |[b]| i32::from(b as i8))
-                };
-            }
-            at += block_bytes(blen, wide);
-        }
-        Ok(fx)
-    }
-
-    fn decode_acc(&self, acc: &WireAcc) -> Vec<f32> {
-        let WireAcc::Block { acc, exps } = acc else {
-            unreachable!("block-float accumulator")
+        let WireAcc::Int { acc, exps, .. } = acc else {
+            unreachable!("an integer accumulator")
         };
         let mut values = Vec::with_capacity(acc.len());
-        for (block, &e) in acc.chunks(BLOCK_ELEMS).zip(exps) {
-            let scale = block_scale(e);
-            values.extend(
-                block
-                    .iter()
-                    .map(|&m| if e == 0 { 0.0 } else { m as f32 * scale }),
-            );
+        for (block, &e) in acc.chunks(self.blocks.len(acc.len())).zip(exps) {
+            values.extend(block.iter().map(|&m| m as f32 * scale(e)));
         }
         values
     }
 
     fn error_bound(&self, max_abs: f32, workers: usize) -> f32 {
-        // 7-bit mantissas: rounding ≤ 0.5·2^t with 2^t < block_max / 2^6,
-        // plus alignment and the i16 result re-encode.
-        (workers as f32 + 2.0) * max_abs * exp2(-5)
+        // Per contribution: rounding ≤ 0.5·2^e plus one alignment-shift ulp,
+        // with 2^e < max_abs / 2^(8N − 2); the wide result re-encode adds
+        // under one contribution's worth. Rounded up generously — the bound
+        // backs invariant tolerances, not precision claims.
+        (workers as f32 + 2.0) * max_abs * exp2(3 - 8 * N as i32)
     }
 }
-
 // ---------------------------------------------------------------------------
 // Top-k — magnitude sparsification with a dense fallback.
 // ---------------------------------------------------------------------------
@@ -1397,7 +1246,7 @@ mod tests {
 
     #[test]
     fn exponent_stamp_bias_scales_decoded_values() {
-        let codec = FixedPointCodec;
+        let codec = &FIXED_POINT;
         let values = vec![1.0f32, -2.0, 0.5];
         let honest = codec.decode_values(&codec.encode_contribution_biased(0, &values, 0).unwrap());
         let biased = codec.decode_values(&codec.encode_contribution_biased(0, &values, 1).unwrap());
@@ -1443,13 +1292,13 @@ mod tests {
 
     #[test]
     fn truncated_and_wrong_id_payloads_rejected() {
-        let payload = FixedPointCodec.encode_contribution(0, &[1.0, 2.0]).unwrap();
+        let payload = FIXED_POINT.encode_contribution(0, &[1.0, 2.0]).unwrap();
         assert!(matches!(
-            FixedPointCodec.decode_meta(&payload[..6]),
+            FIXED_POINT.decode_meta(&payload[..6]),
             Err(ProtocolError::Truncated { .. })
         ));
         assert_eq!(
-            BlockFloatCodec.decode_meta(&payload),
+            BLOCK_FLOAT.decode_meta(&payload),
             Err(ProtocolError::InvalidField("codec id"))
         );
     }

@@ -59,6 +59,49 @@ impl Rng {
     }
 }
 
+/// The two integer codecs' wire facts, restated here so the oracles do not
+/// read them from the codec they check.
+const FIXED_ID: u8 = 1;
+const BLOCK_ID: u8 = 2;
+const FIXED_Q_MAX: f32 = i16::MAX as f32;
+const FIXED_WIDE_Q_MAX: f32 = (1 << 30) as f32;
+const BLOCK_Q_MAX: f32 = i8::MAX as f32;
+const BLOCK_WIDE_Q_MAX: f32 = i16::MAX as f32;
+/// Block-float exponent bias: byte `e` is exponent `e - 127`, 0 the
+/// all-zero sentinel. An accumulator stores fixed-point's exponent the
+/// same way.
+const BIAS: i32 = 127;
+
+/// Admits a wire exponent in `[EXP_MIN, EXP_MAX]`.
+fn wire_exp(e: i32) -> Result<i32, ProtocolError> {
+    if (EXP_MIN..=EXP_MAX).contains(&e) {
+        Ok(e)
+    } else {
+        Err(ProtocolError::InvalidField("scaling exponent"))
+    }
+}
+
+/// Bytes of one `blen`-element block-float block, narrow or wide.
+fn block_bytes(blen: usize, wide: bool) -> usize {
+    1 + blen * if wide { 2 } else { 1 }
+}
+
+/// Block-float body bytes for `len` elements.
+fn block_body_bytes(len: usize, wide: bool) -> usize {
+    (0..len)
+        .step_by(BLOCK_ELEMS)
+        .map(|i| block_bytes((len - i).min(BLOCK_ELEMS), wide))
+        .sum()
+}
+
+/// A block's true exponent from its byte; `None` for the sentinel.
+fn block_exp(e_byte: u8) -> Result<Option<i32>, ProtocolError> {
+    match e_byte {
+        0 => Ok(None),
+        e => wire_exp(i32::from(e) - BIAS).map(Some),
+    }
+}
+
 /// The magnitude scan as a float fold.
 fn fold_max_abs(values: &[f32]) -> f32 {
     values.iter().fold(0.0f32, |m, v| m.max(v.abs()))
@@ -71,6 +114,11 @@ fn linear_scaling_exp(m: f32, q_max: f32) -> i32 {
         e += 1;
     }
     e
+}
+
+/// Every partial sum shifted down `by` places.
+fn rescale(acc: &mut [i32], by: i32) {
+    acc.iter_mut().for_each(|a| *a >>= by.min(31));
 }
 
 /// `m · 2^shift` in `i64` headroom.
@@ -86,8 +134,11 @@ fn align(m: i64, shift: i32) -> i64 {
 /// check.
 fn saturating_accumulate(acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects, ProtocolError> {
     let mut fx = AccEffects::default();
-    match acc {
-        WireAcc::Fixed { acc, exp, seeded } => {
+    let WireAcc::Int { kind, acc, exps } = acc else {
+        unreachable!("an integer accumulator")
+    };
+    match kind {
+        CodecKind::FixedPoint => {
             let p = parse_codec_payload(FIXED_ID, payload)?;
             let wide = p.flags & FLAG_WIDE != 0;
             let unit = if wide { 4 } else { 2 };
@@ -95,14 +146,15 @@ fn saturating_accumulate(acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects
                 return Err(ProtocolError::InvalidField("payload length"));
             }
             let e_in = wire_exp(i32::from((p.param >> 8) as u8 as i8))?;
-            if !*seeded {
-                (*exp, *seeded) = (e_in as i8, true);
-            } else if e_in > i32::from(*exp) {
-                rescale_acc(acc, e_in - i32::from(*exp));
-                *exp = e_in as i8;
+            let exp = i32::from(exps[0]) - BIAS;
+            if exps[0] == 0 {
+                exps[0] = (e_in + BIAS) as u8;
+            } else if e_in > exp {
+                rescale(acc, e_in - exp);
+                exps[0] = (e_in + BIAS) as u8;
                 fx.rebases += 1;
             }
-            let shift = e_in - i32::from(*exp);
+            let shift = e_in - (i32::from(exps[0]) - BIAS);
             for (a, c) in acc.iter_mut().zip(p.body.chunks_exact(unit)) {
                 let m = if wide {
                     i64::from(i32::from_be_bytes(c.try_into().unwrap()))
@@ -112,7 +164,7 @@ fn saturating_accumulate(acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects
                 *a = sat_add(*a, align(m, shift), &mut fx.saturations);
             }
         }
-        WireAcc::Block { acc, exps } => {
+        CodecKind::BlockFloat => {
             let p = parse_codec_payload(BLOCK_ID, payload)?;
             let wide = p.flags & FLAG_WIDE != 0;
             if usize::from(p.param) != acc.len()
@@ -128,14 +180,14 @@ fn saturating_accumulate(acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects
                 let e_byte = p.body[at];
                 let blen = block.len();
                 if e_byte != 0 {
-                    let e_in = i32::from(e_byte) - BLOCK_EXP_BIAS;
+                    let e_in = i32::from(e_byte) - BIAS;
                     let e_slot = if exps[b] == 0 {
                         exps[b] = e_byte;
                         e_in
                     } else {
-                        let cur = i32::from(exps[b]) - BLOCK_EXP_BIAS;
+                        let cur = i32::from(exps[b]) - BIAS;
                         if e_in > cur {
-                            rescale_acc(block, e_in - cur);
+                            rescale(block, e_in - cur);
                             exps[b] = e_byte;
                             fx.rebases += 1;
                             e_in
@@ -157,20 +209,21 @@ fn saturating_accumulate(acc: &mut WireAcc, payload: &[u8]) -> Result<AccEffects
                 at += block_bytes(blen, wide);
             }
         }
-        _ => unreachable!("an integer accumulator"),
+        _ => unreachable!("an integer codec"),
     }
     Ok(fx)
 }
 
-/// `decode_acc` for block-float with `exp2` per element.
-fn decode_block_per_element(acc: &WireAcc) -> Vec<f32> {
-    let WireAcc::Block { acc, exps } = acc else {
-        unreachable!("block-float accumulator")
+/// `decode_acc` with `exp2` per element; `block` elements share an
+/// exponent.
+fn decode_per_element(acc: &WireAcc, block: usize) -> Vec<f32> {
+    let WireAcc::Int { acc, exps, .. } = acc else {
+        unreachable!("an integer accumulator")
     };
     (acc.iter().enumerate())
-        .map(|(i, &m)| match exps[i / BLOCK_ELEMS] {
+        .map(|(i, &m)| match exps[i / block] {
             0 => 0.0,
-            e => m as f32 * exp2(i32::from(e) - BLOCK_EXP_BIAS),
+            e => m as f32 * exp2(i32::from(e) - BIAS),
         })
         .collect()
 }
@@ -203,9 +256,9 @@ fn encode_by_division(kind: CodecKind, seg: &DataSegment, wide: bool) -> Vec<u8>
     match kind {
         CodecKind::FixedPoint => {
             let (q_max, unit) = if wide {
-                (FIXED_WIDE_Q_MAX as f32, 4)
+                (FIXED_WIDE_Q_MAX, 4)
             } else {
-                (FIXED_Q_MAX as f32, 2)
+                (FIXED_Q_MAX, 2)
             };
             let (e, q) = divide_and_round(&seg.values, q_max);
             out[10] = e as i8 as u8;
@@ -215,9 +268,9 @@ fn encode_by_division(kind: CodecKind, seg: &DataSegment, wide: bool) -> Vec<u8>
         }
         CodecKind::BlockFloat => {
             let (q_max, unit) = if wide {
-                (BLOCK_WIDE_Q_MAX as f32, 2)
+                (BLOCK_WIDE_Q_MAX, 2)
             } else {
-                (BLOCK_Q_MAX as f32, 1)
+                (BLOCK_Q_MAX, 1)
             };
             let body = &mut out[BODY..];
             body.fill(0);
@@ -225,7 +278,7 @@ fn encode_by_division(kind: CodecKind, seg: &DataSegment, wide: bool) -> Vec<u8>
             for block in seg.values.chunks(BLOCK_ELEMS) {
                 if fold_max_abs(block) != 0.0 {
                     let (t, q) = divide_and_round(block, q_max);
-                    body[at] = (t + BLOCK_EXP_BIAS) as u8;
+                    body[at] = (t + BIAS) as u8;
                     for (dst, q) in body[at + 1..].chunks_exact_mut(unit).zip(q) {
                         dst.copy_from_slice(&(q as i16).to_be_bytes()[2 - unit..]);
                     }
@@ -266,7 +319,7 @@ fn raw_wide_payload(rng: &mut Rng, kind: CodecKind, len: usize, e: i32) -> Vec<u
                 .map(|i| (len - i).min(BLOCK_ELEMS))
             {
                 if rng.below(8) != 0 {
-                    buf[at] = (near(rng) + BLOCK_EXP_BIAS) as u8;
+                    buf[at] = (near(rng) + BIAS) as u8;
                     for dst in buf[at + 1..at + 1 + 2 * blen].chunks_exact_mut(2) {
                         dst.copy_from_slice(&(rng.next() as i16).to_be_bytes());
                     }
@@ -286,31 +339,30 @@ fn seeded_acc(rng: &mut Rng, kind: CodecKind, len: usize) -> WireAcc {
     if rng.below(4) == 0 {
         return acc;
     }
-    match &mut acc {
-        WireAcc::Fixed { acc, exp, seeded } => {
-            acc.iter_mut().for_each(|a| *a = rng.partial_sum());
-            (*exp, *seeded) = (rng.below(41) as i8 - 20, true);
+    let WireAcc::Int {
+        acc: sums, exps, ..
+    } = &mut acc
+    else {
+        unreachable!("an integer accumulator")
+    };
+    // Fixed-point's one exponent covers the whole segment.
+    let block = if kind == CodecKind::FixedPoint {
+        len
+    } else {
+        BLOCK_ELEMS
+    };
+    for (block, e) in sums.chunks_mut(block).zip(exps) {
+        if kind == CodecKind::FixedPoint || rng.below(6) != 0 {
+            *e = (rng.below(41) as i32 - 20 + BIAS) as u8;
+            block.iter_mut().for_each(|a| *a = rng.partial_sum());
         }
-        WireAcc::Block { acc, exps } => {
-            for (block, e) in acc.chunks_mut(BLOCK_ELEMS).zip(exps) {
-                if rng.below(6) != 0 {
-                    *e = (rng.below(41) as i32 - 20 + BLOCK_EXP_BIAS) as u8;
-                    block.iter_mut().for_each(|a| *a = rng.partial_sum());
-                }
-            }
-        }
-        _ => unreachable!("an integer codec"),
     }
     acc
 }
 
 #[test]
 fn scaling_exp_equals_the_linear_search() {
-    let q_maxes = [
-        FIXED_Q_MAX as f32,
-        FIXED_WIDE_Q_MAX as f32,
-        BLOCK_Q_MAX as f32,
-    ];
+    let q_maxes = [FIXED_Q_MAX, FIXED_WIDE_Q_MAX, BLOCK_Q_MAX];
     let mut edges = vec![
         0.0,
         f32::from_bits(1),
@@ -332,7 +384,7 @@ fn scaling_exp_equals_the_linear_search() {
     let mut rng = Rng(0x5CA1E);
     edges.extend((0..100_000).map(|_| rng.finite()));
     // BLOCK_WIDE_Q_MAX is FIXED_Q_MAX: both codecs' two maxima are covered.
-    assert_eq!(BLOCK_WIDE_Q_MAX, i64::from(FIXED_Q_MAX));
+    assert_eq!(BLOCK_WIDE_Q_MAX, FIXED_Q_MAX);
     for q_max in q_maxes {
         for &m in edges.iter().filter(|m| m.is_finite() && **m >= 0.0) {
             assert_eq!(
@@ -377,11 +429,7 @@ fn quantize_rounds_and_clamps_like_round() {
             xs.extend([x, -x]);
         }
     }
-    for q_max in [
-        FIXED_Q_MAX as f32,
-        FIXED_WIDE_Q_MAX as f32,
-        BLOCK_Q_MAX as f32,
-    ] {
+    for q_max in [FIXED_Q_MAX, FIXED_WIDE_Q_MAX, BLOCK_Q_MAX] {
         for &x in &xs {
             let want = f64::from(x)
                 .round()
@@ -490,10 +538,12 @@ fn fast_accumulate_and_fused_emit_equal_the_saturating_loop() {
                 clean += u64::from(fx.saturations == 0);
                 rebased += fx.rebases;
             }
-            let decoded = match kind {
-                CodecKind::BlockFloat => decode_block_per_element(&slow),
-                _ => codec.decode_acc(&slow),
+            let block = if kind == CodecKind::FixedPoint {
+                len
+            } else {
+                BLOCK_ELEMS
             };
+            let decoded = decode_per_element(&slow, block);
             assert_eq!(codec.decode_acc(&fast), decoded, "{kind}: decode_acc");
             let seg = DataSegment {
                 seg: 77,

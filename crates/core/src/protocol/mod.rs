@@ -8,9 +8,9 @@ mod tos;
 mod wire_f32;
 
 pub use codec::{
-    topk_indices, AccEffects, AggregationCodec, BlockFloatCodec, CodecKind, F32Codec,
-    FixedPointCodec, TopKCodec, WireAcc, BLOCKFLOAT_ELEMS_PER_SEGMENT, BLOCK_ELEMS,
-    CODEC_HEADER_BYTES, FIXED_ELEMS_PER_SEGMENT, TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT,
+    topk_indices, AccEffects, AggregationCodec, BlockScaledCodec, CodecKind, F32Codec, TopKCodec,
+    WireAcc, BLOCKFLOAT_ELEMS_PER_SEGMENT, BLOCK_ELEMS, BLOCK_FLOAT, CODEC_HEADER_BYTES,
+    FIXED_ELEMS_PER_SEGMENT, FIXED_POINT, TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT,
 };
 pub use control::ControlMessage;
 pub use data::{

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use iswitch_netsim::{CausalKey, IpAddr, Ipv4Header, Packet, UdpHeader, MAX_UDP_PAYLOAD};
 
-use crate::protocol::codec::{CodecKind, FixedPointCodec};
+use crate::protocol::codec::{CodecKind, FIXED_POINT};
 use crate::protocol::data::seg_header;
 use crate::protocol::{
     dscp, seg_index, seg_round, tag_round, ControlMessage, DataSegment, SegmentMeta,
@@ -31,7 +31,7 @@ fn contribution_payload(
     let chunk = &grad[index * elems..grad.len().min((index + 1) * elems)];
     let seg = tag_round(index as u64, round);
     let payload = if exp_bias != 0 && codec == CodecKind::FixedPoint {
-        FixedPointCodec.encode_contribution_biased(seg, chunk, exp_bias)
+        FIXED_POINT.encode_contribution_biased(seg, chunk, exp_bias)
     } else {
         codec.codec().encode_contribution(seg, chunk)
     };

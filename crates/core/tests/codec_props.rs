@@ -6,7 +6,7 @@
 
 use iswitch_core::{
     num_segments, segment_gradient, topk_indices, Accelerator, AcceleratorConfig, AggregationCodec,
-    CodecKind, DataSegment, FixedPointCodec, SegmentMeta, TOPK_DIVISOR,
+    CodecKind, DataSegment, SegmentMeta, FIXED_POINT, TOPK_DIVISOR,
 };
 
 /// Deterministic xorshift values in `[-scale, scale]` — random tensors
@@ -329,7 +329,7 @@ fn exponent_stamp_bias_inflates_the_decoded_aggregate() {
     // arrives scaled by 2^bias. The wire stays well-formed, which is
     // exactly why only a value-level invariant can catch it.
     let vals = random_values(0xB1A5, 64, 8.0);
-    let c = FixedPointCodec;
+    let c = &FIXED_POINT;
     let honest = c.encode_contribution(0, &vals).expect("finite");
     let biased = c.encode_contribution_biased(0, &vals, 2).expect("finite");
     let codec = CodecKind::FixedPoint.codec();
@@ -347,4 +347,83 @@ fn exponent_stamp_bias_inflates_the_decoded_aggregate() {
             "{y} != 4*{x}"
         );
     }
+}
+
+/// Lower-case hex of `bytes`, two digits a byte.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The three payloads an integer codec puts on the wire for `values`: a
+/// narrow contribution, the wide result of `values` as a 3-worker
+/// aggregate, and the switch's `encode_acc` emit after accumulating
+/// `values` and then `3 · values` (a coarser scale, so the accumulator
+/// rebases).
+fn integer_wire(kind: CodecKind, values: &[f32]) -> [String; 3] {
+    let c = kind.codec();
+    let narrow = c.encode_contribution(5, values).expect("finite");
+    let wide = c.encode_result(&DataSegment {
+        seg: 5,
+        count: 3,
+        values: values.to_vec(),
+    });
+    let tripled: Vec<f32> = values.iter().map(|v| 3.0 * v).collect();
+    let mut acc = c.new_acc(values.len());
+    for payload in [narrow.clone(), c.encode_contribution(5, &tripled).unwrap()] {
+        c.accumulate(&mut acc, &payload).expect("own output");
+    }
+    [hex(&narrow), hex(&wide), hex(&c.encode_acc(5, 2, &acc))]
+}
+
+#[test]
+fn integer_wire_layouts_are_pinned() {
+    // Fixed-point: the exponent is a signed byte in the sub-header; the
+    // body is bare big-endian i16 (narrow) or i32 (wide) mantissas.
+    let fixed = [1.5f32, -0.25, 3.0, 0.0, -7.75, 1e-3, 2.5];
+    assert_eq!(
+        integer_wire(CodecKind::FixedPoint, &fixed),
+        [
+            "00000000000500010100f4001800fc0030000000840000042800",
+            concat!(
+                "00000000000500030101e5000c000000fe0000001800000000",
+                "000000c200000000020c4a14000000"
+            ),
+            concat!(
+                "00000000000500020101e7000c000000fe0000001800000000",
+                "000000c20000000002000014000000"
+            ),
+        ],
+        "fixed-point"
+    );
+    // Block-float: a full block, an all-zero block (its exponent byte is
+    // the 0 sentinel) and a 3-element tail, each block led by its biased
+    // exponent byte; i8 (narrow) or i16 (wide) mantissas.
+    let mut block: Vec<f32> = (0..32).map(|i| (i as f32 - 10.0) * 0.37).collect();
+    block.extend([0.0; 32]);
+    block.extend([0.01, -0.02, 0.005]);
+    assert_eq!(
+        integer_wire(CodecKind::BlockFloat, &block),
+        [
+            concat!(
+                "0000000000050001020000437bc5cbd1d7dce2e8eef4fa00060c12181e24292f",
+                "353b41474d53595f656b70767c00000000000000000000000000000000000000",
+                "00000000000000000000000000007329ae14",
+            ),
+            concat!(
+                "00000000000500030201004373c4cdcab8d0a4d68fdc7be266e852ee3df429fa",
+                "14000005ec0bd711c317ae1d9a238529712f5c35483b33411f470a4cf652e158",
+                "cd5eb864a46a8f707b76667c5200000000000000000000000000000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "00000000000000000000000000006b28f6ae14147b",
+            ),
+            concat!(
+                "00000000000500020201004375c500ca00d000d600dc00e200e800ee00f400fa",
+                "00000005000c00110018001d00240029002f0035003a00410046004d00520059",
+                "005e0064006a00700076007c0000000000000000000000000000000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "00000000000000000000000000006d2880ae001480",
+            ),
+        ],
+        "block-float"
+    );
 }

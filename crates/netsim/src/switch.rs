@@ -115,11 +115,6 @@ impl<'a, 'b> SwitchServices<'a, 'b> {
         }
     }
 
-    /// Resolves a destination without sending.
-    pub fn route_of(&self, dst: IpAddr) -> Option<PortId> {
-        self.routes.lookup(dst)
-    }
-
     /// Schedules an `on_timer` callback on the extension.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         self.ctx.set_timer(delay, token)

@@ -71,15 +71,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a signed integer, if it is one.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            JsonValue::Int(v) => Some(v),
-            JsonValue::UInt(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a float (integers widen), if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match *self {

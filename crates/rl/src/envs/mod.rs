@@ -7,22 +7,17 @@
 //! | MuJoCo Hopper | [`Pendulum`] | PPO |
 //! | MuJoCo HalfCheetah | [`CheetahLite`] | DDPG |
 //!
-//! [`Acrobot`] and [`MountainCar`] extend the suite beyond the paper's
-//! pairings for additional discrete-control experiments, and [`MiniPong`]
-//! provides true pixel observations for convolutional Q-networks.
+//! [`MiniPong`] provides true pixel observations for convolutional
+//! Q-networks.
 
-mod acrobot;
 mod cart_pole;
 mod cheetah_lite;
 mod grid_world;
 mod mini_pong;
-mod mountain_car;
 mod pendulum;
 
-pub use acrobot::Acrobot;
 pub use cart_pole::CartPole;
 pub use cheetah_lite::CheetahLite;
 pub use grid_world::GridWorld;
 pub use mini_pong::{MiniPong, SIZE as MINI_PONG_SIZE};
-pub use mountain_car::MountainCar;
 pub use pendulum::Pendulum;

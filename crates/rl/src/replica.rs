@@ -63,10 +63,18 @@ impl LocalReplica {
     /// Overwrites the replica's weights with externally supplied ones,
     /// running post-update housekeeping (target syncs, schedule ticks).
     pub fn install_params(&mut self, params: &[f32]) {
+        self.seed_params(params);
+        self.agent.on_weights_updated();
+    }
+
+    /// Starts the replica from `params`: its weight copy and its agent both
+    /// take them, with no post-update housekeeping (no target sync, no
+    /// schedule tick) — how every worker of a cluster adopts worker 0's
+    /// initial weights.
+    pub fn seed_params(&mut self, params: &[f32]) {
         self.params.clear();
         self.params.extend_from_slice(params);
         self.agent.set_params(params);
-        self.agent.on_weights_updated();
     }
 
     /// Points the agent at `params` *without* post-update housekeeping —

@@ -98,14 +98,6 @@ impl Adam {
             v: Vec::new(),
         }
     }
-
-    /// Overrides the beta coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {
