@@ -15,7 +15,9 @@
 # {metrics.json,trace.jsonl,timeseries.jsonl} plus the `analyze` report of
 # its own trace and timeseries, and all four must `cmp` equal. With
 # <out-flag>s (as for ci/replay.sh: `--out-dir` for multi, `--report-out`
-# for chaos, `--metrics-out` for cosim) those outputs are compared instead.
+# for chaos, `--metrics-out` for cosim) those outputs are compared instead;
+# the out-flag `--stdout` passes no flag and compares the command's standard
+# output (convergence mode writes nothing else).
 set -euo pipefail
 
 usage() { sed -n '6p' "$0" >&2; exit 2; }
@@ -56,8 +58,11 @@ for build in rev head; do
       --out "$out.report.json" > /dev/null
   else
     flags=()
-    for flag in "${outs[@]}"; do flags+=("$flag" "$out.${flag#--}"); done
-    "$bin" "$@" "${flags[@]}" > /dev/null
+    stdout=/dev/null
+    for flag in "${outs[@]}"; do
+      if [ "$flag" = --stdout ]; then stdout="$out.stdout"; else flags+=("$flag" "$out.${flag#--}"); fi
+    done
+    "$bin" "$@" "${flags[@]}" > "$stdout"
   fi
 done
 

@@ -52,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::apps::IswSyncWorker;
-use crate::gradient_source::{live_replicas, GradientSource};
+use crate::gradient_source::{cluster_replicas, AgentGradients, GradientSource};
 use crate::lifecycle::{build, Capture, Job};
 use crate::tenancy::{run_multi_tenant, MultiJobConfig, TenantSpec};
 use crate::timing_runner::{Strategy, TimingConfig};
@@ -737,8 +737,9 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
          invariant's subset-mean statement does not apply; chaos-check \
          the dense codecs"
     );
-    let sources = live_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0)
+    let sources = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0)
         .into_iter()
+        .map(AgentGradients::new)
         .map(|agent| Box::new(RecordingSource::new(Box::new(agent))) as Box<dyn GradientSource>)
         .collect();
 

@@ -8,15 +8,17 @@
 //! gradient *staleness*; following the paper's own emulation methodology,
 //! staleness distributions measured in timing mode are replayed here while
 //! training for real.
+//!
+//! Every worker keeps its own [`LocalReplica`] and applies each update's
+//! aggregate to it through [`LocalReplica::apply_mean`] — the paper's
+//! decentralized weight storage (§4.1), and the same step co-sim takes.
 
-use std::sync::{Arc, Mutex};
-
-use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
+use iswitch_rl::{Algorithm, LocalReplica};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::gradient_source::{GradientSource, ReplayGradients, ReplaySchedule};
+use crate::gradient_source::cluster_replicas;
 use crate::staleness::StalenessDistribution;
 
 /// How gradients reach the weights, per strategy.
@@ -62,7 +64,7 @@ pub struct ConvergenceConfig {
     /// Record a `(iteration, reward)` curve point every this many
     /// iterations (0 disables the curve).
     pub curve_every: usize,
-    /// Base seed; worker `w` uses `seed + w`.
+    /// Base seed; worker `w` uses `seed + w` (wrapping).
     pub seed: u64,
     /// Learning-rate multiplier (async experiments reduce the rate — the
     /// standard stale-gradient practice — identically for all strategies).
@@ -98,6 +100,8 @@ pub struct ConvergenceResult {
     pub final_average_reward: f32,
     /// Optional reward curve: `(iteration, pooled average reward)`.
     pub curve: Vec<(usize, f32)>,
+    /// Worker 0's final weight replica.
+    pub params: Vec<f32>,
 }
 
 /// Default target rewards per benchmark, set at a level all strategies
@@ -122,7 +126,7 @@ pub fn default_max_iterations(alg: Algorithm) -> usize {
     }
 }
 
-fn pooled_reward(workers: &[ReplayGradients]) -> Option<f32> {
+fn pooled_reward(workers: &[LocalReplica]) -> Option<f32> {
     let rewards: Vec<f32> = workers
         .iter()
         .filter_map(|w| w.final_average_reward())
@@ -155,49 +159,29 @@ fn mean_gradient(grads: &[Vec<f32>]) -> Vec<f32> {
 pub fn run_convergence(cfg: &ConvergenceConfig) -> ConvergenceResult {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert!(cfg.check_every >= 1, "check_every must be positive");
-    let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(cfg.seed ^ 0xA5A5)));
+    let mut workers = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, cfg.lr_scale);
 
-    // Parameter history for staleness replay: history[0] is current. The
-    // driver owns the ring; `ReplayGradients` workers read through it.
-    let history_depth = match &cfg.semantics {
-        AggregationSemantics::Synchronous => 1,
-        AggregationSemantics::AsyncAggregated { bound, .. }
-        | AggregationSemantics::AsyncSingle { bound, .. } => *bound as usize + 2,
-    };
-
-    let schedule_for = |_w: usize| match &cfg.semantics {
-        // Synchronous gradients always see the current weights, so no
-        // staleness draw happens — the RNG stream stays untouched.
+    // Staleness replay: `history[k]` holds the weights of `k` updates ago,
+    // and each gradient draws its `k` — in worker order, one draw per
+    // gradient. Synchronous gradients always see the current weights, so
+    // they keep no history and draw nothing.
+    let replay = match &cfg.semantics {
         AggregationSemantics::Synchronous => None,
         AggregationSemantics::AsyncAggregated { staleness, bound }
-        | AggregationSemantics::AsyncSingle { staleness, bound } => Some(ReplaySchedule::new(
-            staleness.clone(),
-            *bound,
-            Arc::clone(&rng),
-        )),
+        | AggregationSemantics::AsyncSingle { staleness, bound } => Some((staleness, *bound)),
     };
-
-    let replicas: Vec<LocalReplica> = (0..cfg.workers)
-        .map(|w| {
-            LocalReplica::new(make_lite_agent_scaled(
-                cfg.algorithm,
-                cfg.seed + w as u64,
-                cfg.lr_scale,
-            ))
-        })
-        .collect();
-    // Identical initial weights everywhere (decentralized weight storage).
-    let mut params = replicas[0].params().to_vec();
-    let mut opt = replicas[0].agent().make_optimizer();
-    let history = Arc::new(Mutex::new(vec![params.clone(); history_depth]));
-    let mut workers: Vec<ReplayGradients> = replicas
-        .into_iter()
-        .enumerate()
-        .map(|(w, r)| ReplayGradients::new(r, Arc::clone(&history), schedule_for(w)))
-        .collect();
-    for w in workers.iter_mut() {
-        w.load_params(&params);
-    }
+    let mut history = match replay {
+        None => Vec::new(),
+        Some((_, bound)) => vec![workers[0].params().to_vec(); bound as usize + 1],
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA5A5);
+    let mut gradient = |w: &mut LocalReplica, history: &[Vec<f32>]| match replay {
+        None => w.compute_gradient(),
+        Some((staleness, bound)) => {
+            let k = staleness.sample(&mut rng).min(bound) as usize;
+            w.compute_gradient_at(&history[k])
+        }
+    };
 
     let mut curve = Vec::new();
     let mut reached = false;
@@ -205,25 +189,14 @@ pub fn run_convergence(cfg: &ConvergenceConfig) -> ConvergenceResult {
 
     for t in 0..cfg.max_iterations {
         iterations = t + 1;
-        match &cfg.semantics {
-            // Staleness draws happen inside `ReplayGradients::compute`, in
-            // worker order — the same stream the loop used when it sampled
-            // inline.
+        let mean = match &cfg.semantics {
             AggregationSemantics::Synchronous | AggregationSemantics::AsyncAggregated { .. } => {
-                let grads: Vec<Vec<f32>> = workers
-                    .iter_mut()
-                    .map(|w| {
-                        w.compute();
-                        w.gradient().to_vec()
-                    })
-                    .collect();
-                let mean = mean_gradient(&grads);
-                opt.step(&mut params, &mean);
+                let grads: Vec<Vec<f32>> =
+                    workers.iter_mut().map(|w| gradient(w, &history)).collect();
+                mean_gradient(&grads)
             }
             AggregationSemantics::AsyncSingle { .. } => {
-                let w = t % cfg.workers;
-                workers[w].compute();
-                let mut grad = workers[w].gradient().to_vec();
+                let mut grad = gradient(&mut workers[t % cfg.workers], &history);
                 // A single worker's gradient is applied per update; scale by
                 // 1/N so N sequential updates match one synchronous mean
                 // step (the standard async-SGD learning-rate correction).
@@ -231,19 +204,16 @@ pub fn run_convergence(cfg: &ConvergenceConfig) -> ConvergenceResult {
                 for g in &mut grad {
                     *g *= inv;
                 }
-                opt.step(&mut params, &grad);
+                grad
             }
-        }
-        // Shift history and install the new weights everywhere.
-        {
-            let mut h = history.lock().expect("shared state lock");
-            if history_depth > 1 {
-                h.rotate_right(1);
-            }
-            h[0] = params.clone();
-        }
+        };
         for w in workers.iter_mut() {
-            w.install_params(&params);
+            w.apply_mean(&mean);
+        }
+        // The new weights become `history[0]`, in the oldest one's slot.
+        if !history.is_empty() {
+            history.rotate_right(1);
+            history[0].copy_from_slice(workers[0].params());
         }
 
         if cfg.curve_every > 0 && t % cfg.curve_every == 0 {
@@ -267,6 +237,7 @@ pub fn run_convergence(cfg: &ConvergenceConfig) -> ConvergenceResult {
         reached_target: reached,
         final_average_reward,
         curve,
+        params: workers[0].params().to_vec(),
     }
 }
 
@@ -326,6 +297,39 @@ mod tests {
             fresh.iterations,
             stale.iterations
         );
+    }
+
+    #[test]
+    fn staleness_past_the_bound_replays_the_bound() {
+        let run = |staleness| {
+            run_convergence(&ConvergenceConfig {
+                workers: 2,
+                max_iterations: 20,
+                target_reward: None,
+                semantics: AggregationSemantics::AsyncAggregated {
+                    staleness,
+                    bound: 2,
+                },
+                ..ConvergenceConfig::sync_main(Algorithm::A2c)
+            })
+            .params
+        };
+        let clamped = run(StalenessDistribution::constant(7));
+        assert_eq!(clamped, run(StalenessDistribution::constant(2)));
+        assert_ne!(clamped, run(StalenessDistribution::constant(0)));
+    }
+
+    #[test]
+    fn the_largest_seed_wraps_per_worker() {
+        // Worker `w` is seeded `seed + w`, wrapping past `u64::MAX`.
+        let cfg = ConvergenceConfig {
+            workers: 2,
+            max_iterations: 1,
+            target_reward: None,
+            seed: u64::MAX,
+            ..ConvergenceConfig::sync_main(Algorithm::A2c)
+        };
+        assert_eq!(run_convergence(&cfg).iterations, 1);
     }
 
     #[test]

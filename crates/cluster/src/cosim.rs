@@ -19,7 +19,7 @@ use iswitch_netsim::SimDuration;
 use iswitch_rl::Algorithm;
 
 use crate::convergence::default_target;
-use crate::gradient_source::{live_replicas, AgentGradients, GradientSource};
+use crate::gradient_source::{cluster_replicas, AgentGradients, GradientSource};
 use crate::lifecycle::{build, Capture, Job};
 use crate::timing_runner::{Strategy, TimingConfig};
 
@@ -274,8 +274,9 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
     // round a broadcast answers from the gradient last computed).
     let ref_shared = matches!(cfg.strategy, Strategy::SyncIsw)
         .then(|| Arc::new(Mutex::new(RefErrorShared::new(cfg.workers))));
-    let sources = live_replicas(cfg.algorithm, cfg.workers, cfg.seed, cfg.lr_scale)
+    let sources = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, cfg.lr_scale)
         .into_iter()
+        .map(AgentGradients::new)
         .map(|agent| -> Box<dyn GradientSource> {
             match &ref_shared {
                 Some(shared) => Box::new(RefErrorRecorder::new(agent, Arc::clone(shared))),

@@ -12,19 +12,16 @@
 //!   [`iswitch_rl::LocalReplica`] computes gradients that are packetized,
 //!   summed by the in-switch datapath on actual f32 segments, reassembled,
 //!   and applied — reward curve and per-iteration timing from one run.
-//! * [`ReplayGradients`] — convergence mode. A replica computing gradients
-//!   at historically versioned weights (staleness replay), with the
-//!   central driver owning the optimizer step.
+//!
+//! Convergence mode needs no source: it steps the same replicas
+//! (`cluster_replicas`) directly, with no network in between.
 
 use std::any::Any;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use iswitch_core::{CodecKind, EncodedGradient};
 use iswitch_netsim::IpAddr;
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
-use rand::rngs::StdRng;
-
-use crate::staleness::StalenessDistribution;
 
 /// Where a worker's gradient comes from and where aggregates go.
 ///
@@ -168,16 +165,6 @@ impl AgentGradients {
             curve: Vec::new(),
         }
     }
-
-    /// Read access to the wrapped replica.
-    pub fn replica(&self) -> &LocalReplica {
-        &self.replica
-    }
-
-    /// Mutable access to the wrapped replica (weight seeding).
-    pub fn replica_mut(&mut self) -> &mut LocalReplica {
-        &mut self.replica
-    }
 }
 
 impl GradientSource for AgentGradients {
@@ -225,15 +212,15 @@ impl GradientSource for AgentGradients {
     }
 }
 
-/// The live sources of one co-simulated cluster (co-sim, chaos): worker
-/// `w`'s lite agent is seeded `seed + w`, and every replica starts from
-/// worker 0's weights (decentralized storage of one model).
-pub(crate) fn live_replicas(
+/// The replicas of one cluster (convergence, co-sim, chaos): worker `w`'s
+/// lite agent is seeded `seed + w` (wrapping), and every replica starts
+/// from worker 0's weights (decentralized storage of one model).
+pub(crate) fn cluster_replicas(
     algorithm: Algorithm,
     workers: usize,
     seed: u64,
     lr_scale: f32,
-) -> Vec<AgentGradients> {
+) -> Vec<LocalReplica> {
     let mut replicas: Vec<LocalReplica> = (0..workers)
         .map(|w| {
             let seed = seed.wrapping_add(w as u64);
@@ -244,123 +231,13 @@ pub(crate) fn live_replicas(
     for r in replicas.iter_mut().skip(1) {
         r.seed_params(&init);
     }
-    replicas.into_iter().map(AgentGradients::new).collect()
-}
-
-/// Staleness sampler shared by every [`ReplayGradients`] worker of one
-/// convergence run: one RNG (draws happen in worker order, preserving the
-/// historical draw sequence) over one parameter history ring.
-pub struct ReplaySchedule {
-    staleness: StalenessDistribution,
-    bound: u32,
-    rng: Arc<Mutex<StdRng>>,
-}
-
-impl ReplaySchedule {
-    /// A schedule drawing from `staleness` clamped to `bound`, using the
-    /// shared `rng`.
-    pub fn new(staleness: StalenessDistribution, bound: u32, rng: Arc<Mutex<StdRng>>) -> Self {
-        ReplaySchedule {
-            staleness,
-            bound,
-            rng,
-        }
-    }
-}
-
-/// Convergence-mode source: gradients computed at historically versioned
-/// weights. The central driver owns the optimizer step and the history
-/// ring; this source only decides *which* weights the gradient sees.
-pub struct ReplayGradients {
-    replica: LocalReplica,
-    grad: Vec<f32>,
-    history: Arc<Mutex<Vec<Vec<f32>>>>,
-    schedule: Option<ReplaySchedule>,
-}
-
-impl ReplayGradients {
-    /// A worker over the shared `history` ring (`history[0]` is current).
-    /// With `schedule = None` gradients always see the current weights
-    /// (synchronous semantics); with a schedule, staleness is sampled per
-    /// gradient.
-    pub fn new(
-        replica: LocalReplica,
-        history: Arc<Mutex<Vec<Vec<f32>>>>,
-        schedule: Option<ReplaySchedule>,
-    ) -> Self {
-        let len = replica.param_count();
-        ReplayGradients {
-            replica,
-            grad: vec![0.0; len],
-            history,
-            schedule,
-        }
-    }
-
-    /// Installs freshly stepped weights (post-update housekeeping runs).
-    pub fn install_params(&mut self, params: &[f32]) {
-        self.replica.install_params(params);
-    }
-
-    /// Points the replica at weights without housekeeping (initial sync).
-    pub fn load_params(&mut self, params: &[f32]) {
-        self.replica.load_params(params);
-    }
-
-    /// Read access to the wrapped replica.
-    pub fn replica(&self) -> &LocalReplica {
-        &self.replica
-    }
-
-    /// Mutable access to the wrapped replica.
-    pub fn replica_mut(&mut self) -> &mut LocalReplica {
-        &mut self.replica
-    }
-}
-
-impl GradientSource for ReplayGradients {
-    fn grad_len(&self) -> usize {
-        self.replica.param_count()
-    }
-
-    fn compute(&mut self) {
-        let k = match &self.schedule {
-            None => 0,
-            Some(s) => s
-                .staleness
-                .sample(&mut s.rng.lock().expect("shared state lock"))
-                .min(s.bound) as usize,
-        };
-        {
-            let h = self.history.lock().expect("shared state lock");
-            let stale = &h[k.min(h.len() - 1)];
-            self.replica.load_params(stale);
-        }
-        self.grad = self.replica.compute_gradient();
-    }
-
-    fn gradient(&self) -> &[f32] {
-        &self.grad
-    }
-
-    fn params(&self) -> &[f32] {
-        self.replica.params()
-    }
-
-    fn final_average_reward(&self) -> Option<f32> {
-        self.replica.final_average_reward()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
+    replicas
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use iswitch_rl::make_lite_agent;
-    use rand::SeedableRng;
 
     #[test]
     fn synthetic_source_is_constant_ones() {
@@ -382,18 +259,5 @@ mod tests {
         s.apply_aggregate(&g);
         assert_eq!(s.updates_applied(), 1);
         assert_ne!(s.params(), &before[..]);
-    }
-
-    #[test]
-    fn replay_source_samples_history_depth() {
-        let replica = LocalReplica::new(make_lite_agent(Algorithm::A2c, 0));
-        let params = replica.params().to_vec();
-        let history = Arc::new(Mutex::new(vec![params.clone(); 3]));
-        let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(1)));
-        let schedule = ReplaySchedule::new(StalenessDistribution::constant(7), 2, rng);
-        let mut s = ReplayGradients::new(replica, Arc::clone(&history), Some(schedule));
-        // Staleness 7 clamps to the bound, then to the history depth.
-        s.compute();
-        assert_eq!(s.gradient().len(), s.grad_len());
     }
 }

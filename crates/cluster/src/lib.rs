@@ -55,9 +55,7 @@ pub use convergence::{
     ConvergenceConfig, ConvergenceResult,
 };
 pub use cosim::{run_cosim, CosimConfig, CosimResult};
-pub use gradient_source::{
-    AgentGradients, GradientSource, ReplayGradients, ReplaySchedule, SyntheticGradients,
-};
+pub use gradient_source::{AgentGradients, GradientSource, SyntheticGradients};
 pub use staleness::{StalenessDistribution, StalenessLedger};
 pub use tenancy::{
     run_multi_tenant, run_multi_tenant_perf, FabricConfig, MultiJobConfig, MultiTenantOutcome,

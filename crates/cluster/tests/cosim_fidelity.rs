@@ -2,7 +2,7 @@
 //! datapath must train the same way a single-process mean-gradient loop
 //! does, up to f32 summation-order effects.
 
-use iswitch_cluster::{run_cosim, CosimConfig, Strategy};
+use iswitch_cluster::{run_convergence, run_cosim, ConvergenceConfig, CosimConfig, Strategy};
 use iswitch_rl::{make_lite_agent_scaled, Algorithm};
 
 fn lite(strategy: Strategy) -> CosimConfig {
@@ -95,4 +95,45 @@ fn async_cosim_applies_partial_aggregates() {
     assert!(r.iterations >= 30, "worker 0 should observe 30 updates");
     assert!(r.updates >= 30);
     assert!(!r.params.is_empty());
+}
+
+#[test]
+fn sync_cosim_tracks_convergence_mode() {
+    // Both modes step the same replicas through the same `apply_mean`; only
+    // where the mean is summed differs (the switch, segment by segment in
+    // arrival order, against worker order on the host). Training is
+    // chaotic, so that rounding gap grows with the update count, from
+    // ~1e-8 after one step; these budgets, each past DQN's and DDPG's
+    // zero-gradient warm-up, keep it within 1e-5.
+    for (algorithm, updates) in [
+        (Algorithm::Dqn, 300),
+        (Algorithm::A2c, 200),
+        (Algorithm::Ppo, 30),
+        (Algorithm::Ddpg, 300),
+    ] {
+        let mut cfg = CosimConfig::lite(algorithm, Strategy::SyncIsw);
+        cfg.iterations = updates;
+        cfg.target_reward = None;
+        let cosim = run_cosim(&cfg);
+        let conv = run_convergence(&ConvergenceConfig {
+            workers: cfg.workers,
+            max_iterations: cosim.updates as usize,
+            target_reward: None,
+            seed: cfg.seed,
+            lr_scale: cfg.lr_scale,
+            ..ConvergenceConfig::sync_main(algorithm)
+        });
+        assert_eq!(conv.params.len(), cosim.params.len());
+        let worst = conv
+            .params
+            .iter()
+            .zip(&cosim.params)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(
+            worst <= 1e-5,
+            "{algorithm}: sync co-sim left convergence mode by {worst} after {} updates",
+            cosim.updates
+        );
+    }
 }

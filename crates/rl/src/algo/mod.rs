@@ -48,7 +48,8 @@ pub trait Agent: Send {
     fn compute_gradient(&mut self) -> Vec<f32>;
 
     /// Builds the algorithm-appropriate optimizer for the aggregated
-    /// gradient. Every worker (or the driver) holds an identical replica.
+    /// gradient. Every worker's [`crate::LocalReplica`] holds an identical
+    /// one.
     fn make_optimizer(&self) -> Box<dyn Optimizer + Send>;
 
     /// Housekeeping after a global weight update has been installed via

@@ -9,28 +9,27 @@
 //! Computing" stage) to produce a flat `Vec<f32>` gradient; the cluster
 //! layer aggregates those vectors — in a parameter server, a
 //! Ring-AllReduce, or the in-switch accelerator — and every worker applies
-//! the same aggregated gradient to identical weights.
+//! the same aggregated gradient to identical weights through its
+//! [`LocalReplica`].
 //!
 //! ## Example
 //!
 //! ```
-//! use iswitch_rl::{make_lite_agent, Algorithm};
+//! use iswitch_rl::{make_lite_agent, Algorithm, LocalReplica};
 //!
-//! // Two workers exploring independently with identical initial weights.
-//! let mut w0 = make_lite_agent(Algorithm::A2c, 0);
-//! let mut w1 = make_lite_agent(Algorithm::A2c, 1);
-//! let shared = w0.params();
-//! w1.set_params(&shared);
+//! // Two workers exploring independently from identical initial weights.
+//! let mut w0 = LocalReplica::new(make_lite_agent(Algorithm::A2c, 0));
+//! let mut w1 = LocalReplica::new(make_lite_agent(Algorithm::A2c, 1));
+//! w1.seed_params(w0.params());
 //!
 //! let g0 = w0.compute_gradient();
 //! let g1 = w1.compute_gradient();
 //! let mean: Vec<f32> = g0.iter().zip(&g1).map(|(a, b)| (a + b) / 2.0).collect();
 //!
-//! let mut opt = w0.make_optimizer();
-//! let mut params = shared.clone();
-//! opt.step(&mut params, &mean);
-//! w0.set_params(&params);
-//! w1.set_params(&params);
+//! // Each steps its own optimizer replica with the same aggregate.
+//! w0.apply_mean(&mean);
+//! w1.apply_mean(&mean);
+//! assert_eq!(w0.params(), w1.params());
 //! ```
 
 #![warn(missing_docs)]

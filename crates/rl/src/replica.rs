@@ -1,14 +1,21 @@
-//! A worker's local training replica: agent + optimizer + weight copy.
+//! A worker's local training replica: agent + optimizer + weights.
 //!
 //! The paper's decentralized weight storage (§4.1) keeps a full parameter
 //! replica and an identical optimizer on every worker; the switch only
-//! moves gradients. [`LocalReplica`] packages that trio behind the
-//! gradient export/import seam the cluster harness drives: export a flat
-//! gradient ([`LocalReplica::compute_gradient`]), later import an
-//! aggregated mean ([`LocalReplica::apply_mean`]) which steps the local
-//! optimizer and installs the result — since every replica applies the
-//! same aggregate to the same weights with the same optimizer state, all
-//! replicas stay bit-identical without ever shipping parameters.
+//! moves gradients. [`LocalReplica`] is that trio, and every training mode
+//! (convergence, co-sim, chaos) drives it through the same two calls:
+//! export a flat gradient ([`LocalReplica::compute_gradient`]), later
+//! import an aggregated mean ([`LocalReplica::apply_mean`]), which steps
+//! the local optimizer and loads the result into the agent. Since every
+//! replica applies the same aggregate to the same weights with the same
+//! optimizer state, all replicas stay bit-identical without ever shipping
+//! parameters.
+//!
+//! The weights live in the replica's own vector ([`LocalReplica::params`]);
+//! the agent holds a copy of them. Only
+//! [`LocalReplica::compute_gradient_at`] (staleness replay) points the agent
+//! elsewhere, and only until the next [`LocalReplica::apply_mean`] or
+//! [`LocalReplica::seed_params`] reloads it.
 
 use iswitch_tensor::Optimizer;
 
@@ -47,6 +54,20 @@ impl LocalReplica {
         self.agent.compute_gradient()
     }
 
+    /// Like [`LocalReplica::compute_gradient`], but at `weights` instead of
+    /// the replica's own — the staleness-replay path, where gradients are
+    /// computed at historical weights. The replica's weights do not move;
+    /// the agent keeps pointing at `weights` until the next
+    /// [`LocalReplica::apply_mean`] reloads it from them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` has the wrong length.
+    pub fn compute_gradient_at(&mut self, weights: &[f32]) -> Vec<f32> {
+        self.agent.set_params(weights);
+        self.agent.compute_gradient()
+    }
+
     /// Imports an aggregated mean gradient: steps the local optimizer
     /// replica and installs the updated weights (the LWU stage).
     ///
@@ -60,13 +81,6 @@ impl LocalReplica {
         self.updates += 1;
     }
 
-    /// Overwrites the replica's weights with externally supplied ones,
-    /// running post-update housekeeping (target syncs, schedule ticks).
-    pub fn install_params(&mut self, params: &[f32]) {
-        self.seed_params(params);
-        self.agent.on_weights_updated();
-    }
-
     /// Starts the replica from `params`: its weight copy and its agent both
     /// take them, with no post-update housekeeping (no target sync, no
     /// schedule tick) — how every worker of a cluster adopts worker 0's
@@ -74,13 +88,6 @@ impl LocalReplica {
     pub fn seed_params(&mut self, params: &[f32]) {
         self.params.clear();
         self.params.extend_from_slice(params);
-        self.agent.set_params(params);
-    }
-
-    /// Points the agent at `params` *without* post-update housekeeping —
-    /// the staleness-replay path, where gradients are recomputed at
-    /// historical weights.
-    pub fn load_params(&mut self, params: &[f32]) {
         self.agent.set_params(params);
     }
 
@@ -98,11 +105,6 @@ impl LocalReplica {
     pub fn final_average_reward(&self) -> Option<f32> {
         self.agent.final_average_reward()
     }
-
-    /// Read access to the wrapped agent.
-    pub fn agent(&self) -> &dyn Agent {
-        &*self.agent
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +116,7 @@ mod tests {
     fn replicas_stay_identical_under_identical_aggregates() {
         let mut a = LocalReplica::new(make_lite_agent(Algorithm::A2c, 0));
         let mut b = LocalReplica::new(make_lite_agent(Algorithm::A2c, 1));
-        let init = a.params().to_vec();
-        b.install_params(&init);
+        b.seed_params(a.params());
 
         let ga = a.compute_gradient();
         let gb = b.compute_gradient();
@@ -133,9 +134,7 @@ mod tests {
         let mut opt = agent.make_optimizer();
 
         let mut replica = LocalReplica::new(make_lite_agent(Algorithm::A2c, 7));
-        replica.install_params(&params);
-        agent.set_params(&params);
-        agent.on_weights_updated();
+        replica.seed_params(&params);
 
         let grad = agent.compute_gradient();
         let replica_grad = replica.compute_gradient();
@@ -144,5 +143,20 @@ mod tests {
         opt.step(&mut params, &grad);
         replica.apply_mean(&grad);
         assert_eq!(replica.params(), &params[..]);
+    }
+
+    #[test]
+    fn a_stale_gradient_moves_only_the_agent_until_apply_mean() {
+        let mut r = LocalReplica::new(make_lite_agent(Algorithm::A2c, 3));
+        let own = r.params().to_vec();
+        let stale: Vec<f32> = own.iter().map(|p| p + 0.25).collect();
+
+        let grad = r.compute_gradient_at(&stale);
+        assert_eq!(r.params(), &own[..]);
+        assert_eq!(r.agent.params(), stale);
+
+        r.apply_mean(&grad);
+        assert_ne!(r.params(), &own[..]);
+        assert_eq!(r.agent.params(), r.params());
     }
 }

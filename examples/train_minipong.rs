@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example train_minipong` (a few minutes).
 
 use iswitch::rl::envs::{MiniPong, MINI_PONG_SIZE};
-use iswitch::rl::{Agent, ConvFront, DqnAgent, DqnConfig};
+use iswitch::rl::{ConvFront, DqnAgent, DqnConfig, LocalReplica};
 
 fn main() {
     let workers = 4;
@@ -24,44 +24,40 @@ fn main() {
         eps_decay_iters: 3_000,
         ..DqnConfig::default()
     };
-    let mut agents: Vec<DqnAgent> = (0..workers)
+    let mut replicas: Vec<LocalReplica> = (0..workers)
         .map(|w| {
-            DqnAgent::new(
-                Box::new(MiniPong::new(w as u64)),
-                cfg.clone(),
-                w as u64 + 99,
-            )
+            let env = Box::new(MiniPong::new(w as u64));
+            LocalReplica::new(Box::new(DqnAgent::new(env, cfg.clone(), w as u64 + 99)))
         })
         .collect();
-    let mut params = agents[0].params();
-    for a in agents.iter_mut() {
-        a.set_params(&params);
+    // Every worker starts from worker 0's weights.
+    let init = replicas[0].params().to_vec();
+    for r in replicas.iter_mut().skip(1) {
+        r.seed_params(&init);
     }
     println!(
         "conv Q-network: {} parameters ({} KB gradient vector)",
-        params.len(),
-        params.len() * 4 / 1024
+        init.len(),
+        init.len() * 4 / 1024
     );
 
-    let mut opt = agents[0].make_optimizer();
     for iter in 0..8_000usize {
-        let mut mean = vec![0.0f32; params.len()];
-        for a in agents.iter_mut() {
-            let g = a.compute_gradient();
+        let mut mean = vec![0.0f32; init.len()];
+        for r in replicas.iter_mut() {
+            let g = r.compute_gradient();
             for (m, v) in mean.iter_mut().zip(&g) {
                 *m += v / workers as f32;
             }
         }
-        opt.step(&mut params, &mean);
-        for a in agents.iter_mut() {
-            a.set_params(&params);
-            a.on_weights_updated();
+        // Each worker applies the same mean with its own optimizer replica.
+        for r in replicas.iter_mut() {
+            r.apply_mean(&mean);
         }
         if iter % 500 == 0 {
-            let rewards: Vec<String> = agents
+            let rewards: Vec<String> = replicas
                 .iter()
-                .map(|a| {
-                    a.final_average_reward()
+                .map(|r| {
+                    r.final_average_reward()
                         .map_or("-".to_string(), |r| format!("{r:5.1}"))
                 })
                 .collect();
@@ -71,9 +67,9 @@ fn main() {
             );
         }
     }
-    let pooled: f32 = agents
+    let pooled: f32 = replicas
         .iter()
-        .filter_map(|a| a.final_average_reward())
+        .filter_map(|r| r.final_average_reward())
         .sum::<f32>()
         / workers as f32;
     println!("\nfinal pooled average reward: {pooled:.2}");
