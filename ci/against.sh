@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Byte-identity of one seeded `iswitch-sim` command between two builds: the
-# working tree and an earlier revision — the equivalence check of a change
-# that claims to alter no artifact.
+# Byte-identity of one seeded `iswitch-sim` or `paper` command between two
+# builds: the working tree and an earlier revision — the equivalence check of
+# a change that claims to alter no artifact.
 #
-#   ci/against.sh <rev> [[<out-flag>[,<out-flag>…]] -- <iswitch-sim args…>]
+#   ci/against.sh <rev> [[<out-flag>[,<out-flag>…]] -- <iswitch-sim args…|paper args…>]
 #
 # With no command it runs every line of ci/against.cmds, the checked-in
 # equivalence list, and stops at the first that differs.
 #
 # Builds <rev> offline from a `git archive` copy under target/against/<sha>
 # (kept, so a second command reuses the build) and the working tree in place,
-# then runs the command once with each binary. With no <out-flag> the command
+# then runs the command once with each binary: `paper` when the command
+# starts with `paper` (its arguments follow), `iswitch-sim` otherwise. With no
+# <out-flag> the command
 # is a `timing` run: each build writes artifacts/<label>-{rev,head}.
 # {metrics.json,trace.jsonl,timeseries.jsonl} plus the `analyze` report of
 # its own trace and timeseries, and all four must `cmp` equal. With
@@ -38,21 +40,29 @@ shift 2
 
 root=$(git rev-parse --show-toplevel)
 old="$root/target/against/$rev"
-if [ ! -x "$old/target/release/iswitch-sim" ]; then
-  mkdir -p "$old"
-  git -C "$root" archive "$rev" | tar -x -C "$old"
-  cargo build --release --offline --quiet --bin iswitch-sim --manifest-path "$old/Cargo.toml"
+program=(--bin iswitch-sim)
+args=("$@")
+if [ "$1" = paper ]; then
+  program=(-p iswitch-bench --bin paper)
+  args=("${@:2}")
 fi
-cargo build --release --offline --quiet --bin iswitch-sim --manifest-path "$root/Cargo.toml"
+if [ ! -x "$old/target/release/${program[-1]}" ]; then
+  if [ ! -f "$old/Cargo.toml" ]; then
+    mkdir -p "$old"
+    git -C "$root" archive "$rev" | tar -x -C "$old"
+  fi
+  cargo build --release --offline --quiet "${program[@]}" --manifest-path "$old/Cargo.toml"
+fi
+cargo build --release --offline --quiet "${program[@]}" --manifest-path "$root/Cargo.toml"
 
 mkdir -p artifacts
 label="against-$(printf '%s ' "$@" | cksum | cut -d' ' -f1)"
 for build in rev head; do
-  bin="$root/target/release/iswitch-sim"
-  [ "$build" = head ] || bin="$old/target/release/iswitch-sim"
+  bin="$root/target/release/${program[-1]}"
+  [ "$build" = head ] || bin="$old/target/release/${program[-1]}"
   out="artifacts/$label-$build"
   if [ ${#outs[@]} -eq 0 ]; then
-    "$bin" "$@" --metrics-out "$out.metrics.json" --trace-out "$out.trace.jsonl" \
+    "$bin" "${args[@]}" --metrics-out "$out.metrics.json" --trace-out "$out.trace.jsonl" \
       --timeseries-out "$out.timeseries.jsonl" > /dev/null
     "$bin" analyze --trace "$out.trace.jsonl" --timeseries "$out.timeseries.jsonl" \
       --out "$out.report.json" > /dev/null
@@ -62,7 +72,7 @@ for build in rev head; do
     for flag in "${outs[@]}"; do
       if [ "$flag" = --stdout ]; then stdout="$out.stdout"; else flags+=("$flag" "$out.${flag#--}"); fi
     done
-    "$bin" "$@" "${flags[@]}" > "$stdout"
+    "$bin" "${args[@]}" "${flags[@]}" > "$stdout"
   fi
 done
 

@@ -13,7 +13,7 @@ use iswitch_cluster::{
     TimingConfig, TimingResult,
 };
 use iswitch_core::{
-    decode_data_meta, gradient_packets, Accelerator, AcceleratorConfig, CodecKind, DataSegment,
+    decode_data_meta, Accelerator, AcceleratorConfig, CodecKind, DataSegment, EncodedGradient,
 };
 use iswitch_netsim::{IpAddr, LinkSpec, SimDuration};
 use iswitch_obs::JsonValue;
@@ -606,8 +606,9 @@ fn run_resources(_: &Args) {
         // so their packets interleave per segment — the on-the-fly window
         // stays small. (Strictly sequential full-vector pushes would need
         // the whole model resident and genuinely exceed the BRAM budget.)
-        let packets = gradient_packets(IpAddr::UNSPECIFIED, &vec![1.0f32; len]);
-        for pkt in &packets {
+        let ones = vec![1.0f32; len];
+        let enc = EncodedGradient::with_codec(IpAddr::UNSPECIFIED, &ones, CodecKind::F32, 0);
+        for pkt in &enc.packets_round(0) {
             let meta = decode_data_meta(pkt).expect("well-formed contribution");
             for _ in 0..4 {
                 let _ = accel.ingest_wire(meta, &pkt.payload);

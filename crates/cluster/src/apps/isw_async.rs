@@ -10,9 +10,7 @@
 //! * **LWU** — on each broadcast, every worker applies the same update to
 //!   its decentralized weight replica.
 
-use iswitch_core::{
-    gradient_packets_round_codec, CodecKind, EncodedGradient, RoundAssembler, RoundInsert, TOS_DATA,
-};
+use iswitch_core::{CodecKind, RoundAssembler, RoundInsert, TOS_DATA};
 use iswitch_netsim::{Packet, SimDuration, SimTime};
 
 use crate::apps::runtime::{
@@ -38,11 +36,6 @@ enum BcastTracker {
 pub struct IswAsyncProto {
     grad_len: usize,
     tracker: BcastTracker,
-    /// This worker's handle on the job's pre-encoded contribution payloads,
-    /// when the source has them (timing mode). Async commits are untagged
-    /// (round 0), so every commit of every worker shares the stored
-    /// [`bytes::Bytes`] outright — no per-iteration serialization.
-    enc: Option<EncodedGradient>,
     /// The wire policy. Async commits are fire-and-forget (the pipeline
     /// tolerates loss by design), so only the pacing/ECN side of the
     /// transport is active here: DCQCN slows the commit stream when the
@@ -67,14 +60,12 @@ impl StrategyProtocol for IswAsyncProto {
             asm.begin_round(None);
             self.tracker = BcastTracker::Values(asm);
         }
-        self.enc = rt.source.encoded(rt.ip(), self.codec);
     }
 
     fn commit(&mut self, rt: &mut Rt<'_, '_, '_>) {
-        let pkts = match &self.enc {
-            Some(enc) => enc.packets_round(0),
-            None => gradient_packets_round_codec(rt.ip(), rt.source.gradient(), 0, self.codec, 0),
-        };
+        // Async commits are untagged (round 0): from a synthetic source,
+        // every commit of every worker shares the stored payloads outright.
+        let pkts = rt.source.encoded(rt.ip(), self.codec, 0).packets_round(0);
         // One commit = one transport round (the additive-increase grain
         // for DCQCN). Outcome is ignored: a paced train drains through
         // `on_timer` and nothing gates on its completion.
@@ -173,7 +164,6 @@ impl IswAsyncWorker {
         let proto = IswAsyncProto {
             grad_len: source.grad_len(),
             tracker: BcastTracker::Count(0),
-            enc: None,
             transport: Box::new(GoBackRetransmit::new()),
             codec: CodecKind::F32,
         };

@@ -8,8 +8,8 @@
 //! contribution and when the broadcast result is complete.
 
 use iswitch_core::{
-    contribution_packet, dscp, gradient_packets_round_codec, seg_index, seg_round, CodecKind,
-    ControlMessage, EncodedGradient, RoundAssembler, RoundInsert, TOS_CONTROL, TOS_DATA,
+    dscp, seg_index, seg_round, CodecKind, ControlMessage, RoundAssembler, RoundInsert,
+    TOS_CONTROL, TOS_DATA,
 };
 use iswitch_netsim::{Packet, SimDuration};
 
@@ -35,10 +35,6 @@ pub struct IswSyncProto {
     /// the switch's stale-flush sweep); the completion is then held until
     /// the send fires so the iteration phases stay well-formed.
     sent: bool,
-    /// This worker's handle on the job's pre-encoded contribution
-    /// payloads, when the gradient source has them (timing mode) — see
-    /// [`EncodedGradient`].
-    enc: Option<EncodedGradient>,
     /// The job's aggregation format; must match the switches'.
     codec: CodecKind,
     /// Seeded fixed-point exponent-stamp bug (chaos harness); zero in
@@ -53,24 +49,8 @@ impl IswSyncProto {
             asm: RoundAssembler::new(grad_len, false),
             transport: Box::new(GoBackRetransmit::new()),
             sent: false,
-            enc: None,
             codec: CodecKind::F32,
             exp_bias: 0,
-        }
-    }
-
-    /// This round's contribution packets: from the pre-encoded store when
-    /// the source has one, re-serialized from the live gradient otherwise.
-    fn contribution_packets(&self, rt: &Rt<'_, '_, '_>) -> Vec<Packet> {
-        match &self.enc {
-            Some(enc) => enc.packets_round(rt.iter()),
-            None => gradient_packets_round_codec(
-                rt.ip(),
-                rt.source.gradient(),
-                rt.iter(),
-                self.codec,
-                self.exp_bias,
-            ),
         }
     }
 
@@ -85,19 +65,8 @@ impl IswSyncProto {
         if seg_round(seg) != iter & 0xFFFF || !self.sent || !missing {
             return;
         }
-        let index = index as usize;
-        let pkt = match &self.enc {
-            Some(enc) => enc.packet(index, iter),
-            None => contribution_packet(
-                rt.ip(),
-                rt.source.gradient(),
-                index,
-                iter,
-                self.codec,
-                self.exp_bias,
-            ),
-        };
-        rt.send(pkt);
+        let enc = rt.source.encoded(rt.ip(), self.codec, self.exp_bias);
+        rt.send(enc.packet(index as usize, iter));
     }
 
     /// The completed round's outcome (aggregate + timing tail).
@@ -132,12 +101,6 @@ impl StrategyProtocol for IswSyncProto {
         // Co-sim sources need the broadcast *values*; timing sources only
         // need completion tracking.
         self.asm = RoundAssembler::with_codec(self.grad_len, rt.source.wants_values(), self.codec);
-        // A seeded exponent bug (chaos, whose sources are live anyway)
-        // stamps its own headers, so it never sends shared payloads.
-        self.enc = match self.exp_bias {
-            0 => rt.source.encoded(rt.ip(), self.codec),
-            _ => None,
-        };
     }
 
     fn begin_round(&mut self, iter: u32) {
@@ -163,8 +126,9 @@ impl StrategyProtocol for IswSyncProto {
             // Tag every segment with the iteration so stale re-broadcasts
             // and expired partial flushes of earlier rounds cannot satisfy
             // this one.
-            let pkts = self.contribution_packets(rt);
             let iter = rt.iter();
+            let enc = rt.source.encoded(rt.ip(), self.codec, self.exp_bias);
+            let pkts = enc.packets_round(iter);
             return match self.transport.send_round(rt, pkts, iter) {
                 SendOutcome::Complete => self.after_send(rt),
                 SendOutcome::Pacing => ProtoEvent::None,
@@ -254,7 +218,16 @@ impl IswSyncWorker {
     /// stamps `exponent + bias`, so the switch decodes every contribution
     /// scaled by `2^bias`. The wire stays well-formed; only the
     /// conservation invariant can catch it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` is nonzero and the worker's gradient source is
+    /// synthetic: its one shared store holds only honest payloads.
     pub fn seed_exponent_bug(&mut self, bias: i8) {
+        assert!(
+            bias == 0 || self.source().wants_values(),
+            "the exponent bug needs a live gradient source"
+        );
         self.protocol_mut().exp_bias = bias;
     }
 
@@ -273,5 +246,18 @@ impl IswSyncWorker {
     /// gradient-conservation invariant.
     pub fn seed_naive_retransmit(&mut self) {
         self.protocol_mut().transport.seed_protocol_bug();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "needs a live gradient source")]
+    fn exponent_bug_refuses_a_synthetic_source() {
+        let compute = ComputeModel::for_algorithm(iswitch_rl::Algorithm::Ppo);
+        let mut worker = IswSyncWorker::new(64, 1, 1, compute, CommCosts::default(), 0);
+        worker.seed_exponent_bug(3);
     }
 }

@@ -44,8 +44,8 @@ use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use iswitch_core::CodecKind;
-use iswitch_netsim::{FaultAction, LinkId, LossModel, SimDuration, SimTime};
+use iswitch_core::{CodecKind, EncodedGradient};
+use iswitch_netsim::{FaultAction, IpAddr, LinkId, LossModel, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
 use iswitch_rl::Algorithm;
 use rand::rngs::StdRng;
@@ -518,7 +518,7 @@ impl ChaosReport {
 /// computed and every aggregate it applied — the evidence the conservation
 /// invariant is checked against.
 struct RecordingSource {
-    inner: Box<dyn GradientSource>,
+    inner: AgentGradients,
     /// `computed[i]` is the gradient of iteration `i`.
     computed: Vec<Vec<f32>>,
     /// `applied[r]` is the aggregate applied for round `r`.
@@ -526,7 +526,7 @@ struct RecordingSource {
 }
 
 impl RecordingSource {
-    fn new(inner: Box<dyn GradientSource>) -> Self {
+    fn new(inner: AgentGradients) -> Self {
         RecordingSource {
             inner,
             computed: Vec::new(),
@@ -549,8 +549,8 @@ impl GradientSource for RecordingSource {
         self.computed.push(self.inner.gradient().to_vec());
     }
 
-    fn gradient(&self) -> &[f32] {
-        self.inner.gradient()
+    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient {
+        self.inner.encoded(src, codec, exp_bias)
     }
 
     fn apply_aggregate(&mut self, mean: &[f32]) {
@@ -740,7 +740,7 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
     let sources = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0)
         .into_iter()
         .map(AgentGradients::new)
-        .map(|agent| Box::new(RecordingSource::new(Box::new(agent))) as Box<dyn GradientSource>)
+        .map(|agent| Box::new(RecordingSource::new(agent)) as Box<dyn GradientSource>)
         .collect();
 
     let mut tcfg = timing_config(cfg);

@@ -14,8 +14,8 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use iswitch_core::CodecKind;
-use iswitch_netsim::SimDuration;
+use iswitch_core::{CodecKind, EncodedGradient};
+use iswitch_netsim::{IpAddr, SimDuration};
 use iswitch_rl::Algorithm;
 
 use crate::convergence::default_target;
@@ -176,8 +176,8 @@ impl GradientSource for RefErrorRecorder {
         entry.contributed += 1;
     }
 
-    fn gradient(&self) -> &[f32] {
-        self.inner.gradient()
+    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient {
+        self.inner.encoded(src, codec, exp_bias)
     }
 
     fn apply_aggregate(&mut self, mean: &[f32]) {

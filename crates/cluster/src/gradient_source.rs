@@ -26,10 +26,10 @@ use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 /// Where a worker's gradient comes from and where aggregates go.
 ///
 /// The strategy runtime calls [`GradientSource::compute`] when the local
-/// gradient computation (LGC) span ends, packetizes
-/// [`GradientSource::gradient`], and hands the reassembled aggregate to
-/// [`GradientSource::apply_aggregate`] when the local weight update (LWU)
-/// span closes.
+/// gradient computation (LGC) span ends, an iSwitch worker sends the
+/// packets of [`GradientSource::encoded`], and the runtime hands the
+/// reassembled aggregate to [`GradientSource::apply_aggregate`] when the
+/// local weight update (LWU) span closes.
 pub trait GradientSource: Send + 'static {
     /// Gradient length in f32 elements.
     fn grad_len(&self) -> usize;
@@ -40,20 +40,14 @@ pub trait GradientSource: Send + 'static {
         false
     }
 
-    /// This source's contribution payloads encoded once under `codec`, as
-    /// sent from `src`, when [`GradientSource::gradient`] returns the same
-    /// contents every iteration (see [`iswitch_core::EncodedGradient`]).
-    /// Live sources return `None`: their gradient changes every round, so
-    /// the worker re-serializes it each time.
-    fn encoded(&self, _src: IpAddr, _codec: CodecKind) -> Option<EncodedGradient> {
-        None
-    }
+    /// The most recently computed gradient's contribution payloads under
+    /// `codec`, as sent from `src` (see [`iswitch_core::EncodedGradient`]).
+    /// `exp_bias` seeds the fixed-point exponent-stamp bug of the chaos
+    /// harness; zero is correct operation.
+    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient;
 
     /// Produces a fresh gradient at the current local weights (LGC).
     fn compute(&mut self) {}
-
-    /// The most recently computed gradient.
-    fn gradient(&self) -> &[f32];
 
     /// Installs an aggregated (mean) gradient into the local replica (LWU).
     fn apply_aggregate(&mut self, _mean: &[f32]) {}
@@ -91,8 +85,8 @@ pub trait GradientSource: Send + 'static {
 /// iSwitch workers: the payloads [`GradientSource::encoded`] returns are
 /// encoded once, and every worker's handle sends from that one store.
 /// Nothing gradient-sized is allocated until a worker asks for the
-/// payloads or the vector, so a job whose workers never do (the host-side
-/// strategies) pays nothing for it.
+/// payloads, so a job whose workers never do (the host-side strategies)
+/// pays nothing for it.
 #[derive(Clone)]
 pub struct SyntheticGradients {
     shared: Arc<Synthetic>,
@@ -100,8 +94,6 @@ pub struct SyntheticGradients {
 
 struct Synthetic {
     len: usize,
-    /// The vector itself, built on first [`GradientSource::gradient`].
-    ones: OnceLock<Vec<f32>>,
     /// The payloads, encoded on first [`GradientSource::encoded`] under
     /// the job's one codec.
     encoded: OnceLock<(CodecKind, EncodedGradient)>,
@@ -113,7 +105,6 @@ impl SyntheticGradients {
         SyntheticGradients {
             shared: Arc::new(Synthetic {
                 len: grad_len,
-                ones: OnceLock::new(),
                 encoded: OnceLock::new(),
             }),
         }
@@ -125,7 +116,9 @@ impl GradientSource for SyntheticGradients {
         self.shared.len
     }
 
-    fn encoded(&self, src: IpAddr, codec: CodecKind) -> Option<EncodedGradient> {
+    /// A handle on the one shared store: no encode after the first.
+    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient {
+        assert_eq!(exp_bias, 0, "a synthetic source sends honest payloads");
         let (encoded_as, store) = self.shared.encoded.get_or_init(|| {
             // Encoded from a vector dropped right after, so the run keeps
             // only the payloads.
@@ -133,13 +126,7 @@ impl GradientSource for SyntheticGradients {
             (codec, EncodedGradient::with_codec(src, &ones, codec, 0))
         });
         assert_eq!(*encoded_as, codec, "one synthetic source serves one codec");
-        Some(store.with_src(src))
-    }
-
-    fn gradient(&self) -> &[f32] {
-        self.shared
-            .ones
-            .get_or_init(|| vec![1.0f32; self.shared.len])
+        store.with_src(src)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -152,6 +139,9 @@ impl GradientSource for SyntheticGradients {
 pub struct AgentGradients {
     replica: LocalReplica,
     grad: Vec<f32>,
+    /// The current gradient's payloads, encoded on the round's first send
+    /// and shared by its resends; cleared by [`GradientSource::compute`].
+    encoded: OnceLock<(CodecKind, i8, EncodedGradient)>,
     curve: Vec<(u64, f32)>,
 }
 
@@ -162,8 +152,14 @@ impl AgentGradients {
         AgentGradients {
             replica,
             grad: vec![0.0; len],
+            encoded: OnceLock::new(),
             curve: Vec::new(),
         }
+    }
+
+    /// The most recently computed gradient.
+    pub fn gradient(&self) -> &[f32] {
+        &self.grad
     }
 }
 
@@ -176,12 +172,23 @@ impl GradientSource for AgentGradients {
         true
     }
 
-    fn compute(&mut self) {
-        self.grad = self.replica.compute_gradient();
+    /// A handle on the current gradient's store: one encode per round.
+    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient {
+        let (encoded_as, bias, store) = self.encoded.get_or_init(|| {
+            let store = EncodedGradient::with_codec(src, &self.grad, codec, exp_bias);
+            (codec, exp_bias, store)
+        });
+        assert_eq!(
+            (*encoded_as, *bias),
+            (codec, exp_bias),
+            "one encoding per round"
+        );
+        store.with_src(src)
     }
 
-    fn gradient(&self) -> &[f32] {
-        &self.grad
+    fn compute(&mut self) {
+        self.grad = self.replica.compute_gradient();
+        self.encoded.take();
     }
 
     fn apply_aggregate(&mut self, mean: &[f32]) {
@@ -237,16 +244,30 @@ pub(crate) fn cluster_replicas(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iswitch_core::DataSegment;
     use iswitch_rl::make_lite_agent;
 
+    /// Segment 0 of what `s` sends from `w`, decoded.
+    fn sent(s: &dyn GradientSource, w: u8) -> (Vec<f32>, *const u8) {
+        let pkt = s
+            .encoded(IpAddr::new(10, 0, 0, w), CodecKind::F32, 0)
+            .packet(0, 0);
+        let values = DataSegment::decode(&pkt.payload)
+            .expect("an f32 payload")
+            .values;
+        (values, pkt.payload.as_ptr())
+    }
+
     #[test]
-    fn synthetic_source_is_constant_ones() {
+    fn synthetic_source_sends_constant_ones_from_one_store() {
         let mut s = SyntheticGradients::new(5);
         s.compute();
-        assert_eq!(s.gradient(), &[1.0; 5]);
+        let (ones, first) = sent(&s, 1);
+        assert_eq!(ones, [1.0; 5]);
         assert!(!s.wants_values());
         s.apply_aggregate(&[9.0; 5]);
-        assert_eq!(s.gradient(), &[1.0; 5]);
+        // Another worker's clone shares the payload, unchanged.
+        assert_eq!(sent(&s.clone(), 2), (ones, first));
     }
 
     #[test]
@@ -256,6 +277,16 @@ mod tests {
         s.compute();
         let g = s.gradient().to_vec();
         assert_eq!(g.len(), s.grad_len());
+        let (head, _) = sent(&s, 1);
+        assert_eq!(head, g[..head.len()]);
+        // A resend in the same round shares the round's one encode.
+        let src = IpAddr::new(10, 0, 0, 1);
+        let first = s.encoded(src, CodecKind::F32, 0).packet(0, 0);
+        let resent = s.encoded(src, CodecKind::F32, 0).packet(0, 0);
+        assert_eq!(resent.payload.as_ptr(), first.payload.as_ptr());
+        s.compute();
+        let (next, _) = sent(&s, 1);
+        assert_eq!(next, s.gradient()[..next.len()]);
         s.apply_aggregate(&g);
         assert_eq!(s.updates_applied(), 1);
         assert_ne!(s.params(), &before[..]);

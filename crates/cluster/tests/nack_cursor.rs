@@ -18,7 +18,7 @@ use iswitch_cluster::{
     CommCosts, ComputeModel, GoBackRetransmit, NackReliable, SyntheticGradients, Transport,
 };
 use iswitch_core::{
-    control_packet, data_packet, decode_seg_field, dscp, seg_index, seg_round, tag_round,
+    control_packet, data_packet_wire, decode_seg_field, dscp, seg_index, seg_round, tag_round,
     ControlMessage, DataSegment, RoundAssembler, FLOATS_PER_SEGMENT, TOS_CONTROL, UPSTREAM_IP,
 };
 use iswitch_netsim::{
@@ -137,14 +137,18 @@ fn helps(wire: &[Wire]) -> Vec<u64> {
         .collect()
 }
 
-/// A header-only result packet for segment `idx` of round `round`.
+/// A result packet for segment `idx` of round `round`: a full segment, the
+/// size every segment of these rounds has (an assembler refuses a result
+/// whose length does not fit its index).
 fn result(idx: u64, round: u32) -> Packet {
     let seg = DataSegment {
         seg: tag_round(idx, round),
         count: 1,
-        values: Vec::new(),
+        values: vec![0.0; FLOATS_PER_SEGMENT],
     };
-    data_packet(SWITCH_IP, WORKER_IP, &seg)
+    let payload = seg.encode();
+    let meta = DataSegment::decode_meta(&payload).expect("an f32 result");
+    data_packet_wire(SWITCH_IP, WORKER_IP, meta, payload)
 }
 
 /// A round view over a plain flag vector that counts every index it is

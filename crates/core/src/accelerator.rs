@@ -216,13 +216,15 @@ pub struct ClosedRound {
 /// # Examples
 ///
 /// ```
-/// use iswitch_core::{Accelerator, AcceleratorConfig, DataSegment};
+/// use iswitch_core::{decode_data_meta, Accelerator, AcceleratorConfig, CodecKind, EncodedGradient};
+/// use iswitch_netsim::IpAddr;
 ///
 /// let mut accel = Accelerator::new(AcceleratorConfig::default(), 1, 2);
-/// let a = DataSegment { seg: 0, count: 1, values: vec![1.0, 2.0] };
-/// let b = DataSegment { seg: 0, count: 1, values: vec![10.0, 20.0] };
-/// assert!(accel.ingest(&a).0.is_none());
-/// let (done, _latency) = accel.ingest(&b);
+/// let a = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &[1.0, 2.0], CodecKind::F32, 0);
+/// let b = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 2), &[10.0, 20.0], CodecKind::F32, 0);
+/// let (pa, pb) = (a.packet(0, 0), b.packet(0, 0));
+/// assert!(accel.ingest_wire(decode_data_meta(&pa).unwrap(), &pa.payload).0.is_none());
+/// let (done, _latency) = accel.ingest_wire(decode_data_meta(&pb).unwrap(), &pb.payload);
 /// assert_eq!(done.unwrap().values, vec![11.0, 22.0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -519,24 +521,6 @@ impl Accelerator {
         self.cfg.cycles_latency(cycles)
     }
 
-    /// Ingests one owned contribution: encodes it under this accelerator's
-    /// codec and feeds the bytes to [`Accelerator::ingest_wire`]. For f32
-    /// the round trip is exact, so sums are bit-identical to adding
-    /// `seg.values` directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment exceeds the codec's per-segment capacity or
-    /// (for quantized codecs) a value is non-finite.
-    pub fn ingest(&mut self, seg: &DataSegment) -> (Option<DataSegment>, SimDuration) {
-        let codec = self.codec.codec();
-        let payload = codec
-            .encode_contribution(seg.seg, &seg.values)
-            .expect("finite contribution values");
-        let (seg, count, len) = (seg.seg, seg.count, seg.values.len());
-        self.ingest_wire(SegmentMeta { seg, count, len }, &payload)
-    }
-
     /// [`Accelerator::ingest_at`] for callers with no clock and no
     /// congestion marks (benchmarks, unit tests): the completed aggregate
     /// as the released slot holds it (before the wide result encoding), if
@@ -750,20 +734,21 @@ impl Accelerator {
 mod tests {
     use super::*;
 
-    fn seg(idx: u64, values: Vec<f32>) -> DataSegment {
-        DataSegment {
-            seg: idx,
-            count: 1,
-            values,
-        }
+    /// Feeds `values` for round `idx` through `ingest_wire` in `codec`'s
+    /// contribution format.
+    fn wire(a: &mut Accelerator, idx: u64, values: &[f32]) -> (Option<DataSegment>, SimDuration) {
+        let codec = a.codec().codec();
+        let payload = codec.encode_contribution(idx, values).unwrap();
+        let meta = codec.decode_meta(&payload).unwrap();
+        a.ingest_wire(meta, &payload)
     }
 
     #[test]
     fn aggregates_exactly_h_contributions() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 2, 3);
-        assert!(a.ingest(&seg(0, vec![1.0])).0.is_none());
-        assert!(a.ingest(&seg(0, vec![2.0])).0.is_none());
-        let (done, _) = a.ingest(&seg(0, vec![4.0]));
+        assert!(wire(&mut a, 0, &[1.0]).0.is_none());
+        assert!(wire(&mut a, 0, &[2.0]).0.is_none());
+        let (done, _) = wire(&mut a, 0, &[4.0]);
         let done = done.expect("third contribution completes");
         assert_eq!(done.values, vec![7.0]);
         assert_eq!(done.count, 3);
@@ -773,22 +758,22 @@ mod tests {
     #[test]
     fn buffer_resets_between_rounds() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 2);
-        a.ingest(&seg(0, vec![1.0, 1.0]));
-        a.ingest(&seg(0, vec![1.0, 1.0]));
-        a.ingest(&seg(0, vec![5.0, 5.0]));
-        let (done, _) = a.ingest(&seg(0, vec![6.0, 6.0]));
+        wire(&mut a, 0, &[1.0, 1.0]);
+        wire(&mut a, 0, &[1.0, 1.0]);
+        wire(&mut a, 0, &[5.0, 5.0]);
+        let (done, _) = wire(&mut a, 0, &[6.0, 6.0]);
         assert_eq!(done.unwrap().values, vec![11.0, 11.0]);
     }
 
     #[test]
     fn segments_aggregate_independently() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 3, 2);
-        a.ingest(&seg(0, vec![1.0]));
-        a.ingest(&seg(2, vec![9.0]));
-        let (done, _) = a.ingest(&seg(2, vec![1.0]));
+        wire(&mut a, 0, &[1.0]);
+        wire(&mut a, 2, &[9.0]);
+        let (done, _) = wire(&mut a, 2, &[1.0]);
         assert_eq!(done.unwrap().values, vec![10.0]);
         // Segment 0 is still partial.
-        let (done, _) = a.ingest(&seg(0, vec![1.0]));
+        let (done, _) = wire(&mut a, 0, &[1.0]);
         assert_eq!(done.unwrap().values, vec![2.0]);
     }
 
@@ -806,15 +791,15 @@ mod tests {
     #[test]
     fn force_broadcast_flushes_partials() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 4);
-        a.ingest(&seg(0, vec![3.0]));
-        a.ingest(&seg(0, vec![4.0]));
+        wire(&mut a, 0, &[3.0]);
+        wire(&mut a, 0, &[4.0]);
         let flushed = a.force_broadcast(0).expect("partial flushed");
         let result = DataSegment::decode(&flushed.payload).expect("an f32 result");
         assert_eq!((result.count, result.values), (2, vec![7.0]));
         // Nothing left to flush.
         assert!(a.force_broadcast(0).is_none());
         // Counter restarted: needs 4 fresh contributions again.
-        a.ingest(&seg(0, vec![1.0]));
+        wire(&mut a, 0, &[1.0]);
         assert!(a.force_broadcast(0).is_some());
     }
 
@@ -824,18 +809,18 @@ mod tests {
         // per rack (H = 2 here), but the emitted result's count metadata
         // sums the workers each rack represents.
         let mut core = Accelerator::new(AcceleratorConfig::default(), 1, 2);
-        let rack_a = DataSegment {
-            seg: 0,
-            count: 3,
-            values: vec![30.0],
+        let rack = |sum: f32| {
+            let payload = DataSegment {
+                seg: 0,
+                count: 3,
+                values: vec![sum],
+            }
+            .encode();
+            (DataSegment::decode_meta(&payload).unwrap(), payload)
         };
-        let rack_b = DataSegment {
-            seg: 0,
-            count: 3,
-            values: vec![12.0],
-        };
-        assert!(core.ingest(&rack_a).0.is_none());
-        let (done, _) = core.ingest(&rack_b);
+        let ((meta_a, rack_a), (meta_b, rack_b)) = (rack(30.0), rack(12.0));
+        assert!(core.ingest_wire(meta_a, &rack_a).0.is_none());
+        let (done, _) = core.ingest_wire(meta_b, &rack_b);
         let done = done.expect("both racks arrived");
         assert_eq!(done.values, vec![42.0]);
         assert_eq!(done.count, 6);
@@ -844,14 +829,17 @@ mod tests {
     #[test]
     fn a_closed_round_is_encoded_once_and_its_slot_keeps_the_buffer() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 2);
-        a.ingest(&seg(0, vec![1.0, 2.0]));
+        wire(&mut a, 0, &[1.0, 2.0]);
         assert!(a.is_open(0) && !a.is_open(1));
         let meta = SegmentMeta {
             seg: 0,
             count: 1,
             len: 2,
         };
-        let payload = seg(0, vec![3.0, 4.0]).encode();
+        let payload = CodecKind::F32
+            .codec()
+            .encode_contribution(0, &[3.0, 4.0])
+            .unwrap();
         let ingest = a.ingest_at(SimTime::ZERO, false, meta, &payload);
         let IngestOutcome::Completed(round) = ingest.outcome else {
             panic!("the second contribution completes the round");
@@ -874,23 +862,23 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 2, 2);
-        a.ingest(&seg(0, vec![1.0]));
-        a.ingest(&seg(1, vec![1.0]));
-        a.ingest(&seg(1, vec![1.0]));
+        wire(&mut a, 0, &[1.0]);
+        wire(&mut a, 1, &[1.0]);
+        wire(&mut a, 1, &[1.0]);
         a.reset();
         assert!(a.force_broadcast(0).is_none());
         assert_eq!(a.stats().resets, 1);
         // After reset a segment may arrive with a different length.
-        let (done, _) = a.ingest(&seg(0, vec![1.0, 2.0, 3.0]));
+        let (done, _) = wire(&mut a, 0, &[1.0, 2.0, 3.0]);
         assert!(done.is_none());
     }
 
     #[test]
     fn set_threshold_takes_effect() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 4);
-        a.ingest(&seg(0, vec![1.0]));
+        wire(&mut a, 0, &[1.0]);
         a.set_threshold(2);
-        let (done, _) = a.ingest(&seg(0, vec![1.0]));
+        let (done, _) = wire(&mut a, 0, &[1.0]);
         assert!(done.is_some());
     }
 
@@ -904,13 +892,13 @@ mod tests {
         };
         let mut a = Accelerator::new(cfg, 100, 2);
         for i in 0..100 {
-            let _ = a.ingest(&seg(i, vec![0.0; 366]));
+            let _ = wire(&mut a, i, &[0.0; 366]);
         }
         // 2,928 bytes = two 366-f32 buffers; the other 98 packets dropped.
         assert_eq!(a.stats().bram_drops, 98);
         assert_eq!(a.resident_bytes(), 2_928);
         // Accumulating into an existing round is still fine and completes.
-        let (done, _) = a.ingest(&seg(0, vec![1.0; 366]));
+        let (done, _) = wire(&mut a, 0, &[1.0; 366]);
         assert!(done.is_some());
     }
 
@@ -924,8 +912,8 @@ mod tests {
         };
         let mut a = Accelerator::new(cfg, 1_000, 2);
         for i in 0..1_000u64 {
-            let _ = a.ingest(&seg(i, vec![0.0; 366]));
-            let (done, _) = a.ingest(&seg(i, vec![0.0; 366]));
+            let _ = wire(&mut a, i, &[0.0; 366]);
+            let (done, _) = wire(&mut a, i, &[0.0; 366]);
             assert!(done.is_some());
         }
         assert_eq!(a.stats().peak_buffer_bytes, 366 * 4);
@@ -938,17 +926,17 @@ mod tests {
         a.set_grant(Some(1), None);
         a.set_host_fallback(true);
         // Segment 0 takes the single granted slot and stays open.
-        let (done, fast) = a.ingest(&seg(0, vec![1.0]));
+        let (done, fast) = wire(&mut a, 0, &[1.0]);
         assert!(done.is_none());
         // Segment 1 is denied and opens on the host path instead.
-        let (done, slow) = a.ingest(&seg(1, vec![2.0]));
+        let (done, slow) = wire(&mut a, 1, &[2.0]);
         assert!(done.is_none());
         assert_eq!(slow, fast * HOST_PATH_LATENCY_FACTOR);
         // Segment 0 completes on the fast path, freeing its slot …
-        assert!(a.ingest(&seg(0, vec![1.0])).0.is_some());
+        assert!(wire(&mut a, 0, &[1.0]).0.is_some());
         // … but the fallen-back round stays on the host path, and its
         // aggregate is numerically identical to the BRAM path.
-        let (done, _) = a.ingest(&seg(1, vec![3.0]));
+        let (done, _) = wire(&mut a, 1, &[3.0]);
         assert_eq!(done.unwrap().values, vec![5.0]);
         assert_eq!(a.stats().slot_denials, 1);
         assert_eq!(a.stats().fallback_contributions, 2);
@@ -961,8 +949,8 @@ mod tests {
     fn grant_without_fallback_still_drops() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 2, 2);
         a.set_grant(Some(1), None);
-        a.ingest(&seg(0, vec![1.0]));
-        let (done, _) = a.ingest(&seg(1, vec![1.0]));
+        wire(&mut a, 0, &[1.0]);
+        let (done, _) = wire(&mut a, 1, &[1.0]);
         assert!(done.is_none());
         assert_eq!(a.stats().bram_drops, 1);
         assert_eq!(a.stats().slot_denials, 0);
@@ -973,8 +961,8 @@ mod tests {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 2, 4);
         a.set_grant(Some(1), None);
         a.set_host_fallback(true);
-        a.ingest(&seg(0, vec![1.0]));
-        a.ingest(&seg(1, vec![7.0]));
+        wire(&mut a, 0, &[1.0]);
+        wire(&mut a, 1, &[7.0]);
         assert_eq!(a.host_rounds(), 1);
         assert_eq!(a.partial_segments(), vec![0, 1]);
         let flushed = a.force_broadcast(1).expect("host partial flushed");
@@ -987,9 +975,9 @@ mod tests {
     #[test]
     fn demand_peak_tracks_and_rearms() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 4, 2);
-        a.ingest(&seg(0, vec![1.0]));
-        a.ingest(&seg(1, vec![1.0]));
-        a.ingest(&seg(0, vec![1.0])); // completes segment 0
+        wire(&mut a, 0, &[1.0]);
+        wire(&mut a, 1, &[1.0]);
+        wire(&mut a, 0, &[1.0]); // completes segment 0
         assert_eq!(a.take_demand_peak(), 2);
         // Rearmed from the current occupancy (segment 1 still open).
         assert_eq!(a.take_demand_peak(), 1);
@@ -1000,27 +988,18 @@ mod tests {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 4, 2);
         a.set_slot_leak_bug(true);
         let resident_one = {
-            a.ingest(&seg(0, vec![1.0; 8]));
+            wire(&mut a, 0, &[1.0; 8]);
             a.resident_bytes()
         };
-        a.ingest(&seg(0, vec![1.0; 8]));
+        wire(&mut a, 0, &[1.0; 8]);
         // The completed round leaked: occupancy and bytes never dropped.
         assert_eq!(a.open_rounds(), 1);
         assert_eq!(a.resident_bytes(), resident_one);
         assert_eq!(a.stats().leaked_slots, 1);
-        a.ingest(&seg(1, vec![1.0; 8]));
-        a.ingest(&seg(1, vec![1.0; 8]));
+        wire(&mut a, 1, &[1.0; 8]);
+        wire(&mut a, 1, &[1.0; 8]);
         assert_eq!(a.open_rounds(), 2);
         assert_eq!(a.resident_bytes(), 2 * resident_one);
-    }
-
-    /// Feeds `values` for round `idx` through `ingest_wire` in `codec`'s
-    /// contribution format.
-    fn wire(a: &mut Accelerator, idx: u64, values: &[f32]) -> (Option<DataSegment>, SimDuration) {
-        let codec = a.codec().codec();
-        let payload = codec.encode_contribution(idx, values).unwrap();
-        let meta = codec.decode_meta(&payload).unwrap();
-        a.ingest_wire(meta, &payload)
     }
 
     #[test]
@@ -1084,8 +1063,8 @@ mod tests {
     #[test]
     fn busy_cycles_accumulate() {
         let mut a = Accelerator::new(AcceleratorConfig::default(), 1, 10);
-        a.ingest(&seg(0, vec![0.0; 366]));
-        a.ingest(&seg(0, vec![0.0; 366]));
+        wire(&mut a, 0, &[0.0; 366]);
+        wire(&mut a, 0, &[0.0; 366]);
         assert_eq!(a.stats().busy_cycles, 2 * (46 + 8));
     }
 }

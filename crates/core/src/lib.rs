@@ -19,23 +19,34 @@
 //!
 //! ## Example: 4 workers aggregated in one switch
 //!
+//! Each worker sends its gradient as the packets of an
+//! [`EncodedGradient`]; the accelerator sums them straight off the wire,
+//! and a worker's [`RoundAssembler`] turns the results back into the mean
+//! gradient.
+//!
 //! ```
-//! use iswitch_core::{Accelerator, AcceleratorConfig, segment_gradient};
+//! use iswitch_core::{decode_data_meta, Accelerator, AcceleratorConfig, EncodedGradient};
+//! use iswitch_core::{CodecKind, RoundAssembler};
+//! use iswitch_netsim::IpAddr;
 //!
-//! let grads: Vec<Vec<f32>> = (0..4).map(|w| vec![w as f32; 1000]).collect();
-//! let segments = iswitch_core::num_segments(1000);
+//! let len = 1000;
+//! let segments = iswitch_core::num_segments(len);
 //! let mut accel = Accelerator::new(AcceleratorConfig::default(), segments, 4);
+//! let mut results = RoundAssembler::new(len, true);
+//! results.begin_round(Some(0));
 //!
-//! let mut aggregated = Vec::new();
-//! for grad in &grads {
-//!     for seg in segment_gradient(grad) {
-//!         if let (Some(done), _latency) = accel.ingest(&seg) {
-//!             aggregated.push(done);
+//! for w in 0..4u8 {
+//!     let grad = vec![f32::from(w); len];
+//!     let src = IpAddr::new(10, 0, 0, w + 1);
+//!     for pkt in EncodedGradient::with_codec(src, &grad, CodecKind::F32, 0).packets_round(0) {
+//!         let meta = decode_data_meta(&pkt).expect("an f32 data packet");
+//!         if let (Some(sum), _latency) = accel.ingest_wire(meta, &pkt.payload) {
+//!             results.insert_wire(&sum.encode());
 //!         }
 //!     }
 //! }
-//! // 0 + 1 + 2 + 3 = 6 in every element.
-//! assert!(aggregated.iter().all(|s| s.values.iter().all(|&v| v == 6.0)));
+//! // (0 + 1 + 2 + 3) / 4 in every element.
+//! assert_eq!(results.take_mean(), Some(vec![1.5; len]));
 //! ```
 
 #![warn(missing_docs)]
@@ -54,20 +65,18 @@ pub use accelerator::{
 pub use control_plane::{Member, MemberType, MembershipTable};
 pub use error::ProtocolError;
 pub use protocol::{
-    decode_seg_field, dscp, is_iswitch_tos, num_segments, seg_index, seg_round, segment_gradient,
-    segment_gradient_round, tag_round, topk_indices, AccEffects, AggregationCodec,
-    BlockScaledCodec, CodecKind, ControlMessage, DataSegment, F32Codec, GradientAssembler,
-    RoundAssembler, RoundInsert, SegmentMeta, TopKCodec, WireAcc, BLOCKFLOAT_ELEMS_PER_SEGMENT,
-    BLOCK_ELEMS, BLOCK_FLOAT, CODEC_HEADER_BYTES, FIXED_ELEMS_PER_SEGMENT, FIXED_POINT,
-    FLOATS_PER_SEGMENT, ISWITCH_UDP_PORT, MAX_SEG_INDEX, ROUND_SHIFT, SEG_HEADER_BYTES,
-    TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT, TOS_CONTROL, TOS_DATA,
+    decode_seg_field, dscp, is_iswitch_tos, num_segments, seg_index, seg_round, tag_round,
+    topk_indices, AccEffects, AggregationCodec, BlockScaledCodec, CodecKind, ControlMessage,
+    DataSegment, F32Codec, RoundAssembler, RoundInsert, SegmentMeta, TopKCodec, WireAcc,
+    BLOCKFLOAT_ELEMS_PER_SEGMENT, BLOCK_ELEMS, BLOCK_FLOAT, CODEC_HEADER_BYTES,
+    FIXED_ELEMS_PER_SEGMENT, FIXED_POINT, FLOATS_PER_SEGMENT, ISWITCH_UDP_PORT, MAX_SEG_INDEX,
+    ROUND_SHIFT, SEG_HEADER_BYTES, TOPK_DIVISOR, TOPK_ELEMS_PER_SEGMENT, TOS_CONTROL, TOS_DATA,
 };
 pub use switch_ext::{
     AggregationMode, AggregationRole, ExtensionConfig, ExtensionStats, IswitchExtension,
     FAULT_RESET_TOKEN, RESULT_BROADCAST_IP, RESULT_DEPTH, UPSTREAM_IP,
 };
 pub use worker::{
-    contribution_packet, control_packet, data_packet, data_packet_wire, decode_control,
-    decode_data, decode_data_meta, gradient_packets, gradient_packets_round,
-    gradient_packets_round_codec, EncodedGradient,
+    contribution_packet, control_packet, data_packet_wire, decode_control, decode_data_meta,
+    EncodedGradient,
 };

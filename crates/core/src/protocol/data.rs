@@ -199,168 +199,6 @@ pub fn num_segments(len: usize) -> usize {
     len.div_ceil(FLOATS_PER_SEGMENT)
 }
 
-/// Splits a gradient vector into worker-contribution segments (count = 1,
-/// round tag 0). The inverse of feeding every segment to a
-/// [`GradientAssembler`].
-pub fn segment_gradient(grad: &[f32]) -> Vec<DataSegment> {
-    segment_gradient_round(grad, 0)
-}
-
-/// Splits a gradient vector into contribution segments tagged with `round`.
-pub fn segment_gradient_round(grad: &[f32], round: u32) -> Vec<DataSegment> {
-    grad.chunks(FLOATS_PER_SEGMENT)
-        .enumerate()
-        .map(|(i, chunk)| DataSegment {
-            seg: tag_round(i as u64, round),
-            count: 1,
-            values: chunk.to_vec(),
-        })
-        .collect()
-}
-
-/// Indices in `[from, below)` whose `received` flag is still clear, in
-/// ascending order — the one missing-segment scan both assemblers share.
-/// Bounds past the end of `received` are clamped; nothing is allocated.
-fn missing_in(received: &[bool], from: u64, below: u64) -> impl Iterator<Item = u64> + '_ {
-    let n = received.len();
-    let hi = usize::try_from(below).map_or(n, |b| b.min(n));
-    let lo = usize::try_from(from).map_or(hi, |f| f.min(hi));
-    received[lo..hi]
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !**r)
-        .map(move |(i, _)| (lo + i) as u64)
-}
-
-/// Reassembles aggregated segments back into a full gradient vector.
-///
-/// Tracks per-segment contributor counts so callers can average even when
-/// different segments were aggregated over different numbers of workers
-/// (possible after an `FBcast`).
-#[derive(Debug, Clone)]
-pub struct GradientAssembler {
-    grad_len: usize,
-    /// Elements per full segment — [`FLOATS_PER_SEGMENT`] for the f32
-    /// format, the codec's own capacity otherwise. Segment `i` covers
-    /// offsets `i * seg_elems ..`.
-    seg_elems: usize,
-    values: Vec<f32>,
-    counts: Vec<u16>,
-    received: Vec<bool>,
-    pending: usize,
-}
-
-impl GradientAssembler {
-    /// An assembler for a gradient of `grad_len` elements in the f32
-    /// segment layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_len` is zero.
-    pub fn new(grad_len: usize) -> Self {
-        Self::with_seg_elems(grad_len, FLOATS_PER_SEGMENT)
-    }
-
-    /// An assembler whose segments carry `seg_elems` elements each (the
-    /// codec's per-segment capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_len` or `seg_elems` is zero.
-    pub fn with_seg_elems(grad_len: usize, seg_elems: usize) -> Self {
-        assert!(grad_len > 0, "gradient length must be positive");
-        assert!(seg_elems > 0, "segment capacity must be positive");
-        let n = grad_len.div_ceil(seg_elems);
-        GradientAssembler {
-            grad_len,
-            seg_elems,
-            values: vec![0.0; grad_len],
-            counts: vec![0; n],
-            received: vec![false; n],
-            pending: n,
-        }
-    }
-
-    /// Total number of segments expected.
-    pub fn num_segments(&self) -> usize {
-        self.received.len()
-    }
-
-    /// Whether every segment has arrived.
-    pub fn is_complete(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// Indices in `[from, below)` of segments not yet received, ascending.
-    pub fn missing_in(&self, from: u64, below: u64) -> impl Iterator<Item = u64> + '_ {
-        missing_in(&self.received, from, below)
-    }
-
-    /// Installs a segment. Duplicate arrivals overwrite (results are
-    /// idempotent re-broadcasts). Returns `true` once the vector is
-    /// complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidField`] if the segment index is out
-    /// of range, its length does not match its position, or its
-    /// contributor count is zero.
-    pub fn insert(&mut self, seg: &DataSegment) -> Result<bool, ProtocolError> {
-        let idx = seg_index(seg.seg) as usize;
-        if idx >= self.received.len() {
-            return Err(ProtocolError::InvalidField("seg"));
-        }
-        let offset = idx * self.seg_elems;
-        let expect = (self.grad_len - offset).min(self.seg_elems);
-        if seg.values.len() != expect {
-            return Err(ProtocolError::InvalidField("payload length"));
-        }
-        if seg.count == 0 {
-            // A zero count would divide the segment by zero in `into_mean`.
-            return Err(ProtocolError::InvalidField("count"));
-        }
-        self.values[offset..offset + expect].copy_from_slice(&seg.values);
-        self.counts[idx] = seg.count;
-        if !self.received[idx] {
-            self.received[idx] = true;
-            self.pending -= 1;
-        }
-        Ok(self.is_complete())
-    }
-
-    /// Consumes the assembler, returning the element-wise **mean** gradient
-    /// (each segment divided by its contributor count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector is incomplete or any count is zero.
-    pub fn into_mean(self) -> Vec<f32> {
-        assert!(self.is_complete(), "gradient vector incomplete");
-        let mut out = self.values;
-        for (i, &count) in self.counts.iter().enumerate() {
-            assert!(count > 0, "segment {i} has zero contributors");
-            let offset = i * self.seg_elems;
-            let end = (offset + self.seg_elems).min(out.len());
-            let inv = 1.0 / f32::from(count);
-            for v in &mut out[offset..end] {
-                *v *= inv;
-            }
-        }
-        out
-    }
-
-    /// Consumes the assembler, returning the raw summed gradient and the
-    /// per-segment contributor counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector is incomplete.
-    pub fn into_sum(self) -> (Vec<f32>, Vec<u16>) {
-        assert!(self.is_complete(), "gradient vector incomplete");
-        (self.values, self.counts)
-    }
-}
-
 /// Outcome of feeding one segment to a [`RoundAssembler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundInsert {
@@ -379,12 +217,15 @@ pub enum RoundInsert {
 ///
 /// Wraps the bookkeeping every iSwitch worker needs around incoming result
 /// segments: filtering stale rounds (expired flushes, duplicate `Help`
-/// replies), deduplicating re-broadcast segments, tracking which indices
-/// are still missing for loss recovery — and, when constructed with
-/// `store_values`, buffering the actual aggregated f32 values so the mean
-/// gradient can be recovered (the co-simulation fidelity path). Timing-mode
-/// workers skip value storage: arrival bookkeeping alone determines when an
-/// iteration completes.
+/// replies) and malformed segments, deduplicating re-broadcast segments
+/// (the first arrival of an index wins), tracking which indices are still
+/// missing for loss recovery — and, when constructed with `store_values`,
+/// buffering the aggregated values and per-segment contributor counts so
+/// the mean gradient can be recovered (the co-simulation fidelity path).
+/// Timing-mode workers skip value storage: arrival bookkeeping alone
+/// determines when an iteration completes. Both modes judge a segment's
+/// header by the same rules; only a value-storing assembler also decodes
+/// the body, and refuses one its codec cannot decode.
 #[derive(Debug, Clone)]
 pub struct RoundAssembler {
     grad_len: usize,
@@ -395,8 +236,14 @@ pub struct RoundAssembler {
     /// `None`: accept any round tag (the asynchronous pipeline, where
     /// contributions are not round-aligned).
     round: Option<u32>,
-    values: Option<GradientAssembler>,
     store_values: bool,
+    /// The round's aggregated sums, segment `i` at `i * elems_per_segment`
+    /// (empty without `store_values`, and once taken by
+    /// [`RoundAssembler::take_mean`]).
+    values: Vec<f32>,
+    /// Contributor count of each received segment (empty without
+    /// `store_values`).
+    counts: Vec<u16>,
     received: Vec<bool>,
     /// Low-water cursor: the lowest index not yet received this round
     /// (`received.len()` once none is left). Everything below it has
@@ -429,13 +276,14 @@ impl RoundAssembler {
     pub fn with_codec(grad_len: usize, store_values: bool, codec: CodecKind) -> Self {
         assert!(grad_len > 0, "gradient length must be positive");
         let n = codec.num_segments(grad_len);
+        let stored = |len| if store_values { len } else { 0 };
         RoundAssembler {
             grad_len,
             codec,
             round: None,
-            values: store_values
-                .then(|| GradientAssembler::with_seg_elems(grad_len, codec.elems_per_segment())),
             store_values,
+            values: vec![0.0; stored(grad_len)],
+            counts: vec![0; stored(n)],
             received: vec![false; n],
             low_water: 0,
             pending: n,
@@ -451,10 +299,9 @@ impl RoundAssembler {
         self.pending = self.received.len();
         self.done = false;
         if self.store_values {
-            self.values = Some(GradientAssembler::with_seg_elems(
-                self.grad_len,
-                self.codec.elems_per_segment(),
-            ));
+            // Every segment is written before the next mean is taken, so a
+            // buffer the last round left in place needs no clearing.
+            self.values.resize(self.grad_len, 0.0);
         }
     }
 
@@ -472,8 +319,17 @@ impl RoundAssembler {
     /// ascending. The scan starts no lower than the low-water cursor, so
     /// its cost is bounded by the part of the range above the received
     /// prefix: an in-order round asks about an empty range every time.
+    /// Bounds past the last segment are clamped; nothing is allocated.
     pub fn missing_in(&self, from: u64, below: u64) -> impl Iterator<Item = u64> + '_ {
-        missing_in(&self.received, from.max(u64::from(self.low_water)), below)
+        let n = self.received.len();
+        let hi = usize::try_from(below).map_or(n, |b| b.min(n));
+        let from = from.max(u64::from(self.low_water));
+        let lo = usize::try_from(from).map_or(hi, |f| f.min(hi));
+        self.received[lo..hi]
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !**r)
+            .map(move |(i, _)| (lo + i) as u64)
     }
 
     /// Feeds one received result segment from its encoded wire payload,
@@ -481,10 +337,14 @@ impl RoundAssembler {
     /// broadcast results, owned by the same codec as the accelerator's
     /// accumulate, so the two cannot drift.
     ///
-    /// Bookkeeping-only assemblers (timing mode) stop at the header and
+    /// A segment of another round, or one that is malformed — unparsable,
+    /// indexed past the last segment, carrying an element count that does
+    /// not fit its index, or summed over zero contributors — reports
+    /// [`RoundInsert::Stale`] and changes nothing. Bookkeeping-only
+    /// assemblers (timing mode) decide all of that from the header and
     /// never materialize the value vector — the hot path for results
-    /// fanned out to every worker. Malformed payloads report
-    /// [`RoundInsert::Stale`].
+    /// fanned out to every worker. A value-storing assembler also reports
+    /// `Stale` for a body its codec refuses to decode.
     pub fn insert_wire(&mut self, payload: &[u8]) -> RoundInsert {
         let codec = self.codec.codec();
         let Ok(meta) = codec.decode_meta(payload) else {
@@ -500,18 +360,21 @@ impl RoundAssembler {
         if idx >= self.received.len() {
             return RoundInsert::Stale;
         }
+        let offset = idx * codec.elems_per_segment();
+        if meta.len != (self.grad_len - offset).min(codec.elems_per_segment()) || meta.count == 0 {
+            return RoundInsert::Stale;
+        }
         if self.done || self.received[idx] {
             return RoundInsert::Duplicate;
         }
-        if let Some(asm) = self.values.as_mut() {
+        if self.store_values {
             // Co-simulation keeps the aggregate values: full decode, once,
-            // after the stale and duplicate filters above.
-            let installed = codec
-                .decode_values(payload)
-                .and_then(|seg| asm.insert(&seg));
-            if installed.is_err() {
+            // after the filters above.
+            let Ok(seg) = codec.decode_values(payload) else {
                 return RoundInsert::Stale;
-            }
+            };
+            self.values[offset..offset + meta.len].copy_from_slice(&seg.values);
+            self.counts[idx] = meta.count;
         }
         self.received[idx] = true;
         while self.received.get(self.low_water as usize) == Some(&true) {
@@ -526,14 +389,23 @@ impl RoundAssembler {
         }
     }
 
-    /// Takes the count-weighted mean of the completed round, when values
-    /// were stored. Returns `None` for bookkeeping-only assemblers or
-    /// incomplete rounds.
+    /// Takes the element-wise mean of the completed round — each segment
+    /// divided by its contributor count — when values were stored. Returns
+    /// `None` for bookkeeping-only assemblers, incomplete rounds, and a
+    /// round whose mean was already taken.
     pub fn take_mean(&mut self) -> Option<Vec<f32>> {
-        if !self.done {
+        if !self.done || self.values.is_empty() {
             return None;
         }
-        self.values.take().map(GradientAssembler::into_mean)
+        let mut mean = std::mem::take(&mut self.values);
+        let elems = self.codec.elems_per_segment();
+        for (segment, &count) in mean.chunks_mut(elems).zip(&self.counts) {
+            let inv = 1.0 / f32::from(count);
+            for v in segment {
+                *v *= inv;
+            }
+        }
+        Some(mean)
     }
 }
 
@@ -563,66 +435,85 @@ mod tests {
         assert_eq!(FLOATS_PER_SEGMENT, 366);
     }
 
+    /// Round `round` of `summed` as f32 result segments, each summed over
+    /// `count` contributions.
+    fn results(summed: &[f32], round: u32, count: u16) -> Vec<Bytes> {
+        (summed.chunks(FLOATS_PER_SEGMENT).enumerate())
+            .map(|(i, values)| {
+                let seg = tag_round(i as u64, round);
+                DataSegment {
+                    seg,
+                    count,
+                    values: values.to_vec(),
+                }
+                .encode()
+            })
+            .collect()
+    }
+
     #[test]
-    fn segmentation_then_assembly_is_identity() {
+    fn a_workers_own_packets_reassemble_to_its_gradient() {
         let grad: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5 - 100.0).collect();
-        let segs = segment_gradient(&grad);
-        assert_eq!(segs.len(), num_segments(grad.len()));
-        let mut asm = GradientAssembler::new(grad.len());
-        for (i, s) in segs.iter().enumerate() {
-            let complete = asm.insert(s).expect("valid");
-            assert_eq!(complete, i + 1 == segs.len());
+        let enc = crate::EncodedGradient::with_codec(
+            iswitch_netsim::IpAddr::new(10, 0, 0, 1),
+            &grad,
+            CodecKind::F32,
+            0,
+        );
+        let packets = enc.packets_round(9);
+        assert_eq!(packets.len(), num_segments(grad.len()));
+        let mut asm = RoundAssembler::new(grad.len(), true);
+        asm.begin_round(Some(9));
+        for (i, pkt) in packets.iter().enumerate() {
+            let want = match i + 1 == packets.len() {
+                true => RoundInsert::Completed,
+                false => RoundInsert::Accepted,
+            };
+            assert_eq!(asm.insert_wire(&pkt.payload), want);
         }
         // count = 1 everywhere, so the mean is the original vector.
-        assert_eq!(asm.into_mean(), grad);
+        assert_eq!(asm.take_mean(), Some(grad));
     }
 
+    /// A result whose element count does not fit its index, or that was
+    /// summed over no contributor, is refused alike with and without value
+    /// storage, in every codec, and leaves the round as it was.
     #[test]
-    fn assembler_tracks_missing_and_duplicates() {
-        let grad = vec![1.0f32; FLOATS_PER_SEGMENT * 2 + 10];
-        let segs = segment_gradient(&grad);
-        let mut asm = GradientAssembler::new(grad.len());
-        asm.insert(&segs[2]).unwrap();
-        assert_eq!(asm.missing_in(0, u64::MAX).collect::<Vec<_>>(), [0, 1]);
-        asm.insert(&segs[2]).unwrap(); // duplicate is fine
-        assert_eq!(asm.missing_in(0, u64::MAX).collect::<Vec<_>>(), [0, 1]);
-        assert_eq!(asm.missing_in(1, 2).collect::<Vec<_>>(), [1]);
-        asm.insert(&segs[0]).unwrap();
-        asm.insert(&segs[1]).unwrap();
-        assert!(asm.is_complete());
-    }
-
-    #[test]
-    fn mean_divides_by_per_segment_count() {
-        let grad = vec![8.0f32; 10];
-        let mut segs = segment_gradient(&grad);
-        segs[0].count = 4; // pretend the switch summed 4 workers
-        let mut asm = GradientAssembler::new(grad.len());
-        asm.insert(&segs[0]).unwrap();
-        assert_eq!(asm.into_mean(), vec![2.0f32; 10]);
-    }
-
-    #[test]
-    fn wrong_length_or_index_rejected() {
-        let mut asm = GradientAssembler::new(100);
-        let bad_idx = DataSegment {
-            seg: 5,
-            count: 1,
-            values: vec![0.0; 100],
-        };
-        assert_eq!(
-            asm.insert(&bad_idx),
-            Err(ProtocolError::InvalidField("seg"))
-        );
-        let bad_len = DataSegment {
-            seg: 0,
-            count: 1,
-            values: vec![0.0; 99],
-        };
-        assert_eq!(
-            asm.insert(&bad_len),
-            Err(ProtocolError::InvalidField("payload length"))
-        );
+    fn malformed_results_are_stale_in_both_modes() {
+        for codec in CodecKind::ALL {
+            let elems = codec.elems_per_segment();
+            let len = 2 * elems + 5;
+            let result = |index: u64, count: u16, n: usize| {
+                let seg = tag_round(index, 3);
+                let values = vec![0.5; n];
+                codec
+                    .codec()
+                    .encode_result(&DataSegment { seg, count, values })
+            };
+            for store_values in [false, true] {
+                let at = format!("{codec}, store_values = {store_values}");
+                let mut asm = RoundAssembler::with_codec(len, store_values, codec);
+                asm.begin_round(Some(3));
+                assert_eq!(asm.insert_wire(&result(0, 2, elems)), RoundInsert::Accepted);
+                let malformed = [
+                    ("a full segment one short", result(1, 2, elems - 1)),
+                    ("a full segment the last one's size", result(1, 2, 5)),
+                    ("the last segment sent full", result(2, 2, elems)),
+                    ("zero contributors", result(2, 0, 5)),
+                    ("past the last segment", result(3, 2, 5)),
+                ];
+                for (what, payload) in malformed {
+                    assert_eq!(
+                        asm.insert_wire(&payload),
+                        RoundInsert::Stale,
+                        "{at}: {what}"
+                    );
+                    assert_eq!(asm.received_count(), 1, "{at}: {what}");
+                }
+                assert_eq!(asm.insert_wire(&result(1, 2, elems)), RoundInsert::Accepted);
+                assert_eq!(asm.insert_wire(&result(2, 2, 5)), RoundInsert::Completed);
+            }
+        }
     }
 
     #[test]
@@ -646,12 +537,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "incomplete")]
-    fn into_mean_requires_completeness() {
-        let _ = GradientAssembler::new(10).into_mean();
-    }
-
-    #[test]
     fn round_tags_round_trip() {
         let tagged = tag_round(4_590, 65_535);
         assert_eq!(seg_index(tagged), 4_590);
@@ -663,17 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn assembler_accepts_tagged_segments() {
-        let grad = vec![2.0f32; 100];
-        let segs = segment_gradient_round(&grad, 9);
-        let mut asm = GradientAssembler::new(grad.len());
-        for s in &segs {
-            asm.insert(s).unwrap();
-        }
-        assert_eq!(asm.into_mean(), grad);
-    }
-
-    #[test]
     fn round_assembler_filters_stale_rounds_and_duplicates() {
         let len = FLOATS_PER_SEGMENT * 2 + 10;
         let grad = vec![1.0f32; len];
@@ -681,19 +555,20 @@ mod tests {
         asm.begin_round(Some(5));
 
         // A segment from round 4 is stale.
-        let stale = &segment_gradient_round(&grad, 4)[0];
-        assert_eq!(asm.insert_wire(&stale.encode()), RoundInsert::Stale);
+        let stale = &results(&grad, 4, 1)[0];
+        assert_eq!(asm.insert_wire(stale), RoundInsert::Stale);
         assert_eq!(asm.received_count(), 0);
 
-        let segs = segment_gradient_round(&grad, 5);
-        assert_eq!(asm.insert_wire(&segs[0].encode()), RoundInsert::Accepted);
-        assert_eq!(asm.insert_wire(&segs[0].encode()), RoundInsert::Duplicate);
+        let segs = results(&grad, 5, 1);
+        assert_eq!(asm.insert_wire(&segs[0]), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&segs[0]), RoundInsert::Duplicate);
         assert_eq!(asm.missing_in(0, u64::MAX).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(asm.insert_wire(&segs[1].encode()), RoundInsert::Accepted);
-        assert_eq!(asm.insert_wire(&segs[2].encode()), RoundInsert::Completed);
+        assert_eq!(asm.missing_in(1, 2).collect::<Vec<_>>(), [1]);
+        assert_eq!(asm.insert_wire(&segs[1]), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&segs[2]), RoundInsert::Completed);
         assert!(asm.is_done());
         // Everything after completion is a duplicate until the next round.
-        assert_eq!(asm.insert_wire(&segs[1].encode()), RoundInsert::Duplicate);
+        assert_eq!(asm.insert_wire(&segs[1]), RoundInsert::Duplicate);
         // Bookkeeping-only assembler has no values to return.
         assert_eq!(asm.take_mean(), None);
 
@@ -775,14 +650,23 @@ mod tests {
         let summed = vec![6.0f32; len];
         let mut asm = RoundAssembler::new(len, true);
         asm.begin_round(Some(0));
-        for mut seg in segment_gradient_round(&summed, 0) {
-            seg.count = 3; // aggregated over three workers
-            asm.insert_wire(&seg.encode());
-        }
+        // Segment 0 aggregated over three workers, segment 1 (a partial
+        // flush) over two; the first arrival of an index wins.
+        let (three, two) = (results(&summed, 0, 3), results(&summed, 0, 2));
+        assert_eq!(asm.insert_wire(&three[0]), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&two[0]), RoundInsert::Duplicate);
+        assert_eq!(asm.take_mean(), None, "incomplete");
+        assert_eq!(asm.insert_wire(&two[1]), RoundInsert::Completed);
         let mean = asm.take_mean().expect("complete with values");
-        assert!(mean.iter().all(|&v| (v - 2.0).abs() < 1e-6));
+        assert_eq!(mean[..FLOATS_PER_SEGMENT], [2.0; FLOATS_PER_SEGMENT]);
+        assert_eq!(mean[FLOATS_PER_SEGMENT..], [3.0; 3]);
         // The mean is consumed; a new round stores fresh values.
         assert_eq!(asm.take_mean(), None);
+        asm.begin_round(Some(1));
+        for seg in results(&summed, 1, 6) {
+            asm.insert_wire(&seg);
+        }
+        assert_eq!(asm.take_mean(), Some(vec![1.0; len]));
     }
 
     #[test]
@@ -791,9 +675,8 @@ mod tests {
         let grad = vec![1.0f32; len];
         let mut asm = RoundAssembler::new(len, false);
         asm.begin_round(None);
-        let r0 = segment_gradient_round(&grad, 0);
-        let r7 = segment_gradient_round(&grad, 7);
-        assert_eq!(asm.insert_wire(&r0[0].encode()), RoundInsert::Accepted);
-        assert_eq!(asm.insert_wire(&r7[1].encode()), RoundInsert::Completed);
+        let (r0, r7) = (results(&grad, 0, 1), results(&grad, 7, 1));
+        assert_eq!(asm.insert_wire(&r0[0]), RoundInsert::Accepted);
+        assert_eq!(asm.insert_wire(&r7[1]), RoundInsert::Completed);
     }
 }

@@ -14,8 +14,7 @@ pub use codec::{
 };
 pub use control::ControlMessage;
 pub use data::{
-    decode_seg_field, num_segments, seg_index, seg_round, segment_gradient, segment_gradient_round,
-    tag_round, DataSegment, GradientAssembler, RoundAssembler, RoundInsert, SegmentMeta,
-    FLOATS_PER_SEGMENT, MAX_SEG_INDEX, ROUND_SHIFT, SEG_HEADER_BYTES,
+    decode_seg_field, num_segments, seg_index, seg_round, tag_round, DataSegment, RoundAssembler,
+    RoundInsert, SegmentMeta, FLOATS_PER_SEGMENT, MAX_SEG_INDEX, ROUND_SHIFT, SEG_HEADER_BYTES,
 };
 pub use tos::{dscp, is_iswitch_tos, ISWITCH_UDP_PORT, TOS_CONTROL, TOS_DATA};

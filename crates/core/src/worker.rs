@@ -38,50 +38,19 @@ fn contribution_payload(
     (seg, payload.expect("gradient values are finite"))
 }
 
-/// Builds the sequence of data packets carrying `grad` from a worker at
-/// `src` toward its switch. One packet per segment, in segment order.
+/// Segment `index` of `grad`, tagged with `round` and encoded under `codec`
+/// as a data packet from a worker at `src` toward its switch — the
+/// straightforward packetiser, one encode per call, that every
+/// [`EncodedGradient`] packet equals byte for byte.
 ///
 /// The destination address is the upstream aggregation address: iSwitch
 /// switches intercept by ToS, so data packets never need a concrete
 /// switch IP.
-pub fn gradient_packets(src: IpAddr, grad: &[f32]) -> Vec<Packet> {
-    gradient_packets_round(src, grad, 0)
-}
-
-/// Like [`gradient_packets`] with an explicit aggregation-round tag in the
-/// `Seg` field (see [`crate::tag_round`]); receivers use the tag to ignore
-/// stale re-broadcasts.
-pub fn gradient_packets_round(src: IpAddr, grad: &[f32], round: u32) -> Vec<Packet> {
-    gradient_packets_round_codec(src, grad, round, CodecKind::F32, 0)
-}
-
-/// Like [`gradient_packets_round`] with the contribution payloads encoded
-/// under `codec`. `exp_bias` seeds the fixed-point exponent-stamp bug
-/// (zero for correct operation; ignored by other codecs).
 ///
 /// # Panics
 ///
-/// Panics if the gradient contains non-finite values — quantized codecs
-/// reject NaN/Inf at encode time.
-pub fn gradient_packets_round_codec(
-    src: IpAddr,
-    grad: &[f32],
-    round: u32,
-    codec: CodecKind,
-    exp_bias: i8,
-) -> Vec<Packet> {
-    (0..codec.num_segments(grad.len()))
-        .map(|index| contribution_packet(src, grad, index, round, codec, exp_bias))
-        .collect()
-}
-
-/// Segment `index` alone of what [`gradient_packets_round_codec`] sends —
-/// the one contribution a worker resends when its switch asks for it back.
-///
-/// # Panics
-///
-/// Panics under the same conditions, or if `index` is past the last
-/// segment.
+/// Panics if the gradient contains non-finite values and the codec is
+/// quantized, or if `index` is past the last segment.
 pub fn contribution_packet(
     src: IpAddr,
     grad: &[f32],
@@ -94,15 +63,15 @@ pub fn contribution_packet(
     sealed_data_packet(src, UPSTREAM_IP, seg, payload)
 }
 
-/// Pre-encoded contribution payloads for a gradient vector whose contents
-/// do not change between iterations (timing-mode synthetic gradients),
-/// shared by every sender of that vector.
+/// A worker's contribution payloads: the one way a gradient goes on the
+/// wire. A live gradient is encoded once per round; a vector whose contents
+/// do not change between iterations (timing-mode synthetic gradients) is
+/// encoded once for the run and shared by every sender of it.
 ///
-/// [`gradient_packets_round_codec`] re-encodes every element each
-/// iteration even though only the 8-byte round-tagged header differs
-/// between rounds — and the sender's address is in the IP header, not the
-/// payload, so every worker pushing the same vector sends the same bytes.
-/// This encodes the vector once into one store of per-segment payloads,
+/// Only the 8-byte round-tagged header differs between rounds of the same
+/// vector — and the sender's address is in the IP header, not the payload,
+/// so every worker pushing the same vector sends the same bytes. This
+/// encodes the vector once into one store of per-segment payloads,
 /// each tagged for the round it last went out in. Every handle over the
 /// store ([`EncodedGradient::with_src`]) carries its own sender address,
 /// and a segment retags by one rule:
@@ -116,8 +85,8 @@ pub fn contribution_packet(
 ///
 /// The store sits behind one lock, taken once per
 /// [`EncodedGradient::packets_round`], so handles may send from the
-/// domains of a sharded run on different threads. Output is byte-for-byte
-/// identical to [`gradient_packets_round_codec`].
+/// domains of a sharded run on different threads. Every packet is byte for
+/// byte the [`contribution_packet`] of the same segment and round.
 pub struct EncodedGradient {
     src: IpAddr,
     /// One encoded payload per segment (always `Some` between calls).
@@ -153,8 +122,8 @@ impl EncodedGradient {
         }
     }
 
-    /// Builds the packet sequence for `round` — the pre-encoded equivalent
-    /// of [`gradient_packets_round_codec`].
+    /// Builds the packet sequence for `round`: one packet per segment, in
+    /// segment order.
     pub fn packets_round(&self, round: u32) -> Vec<Packet> {
         let mut store = self.store.lock().expect("shared state lock");
         (store.iter_mut().enumerate())
@@ -162,8 +131,8 @@ impl EncodedGradient {
             .collect()
     }
 
-    /// Contribution `index` of `round` — the pre-encoded equivalent of
-    /// [`contribution_packet`].
+    /// Contribution `index` of `round` alone — the one segment a worker
+    /// resends when its switch asks for it back.
     ///
     /// # Panics
     ///
@@ -198,16 +167,6 @@ impl EncodedGradient {
         *slot = Some(payload.clone());
         sealed_data_packet(self.src, UPSTREAM_IP, seg, payload)
     }
-}
-
-/// Builds a single data packet carrying `seg`.
-///
-/// The packet is stamped with a [`CausalKey`] derived from the tagged `Seg`
-/// field (round and spatial segment index) plus the sender's address as the
-/// producer identity, so per-hop trace events can be tied back to the unit
-/// of training work the packet carries.
-pub fn data_packet(src: IpAddr, dst: IpAddr, seg: &DataSegment) -> Packet {
-    sealed_data_packet(src, dst, seg.seg, seg.encode())
 }
 
 /// Re-wraps an already-encoded data payload into a packet from `src` —
@@ -258,15 +217,6 @@ pub fn control_packet(src: IpAddr, dst: IpAddr, msg: &ControlMessage) -> Packet 
         .with_payload(msg.encode())
 }
 
-/// Parses an iSwitch data packet, returning `None` for anything else
-/// (wrong ToS or malformed payload).
-pub fn decode_data(pkt: &Packet) -> Option<DataSegment> {
-    if dscp(pkt.ip.tos) != TOS_DATA {
-        return None;
-    }
-    DataSegment::decode(&pkt.payload).ok()
-}
-
 /// Parses just the header of an iSwitch data packet — the cheap peek for
 /// consumers that do not need the values materialized (arrival bookkeeping,
 /// [`crate::Accelerator::ingest_wire`]).
@@ -291,24 +241,28 @@ mod tests {
     use crate::protocol::FLOATS_PER_SEGMENT;
 
     #[test]
-    fn gradient_packets_cover_the_vector_in_order() {
+    fn packets_cover_the_vector_in_order() {
         let grad: Vec<f32> = (0..FLOATS_PER_SEGMENT + 5).map(|i| i as f32).collect();
-        let pkts = gradient_packets(IpAddr::new(10, 0, 0, 1), &grad);
+        let enc = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &grad, CodecKind::F32, 0);
+        let pkts = enc.packets_round(0);
         assert_eq!(pkts.len(), 2);
-        let seg0 = decode_data(&pkts[0]).unwrap();
-        let seg1 = decode_data(&pkts[1]).unwrap();
-        assert_eq!(seg0.seg, 0);
-        assert_eq!(seg1.seg, 1);
+        let seg0 = DataSegment::decode(&pkts[0].payload).unwrap();
+        let seg1 = DataSegment::decode(&pkts[1].payload).unwrap();
+        assert_eq!((seg0.seg, seg0.count), (0, 1));
+        assert_eq!((seg1.seg, seg1.count), (1, 1));
         assert_eq!(seg0.values.len(), FLOATS_PER_SEGMENT);
         assert_eq!(seg1.values.len(), 5);
         assert_eq!(seg1.values[4], (FLOATS_PER_SEGMENT + 4) as f32);
+        assert_eq!(pkts[1].ip.dst, UPSTREAM_IP);
     }
 
     /// Handles with their own senders over one store, driven by a random
     /// interleaving of whole rounds and single segments while random
     /// packets stay alive: every packet is byte for byte the one the
     /// packetiser builds, and a segment sent again for the round it last
-    /// went out in shares that payload's storage.
+    /// went out in shares that payload's storage. Every codec, plus the
+    /// seeded fixed-point exponent-stamp bug, which live sources send
+    /// through a store too.
     #[test]
     fn handles_over_one_store_send_the_packetisers_bytes_and_share_a_round() {
         use rand::rngs::StdRng;
@@ -317,13 +271,22 @@ mod tests {
         fn send_and_sync<T: Send + Sync>() {}
         send_and_sync::<EncodedGradient>();
         const HANDLES: u8 = 4;
-        for codec in CodecKind::ALL {
+        let biased = [(CodecKind::FixedPoint, 3), (CodecKind::FixedPoint, -2)];
+        for (codec, bias) in CodecKind::ALL.map(|c| (c, 0)).into_iter().chain(biased) {
             let elems = codec.elems_per_segment();
             let grad: Vec<f32> = (0..3 * elems + 7)
                 .map(|i| (i % 11) as f32 * 0.5 - 2.0)
                 .collect();
             let segments = codec.num_segments(grad.len());
-            let first = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &grad, codec, 0);
+            let first = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &grad, codec, bias);
+            if bias != 0 {
+                let honest = contribution_packet(first.src, &grad, 0, 0, codec, 0);
+                assert_ne!(
+                    first.packet(0, 0).payload,
+                    honest.payload,
+                    "bias {bias} ignored"
+                );
+            }
             let mut handles: Vec<EncodedGradient> = (1..HANDLES)
                 .map(|h| first.with_src(IpAddr::new(10, 0, 0, 1 + h)))
                 .collect();
@@ -343,8 +306,11 @@ mod tests {
                     vec![(index, enc.packet(index, round))]
                 };
                 for (index, pkt) in sent {
-                    let want = contribution_packet(enc.src, &grad, index, round, codec, 0);
-                    let at = format!("{codec}: segment {index} of round {round} from {}", enc.src);
+                    let want = contribution_packet(enc.src, &grad, index, round, codec, bias);
+                    let at = format!(
+                        "{codec} (bias {bias}): segment {index} of round {round} from {}",
+                        enc.src
+                    );
                     assert_eq!(
                         (pkt.ip, pkt.udp, pkt.cause),
                         (want.ip, want.udp, want.cause),
@@ -377,9 +343,11 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_tos() {
         let grad = vec![1.0f32; 4];
-        let mut pkt = gradient_packets(IpAddr::new(10, 0, 0, 1), &grad).remove(0);
+        let enc = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &grad, CodecKind::F32, 0);
+        let mut pkt = enc.packet(0, 0);
+        assert!(decode_data_meta(&pkt).is_some());
         pkt.ip.tos = 0;
-        assert!(decode_data(&pkt).is_none());
+        assert!(decode_data_meta(&pkt).is_none());
 
         let ctrl = control_packet(
             IpAddr::new(10, 0, 0, 1),
@@ -387,6 +355,6 @@ mod tests {
             &ControlMessage::Reset,
         );
         assert!(decode_control(&ctrl).is_some());
-        assert!(decode_data(&ctrl).is_none());
+        assert!(decode_data_meta(&ctrl).is_none());
     }
 }

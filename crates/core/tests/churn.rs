@@ -7,8 +7,8 @@
 use std::any::Any;
 
 use iswitch_core::{
-    control_packet, decode_data, gradient_packets_round, seg_round, AggregationRole,
-    ControlMessage, ExtensionConfig, IswitchExtension, UPSTREAM_IP,
+    control_packet, dscp, seg_round, AggregationRole, CodecKind, ControlMessage, DataSegment,
+    EncodedGradient, ExtensionConfig, IswitchExtension, TOS_DATA, UPSTREAM_IP,
 };
 use iswitch_netsim::{
     build_tree3, HostApp, HostCtx, Packet, PortId, SimDuration, SimTime, Simulator, Switch,
@@ -81,7 +81,8 @@ impl HostApp for ChurnWorker {
                 ctx.set_timer(SimDuration::from_micros(100), T_PUSH);
             }
             T_PUSH if self.active => {
-                for pkt in gradient_packets_round(ctx.ip(), &self.grad, self.round) {
+                let enc = EncodedGradient::with_codec(ctx.ip(), &self.grad, CodecKind::F32, 0);
+                for pkt in enc.packets_round(self.round) {
                     ctx.send(pkt);
                 }
                 self.round += 1;
@@ -106,7 +107,8 @@ impl HostApp for ChurnWorker {
     }
 
     fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
-        if let Some(seg) = decode_data(&pkt) {
+        if dscp(pkt.ip.tos) == TOS_DATA {
+            let seg = DataSegment::decode(&pkt.payload).expect("an f32 result");
             let round = seg_round(seg.seg);
             self.last_seen_round = self.last_seen_round.max(round);
             let mean = seg.values[0] / f32::from(seg.count);

@@ -5,9 +5,10 @@
 //! inputs) must behave by design rather than by accident.
 
 use iswitch_core::{
-    num_segments, segment_gradient, topk_indices, Accelerator, AcceleratorConfig, AggregationCodec,
-    CodecKind, DataSegment, SegmentMeta, FIXED_POINT, TOPK_DIVISOR,
+    num_segments, topk_indices, Accelerator, AcceleratorConfig, AggregationCodec, CodecKind,
+    DataSegment, EncodedGradient, SegmentMeta, FIXED_POINT, FLOATS_PER_SEGMENT, TOPK_DIVISOR,
 };
+use iswitch_netsim::IpAddr;
 
 /// Deterministic xorshift values in `[-scale, scale]` — random tensors
 /// without dragging an RNG crate into the core's dev-deps.
@@ -239,13 +240,15 @@ fn f32_switch_adds_a_nan_like_the_papers_adder() {
     // pass, so a NaN contribution is summed, not refused — the aggregate
     // element is NaN, its neighbours are exact, and nothing is dropped.
     let mut accel = Accelerator::new(AcceleratorConfig::default(), 1, 2);
-    let one = |values: Vec<f32>| DataSegment {
-        seg: 0,
-        count: 1,
-        values,
+    let c = CodecKind::F32.codec();
+    let mut one = |values: &[f32]| {
+        let payload = c
+            .encode_contribution(0, values)
+            .expect("f32 is transparent");
+        accel.ingest_wire(c.decode_meta(&payload).expect("well-formed"), &payload)
     };
-    assert!(accel.ingest(&one(vec![1.0, f32::NAN, 3.0])).0.is_none());
-    let (done, _) = accel.ingest(&one(vec![2.0, 5.0, f32::INFINITY]));
+    assert!(one(&[1.0, f32::NAN, 3.0]).0.is_none());
+    let (done, _) = one(&[2.0, 5.0, f32::INFINITY]);
     let done = done.expect("two contributions close the round");
     assert_eq!(done.values[0], 3.0);
     assert!(done.values[1].is_nan());
@@ -305,11 +308,17 @@ fn legacy_f32_segments_and_codec_payloads_interoperate() {
     // The f32 codec's contribution payload IS the legacy segment encoding:
     // a pre-codec worker and a codec worker produce identical bytes.
     let vals = random_values(0x1E9A, 500, 3.0);
-    let legacy: Vec<DataSegment> = segment_gradient(&vals);
+    let enc = EncodedGradient::with_codec(IpAddr::new(10, 0, 0, 1), &vals, CodecKind::F32, 0);
     let c = CodecKind::F32.codec();
-    for seg in &legacy {
+    for (i, chunk) in vals.chunks(FLOATS_PER_SEGMENT).enumerate() {
+        let seg = DataSegment {
+            seg: i as u64,
+            count: 1,
+            values: chunk.to_vec(),
+        };
         let payload = c.encode_contribution(seg.seg, &seg.values).expect("finite");
         assert_eq!(payload, seg.encode(), "byte-identical legacy layout");
+        assert_eq!(enc.packet(i, 0).payload, payload, "what a worker sends");
         let meta = c.decode_meta(&payload).expect("well-formed");
         assert_eq!(
             meta,

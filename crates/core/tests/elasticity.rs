@@ -6,7 +6,7 @@
 use std::any::Any;
 
 use iswitch_core::{
-    control_packet, decode_data, gradient_packets_round, seg_round, ControlMessage,
+    control_packet, decode_data_meta, seg_round, CodecKind, ControlMessage, EncodedGradient,
     ExtensionConfig, IswitchExtension, UPSTREAM_IP,
 };
 use iswitch_netsim::{
@@ -70,7 +70,8 @@ impl HostApp for ElasticWorker {
                         return;
                     }
                 }
-                for pkt in gradient_packets_round(ctx.ip(), &self.grad, self.round) {
+                let enc = EncodedGradient::with_codec(ctx.ip(), &self.grad, CodecKind::F32, 0);
+                for pkt in enc.packets_round(self.round) {
                     ctx.send(pkt);
                 }
                 self.round += 1;
@@ -81,8 +82,8 @@ impl HostApp for ElasticWorker {
     }
 
     fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
-        if let Some(seg) = decode_data(&pkt) {
-            self.results.push((seg_round(seg.seg), seg.count));
+        if let Some(meta) = decode_data_meta(&pkt) {
+            self.results.push((seg_round(meta.seg), meta.count));
         }
     }
 

@@ -8,11 +8,12 @@ mod common;
 use common::{switch_counter, Puppet};
 
 use iswitch_core::{
-    control_packet, decode_control, decode_data, gradient_packets, AggregationRole, ControlMessage,
-    DataSegment, ExtensionConfig, GradientAssembler, IswitchExtension, FAULT_RESET_TOKEN,
+    control_packet, decode_control, dscp, AggregationRole, CodecKind, ControlMessage, DataSegment,
+    EncodedGradient, ExtensionConfig, IswitchExtension, RoundAssembler, RoundInsert,
+    FAULT_RESET_TOKEN, TOS_DATA,
 };
 use iswitch_netsim::{
-    build_star, build_tree, build_tree3, host_ip, FaultAction, FaultPlan, HostApp, HostCtx,
+    build_star, build_tree, build_tree3, host_ip, FaultAction, FaultPlan, HostApp, HostCtx, IpAddr,
     LinkSpec, LossModel, Packet, PortId, SimDuration, SimTime, Simulator, Switch, SwitchRole,
     TopologyConfig,
 };
@@ -33,7 +34,7 @@ struct ScriptedWorker {
     /// Sends the contribution CE-marked, as if every packet had crossed a
     /// congested queue on its way to the switch.
     mark_ce: bool,
-    assembler: GradientAssembler,
+    assembler: RoundAssembler,
     /// Every result segment that arrived, in arrival order.
     arrived: Vec<DataSegment>,
     result: Option<Vec<f32>>,
@@ -46,7 +47,7 @@ const TIMER_HELP: u64 = 2;
 
 impl ScriptedWorker {
     fn new(grad: Vec<f32>, start_delay: SimDuration) -> Self {
-        let assembler = GradientAssembler::new(grad.len());
+        let assembler = RoundAssembler::new(grad.len(), true);
         ScriptedWorker {
             grad,
             start_delay,
@@ -80,7 +81,7 @@ impl HostApp for ScriptedWorker {
                     let pkt = control_packet(ctx.ip(), iswitch_core::UPSTREAM_IP, &join);
                     ctx.send(pkt);
                 }
-                for mut pkt in gradient_packets(ctx.ip(), &self.grad) {
+                for mut pkt in packets(ctx.ip(), &self.grad) {
                     if self.mark_ce {
                         pkt.mark_ecn_ce();
                     }
@@ -91,7 +92,7 @@ impl HostApp for ScriptedWorker {
                 }
             }
             TIMER_HELP if self.result.is_none() && self.retransmit_on_timeout => {
-                for pkt in gradient_packets(ctx.ip(), &self.grad) {
+                for pkt in packets(ctx.ip(), &self.grad) {
                     ctx.send(pkt);
                 }
             }
@@ -110,12 +111,11 @@ impl HostApp for ScriptedWorker {
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
-        if let Some(seg) = decode_data(&pkt) {
-            self.arrived.push(seg.clone());
-            if self.result.is_none() && self.assembler.insert(&seg).unwrap_or(false) {
-                let asm =
-                    std::mem::replace(&mut self.assembler, GradientAssembler::new(self.grad.len()));
-                self.result = Some(asm.into_mean());
+        if dscp(pkt.ip.tos) == TOS_DATA {
+            self.arrived
+                .push(DataSegment::decode(&pkt.payload).expect("an f32 result"));
+            if self.assembler.insert_wire(&pkt.payload) == RoundInsert::Completed {
+                self.result = self.assembler.take_mean();
                 self.result_at = Some(ctx.now());
             }
         } else if let Some(msg) = decode_control(&pkt) {
@@ -129,6 +129,11 @@ impl HostApp for ScriptedWorker {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Round 0 of `grad` as sent from `src`.
+fn packets(src: IpAddr, grad: &[f32]) -> Vec<Packet> {
+    EncodedGradient::with_codec(src, grad, CodecKind::F32, 0).packets_round(0)
 }
 
 fn worker_grad(w: usize, len: usize) -> Vec<f32> {
@@ -801,7 +806,7 @@ fn reset_clears_in_flight_aggregation() {
     struct EagerThenFull {
         grad: Vec<f32>,
         poison_first: bool,
-        asm: GradientAssembler,
+        asm: RoundAssembler,
         result: Option<Vec<f32>>,
     }
     impl HostApp for EagerThenFull {
@@ -814,22 +819,20 @@ fn reset_clears_in_flight_aggregation() {
         fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: u64) {
             if token == 1 {
                 // A poisoned half-round that Reset must erase.
-                for pkt in gradient_packets(ctx.ip(), &vec![1_000.0; self.grad.len()]) {
+                for pkt in packets(ctx.ip(), &vec![1_000.0; self.grad.len()]) {
                     ctx.send(pkt);
                 }
             } else {
-                for pkt in gradient_packets(ctx.ip(), &self.grad) {
+                for pkt in packets(ctx.ip(), &self.grad) {
                     ctx.send(pkt);
                 }
             }
         }
         fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
-            if let Some(seg) = decode_data(&pkt) {
-                if self.result.is_none() && self.asm.insert(&seg).unwrap_or(false) {
-                    let asm =
-                        std::mem::replace(&mut self.asm, GradientAssembler::new(self.grad.len()));
-                    self.result = Some(asm.into_mean());
-                }
+            if dscp(pkt.ip.tos) == TOS_DATA
+                && self.asm.insert_wire(&pkt.payload) == RoundInsert::Completed
+            {
+                self.result = self.asm.take_mean();
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -843,13 +846,13 @@ fn reset_clears_in_flight_aggregation() {
         Box::new(EagerThenFull {
             grad: vec![1.0; len],
             poison_first: true,
-            asm: GradientAssembler::new(len),
+            asm: RoundAssembler::new(len, true),
             result: None,
         }),
         Box::new(EagerThenFull {
             grad: vec![2.0; len],
             poison_first: false,
-            asm: GradientAssembler::new(len),
+            asm: RoundAssembler::new(len, true),
             result: None,
         }),
         Box::new(Resetter),
@@ -1062,9 +1065,7 @@ fn a_reset_forgets_held_and_scheduled_emissions() {
     for by_fault in [false, true] {
         let mut script: Vec<(u64, Packet)> = Vec::new();
         for (at, value, segments) in pushes {
-            let train = gradient_packets(me, &[value; LEN])
-                .into_iter()
-                .take(segments);
+            let train = packets(me, &[value; LEN]).into_iter().take(segments);
             script.extend(train.map(|pkt| (at * 1_000, pkt)));
         }
         if !by_fault {
@@ -1092,7 +1093,7 @@ fn a_reset_forgets_held_and_scheduled_emissions() {
         sim.run_until_idle();
         let host = sim.device::<iswitch_netsim::Host>(star.hosts[0]);
         let got: Vec<(u64, f32)> = (host.app::<Puppet>().got.iter())
-            .map(|(_, pkt)| decode_data(pkt).expect("a result"))
+            .map(|(_, pkt)| DataSegment::decode(&pkt.payload).expect("an f32 result"))
             .map(|seg| (seg.seg, seg.values[0]))
             .collect();
         assert_eq!(got, [(0, 2.0), (1, 2.0)], "by_fault = {by_fault}");

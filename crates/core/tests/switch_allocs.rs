@@ -20,8 +20,7 @@ use std::any::Any;
 use std::cell::Cell;
 
 use iswitch_core::{
-    gradient_packets_round_codec, CodecKind, DataSegment, ExtensionConfig, IswitchExtension,
-    RESULT_DEPTH,
+    CodecKind, DataSegment, EncodedGradient, ExtensionConfig, IswitchExtension, RESULT_DEPTH,
 };
 use iswitch_netsim::{
     build_star, host_ip, Host, HostApp, HostCtx, Packet, PortId, Simulator, Switch, TopologyConfig,
@@ -117,11 +116,8 @@ fn closed_rounds_allocate_their_result(codec: CodecKind) {
     let mut sim = Simulator::new();
     let apps: Vec<Box<dyn HostApp>> = (0..HOSTS)
         .map(|i| {
-            let stock = (0..TAGS)
-                .map(|round| {
-                    gradient_packets_round_codec(host_ip(0, i), &grad, round, codec, 0).remove(0)
-                })
-                .collect();
+            let enc = EncodedGradient::with_codec(host_ip(0, i), &grad, codec, 0);
+            let stock = (0..TAGS).map(|round| enc.packet(0, round)).collect();
             let rounds = WARM_UP + MEASURED;
             let (pushed, results) = (0, 0);
             Box::new(Pusher {

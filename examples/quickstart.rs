@@ -5,32 +5,41 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use iswitch::cluster::{run_timing, Strategy, TimingConfig};
-use iswitch::core::{segment_gradient, Accelerator, AcceleratorConfig};
+use iswitch::core::{
+    decode_data_meta, Accelerator, AcceleratorConfig, CodecKind, EncodedGradient, RoundAssembler,
+};
+use iswitch::netsim::IpAddr;
 use iswitch::rl::Algorithm;
 
 fn main() {
     // --- 1. The functional core: on-the-fly in-switch aggregation. -------
-    // Four workers each contribute a 1,000-element gradient; the switch
-    // sums packets as they arrive and emits the aggregate.
-    let workers: Vec<Vec<f32>> = (0..4).map(|w| vec![(w + 1) as f32; 1_000]).collect();
-    let segments = iswitch::core::num_segments(1_000);
+    // Four workers each send a 1,000-element gradient as data packets; the
+    // switch sums packets as they arrive and emits each segment's
+    // aggregate, which a worker reassembles into the mean gradient.
+    const LEN: usize = 1_000;
+    let segments = iswitch::core::num_segments(LEN);
     let mut accel = Accelerator::new(AcceleratorConfig::default(), segments, 4);
+    let mut results = RoundAssembler::new(LEN, true);
+    results.begin_round(Some(0));
 
-    let mut aggregated = vec![0.0f32; 1_000];
-    for grad in &workers {
-        for seg in segment_gradient(grad) {
-            if let (Some(done), latency) = accel.ingest(&seg) {
-                let offset = done.seg as usize * iswitch::core::FLOATS_PER_SEGMENT;
-                aggregated[offset..offset + done.values.len()].copy_from_slice(&done.values);
+    for w in 0..4u8 {
+        let grad = vec![f32::from(w + 1); LEN];
+        let enc =
+            EncodedGradient::with_codec(IpAddr::new(10, 0, 0, w + 1), &grad, CodecKind::F32, 0);
+        for pkt in enc.packets_round(0) {
+            let meta = decode_data_meta(&pkt).expect("an f32 data packet");
+            if let (Some(done), latency) = accel.ingest_wire(meta, &pkt.payload) {
                 println!(
                     "segment {:>2} aggregated over {} workers ({} per packet)",
                     done.seg, done.count, latency
                 );
+                results.insert_wire(&done.encode());
             }
         }
     }
-    assert!(aggregated.iter().all(|&v| v == 1.0 + 2.0 + 3.0 + 4.0));
-    println!("aggregate correct: every element is 10.0\n");
+    let mean = results.take_mean().expect("every segment aggregated");
+    assert!(mean.iter().all(|&v| v == (1.0 + 2.0 + 3.0 + 4.0) / 4.0));
+    println!("aggregate correct: every element of the mean is 2.5\n");
 
     // --- 2. The systems claim: fewer network hops, lower latency. --------
     // Simulate one PPO training iteration at packet level for the PS

@@ -145,8 +145,9 @@ fn unknown_flags_are_refused_and_help_is_help() {
 
 /// Every binary invocation inside a fenced code block of `text`, as
 /// `(program, arguments)`: a bare `iswitch-sim` or a `target/release/`
-/// program name, `cargo run … --bin <program> [-- …]`, or the `iswitch-sim`
-/// arguments a `ci/` replay script is given after `--`. A program other than
+/// program name, `cargo run … --bin <program> [-- …]`, or the command a `ci/`
+/// replay script is given after `--` (`ci/against.sh` also runs `paper`
+/// commands; see [`against_invocation`]). A program other than
 /// `iswitch-sim` or `paper` is no binary of the workspace.
 /// Shell plumbing after the command (`;`, `&&`, `|`, `>`) and `#` comments are
 /// cut off; a trailing backslash continues the line.
@@ -182,10 +183,9 @@ fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
             found.push(((*name).to_owned(), after_dashes().unwrap_or_default()));
         } else if words.len() == 2 && words[0] == "ci/against.sh" {
             // The whole checked-in list, which `listed_invocations` reads.
-        } else if matches!(
-            words.first(),
-            Some(&("ci/identity.sh" | "ci/replay.sh" | "ci/against.sh"))
-        ) {
+        } else if words.first() == Some(&"ci/against.sh") {
+            found.push(against_invocation(after_dashes().expect("`--` first")));
+        } else if matches!(words.first(), Some(&("ci/identity.sh" | "ci/replay.sh"))) {
             found.push((
                 "iswitch-sim".to_owned(),
                 after_dashes().expect("`--` first"),
@@ -201,17 +201,26 @@ fn documented_invocations(text: &str) -> Vec<(String, Vec<String>)> {
     found
 }
 
-/// The `iswitch-sim` arguments of every line of `ci/against.cmds`: what
-/// follows `--` on each line that is neither blank nor a `#` comment.
+/// The command of every line of `ci/against.cmds`: what follows `--` on
+/// each line that is neither blank nor a `#` comment.
 fn listed_invocations(text: &str) -> Vec<(String, Vec<String>)> {
     (text.lines())
         .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
         .map(|line| {
             let (_, args) = line.split_once("-- ").expect("`--` first");
-            let args = args.split_whitespace().map(str::to_owned).collect();
-            ("iswitch-sim".to_owned(), args)
+            against_invocation(args.split_whitespace().map(str::to_owned).collect())
         })
         .collect()
+}
+
+/// The binary and arguments of a `ci/against.sh` command: `paper` and its
+/// arguments when it starts with `paper`, `iswitch-sim` arguments otherwise.
+fn against_invocation(mut args: Vec<String>) -> (String, Vec<String>) {
+    if args.first().is_some_and(|first| first == "paper") {
+        args.remove(0);
+        return ("paper".to_owned(), args);
+    }
+    ("iswitch-sim".to_owned(), args)
 }
 
 /// `iswitch-sim`'s command table as `--help` prints it (the binary's own

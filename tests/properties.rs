@@ -2,10 +2,22 @@
 //! invariants.
 
 use iswitch::core::{
-    num_segments, segment_gradient, Accelerator, AcceleratorConfig, ControlMessage, DataSegment,
-    GradientAssembler, FLOATS_PER_SEGMENT,
+    decode_data_meta, num_segments, Accelerator, AcceleratorConfig, CodecKind, ControlMessage,
+    DataSegment, EncodedGradient, RoundAssembler, RoundInsert, FLOATS_PER_SEGMENT,
 };
+use iswitch::netsim::{IpAddr, Packet};
 use proptest::prelude::*;
+
+/// Worker `w`'s packets carrying `grad` in the f32 format.
+fn packets(w: u8, grad: &[f32]) -> Vec<Packet> {
+    EncodedGradient::with_codec(IpAddr::new(10, 0, 0, w), grad, CodecKind::F32, 0).packets_round(0)
+}
+
+/// Feeds one contribution to the accelerator off the wire.
+fn ingest(accel: &mut Accelerator, pkt: &Packet) -> Option<DataSegment> {
+    let meta = decode_data_meta(pkt).expect("an f32 data packet");
+    accel.ingest_wire(meta, &pkt.payload).0
+}
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     // Keep values in a range where f32 summation error stays tiny.
@@ -19,14 +31,15 @@ proptest! {
     /// gradient length and contents.
     #[test]
     fn segmentation_round_trips(grad in prop::collection::vec(finite_f32(), 1..2_000)) {
-        let segs = segment_gradient(&grad);
-        prop_assert_eq!(segs.len(), num_segments(grad.len()));
-        let mut asm = GradientAssembler::new(grad.len());
-        for seg in &segs {
-            asm.insert(seg).expect("valid segment");
+        let pkts = packets(1, &grad);
+        prop_assert_eq!(pkts.len(), num_segments(grad.len()));
+        let mut asm = RoundAssembler::new(grad.len(), true);
+        asm.begin_round(Some(0));
+        for pkt in &pkts {
+            prop_assert_ne!(asm.insert_wire(&pkt.payload), RoundInsert::Stale);
         }
-        prop_assert!(asm.is_complete());
-        prop_assert_eq!(asm.into_mean(), grad);
+        prop_assert!(asm.is_done());
+        prop_assert_eq!(asm.take_mean(), Some(grad));
     }
 
     /// Wire encoding of data segments round-trips exactly (bit-level f32).
@@ -64,8 +77,9 @@ proptest! {
         }
 
         // Shuffle all packets deterministically from the seed.
-        let mut packets: Vec<DataSegment> =
-            grads.iter().flat_map(|g| segment_gradient(g)).collect();
+        let mut packets: Vec<Packet> = (grads.iter().enumerate())
+            .flat_map(|(w, g)| packets(w as u8 + 1, g))
+            .collect();
         let mut state = seed | 1;
         for i in (1..packets.len()).rev() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -74,19 +88,21 @@ proptest! {
         }
 
         let mut accel = Accelerator::new(AcceleratorConfig::default(), num_segments(len), n as u16);
-        let mut asm = GradientAssembler::new(len);
+        let mut asm = RoundAssembler::new(len, true);
+        asm.begin_round(Some(0));
         for pkt in &packets {
-            if let (Some(done), _) = accel.ingest(pkt) {
-                asm.insert(&done).expect("valid aggregate");
+            if let Some(done) = ingest(&mut accel, pkt) {
+                prop_assert_eq!(done.count as usize, n);
+                let start = done.seg as usize * FLOATS_PER_SEGMENT;
+                prop_assert_eq!(done.values.len(), (len - start).min(FLOATS_PER_SEGMENT));
+                for (a, b) in done.values.iter().zip(&expect[start..]) {
+                    prop_assert!((a - b).abs() <= 1e-2 * (1.0 + b.abs()),
+                        "sum mismatch: {} vs {}", a, b);
+                }
+                prop_assert_ne!(asm.insert_wire(&done.encode()), RoundInsert::Stale);
             }
         }
-        prop_assert!(asm.is_complete(), "all segments must aggregate");
-        let (sum, counts) = asm.into_sum();
-        prop_assert!(counts.iter().all(|&c| c as usize == n));
-        for (a, b) in sum.iter().zip(&expect) {
-            prop_assert!((a - b).abs() <= 1e-2 * (1.0 + b.abs()),
-                "sum mismatch: {} vs {}", a, b);
-        }
+        prop_assert!(asm.is_done(), "all segments must aggregate");
     }
 
     /// Control messages survive the wire for arbitrary field values.
@@ -121,13 +137,13 @@ proptest! {
         rounds in 1usize..4,
     ) {
         let grad = vec![1.0f32; len];
-        let packets = segment_gradient(&grad);
+        let packets = packets(1, &grad);
         let mut accel =
             Accelerator::new(AcceleratorConfig::default(), num_segments(len), workers);
         for _ in 0..rounds {
             for _ in 0..workers {
                 for pkt in &packets {
-                    let _ = accel.ingest(pkt);
+                    let _ = ingest(&mut accel, pkt);
                 }
             }
             prop_assert_eq!(accel.resident_bytes(), 0);

@@ -7,7 +7,8 @@
 use std::any::Any;
 
 use iswitch::core::{
-    decode_data, gradient_packets, ExtensionConfig, GradientAssembler, IswitchExtension,
+    dscp, CodecKind, EncodedGradient, ExtensionConfig, IswitchExtension, RoundAssembler,
+    RoundInsert, TOS_DATA,
 };
 use iswitch::netsim::{
     build_star, HostApp, HostCtx, Packet, PortId, SimDuration, Simulator, TopologyConfig,
@@ -18,13 +19,14 @@ use iswitch::rl::{make_lite_agent, Algorithm};
 struct OneShotWorker {
     grad: Vec<f32>,
     delay_us: u64,
-    asm: GradientAssembler,
+    asm: RoundAssembler,
     result: Option<Vec<f32>>,
 }
 
 impl OneShotWorker {
     fn new(grad: Vec<f32>, delay_us: u64) -> Self {
-        let asm = GradientAssembler::new(grad.len());
+        let mut asm = RoundAssembler::new(grad.len(), true);
+        asm.begin_round(Some(0));
         OneShotWorker {
             grad,
             delay_us,
@@ -39,16 +41,16 @@ impl HostApp for OneShotWorker {
         ctx.set_timer(SimDuration::from_micros(self.delay_us), 0);
     }
     fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, _token: u64) {
-        for pkt in gradient_packets(ctx.ip(), &self.grad) {
+        let enc = EncodedGradient::with_codec(ctx.ip(), &self.grad, CodecKind::F32, 0);
+        for pkt in enc.packets_round(0) {
             ctx.send(pkt);
         }
     }
     fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
-        if let Some(seg) = decode_data(&pkt) {
-            if self.result.is_none() && self.asm.insert(&seg).unwrap_or(false) {
-                let asm = std::mem::replace(&mut self.asm, GradientAssembler::new(self.grad.len()));
-                self.result = Some(asm.into_mean());
-            }
+        if dscp(pkt.ip.tos) == TOS_DATA
+            && self.asm.insert_wire(&pkt.payload) == RoundInsert::Completed
+        {
+            self.result = self.asm.take_mean();
         }
     }
     fn as_any(&self) -> &dyn Any {
