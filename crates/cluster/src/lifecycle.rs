@@ -66,10 +66,7 @@ impl fmt::Display for Stall {
             f,
             "worker {} is furthest behind with {} round(s) finished, and no worker has finished \
              one since the check at {}: more than the {STALL_LIMIT} of simulated time a job may \
-             go without. Recovery retries for ever for a round no switch can close: on an \
-             unsharded tree, a round whose every contribution from one rack was lost never opens \
-             at that rack's ToR, which may not ask for a resend, and no tree level sweeps stale \
-             rounds",
+             go without. Recovery retries for ever for a round no switch can close",
             self.worker, self.rounds, self.last_progress_at
         )
     }
@@ -104,9 +101,14 @@ pub(crate) fn validate(cfg: &TimingConfig) {
         cfg.racks_per_agg != Some(0),
         "an aggregation switch serves at least one rack"
     );
+    let star = cfg.workers_per_rack.is_none() && cfg.fattree.is_none();
     assert!(
-        cfg.background_flows == 0 || (cfg.workers_per_rack.is_none() && cfg.fattree.is_none()),
+        cfg.background_flows == 0 || star,
         "background flows attach to the single-switch star topology"
+    );
+    assert!(
+        cfg.threshold_override.is_none() || star,
+        "a threshold override counts workers, so only the star's one switch takes it"
     );
     assert!(
         cfg.edge_loss <= 0.0 || cfg.strategy == Strategy::SyncIsw,
@@ -115,6 +117,10 @@ pub(crate) fn validate(cfg: &TimingConfig) {
         cfg.strategy.label()
     );
     if let Some(shape) = cfg.fattree {
+        assert!(
+            cfg.workers_per_rack.is_none() && cfg.racks_per_agg.is_none(),
+            "a fat-tree's shape fixes its racks: leave workers_per_rack and racks_per_agg unset"
+        );
         assert_eq!(
             cfg.workers,
             shape.workers(),
@@ -653,30 +659,16 @@ fn codec_wire_bytes(codec: CodecKind, len: usize) -> usize {
     bytes
 }
 
-/// Which deployment a switch belongs to. The three honour different
-/// subsets of the run's extension tuning — a known asymmetry (DESIGN.md
-/// §12) preserved because closing it moves behaviour on lossy trees.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Deployment {
-    /// `aggregation_mode`, `stale_flush` and `threshold_override`.
-    Star,
-    /// A level of the unsharded tree: none of the three (hierarchical
-    /// thresholds stay child counts so every level completes consistently).
-    Tree,
-    /// A level of the sharded fat-tree: `aggregation_mode`, `stale_flush`.
-    Fattree,
-}
-
 /// The switch-extension constructor: the accelerator of `switch` in a
 /// hierarchy whose ToR `r` has `tors[r]` hosts, AGG `a` has `aggs[a]` racks
-/// and whose root has `top` children (a star is a root over its workers).
-/// Children sit on ports `0..children`, the uplink after them. `None` when
-/// the strategy aggregates on hosts (`len` is `None`) and switches only
-/// forward.
+/// and whose root has `top` children (a star is a root over its workers,
+/// with no racks). Children sit on ports `0..children`, the uplink after
+/// them. Every switch of every shape takes the run's tuning; the star keeps
+/// its own switch address. `None` when the strategy aggregates on hosts
+/// (`len` is `None`) and switches only forward.
 fn switch_extension(
     cfg: &TimingConfig,
     len: Option<usize>,
-    deployment: Deployment,
     switch: SwitchRole,
     (tors, aggs, top): (&[usize], &[usize], usize),
 ) -> Option<Box<dyn SwitchExtension>> {
@@ -691,24 +683,24 @@ fn switch_extension(
         SwitchRole::Core => (AggregationRole::Root, top),
     };
     let ports: Vec<PortId> = (0..children).map(PortId::new).collect();
-    let mut ext = match deployment {
-        Deployment::Star => ExtensionConfig::for_star(ports, len),
-        Deployment::Tree | Deployment::Fattree => ExtensionConfig::for_tree_level(role, ports, len),
+    let mut ext = if tors.is_empty() {
+        ExtensionConfig::for_star(ports, len)
+    } else {
+        ExtensionConfig::for_tree_level(role, ports, len)
     };
     ext.codec = cfg.codec;
-    if deployment != Deployment::Tree {
-        ext.mode = cfg.aggregation_mode;
-        if cfg.lossy() {
-            // Expire partial rounds stuck on a lost contribution (round
-            // tags keep expired flushes from polluting newer rounds).
-            let age = SimDuration::serialization(
-                codec_wire_bytes(cfg.codec, len),
-                cfg.topo.edge.bandwidth_bps,
-            ) + SimDuration::from_millis(2);
-            ext.stale_flush = Some(age);
-        }
+    ext.mode = cfg.aggregation_mode;
+    if cfg.lossy() {
+        // Expire partial rounds stuck on a lost contribution (round tags
+        // keep expired flushes from polluting newer rounds).
+        let age = SimDuration::serialization(
+            codec_wire_bytes(cfg.codec, len),
+            cfg.topo.edge.bandwidth_bps,
+        ) + SimDuration::from_millis(2);
+        ext.stale_flush = Some(age);
     }
-    if let (Deployment::Star, Some(h)) = (deployment, cfg.threshold_override) {
+    // Only ever set on a star: `validate` refuses it elsewhere.
+    if let Some(h) = cfg.threshold_override {
         ext.threshold = h;
     }
     // The multi-tenant datapath flags; both default off.
@@ -802,7 +794,7 @@ fn build_topology(
         // counted toward the aggregation threshold.
         apps.extend(server);
         append_background(&mut apps, cfg);
-        let ext = switch_extension(cfg, len, Deployment::Star, SwitchRole::Core, (&[], &[], n));
+        let ext = switch_extension(cfg, len, SwitchRole::Core, (&[], &[], n));
         sim.add_domain();
         let star = build_star(sim.domain_mut(0), apps, ext, &topo);
         let placed = Placed {
@@ -834,9 +826,7 @@ fn build_topology(
             let tree = build_tree(
                 sim.domain_mut(0),
                 racks,
-                &mut |role| {
-                    switch_extension(cfg, len, Deployment::Tree, role, (sizes, &[], n_racks))
-                },
+                &mut |role| switch_extension(cfg, len, role, (sizes, &[], n_racks)),
                 &topo,
             );
             let switches = std::iter::once(tree.core).chain(tree.tors);
@@ -862,7 +852,7 @@ fn build_topology(
                 let ft = build_fattree(
                     &mut sim,
                     grouped,
-                    &mut |role| switch_extension(cfg, len, Deployment::Fattree, role, sizes),
+                    &mut |role| switch_extension(cfg, len, role, sizes),
                     &topo,
                     &core_uplink_spec(&topo),
                 );
@@ -872,7 +862,7 @@ fn build_topology(
                 let tree3 = build_tree3(
                     sim.domain_mut(0),
                     grouped,
-                    &mut |role| switch_extension(cfg, len, Deployment::Tree, role, sizes),
+                    &mut |role| switch_extension(cfg, len, role, sizes),
                     &topo,
                 );
                 (tree3, |_| 0)
@@ -1146,20 +1136,22 @@ mod tests {
 
     #[test]
     fn a_livelocked_job_is_given_up_on_within_the_stall_limit() {
-        // On racks of two, seed 2 loses both rack-0 contributions of (round
-        // 4, segment 6): that ToR never opens the round, an intermediate
-        // may not ask for a resend and no tree level sweeps stale rounds.
+        // Worker 0's edge link goes down for good at 30 ms, when it has
+        // finished three rounds. A faulted job recovers, so its Help
+        // retries go nowhere for ever and the job never idles. The other
+        // workers' rounds are last seen finishing at the 200 ms check, and
+        // the job is refused at the first check point more than
+        // `STALL_LIMIT` past that (and past the fault).
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
-        (cfg.iterations, cfg.edge_loss, cfg.seed) = (30, 0.05, 2);
-        cfg.workers_per_rack = Some(2);
+        (cfg.iterations, cfg.warmup, cfg.faulted) = (4, 1, true);
         let mut job = build(&cfg, None, 0, Capture::default());
-        let stall = job
-            .run_until(|_| false)
-            .expect_err("round 4 never completes");
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let (domain, link) = job.placed.worker_links[0];
+        job.schedule_fault(domain, at(30), FaultAction::LinkDown { link });
+        let stall = job.run_until(|_| false).expect_err("worker 0 is cut off");
         let expected = Stall {
             worker: 0,
-            rounds: 4,
+            rounds: 3,
             last_progress_at: at(200),
         };
         assert_eq!(stall, expected);
@@ -1202,6 +1194,28 @@ mod tests {
     fn validate_refuses_an_agg_with_no_racks() {
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
         (cfg.workers_per_rack, cfg.racks_per_agg) = (Some(2), Some(0));
+        validate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the star's one switch takes it")]
+    fn validate_refuses_a_threshold_override_off_the_star() {
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::AsyncIsw);
+        (cfg.workers_per_rack, cfg.threshold_override) = (Some(2), Some(2));
+        validate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fat-tree's shape fixes its racks")]
+    fn validate_refuses_rack_sizes_beside_a_fattree_shape() {
+        let shape = FattreeShape {
+            aggs: 2,
+            racks_per_agg: 2,
+            hosts_per_rack: 2,
+        };
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        (cfg.workers, cfg.fattree) = (shape.workers(), Some(shape));
+        cfg.workers_per_rack = Some(2);
         validate(&cfg);
     }
 

@@ -78,16 +78,17 @@ pub struct TimingConfig {
     /// Output-scheduling ablation for iSwitch strategies (the paper's
     /// design is on-the-fly; Fig. 8a's conventional scheme for comparison).
     pub aggregation_mode: AggregationMode,
-    /// Overrides the aggregation threshold `H` on iSwitch switches (the
-    /// `SetH` partial-aggregation ablation). `None` keeps `H` = children.
+    /// Overrides the aggregation threshold `H` of the star's iSwitch switch
+    /// (the `SetH` partial-aggregation ablation; `H` counts workers, so
+    /// other topologies refuse it). `None` keeps `H` = children.
     pub threshold_override: Option<u16>,
     /// `Some(shape)` builds the fat-tree: the three-level hierarchy cut
     /// into one simulation domain per AGG subtree plus one for the core,
     /// connected by cross-domain AGG↔Core uplinks (see
     /// [`iswitch_netsim::ShardedSim`]); every other topology is the
     /// one-domain partition of the same engine. `workers` must equal
-    /// `shape.workers()`. `workers_per_rack`/`racks_per_agg` are ignored —
-    /// the shape already fixes the hierarchy.
+    /// `shape.workers()`, and `workers_per_rack`/`racks_per_agg` must be
+    /// `None` — the shape already fixes the hierarchy.
     pub fattree: Option<FattreeShape>,
     /// Worker threads driving the engine's domains (more than one only on
     /// a `fattree`). Results are byte-identical for every value;
@@ -570,16 +571,23 @@ mod tests {
     fn on_the_fly_beats_store_and_forward() {
         // The in-system version of Fig. 8: conventional aggregation delays
         // the whole result behind the final arrival plus a full summation.
-        let mut cfg = quick(Algorithm::A2c, Strategy::SyncIsw);
-        let otf = run_timing(&cfg);
-        cfg.aggregation_mode = AggregationMode::StoreAndForward;
-        let saf = run_timing(&cfg);
-        assert!(
-            otf.breakdown.aggregation < saf.breakdown.aggregation,
-            "on-the-fly {} !< store-and-forward {}",
-            otf.breakdown.aggregation,
-            saf.breakdown.aggregation
-        );
+        // Every switch of a hierarchy takes the mode, so it holds on a
+        // two-level tree of racks of two as on the star.
+        let star = quick(Algorithm::A2c, Strategy::SyncIsw);
+        let mut tree = star.clone();
+        (tree.workers, tree.workers_per_rack) = (8, Some(2));
+        for mut cfg in [star, tree] {
+            let otf = run_timing(&cfg);
+            cfg.aggregation_mode = AggregationMode::StoreAndForward;
+            let saf = run_timing(&cfg);
+            assert!(
+                otf.breakdown.aggregation < saf.breakdown.aggregation,
+                "{:?} per rack: on-the-fly {} !< store-and-forward {}",
+                cfg.workers_per_rack,
+                otf.breakdown.aggregation,
+                saf.breakdown.aggregation
+            );
+        }
     }
 
     #[test]
@@ -725,6 +733,24 @@ mod tests {
                 t.per_iteration
             );
             assert_eq!(s.iterations_measured, t.iterations_measured, "{strategy:?}");
+        }
+        // One deployment rule: every level of every hierarchy of a lossy
+        // run sweeps stale rounds, so a round whose every copy from one
+        // rack was lost finishes on the uncut trees as on the fat-tree.
+        for seed in 1..=4 {
+            let mut cfg = quick(Algorithm::Ppo, Strategy::SyncIsw);
+            (cfg.workers, cfg.edge_loss, cfg.seed) = (shape.workers(), 0.05, seed);
+            cfg.workers_per_rack = Some(shape.hosts_per_rack);
+            let two = run_timing(&cfg);
+            cfg.racks_per_agg = Some(shape.racks_per_agg);
+            let three = run_timing(&cfg);
+            (cfg.workers_per_rack, cfg.racks_per_agg) = (None, None);
+            cfg.fattree = Some(shape);
+            let cut = run_timing(&cfg);
+            let all = cfg.workers * cfg.iterations;
+            for r in [two, three, cut] {
+                assert_eq!(r.iterations_measured, all, "seed {seed}");
+            }
         }
     }
 

@@ -16,8 +16,6 @@
 //! ([`FaultAction::InjectTimer`], used e.g. to reset a switch's aggregation
 //! accelerator mid-run via `iswitch-core`'s fault-reset timer token).
 
-use iswitch_obs::{JsonError, JsonValue};
-
 use crate::ids::{LinkId, NodeId};
 use crate::link::LossModel;
 use crate::time::{SimDuration, SimTime};
@@ -106,13 +104,28 @@ pub struct FaultEvent {
 /// # Examples
 ///
 /// ```
-/// use iswitch_netsim::{FaultAction, FaultPlan, SimDuration, SimTime};
+/// use iswitch_netsim::{
+///     build_star, FaultAction, FaultPlan, HostApp, HostCtx, Packet, SimTime, Simulator,
+///     TopologyConfig,
+/// };
 ///
+/// struct Quiet;
+/// impl HostApp for Quiet {
+///     fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, _pkt: Packet) {}
+///     fn as_any(&self) -> &dyn std::any::Any { self }
+///     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
+/// }
+///
+/// let mut sim = Simulator::new();
+/// let star = build_star(&mut sim, vec![Box::new(Quiet)], None, &TopologyConfig::default());
+/// // Host 0's access link fails at 1 ms and is back at 2 ms.
+/// let link = star.host_links[0];
 /// let mut plan = FaultPlan::new();
-/// // (Link/node ids come from the topology builders in real use.)
-/// assert!(plan.is_empty());
-/// let text = plan.to_json().render();
-/// assert_eq!(FaultPlan::from_json(&text).unwrap(), plan);
+/// plan.push(SimTime::from_nanos(1_000_000), FaultAction::LinkDown { link });
+/// plan.push(SimTime::from_nanos(2_000_000), FaultAction::LinkUp { link });
+/// sim.install_fault_plan(&plan);
+/// sim.run_until_idle();
+/// assert_eq!(sim.stats().faults_applied, 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -140,173 +153,6 @@ impl FaultPlan {
     /// Whether the plan has no faults.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Serializes the plan as a deterministic JSON document:
-    ///
-    /// ```json
-    /// {"events":[
-    ///   {"at_ns":1000,"action":"link_down","link":3},
-    ///   {"at_ns":5000,"action":"set_link_loss","link":0,
-    ///    "loss":{"kind":"random","probability":0.01,"seed":7}},
-    ///   {"at_ns":9000,"action":"inject_timer","node":1,"token":42}
-    /// ]}
-    /// ```
-    pub fn to_json(&self) -> JsonValue {
-        let events = self
-            .events
-            .iter()
-            .map(|ev| {
-                let mut o = JsonValue::empty_object();
-                o.insert("at_ns", JsonValue::UInt(ev.at.as_nanos()));
-                match &ev.action {
-                    FaultAction::LinkDown { link } => {
-                        o.insert("action", JsonValue::Str("link_down".into()));
-                        o.insert("link", JsonValue::UInt(link.index() as u64));
-                    }
-                    FaultAction::LinkUp { link } => {
-                        o.insert("action", JsonValue::Str("link_up".into()));
-                        o.insert("link", JsonValue::UInt(link.index() as u64));
-                    }
-                    FaultAction::SetLinkLoss { link, loss } => {
-                        o.insert("action", JsonValue::Str("set_link_loss".into()));
-                        o.insert("link", JsonValue::UInt(link.index() as u64));
-                        o.insert("loss", loss_to_json(loss));
-                    }
-                    FaultAction::DelaySpike { link, extra } => {
-                        o.insert("action", JsonValue::Str("delay_spike".into()));
-                        o.insert("link", JsonValue::UInt(link.index() as u64));
-                        o.insert("extra_ns", JsonValue::UInt(extra.as_nanos()));
-                    }
-                    FaultAction::ClearDelaySpike { link } => {
-                        o.insert("action", JsonValue::Str("clear_delay_spike".into()));
-                        o.insert("link", JsonValue::UInt(link.index() as u64));
-                    }
-                    FaultAction::InjectTimer { node, token } => {
-                        o.insert("action", JsonValue::Str("inject_timer".into()));
-                        o.insert("node", JsonValue::UInt(node.index() as u64));
-                        o.insert("token", JsonValue::UInt(*token));
-                    }
-                }
-                o
-            })
-            .collect();
-        let mut root = JsonValue::empty_object();
-        root.insert("events", JsonValue::Array(events));
-        root
-    }
-
-    /// Parses a plan from the JSON produced by [`FaultPlan::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string on malformed JSON or unknown/incomplete
-    /// actions.
-    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let doc = JsonValue::parse(text).map_err(|e: JsonError| e.to_string())?;
-        let events = doc
-            .get("events")
-            .and_then(JsonValue::as_array)
-            .ok_or("fault plan needs an \"events\" array")?;
-        let mut plan = FaultPlan::new();
-        for (i, ev) in events.iter().enumerate() {
-            let at = ev
-                .get("at_ns")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("event {i}: missing \"at_ns\""))?;
-            let kind = ev
-                .get("action")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("event {i}: missing \"action\""))?;
-            let link = || -> Result<LinkId, String> {
-                ev.get("link")
-                    .and_then(JsonValue::as_u64)
-                    .map(|v| LinkId(v as usize))
-                    .ok_or_else(|| format!("event {i}: missing \"link\""))
-            };
-            let action = match kind {
-                "link_down" => FaultAction::LinkDown { link: link()? },
-                "link_up" => FaultAction::LinkUp { link: link()? },
-                "set_link_loss" => FaultAction::SetLinkLoss {
-                    link: link()?,
-                    loss: loss_from_json(
-                        ev.get("loss")
-                            .ok_or_else(|| format!("event {i}: missing \"loss\""))?,
-                    )
-                    .map_err(|e| format!("event {i}: {e}"))?,
-                },
-                "delay_spike" => FaultAction::DelaySpike {
-                    link: link()?,
-                    extra: SimDuration::from_nanos(
-                        ev.get("extra_ns")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("event {i}: missing \"extra_ns\""))?,
-                    ),
-                },
-                "clear_delay_spike" => FaultAction::ClearDelaySpike { link: link()? },
-                "inject_timer" => FaultAction::InjectTimer {
-                    node: NodeId(
-                        ev.get("node")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("event {i}: missing \"node\""))?
-                            as usize,
-                    ),
-                    token: ev
-                        .get("token")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("event {i}: missing \"token\""))?,
-                },
-                other => return Err(format!("event {i}: unknown action {other:?}")),
-            };
-            plan.push(SimTime::from_nanos(at), action);
-        }
-        Ok(plan)
-    }
-}
-
-fn loss_to_json(loss: &LossModel) -> JsonValue {
-    let mut o = JsonValue::empty_object();
-    match loss {
-        LossModel::None => o.insert("kind", JsonValue::Str("none".into())),
-        LossModel::Random { probability, seed } => {
-            o.insert("kind", JsonValue::Str("random".into()));
-            o.insert("probability", JsonValue::Float(*probability));
-            o.insert("seed", JsonValue::UInt(*seed));
-        }
-        LossModel::Exact { drops } => {
-            o.insert("kind", JsonValue::Str("exact".into()));
-            o.insert(
-                "drops",
-                JsonValue::Array(drops.iter().map(|&d| JsonValue::UInt(d)).collect()),
-            );
-        }
-    }
-    o
-}
-
-fn loss_from_json(v: &JsonValue) -> Result<LossModel, String> {
-    match v.get("kind").and_then(JsonValue::as_str) {
-        Some("none") => Ok(LossModel::None),
-        Some("random") => Ok(LossModel::Random {
-            probability: v
-                .get("probability")
-                .and_then(JsonValue::as_f64)
-                .ok_or("random loss needs \"probability\"")?,
-            seed: v
-                .get("seed")
-                .and_then(JsonValue::as_u64)
-                .ok_or("random loss needs \"seed\"")?,
-        }),
-        Some("exact") => Ok(LossModel::Exact {
-            drops: v
-                .get("drops")
-                .and_then(JsonValue::as_array)
-                .ok_or("exact loss needs \"drops\"")?
-                .iter()
-                .map(|d| d.as_u64().ok_or_else(|| "non-integer drop".to_string()))
-                .collect::<Result<Vec<u64>, String>>()?,
-        }),
-        _ => Err("loss model needs a \"kind\" of none|random|exact".into()),
     }
 }
 
@@ -362,30 +208,6 @@ mod tests {
             },
         );
         plan
-    }
-
-    #[test]
-    fn json_round_trips_every_action() {
-        let plan = sample_plan();
-        let text = plan.to_json().render();
-        let back = FaultPlan::from_json(&text).expect("parses");
-        assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn json_render_is_deterministic() {
-        assert_eq!(
-            sample_plan().to_json().render(),
-            sample_plan().to_json().render()
-        );
-    }
-
-    #[test]
-    fn rejects_unknown_actions_and_missing_fields() {
-        assert!(FaultPlan::from_json(r#"{"events":[{"at_ns":1,"action":"meteor"}]}"#).is_err());
-        assert!(FaultPlan::from_json(r#"{"events":[{"action":"link_down","link":0}]}"#).is_err());
-        assert!(FaultPlan::from_json(r#"{"events":[{"at_ns":1,"action":"link_down"}]}"#).is_err());
-        assert!(FaultPlan::from_json(r#"{"nope":[]}"#).is_err());
     }
 
     #[test]

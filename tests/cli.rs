@@ -377,19 +377,32 @@ fn multi_recovers_a_mid_run_reset_and_refuses_what_it_cannot_run() {
 
 #[test]
 fn a_livelocked_run_is_refused_by_name_and_a_long_healthy_one_is_not() {
-    // (arguments, expected exit code, texts the chosen stream must carry)
-    let rows: [(&str, i32, &[&str]); 6] = [
-        // Both rack-0 contributions of one segment of round 4 are lost: the
-        // ToR never opens the round, may not ask for a resend, and no tree
-        // level sweeps stale rounds. Refused 5 s of simulated time past the
-        // last finished round, naming who is stuck where.
+    // Worker 0's edge link goes down at 1 ms and never comes back up.
+    let dir = std::env::temp_dir().join(format!("iswitch-cli-stall-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let plan = dir.join("edge-down-for-good.json");
+    let down =
+        r#"{"kind":"edge_down","worker":0,"at_ns":1000000,"duration_ns":18446744073709551615}"#;
+    std::fs::write(&plan, format!("{{\"faults\":[{down}]}}")).expect("plan written");
+    let cut_off = format!("chaos --strategy isw --faults {}", plan.display());
+    // (arguments, expected exit code, texts stdout must carry)
+    let rows: [(&str, i32, &[&str]); 7] = [
+        // Its Help retries go nowhere for ever: the job is given up on 5 s
+        // of simulated time past the fault, and the chaos report names the
+        // violated progress rule.
+        (
+            &cut_off,
+            1,
+            &["progress: run stalled before 10 iterations (reached [0, 10, 10])"],
+        ),
+        // Both rack-0 contributions of one segment of round 4 are lost, so
+        // that ToR never opens the round. The core, holding the other
+        // rack's part, flushes it once stale, as every switch of a lossy
+        // run does, and the run finishes.
         (
             "timing --strategy isw --per-rack 2 --edge-loss 0.05 --seed 2 --iterations 30",
-            2,
-            &[
-                "iSW job stalled: worker 0 is furthest behind with 4 round(s) finished",
-                "since the check at 200.000ms",
-            ],
+            0,
+            &["per-iteration time : 14.257ms"],
         ),
         // On a star, a round whose every contribution was lost (seed 2:
         // round 11, segment 18) is asked back from the workers and
@@ -427,9 +440,9 @@ fn a_livelocked_run_is_refused_by_name_and_a_long_healthy_one_is_not() {
             .args(args.split(' '))
             .output()
             .expect("iswitch-sim runs");
-        let text = if code == 0 { &out.stdout } else { &out.stderr };
-        let text = String::from_utf8_lossy(text);
-        assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {text}{stderr}");
         for needle in needles {
             assert!(
                 text.contains(needle),
@@ -437,6 +450,7 @@ fn a_livelocked_run_is_refused_by_name_and_a_long_healthy_one_is_not() {
             );
         }
     }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
 #[test]
