@@ -5,12 +5,12 @@ use std::process::exit;
 
 use iswitch_cluster::cli::{write_artifact, Args, Command, Flag};
 use iswitch_cluster::experiments::{
-    fig12, fig15, fig4, fig8, table1, table3, table4, table5, training_curves, Scale,
+    fig12, fig15, fig4, fig8, table1, table3, table4, table5, training_curves, RunStore, Scale,
 };
 use iswitch_cluster::report::{fmt_bytes, fmt_secs, fmt_speedup, render_ascii_chart, render_table};
 use iswitch_cluster::{
-    run_chaos, run_cosim, run_timing, AggregationMode, ChaosConfig, CosimConfig, Strategy,
-    TimingConfig, TimingResult,
+    run_chaos, run_cosim, AggregationMode, ChaosConfig, CosimConfig, Strategy, TimingConfig,
+    TimingResult,
 };
 use iswitch_core::{
     decode_data_meta, Accelerator, AcceleratorConfig, CodecKind, DataSegment, EncodedGradient,
@@ -41,8 +41,8 @@ pub struct Artifact {
     pub description: &'static str,
     /// Every flag it takes.
     pub flags: &'static [Flag],
-    /// Regenerates it on stdout.
-    pub run: fn(&Args),
+    /// Regenerates it on stdout, taking every simulator run from the store.
+    pub run: fn(&Args, &RunStore),
 }
 
 impl Artifact {
@@ -62,10 +62,10 @@ impl Artifact {
         ALL.flags.iter().all(takes)
     }
 
-    /// Prints the banner, then regenerates the artifact.
-    pub fn regenerate(&self, args: &Args) {
+    /// Prints the banner, then regenerates the artifact from `runs`.
+    pub fn regenerate(&self, args: &Args, runs: &RunStore) {
         crate::banner(self.title, self.description);
-        (self.run)(args);
+        (self.run)(args, runs);
     }
 }
 
@@ -225,7 +225,7 @@ fn write_rows(args: &Args, artifact: &str, rows: impl FnOnce() -> Vec<JsonValue>
     }
 }
 
-fn run_table1(args: &Args) {
+fn run_table1(args: &Args, _: &RunStore) {
     let results = table1();
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -267,8 +267,8 @@ fn run_table1(args: &Args) {
 
 /// Fig. 4: per-iteration breakdown of distributed RL training with the PS
 /// and AllReduce approaches — gradient aggregation dominates.
-fn run_fig4(args: &Args) {
-    let rows = fig4(&scale(args));
+fn run_fig4(args: &Args, runs: &RunStore) {
+    let rows = fig4(&scale(args), runs);
     let mut table = Vec::new();
     for r in &rows {
         let mut cells = vec![format!("{} ({})", r.algorithm, r.strategy)];
@@ -303,7 +303,7 @@ fn run_fig4(args: &Args) {
 
 /// Fig. 8: conventional whole-vector aggregation vs iSwitch's on-the-fly
 /// per-packet aggregation.
-fn run_fig8(args: &Args) {
+fn run_fig8(args: &Args, _: &RunStore) {
     let results = fig8(4);
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -349,8 +349,8 @@ fn run_fig8(args: &Args) {
 
 /// Table 4: synchronous distributed training comparison (PS vs AR vs iSW —
 /// iterations, end-to-end time, final reward).
-fn run_table4(args: &Args) {
-    let rows = table4(&scale(args));
+fn run_table4(args: &Args, runs: &RunStore) {
+    let rows = table4(&scale(args), runs);
     let mut table = Vec::new();
     for (i, r) in rows.iter().enumerate() {
         table.push(vec![
@@ -389,8 +389,8 @@ fn run_table4(args: &Args) {
 /// Table 5: asynchronous distributed training comparison (Async PS vs Async
 /// iSW — iterations, per-iteration time, end-to-end time, final reward),
 /// staleness bound S = 3 for both.
-fn run_table5(args: &Args) {
-    let rows = table5(&scale(args));
+fn run_table5(args: &Args, runs: &RunStore) {
+    let rows = table5(&scale(args), runs);
     let mut table = Vec::new();
     for (i, r) in rows.iter().enumerate() {
         table.push(vec![
@@ -429,8 +429,8 @@ fn run_table5(args: &Args) {
     );
 }
 
-fn run_table3(args: &Args) {
-    let t = table3(&scale(args));
+fn run_table3(args: &Args, runs: &RunStore) {
+    let t = table3(&scale(args), runs);
     let row = |label: &str, ours: &[f64; 4], theirs: &[f64; 4]| {
         vec![
             label.to_string(),
@@ -468,8 +468,8 @@ fn run_table3(args: &Args) {
 
 /// Fig. 12: per-iteration time of the synchronous strategies, normalized
 /// against PS, with component breakdown.
-fn run_fig12(args: &Args) {
-    let rows = fig12(&scale(args));
+fn run_fig12(args: &Args, runs: &RunStore) {
+    let rows = fig12(&scale(args), runs);
     // Normalize each algorithm's strategies against its PS total.
     let mut table = Vec::new();
     for alg_rows in rows.chunks(3) {
@@ -509,8 +509,8 @@ fn run_fig12(args: &Args) {
 
 /// DQN training curves (reward vs wall-clock) of `strategies`, whose
 /// labels are printed `width` wide.
-fn dqn_training_curves(args: &Args, strategies: &[Strategy], width: usize) {
-    let curves = training_curves(Algorithm::Dqn, strategies, &scale(args));
+fn dqn_training_curves(args: &Args, runs: &RunStore, strategies: &[Strategy], width: usize) {
+    let curves = training_curves(Algorithm::Dqn, strategies, &scale(args), runs);
     let series: Vec<(String, Vec<(f64, f64)>)> = curves
         .iter()
         .map(|c| {
@@ -540,20 +540,20 @@ fn dqn_training_curves(args: &Args, strategies: &[Strategy], width: usize) {
     }
 }
 
-fn run_fig13(args: &Args) {
+fn run_fig13(args: &Args, runs: &RunStore) {
     let sync = [Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw];
-    dqn_training_curves(args, &sync, 8);
+    dqn_training_curves(args, runs, &sync, 8);
     println!("Paper: iSW reaches the same reward level in much less wall-clock time.");
 }
 
-fn run_fig14(args: &Args) {
-    dqn_training_curves(args, &[Strategy::AsyncPs, Strategy::AsyncIsw], 10);
+fn run_fig14(args: &Args, runs: &RunStore) {
+    dqn_training_curves(args, runs, &[Strategy::AsyncPs, Strategy::AsyncIsw], 10);
     println!("Paper: Async iSW reaches the same reward level in much less time.");
 }
 
 /// Fig. 15: rack-scale scalability of PPO and DDPG, sync and async, over
 /// the two-layer ToR/Core topology (3 workers per rack).
-fn run_fig15(args: &Args) {
+fn run_fig15(args: &Args, runs: &RunStore) {
     let scale = scale(args);
     for alg in [Algorithm::Ppo, Algorithm::Ddpg] {
         for (mode, strategies) in [
@@ -563,7 +563,7 @@ fn run_fig15(args: &Args) {
             ),
             ("Async", vec![Strategy::AsyncPs, Strategy::AsyncIsw]),
         ] {
-            let series = fig15(alg, &strategies, &scale);
+            let series = fig15(alg, &strategies, &scale, runs);
             let mut headers = vec!["Strategy".to_string()];
             headers.extend(scale.scalability_workers.iter().map(|n| format!("N={n}")));
             let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
@@ -595,7 +595,7 @@ fn run_fig15(args: &Args) {
 /// (LUT/FF/BRAM/DSP); this reproduction has no synthesis target, so it
 /// reports the accelerator model's architectural resources per benchmark
 /// next to the paper's figures.
-fn run_resources(_: &Args) {
+fn run_resources(_: &Args, _: &RunStore) {
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
         let spec = paper_model(alg);
@@ -669,15 +669,15 @@ fn print_topology_pair(column: &str, variants: [(&str, &TimingResult); 2]) {
 /// 3. **Hierarchical vs flat** aggregation at 12 workers: what the
 ///    two-layer tree costs/buys against one big star.
 /// 4. **Hierarchy depth** at 24 workers: two levels vs three.
-fn run_ablations(_: &Args) {
+fn run_ablations(_: &Args, runs: &RunStore) {
     println!("1) Output schedule of the in-switch accelerator (sync, 4 workers)\n");
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
         let mut cfg = TimingConfig::main_cluster(alg, Strategy::SyncIsw);
         cfg.iterations = 12;
-        let otf = run_timing(&cfg);
+        let otf = runs.timing(&cfg);
         cfg.aggregation_mode = AggregationMode::StoreAndForward;
-        let saf = run_timing(&cfg);
+        let saf = runs.timing(&cfg);
         rows.push(vec![
             alg.name().to_string(),
             format!("{:.3} ms", otf.breakdown.aggregation.as_millis_f64()),
@@ -711,7 +711,7 @@ fn run_ablations(_: &Args) {
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::AsyncIsw);
         cfg.iterations = 20;
         cfg.threshold_override = Some(h);
-        let r = run_timing(&cfg);
+        let r = runs.timing(&cfg);
         rows.push(vec![
             format!("H = {h}"),
             format!("{:.2} ms", r.per_iteration.as_millis_f64()),
@@ -733,8 +733,8 @@ fn run_ablations(_: &Args) {
     print_topology_pair(
         "Topology",
         [
-            ("flat star (12 ports)", &run_timing(&flat)),
-            ("ToR/Core tree (3/rack)", &run_timing(&tree)),
+            ("flat star (12 ports)", &runs.timing(&flat)),
+            ("ToR/Core tree (3/rack)", &runs.timing(&tree)),
         ],
     );
     println!("The tree adds two switch levels of latency but matches real");
@@ -750,8 +750,8 @@ fn run_ablations(_: &Args) {
     print_topology_pair(
         "Hierarchy",
         [
-            ("ToR -> Core (8-port core)", &run_timing(&two)),
-            ("ToR -> AGG -> Core (Fig. 10)", &run_timing(&three)),
+            ("ToR -> Core (8-port core)", &runs.timing(&two)),
+            ("ToR -> AGG -> Core (Fig. 10)", &runs.timing(&three)),
         ],
     );
     println!("Each extra level adds two hops and one partial-aggregation stage");
@@ -787,7 +787,7 @@ fn round_bytes(kind: CodecKind, len: usize) -> (usize, usize) {
 ///
 /// Precision and convergence under each codec are measured end to end by
 /// `iswitch-sim timing --fidelity cosim --codec <kind>` (EXPERIMENTS.md).
-fn run_quantization(_: &Args) {
+fn run_quantization(_: &Args, _: &RunStore) {
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
         let len = paper_model(alg).param_count();
@@ -826,7 +826,7 @@ fn run_quantization(_: &Args) {
 /// the control plane's `Help`/`FBcast` recovery paths active (paper §3.3:
 /// "the control plane also helps handling packet lost … with minimal
 /// overhead").
-fn run_loss_recovery(_: &Args) {
+fn run_loss_recovery(_: &Args, runs: &RunStore) {
     let mut rows = Vec::new();
     let mut baseline_ms = 0.0;
     // 1e-3 on a 3.3 MB model is already ~40 lost packets per iteration —
@@ -841,7 +841,7 @@ fn run_loss_recovery(_: &Args) {
         let mut cfg = TimingConfig::main_cluster(Algorithm::A2c, Strategy::SyncIsw);
         cfg.iterations = 15;
         cfg.edge_loss = loss;
-        let r = run_timing(&cfg);
+        let r = runs.timing(&cfg);
         let ms = r.per_iteration.as_millis_f64();
         if loss == 0.0 {
             baseline_ms = ms;
@@ -873,7 +873,7 @@ fn run_loss_recovery(_: &Args) {
 /// small size of transferred gradients of RL models … we do not consider
 /// supporting larger network connections", §5.3); this sweep quantifies
 /// that choice by rerunning the sync comparison at 10/25/40/100 GbE.
-fn run_bandwidth_sweep(_: &Args) {
+fn run_bandwidth_sweep(_: &Args, runs: &RunStore) {
     let rates: [(u64, &str); 4] = [
         (10_000_000_000, "10 GbE"),
         (25_000_000_000, "25 GbE"),
@@ -887,7 +887,7 @@ fn run_bandwidth_sweep(_: &Args) {
             let mut cfg = TimingConfig::main_cluster(Algorithm::Dqn, strategy);
             cfg.iterations = 12;
             cfg.topo.edge = LinkSpec::new(bps, SimDuration::from_micros(1));
-            let r = run_timing(&cfg);
+            let r = runs.timing(&cfg);
             times.push(r.per_iteration.as_millis_f64());
         }
         rows.push(vec![
@@ -953,7 +953,7 @@ fn fidelity_check(algorithm: Algorithm) -> FidelityCheck {
 /// gradients packetized, summed by the simulated in-switch accelerator,
 /// broadcast, reassembled, applied — must land on the same weights a
 /// single-process mean-gradient step produces, up to f32 summation order.
-fn run_fidelity(args: &Args) {
+fn run_fidelity(args: &Args, _: &RunStore) {
     let checks: Vec<FidelityCheck> = [Algorithm::A2c, Algorithm::Ppo]
         .into_iter()
         .map(fidelity_check)
@@ -1001,7 +1001,7 @@ fn run_fidelity(args: &Args) {
 ///
 /// Exits non-zero on any invariant violation or determinism break, so CI
 /// can gate on it.
-fn run_chaos_smoke(_: &Args) {
+fn run_chaos_smoke(_: &Args, _: &RunStore) {
     let strategies = [
         Strategy::SyncPs,
         Strategy::SyncAr,

@@ -5,6 +5,7 @@
 
 use iswitch_bench::{Artifact, ALL, ARTIFACTS};
 use iswitch_cluster::cli::{select, Command};
+use iswitch_cluster::experiments::RunStore;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -13,14 +14,16 @@ fn main() {
     let about = "regenerates the tables and figures of the iSwitch paper's evaluation";
     let (at, args) = select("paper", about, &rows, &argv).unwrap_or_else(|stop| stop.exit());
     let Some(artifact) = ARTIFACTS.get(at) else {
-        // `all`: each row it runs re-reads what `all` was given as its own.
+        // `all`: each row it runs re-reads what `all` was given as its own,
+        // and every row reads the runs an earlier row made.
+        let runs = RunStore::default();
         for artifact in ARTIFACTS.iter().filter(|a| a.in_all()) {
             let program = format!("paper {}", artifact.name);
             let args = artifact.command().parse(&program, &argv[1..]);
-            artifact.regenerate(&args.unwrap_or_else(|stop| stop.exit()));
+            artifact.regenerate(&args.unwrap_or_else(|stop| stop.exit()), &runs);
             println!();
         }
         return;
     };
-    artifact.regenerate(&args);
+    artifact.regenerate(&args, &RunStore::default());
 }

@@ -3,20 +3,59 @@
 //! Each function returns structured rows; the `iswitch-bench` binaries
 //! render them next to the paper's reported numbers, and integration tests
 //! assert the qualitative *shape* (who wins, where the crossovers fall).
+//! Every simulator run goes through the caller's [`RunStore`], so artifacts
+//! that share a configuration (Table 3 and Tables 4/5, Fig. 4 and Fig. 12,
+//! Figs. 13/14 and Tables 4/5) share its one run.
 
 use iswitch_core::AcceleratorConfig;
 use iswitch_netsim::SimDuration;
 use iswitch_rl::{paper_model, Algorithm};
 use serde::{Deserialize, Serialize};
 
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::fmt::Debug;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::compute_model::{CommCosts, Component, ComputeModel};
 use crate::convergence::{
-    default_target, run_convergence, AggregationSemantics, ConvergenceConfig,
+    run_convergence, AggregationSemantics, ConvergenceConfig, ConvergenceResult,
 };
 use crate::staleness::StalenessDistribution;
-use crate::timing_runner::{run_timing, Strategy, TimingConfig};
+use crate::timing_runner::{run_timing, Strategy, TimingConfig, TimingResult};
+
+/// The runs of one process: each timing or convergence configuration runs
+/// the first time it is asked for, and every later ask reads that result.
+/// A run is a deterministic function of its configuration, so the key is
+/// the whole configuration value (its `Debug` rendering), never a chosen
+/// subset of fields; nothing is kept on disk, so nothing can go stale.
+#[derive(Default)]
+pub struct RunStore {
+    timing: Memo<TimingResult>,
+    convergence: Memo<ConvergenceResult>,
+}
+
+type Memo<R> = Mutex<HashMap<String, Arc<OnceLock<R>>>>;
+
+impl RunStore {
+    /// The timing run of `cfg`.
+    pub fn timing(&self, cfg: &TimingConfig) -> TimingResult {
+        memo(&self.timing, cfg, run_timing)
+    }
+
+    /// The convergence run of `cfg`.
+    pub fn convergence(&self, cfg: &ConvergenceConfig) -> ConvergenceResult {
+        memo(&self.convergence, cfg, run_convergence)
+    }
+}
+
+/// Runs `cfg` once per distinct key. The map lock is held only to find the
+/// key's cell, so a second thread asking for a run in flight waits on that
+/// cell rather than running it again.
+fn memo<C: Debug, R: Clone>(map: &Memo<R>, cfg: &C, run: fn(&C) -> R) -> R {
+    let key = format!("{cfg:?}");
+    let cell = Arc::clone(map.lock().expect("run store lock").entry(key).or_default());
+    cell.get_or_init(|| run(cfg)).clone()
+}
 
 /// Runs one closure per item on scoped worker threads, preserving input
 /// order. Experiment cells are independent, so the sweeps in this module
@@ -181,61 +220,65 @@ pub struct BreakdownRow {
     pub aggregation_share: f64,
 }
 
-fn breakdown_row(alg: Algorithm, strategy: Strategy, scale: &Scale) -> BreakdownRow {
-    let result = run_timing(&scale.timing(alg, strategy));
-    let model = ComputeModel::for_algorithm(alg);
-    // Distribute the measured compute span over the calibrated component
-    // proportions; aggregation and weight update come from the simulator.
-    let compute_total_us: u64 = model.components.iter().map(|(_, us)| us).sum();
-    let measured_compute = result.breakdown.compute.as_secs_f64();
-    let mut components: Vec<(String, f64)> = model
-        .components
-        .iter()
-        .map(|(c, us)| {
-            (
-                c.label().to_string(),
-                measured_compute * *us as f64 / compute_total_us as f64,
-            )
-        })
-        .collect();
-    components.push((
-        Component::GradAggregation.label().to_string(),
-        result.breakdown.aggregation.as_secs_f64(),
-    ));
-    components.push((
-        Component::WeightUpdate.label().to_string(),
-        result.breakdown.update.as_secs_f64(),
-    ));
-    BreakdownRow {
-        algorithm: alg.name().to_string(),
-        strategy: strategy.label().to_string(),
-        components,
-        total: result.per_iteration.as_secs_f64(),
-        aggregation_share: result.breakdown.aggregation_share(),
-    }
+/// The synchronous strategies in the paper's column order: PS, AR, iSW.
+const SYNC: [Strategy; 3] = [Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw];
+
+/// The breakdown of every `(algorithm, strategy)` cell, in order.
+fn breakdowns(
+    cells: Vec<(Algorithm, Strategy)>,
+    scale: &Scale,
+    runs: &RunStore,
+) -> Vec<BreakdownRow> {
+    parallel_map(cells, |(alg, strategy)| {
+        let result = runs.timing(&scale.timing(alg, strategy));
+        let model = ComputeModel::for_algorithm(alg);
+        // Distribute the measured compute span over the calibrated component
+        // proportions; aggregation and weight update come from the simulator.
+        let compute_total_us: u64 = model.components.iter().map(|(_, us)| us).sum();
+        let measured_compute = result.breakdown.compute.as_secs_f64();
+        let mut components: Vec<(String, f64)> = model
+            .components
+            .iter()
+            .map(|(c, us)| {
+                (
+                    c.label().to_string(),
+                    measured_compute * *us as f64 / compute_total_us as f64,
+                )
+            })
+            .collect();
+        components.push((
+            Component::GradAggregation.label().to_string(),
+            result.breakdown.aggregation.as_secs_f64(),
+        ));
+        components.push((
+            Component::WeightUpdate.label().to_string(),
+            result.breakdown.update.as_secs_f64(),
+        ));
+        BreakdownRow {
+            algorithm: alg.name().to_string(),
+            strategy: strategy.label().to_string(),
+            components,
+            total: result.per_iteration.as_secs_f64(),
+            aggregation_share: result.breakdown.aggregation_share(),
+        }
+    })
 }
 
 /// Fig. 4: breakdown of PS and AR per-iteration time, all four benchmarks.
-pub fn fig4(scale: &Scale) -> Vec<BreakdownRow> {
-    let mut cells = Vec::new();
-    for strategy in [Strategy::SyncPs, Strategy::SyncAr] {
-        for alg in Algorithm::ALL {
-            cells.push((alg, strategy));
-        }
-    }
-    parallel_map(cells, |(alg, strategy)| breakdown_row(alg, strategy, scale))
+pub fn fig4(scale: &Scale, runs: &RunStore) -> Vec<BreakdownRow> {
+    let cells = [Strategy::SyncPs, Strategy::SyncAr]
+        .into_iter()
+        .flat_map(|strategy| Algorithm::ALL.map(|alg| (alg, strategy)));
+    breakdowns(cells.collect(), scale, runs)
 }
 
 /// Fig. 12: per-iteration breakdown of PS, AR, and iSW (normalize against
 /// the PS row of the same algorithm when plotting).
-pub fn fig12(scale: &Scale) -> Vec<BreakdownRow> {
-    let mut cells = Vec::new();
-    for alg in Algorithm::ALL {
-        for strategy in [Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw] {
-            cells.push((alg, strategy));
-        }
-    }
-    parallel_map(cells, |(alg, strategy)| breakdown_row(alg, strategy, scale))
+pub fn fig12(scale: &Scale, runs: &RunStore) -> Vec<BreakdownRow> {
+    let cells = Algorithm::ALL
+        .into_iter()
+        .flat_map(|alg| SYNC.map(|strategy| (alg, strategy)));
+    breakdowns(cells.collect(), scale, runs)
 }
 
 // ---------------------------------------------------------------------------
@@ -306,30 +349,48 @@ pub struct SyncRow {
 }
 
 /// Table 4: synchronous comparison across PS / AR / iSW.
-pub fn table4(scale: &Scale) -> Vec<SyncRow> {
+pub fn table4(scale: &Scale, runs: &RunStore) -> Vec<SyncRow> {
     parallel_map(Algorithm::ALL.to_vec(), |alg| {
-        let conv = run_convergence(&ConvergenceConfig {
-            max_iterations: scale.convergence_cap,
-            ..ConvergenceConfig::sync_main(alg)
-        });
-        let times: Vec<f64> = [Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw]
-            .iter()
-            .map(|&s| {
-                run_timing(&scale.timing(alg, s))
-                    .per_iteration
-                    .as_secs_f64()
-            })
-            .collect();
-        let e2e: Vec<f64> = times.iter().map(|t| t * conv.iterations as f64).collect();
+        let timing = SYNC.map(|s| runs.timing(&scale.timing(alg, s)));
+        let conv = runs.convergence(&convergence_config(alg, SYNC[0], &timing[0], scale));
+        let times = timing.map(|t| t.per_iteration.as_secs_f64());
+        let e2e = times.map(|t| t * conv.iterations as f64);
         SyncRow {
             algorithm: alg.name().to_string(),
             iterations: conv.iterations,
             final_reward: conv.final_average_reward,
-            per_iteration_s: [times[0], times[1], times[2]],
-            end_to_end_s: [e2e[0], e2e[1], e2e[2]],
+            per_iteration_s: times,
+            end_to_end_s: e2e,
             speedup: [1.0, e2e[0] / e2e[1], e2e[0] / e2e[2]],
         }
     })
+}
+
+/// The convergence run that turns `strategy`'s per-iteration time into
+/// end-to-end time: the lite workload to its target reward. An async
+/// strategy trains under the staleness its `timing` run measured (S = 3)
+/// at [`async_lr_scale`]; a sync one reads nothing of `timing`, so PS, AR
+/// and iSW share one run.
+fn convergence_config(
+    alg: Algorithm,
+    strategy: Strategy,
+    timing: &TimingResult,
+    scale: &Scale,
+) -> ConvergenceConfig {
+    let mut cfg = ConvergenceConfig {
+        max_iterations: scale.convergence_cap,
+        ..ConvergenceConfig::sync_main(alg)
+    };
+    if strategy.is_async() {
+        let (staleness, bound) = (StalenessDistribution::from_samples(&timing.staleness), 3);
+        cfg.lr_scale = async_lr_scale(alg);
+        cfg.semantics = if strategy == Strategy::AsyncPs {
+            AggregationSemantics::AsyncSingle { staleness, bound }
+        } else {
+            AggregationSemantics::AsyncAggregated { staleness, bound }
+        };
+    }
+    cfg
 }
 
 // ---------------------------------------------------------------------------
@@ -358,31 +419,12 @@ pub struct AsyncRow {
 }
 
 /// Table 5: asynchronous comparison, staleness bound S = 3 for both.
-pub fn table5(scale: &Scale) -> Vec<AsyncRow> {
+pub fn table5(scale: &Scale, runs: &RunStore) -> Vec<AsyncRow> {
     parallel_map(Algorithm::ALL.to_vec(), |alg| {
-        let t_ps = run_timing(&scale.timing(alg, Strategy::AsyncPs));
-        let t_isw = run_timing(&scale.timing(alg, Strategy::AsyncIsw));
-        let d_ps = StalenessDistribution::from_samples(&t_ps.staleness);
-        let d_isw = StalenessDistribution::from_samples(&t_isw.staleness);
-
-        let base = ConvergenceConfig {
-            max_iterations: scale.convergence_cap,
-            lr_scale: async_lr_scale(alg),
-            ..ConvergenceConfig::sync_main(alg)
-        };
-        let c_ps = run_convergence(&ConvergenceConfig {
-            semantics: AggregationSemantics::AsyncSingle {
-                staleness: d_ps.clone(),
-                bound: 3,
-            },
-            ..base.clone()
-        });
-        let c_isw = run_convergence(&ConvergenceConfig {
-            semantics: AggregationSemantics::AsyncAggregated {
-                staleness: d_isw.clone(),
-                bound: 3,
-            },
-            ..base
+        let [(t_ps, c_ps), (t_isw, c_isw)] = [Strategy::AsyncPs, Strategy::AsyncIsw].map(|s| {
+            let timing = runs.timing(&scale.timing(alg, s));
+            let conv = runs.convergence(&convergence_config(alg, s, &timing, scale));
+            (timing, conv)
         });
         let per = [
             t_ps.per_iteration.as_secs_f64(),
@@ -400,7 +442,8 @@ pub fn table5(scale: &Scale) -> Vec<AsyncRow> {
             per_iteration_s: per,
             end_to_end_s: e2e,
             isw_speedup: e2e[0] / e2e[1],
-            mean_staleness: [d_ps.mean(), d_isw.mean()],
+            mean_staleness: [&t_ps, &t_isw]
+                .map(|t| StalenessDistribution::from_samples(&t.staleness).mean()),
         }
     })
 }
@@ -420,23 +463,15 @@ pub struct Table3 {
     pub async_isw: [f64; 4],
 }
 
-/// Table 3: system-level speedups in end-to-end training time.
-pub fn table3(scale: &Scale) -> Table3 {
-    let sync = table4(scale);
-    let asynch = table5(scale);
-    let mut t = Table3 {
-        sync_ar: [0.0; 4],
-        sync_isw: [0.0; 4],
-        async_isw: [0.0; 4],
-    };
-    for (i, row) in sync.iter().enumerate() {
-        t.sync_ar[i] = row.speedup[1];
-        t.sync_isw[i] = row.speedup[2];
+/// Table 3: system-level speedups in end-to-end training time — the
+/// speedup columns of Tables 4 and 5, composed from the runs they made.
+pub fn table3(scale: &Scale, runs: &RunStore) -> Table3 {
+    let (sync, asynch) = (table4(scale, runs), table5(scale, runs));
+    Table3 {
+        sync_ar: std::array::from_fn(|i| sync[i].speedup[1]),
+        sync_isw: std::array::from_fn(|i| sync[i].speedup[2]),
+        async_isw: std::array::from_fn(|i| asynch[i].isw_speedup),
     }
-    for (i, row) in asynch.iter().enumerate() {
-        t.async_isw[i] = row.isw_speedup;
-    }
-    t
 }
 
 // ---------------------------------------------------------------------------
@@ -454,35 +489,21 @@ pub struct Curve {
 
 /// Figs. 13/14: training curves of one algorithm (the paper plots DQN).
 /// `strategies` picks sync (Fig. 13: PS, AR, iSW) or async (Fig. 14).
-pub fn training_curves(alg: Algorithm, strategies: &[Strategy], scale: &Scale) -> Vec<Curve> {
+pub fn training_curves(
+    alg: Algorithm,
+    strategies: &[Strategy],
+    scale: &Scale,
+    runs: &RunStore,
+) -> Vec<Curve> {
     parallel_map(strategies.to_vec(), |strategy| {
-        let timing = run_timing(&scale.timing(alg, strategy));
-        let per_iter_min = timing.per_iteration.as_secs_f64() / 60.0;
-        let semantics = match strategy {
-            Strategy::SyncPs | Strategy::SyncAr | Strategy::SyncIsw => {
-                AggregationSemantics::Synchronous
-            }
-            Strategy::AsyncPs => AggregationSemantics::AsyncSingle {
-                staleness: StalenessDistribution::from_samples(&timing.staleness),
-                bound: 3,
-            },
-            Strategy::AsyncIsw => AggregationSemantics::AsyncAggregated {
-                staleness: StalenessDistribution::from_samples(&timing.staleness),
-                bound: 3,
-            },
-        };
-        let conv = run_convergence(&ConvergenceConfig {
-            semantics,
+        let timing = runs.timing(&scale.timing(alg, strategy));
+        let conv = runs.convergence(&ConvergenceConfig {
             max_iterations: scale.curve_iterations,
             target_reward: None,
             curve_every: scale.curve_every,
-            lr_scale: if strategy.is_async() {
-                async_lr_scale(alg)
-            } else {
-                1.0
-            },
-            ..ConvergenceConfig::sync_main(alg)
+            ..convergence_config(alg, strategy, &timing, scale)
         });
+        let per_iter_min = timing.per_iteration.as_secs_f64() / 60.0;
         Curve {
             strategy: strategy.label().to_string(),
             points: smooth_curve(&conv.curve, per_iter_min, 7),
@@ -528,72 +549,62 @@ pub struct ScalabilitySeries {
 /// budget (so iterations scale as `1/N`). For asynchronous strategies the
 /// staleness measured at each cluster size additionally inflates the
 /// iteration count via a convergence probe on the lite workload.
-pub fn fig15(alg: Algorithm, strategies: &[Strategy], scale: &Scale) -> Vec<ScalabilitySeries> {
-    parallel_map(strategies.to_vec(), |strategy| {
-        let mut per_iter = Vec::new();
-        let mut inflation = Vec::new();
-        let mut effective_n = Vec::new();
-        for &n in &scale.scalability_workers {
-            let mut cfg = scale.timing(alg, strategy);
-            cfg.workers = n;
-            cfg.workers_per_rack = Some(3);
-            let t = run_timing(&cfg);
-            per_iter.push(t.per_iteration.as_secs_f64());
-            // Discarded (over-stale) gradients are wasted samples, so
-            // they do not count toward the fixed sample budget.
-            effective_n.push(n as f64 * (1.0 - t.discard_fraction));
-            if strategy.is_async() {
-                inflation.push(async_iteration_inflation(&t.staleness, strategy, scale));
-            } else {
-                inflation.push(1.0);
-            }
-        }
-        let base = per_iter[0] * inflation[0] / effective_n[0];
-        let speedup: Vec<f64> = effective_n
-            .iter()
-            .zip(per_iter.iter().zip(&inflation))
-            .map(|(&n_eff, (t, infl))| base / (t * infl / n_eff))
-            .collect();
-        ScalabilitySeries {
+pub fn fig15(
+    alg: Algorithm,
+    strategies: &[Strategy],
+    scale: &Scale,
+    runs: &RunStore,
+) -> Vec<ScalabilitySeries> {
+    let workers = &scale.scalability_workers;
+    let cells: Vec<(Strategy, usize)> = strategies
+        .iter()
+        .flat_map(|&strategy| workers.iter().map(move |&n| (strategy, n)))
+        .collect();
+    // Simulated seconds per effective sample of each cell.
+    let cost = parallel_map(cells, |(strategy, n)| {
+        let mut cfg = scale.timing(alg, strategy);
+        cfg.workers = n;
+        cfg.workers_per_rack = Some(3);
+        let t = runs.timing(&cfg);
+        // Discarded (over-stale) gradients are wasted samples, so they do
+        // not count toward the fixed sample budget.
+        let effective_n = n as f64 * (1.0 - t.discard_fraction);
+        t.per_iteration.as_secs_f64() * async_iteration_inflation(&t, strategy, scale, runs)
+            / effective_n
+    });
+    strategies
+        .iter()
+        .zip(cost.chunks(workers.len()))
+        .map(|(strategy, cost)| ScalabilitySeries {
             strategy: strategy.label().to_string(),
-            workers: scale.scalability_workers.clone(),
-            speedup,
-        }
-    })
+            workers: workers.clone(),
+            speedup: cost.iter().map(|c| cost[0] / c).collect(),
+        })
+        .collect()
 }
 
-/// Iteration-inflation factor caused by a staleness distribution, probed
-/// with a short convergence run on the fast A2C lite workload and
-/// normalized against the staleness-free run.
-fn async_iteration_inflation(samples: &[u32], strategy: Strategy, scale: &Scale) -> f64 {
-    if samples.is_empty() {
+/// Iteration-inflation factor caused by the staleness of an async `timing`
+/// run (1 for a sync strategy), probed with a short convergence run on the
+/// fast A2C lite workload and normalized against the staleness-free run.
+fn async_iteration_inflation(
+    timing: &TimingResult,
+    strategy: Strategy,
+    scale: &Scale,
+    runs: &RunStore,
+) -> f64 {
+    if !strategy.is_async() || timing.staleness.is_empty() {
         return 1.0;
     }
-    let dist = StalenessDistribution::from_samples(samples);
-    let mk = |semantics| ConvergenceConfig {
-        algorithm: Algorithm::A2c,
-        workers: 4,
-        semantics,
+    let stale = ConvergenceConfig {
         max_iterations: scale.convergence_cap.min(6_000),
-        target_reward: Some(default_target(Algorithm::A2c)),
-        check_every: 50,
-        curve_every: 0,
-        seed: 42,
-        lr_scale: async_lr_scale(Algorithm::A2c),
+        ..convergence_config(Algorithm::A2c, strategy, timing, scale)
     };
-    let fresh = run_convergence(&mk(AggregationSemantics::Synchronous));
-    let semantics = match strategy {
-        Strategy::AsyncPs => AggregationSemantics::AsyncSingle {
-            staleness: dist,
-            bound: 3,
-        },
-        _ => AggregationSemantics::AsyncAggregated {
-            staleness: dist,
-            bound: 3,
-        },
+    let fresh = ConvergenceConfig {
+        semantics: AggregationSemantics::Synchronous,
+        ..stale.clone()
     };
-    let stale = run_convergence(&mk(semantics));
-    (stale.iterations as f64 / fresh.iterations as f64).max(1.0)
+    let iterations = |cfg| runs.convergence(cfg).iterations as f64;
+    (iterations(&stale) / iterations(&fresh)).max(1.0)
 }
 
 #[cfg(test)]
@@ -628,6 +639,37 @@ mod tests {
             assert!(x != 2, "boom");
             x
         });
+    }
+
+    #[test]
+    fn table3_composes_the_runs_tables_4_and_5_made() {
+        let scale = Scale {
+            timing_iters: 1,
+            warmup: 1,
+            convergence_cap: 100,
+            ..Scale::quick()
+        };
+        let runs = RunStore::default();
+        let entries = || {
+            runs.timing.lock().expect("lock").len() + runs.convergence.lock().expect("lock").len()
+        };
+        let (sync, asynch) = (table4(&scale, &runs), table5(&scale, &runs));
+        let made = entries();
+        let t = table3(&scale, &runs);
+        assert_eq!(entries(), made, "table3 ran a configuration of its own");
+        let column = |rows: Vec<f64>| <[f64; 4]>::try_from(rows).expect("four algorithms");
+        assert_eq!(
+            t.sync_ar,
+            column(sync.iter().map(|r| r.speedup[1]).collect())
+        );
+        assert_eq!(
+            t.sync_isw,
+            column(sync.iter().map(|r| r.speedup[2]).collect())
+        );
+        assert_eq!(
+            t.async_isw,
+            column(asynch.iter().map(|r| r.isw_speedup).collect())
+        );
     }
 
     #[test]

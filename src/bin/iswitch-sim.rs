@@ -4,7 +4,6 @@
 //! $ iswitch-sim timing --algorithm dqn --strategy isw --workers 4
 //! $ iswitch-sim timing --algorithm ppo --strategy ar --workers 12 --per-rack 3
 //! $ iswitch-sim convergence --algorithm a2c --workers 4 --max-iterations 8000
-//! $ iswitch-sim scalability --algorithm ppo
 //! ```
 
 use std::io::BufWriter;
@@ -15,7 +14,6 @@ use std::sync::Arc;
 
 use iswitch::cluster::analyze::TraceAnalysis;
 use iswitch::cluster::cli::{create_parent, refuse, select, write_artifact, Args, Command, Flag};
-use iswitch::cluster::experiments::{fig15, Scale};
 use iswitch::cluster::{
     run_chaos, run_chaos_isolation, run_convergence, run_cosim, run_multi_tenant, run_timing,
     run_timing_observed_with, ChaosConfig, ChaosSchedule, ConvergenceConfig, CosimConfig,
@@ -272,14 +270,6 @@ const COMMANDS: &[Row] = &[
             ],
         },
         cmd_convergence,
-    ),
-    (
-        Command {
-            name: "scalability",
-            summary: "end-to-end speedup across cluster sizes (Fig. 15)",
-            flags: &[ALGORITHM.or("ppo")],
-        },
-        cmd_scalability,
     ),
     (
         Command {
@@ -768,29 +758,6 @@ fn cmd_convergence(args: &Args) {
         r.iterations,
         r.final_average_reward
     );
-}
-
-fn cmd_scalability(args: &Args) {
-    let alg = algorithm(args);
-    let scale = Scale {
-        scalability_workers: vec![4, 6, 9, 12],
-        ..Scale::quick()
-    };
-    println!("scalability of {alg} (sync), 3 workers per rack…");
-    let series = fig15(
-        alg,
-        &[Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw],
-        &scale,
-    );
-    for s in series {
-        let pts: Vec<String> = s
-            .workers
-            .iter()
-            .zip(&s.speedup)
-            .map(|(n, x)| format!("N={n}: {x:.2}x"))
-            .collect();
-        println!("  {:>4}  {}", s.strategy, pts.join("  "));
-    }
 }
 
 /// The I6 cross-tenant isolation check (`chaos --isolation`). With

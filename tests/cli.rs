@@ -63,7 +63,8 @@ fn unknown_flags_are_refused_and_help_is_help() {
             "--iterations expects a value",
         ),
         (&["timing", "--threads", "2"], 2, "--threads"),
-        (&["scalability", "--workers", "4"], 2, "`--workers`"),
+        // `paper fig15` is the scalability study; there is no second name.
+        (&["scalability"], 2, "unknown command `scalability`"),
         (
             &["analyze", "--trace", "t.jsonl", "--fattree", "2"],
             2,
@@ -141,6 +142,12 @@ fn unknown_flags_are_refused_and_help_is_help() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("simulating"), "{args:?} ran: {stdout}");
     }
+    let help = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))
+        .arg("--help")
+        .output()
+        .expect("iswitch-sim runs");
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(!help.contains("scalability"), "{help}");
 }
 
 /// Every binary invocation inside a fenced code block of `text`, as

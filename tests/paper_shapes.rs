@@ -1,7 +1,7 @@
 //! Integration tests asserting the paper's qualitative results — who
 //! wins, where crossovers fall — at quick experiment scale.
 
-use iswitch::cluster::experiments::{fig15, fig8, Scale};
+use iswitch::cluster::experiments::{fig15, fig8, RunStore, Scale};
 use iswitch::cluster::{run_timing, Strategy, TimingConfig};
 use iswitch::rl::Algorithm;
 
@@ -110,6 +110,7 @@ fn scalability_ranking_matches_fig15() {
         Algorithm::Ppo,
         &[Strategy::SyncPs, Strategy::SyncAr, Strategy::SyncIsw],
         &scale,
+        &RunStore::default(),
     );
     let at12 = |label: &str| {
         series
