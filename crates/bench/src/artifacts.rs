@@ -9,8 +9,7 @@ use iswitch_cluster::experiments::{
 };
 use iswitch_cluster::report::{fmt_bytes, fmt_secs, fmt_speedup, render_ascii_chart, render_table};
 use iswitch_cluster::{
-    run_chaos, run_cosim, AggregationMode, ChaosConfig, CosimConfig, Strategy, TimingConfig,
-    TimingResult,
+    run_chaos, run_cosim, AggregationMode, Fidelity, Strategy, TimingConfig, TimingResult,
 };
 use iswitch_core::{
     decode_data_meta, Accelerator, AcceleratorConfig, CodecKind, DataSegment, EncodedGradient,
@@ -401,7 +400,7 @@ fn run_table5(args: &Args, runs: &RunStore) {
             format!("{:.2} ms", r.per_iteration_s[1] * 1e3),
             fmt_secs(r.end_to_end_s[0]),
             fmt_secs(r.end_to_end_s[1]),
-            fmt_speedup(r.isw_speedup),
+            speedup_cell(r.isw_speedup, r.reached != [true; 2]),
             fmt_speedup(paper::ASYNC_ISW_SPEEDUP[i]),
             format!("{:.2}/{:.2}", r.mean_staleness[0], r.mean_staleness[1]),
         ]);
@@ -429,15 +428,26 @@ fn run_table5(args: &Args, runs: &RunStore) {
     );
 }
 
+/// A speedup between two runs to the target reward. A run the iteration
+/// cap stopped (`capped`) has no end-to-end time to compare, so the cell
+/// prints the cap marker instead of a ratio.
+fn speedup_cell(speedup: f64, capped: bool) -> String {
+    if capped {
+        "*".to_owned()
+    } else {
+        fmt_speedup(speedup)
+    }
+}
+
 fn run_table3(args: &Args, runs: &RunStore) {
     let t = table3(&scale(args), runs);
-    let row = |label: &str, ours: &[f64; 4], theirs: &[f64; 4]| {
+    let row = |label: &str, ours: &[f64; 4], capped: [bool; 4], theirs: &[f64; 4]| {
         vec![
             label.to_string(),
-            fmt_speedup(ours[0]),
-            fmt_speedup(ours[1]),
-            fmt_speedup(ours[2]),
-            fmt_speedup(ours[3]),
+            speedup_cell(ours[0], capped[0]),
+            speedup_cell(ours[1], capped[1]),
+            speedup_cell(ours[2], capped[2]),
+            speedup_cell(ours[3], capped[3]),
             format!(
                 "{} / {} / {} / {}",
                 fmt_speedup(theirs[0]),
@@ -448,9 +458,19 @@ fn run_table3(args: &Args, runs: &RunStore) {
         ]
     };
     let table = vec![
-        row("Sync AR", &t.sync_ar, &paper::SYNC_AR_SPEEDUP),
-        row("Sync iSW", &t.sync_isw, &paper::SYNC_ISW_SPEEDUP),
-        row("Async iSW", &t.async_isw, &paper::ASYNC_ISW_SPEEDUP),
+        row("Sync AR", &t.sync_ar, [false; 4], &paper::SYNC_AR_SPEEDUP),
+        row(
+            "Sync iSW",
+            &t.sync_isw,
+            [false; 4],
+            &paper::SYNC_ISW_SPEEDUP,
+        ),
+        row(
+            "Async iSW",
+            &t.async_isw,
+            t.async_reached.map(|reached| reached != [true; 2]),
+            &paper::ASYNC_ISW_SPEEDUP,
+        ),
     ];
     print_table(
         &[
@@ -914,13 +934,15 @@ struct FidelityCheck {
 
 /// One co-sim step vs the single-process mean-gradient reference.
 fn fidelity_check(algorithm: Algorithm) -> FidelityCheck {
-    let mut cfg = CosimConfig::lite(algorithm, Strategy::SyncIsw);
+    let mut cfg = TimingConfig::cosim_lite(algorithm, Strategy::SyncIsw);
     cfg.iterations = 1;
-    cfg.target_reward = None;
+    cfg.fidelity = Fidelity::Cosim {
+        target_reward: None,
+    };
     let cosim = run_cosim(&cfg);
 
     let mut agents: Vec<_> = (0..cfg.workers)
-        .map(|w| make_lite_agent_scaled(algorithm, cfg.seed.wrapping_add(w as u64), cfg.lr_scale))
+        .map(|w| make_lite_agent_scaled(algorithm, cfg.seed.wrapping_add(w as u64), 1.0))
         .collect();
     let mut params = agents[0].params();
     for a in agents.iter_mut().skip(1) {
@@ -1013,7 +1035,7 @@ fn run_chaos_smoke(_: &Args, _: &RunStore) {
     let mut failures = 0u32;
     for strategy in strategies {
         for seed in [1, 7, 0xC4A05] {
-            let cfg = ChaosConfig::new(Algorithm::Ppo, strategy, seed);
+            let cfg = TimingConfig::chaos(Algorithm::Ppo, strategy, seed);
             let report = run_chaos(&cfg);
             let replay = run_chaos(&cfg);
             let deterministic = report.to_json().render() == replay.to_json().render();

@@ -3,10 +3,11 @@
 //! recorded run.
 //!
 //! A [`ChaosSchedule`] is a worker-indexed list of timed fault windows —
-//! edge-link outages, loss-rate windows, latency spikes. [`run_chaos`]
-//! resolves it against the built topology into a netsim
-//! [`FaultPlan`](iswitch_netsim::FaultPlan), runs the strategy under it,
-//! and then checks:
+//! edge-link outages, loss-rate windows, latency spikes. A run's
+//! [`TimingConfig::faults`] names one, and the build resolves it against
+//! the topology — star, tree or fat-tree — into netsim fault actions on
+//! the workers' edge links. [`run_chaos`] runs any [`TimingConfig`] that
+//! way and then checks:
 //!
 //! * **I1 gradient conservation** (`SyncIsw`, value-level): every segment
 //!   of every aggregate a worker applied for round `r` equals the mean of
@@ -25,7 +26,8 @@
 //! * **I5 determinism**: the rendered [`ChaosReport`] is a pure function
 //!   of the config — two runs with the same seeds are byte-identical
 //!   (asserted by callers comparing two runs' reports).
-//! * **I6 cross-tenant isolation** ([`run_chaos_isolation`]): a tenant
+//! * **I6 cross-tenant isolation** ([`run_chaos_isolation`], on a
+//!   [`MultiJobConfig`]): a tenant
 //!   whose guaranteed quota covers its demand produces artifacts (metrics
 //!   report and causal trace) byte-identical to the same job on a
 //!   dedicated fabric, no matter what a co-tenant does — including a
@@ -51,12 +53,13 @@ use iswitch_rl::Algorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::apps::IswSyncWorker;
-use crate::gradient_source::{cluster_replicas, AgentGradients, GradientSource};
-use crate::lifecycle::{build, Capture, Job};
-use crate::tenancy::{run_multi_tenant, MultiJobConfig, TenantSpec};
-use crate::timing_runner::{Strategy, TimingConfig};
-use crate::transport::TransportKind;
+use crate::gradient_source::{live_sources, AgentGradients, GradientSource};
+use crate::lifecycle::{build, validate, Capture, Job};
+use crate::tenancy::{run_multi_tenant, MultiJobConfig, TenantRun, TenantSpec};
+use crate::timing_runner::{Fidelity, Strategy, TimingConfig};
+
+/// Span a drawn schedule spreads its windows over.
+const CHAOS_HORIZON: SimDuration = SimDuration::from_millis(400);
 
 /// One timed fault window targeting a worker's access link.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,13 +239,23 @@ impl ChaosSchedule {
     /// engine-level faults as `(domain, time, action)`. Each window becomes
     /// an apply/restore action pair (`duration_ns` of `u64::MAX` is a window
     /// that never closes: apply only).
-    fn resolve(
+    ///
+    /// # Panics
+    ///
+    /// Panics on a window naming a worker outside the cluster.
+    pub(crate) fn resolve(
         &self,
         worker_links: &[(usize, LinkId)],
         loss_seed: u64,
     ) -> Vec<(usize, SimTime, FaultAction)> {
         let mut plan = Vec::new();
+        let workers = worker_links.len();
         for (i, f) in self.faults.iter().enumerate() {
+            assert!(
+                f.worker() < workers,
+                "schedule targets worker {} of {workers}",
+                f.worker()
+            );
             let (domain, link) = worker_links[f.worker()];
             let (at, duration, apply, restore) = match *f {
                 ChaosFault::EdgeDown { at, duration, .. } => (
@@ -291,18 +304,13 @@ impl ChaosSchedule {
 }
 
 /// Generates the seeded random schedule for one strategy: a pure function
-/// of `(strategy, workers, horizon, chaos_seed)`. Only `SyncIsw` draws
-/// outage and loss windows (it has the paper's recovery machinery); every
-/// other strategy gets latency spikes.
-pub fn generate_schedule(
-    strategy: Strategy,
-    workers: usize,
-    horizon: SimDuration,
-    chaos_seed: u64,
-) -> ChaosSchedule {
+/// of `(strategy, workers, chaos_seed)`, its windows spread over the first
+/// 400 ms. Only `SyncIsw` draws outage and loss windows (it has the paper's
+/// recovery machinery); every other strategy gets latency spikes.
+pub fn generate_schedule(strategy: Strategy, workers: usize, chaos_seed: u64) -> ChaosSchedule {
     assert!(workers > 0, "need at least one worker to torment");
     let mut rng = StdRng::seed_from_u64(chaos_seed ^ 0xC4A0_5EED);
-    let span = horizon.as_nanos().max(1_000_000);
+    let span = CHAOS_HORIZON.as_nanos();
     let n_faults = rng.gen_range(4..7);
     let mut schedule = ChaosSchedule::new();
     for _ in 0..n_faults {
@@ -348,76 +356,43 @@ pub fn generate_schedule(
     schedule
 }
 
-/// Configuration of one chaos run.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Benchmark algorithm (fixes the model and compute costs).
-    pub algorithm: Algorithm,
-    /// Strategy under test — any of the five.
-    pub strategy: Strategy,
-    /// Number of workers.
-    pub workers: usize,
-    /// Iteration budget (sync: iterations per worker; async: weight
-    /// updates observed at the probe).
-    pub iterations: usize,
-    /// Staleness bound `S` for asynchronous strategies.
-    pub staleness_bound: u32,
-    /// Base seed for agents and timing jitter.
-    pub seed: u64,
-    /// Seed driving the generated fault schedule (and any loss-window
-    /// RNGs).
+/// The fault schedule of a run ([`TimingConfig::faults`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Faults {
+    /// Seeds the drawn schedule and the RNG of every loss window.
     pub chaos_seed: u64,
-    /// Horizon the generated schedule spreads its windows over.
-    pub horizon: SimDuration,
-    /// Explicit schedule; `None` generates one from `chaos_seed`.
+    /// The windows to inject; `None` draws them from `chaos_seed`
+    /// ([`generate_schedule`]).
     pub schedule: Option<ChaosSchedule>,
-    /// Wire policy every worker runs under the fault schedule. The
-    /// invariants are transport-independent: I1–I5 must hold whether
-    /// recovery is switch-assisted (`GoBack`), NACK-driven (`Nack`), or
-    /// rate-controlled (`Dcqcn`).
-    pub transport: TransportKind,
-    /// **Deliberately broken** recovery for the harness self-test: the
-    /// transport's seeded protocol bug (go-back re-pushes the whole
-    /// gradient on retry instead of sending `Help`; NACK re-pushes the
-    /// whole train on a gap — a NACK storm). Either way the
-    /// packet-counting accelerator double-counts, so the conservation
-    /// invariant must trip.
-    pub naive_retransmit: bool,
-    /// Aggregation codec workers and switches run (see
-    /// [`TimingConfig::codec`]). The conservation invariant widens its
-    /// tolerance by the codec's quantization error bound, so quantized
-    /// codecs pass I1 honestly rather than by luck.
-    pub codec: CodecKind,
-    /// **Deliberately broken** fixed-point encoding for the harness
-    /// self-test: mantissas are scaled with the honest exponent but the
-    /// packet header stamps `exponent + bias`, so the switch decodes every
-    /// contribution scaled by `2^bias`. The wire stays well-formed and
-    /// every round completes — only the codec-tolerant conservation
-    /// invariant can catch it. Requires [`CodecKind::FixedPoint`] and the
-    /// synchronous strategy; `0` is off.
-    pub exponent_bug: i8,
 }
 
-impl ChaosConfig {
-    /// A small chaos run: 3 workers, 10 iterations, schedule from
-    /// `chaos_seed`.
-    pub fn new(algorithm: Algorithm, strategy: Strategy, chaos_seed: u64) -> Self {
-        ChaosConfig {
-            algorithm,
-            strategy,
-            workers: 3,
-            iterations: 10,
-            staleness_bound: 3,
-            seed: 0xC4A05,
-            chaos_seed,
-            horizon: SimDuration::from_millis(400),
-            schedule: None,
-            transport: TransportKind::GoBack,
-            naive_retransmit: false,
-            codec: CodecKind::F32,
-            exponent_bug: 0,
-        }
+impl Faults {
+    /// The schedule a run of `strategy` over `workers` injects.
+    pub fn schedule(&self, strategy: Strategy, workers: usize) -> ChaosSchedule {
+        (self.schedule.clone())
+            .unwrap_or_else(|| generate_schedule(strategy, workers, self.chaos_seed))
     }
+}
+
+/// A deliberately broken protocol path ([`TimingConfig::bug`]): each one
+/// must trip an invariant, which is how the harness shows it has teeth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeededBug {
+    /// The sync iSW transport's broken recovery: go-back re-pushes the
+    /// whole gradient on retry instead of sending `Help`; NACK re-pushes
+    /// the whole train on a gap (a NACK storm). Either way the
+    /// packet-counting accelerator double-counts, so I1 must trip.
+    NaiveRetransmit,
+    /// The sync iSW fixed-point encoder scales mantissas with the honest
+    /// exponent but stamps `exponent + bias` in the header, so the switch
+    /// decodes every contribution scaled by `2^bias`. The wire stays
+    /// well-formed and every round completes; only the codec-tolerant I1
+    /// can catch it. Needs [`CodecKind::FixedPoint`].
+    ExponentStamp(i8),
+    /// Every iSwitch switch's completed rounds never release their slot,
+    /// so occupancy and demand only grow: the co-tenant that I6 must
+    /// shield a quota'd victim from.
+    SlotLeak,
 }
 
 /// Outcome of one chaos run: what happened, and every invariant violation
@@ -663,59 +638,6 @@ fn round_timeline(trace: &Trace, round: u64) -> JsonValue {
     o
 }
 
-/// The schedule a run will use: explicit if given, generated otherwise.
-fn schedule_for(cfg: &ChaosConfig) -> ChaosSchedule {
-    cfg.schedule.clone().unwrap_or_else(|| {
-        generate_schedule(cfg.strategy, cfg.workers, cfg.horizon, cfg.chaos_seed)
-    })
-}
-
-/// Runs one chaos experiment: build the strategy's deployment, install the
-/// fault plan, run to completion, check invariants.
-///
-/// # Panics
-///
-/// Panics on degenerate configurations (zero workers/iterations) and on
-/// schedules naming workers outside the cluster.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    assert!(cfg.workers >= 2, "chaos needs at least two workers");
-    assert!(cfg.iterations > 0, "need at least one iteration");
-    let schedule = schedule_for(cfg);
-    for f in &schedule.faults {
-        assert!(
-            f.worker() < cfg.workers,
-            "schedule targets worker {} of {}",
-            f.worker(),
-            cfg.workers
-        );
-    }
-    match cfg.strategy {
-        Strategy::SyncIsw | Strategy::AsyncIsw => run_chaos_isw(cfg, schedule),
-        Strategy::SyncPs | Strategy::SyncAr | Strategy::AsyncPs => run_chaos_plain(cfg, schedule),
-    }
-}
-
-/// The chaos cluster as a timing job: the paper's main-cluster star, the
-/// whole iteration budget measured (no warmup).
-fn timing_config(cfg: &ChaosConfig) -> TimingConfig {
-    let mut tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
-    tcfg.workers = cfg.workers;
-    tcfg.iterations = cfg.iterations;
-    tcfg.warmup = 0;
-    tcfg.seed = cfg.seed;
-    tcfg.staleness_bound = cfg.staleness_bound;
-    tcfg.transport = cfg.transport;
-    tcfg.codec = cfg.codec;
-    tcfg
-}
-
-/// Installs the schedule on the built job's worker edge links.
-fn install_schedule(job: &mut Job, schedule: &ChaosSchedule, chaos_seed: u64) {
-    for (domain, at, action) in schedule.resolve(&job.placed.worker_links, chaos_seed) {
-        job.schedule_fault(domain, at, action);
-    }
-}
-
 /// I2: barrier — every worker completed every iteration.
 fn check_barrier(completed: &[usize], iterations: usize, violations: &mut Vec<String>) {
     for (w, &c) in completed.iter().enumerate() {
@@ -727,100 +649,99 @@ fn check_barrier(completed: &[usize], iterations: usize, violations: &mut Vec<St
     }
 }
 
-/// iSwitch strategies: co-sim fidelity (live replicas through the in-switch
-/// datapath) so conservation can be checked on actual values.
-fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
-    let sync = cfg.strategy == Strategy::SyncIsw;
+/// Runs one chaos experiment: build `cfg`'s job — any strategy, shape,
+/// transport, codec and seeded bug — with its fault schedule installed,
+/// run it to completion, check the invariants that apply.
+///
+/// # Panics
+///
+/// Panics on a configuration with no fault schedule, on the
+/// configurations [`crate::run_timing`] rejects, and on schedules naming
+/// workers outside the cluster.
+pub fn run_chaos(cfg: &TimingConfig) -> ChaosReport {
+    validate(cfg);
+    let faults = (cfg.faults.as_ref()).expect("a chaos run injects a fault schedule");
+    let schedule = faults.schedule(cfg.strategy, cfg.workers);
+    let sync_isw = cfg.strategy == Strategy::SyncIsw;
+    // Which invariants apply, in one place: I2 to the sync strategies, I3
+    // to the async ones, and the value checks to the iSwitch strategies'
+    // live replicas, which record what they computed and applied — I1 and
+    // I4 per round for sync iSW, I4 as "some aggregate" for async iSW.
+    let live = matches!(cfg.fidelity, Fidelity::Cosim { .. });
+    let value_checked = live && sync_isw;
     assert!(
-        !(sync && cfg.codec == CodecKind::TopK),
+        !(value_checked && cfg.codec == CodecKind::TopK),
         "top-k discards coordinates by design, so the conservation \
          invariant's subset-mean statement does not apply; chaos-check \
          the dense codecs"
     );
-    let sources = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0)
-        .into_iter()
-        .map(AgentGradients::new)
-        .map(|agent| Box::new(RecordingSource::new(agent)) as Box<dyn GradientSource>)
-        .collect();
-
-    let mut tcfg = timing_config(cfg);
-    // Arms the workers' recovery timeout and the switches' stale-flush
-    // sweep (partial-round expiry): all loss comes from the fault plan.
-    // The async pipeline sees no loss (delay-only schedule), so it keeps
-    // both off.
-    tcfg.faulted = sync;
-    let trace = Arc::new(Trace::bounded(CHAOS_TRACE_EVENTS));
+    let sources = live_sources(cfg, |agent| Box::new(RecordingSource::new(agent)));
+    let trace = live.then(|| Arc::new(Trace::bounded(CHAOS_TRACE_EVENTS)));
     let capture = Capture {
-        trace: Some(Arc::clone(&trace)),
+        trace: trace.clone(),
         ..Capture::default()
     };
-    let mut job = build(&tcfg, Some(sources), 0, capture);
-    if sync {
-        // The seeded bugs land on the built workers, whatever transport
-        // the shared build installed.
-        assert!(
-            cfg.exponent_bug == 0 || cfg.codec == CodecKind::FixedPoint,
-            "the exponent-stamp bug lives in the fixed-point encoder"
-        );
-        for w in 0..cfg.workers {
-            let worker = job.worker_mut::<IswSyncWorker>(w);
-            if cfg.naive_retransmit {
-                // The broken-recovery self-test retries aggressively so its
-                // retransmissions land before the switch's stale-flush
-                // sweep can paper over them — the double-count must
-                // actually reach an aggregate.
-                worker.set_help_timeout(SimDuration::from_micros(500));
-                worker.seed_naive_retransmit();
-            }
-            if cfg.exponent_bug != 0 {
-                worker.seed_exponent_bug(cfg.exponent_bug);
-            }
-        }
-    }
-    install_schedule(&mut job, &schedule, cfg.chaos_seed);
+    let mut job = build(cfg, sources, 0, capture);
 
-    // Stop policy: sync lockstep waits for the *slowest* worker so the
-    // barrier invariant is checked at quiescence; async stops once the
-    // probe (worker 0) has seen enough updates.
-    let watched = if sync { cfg.workers } else { 1 };
+    // Stop rules: sync iSW waits for its slowest worker, so the barrier is
+    // checked at quiescence; async iSW for its probe, worker 0; PS, AR and
+    // async PS by the job's own rule — queue idle, or the server's count
+    // of `iterations + 1` updates. A run given up on, or idle short of its
+    // budget, owes rounds or updates, which the checks below report.
+    let watched = match cfg.strategy {
+        Strategy::SyncIsw => cfg.workers,
+        Strategy::AsyncIsw => 1,
+        Strategy::SyncPs | Strategy::SyncAr | Strategy::AsyncPs => 0,
+    };
     let finished = |job: &Job| (0..watched).all(|w| job.progress(w) >= cfg.iterations);
-    // A run given up on, or idle short of its budget, is reported below.
-    let _ = job.run_until(finished);
+    let _ = job.run_until(|job| watched > 0 && finished(job));
 
-    let completed: Vec<usize> = (0..cfg.workers).map(|w| job.progress(w)).collect();
+    let completed: Vec<usize> = match cfg.strategy {
+        Strategy::AsyncPs => vec![job.update_times().len()],
+        _ => (0..cfg.workers).map(|w| job.progress(w)).collect(),
+    };
     let mut violations = Vec::new();
-    if !finished(&job) {
+    if watched > 0 && !finished(&job) {
         violations.push(format!(
             "progress: run stalled before {} iterations (reached {completed:?})",
             cfg.iterations
         ));
     }
+    if cfg.strategy == Strategy::AsyncPs && completed[0] <= cfg.iterations {
+        let (updates, target) = (completed[0], cfg.iterations + 1);
+        violations.push(format!(
+            "progress: server saw {updates} of {target} updates"
+        ));
+    }
+    if !cfg.strategy.is_async() {
+        check_barrier(&completed, cfg.iterations, &mut violations);
+    }
 
     let mut rounds_checked = 0;
     let mut help_requests = 0;
     let mut offending_rounds: BTreeSet<u64> = BTreeSet::new();
-    if sync {
+    if sync_isw {
+        help_requests = (0..cfg.workers)
+            .map(|w| job.worker(w).transport_stats().help_requests)
+            .sum();
+    }
+    if value_checked {
         // Pull each worker's recorded evidence out of the simulator.
-        let mut all_computed: Vec<&[Vec<f32>]> = Vec::new();
-        let mut all_applied: Vec<&[Vec<f32>]> = Vec::new();
-        for w in 0..cfg.workers {
-            let worker = job.worker(w);
-            help_requests += worker.transport_stats().help_requests;
-            let rec = worker
-                .source()
-                .as_any()
-                .downcast_ref::<RecordingSource>()
-                .expect("chaos workers use RecordingSource");
-            all_computed.push(&rec.computed);
-            all_applied.push(&rec.applied);
-        }
-        check_barrier(&completed, cfg.iterations, &mut violations);
+        let records: Vec<&RecordingSource> = (0..cfg.workers)
+            .map(|w| {
+                (job.worker(w)
+                    .source()
+                    .as_any()
+                    .downcast_ref::<RecordingSource>())
+                .expect("live chaos workers record")
+            })
+            .collect();
         // I4: one aggregate applied per completed iteration.
-        for (w, applied) in all_applied.iter().enumerate() {
-            if applied.len() != completed[w] {
+        for (w, rec) in records.iter().enumerate() {
+            if rec.applied.len() != completed[w] {
                 violations.push(format!(
                     "I4 updates: worker {w} applied {} aggregates over {} iterations",
-                    applied.len(),
+                    rec.applied.len(),
                     completed[w]
                 ));
             }
@@ -829,12 +750,11 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
         // is the mean of a non-empty subset of that round's gradients
         // over that segment (the accelerator aggregates and flushes at
         // segment granularity).
-        for (w, applied) in all_applied.iter().enumerate() {
-            for (r, agg) in applied.iter().enumerate() {
-                let candidates: Vec<&[f32]> = all_computed
-                    .iter()
-                    .filter(|c| c.len() > r)
-                    .map(|c| c[r].as_slice())
+        for (w, rec) in records.iter().enumerate() {
+            for (r, agg) in rec.applied.iter().enumerate() {
+                let candidates: Vec<&[f32]> = (records.iter())
+                    .filter(|c| c.computed.len() > r)
+                    .map(|c| c.computed[r].as_slice())
                     .collect();
                 rounds_checked += 1;
                 if candidates.is_empty() {
@@ -863,36 +783,41 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
                 }
             }
         }
-    } else {
-        for w in 0..cfg.workers {
-            let worker = job.worker(w);
-            // I3: staleness bound.
-            for (i, &s) in worker.staleness().iter().enumerate() {
-                if s > cfg.staleness_bound {
-                    violations.push(format!(
-                        "I3 staleness: worker commit {i} at staleness {s} > bound {}",
-                        cfg.staleness_bound
-                    ));
-                }
+    }
+    if cfg.strategy.is_async() {
+        // I3: staleness bound.
+        for (i, &s) in job.staleness().iter().enumerate() {
+            if s > cfg.staleness_bound {
+                violations.push(format!(
+                    "I3 staleness: commit {i} at staleness {s} > bound {}",
+                    cfg.staleness_bound
+                ));
             }
-            // I4: the pipeline keeps applying aggregates.
-            if worker.source().updates_applied() == 0 {
+        }
+    }
+    if live && cfg.strategy == Strategy::AsyncIsw {
+        // I4: the pipeline keeps applying aggregates.
+        for w in 0..cfg.workers {
+            if job.worker(w).source().updates_applied() == 0 {
                 violations.push("I4 updates: a worker applied no aggregates".into());
             }
         }
     }
 
-    let params_fingerprints = (0..cfg.workers)
-        .map(|w| fingerprint(job.worker(w).source().params()))
-        .collect();
+    let params_fingerprints = if live {
+        (0..cfg.workers)
+            .map(|w| fingerprint(job.worker(w).source().params()))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let resend_requests = job.extensions().map(|e| e.stats().resend_requests).sum();
-    let violation_timelines = offending_rounds
-        .iter()
-        .map(|&r| round_timeline(&trace, r))
+    let violation_timelines = (trace.iter())
+        .flat_map(|trace| offending_rounds.iter().map(|&r| round_timeline(trace, r)))
         .collect();
     ChaosReport {
         strategy: cfg.strategy,
-        chaos_seed: cfg.chaos_seed,
+        chaos_seed: faults.chaos_seed,
         schedule,
         faults_applied: job.stats().faults_applied,
         completed,
@@ -905,97 +830,28 @@ fn run_chaos_isw(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
     }
 }
 
-/// Baseline strategies (PS, AR, async PS): timing fidelity on a star, with
-/// latency-spike schedules — these protocols have no loss recovery, so the
-/// harness probes their tolerance to degradation, not loss.
-fn run_chaos_plain(cfg: &ChaosConfig, schedule: ChaosSchedule) -> ChaosReport {
-    let mut job = build(&timing_config(cfg), None, 0, Capture::default());
-    install_schedule(&mut job, &schedule, cfg.chaos_seed);
-
-    // Stop policy: the job's own completion rule — queue idle (sync), or
-    // the server's count of `iterations + 1` updates (async). A run given
-    // up on owes rounds or updates, which the checks below report.
-    let _ = job.run_until(|_| false);
-
-    let mut violations = Vec::new();
-    let completed;
-    if cfg.strategy.is_async() {
-        let target = cfg.iterations + 1;
-        let updates = job.update_times().len();
-        completed = vec![updates];
-        if updates < target {
-            violations.push(format!(
-                "progress: server saw {updates} of {target} updates"
-            ));
-        }
-        // I3: staleness bound.
-        for (i, &s) in job.staleness().iter().enumerate() {
-            if s > cfg.staleness_bound {
-                violations.push(format!(
-                    "I3 staleness: commit {i} at staleness {s} > bound {}",
-                    cfg.staleness_bound
-                ));
-            }
-        }
-    } else {
-        completed = (0..cfg.workers).map(|w| job.progress(w)).collect();
-        check_barrier(&completed, cfg.iterations, &mut violations);
-    }
-
-    ChaosReport {
-        strategy: cfg.strategy,
-        chaos_seed: cfg.chaos_seed,
-        schedule,
-        faults_applied: job.stats().faults_applied,
-        completed,
-        rounds_checked: 0,
-        help_requests: 0,
-        resend_requests: 0,
-        params_fingerprints: Vec::new(),
-        violations,
-        violation_timelines: Vec::new(),
-    }
-}
-
-/// Configuration of one cross-tenant isolation (I6) chaos run: a clean
-/// "victim" job shares the switch fabric with an "aggressor" whose
-/// datapath misbehaves, and the victim's artifacts are byte-compared
-/// against the same job on a dedicated fabric.
-#[derive(Debug, Clone)]
-pub struct IsolationConfig {
-    /// Victim benchmark algorithm (small job; Ppo peaks under 32 slots).
-    pub victim: Algorithm,
-    /// Aggressor benchmark algorithm (big job; A2c's demand dwarfs Ppo's).
-    pub aggressor: Algorithm,
-    /// Iterations each tenant measures.
-    pub iterations: usize,
-    /// Base seed for both jobs (the victim's is derived from it).
-    pub seed: u64,
-    /// Total aggregation slots on the shared fabric.
-    pub fabric_slots: u32,
-    /// The victim's guaranteed slot quota. Set to `0` for the harness
-    /// self-test: the leak then squeezes the victim's best-effort grant
-    /// and I6 must trip.
-    pub victim_quota: u32,
-    /// Arm the seeded slot-leak bug on the aggressor: its `complete()`
-    /// path never frees slots, so its demand grows without bound and
-    /// soaks the best-effort pool.
-    pub slot_leak_bug: bool,
-}
-
-impl IsolationConfig {
-    /// The standard I6 cell: Ppo victim (peak demand ~29 slots) behind a
-    /// 32-slot quota on a 40-slot fabric, against a leaky A2c aggressor.
-    pub fn new(seed: u64) -> Self {
-        IsolationConfig {
-            victim: Algorithm::Ppo,
-            aggressor: Algorithm::A2c,
-            iterations: 6,
-            seed,
-            fabric_slots: 40,
-            victim_quota: 32,
-            slot_leak_bug: true,
-        }
+impl MultiJobConfig {
+    /// The standard I6 cell: a PPO victim (peak demand ~29 slots) behind a
+    /// 32-slot quota on a 40-slot fabric, beside an A2C aggressor (whose
+    /// demand dwarfs PPO's) running [`SeededBug::SlotLeak`]. Each tenant
+    /// measures 6 iterations; the victim's seed is derived from `seed`.
+    /// Clear the victim's quota for the harness self-test: the leak then
+    /// squeezes its best-effort grant and I6 must trip.
+    pub fn isolation(seed: u64) -> Self {
+        let job = |algorithm, seed| {
+            let mut job = TimingConfig::main_cluster(algorithm, Strategy::SyncIsw);
+            (job.iterations, job.warmup, job.seed) = (6, 2, seed);
+            job
+        };
+        let mut aggressor = job(Algorithm::A2c, seed);
+        aggressor.bug = Some(SeededBug::SlotLeak);
+        let victim = job(Algorithm::Ppo, seed.wrapping_add(0x7E));
+        let mut cfg = MultiJobConfig::new(vec![
+            TenantSpec::new("aggressor", 1, aggressor),
+            TenantSpec::new("victim", 2, victim).with_quota(32, 1 << 24),
+        ]);
+        cfg.fabric.slots = 40;
+        cfg
     }
 }
 
@@ -1004,7 +860,7 @@ impl IsolationConfig {
 /// applies to this report too).
 #[derive(Debug, Clone)]
 pub struct IsolationReport {
-    /// Base seed of the run.
+    /// Base seed of the run: the first tenant's job seed.
     pub seed: u64,
     /// Whether the victim held a guaranteed quota.
     pub protected: bool,
@@ -1072,47 +928,31 @@ fn fingerprint_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs one I6 experiment: the victim and aggressor share the fabric,
-/// then the victim reruns alone on an identically-sized fabric, and the
-/// two sets of victim artifacts are compared byte-for-byte.
+/// Runs one I6 experiment: the last tenant of `cfg` is the victim, every
+/// other one an aggressor. They share the fabric, then the victim reruns
+/// alone on the same fabric, and the two sets of victim artifacts are
+/// compared byte-for-byte.
 ///
 /// The solo fabric keeps the same slot count, so a lone victim's grant
 /// (the whole fabric) never binds — the solo run *is* the dedicated-switch
 /// baseline. Any divergence on the shared fabric is therefore caused by
-/// the co-tenant, which is exactly what I6 forbids.
-pub fn run_chaos_isolation(cfg: &IsolationConfig) -> IsolationReport {
-    let mut aggressor_job = TimingConfig::main_cluster(cfg.aggressor, Strategy::SyncIsw);
-    aggressor_job.iterations = cfg.iterations;
-    aggressor_job.warmup = 2;
-    aggressor_job.seed = cfg.seed;
-    aggressor_job.slot_leak_bug = cfg.slot_leak_bug;
-    let mut victim_job = TimingConfig::main_cluster(cfg.victim, Strategy::SyncIsw);
-    victim_job.iterations = cfg.iterations;
-    victim_job.warmup = 2;
-    victim_job.seed = cfg.seed.wrapping_add(0x7E);
+/// the co-tenants, which is exactly what I6 forbids.
+pub fn run_chaos_isolation(cfg: &MultiJobConfig) -> IsolationReport {
+    let shared = run_multi_tenant(cfg);
+    let victim_spec = cfg.tenants.last().expect("an isolation cell has a victim");
+    let solo = run_multi_tenant(&MultiJobConfig {
+        tenants: vec![victim_spec.clone()],
+        ..cfg.clone()
+    });
 
-    let mut victim_spec = TenantSpec::new("victim", 2, victim_job);
-    if cfg.victim_quota > 0 {
-        victim_spec = victim_spec.with_quota(cfg.victim_quota, 1 << 24);
-    }
-    let aggressor_spec = TenantSpec::new("aggressor", 1, aggressor_job);
-
-    let mut shared_cfg = MultiJobConfig::new(vec![aggressor_spec, victim_spec.clone()]);
-    shared_cfg.fabric.slots = cfg.fabric_slots;
-    let shared = run_multi_tenant(&shared_cfg);
-
-    let mut solo_cfg = MultiJobConfig::new(vec![victim_spec]);
-    solo_cfg.fabric.slots = cfg.fabric_slots;
-    let solo = run_multi_tenant(&solo_cfg);
-
-    let render = |t: &crate::tenancy::TenantRun| {
+    let render = |t: &TenantRun| {
         (
             t.observation.report_json().render(),
             t.observation.trace.to_jsonl(),
         )
     };
-    let shared_victim = &shared.tenants[1];
-    let (shared_report, shared_trace) = render(shared_victim);
+    let (victim, aggressors) = shared.tenants.split_last().expect("a victim ran");
+    let (shared_report, shared_trace) = render(victim);
     let (solo_report, solo_trace) = render(&solo.tenants[0]);
 
     let mut violations = Vec::new();
@@ -1138,12 +978,12 @@ pub fn run_chaos_isolation(cfg: &IsolationConfig) -> IsolationReport {
     let mut fp = fingerprint_bytes(shared_report.as_bytes());
     fp ^= fingerprint_bytes(shared_trace.as_bytes()).rotate_left(1);
     IsolationReport {
-        seed: cfg.seed,
-        protected: cfg.victim_quota > 0,
-        victim_denials: shared_victim.slot_denials,
-        victim_fallback_rounds: shared_victim.fallback_rounds,
-        aggressor_denials: shared.tenants[0].slot_denials,
-        aggressor_fallback_rounds: shared.tenants[0].fallback_rounds,
+        seed: cfg.tenants[0].job.seed,
+        protected: victim_spec.quota.slots > 0,
+        victim_denials: victim.slot_denials,
+        victim_fallback_rounds: victim.fallback_rounds,
+        aggressor_denials: aggressors.iter().map(|t| t.slot_denials).sum(),
+        aggressor_fallback_rounds: aggressors.iter().map(|t| t.fallback_rounds).sum(),
         victim_fingerprint: fp,
         violations,
     }
@@ -1183,15 +1023,14 @@ mod tests {
 
     #[test]
     fn generated_schedules_are_seed_deterministic_and_strategy_aware() {
-        let h = SimDuration::from_millis(400);
-        let a = generate_schedule(Strategy::SyncIsw, 3, h, 7);
-        let b = generate_schedule(Strategy::SyncIsw, 3, h, 7);
+        let a = generate_schedule(Strategy::SyncIsw, 3, 7);
+        let b = generate_schedule(Strategy::SyncIsw, 3, 7);
         assert_eq!(a, b);
-        let c = generate_schedule(Strategy::SyncIsw, 3, h, 8);
+        let c = generate_schedule(Strategy::SyncIsw, 3, 8);
         assert_ne!(a, c, "different seeds should differ");
         // Non-recovering strategies only get latency spikes.
         for strategy in [Strategy::SyncPs, Strategy::SyncAr, Strategy::AsyncPs] {
-            let s = generate_schedule(strategy, 3, h, 7);
+            let s = generate_schedule(strategy, 3, 7);
             assert!(s
                 .faults
                 .iter()
@@ -1229,13 +1068,15 @@ mod tests {
         // network changes there), and gives up 5 s past the last fault when
         // none is coming: a window that never closes.
         let run = |duration: SimDuration| {
-            let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 1);
-            cfg.schedule = Some(ChaosSchedule {
-                faults: vec![ChaosFault::EdgeDown {
-                    worker: 0,
-                    at: SimDuration::from_millis(10),
-                    duration,
-                }],
+            let mut cfg = TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, 1);
+            let faults = vec![ChaosFault::EdgeDown {
+                worker: 0,
+                at: SimDuration::from_millis(10),
+                duration,
+            }];
+            cfg.faults = Some(Faults {
+                chaos_seed: 1,
+                schedule: Some(ChaosSchedule { faults }),
             });
             run_chaos(&cfg)
         };
@@ -1261,7 +1102,7 @@ mod tests {
         // seed-deterministic (I5). Trips: dropping the quota lets the
         // leak squeeze the victim's grant, and the harness must say so.
         for seed in [1, 7, 23] {
-            let cfg = IsolationConfig::new(seed);
+            let cfg = MultiJobConfig::isolation(seed);
             let report = run_chaos_isolation(&cfg);
             assert!(report.passed(), "seed {seed}: {:?}", report.violations);
             assert_eq!(report.victim_denials, 0, "seed {seed}");
@@ -1277,8 +1118,8 @@ mod tests {
             );
         }
 
-        let mut unprotected = IsolationConfig::new(7);
-        unprotected.victim_quota = 0;
+        let mut unprotected = MultiJobConfig::isolation(7);
+        unprotected.tenants[1].quota = Default::default();
         let report = run_chaos_isolation(&unprotected);
         assert!(
             !report.passed(),

@@ -16,58 +16,10 @@ use std::sync::{Arc, Mutex};
 
 use iswitch_core::{CodecKind, EncodedGradient};
 use iswitch_netsim::{IpAddr, SimDuration};
-use iswitch_rl::Algorithm;
 
-use crate::convergence::default_target;
-use crate::gradient_source::{cluster_replicas, AgentGradients, GradientSource};
+use crate::gradient_source::{live_sources, AgentGradients, GradientSource};
 use crate::lifecycle::{build, Capture, Job};
-use crate::timing_runner::{Strategy, TimingConfig};
-
-/// Configuration of one co-simulation run.
-#[derive(Debug, Clone)]
-pub struct CosimConfig {
-    /// Benchmark algorithm (fixes the lite workload and compute model).
-    pub algorithm: Algorithm,
-    /// Strategy under test — [`Strategy::SyncIsw`] or
-    /// [`Strategy::AsyncIsw`].
-    pub strategy: Strategy,
-    /// Number of workers.
-    pub workers: usize,
-    /// Iteration budget: synchronous iterations, or asynchronous weight
-    /// updates observed at worker 0.
-    pub iterations: usize,
-    /// Stop once the pooled average reward reaches this level.
-    pub target_reward: Option<f32>,
-    /// Staleness bound `S` (asynchronous strategy only).
-    pub staleness_bound: u32,
-    /// Base seed: worker `w` seeds its agent and its timing jitter with
-    /// `seed.wrapping_add(w)`.
-    pub seed: u64,
-    /// Learning-rate multiplier (matches convergence mode's knob).
-    pub lr_scale: f32,
-    /// Aggregation codec the workers and switches run (see
-    /// [`TimingConfig::codec`]). Quantized codecs additionally record the
-    /// decoded aggregate's error against the exact host-side mean.
-    pub codec: CodecKind,
-}
-
-impl CosimConfig {
-    /// The co-sim lite shape: 3 workers on one switch training the lite
-    /// workload toward the algorithm's default target.
-    pub fn lite(algorithm: Algorithm, strategy: Strategy) -> Self {
-        CosimConfig {
-            algorithm,
-            strategy,
-            workers: 3,
-            iterations: 6_000,
-            target_reward: Some(default_target(algorithm)),
-            staleness_bound: 3,
-            seed: 42,
-            lr_scale: 1.0,
-            codec: CodecKind::F32,
-        }
-    }
-}
+use crate::timing_runner::{Fidelity, Strategy, TimingConfig};
 
 /// Result of one co-simulation run.
 #[derive(Debug, Clone)]
@@ -246,13 +198,19 @@ fn pooled(job: &Job) -> Option<f32> {
     Some(rewards?.iter().sum::<f32>() / n as f32)
 }
 
-/// Runs one co-simulation.
+/// Runs one co-simulation of a [`Fidelity::Cosim`] configuration (see
+/// [`TimingConfig::cosim_lite`]): only the payload — real f32 gradients,
+/// lite-model sized — differs from timing mode.
 ///
 /// # Panics
 ///
-/// Panics on non-iSwitch strategies, degenerate worker counts, and
-/// simulations that stall short of the iteration budget.
-pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
+/// Panics on a timing-fidelity configuration, non-iSwitch strategies,
+/// degenerate worker counts, and simulations that stall short of the
+/// iteration budget.
+pub fn run_cosim(cfg: &TimingConfig) -> CosimResult {
+    let Fidelity::Cosim { target_reward } = cfg.fidelity else {
+        panic!("co-sim trains live replicas: give the run Fidelity::Cosim");
+    };
     assert!(
         matches!(cfg.strategy, Strategy::SyncIsw | Strategy::AsyncIsw),
         "co-sim drives gradients through the in-switch datapath; use \
@@ -260,40 +218,20 @@ pub fn run_cosim(cfg: &CosimConfig) -> CosimResult {
     );
     assert!(cfg.workers >= 1, "need at least one worker");
 
-    // The network is the paper's main-cluster shape; only the payload
-    // (real f32 gradients, lite-model sized) differs from timing mode.
-    let mut tcfg = TimingConfig::main_cluster(cfg.algorithm, cfg.strategy);
-    tcfg.workers = cfg.workers;
-    tcfg.iterations = cfg.iterations;
-    tcfg.warmup = 0;
-    tcfg.seed = cfg.seed;
-    tcfg.staleness_bound = cfg.staleness_bound;
-    tcfg.codec = cfg.codec;
-
     // Aggregate-error probe (sync only: async staleness decouples the
     // round a broadcast answers from the gradient last computed).
     let ref_shared = matches!(cfg.strategy, Strategy::SyncIsw)
         .then(|| Arc::new(Mutex::new(RefErrorShared::new(cfg.workers))));
-    let sources = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, cfg.lr_scale)
-        .into_iter()
-        .map(AgentGradients::new)
-        .map(|agent| -> Box<dyn GradientSource> {
-            match &ref_shared {
-                Some(shared) => Box::new(RefErrorRecorder::new(agent, Arc::clone(shared))),
-                None => Box::new(agent),
-            }
-        })
-        .collect();
-    let mut job = build(&tcfg, Some(sources), 0, Capture::default());
+    let sources = live_sources(cfg, |agent| match &ref_shared {
+        Some(shared) => Box::new(RefErrorRecorder::new(agent, Arc::clone(shared))),
+        None => Box::new(agent),
+    });
+    let mut job = build(cfg, sources, 0, Capture::default());
 
     // Stop policy: the reward target or the iteration budget, checked at
     // the shared 200 ms check points.
     let budget_spent = |job: &Job| job.progress(0) >= cfg.iterations;
-    let reached = |job: &Job| {
-        cfg.target_reward
-            .zip(pooled(job))
-            .is_some_and(|(t, r)| r >= t)
-    };
+    let reached = |job: &Job| target_reward.zip(pooled(job)).is_some_and(|(t, r)| r >= t);
     let stall = job.run_until(|job| reached(job) || budget_spent(job)).err();
     let reached = reached(&job);
     assert!(

@@ -350,20 +350,39 @@ pub struct SyncRow {
 
 /// Table 4: synchronous comparison across PS / AR / iSW.
 pub fn table4(scale: &Scale, runs: &RunStore) -> Vec<SyncRow> {
-    parallel_map(Algorithm::ALL.to_vec(), |alg| {
-        let timing = SYNC.map(|s| runs.timing(&scale.timing(alg, s)));
-        let conv = runs.convergence(&convergence_config(alg, SYNC[0], &timing[0], scale));
-        let times = timing.map(|t| t.per_iteration.as_secs_f64());
-        let e2e = times.map(|t| t * conv.iterations as f64);
-        SyncRow {
-            algorithm: alg.name().to_string(),
-            iterations: conv.iterations,
-            final_reward: conv.final_average_reward,
-            per_iteration_s: times,
-            end_to_end_s: e2e,
-            speedup: [1.0, e2e[0] / e2e[1], e2e[0] / e2e[2]],
+    run_cells(&SYNC, scale, runs);
+    (Algorithm::ALL.into_iter())
+        .map(|alg| {
+            let timing = SYNC.map(|s| runs.timing(&scale.timing(alg, s)));
+            let conv = runs.convergence(&convergence_config(alg, SYNC[0], &timing[0], scale));
+            let times = timing.map(|t| t.per_iteration.as_secs_f64());
+            let e2e = times.map(|t| t * conv.iterations as f64);
+            SyncRow {
+                algorithm: alg.name().to_string(),
+                iterations: conv.iterations,
+                final_reward: conv.final_average_reward,
+                per_iteration_s: times,
+                end_to_end_s: e2e,
+                speedup: [1.0, e2e[0] / e2e[1], e2e[0] / e2e[2]],
+            }
+        })
+        .collect()
+}
+
+/// Puts the runs behind Tables 4 and 5 into `runs`, one queue entry per
+/// `(algorithm, strategy)`: its timing run, then the convergence run that
+/// turns it into end-to-end time. The sync strategies share one
+/// convergence run, which only PS's entry asks for, so no entry waits on
+/// another's. The tables then read every run back from the store.
+fn run_cells(strategies: &[Strategy], scale: &Scale, runs: &RunStore) {
+    let cells = (Algorithm::ALL.into_iter())
+        .flat_map(|alg| strategies.iter().map(move |&strategy| (alg, strategy)));
+    parallel_map(cells.collect(), |(alg, strategy)| {
+        let timing = runs.timing(&scale.timing(alg, strategy));
+        if strategy.is_async() || strategy == SYNC[0] {
+            runs.convergence(&convergence_config(alg, strategy, &timing, scale));
         }
-    })
+    });
 }
 
 /// The convergence run that turns `strategy`'s per-iteration time into
@@ -420,32 +439,36 @@ pub struct AsyncRow {
 
 /// Table 5: asynchronous comparison, staleness bound S = 3 for both.
 pub fn table5(scale: &Scale, runs: &RunStore) -> Vec<AsyncRow> {
-    parallel_map(Algorithm::ALL.to_vec(), |alg| {
-        let [(t_ps, c_ps), (t_isw, c_isw)] = [Strategy::AsyncPs, Strategy::AsyncIsw].map(|s| {
-            let timing = runs.timing(&scale.timing(alg, s));
-            let conv = runs.convergence(&convergence_config(alg, s, &timing, scale));
-            (timing, conv)
-        });
-        let per = [
-            t_ps.per_iteration.as_secs_f64(),
-            t_isw.per_iteration.as_secs_f64(),
-        ];
-        let e2e = [
-            per[0] * c_ps.iterations as f64,
-            per[1] * c_isw.iterations as f64,
-        ];
-        AsyncRow {
-            algorithm: alg.name().to_string(),
-            iterations: [c_ps.iterations, c_isw.iterations],
-            reached: [c_ps.reached_target, c_isw.reached_target],
-            final_reward: [c_ps.final_average_reward, c_isw.final_average_reward],
-            per_iteration_s: per,
-            end_to_end_s: e2e,
-            isw_speedup: e2e[0] / e2e[1],
-            mean_staleness: [&t_ps, &t_isw]
-                .map(|t| StalenessDistribution::from_samples(&t.staleness).mean()),
-        }
-    })
+    const ASYNC: [Strategy; 2] = [Strategy::AsyncPs, Strategy::AsyncIsw];
+    run_cells(&ASYNC, scale, runs);
+    (Algorithm::ALL.into_iter())
+        .map(|alg| {
+            let [(t_ps, c_ps), (t_isw, c_isw)] = ASYNC.map(|s| {
+                let timing = runs.timing(&scale.timing(alg, s));
+                let conv = runs.convergence(&convergence_config(alg, s, &timing, scale));
+                (timing, conv)
+            });
+            let per = [
+                t_ps.per_iteration.as_secs_f64(),
+                t_isw.per_iteration.as_secs_f64(),
+            ];
+            let e2e = [
+                per[0] * c_ps.iterations as f64,
+                per[1] * c_isw.iterations as f64,
+            ];
+            AsyncRow {
+                algorithm: alg.name().to_string(),
+                iterations: [c_ps.iterations, c_isw.iterations],
+                reached: [c_ps.reached_target, c_isw.reached_target],
+                final_reward: [c_ps.final_average_reward, c_isw.final_average_reward],
+                per_iteration_s: per,
+                end_to_end_s: e2e,
+                isw_speedup: e2e[0] / e2e[1],
+                mean_staleness: [&t_ps, &t_isw]
+                    .map(|t| StalenessDistribution::from_samples(&t.staleness).mean()),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -461,6 +484,10 @@ pub struct Table3 {
     pub sync_isw: [f64; 4],
     /// Async iSW speedups over Async PS.
     pub async_isw: [f64; 4],
+    /// Whether each async run reached the target within the cap: [Async
+    /// PS, Async iSW] per column. A ratio with a capped run behind it is no
+    /// speedup.
+    pub async_reached: [[bool; 2]; 4],
 }
 
 /// Table 3: system-level speedups in end-to-end training time — the
@@ -471,6 +498,7 @@ pub fn table3(scale: &Scale, runs: &RunStore) -> Table3 {
         sync_ar: std::array::from_fn(|i| sync[i].speedup[1]),
         sync_isw: std::array::from_fn(|i| sync[i].speedup[2]),
         async_isw: std::array::from_fn(|i| asynch[i].isw_speedup),
+        async_reached: std::array::from_fn(|i| asynch[i].reached),
     }
 }
 
@@ -670,6 +698,8 @@ mod tests {
             t.async_isw,
             column(asynch.iter().map(|r| r.isw_speedup).collect())
         );
+        let reached: Vec<[bool; 2]> = asynch.iter().map(|r| r.reached).collect();
+        assert_eq!(t.async_reached[..], reached[..]);
     }
 
     #[test]

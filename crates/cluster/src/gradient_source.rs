@@ -23,6 +23,8 @@ use iswitch_core::{CodecKind, EncodedGradient};
 use iswitch_netsim::IpAddr;
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 
+use crate::timing_runner::{Fidelity, TimingConfig};
+
 /// Where a worker's gradient comes from and where aggregates go.
 ///
 /// The strategy runtime calls [`GradientSource::compute`] when the local
@@ -217,6 +219,27 @@ impl GradientSource for AgentGradients {
     fn as_any(&self) -> &dyn Any {
         self
     }
+}
+
+/// The live sources of a [`Fidelity::Cosim`] run, one per worker, each
+/// wrapped by `wrap` (chaos and co-sim record through it): the cluster's
+/// replicas at the lite workload's own learning rate. `None` for a
+/// timing-fidelity run.
+pub(crate) fn live_sources(
+    cfg: &TimingConfig,
+    wrap: impl FnMut(AgentGradients) -> Box<dyn GradientSource>,
+) -> Option<Vec<Box<dyn GradientSource>>> {
+    let Fidelity::Cosim { .. } = cfg.fidelity else {
+        return None;
+    };
+    let replicas = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0);
+    Some(
+        replicas
+            .into_iter()
+            .map(AgentGradients::new)
+            .map(wrap)
+            .collect(),
+    )
 }
 
 /// The replicas of one cluster (convergence, co-sim, chaos): worker `w`'s

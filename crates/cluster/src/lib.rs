@@ -46,15 +46,15 @@ mod timing_runner;
 pub mod transport;
 
 pub use chaos::{
-    generate_schedule, run_chaos, run_chaos_isolation, ChaosConfig, ChaosFault, ChaosReport,
-    ChaosSchedule, IsolationConfig, IsolationReport,
+    generate_schedule, run_chaos, run_chaos_isolation, ChaosFault, ChaosReport, ChaosSchedule,
+    Faults, IsolationReport, SeededBug,
 };
 pub use compute_model::{CommCosts, Component, ComputeModel};
 pub use convergence::{
     default_max_iterations, default_target, run_convergence, AggregationSemantics,
     ConvergenceConfig, ConvergenceResult,
 };
-pub use cosim::{run_cosim, CosimConfig, CosimResult};
+pub use cosim::{run_cosim, CosimResult};
 pub use gradient_source::{AgentGradients, GradientSource, SyntheticGradients};
 pub use staleness::{StalenessDistribution, StalenessLedger};
 pub use tenancy::{
@@ -63,7 +63,7 @@ pub use tenancy::{
 };
 pub use timing_runner::{
     run_timing, run_timing_observed, run_timing_observed_with, run_timing_perf, Breakdown,
-    PerfSample, Strategy, TimingConfig, TimingObservation, TimingResult, TraceOptions,
+    Fidelity, PerfSample, Strategy, TimingConfig, TimingObservation, TimingResult, TraceOptions,
 };
 pub use transport::{
     make_transport, Dcqcn, GoBackRetransmit, NackReliable, Transport, TransportKind, TransportStats,

@@ -31,9 +31,10 @@ use crate::apps::{
     AsyncPsServer, AsyncPsWorker, BackgroundFlow, IswAsyncWorker, IswSyncWorker, IterSpans,
     RingWorker, StrategyProtocol, StrategyRuntime, SyncPsServer, SyncPsWorker, WorkerView,
 };
+use crate::chaos::SeededBug;
 use crate::gradient_source::{GradientSource, SyntheticGradients};
 use crate::timing_runner::{
-    Breakdown, PerfSample, Strategy, TimingConfig, TimingObservation, TimingResult,
+    Breakdown, Fidelity, PerfSample, Strategy, TimingConfig, TimingObservation, TimingResult,
 };
 use crate::transport::TransportStats;
 
@@ -115,6 +116,14 @@ pub(crate) fn validate(cfg: &TimingConfig) {
         "edge loss needs a recovery path and only iSW (Help/FBcast) has one: \
          {} would stall on the first lost packet",
         cfg.strategy.label()
+    );
+    assert!(
+        matches!(cfg.bug, None | Some(SeededBug::SlotLeak)) || cfg.strategy == Strategy::SyncIsw,
+        "the seeded retransmit and exponent bugs live in the sync iSW worker"
+    );
+    assert!(
+        !matches!(cfg.bug, Some(SeededBug::ExponentStamp(_))) || cfg.codec == CodecKind::FixedPoint,
+        "the exponent-stamp bug lives in the fixed-point encoder"
     );
     if let Some(shape) = cfg.fattree {
         assert!(
@@ -214,14 +223,6 @@ impl Job {
                 .extension_mut::<IswitchExtension>()
                 .accelerator_mut());
         }
-    }
-
-    /// Worker `w` as its concrete type, for pre-run configuration the
-    /// shared build does not cover (the chaos harness's seeded bugs).
-    pub(crate) fn worker_mut<T: HostApp>(&mut self, w: usize) -> &mut T {
-        let (domain, node) = self.placed.workers[w];
-        let host = self.sim.domain_mut(domain).device_mut::<Host>(node);
-        host.app_mut::<T>()
     }
 
     /// Schedules one fault action in the domain its target lives in.
@@ -410,12 +411,13 @@ impl Job {
 }
 
 /// Builds one job: run metadata into the trace, the strategy's workers
-/// (and server), the topology with its in-switch extensions, then the
-/// tenant id (0 outside multi-tenant runs), sinks and event cap.
+/// (and server) with any seeded bug, the topology with its in-switch
+/// extensions, then the tenant id (0 outside multi-tenant runs), sinks,
+/// event cap and fault schedule.
 ///
-/// `sources` is the one input fidelity modes vary: `None` is timing
-/// fidelity (synthetic paper-sized gradients); `Some` supplies one live
-/// gradient source per worker of an iSwitch strategy (chaos, co-sim).
+/// `sources` is what a [`Fidelity::Cosim`] run's harness (chaos, co-sim)
+/// wraps around its live replicas, one per worker of an iSwitch strategy;
+/// `None` is timing fidelity (synthetic paper-sized gradients).
 pub(crate) fn build(
     cfg: &TimingConfig,
     sources: Option<Vec<Box<dyn GradientSource>>>,
@@ -436,6 +438,10 @@ pub(crate) fn build(
     // extra host of the first rack on a tree or fat-tree.
     let server_ip = host_ip(0, racks[0]);
     emit_run_meta(cfg, &worker_ips, server_ip, capture.trace.as_deref());
+    assert!(
+        sources.is_some() || cfg.fidelity == Fidelity::Timing,
+        "a co-sim run's replicas come from its harness: run it with run_cosim or run_chaos"
+    );
     let apps = make_apps(cfg, &worker_ips, server_ip, sources);
     let (mut sim, placed) = build_topology(cfg, &racks, apps.grad_len, apps.workers, apps.server);
     // The tenant id goes in before the trace, so no traced event can
@@ -450,7 +456,7 @@ pub(crate) fn build(
     if let Some(limit) = cfg.event_limit {
         sim.set_event_limit(limit);
     }
-    Job {
+    let mut job = Job {
         strategy: cfg.strategy,
         warmup: cfg.warmup,
         sim,
@@ -466,7 +472,14 @@ pub(crate) fn build(
         rounds: 0,
         progressed_at: SimTime::ZERO,
         faults_until: SimTime::ZERO,
+    };
+    if let Some(faults) = &cfg.faults {
+        let schedule = faults.schedule(cfg.strategy, cfg.workers);
+        for (domain, at, action) in schedule.resolve(&job.placed.worker_links, faults.chaos_seed) {
+            job.schedule_fault(domain, at, action);
+        }
     }
+    job
 }
 
 /// The host applications of one job.
@@ -592,6 +605,17 @@ fn make_apps(
                 if cfg.lossy() {
                     worker.set_help_timeout(help_timeout);
                 }
+                match cfg.bug {
+                    Some(SeededBug::NaiveRetransmit) => {
+                        // Retries aggressively, so its retransmissions land
+                        // before the stale sweep can paper over them: the
+                        // double count must reach an aggregate.
+                        worker.set_help_timeout(SimDuration::from_micros(500));
+                        worker.seed_naive_retransmit();
+                    }
+                    Some(SeededBug::ExponentStamp(bias)) => worker.seed_exponent_bug(bias),
+                    Some(SeededBug::SlotLeak) | None => {}
+                }
                 worker
             })
         }
@@ -707,7 +731,7 @@ fn switch_extension(
     if cfg.host_fallback {
         ext = ext.with_host_fallback();
     }
-    if cfg.slot_leak_bug {
+    if cfg.bug == Some(SeededBug::SlotLeak) {
         ext = ext.with_slot_leak_bug();
     }
     Some(Box::new(IswitchExtension::new(ext)))

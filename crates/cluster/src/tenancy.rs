@@ -872,7 +872,7 @@ mod tests {
         // victim peaks at ~29 concurrent rounds, so a 32-slot quota on a
         // 40-slot fabric covers it while the leak soaks the best-effort rest.
         let mut leaky_job = quick(Algorithm::A2c, Strategy::SyncIsw);
-        leaky_job.slot_leak_bug = true;
+        leaky_job.bug = Some(crate::SeededBug::SlotLeak);
         let victim_job = quick(Algorithm::Ppo, Strategy::SyncIsw);
 
         let mut unprotected = MultiJobConfig::new(vec![

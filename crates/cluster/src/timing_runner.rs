@@ -11,7 +11,9 @@ use iswitch_obs::{JsonValue, Timeseries, Trace};
 use iswitch_rl::Algorithm;
 use serde::{Deserialize, Serialize};
 
+use crate::chaos::{Faults, SeededBug};
 use crate::compute_model::{CommCosts, ComputeModel};
+use crate::convergence::default_target;
 use crate::lifecycle::{build, validate, Capture};
 use crate::transport::{make_transport, TransportKind, TransportStats};
 
@@ -49,7 +51,24 @@ impl Strategy {
     }
 }
 
-/// Configuration of one timing experiment.
+/// What a run's workers push through the network.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fidelity {
+    /// Synthetic paper-sized payloads: the run measures time only.
+    Timing,
+    /// One live lite-workload replica per worker of an iSwitch strategy,
+    /// whose real gradients the simulated switches sum
+    /// ([`crate::run_cosim`], [`crate::run_chaos`]): reward curve and timing
+    /// from one run, stopping early once the pooled average reward reaches
+    /// `target_reward`.
+    Cosim {
+        /// The reward that ends a co-sim run before its iteration budget.
+        target_reward: Option<f32>,
+    },
+}
+
+/// Configuration of one run: a timing experiment, a co-simulation, a chaos
+/// run or a tenant's job.
 #[derive(Debug, Clone)]
 pub struct TimingConfig {
     /// Benchmark algorithm (fixes the model size and compute model).
@@ -132,17 +151,21 @@ pub struct TimingConfig {
     /// runs enable this; the default `false` keeps the legacy
     /// drop-on-overflow behaviour bit-for-bit.
     pub host_fallback: bool,
-    /// Seeded slot-leak bug on every iSwitch switch (chaos-harness
-    /// both-ways testing): completed rounds never release their slot, so
-    /// occupancy and demand only grow. Never enable outside
-    /// fault-injection tests.
-    pub slot_leak_bug: bool,
     /// Seed for compute-time jitter.
     pub seed: u64,
-    /// A fault plan will be installed on the built job (a chaos schedule,
-    /// a tenant's reset churn): packets and switch state can disappear
-    /// with no lossy link configured, so [`TimingConfig::lossy`] holds.
-    /// Set by those harnesses, never by a user.
+    /// Fault windows on the workers' edge links, installed when the job is
+    /// built (see [`crate::ChaosSchedule`]). `None` runs the network as
+    /// configured.
+    pub faults: Option<Faults>,
+    /// A deliberately broken protocol path, for showing that the chaos
+    /// invariants trip. Never set outside fault-injection tests.
+    pub bug: Option<SeededBug>,
+    /// Synthetic payloads or live replicas.
+    pub fidelity: Fidelity,
+    /// A tenant's reset churn will be installed on the built job: switch
+    /// state can disappear with no lossy link configured, so
+    /// [`TimingConfig::lossy`] holds. Set by the tenancy layer, never by a
+    /// user.
     pub(crate) faulted: bool,
 }
 
@@ -172,8 +195,10 @@ impl TimingConfig {
             background_flows: 0,
             codec: CodecKind::F32,
             host_fallback: false,
-            slot_leak_bug: false,
             seed: 0x5117c4,
+            faults: None,
+            bug: None,
+            fidelity: Fidelity::Timing,
             faulted: false,
         }
     }
@@ -189,11 +214,48 @@ impl TimingConfig {
         cfg
     }
 
+    /// The chaos cell: 3 workers on one switch measuring all of 10
+    /// iterations (no warmup) under the fault schedule drawn from
+    /// `chaos_seed`. The iSwitch strategies run live replicas, so the
+    /// conservation invariant can check the values they aggregate.
+    pub fn chaos(algorithm: Algorithm, strategy: Strategy, chaos_seed: u64) -> Self {
+        let mut cfg = TimingConfig::main_cluster(algorithm, strategy);
+        (cfg.workers, cfg.iterations, cfg.warmup, cfg.seed) = (3, 10, 0, 0xC4A05);
+        cfg.faults = Some(Faults {
+            chaos_seed,
+            schedule: None,
+        });
+        if matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
+            cfg.fidelity = Fidelity::Cosim {
+                target_reward: None,
+            };
+        }
+        cfg
+    }
+
+    /// The co-sim lite cell: 3 workers on one switch training the lite
+    /// workload toward the algorithm's default target, for at most 6,000
+    /// iterations (no warmup).
+    pub fn cosim_lite(algorithm: Algorithm, strategy: Strategy) -> Self {
+        let mut cfg = TimingConfig::main_cluster(algorithm, strategy);
+        (cfg.workers, cfg.iterations, cfg.warmup, cfg.seed) = (3, 6_000, 0, 42);
+        cfg.fidelity = Fidelity::Cosim {
+            target_reward: Some(default_target(algorithm)),
+        };
+        cfg
+    }
+
     /// Whether packets can disappear (random loss, a bounded queue that
     /// tail-drops, or injected faults), i.e. whether recovery timers and
-    /// stale-round flushes must be armed.
+    /// stale-round flushes must be armed. A fault schedule arms them for
+    /// synchronous iSwitch only: the asynchronous pipeline has no
+    /// retransmission path (its drawn schedules hold delay spikes only),
+    /// and host-side strategies have no switch state to sweep.
     pub fn lossy(&self) -> bool {
-        self.edge_loss > 0.0 || self.queue.is_some() || self.faulted
+        self.edge_loss > 0.0
+            || self.queue.is_some()
+            || self.faulted
+            || (self.faults.is_some() && self.strategy == Strategy::SyncIsw)
     }
 
     /// The compute model for this run: per-algorithm calibration, with

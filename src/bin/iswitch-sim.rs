@@ -16,8 +16,8 @@ use iswitch::cluster::analyze::TraceAnalysis;
 use iswitch::cluster::cli::{create_parent, refuse, select, write_artifact, Args, Command, Flag};
 use iswitch::cluster::{
     run_chaos, run_chaos_isolation, run_convergence, run_cosim, run_multi_tenant, run_timing,
-    run_timing_observed_with, ChaosConfig, ChaosSchedule, ConvergenceConfig, CosimConfig,
-    IsolationConfig, MultiJobConfig, Strategy, TenantSpec, TimingConfig, TraceOptions,
+    run_timing_observed_with, ChaosSchedule, ConvergenceConfig, Faults, Fidelity, MultiJobConfig,
+    Strategy, TenantQuota, TenantSpec, TimingConfig, TraceOptions,
 };
 use iswitch::core::CodecKind;
 use iswitch::netsim::{EgressQueue, FattreeShape, SimDuration};
@@ -128,7 +128,8 @@ const ISOLATION: Flag = Flag::new(
     "--isolation",
     "run the I6 cross-tenant isolation check instead of the fault matrix: a quota'd \
      victim shares the fabric with a slot-leaking aggressor and must be byte-unperturbed \
-     (reads --chaos-seed, --no-quota, --report-out and --iterations, 6 unless given)",
+     (reads --chaos-seed, --no-quota, --report-out and --iterations, 6 unless given, and \
+     refuses every other flag)",
 );
 const NO_QUOTA: Flag = Flag::new(
     "--no-quota",
@@ -282,6 +283,10 @@ const COMMANDS: &[Row] = &[
                 ALGORITHM.or("ppo"),
                 Flag::new(STRATEGY.usage, "run one strategy instead of all five"),
                 WORKERS.or("3"),
+                PER_RACK,
+                PER_AGG,
+                FATTREE,
+                THREADS.or("1"),
                 ITERATIONS.or("10"),
                 SEED.or("0xC4A05"),
                 TRANSPORT.or("go-back"),
@@ -360,17 +365,20 @@ fn cmd_cosim(args: &Args, alg: Algorithm, strategy: Strategy) {
              pick {STRATEGY} isw or async-isw"
         ));
     }
-    let mut cfg = CosimConfig::lite(alg, strategy);
+    let mut cfg = TimingConfig::cosim_lite(alg, strategy);
     cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
     cfg.iterations = args.get(ITERATIONS).unwrap_or(cfg.iterations);
     cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
     cfg.codec = args.get(CODEC).unwrap_or(cfg.codec);
+    let Fidelity::Cosim { target_reward } = cfg.fidelity else {
+        unreachable!("the co-sim cell trains live replicas")
+    };
     println!(
         "co-simulating {} / {} with {} workers (target reward {:?})…",
         alg,
         strategy.label(),
         cfg.workers,
-        cfg.target_reward
+        target_reward
     );
     let r = run_cosim(&cfg);
     let stride = (r.curve.len() / 20).max(1);
@@ -451,14 +459,11 @@ fn run_or_refuse<T>(run: impl FnOnce() -> T) -> T {
     catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| exit(2))
 }
 
-fn cmd_timing(args: &Args) {
-    let alg = algorithm(args);
-    let strategy = strategy(args).expect("the timing row declares a default strategy");
-    let fidelities = [("timing", false), ("cosim", true)];
-    if args.get_with(FIDELITY, |text| named(&fidelities, text)) == Some(true) {
-        return cmd_cosim(&args.only_given(), alg, strategy);
-    }
-    let mut cfg = TimingConfig::main_cluster(alg, strategy);
+/// Reads the topology flags `timing` and `chaos` share into `cfg`: the
+/// worker count, a tree of `--per-rack` racks (grouped `--per-agg` per
+/// AGG), or the `--fattree` whose shape fixes the worker count and which
+/// alone takes `--threads`.
+fn read_shape(args: &Args, cfg: &mut TimingConfig) {
     cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
     cfg.workers_per_rack = positive(args, PER_RACK);
     cfg.racks_per_agg = positive(args, PER_AGG);
@@ -476,6 +481,17 @@ fn cmd_timing(args: &Args) {
             "{THREADS} only applies to {FATTREE} runs: every other topology is one domain"
         ));
     }
+}
+
+fn cmd_timing(args: &Args) {
+    let alg = algorithm(args);
+    let strategy = strategy(args).expect("the timing row declares a default strategy");
+    let fidelities = [("timing", false), ("cosim", true)];
+    if args.get_with(FIDELITY, |text| named(&fidelities, text)) == Some(true) {
+        return cmd_cosim(&args.only_given(), alg, strategy);
+    }
+    let mut cfg = TimingConfig::main_cluster(alg, strategy);
+    read_shape(args, &mut cfg);
     cfg.iterations = args.get(ITERATIONS).unwrap_or(cfg.iterations);
     cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
     if let Some(p) = args.get::<f64>(EDGE_LOSS) {
@@ -760,23 +776,37 @@ fn cmd_convergence(args: &Args) {
     );
 }
 
+/// What `chaos --isolation` reads of the chaos row.
+const ISOLATION_READS: [Flag; 5] = [ISOLATION, NO_QUOTA, CHAOS_SEED, REPORT_OUT, ITERATIONS];
+
 /// The I6 cross-tenant isolation check (`chaos --isolation`). With
 /// `--no-quota` the polarity flips: the run *must* trip (the harness
-/// self-test), and an undetected leak exits non-zero.
+/// self-test), and an undetected leak exits non-zero. A flag of the fault
+/// matrix it does not read is refused, never ignored.
 fn cmd_chaos_isolation(args: &Args, chaos_seed: u64) {
+    if let Some(flag) = args.given_outside(&ISOLATION_READS) {
+        refuse(format!(
+            "{ISOLATION} does not read `{flag}`: it takes {}",
+            ISOLATION_READS.map(|f| f.name()).join(", ")
+        ));
+    }
     let expect_trip = args.has(NO_QUOTA);
-    let mut cfg = IsolationConfig::new(chaos_seed);
+    // The cell's tenants are the aggressor, then the victim.
+    let mut cfg = MultiJobConfig::isolation(chaos_seed);
     if expect_trip {
-        cfg.victim_quota = 0;
+        cfg.tenants[1].quota = TenantQuota::default();
     }
     // The I6 cell is 6 iterations, not the fault matrix's default.
-    let iterations = args.only_given().get(ITERATIONS);
-    cfg.iterations = iterations.unwrap_or(cfg.iterations);
+    if let Some(iterations) = args.only_given().get(ITERATIONS) {
+        for tenant in &mut cfg.tenants {
+            tenant.job.iterations = iterations;
+        }
+    }
     let report = run_chaos_isolation(&cfg);
     println!(
         "I6 isolation seed={} quota={} victim: denials={} fallback={} — {}",
         chaos_seed,
-        cfg.victim_quota,
+        cfg.tenants[1].quota.slots,
         report.victim_denials,
         report.victim_fallback_rounds,
         if report.passed() { "ok" } else { "VIOLATED" }
@@ -818,15 +848,18 @@ fn cmd_chaos(args: &Args) {
     let mut reports = Vec::new();
     let mut failed = false;
     for strategy in strategies {
-        let mut cfg = ChaosConfig::new(alg, strategy, chaos_seed);
-        cfg.workers = args.get(WORKERS).unwrap_or(cfg.workers);
+        let mut cfg = TimingConfig::chaos(alg, strategy, chaos_seed);
+        read_shape(args, &mut cfg);
         cfg.iterations = args.get(ITERATIONS).unwrap_or(cfg.iterations);
         cfg.seed = args.seed(SEED).unwrap_or(cfg.seed);
         cfg.transport = args.get(TRANSPORT).unwrap_or(cfg.transport);
         if matches!(strategy, Strategy::SyncIsw | Strategy::AsyncIsw) {
             cfg.codec = args.get(CODEC).unwrap_or(cfg.codec);
         }
-        cfg.schedule = schedule.clone();
+        cfg.faults = Some(Faults {
+            chaos_seed,
+            schedule: schedule.clone(),
+        });
         let report = run_chaos(&cfg);
         println!(
             "{:<9} faults={:<2} completed={:?} rounds_checked={} help={} — {}",
@@ -956,10 +989,11 @@ mod tests {
 
         let args = defaults("chaos");
         let chaos_seed = args.seed(CHAOS_SEED).expect("declared");
-        let cfg = ChaosConfig::new(algorithm(&args), Strategy::SyncIsw, chaos_seed);
+        let cfg = TimingConfig::chaos(algorithm(&args), Strategy::SyncIsw, chaos_seed);
         assert_eq!(args.get(WORKERS), Some(cfg.workers));
         assert_eq!(args.get(ITERATIONS), Some(cfg.iterations));
         assert_eq!(args.seed(SEED), Some(cfg.seed));
+        assert_eq!(args.get(THREADS), Some(cfg.threads));
         assert_eq!(args.get(TRANSPORT), Some(cfg.transport));
         assert_eq!(args.get(CODEC), Some(cfg.codec));
         assert_eq!(

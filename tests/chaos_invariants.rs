@@ -3,10 +3,12 @@
 //! harness's own teeth verified against a deliberately broken recovery
 //! path.
 
-use iswitch_cluster::{run_chaos, ChaosConfig, ChaosFault, ChaosSchedule, Strategy, TransportKind};
-use iswitch_core::CodecKind;
-use iswitch_netsim::SimDuration;
-use iswitch_rl::Algorithm;
+use iswitch::cluster::{
+    run_chaos, ChaosFault, ChaosSchedule, Faults, SeededBug, Strategy, TimingConfig, TransportKind,
+};
+use iswitch::core::CodecKind;
+use iswitch::netsim::{FattreeShape, SimDuration};
+use iswitch::rl::Algorithm;
 
 const ALL: [Strategy; 5] = [
     Strategy::SyncPs,
@@ -16,10 +18,31 @@ const ALL: [Strategy; 5] = [
     Strategy::AsyncIsw,
 ];
 
+/// The PPO chaos cell under sync iSW, running `faults` (chaos seed 0)
+/// instead of a drawn schedule.
+fn explicit(faults: Vec<ChaosFault>) -> TimingConfig {
+    let mut cfg = TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, 0);
+    let schedule = Some(ChaosSchedule { faults });
+    cfg.faults = Some(Faults {
+        chaos_seed: 0,
+        schedule,
+    });
+    cfg
+}
+
+/// Worker 1's edge link down from 2 ms to 42 ms.
+fn worker_1_down() -> Vec<ChaosFault> {
+    vec![ChaosFault::EdgeDown {
+        worker: 1,
+        at: SimDuration::from_millis(2),
+        duration: SimDuration::from_millis(40),
+    }]
+}
+
 #[test]
 fn invariants_hold_for_every_strategy_under_seeded_chaos() {
     for strategy in ALL {
-        let cfg = ChaosConfig::new(Algorithm::Ppo, strategy, 0xC4A05);
+        let cfg = TimingConfig::chaos(Algorithm::Ppo, strategy, 0xC4A05);
         let report = run_chaos(&cfg);
         assert!(
             report.passed(),
@@ -49,7 +72,7 @@ fn invariants_hold_under_every_transport() {
     for transport in TransportKind::ALL {
         for chaos_seed in [1, 2, 0xC4A05] {
             for strategy in ALL {
-                let mut cfg = ChaosConfig::new(Algorithm::Ppo, strategy, chaos_seed);
+                let mut cfg = TimingConfig::chaos(Algorithm::Ppo, strategy, chaos_seed);
                 cfg.transport = transport;
                 let report = run_chaos(&cfg);
                 assert!(
@@ -65,7 +88,7 @@ fn invariants_hold_under_every_transport() {
             }
         }
         // I5: each transport's recovery decisions replay byte-identically.
-        let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 7);
+        let mut cfg = TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, 7);
         cfg.transport = transport;
         let a = run_chaos(&cfg).to_json().render();
         let b = run_chaos(&cfg).to_json().render();
@@ -73,10 +96,48 @@ fn invariants_hold_under_every_transport() {
     }
 }
 
+/// Chaos on the hierarchies the paper scales out with (§3.4): the
+/// four-worker two-level tree (two racks of two) and the two-pod fat-tree
+/// with one rack of two per pod. Under seed 7 every strategy passes under
+/// go-back and NACK recovery, and the fat-tree's reports are
+/// byte-identical at one and two threads.
+#[test]
+fn invariants_hold_on_a_tree_and_a_fattree() {
+    let shape = FattreeShape {
+        aggs: 2,
+        racks_per_agg: 1,
+        hosts_per_rack: 2,
+    };
+    for transport in [TransportKind::GoBack, TransportKind::Nack] {
+        for strategy in ALL {
+            let mut tree = TimingConfig::chaos(Algorithm::Ppo, strategy, 7);
+            (tree.workers, tree.workers_per_rack) = (4, Some(2));
+            let mut fattree = TimingConfig::chaos(Algorithm::Ppo, strategy, 7);
+            (fattree.workers, fattree.fattree) = (shape.workers(), Some(shape));
+            (tree.transport, fattree.transport) = (transport, transport);
+            let cut = run_chaos(&fattree);
+            for (name, report) in [("tree", run_chaos(&tree)), ("fat-tree", cut.clone())] {
+                assert!(
+                    report.passed(),
+                    "{strategy:?}/{transport} on the {name}: {:?}",
+                    report.violations
+                );
+                assert!(report.faults_applied > 0, "{strategy:?} on the {name}");
+            }
+            fattree.threads = 2;
+            assert_eq!(
+                cut.to_json().render(),
+                run_chaos(&fattree).to_json().render(),
+                "{strategy:?}/{transport}: threads=1 vs threads=2"
+            );
+        }
+    }
+}
+
 #[test]
 fn same_seed_chaos_runs_are_byte_identical() {
     for strategy in [Strategy::SyncIsw, Strategy::AsyncPs] {
-        let cfg = ChaosConfig::new(Algorithm::Ppo, strategy, 7);
+        let cfg = TimingConfig::chaos(Algorithm::Ppo, strategy, 7);
         let a = run_chaos(&cfg).to_json().render();
         let b = run_chaos(&cfg).to_json().render();
         assert_eq!(a, b, "{strategy:?}: same seed must replay byte-identically");
@@ -85,8 +146,8 @@ fn same_seed_chaos_runs_are_byte_identical() {
 
 #[test]
 fn different_chaos_seeds_change_the_schedule() {
-    let a = run_chaos(&ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 1));
-    let b = run_chaos(&ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 2));
+    let a = run_chaos(&TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, 1));
+    let b = run_chaos(&TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, 2));
     assert_ne!(
         a.schedule, b.schedule,
         "seeds should produce distinct fault schedules"
@@ -104,7 +165,7 @@ fn invariants_hold_across_the_codec_axis() {
     for codec in [CodecKind::F32, CodecKind::FixedPoint] {
         for chaos_seed in [1, 2, 0xC4A05] {
             for strategy in ALL {
-                let mut cfg = ChaosConfig::new(Algorithm::Ppo, strategy, chaos_seed);
+                let mut cfg = TimingConfig::chaos(Algorithm::Ppo, strategy, chaos_seed);
                 cfg.codec = codec;
                 let report = run_chaos(&cfg);
                 assert!(
@@ -129,7 +190,7 @@ fn invariants_hold_across_the_codec_axis() {
     // I5 on the quantized path: exponent reconciliation happens in arrival
     // order, so replay identity is checked where an order leak would
     // actually move mantissa bits.
-    let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 7);
+    let mut cfg = TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, 7);
     cfg.codec = CodecKind::FixedPoint;
     let a = run_chaos(&cfg).to_json().render();
     let b = run_chaos(&cfg).to_json().render();
@@ -145,15 +206,11 @@ fn invariants_hold_across_the_codec_axis() {
 #[test]
 fn a_worker_partitioned_past_the_result_depth_catches_up_by_resending() {
     for transport in [TransportKind::GoBack, TransportKind::Nack] {
-        let schedule = ChaosSchedule {
-            faults: vec![ChaosFault::EdgeDown {
-                worker: 0,
-                at: SimDuration::from_millis(2),
-                duration: SimDuration::from_millis(120),
-            }],
-        };
-        let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 0);
-        cfg.schedule = Some(schedule);
+        let mut cfg = explicit(vec![ChaosFault::EdgeDown {
+            worker: 0,
+            at: SimDuration::from_millis(2),
+            duration: SimDuration::from_millis(120),
+        }]);
         cfg.transport = transport;
         let report = run_chaos(&cfg);
         assert!(report.passed(), "{transport}: {:?}", report.violations);
@@ -172,15 +229,19 @@ fn every_replica_ends_on_the_same_weights() {
     for algorithm in Algorithm::ALL {
         for transport in [TransportKind::GoBack, TransportKind::Nack] {
             for schedule in [Some(ChaosSchedule { faults: vec![] }), None] {
-                let mut cfg = ChaosConfig::new(algorithm, Strategy::SyncIsw, 7);
-                (cfg.schedule, cfg.transport) = (schedule, transport);
+                let mut cfg = TimingConfig::chaos(algorithm, Strategy::SyncIsw, 7);
+                let faults = Some(Faults {
+                    chaos_seed: 7,
+                    schedule,
+                });
+                (cfg.faults, cfg.transport) = (faults, transport);
                 let report = run_chaos(&cfg);
                 let hashes = &report.params_fingerprints;
                 assert_eq!(hashes.len(), cfg.workers, "{algorithm:?}/{transport}");
                 assert!(
                     hashes.iter().all(|&h| h == hashes[0]),
-                    "{algorithm:?}/{transport}, schedule {:?}: {hashes:x?}",
-                    cfg.schedule
+                    "{algorithm:?}/{transport}, faults {:?}: {hashes:x?}",
+                    cfg.faults
                 );
             }
         }
@@ -196,19 +257,11 @@ fn every_replica_ends_on_the_same_weights() {
 /// has to pass.
 #[test]
 fn exponent_stamp_bug_trips_the_tolerant_conservation_invariant() {
-    let schedule = ChaosSchedule {
-        faults: vec![ChaosFault::EdgeDown {
-            worker: 1,
-            at: SimDuration::from_millis(2),
-            duration: SimDuration::from_millis(40),
-        }],
-    };
-    let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 0);
+    let mut cfg = explicit(worker_1_down());
     cfg.iterations = 8;
-    cfg.schedule = Some(schedule);
     cfg.codec = CodecKind::FixedPoint;
 
-    cfg.exponent_bug = 2;
+    cfg.bug = Some(SeededBug::ExponentStamp(2));
     let broken = run_chaos(&cfg);
     assert!(
         broken
@@ -219,7 +272,7 @@ fn exponent_stamp_bug_trips_the_tolerant_conservation_invariant() {
         broken.violations
     );
 
-    cfg.exponent_bug = 0;
+    cfg.bug = None;
     let honest = run_chaos(&cfg);
     assert!(
         honest.passed(),
@@ -234,18 +287,10 @@ fn exponent_stamp_bug_trips_the_tolerant_conservation_invariant() {
 /// to trip. The same schedule under real recovery passes.
 #[test]
 fn naive_retransmission_trips_the_conservation_invariant() {
-    let schedule = ChaosSchedule {
-        faults: vec![ChaosFault::EdgeDown {
-            worker: 1,
-            at: SimDuration::from_millis(2),
-            duration: SimDuration::from_millis(40),
-        }],
-    };
-    let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 0);
+    let mut cfg = explicit(worker_1_down());
     cfg.iterations = 8;
-    cfg.schedule = Some(schedule);
 
-    cfg.naive_retransmit = true;
+    cfg.bug = Some(SeededBug::NaiveRetransmit);
     let broken = run_chaos(&cfg);
     assert!(
         broken
@@ -268,7 +313,7 @@ fn naive_retransmission_trips_the_conservation_invariant() {
         "report JSON must embed the offending round's spans"
     );
 
-    cfg.naive_retransmit = false;
+    cfg.bug = None;
     let fixed = run_chaos(&cfg);
     assert!(
         fixed.passed(),
@@ -284,19 +329,11 @@ fn naive_retransmission_trips_the_conservation_invariant() {
 /// transport passes the identical schedule.
 #[test]
 fn nack_storm_trips_the_conservation_invariant() {
-    let schedule = ChaosSchedule {
-        faults: vec![ChaosFault::EdgeDown {
-            worker: 1,
-            at: SimDuration::from_millis(2),
-            duration: SimDuration::from_millis(40),
-        }],
-    };
-    let mut cfg = ChaosConfig::new(Algorithm::Ppo, Strategy::SyncIsw, 0);
+    let mut cfg = explicit(worker_1_down());
     cfg.iterations = 8;
-    cfg.schedule = Some(schedule);
     cfg.transport = TransportKind::Nack;
 
-    cfg.naive_retransmit = true;
+    cfg.bug = Some(SeededBug::NaiveRetransmit);
     let broken = run_chaos(&cfg);
     assert!(
         broken
@@ -307,7 +344,7 @@ fn nack_storm_trips_the_conservation_invariant() {
         broken.violations
     );
 
-    cfg.naive_retransmit = false;
+    cfg.bug = None;
     let fixed = run_chaos(&cfg);
     assert!(
         fixed.passed(),

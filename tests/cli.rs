@@ -55,7 +55,7 @@ fn timing_reports_a_stalled_host_side_run_instead_of_a_slice_panic() {
 #[test]
 fn unknown_flags_are_refused_and_help_is_help() {
     // (arguments, expected exit code, text the chosen stream must carry)
-    let rows: [(&[&str], i32, &str); 26] = [
+    let rows: [(&[&str], i32, &str); 28] = [
         (&["timing", "--worker", "8"], 2, "`--worker`"),
         (
             &["timing", "--iterations"],
@@ -63,6 +63,18 @@ fn unknown_flags_are_refused_and_help_is_help() {
             "--iterations expects a value",
         ),
         (&["timing", "--threads", "2"], 2, "--threads"),
+        // `chaos` reads the shape flags through `timing`'s code; its
+        // isolation cell reads none of them.
+        (
+            &["chaos", "--per-rack", "2", "--threads", "2"],
+            2,
+            "--threads",
+        ),
+        (
+            &["chaos", "--isolation", "--fattree", "2"],
+            2,
+            "does not read `--fattree`",
+        ),
         // `paper fig15` is the scalability study; there is no second name.
         (&["scalability"], 2, "unknown command `scalability`"),
         (

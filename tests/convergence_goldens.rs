@@ -11,10 +11,10 @@
 //! format. Paste them only for an *intentional* change, and review the
 //! diff like any other semantic change.
 
-use iswitch_cluster::{
+use iswitch::cluster::{
     run_convergence, AggregationSemantics, ConvergenceConfig, StalenessDistribution,
 };
-use iswitch_rl::Algorithm;
+use iswitch::rl::Algorithm;
 
 /// One pinned trajectory. Floats are pinned as their bit patterns.
 struct Golden<'a> {

@@ -2,18 +2,26 @@
 //! datapath must train the same way a single-process mean-gradient loop
 //! does, up to f32 summation-order effects.
 
-use iswitch_cluster::{run_convergence, run_cosim, ConvergenceConfig, CosimConfig, Strategy};
-use iswitch_rl::{make_lite_agent_scaled, Algorithm};
+use iswitch::cluster::{
+    run_convergence, run_cosim, ConvergenceConfig, Fidelity, Strategy, TimingConfig,
+};
+use iswitch::netsim::SimDuration;
+use iswitch::rl::{make_lite_agent_scaled, Algorithm};
 
-fn lite(strategy: Strategy) -> CosimConfig {
-    CosimConfig::lite(Algorithm::A2c, strategy)
+fn lite(strategy: Strategy) -> TimingConfig {
+    TimingConfig::cosim_lite(Algorithm::A2c, strategy)
 }
+
+/// Runs a co-sim to its iteration budget, whatever reward it reaches.
+const NO_TARGET: Fidelity = Fidelity::Cosim {
+    target_reward: None,
+};
 
 #[test]
 fn one_step_matches_single_process_mean_gradient() {
     let mut cfg = lite(Strategy::SyncIsw);
     cfg.iterations = 1;
-    cfg.target_reward = None;
+    cfg.fidelity = NO_TARGET;
     let cosim = run_cosim(&cfg);
     assert_eq!(cosim.iterations, 1);
     assert_eq!(cosim.updates, 1);
@@ -60,7 +68,7 @@ fn one_step_matches_single_process_mean_gradient() {
 fn cosim_is_deterministic() {
     let mut cfg = lite(Strategy::SyncIsw);
     cfg.iterations = 40;
-    cfg.target_reward = None;
+    cfg.fidelity = NO_TARGET;
     let a = run_cosim(&cfg);
     let b = run_cosim(&cfg);
     assert_eq!(a.params, b.params);
@@ -81,7 +89,7 @@ fn sync_cosim_reaches_grid_world_target() {
     );
     assert!(!r.curve.is_empty(), "reward curve should be recorded");
     assert!(
-        r.per_iteration > iswitch_netsim::SimDuration::ZERO,
+        r.per_iteration > SimDuration::ZERO,
         "timing falls out of the same run"
     );
 }
@@ -90,7 +98,7 @@ fn sync_cosim_reaches_grid_world_target() {
 fn async_cosim_applies_partial_aggregates() {
     let mut cfg = lite(Strategy::AsyncIsw);
     cfg.iterations = 30;
-    cfg.target_reward = None;
+    cfg.fidelity = NO_TARGET;
     let r = run_cosim(&cfg);
     assert!(r.iterations >= 30, "worker 0 should observe 30 updates");
     assert!(r.updates >= 30);
@@ -111,16 +119,16 @@ fn sync_cosim_tracks_convergence_mode() {
         (Algorithm::Ppo, 30),
         (Algorithm::Ddpg, 300),
     ] {
-        let mut cfg = CosimConfig::lite(algorithm, Strategy::SyncIsw);
+        let mut cfg = TimingConfig::cosim_lite(algorithm, Strategy::SyncIsw);
         cfg.iterations = updates;
-        cfg.target_reward = None;
+        cfg.fidelity = NO_TARGET;
         let cosim = run_cosim(&cfg);
         let conv = run_convergence(&ConvergenceConfig {
             workers: cfg.workers,
             max_iterations: cosim.updates as usize,
             target_reward: None,
             seed: cfg.seed,
-            lr_scale: cfg.lr_scale,
+            lr_scale: 1.0,
             ..ConvergenceConfig::sync_main(algorithm)
         });
         assert_eq!(conv.params.len(), cosim.params.len());
