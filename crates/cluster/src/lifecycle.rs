@@ -453,9 +453,6 @@ pub(crate) fn build(
     if let Some(ts) = &capture.timeseries {
         sim.set_timeseries(Arc::clone(ts));
     }
-    if let Some(limit) = cfg.event_limit {
-        sim.set_event_limit(limit);
-    }
     let mut job = Job {
         strategy: cfg.strategy,
         warmup: cfg.warmup,

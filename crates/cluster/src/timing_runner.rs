@@ -116,10 +116,6 @@ pub struct TimingConfig {
     /// Per-packet random loss probability on edge links (failure
     /// injection). iSwitch workers recover via `Help`/`FBcast`.
     pub edge_loss: f64,
-    /// Safety cap on simulator events (panics past it instead of hanging);
-    /// `None` = unlimited. Useful when exploring extreme loss regimes
-    /// where recovery traffic can compound.
-    pub event_limit: Option<u64>,
     /// Wire policy of every worker: reliability and congestion reaction
     /// (`GoBack` reproduces the pre-transport behaviour bit-for-bit).
     pub transport: TransportKind,
@@ -188,7 +184,6 @@ impl TimingConfig {
             fattree: None,
             threads: 1,
             edge_loss: 0.0,
-            event_limit: None,
             transport: TransportKind::GoBack,
             queue: None,
             incast: false,
@@ -831,19 +826,6 @@ mod tests {
             .cloned()
             .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_owned()));
         Some(text.unwrap_or_default())
-    }
-
-    #[test]
-    fn event_limit_caps_every_strategy() {
-        // The cap is installed at the one build site, so no strategy can
-        // run past it: ~100 events is far short of a single iteration.
-        for strategy in ALL_STRATEGIES {
-            let mut cfg = quick(Algorithm::Ppo, strategy);
-            cfg.event_limit = Some(100);
-            let msg = panic_message(&cfg)
-                .unwrap_or_else(|| panic!("{strategy:?} ran past its 100-event cap"));
-            assert!(msg.contains("event limit"), "{strategy:?}: {msg}");
-        }
     }
 
     #[test]

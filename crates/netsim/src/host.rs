@@ -74,7 +74,7 @@ pub trait HostApp: Send + 'static {
     /// Upcast for concrete-type recovery via [`Host::app`].
     fn as_any(&self) -> &dyn Any;
 
-    /// Upcast for concrete-type recovery via [`Host::app_mut`].
+    /// Mutable upcast for concrete-type recovery.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
@@ -104,18 +104,6 @@ impl Host {
         self.app
             .as_any()
             .downcast_ref::<T>()
-            .expect("host app type mismatch")
-    }
-
-    /// Mutably borrows the app as concrete type `T`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not a `T`.
-    pub fn app_mut<T: HostApp>(&mut self) -> &mut T {
-        self.app
-            .as_any_mut()
-            .downcast_mut::<T>()
             .expect("host app type mismatch")
     }
 }

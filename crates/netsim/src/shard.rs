@@ -295,15 +295,6 @@ impl ShardedSim {
         self.timeseries = Some((ts, staged));
     }
 
-    /// Caps the number of events each domain may process; exceeding it
-    /// panics. The cap is per-domain, mirroring
-    /// [`Simulator::set_event_limit`].
-    pub fn set_event_limit(&mut self, limit: u64) {
-        for sim in &mut self.domains {
-            sim.set_event_limit(limit);
-        }
-    }
-
     /// Declares which tenant the whole partition belongs to (see
     /// [`Simulator::set_tenant`]).
     pub fn set_tenant(&mut self, tenant: u64) {

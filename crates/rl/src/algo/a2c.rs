@@ -6,13 +6,12 @@
 
 use iswitch_tensor::{
     grad_vec, mlp, mse, param_vec, set_param_vec, softmax, softmax_entropy, zero_grads, Activation,
-    Adam, Conv2d, Linear, Module, Optimizer, ReLU, Sequential, Tanh, Tensor,
+    Adam, Module, Optimizer, Sequential, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::algo::common::{discounted_returns, RewardTracker};
-use crate::algo::dqn::ConvFront;
 use crate::algo::Agent;
 use crate::env::{Action, ActionSpace, Environment};
 
@@ -21,9 +20,6 @@ use crate::env::{Action, ActionSpace, Environment};
 pub struct A2cConfig {
     /// Hidden layer widths (shared shape for actor and critic).
     pub hidden: Vec<usize>,
-    /// Convolutional front end for pixel observations, if any (applied to
-    /// both the actor and the critic).
-    pub conv: Option<ConvFront>,
     /// Discount factor.
     pub gamma: f32,
     /// Adam learning rate.
@@ -42,7 +38,6 @@ impl Default for A2cConfig {
     fn default() -> Self {
         A2cConfig {
             hidden: vec![64],
-            conv: None,
             gamma: 0.99,
             lr: 3e-3,
             n_steps: 8,
@@ -53,39 +48,12 @@ impl Default for A2cConfig {
     }
 }
 
-/// Builds an A2C head: optional conv front end, Tanh MLP body.
+/// Builds an A2C head: a Tanh MLP.
 fn build_a2c_net(obs_dim: usize, outputs: usize, cfg: &A2cConfig, rng: &mut StdRng) -> Sequential {
-    match &cfg.conv {
-        None => {
-            let mut sizes = vec![obs_dim];
-            sizes.extend_from_slice(&cfg.hidden);
-            sizes.push(outputs);
-            mlp(&sizes, Activation::Tanh, None, rng)
-        }
-        Some(cf) => {
-            assert_eq!(
-                cf.channels * cf.height * cf.width,
-                obs_dim,
-                "conv front end does not match the observation size"
-            );
-            let conv = Conv2d::new(
-                cf.channels,
-                cf.conv_channels,
-                cf.height,
-                cf.width,
-                cf.kernel,
-                cf.stride,
-                rng,
-            );
-            let mut dense_in = conv.out_len();
-            let mut net = Sequential::new().push(conv).push(ReLU::new());
-            for &h in &cfg.hidden {
-                net = net.push(Linear::new(dense_in, h, rng)).push(Tanh::new());
-                dense_in = h;
-            }
-            net.push(Linear::new(dense_in, outputs, rng))
-        }
-    }
+    let mut sizes = vec![obs_dim];
+    sizes.extend_from_slice(&cfg.hidden);
+    sizes.push(outputs);
+    mlp(&sizes, Activation::Tanh, None, rng)
 }
 
 /// An A2C worker bound to one environment instance.
@@ -268,32 +236,6 @@ mod tests {
         p[0] += 1.0;
         let last = p.len() - 1;
         p[last] -= 1.0;
-        agent.set_params(&p);
-        assert_eq!(agent.params(), p);
-    }
-
-    #[test]
-    fn conv_a2c_produces_full_gradients_on_pixels() {
-        use crate::algo::dqn::ConvFront;
-        use crate::envs::{MiniPong, MINI_PONG_SIZE};
-        let cfg = A2cConfig {
-            hidden: vec![32],
-            conv: Some(ConvFront {
-                channels: 1,
-                height: MINI_PONG_SIZE,
-                width: MINI_PONG_SIZE,
-                conv_channels: 4,
-                kernel: 4,
-                stride: 2,
-            }),
-            ..A2cConfig::default()
-        };
-        let mut agent = A2cAgent::new(Box::new(MiniPong::new(0)), cfg, 3);
-        let g = agent.compute_gradient();
-        assert_eq!(g.len(), agent.param_count());
-        assert!(g.iter().any(|&x| x != 0.0));
-        // Round-trip params through the flat vector.
-        let p = agent.params();
         agent.set_params(&p);
         assert_eq!(agent.params(), p);
     }

@@ -6,8 +6,8 @@
 //! one distributed-training iteration.
 
 use iswitch_tensor::{
-    grad_vec, huber, mlp, param_vec, set_param_vec, zero_grads, Activation, Adam, Conv2d, Linear,
-    Module, Optimizer, ReLU, Sequential, Tensor,
+    grad_vec, huber, mlp, param_vec, set_param_vec, zero_grads, Activation, Adam, Module,
+    Optimizer, Sequential, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,31 +17,11 @@ use crate::algo::Agent;
 use crate::env::{Action, ActionSpace, Environment};
 use crate::replay::{ReplayBuffer, Transition};
 
-/// An optional convolutional front end for pixel observations (the
-/// paper's Atari benchmarks use conv stacks ahead of the dense layers).
-#[derive(Debug, Clone)]
-pub struct ConvFront {
-    /// Input channels.
-    pub channels: usize,
-    /// Frame height.
-    pub height: usize,
-    /// Frame width.
-    pub width: usize,
-    /// Convolution output channels.
-    pub conv_channels: usize,
-    /// Square kernel size.
-    pub kernel: usize,
-    /// Stride.
-    pub stride: usize,
-}
-
 /// Hyperparameters for [`DqnAgent`].
 #[derive(Debug, Clone)]
 pub struct DqnConfig {
     /// Hidden layer widths of the Q-network.
     pub hidden: Vec<usize>,
-    /// Convolutional front end for pixel observations, if any.
-    pub conv: Option<ConvFront>,
     /// Discount factor.
     pub gamma: f32,
     /// Adam learning rate.
@@ -73,7 +53,6 @@ impl Default for DqnConfig {
     fn default() -> Self {
         DqnConfig {
             hidden: vec![64, 64],
-            conv: None,
             gamma: 0.99,
             lr: 1e-3,
             replay_capacity: 10_000,
@@ -90,39 +69,12 @@ impl Default for DqnConfig {
     }
 }
 
-/// Builds the Q-network: an optional conv front end followed by the MLP.
+/// Builds the Q-network: a ReLU MLP from observations to action values.
 fn build_q_net(obs_dim: usize, n_actions: usize, cfg: &DqnConfig, rng: &mut StdRng) -> Sequential {
-    match &cfg.conv {
-        None => {
-            let mut sizes = vec![obs_dim];
-            sizes.extend_from_slice(&cfg.hidden);
-            sizes.push(n_actions);
-            mlp(&sizes, Activation::ReLU, None, rng)
-        }
-        Some(cf) => {
-            assert_eq!(
-                cf.channels * cf.height * cf.width,
-                obs_dim,
-                "conv front end does not match the observation size"
-            );
-            let conv = Conv2d::new(
-                cf.channels,
-                cf.conv_channels,
-                cf.height,
-                cf.width,
-                cf.kernel,
-                cf.stride,
-                rng,
-            );
-            let mut dense_in = conv.out_len();
-            let mut net = Sequential::new().push(conv).push(ReLU::new());
-            for &h in &cfg.hidden {
-                net = net.push(Linear::new(dense_in, h, rng)).push(ReLU::new());
-                dense_in = h;
-            }
-            net.push(Linear::new(dense_in, n_actions, rng))
-        }
-    }
+    let mut sizes = vec![obs_dim];
+    sizes.extend_from_slice(&cfg.hidden);
+    sizes.push(n_actions);
+    mlp(&sizes, Activation::ReLU, None, rng)
 }
 
 /// A DQN worker bound to one environment instance.
@@ -431,62 +383,6 @@ mod tests {
             let norm = g.iter().map(|x| x * x).sum::<f32>().sqrt();
             assert!(norm <= 0.05 + 1e-5, "norm {norm}");
         }
-    }
-
-    #[test]
-    fn conv_front_end_builds_and_learns_mechanically() {
-        use crate::envs::{MiniPong, MINI_PONG_SIZE};
-        let cfg = DqnConfig {
-            hidden: vec![32],
-            conv: Some(ConvFront {
-                channels: 1,
-                height: MINI_PONG_SIZE,
-                width: MINI_PONG_SIZE,
-                conv_channels: 4,
-                kernel: 4,
-                stride: 2,
-            }),
-            learn_start: 64,
-            batch_size: 16,
-            ..DqnConfig::default()
-        };
-        let mut agent = DqnAgent::new(Box::new(MiniPong::new(0)), cfg, 0);
-        // Conv(1->4,k4,s2) on 12x12 -> 4 x 5 x 5 = 100 features.
-        assert_eq!(
-            agent.param_count(),
-            (4 * 16 + 4) + (100 * 32 + 32) + (32 * 3 + 3)
-        );
-        let mut g = Vec::new();
-        for _ in 0..40 {
-            g = agent.compute_gradient();
-        }
-        assert_eq!(g.len(), agent.param_count());
-        assert!(g.iter().any(|&x| x != 0.0), "conv DQN gradient all zero");
-        // One optimizer step changes the parameters.
-        let before = agent.params();
-        let mut opt = agent.make_optimizer();
-        let mut params = before.clone();
-        opt.step(&mut params, &g);
-        agent.set_params(&params);
-        assert_ne!(agent.params(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match the observation size")]
-    fn conv_front_end_validates_dimensions() {
-        use crate::envs::MiniPong;
-        let cfg = DqnConfig {
-            conv: Some(ConvFront {
-                channels: 1,
-                height: 8,
-                width: 8,
-                conv_channels: 4,
-                kernel: 3,
-                stride: 1,
-            }),
-            ..DqnConfig::default()
-        };
-        let _ = DqnAgent::new(Box::new(MiniPong::new(0)), cfg, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ mod ppo;
 pub use a2c::{A2cAgent, A2cConfig};
 pub use common::{discounted_returns, gae, normalize, RewardTracker, SplitOptimizer};
 pub use ddpg::{DdpgAgent, DdpgConfig};
-pub use dqn::{ConvFront, DqnAgent, DqnConfig};
+pub use dqn::{DqnAgent, DqnConfig};
 pub use gaussian::{standard_normal, GaussianPolicy};
 pub use ppo::{PpoAgent, PpoConfig};
 

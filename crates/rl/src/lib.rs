@@ -42,8 +42,8 @@ mod replay;
 mod replica;
 
 pub use algo::{
-    discounted_returns, gae, normalize, standard_normal, A2cAgent, A2cConfig, Agent, ConvFront,
-    DdpgAgent, DdpgConfig, DqnAgent, DqnConfig, GaussianPolicy, PpoAgent, PpoConfig, RewardTracker,
+    discounted_returns, gae, normalize, standard_normal, A2cAgent, A2cConfig, Agent, DdpgAgent,
+    DdpgConfig, DqnAgent, DqnConfig, GaussianPolicy, PpoAgent, PpoConfig, RewardTracker,
     SplitOptimizer,
 };
 pub use env::{Action, ActionSpace, Environment, StepOutcome};

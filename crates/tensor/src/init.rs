@@ -16,12 +16,6 @@ pub fn xavier_uniform(buf: &mut [f32], fan_in: usize, fan_out: usize, rng: &mut 
     uniform(buf, limit, rng);
 }
 
-/// He/Kaiming uniform initialization (for ReLU layers).
-pub fn he_uniform(buf: &mut [f32], fan_in: usize, rng: &mut StdRng) {
-    let limit = (6.0 / fan_in as f32).sqrt();
-    uniform(buf, limit, rng);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,7 +37,7 @@ mod tests {
         let sample = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut buf = vec![0.0f32; 16];
-            he_uniform(&mut buf, 8, &mut rng);
+            xavier_uniform(&mut buf, 8, 8, &mut rng);
             buf
         };
         assert_eq!(sample(7), sample(7));

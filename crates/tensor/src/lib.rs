@@ -34,15 +34,13 @@
 
 #![warn(missing_docs)]
 
-mod conv;
 mod init;
 mod loss;
 mod nn;
 mod optim;
 mod tensor;
 
-pub use conv::Conv2d;
-pub use init::{he_uniform, uniform, xavier_uniform};
+pub use init::{uniform, xavier_uniform};
 pub use loss::{cross_entropy_with_logits, huber, log_softmax, mse, softmax, softmax_entropy};
 pub use nn::{
     grad_vec, mlp, param_vec, set_param_vec, zero_grads, Activation, Linear, Module, ReLU,

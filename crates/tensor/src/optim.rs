@@ -20,50 +20,25 @@ pub trait Optimizer {
     fn learning_rate(&self) -> f32;
 }
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
 }
 
 impl Sgd {
     /// Plain SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum `mu`.
-    pub fn with_momentum(lr: f32, mu: f32) -> Self {
-        assert!((0.0..1.0).contains(&mu), "momentum must be in [0,1)");
-        let mut s = Sgd::new(lr);
-        s.momentum = mu;
-        s
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.is_empty() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        assert_eq!(self.velocity.len(), params.len(), "parameter count changed");
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
+        for (p, g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 
@@ -154,19 +129,6 @@ mod tests {
             opt.step(&mut x, &g);
         }
         assert!(x[0].abs() < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates_on_consistent_gradient() {
-        let run = |mu: f32| {
-            let mut x = vec![10.0f32];
-            let mut opt = Sgd::with_momentum(0.01, mu);
-            for _ in 0..20 {
-                opt.step(&mut x, &[1.0]);
-            }
-            x[0]
-        };
-        assert!(run(0.9) < run(0.0), "momentum should make more progress");
     }
 
     #[test]

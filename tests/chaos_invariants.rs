@@ -1,10 +1,12 @@
 //! Chaos harness end-to-end: seeded fault schedules against every
-//! strategy, protocol invariants checked over the recorded runs, and the
-//! harness's own teeth verified against a deliberately broken recovery
-//! path.
+//! strategy, protocol invariants checked over the recorded runs, tenant
+//! isolation (I6) under a leaky co-tenant, and the harness's own teeth
+//! verified against a deliberately broken recovery path and a missing
+//! quota.
 
 use iswitch::cluster::{
-    run_chaos, ChaosFault, ChaosSchedule, Faults, SeededBug, Strategy, TimingConfig, TransportKind,
+    run_chaos, run_chaos_isolation, ChaosFault, ChaosSchedule, Faults, MultiJobConfig, SeededBug,
+    Strategy, TimingConfig, TransportKind,
 };
 use iswitch::core::CodecKind;
 use iswitch::netsim::{FattreeShape, SimDuration};
@@ -351,4 +353,42 @@ fn nack_storm_trips_the_conservation_invariant() {
         "gap-driven NACK recovery should pass the same schedule: {:?}",
         fixed.violations
     );
+}
+
+#[test]
+fn isolation_holds_across_seeds_and_trips_on_the_seeded_leak() {
+    // I6 both ways. Holds: a quota'd victim is byte-unperturbed by a
+    // leaky co-tenant across a seed matrix, and the report itself is
+    // seed-deterministic (I5). Trips: dropping the quota lets the
+    // leak squeeze the victim's grant, and the harness must say so.
+    for seed in [1, 7, 23] {
+        let cfg = MultiJobConfig::isolation(seed);
+        let report = run_chaos_isolation(&cfg);
+        assert!(report.passed(), "seed {seed}: {:?}", report.violations);
+        assert_eq!(report.victim_denials, 0, "seed {seed}");
+        assert!(
+            report.aggressor_denials > 0,
+            "seed {seed}: the leak should throttle the aggressor itself"
+        );
+        let again = run_chaos_isolation(&cfg);
+        assert_eq!(
+            report.to_json().render(),
+            again.to_json().render(),
+            "seed {seed}: I6 report not replay-deterministic"
+        );
+    }
+
+    let mut unprotected = MultiJobConfig::isolation(7);
+    unprotected.tenants[1].quota = Default::default();
+    let report = run_chaos_isolation(&unprotected);
+    assert!(
+        !report.passed(),
+        "the harness self-test must trip without a quota"
+    );
+    assert!(
+        report.violations.iter().any(|v| v.starts_with("I6")),
+        "violations should name I6: {:?}",
+        report.violations
+    );
+    assert!(report.victim_denials > 0);
 }
