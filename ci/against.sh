@@ -19,7 +19,8 @@
 # <out-flag>s (as for ci/replay.sh: `--out-dir` for multi, `--report-out`
 # for chaos, `--metrics-out` for cosim) those outputs are compared instead;
 # the out-flag `--stdout` passes no flag and compares the command's standard
-# output (convergence mode writes nothing else).
+# output (convergence mode writes nothing else). A command's outputs are
+# deleted once they compare equal and kept when they differ.
 set -euo pipefail
 
 usage() { sed -n '6p' "$0" >&2; exit 2; }
@@ -81,4 +82,7 @@ names=(metrics.json trace.jsonl timeseries.jsonl report.json)
 for name in "${names[@]}"; do
   diff -rq "artifacts/$label-rev.$name" "artifacts/$label-head.$name"
 done
+# Equal outputs have nothing more to show, and a full run of against.cmds
+# leaves gigabytes of them; a mismatch exits above and keeps them.
+rm -rf "artifacts/$label-rev."* "artifacts/$label-head."*
 echo "identical to ${rev:0:7}: $*"

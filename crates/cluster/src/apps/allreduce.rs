@@ -8,12 +8,8 @@
 use iswitch_netsim::{IntSet, IpAddr, Packet, SimDuration};
 
 use crate::apps::common::{blob_packets, BlobAssembler};
-use crate::apps::runtime::{
-    Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore, PROTO_BASE,
-};
-use crate::compute_model::{CommCosts, ComputeModel};
-use crate::gradient_source::SyntheticGradients;
-use crate::transport::{GoBackRetransmit, NoRound, Transport};
+use crate::apps::runtime::{ProtoEvent, RoundOutcome, Rt, StrategyProtocol, PROTO_BASE};
+use crate::transport::{NoRound, Transport};
 
 /// Blob tag for ring chunks.
 pub const TAG_RING: u32 = 4;
@@ -26,8 +22,6 @@ const P_SEND_BASE: u64 = 1_000;
 /// Protocol half of the Ring-AllReduce worker: the `2(N-1)`-step chunk
 /// rotation within one iteration.
 pub struct RingProto {
-    /// This worker's position in the ring (kept for debugging dumps).
-    index: usize,
     n: usize,
     next: IpAddr,
     model_bytes: u64,
@@ -41,18 +35,28 @@ pub struct RingProto {
     transport: Box<dyn Transport>,
 }
 
-// `index` participates in ring-position reasoning for debugging dumps.
-impl std::fmt::Debug for RingProto {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RingProto")
-            .field("index", &self.index)
-            .field("iter", &self.iter)
-            .field("step", &self.step)
-            .finish()
-    }
-}
-
 impl RingProto {
+    /// One of `n` ring members, sending its chunks to `next`.
+    pub(crate) fn new(
+        n: usize,
+        next: IpAddr,
+        model_bytes: u64,
+        transport: Box<dyn Transport>,
+    ) -> Self {
+        assert!(n >= 2, "a ring needs at least two workers");
+        RingProto {
+            n,
+            next,
+            model_bytes,
+            iter: 0,
+            step: 0,
+            waiting: false,
+            asm: BlobAssembler::new(),
+            arrived: IntSet::default(),
+            transport,
+        }
+    }
+
     fn steps_per_iter(&self) -> u32 {
         2 * (self.n as u32 - 1)
     }
@@ -100,10 +104,6 @@ impl StrategyProtocol for RingProto {
         &*self.transport
     }
 
-    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
-        &mut self.transport
-    }
-
     fn start_round(&mut self, rt: &mut Rt<'_, '_, '_>) {
         self.begin_step(rt);
     }
@@ -148,42 +148,5 @@ impl StrategyProtocol for RingProto {
             }
         }
         ProtoEvent::None
-    }
-}
-
-/// One Ring-AllReduce worker: the unified runtime over [`RingProto`].
-pub type RingWorker = StrategyRuntime<RingProto>;
-
-impl RingWorker {
-    /// A worker at ring position `index` of `n`, sending to `next`,
-    /// aggregating `messages` collectives per iteration (dual-model DDPG
-    /// runs two AllReduces).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        index: usize,
-        n: usize,
-        next: IpAddr,
-        model_bytes: u64,
-        messages: u64,
-        iterations: usize,
-        compute: ComputeModel,
-        comm: CommCosts,
-        seed: u64,
-    ) -> Self {
-        assert!(n >= 2, "a ring needs at least two workers");
-        let core = WorkerCore::new(compute, comm, messages, seed, Pacing::Sync { iterations });
-        let proto = RingProto {
-            index,
-            n,
-            next,
-            model_bytes,
-            iter: 0,
-            step: 0,
-            waiting: false,
-            asm: BlobAssembler::new(),
-            arrived: IntSet::default(),
-            transport: Box::new(GoBackRetransmit::new()),
-        };
-        StrategyRuntime::from_parts(core, proto, Box::new(SyntheticGradients::new(0)))
     }
 }

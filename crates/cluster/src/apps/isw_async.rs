@@ -11,21 +11,20 @@
 //!   its decentralized weight replica.
 
 use iswitch_core::{CodecKind, RoundAssembler, RoundInsert, TOS_DATA};
-use iswitch_netsim::{Packet, SimDuration, SimTime};
+use iswitch_netsim::{Packet, SimDuration};
 
-use crate::apps::runtime::{
-    Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore,
-};
-use crate::compute_model::{CommCosts, ComputeModel};
-use crate::gradient_source::{GradientSource, SyntheticGradients};
-use crate::transport::{GoBackRetransmit, NoRound, Transport};
+use crate::apps::runtime::{ProtoEvent, RoundOutcome, Rt, StrategyProtocol};
+use crate::gradient_source::GradientSource;
+use crate::transport::{NoRound, Transport};
 
 /// How broadcast arrivals are recognized as complete aggregates.
 enum BcastTracker {
     /// Timing mode: a pure packet counter. The switch broadcasts exactly
     /// one full vector's worth of segments per aggregation round, so a
     /// count suffices — and counting (rather than deduplicating) is part
-    /// of the timing contract.
+    /// of the timing contract: an index-deduplicating tracker moves the
+    /// Ablations artifact's `H = 2` row from 4.52 to 4.72 ms per update,
+    /// though every other async run stays byte-identical.
     Count(usize),
     /// Co-sim mode: reassemble the broadcast f32 values, index-deduped.
     Values(RoundAssembler),
@@ -45,21 +44,35 @@ pub struct IswAsyncProto {
     codec: CodecKind,
 }
 
+impl IswAsyncProto {
+    /// A worker's half committing `source`'s gradients under `codec` (the
+    /// switches' codec); it reassembles broadcast values only when the
+    /// source wants them.
+    pub(crate) fn new(
+        source: &dyn GradientSource,
+        codec: CodecKind,
+        transport: Box<dyn Transport>,
+    ) -> Self {
+        let grad_len = source.grad_len();
+        let tracker = if source.wants_values() {
+            let mut asm = RoundAssembler::with_codec(grad_len, true, codec);
+            asm.begin_round(None);
+            BcastTracker::Values(asm)
+        } else {
+            BcastTracker::Count(0)
+        };
+        IswAsyncProto {
+            grad_len,
+            tracker,
+            transport,
+            codec,
+        }
+    }
+}
+
 impl StrategyProtocol for IswAsyncProto {
     fn transport(&self) -> &dyn Transport {
         &*self.transport
-    }
-
-    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
-        &mut self.transport
-    }
-
-    fn on_start(&mut self, rt: &mut Rt<'_, '_, '_>) {
-        if rt.source.wants_values() {
-            let mut asm = RoundAssembler::with_codec(self.grad_len, true, self.codec);
-            asm.begin_round(None);
-            self.tracker = BcastTracker::Values(asm);
-        }
     }
 
     fn commit(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -108,72 +121,5 @@ impl StrategyProtocol for IswAsyncProto {
             agg_delay: SimDuration::ZERO,
             update_tail,
         })
-    }
-}
-
-/// An asynchronous iSwitch worker: the unified runtime over
-/// [`IswAsyncProto`].
-pub type IswAsyncWorker = StrategyRuntime<IswAsyncProto>;
-
-impl IswAsyncWorker {
-    /// A worker pushing gradients of `grad_len` f32 elements until
-    /// `deadline` (if given), committing `messages` collectives per
-    /// iteration (dual-model DDPG pushes two vectors).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        grad_len: usize,
-        messages: u64,
-        compute: ComputeModel,
-        comm: CommCosts,
-        staleness_bound: u32,
-        seed: u64,
-        deadline: Option<SimTime>,
-    ) -> Self {
-        IswAsyncWorker::with_source(
-            Box::new(SyntheticGradients::new(grad_len)),
-            messages,
-            compute,
-            comm,
-            staleness_bound,
-            seed,
-            deadline,
-        )
-    }
-
-    /// A worker backed by an arbitrary gradient source (co-simulation).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_source(
-        source: Box<dyn GradientSource>,
-        messages: u64,
-        compute: ComputeModel,
-        comm: CommCosts,
-        staleness_bound: u32,
-        seed: u64,
-        deadline: Option<SimTime>,
-    ) -> Self {
-        let core = WorkerCore::new(
-            compute,
-            comm,
-            messages,
-            seed,
-            Pacing::Pipelined {
-                staleness_bound,
-                deadline,
-            },
-        );
-        let proto = IswAsyncProto {
-            grad_len: source.grad_len(),
-            tracker: BcastTracker::Count(0),
-            transport: Box::new(GoBackRetransmit::new()),
-            codec: CodecKind::F32,
-        };
-        StrategyRuntime::from_parts(core, proto, source)
-    }
-
-    /// Sets the job's aggregation codec (default: [`CodecKind::F32`]).
-    /// Must match the switches' configured codec.
-    pub fn with_codec(mut self, codec: CodecKind) -> Self {
-        self.protocol_mut().codec = codec;
-        self
     }
 }

@@ -13,12 +13,9 @@ use iswitch_core::{
 };
 use iswitch_netsim::{Packet, SimDuration};
 
-use crate::apps::runtime::{
-    Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore,
-};
-use crate::compute_model::{CommCosts, ComputeModel};
-use crate::gradient_source::{GradientSource, SyntheticGradients};
-use crate::transport::{GoBackRetransmit, SendOutcome, TimerVerdict, Transport};
+use crate::apps::runtime::{ProtoEvent, RoundOutcome, Rt, StrategyProtocol};
+use crate::gradient_source::GradientSource;
+use crate::transport::{SendOutcome, TimerVerdict, Transport};
 
 const P_SEND: u64 = crate::apps::runtime::PROTO_BASE;
 
@@ -26,7 +23,6 @@ const P_SEND: u64 = crate::apps::runtime::PROTO_BASE;
 /// push and broadcast-result reassembly, with loss recovery and pacing
 /// delegated to the configured [`Transport`].
 pub struct IswSyncProto {
-    grad_len: usize,
     asm: RoundAssembler,
     /// The wire policy: reliability + congestion control.
     transport: Box<dyn Transport>,
@@ -43,14 +39,24 @@ pub struct IswSyncProto {
 }
 
 impl IswSyncProto {
-    fn new(grad_len: usize) -> Self {
+    /// A worker's half pushing `source`'s gradients under `codec` (the
+    /// switches' codec); it reassembles result values only when the source
+    /// wants them. A nonzero `exp_bias` seeds the chaos harness's
+    /// fixed-point exponent-stamp bug: mantissas are scaled with the honest
+    /// exponent but the header stamps `exponent + exp_bias`, so the switch
+    /// decodes every contribution scaled by `2^exp_bias`.
+    pub fn new(
+        source: &dyn GradientSource,
+        codec: CodecKind,
+        exp_bias: i8,
+        transport: Box<dyn Transport>,
+    ) -> Self {
         IswSyncProto {
-            grad_len,
-            asm: RoundAssembler::new(grad_len, false),
-            transport: Box::new(GoBackRetransmit::new()),
+            asm: RoundAssembler::with_codec(source.grad_len(), source.wants_values(), codec),
+            transport,
             sent: false,
-            codec: CodecKind::F32,
-            exp_bias: 0,
+            codec,
+            exp_bias,
         }
     }
 
@@ -97,12 +103,6 @@ impl IswSyncProto {
 }
 
 impl StrategyProtocol for IswSyncProto {
-    fn on_start(&mut self, rt: &mut Rt<'_, '_, '_>) {
-        // Co-sim sources need the broadcast *values*; timing sources only
-        // need completion tracking.
-        self.asm = RoundAssembler::with_codec(self.grad_len, rt.source.wants_values(), self.codec);
-    }
-
     fn begin_round(&mut self, iter: u32) {
         self.asm.begin_round(Some(iter));
         self.sent = false;
@@ -111,10 +111,6 @@ impl StrategyProtocol for IswSyncProto {
 
     fn transport(&self) -> &dyn Transport {
         &*self.transport
-    }
-
-    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
-        &mut self.transport
     }
 
     fn start_round(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -164,100 +160,5 @@ impl StrategyProtocol for IswSyncProto {
             RoundInsert::Completed if self.sent => self.outcome(rt),
             _ => ProtoEvent::None,
         }
-    }
-}
-
-/// A synchronous iSwitch worker: the unified runtime over
-/// [`IswSyncProto`].
-pub type IswSyncWorker = StrategyRuntime<IswSyncProto>;
-
-impl IswSyncWorker {
-    /// A worker pushing gradients of `grad_len` f32 elements in
-    /// `messages` collectives per iteration.
-    pub fn new(
-        grad_len: usize,
-        messages: u64,
-        iterations: usize,
-        compute: ComputeModel,
-        comm: CommCosts,
-        seed: u64,
-    ) -> Self {
-        IswSyncWorker::with_source(
-            Box::new(SyntheticGradients::new(grad_len)),
-            messages,
-            iterations,
-            compute,
-            comm,
-            seed,
-        )
-    }
-
-    /// A worker backed by an arbitrary gradient source (co-simulation).
-    pub fn with_source(
-        source: Box<dyn GradientSource>,
-        messages: u64,
-        iterations: usize,
-        compute: ComputeModel,
-        comm: CommCosts,
-        seed: u64,
-    ) -> Self {
-        let core = WorkerCore::new(compute, comm, messages, seed, Pacing::Sync { iterations });
-        let proto = IswSyncProto::new(source.grad_len());
-        StrategyRuntime::from_parts(core, proto, source)
-    }
-
-    /// Sets the job's aggregation codec (default: [`CodecKind::F32`]).
-    /// Must match the switches' configured codec.
-    pub fn with_codec(mut self, codec: CodecKind) -> Self {
-        self.protocol_mut().codec = codec;
-        self
-    }
-
-    /// **Chaos-harness only**: seeds the fixed-point exponent-stamp bug —
-    /// mantissas are scaled with the honest exponent but the packet header
-    /// stamps `exponent + bias`, so the switch decodes every contribution
-    /// scaled by `2^bias`. The wire stays well-formed; only the
-    /// conservation invariant can catch it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is nonzero and the worker's gradient source is
-    /// synthetic: its one shared store holds only honest payloads.
-    pub fn seed_exponent_bug(&mut self, bias: i8) {
-        assert!(
-            bias == 0 || self.source().wants_values(),
-            "the exponent bug needs a live gradient source"
-        );
-        self.protocol_mut().exp_bias = bias;
-    }
-
-    /// Enables loss recovery: after `timeout` without a complete result,
-    /// the transport recovers missing segments (`Help` for lost result
-    /// packets from the results the switch keeps, `FBcast` for rounds
-    /// stuck on a lost contribution).
-    pub fn set_help_timeout(&mut self, timeout: SimDuration) {
-        self.protocol_mut().transport.set_recovery_timeout(timeout);
-    }
-
-    /// **Chaos-harness only**: arms the transport's deliberately-broken
-    /// recovery mode (naive whole-gradient retransmission for go-back,
-    /// whole-train re-push on gaps for NACK). The in-switch accelerator
-    /// counts packets, not sources, so the double-delivery must trip the
-    /// gradient-conservation invariant.
-    pub fn seed_naive_retransmit(&mut self) {
-        self.protocol_mut().transport.seed_protocol_bug();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[should_panic(expected = "needs a live gradient source")]
-    fn exponent_bug_refuses_a_synthetic_source() {
-        let compute = ComputeModel::for_algorithm(iswitch_rl::Algorithm::Ppo);
-        let mut worker = IswSyncWorker::new(64, 1, 1, compute, CommCosts::default(), 0);
-        worker.seed_exponent_bug(3);
     }
 }

@@ -14,16 +14,16 @@ mod ps_async;
 mod ps_sync;
 pub mod runtime;
 
-pub use allreduce::{RingProto, RingWorker, TAG_RING};
+pub use allreduce::{RingProto, TAG_RING};
 pub use background::{BackgroundFlow, BACKGROUND_PORT};
 pub use common::{
     blob_packets, BlobAssembler, BlobDone, IterLog, IterSpans, IterationTokens, StallTracker,
     BASELINE_PORT, BLOB_CHUNK, BLOB_HEADER,
 };
-pub use isw_async::{IswAsyncProto, IswAsyncWorker};
-pub use isw_sync::{IswSyncProto, IswSyncWorker};
-pub use ps_async::{AsyncPsServer, AsyncPsWorker, PsAsyncProto};
-pub use ps_sync::{PsSyncProto, SyncPsServer, SyncPsWorker, TAG_GRAD, TAG_PULL, TAG_WEIGHTS};
+pub use isw_async::IswAsyncProto;
+pub use isw_sync::IswSyncProto;
+pub use ps_async::{AsyncPsServer, PsAsyncProto};
+pub use ps_sync::{PsSyncProto, SyncPsServer, TAG_GRAD, TAG_PULL, TAG_WEIGHTS};
 pub use runtime::{
     Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore,
     WorkerView, PROTO_BASE,

@@ -17,13 +17,10 @@ use rand::SeedableRng;
 
 use crate::apps::common::{blob_packets, BlobAssembler};
 use crate::apps::ps_sync::{TAG_GRAD, TAG_PULL, TAG_WEIGHTS};
-use crate::apps::runtime::{
-    Pacing, ProtoEvent, Rt, StrategyProtocol, StrategyRuntime, WorkerCore, PROTO_BASE,
-};
+use crate::apps::runtime::{ProtoEvent, Rt, StrategyProtocol, PROTO_BASE};
 use crate::compute_model::{CommCosts, ComputeModel};
-use crate::gradient_source::SyntheticGradients;
 use crate::staleness::StalenessLedger;
-use crate::transport::{GoBackRetransmit, NoRound, Transport};
+use crate::transport::{NoRound, Transport};
 
 const P_COMPUTE: u64 = PROTO_BASE;
 const P_PUSH: u64 = PROTO_BASE + 1;
@@ -44,11 +41,21 @@ pub struct PsAsyncProto {
 }
 
 impl PsAsyncProto {
-    fn pull(&mut self, rt: &mut Rt<'_, '_, '_>) {
-        if rt.deadline_reached() {
-            rt.core.stopped = true;
-            return;
+    /// A worker's half cycling against `server`, pushing `model_bytes`
+    /// gradients.
+    pub(crate) fn new(server: IpAddr, model_bytes: u64, transport: Box<dyn Transport>) -> Self {
+        PsAsyncProto {
+            server,
+            model_bytes,
+            asm: BlobAssembler::new(),
+            pull_seq: 0,
+            weight_version: 0,
+            phase_start: SimTime::ZERO,
+            transport,
         }
+    }
+
+    fn pull(&mut self, rt: &mut Rt<'_, '_, '_>) {
         self.pull_seq += 1;
         for pkt in blob_packets(rt.ip(), self.server, TAG_PULL, self.pull_seq, 0) {
             rt.send(pkt);
@@ -63,10 +70,6 @@ impl StrategyProtocol for PsAsyncProto {
 
     fn transport(&self) -> &dyn Transport {
         &*self.transport
-    }
-
-    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
-        &mut self.transport
     }
 
     fn on_timer(&mut self, rt: &mut Rt<'_, '_, '_>, token: u64) -> ProtoEvent {
@@ -115,40 +118,6 @@ impl StrategyProtocol for PsAsyncProto {
             }
         }
         ProtoEvent::None
-    }
-}
-
-/// An asynchronous PS worker: the unified runtime over [`PsAsyncProto`].
-pub type AsyncPsWorker = StrategyRuntime<PsAsyncProto>;
-
-impl AsyncPsWorker {
-    /// A worker that keeps iterating until `deadline` (if given).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        server: IpAddr,
-        model_bytes: u64,
-        messages: u64,
-        compute: ComputeModel,
-        comm: CommCosts,
-        seed: u64,
-        deadline: Option<SimTime>,
-    ) -> Self {
-        let core = WorkerCore::new(compute, comm, messages, seed, Pacing::Driven { deadline });
-        let proto = PsAsyncProto {
-            server,
-            model_bytes,
-            asm: BlobAssembler::new(),
-            pull_seq: 0,
-            weight_version: 0,
-            phase_start: SimTime::ZERO,
-            transport: Box::new(GoBackRetransmit::new()),
-        };
-        StrategyRuntime::from_parts(core, proto, Box::new(SyntheticGradients::new(0)))
-    }
-
-    /// Iterations this worker completed (gradients pushed).
-    pub fn pushes(&self) -> u64 {
-        self.commits()
     }
 }
 

@@ -13,12 +13,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::apps::common::{blob_packets, BlobAssembler};
-use crate::apps::runtime::{
-    Pacing, ProtoEvent, RoundOutcome, Rt, StrategyProtocol, StrategyRuntime, WorkerCore, PROTO_BASE,
-};
+use crate::apps::runtime::{ProtoEvent, RoundOutcome, Rt, StrategyProtocol, PROTO_BASE};
 use crate::compute_model::{CommCosts, ComputeModel};
-use crate::gradient_source::SyntheticGradients;
-use crate::transport::{GoBackRetransmit, NoRound, Transport};
+use crate::transport::{NoRound, Transport};
 
 /// Blob tag for worker→server gradient pushes.
 pub const TAG_GRAD: u32 = 1;
@@ -42,6 +39,18 @@ pub struct PsSyncProto {
     transport: Box<dyn Transport>,
 }
 
+impl PsSyncProto {
+    /// A worker's half pushing `model_bytes` to `server` each round.
+    pub(crate) fn new(server: IpAddr, model_bytes: u64, transport: Box<dyn Transport>) -> Self {
+        PsSyncProto {
+            server,
+            model_bytes,
+            asm: BlobAssembler::new(),
+            transport,
+        }
+    }
+}
+
 impl StrategyProtocol for PsSyncProto {
     fn begin_round(&mut self, iter: u32) {
         self.transport.begin_round(iter);
@@ -49,10 +58,6 @@ impl StrategyProtocol for PsSyncProto {
 
     fn transport(&self) -> &dyn Transport {
         &*self.transport
-    }
-
-    fn transport_mut(&mut self) -> &mut Box<dyn Transport> {
-        &mut self.transport
     }
 
     fn start_round(&mut self, rt: &mut Rt<'_, '_, '_>) {
@@ -86,38 +91,6 @@ impl StrategyProtocol for PsSyncProto {
             }
         }
         ProtoEvent::None
-    }
-}
-
-/// A synchronous PS worker: the unified runtime over [`PsSyncProto`].
-pub type SyncPsWorker = StrategyRuntime<PsSyncProto>;
-
-impl SyncPsWorker {
-    /// A worker that will run `iterations` iterations against `server`,
-    /// aggregating `messages` collectives per iteration (DDPG's dual model
-    /// aggregates actor and critic separately, doubling the per-phase
-    /// software costs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        server: IpAddr,
-        model_bytes: u64,
-        messages: u64,
-        iterations: usize,
-        compute: ComputeModel,
-        comm: CommCosts,
-        seed: u64,
-    ) -> Self {
-        let core = WorkerCore::new(compute, comm, messages, seed, Pacing::Sync { iterations });
-        let proto = PsSyncProto {
-            server,
-            model_bytes,
-            asm: BlobAssembler::new(),
-            transport: Box::new(GoBackRetransmit::new()),
-        };
-        // Timing-only strategy: the PS worker never sees an aggregate to
-        // apply locally, so the synthetic payload is just sized bytes.
-        let source = Box::new(SyntheticGradients::new(0));
-        StrategyRuntime::from_parts(core, proto, source)
     }
 }
 

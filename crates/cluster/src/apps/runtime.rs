@@ -21,6 +21,16 @@
 //!   broadcast arrivals.
 //! * [`Pacing::Driven`] — the protocol runs its own loop (the async PS
 //!   pull → compute → push cycle) on top of the runtime's services.
+//!
+//! No pacing ends on a clock of its own: a synchronous worker stops after
+//! its iterations, and an asynchronous one runs until the job's drive
+//! (`lifecycle::Job::drive`) stops stepping the simulation.
+//!
+//! A run's workers are assembled in one place, the job build's
+//! `make_apps`: a [`WorkerCore`], the protocol's one constructor (which
+//! takes its wire policy, already configured), and a source, joined by
+//! [`StrategyRuntime::from_parts`]. Result collectors read a finished
+//! worker only through [`WorkerView`].
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -58,14 +68,9 @@ pub enum Pacing {
     Pipelined {
         /// Staleness bound `S` (Alg. 1).
         staleness_bound: u32,
-        /// Stop starting new computations at this time.
-        deadline: Option<SimTime>,
     },
     /// The protocol drives its own loop.
-    Driven {
-        /// Stop starting new cycles at this time.
-        deadline: Option<SimTime>,
-    },
+    Driven,
 }
 
 /// Shared per-worker state owned by the runtime and readable (and, for
@@ -87,8 +92,6 @@ pub struct WorkerCore {
     pub version: u32,
     /// Version the in-flight gradient was computed from (`tw`).
     pub compute_from: u32,
-    /// Whether the deadline stopped this worker.
-    pub stopped: bool,
     /// Completion time of every local weight update (async pacing).
     pub update_times: Vec<SimTime>,
     /// Staleness admission state: records `ts - tw` of every committed
@@ -113,9 +116,7 @@ impl WorkerCore {
         // Only pipelined pacing gates on staleness; the other modes never
         // call `admit`, so an unbounded ledger is inert for them.
         let bound = match pacing {
-            Pacing::Pipelined {
-                staleness_bound, ..
-            } => staleness_bound,
+            Pacing::Pipelined { staleness_bound } => staleness_bound,
             _ => u32::MAX,
         };
         WorkerCore {
@@ -127,7 +128,6 @@ impl WorkerCore {
             iter: 0,
             version: 0,
             compute_from: 0,
-            stopped: false,
             update_times: Vec::new(),
             ledger: StalenessLedger::new(bound),
             commits: 0,
@@ -241,15 +241,6 @@ impl Rt<'_, '_, '_> {
     pub fn emit_phase(&self, name: &'static str, start: SimTime, seq: u64) {
         emit_phase(self.ctx, name, start.as_nanos(), seq);
     }
-
-    /// Whether the pacing deadline (if any) has passed.
-    pub fn deadline_reached(&self) -> bool {
-        let deadline = match self.core.pacing {
-            Pacing::Pipelined { deadline, .. } | Pacing::Driven { deadline } => deadline,
-            Pacing::Sync { .. } => None,
-        };
-        matches!(deadline, Some(d) if self.ctx.now() >= d)
-    }
 }
 
 /// Protocol-specific wire behaviour plugged into the [`StrategyRuntime`].
@@ -284,10 +275,6 @@ pub trait StrategyProtocol: Send + 'static {
     /// and paced rate feed the worker's telemetry tracks and the run's
     /// transport summary.
     fn transport(&self) -> &dyn Transport;
-
-    /// The slot holding the wire policy, for replacing or configuring it
-    /// before the run starts.
-    fn transport_mut(&mut self) -> &mut Box<dyn Transport>;
 }
 
 /// Post-run, strategy-independent view of a finished worker: everything
@@ -309,24 +296,24 @@ pub trait WorkerView {
 
 impl<P: StrategyProtocol> WorkerView for StrategyRuntime<P> {
     fn log(&self) -> &IterLog {
-        self.log()
+        &self.core.log
     }
     fn update_times(&self) -> &[SimTime] {
-        self.update_times()
+        &self.core.update_times
     }
     fn staleness(&self) -> &[u32] {
-        self.staleness()
+        self.core.ledger.admitted()
     }
     fn transport_stats(&self) -> TransportStats {
-        self.transport_stats()
+        self.proto.transport().stats()
     }
     fn source(&self) -> &dyn GradientSource {
-        self.source()
+        &*self.source
     }
 }
 
 /// The unified strategy worker: shared runtime + protocol + gradient
-/// source. Concrete strategies are type aliases over this.
+/// source. Every strategy's worker is this type over its protocol.
 pub struct StrategyRuntime<P: StrategyProtocol> {
     core: WorkerCore,
     proto: P,
@@ -344,58 +331,6 @@ impl<P: StrategyProtocol> StrategyRuntime<P> {
             source,
             pending: VecDeque::new(),
         }
-    }
-
-    /// The per-iteration span log (sync pacing).
-    pub fn log(&self) -> &IterLog {
-        &self.core.log
-    }
-
-    /// Completion time of every local weight update (async pacing).
-    pub fn update_times(&self) -> &[SimTime] {
-        &self.core.update_times
-    }
-
-    /// Staleness of every committed gradient (async pacing).
-    pub fn staleness(&self) -> &[u32] {
-        self.core.ledger.admitted()
-    }
-
-    /// Gradients skipped for exceeding the staleness bound.
-    pub fn skipped(&self) -> u64 {
-        self.core.ledger.rejected()
-    }
-
-    /// Gradients committed to the network.
-    pub fn commits(&self) -> u64 {
-        self.core.commits
-    }
-
-    /// The gradient source backing this worker.
-    pub fn source(&self) -> &dyn GradientSource {
-        &*self.source
-    }
-
-    /// The protocol state backing this worker.
-    pub fn protocol(&self) -> &P {
-        &self.proto
-    }
-
-    /// Mutable access to the protocol state (builder-style configuration).
-    pub fn protocol_mut(&mut self) -> &mut P {
-        &mut self.proto
-    }
-
-    /// Replaces the wire policy (default: [`crate::transport::GoBackRetransmit`],
-    /// which for protocols without loss recovery means plain unpaced sends).
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        *self.proto.transport_mut() = transport;
-        self
-    }
-
-    /// Transport activity counters (recovery + congestion control).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.proto.transport().stats()
     }
 
     fn rt_call<R>(
@@ -449,16 +384,6 @@ impl<P: StrategyProtocol> StrategyRuntime<P> {
 
     /// Pipelined: start (or restart) the local gradient computation.
     fn begin_compute(&mut self, ctx: &mut HostCtx<'_, '_>) {
-        let deadline = match self.core.pacing {
-            Pacing::Pipelined { deadline, .. } => deadline,
-            _ => None,
-        };
-        if let Some(d) = deadline {
-            if ctx.now() >= d {
-                self.core.stopped = true;
-                return;
-            }
-        }
         // Alg. 1: copy the iteration index and weights, then interact.
         self.core.compute_from = self.core.version;
         self.core.phase_start = ctx.now();
@@ -530,7 +455,7 @@ impl<P: StrategyProtocol> StrategyRuntime<P> {
                     self.aggregation_done(ctx);
                 }
             }
-            Pacing::Pipelined { .. } | Pacing::Driven { .. } => {
+            Pacing::Pipelined { .. } | Pacing::Driven => {
                 let tail = outcome.update_tail;
                 self.pending.push_back(outcome);
                 ctx.set_timer(tail, T_UPDATE);
@@ -545,7 +470,7 @@ impl<P: StrategyProtocol> HostApp for StrategyRuntime<P> {
         match self.core.pacing {
             Pacing::Sync { .. } => self.begin_iteration(ctx),
             Pacing::Pipelined { .. } => self.begin_compute(ctx),
-            Pacing::Driven { .. } => {}
+            Pacing::Driven => {}
         }
     }
 
@@ -601,7 +526,7 @@ impl<P: StrategyProtocol> HostApp for StrategyRuntime<P> {
                 // Non-blocking send: the LGC stage continues immediately.
                 self.begin_compute(ctx);
             }
-            (Pacing::Pipelined { .. } | Pacing::Driven { .. }, T_UPDATE) => {
+            (Pacing::Pipelined { .. } | Pacing::Driven, T_UPDATE) => {
                 self.core.version += 1;
                 self.core.update_times.push(ctx.now());
                 let outcome = self.pending.pop_front().expect("update had a round");
@@ -620,9 +545,6 @@ impl<P: StrategyProtocol> HostApp for StrategyRuntime<P> {
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Packet) {
-        if matches!(self.core.pacing, Pacing::Driven { .. }) && self.core.stopped {
-            return;
-        }
         let ev = self.rt_call(ctx, |p, rt| p.on_packet(rt, pkt));
         self.handle_event(ctx, ev);
     }

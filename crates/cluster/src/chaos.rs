@@ -109,8 +109,9 @@ impl ChaosFault {
     }
 }
 
-/// A worker-indexed fault schedule — the user-facing form of a fault plan,
-/// resolved to concrete link ids only after the topology is built.
+/// A worker-indexed fault schedule — the user-facing form of the timed
+/// fault actions a run schedules, resolved to concrete link ids only after
+/// the topology is built.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosSchedule {
     /// Fault windows, applied in order of their start times.

@@ -7,7 +7,7 @@
 //! star and the trees and one domain per pod (plus the core) for the
 //! fat-tree. Solo timing runs, tenants of a shared fabric, chaos runs and
 //! co-simulations all build the same [`Job`]; they differ only in what
-//! they feed it (a gradient source, a fault plan, a tenant id) and in how
+//! they feed it (a gradient source, a fault schedule, a tenant id) and in how
 //! they pace its drive. Completion is *queue idle* for synchronous
 //! strategies and *update count reached, checked every 200 ms of simulated
 //! time* for asynchronous ones; at the same check points the drive gives up
@@ -28,8 +28,9 @@ use iswitch_obs::{JsonValue, Timeseries, Trace, TraceEvent};
 use iswitch_rl::paper_model;
 
 use crate::apps::{
-    AsyncPsServer, AsyncPsWorker, BackgroundFlow, IswAsyncWorker, IswSyncWorker, IterSpans,
-    RingWorker, StrategyProtocol, StrategyRuntime, SyncPsServer, SyncPsWorker, WorkerView,
+    AsyncPsServer, BackgroundFlow, IswAsyncProto, IswSyncProto, IterSpans, Pacing, PsAsyncProto,
+    PsSyncProto, RingProto, StrategyProtocol, StrategyRuntime, SyncPsServer, WorkerCore,
+    WorkerView,
 };
 use crate::chaos::SeededBug;
 use crate::gradient_source::{GradientSource, SyntheticGradients};
@@ -124,6 +125,12 @@ pub(crate) fn validate(cfg: &TimingConfig) {
     assert!(
         !matches!(cfg.bug, Some(SeededBug::ExponentStamp(_))) || cfg.codec == CodecKind::FixedPoint,
         "the exponent-stamp bug lives in the fixed-point encoder"
+    );
+    // A synthetic source's one shared store holds only honest payloads.
+    assert!(
+        !matches!(cfg.bug, Some(SeededBug::ExponentStamp(bias)) if bias != 0)
+            || matches!(cfg.fidelity, Fidelity::Cosim { .. }),
+        "the exponent bug needs a live gradient source"
     );
     if let Some(shape) = cfg.fattree {
         assert!(
@@ -505,8 +512,10 @@ fn workers_of<P: StrategyProtocol>(
 }
 
 /// The worker + server factory: the only place a run's host applications
-/// are constructed. Worker `w` seeds its jitter with `seed + w`, the
-/// server with `seed + 0xFF`.
+/// are constructed. Every worker is one [`WorkerCore`] (jitter seeded
+/// `seed + w`), its protocol's one constructor over a transport configured
+/// here, and a gradient source, joined by [`StrategyRuntime::from_parts`];
+/// the server seeds its jitter with `seed + 0xFF`.
 fn make_apps(
     cfg: &TimingConfig,
     worker_ips: &[IpAddr],
@@ -515,9 +524,6 @@ fn make_apps(
 ) -> Apps {
     let paper = paper_model(cfg.algorithm);
     let model = cfg.compute_model();
-    let comm = &cfg.comm;
-    let total_iters = cfg.warmup + cfg.iterations;
-    let seed = |w: usize| cfg.seed.wrapping_add(w as u64);
     let bytes = paper.bytes() as u64;
     // Timing fidelity pushes the paper-sized model, one collective per
     // constituent network (DDPG's dual model aggregates actor and critic
@@ -536,122 +542,99 @@ fn make_apps(
             None => Box::new(synthetic.clone()),
         }
     };
+    let core = |w: usize, pacing| {
+        let seed = cfg.seed.wrapping_add(w as u64);
+        WorkerCore::new(model.clone(), cfg.comm.clone(), msgs, seed, pacing)
+    };
+    let sync = Pacing::Sync {
+        iterations: cfg.warmup + cfg.iterations,
+    };
     let n = cfg.workers;
     let server_seed = cfg.seed.wrapping_add(0xFF);
     let mut server: Option<Box<dyn HostApp>> = None;
     let (workers, view) = match cfg.strategy {
         Strategy::SyncPs => {
             let workers = workers_of(n, |w| {
-                SyncPsWorker::new(
-                    server_ip,
-                    bytes,
-                    msgs,
-                    total_iters,
-                    model.clone(),
-                    comm.clone(),
-                    seed(w),
-                )
-                .with_transport(cfg.make_transport())
+                let proto = PsSyncProto::new(server_ip, bytes, cfg.make_transport());
+                StrategyRuntime::from_parts(core(w, sync), proto, Box::new(synthetic.clone()))
             });
             server = Some(Box::new(SyncPsServer::new(
                 worker_ips.to_vec(),
                 bytes,
                 msgs,
-                model,
-                comm.clone(),
+                model.clone(),
+                cfg.comm.clone(),
                 server_seed,
             )));
             workers
         }
         Strategy::SyncAr => workers_of(n, |w| {
-            RingWorker::new(
-                w,
-                n,
-                worker_ips[(w + 1) % n],
-                bytes,
-                msgs,
-                total_iters,
-                model.clone(),
-                comm.clone(),
-                seed(w),
-            )
-            .with_transport(cfg.make_transport())
+            let next = worker_ips[(w + 1) % n];
+            let proto = RingProto::new(n, next, bytes, cfg.make_transport());
+            StrategyRuntime::from_parts(core(w, sync), proto, Box::new(synthetic.clone()))
         }),
         Strategy::SyncIsw => {
             // Loss recovery: retry somewhat after a full round would
             // normally complete (serialization up + broadcast down + jitter
             // headroom). Round tags make premature retries harmless and the
             // worker caps each retry's Help batch, so the timeout only
-            // trades recovery latency.
-            let help_timeout = SimDuration::serialization(
-                codec_wire_bytes(cfg.codec, len),
-                cfg.topo.edge.bandwidth_bps,
-            ) * 3
-                + SimDuration::from_millis(3);
+            // trades recovery latency. The seeded retransmit bug retries
+            // aggressively instead, so its retransmissions land before the
+            // stale sweep can paper over them: the double count must reach
+            // an aggregate.
+            let recovery_timeout = match cfg.bug {
+                Some(SeededBug::NaiveRetransmit) => Some(SimDuration::from_micros(500)),
+                _ => cfg.lossy().then(|| {
+                    SimDuration::serialization(
+                        codec_wire_bytes(cfg.codec, len),
+                        cfg.topo.edge.bandwidth_bps,
+                    ) * 3
+                        + SimDuration::from_millis(3)
+                }),
+            };
+            let exp_bias = match cfg.bug {
+                Some(SeededBug::ExponentStamp(bias)) => bias,
+                _ => 0,
+            };
             workers_of(n, |w| {
-                let mut worker = IswSyncWorker::with_source(
-                    source(),
-                    msgs,
-                    total_iters,
-                    model.clone(),
-                    comm.clone(),
-                    seed(w),
-                )
-                .with_codec(cfg.codec)
-                .with_transport(cfg.make_transport());
-                if cfg.lossy() {
-                    worker.set_help_timeout(help_timeout);
+                let mut transport = cfg.make_transport();
+                if let Some(timeout) = recovery_timeout {
+                    transport.set_recovery_timeout(timeout);
                 }
-                match cfg.bug {
-                    Some(SeededBug::NaiveRetransmit) => {
-                        // Retries aggressively, so its retransmissions land
-                        // before the stale sweep can paper over them: the
-                        // double count must reach an aggregate.
-                        worker.set_help_timeout(SimDuration::from_micros(500));
-                        worker.seed_naive_retransmit();
-                    }
-                    Some(SeededBug::ExponentStamp(bias)) => worker.seed_exponent_bug(bias),
-                    Some(SeededBug::SlotLeak) | None => {}
+                if cfg.bug == Some(SeededBug::NaiveRetransmit) {
+                    transport.seed_protocol_bug();
                 }
-                worker
+                let source = source();
+                let proto = IswSyncProto::new(&*source, cfg.codec, exp_bias, transport);
+                StrategyRuntime::from_parts(core(w, sync), proto, source)
             })
         }
         Strategy::AsyncPs => {
             let workers = workers_of(n, |w| {
-                AsyncPsWorker::new(
-                    server_ip,
-                    bytes,
-                    msgs,
-                    model.clone(),
-                    comm.clone(),
-                    seed(w),
-                    None,
-                )
-                .with_transport(cfg.make_transport())
+                let proto = PsAsyncProto::new(server_ip, bytes, cfg.make_transport());
+                let core = core(w, Pacing::Driven);
+                StrategyRuntime::from_parts(core, proto, Box::new(synthetic.clone()))
             });
             server = Some(Box::new(AsyncPsServer::new(
                 bytes,
                 msgs,
-                model,
-                comm.clone(),
+                model.clone(),
+                cfg.comm.clone(),
                 cfg.staleness_bound,
                 server_seed,
             )));
             workers
         }
-        Strategy::AsyncIsw => workers_of(n, |w| {
-            IswAsyncWorker::with_source(
-                source(),
-                msgs,
-                model.clone(),
-                comm.clone(),
-                cfg.staleness_bound,
-                seed(w),
-                None,
-            )
-            .with_codec(cfg.codec)
-            .with_transport(cfg.make_transport())
-        }),
+        Strategy::AsyncIsw => {
+            let pipelined = Pacing::Pipelined {
+                staleness_bound: cfg.staleness_bound,
+            };
+            workers_of(n, |w| {
+                let source = source();
+                let proto = IswAsyncProto::new(&*source, cfg.codec, cfg.make_transport());
+                StrategyRuntime::from_parts(core(w, pipelined), proto, source)
+            })
+        }
     };
     let in_switch = matches!(cfg.strategy, Strategy::SyncIsw | Strategy::AsyncIsw);
     Apps {
@@ -1223,6 +1206,14 @@ mod tests {
     fn validate_refuses_a_threshold_override_off_the_star() {
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::AsyncIsw);
         (cfg.workers_per_rack, cfg.threshold_override) = (Some(2), Some(2));
+        validate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a live gradient source")]
+    fn validate_refuses_the_exponent_bug_on_a_synthetic_source() {
+        let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
+        (cfg.codec, cfg.bug) = (CodecKind::FixedPoint, Some(SeededBug::ExponentStamp(3)));
         validate(&cfg);
     }
 

@@ -8,9 +8,9 @@
 use std::sync::Arc;
 
 use iswitch_cluster::analyze::TraceAnalysis;
-use iswitch_cluster::apps::IswSyncWorker;
-use iswitch_cluster::{CommCosts, ComputeModel};
-use iswitch_core::{ExtensionConfig, IswitchExtension};
+use iswitch_cluster::apps::{IswSyncProto, Pacing, StrategyRuntime, WorkerCore};
+use iswitch_cluster::{CommCosts, ComputeModel, GoBackRetransmit, SyntheticGradients};
+use iswitch_core::{CodecKind, ExtensionConfig, IswitchExtension};
 use iswitch_netsim::{
     build_star, FaultAction, HostApp, PortId, SimDuration, SimTime, Simulator, TopologyConfig,
 };
@@ -31,14 +31,14 @@ fn run_and_analyze(models: [ComputeModel; 2], bottleneck_worker: Option<usize>) 
         .into_iter()
         .enumerate()
         .map(|(w, model)| {
-            Box::new(IswSyncWorker::new(
-                GRAD_LEN,
-                1,
-                ITERATIONS,
-                model,
-                CommCosts::default(),
-                0xA11 + w as u64,
-            )) as Box<dyn HostApp>
+            let pacing = Pacing::Sync {
+                iterations: ITERATIONS,
+            };
+            let core = WorkerCore::new(model, CommCosts::default(), 1, 0xA11 + w as u64, pacing);
+            let source = SyntheticGradients::new(GRAD_LEN);
+            let transport = Box::new(GoBackRetransmit::new());
+            let proto = IswSyncProto::new(&source, CodecKind::F32, 0, transport);
+            Box::new(StrategyRuntime::from_parts(core, proto, Box::new(source))) as Box<dyn HostApp>
         })
         .collect();
     let ext = IswitchExtension::new(ExtensionConfig::for_star(

@@ -13,9 +13,8 @@ use iswitch_core::{
     FAULT_RESET_TOKEN, TOS_DATA,
 };
 use iswitch_netsim::{
-    build_star, build_tree, build_tree3, host_ip, FaultAction, FaultPlan, HostApp, HostCtx, IpAddr,
-    LinkSpec, LossModel, Packet, PortId, SimDuration, SimTime, Simulator, Switch, SwitchRole,
-    TopologyConfig,
+    build_star, build_tree, build_tree3, host_ip, FaultAction, HostApp, HostCtx, IpAddr, LinkSpec,
+    LossModel, Packet, PortId, SimDuration, SimTime, Simulator, Switch, SwitchRole, TopologyConfig,
 };
 
 /// A scripted worker: joins (optionally), pushes one gradient vector after
@@ -322,10 +321,8 @@ fn help_inside_a_tree_is_served_the_global_result() {
     });
     // Worker 0's edge link carries its contribution (packet 0), then the
     // result (packet 1).
-    let mut plan = FaultPlan::new();
     let (link, loss) = (tree.host_links[0][0], LossModel::Exact { drops: vec![1] });
-    plan.push(SimTime::ZERO, FaultAction::SetLinkLoss { link, loss });
-    sim.install_fault_plan(&plan);
+    sim.schedule_fault(SimTime::ZERO, FaultAction::SetLinkLoss { link, loss });
     sim.run_until_idle();
 
     let worker = sim
@@ -588,9 +585,9 @@ fn stale_partial_rounds_expire_and_broadcast() {
 }
 
 #[test]
-fn fault_plan_exact_drop_is_recovered_by_partial_flush() {
+fn scheduled_exact_drop_is_recovered_by_partial_flush() {
     // Same loss scenario as `stale_partial_rounds_expire_and_broadcast`,
-    // but injected through a FaultPlan against a stock `build_star`
+    // but injected through a scheduled fault against a stock `build_star`
     // topology: at t=0 worker 0's edge link gets an Exact loss model that
     // drops its second data packet (link sequence number 1). The stale
     // sweep flushes the stuck segment and every worker still completes
@@ -614,15 +611,13 @@ fn fault_plan_exact_drop_is_recovered_by_partial_flush() {
         Some(Box::new(ext)),
         &TopologyConfig::default(),
     );
-    let mut plan = FaultPlan::new();
-    plan.push(
+    sim.schedule_fault(
         SimTime::ZERO,
         FaultAction::SetLinkLoss {
             link: star.host_links[0],
             loss: LossModel::Exact { drops: vec![1] },
         },
     );
-    sim.install_fault_plan(&plan);
     sim.run_until_idle();
 
     for &h in &star.hosts {
@@ -653,7 +648,7 @@ fn fault_plan_exact_drop_is_recovered_by_partial_flush() {
 
 #[test]
 fn injected_switch_restart_is_recovered_by_retransmission() {
-    // A FaultPlan fires the reserved fault-reset timer on the switch after
+    // A scheduled fault fires the reserved fault-reset timer on the switch after
     // two of three contributions arrived: the accelerator loses all
     // volatile state (partial sums, counters, kept results). The two wiped
     // workers re-push on timeout and the round completes with the full
@@ -688,15 +683,13 @@ fn injected_switch_restart_is_recovered_by_retransmission() {
         Some(Box::new(ext)),
         &TopologyConfig::default(),
     );
-    let mut plan = FaultPlan::new();
-    plan.push(
+    sim.schedule_fault(
         SimTime::from_nanos(50_000),
         FaultAction::InjectTimer {
             node: star.switch,
             token: FAULT_RESET_TOKEN,
         },
     );
-    sim.install_fault_plan(&plan);
     sim.run_until_idle();
 
     let expect = expected_mean(n, len);
@@ -1082,13 +1075,11 @@ fn a_reset_forgets_held_and_scheduled_emissions() {
             &TopologyConfig::default(),
         );
         if by_fault {
-            let mut plan = FaultPlan::new();
             for at in resets {
                 let (node, token) = (star.switch, FAULT_RESET_TOKEN);
                 let restart = FaultAction::InjectTimer { node, token };
-                plan.push(SimTime::from_nanos(at * 1_000), restart);
+                sim.schedule_fault(SimTime::from_nanos(at * 1_000), restart);
             }
-            sim.install_fault_plan(&plan);
         }
         sim.run_until_idle();
         let host = sim.device::<iswitch_netsim::Host>(star.hosts[0]);

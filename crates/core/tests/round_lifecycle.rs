@@ -22,8 +22,8 @@ use iswitch_core::{
     WireAcc, FAULT_RESET_TOKEN, HOST_PATH_LATENCY_FACTOR, RESULT_DEPTH, UPSTREAM_IP,
 };
 use iswitch_netsim::{
-    host_ip, FaultAction, FaultPlan, Host, LinkSpec, NodeOpts, PortId, RouteTable, SimDuration,
-    SimTime, Simulator, Switch,
+    host_ip, FaultAction, Host, LinkSpec, NodeOpts, PortId, RouteTable, SimDuration, SimTime,
+    Simulator, Switch,
 };
 
 mod common;
@@ -316,11 +316,10 @@ fn check(kind: CodecKind, host_fallback: bool, stale: bool, actions: &[(u64, Act
         cfg = cfg.with_stale_flush(SimDuration::from_nanos(2 * HALF_AGE));
     }
 
-    // The script: what the puppet sends and when; restarts go in a fault
-    // plan, timed to land when a packet sent on the grid would.
+    // The script: what the puppet sends and when; restarts are scheduled
+    // faults, timed to land when a packet sent on the grid would.
     let mut script = Vec::new();
     let mut payloads = Vec::new();
-    let mut plan = FaultPlan::new();
     let mut sent_at = 0;
     for (i, &(gap, action)) in actions.iter().enumerate() {
         sent_at += gap * GRID;
@@ -373,10 +372,9 @@ fn check(kind: CodecKind, host_fallback: bool, stale: bool, actions: &[(u64, Act
         if let Action::Restart = action {
             let (node, token) = (switch, FAULT_RESET_TOKEN);
             let restart = FaultAction::InjectTimer { node, token };
-            plan.push(SimTime::from_nanos(at + WIRE), restart);
+            sim.schedule_fault(SimTime::from_nanos(at + WIRE), restart);
         }
     }
-    sim.install_fault_plan(&plan);
 
     let mut model = Model {
         kind,

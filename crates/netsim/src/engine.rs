@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use iswitch_obs::{JsonValue, Registry, Timeseries, Trace, TraceEvent};
 
-use crate::fault::{FaultAction, FaultPlan};
+use crate::fault::FaultAction;
 use crate::ids::{LinkId, NodeId, PortId, TimerId};
 use crate::int_map::IntSet;
 use crate::link::{Link, LinkDir, LinkEnd, LinkSpec, LossModel};
@@ -818,18 +818,6 @@ impl Simulator {
         self.core.schedule(at, EventKind::Fault { action });
     }
 
-    /// Schedules every event of a [`FaultPlan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event targets a link or node that does not exist —
-    /// install plans after the topology is built.
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        for ev in &plan.events {
-            self.schedule_fault(ev.at, ev.action.clone());
-        }
-    }
-
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
@@ -1411,19 +1399,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_install_and_replay_deterministically() {
+    fn scheduled_faults_replay_deterministically() {
         let run = || {
             let (mut sim, link, sink) = drip_sim(10, SimDuration::from_micros(10));
-            let mut plan = crate::fault::FaultPlan::new();
-            plan.push(
+            sim.schedule_fault(
                 SimTime::from_nanos(25_000),
                 crate::fault::FaultAction::LinkDown { link },
             );
-            plan.push(
+            sim.schedule_fault(
                 SimTime::from_nanos(65_000),
                 crate::fault::FaultAction::LinkUp { link },
             );
-            sim.install_fault_plan(&plan);
             sim.run_until_idle();
             (sim.device::<Sink>(sink).got, sim.metrics_json().render())
         };
@@ -1433,7 +1419,7 @@ mod tests {
         assert_eq!(got_a, got_b);
         assert_eq!(
             metrics_a, metrics_b,
-            "same plan must replay byte-identically"
+            "same schedule must replay byte-identically"
         );
     }
 

@@ -1,12 +1,12 @@
 //! Deterministic fault injection: timed schedules of link and node events
 //! executed by the event engine.
 //!
-//! A [`FaultPlan`] is a list of `(time, action)` pairs installed on a
-//! [`Simulator`](crate::Simulator) before (or during) a run via
-//! [`Simulator::install_fault_plan`](crate::Simulator::install_fault_plan).
-//! Each action becomes an ordinary scheduled event, so faults interleave
-//! with packet deliveries and timers through the same `(time, sequence)`
-//! total order — two runs with the same plan and seeds are byte-identical.
+//! A [`FaultAction`] is scheduled on a [`Simulator`](crate::Simulator)
+//! before (or during) a run via
+//! [`Simulator::schedule_fault`](crate::Simulator::schedule_fault). Each
+//! action becomes an ordinary scheduled event, so faults interleave with
+//! packet deliveries and timers through the same `(time, sequence)` total
+//! order — two runs with the same schedule and seeds are byte-identical.
 //!
 //! Actions cover the failure modes of the paper's §3.3 control plane
 //! discussion: link failures ([`FaultAction::LinkDown`]/[`FaultAction::LinkUp`],
@@ -18,9 +18,33 @@
 
 use crate::ids::{LinkId, NodeId};
 use crate::link::LossModel;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// One fault to apply to the simulation.
+///
+/// # Examples
+///
+/// ```
+/// use iswitch_netsim::{
+///     build_star, FaultAction, HostApp, HostCtx, Packet, SimTime, Simulator, TopologyConfig,
+/// };
+///
+/// struct Quiet;
+/// impl HostApp for Quiet {
+///     fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, _pkt: Packet) {}
+///     fn as_any(&self) -> &dyn std::any::Any { self }
+///     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
+/// }
+///
+/// let mut sim = Simulator::new();
+/// let star = build_star(&mut sim, vec![Box::new(Quiet)], None, &TopologyConfig::default());
+/// // Host 0's access link fails at 1 ms and is back at 2 ms.
+/// let link = star.host_links[0];
+/// sim.schedule_fault(SimTime::from_nanos(1_000_000), FaultAction::LinkDown { link });
+/// sim.schedule_fault(SimTime::from_nanos(2_000_000), FaultAction::LinkUp { link });
+/// sim.run_until_idle();
+/// assert_eq!(sim.stats().faults_applied, 2);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
     /// Takes a link down: every packet handed to either direction is
@@ -90,88 +114,15 @@ impl FaultAction {
     }
 }
 
-/// One timed fault in a [`FaultPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEvent {
-    /// Absolute simulation time at which to apply the action.
-    pub at: SimTime,
-    /// The action to apply.
-    pub action: FaultAction,
-}
-
-/// A schedule of timed faults.
-///
-/// # Examples
-///
-/// ```
-/// use iswitch_netsim::{
-///     build_star, FaultAction, FaultPlan, HostApp, HostCtx, Packet, SimTime, Simulator,
-///     TopologyConfig,
-/// };
-///
-/// struct Quiet;
-/// impl HostApp for Quiet {
-///     fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, _pkt: Packet) {}
-///     fn as_any(&self) -> &dyn std::any::Any { self }
-///     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-/// }
-///
-/// let mut sim = Simulator::new();
-/// let star = build_star(&mut sim, vec![Box::new(Quiet)], None, &TopologyConfig::default());
-/// // Host 0's access link fails at 1 ms and is back at 2 ms.
-/// let link = star.host_links[0];
-/// let mut plan = FaultPlan::new();
-/// plan.push(SimTime::from_nanos(1_000_000), FaultAction::LinkDown { link });
-/// plan.push(SimTime::from_nanos(2_000_000), FaultAction::LinkUp { link });
-/// sim.install_fault_plan(&plan);
-/// sim.run_until_idle();
-/// assert_eq!(sim.stats().faults_applied, 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    /// The scheduled faults, in no particular order (the engine orders by
-    /// time, then by position in this list).
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Appends a fault at `at`.
-    pub fn push(&mut self, at: SimTime, action: FaultAction) {
-        self.events.push(FaultEvent { at, action });
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan has no faults.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_plan() -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        plan.push(
-            SimTime::from_nanos(1_000),
+    #[test]
+    fn accessors_expose_targets() {
+        let actions = [
             FaultAction::LinkDown { link: LinkId(3) },
-        );
-        plan.push(
-            SimTime::from_nanos(2_000),
             FaultAction::LinkUp { link: LinkId(3) },
-        );
-        plan.push(
-            SimTime::from_nanos(3_000),
             FaultAction::SetLinkLoss {
                 link: LinkId(0),
                 loss: LossModel::Random {
@@ -179,43 +130,25 @@ mod tests {
                     seed: 7,
                 },
             },
-        );
-        plan.push(
-            SimTime::from_nanos(3_500),
             FaultAction::SetLinkLoss {
                 link: LinkId(1),
                 loss: LossModel::Exact {
                     drops: vec![4, 9, 12],
                 },
             },
-        );
-        plan.push(
-            SimTime::from_nanos(4_000),
             FaultAction::DelaySpike {
                 link: LinkId(2),
                 extra: SimDuration::from_micros(50),
             },
-        );
-        plan.push(
-            SimTime::from_nanos(5_000),
             FaultAction::ClearDelaySpike { link: LinkId(2) },
-        );
-        plan.push(
-            SimTime::from_nanos(6_000),
             FaultAction::InjectTimer {
                 node: NodeId(1),
                 token: u64::MAX - 1,
             },
-        );
-        plan
-    }
-
-    #[test]
-    fn accessors_expose_targets() {
-        let plan = sample_plan();
-        assert_eq!(plan.events[0].action.link(), Some(LinkId(3)));
-        assert_eq!(plan.events[0].action.node(), None);
-        assert_eq!(plan.events[6].action.node(), Some(NodeId(1)));
-        assert_eq!(plan.events[6].action.link(), None);
+        ];
+        assert_eq!(actions[0].link(), Some(LinkId(3)));
+        assert_eq!(actions[0].node(), None);
+        assert_eq!(actions[6].node(), Some(NodeId(1)));
+        assert_eq!(actions[6].link(), None);
     }
 }

@@ -67,7 +67,7 @@ mod topology;
 mod wheel;
 
 pub use engine::{Context, Device, NodeOpts, Simulator};
-pub use fault::{FaultAction, FaultEvent, FaultPlan};
+pub use fault::FaultAction;
 pub use host::{Host, HostApp, HostCtx};
 pub use ids::{LinkId, NodeId, PortId, TimerId};
 pub use int_map::{IntHasher, IntMap, IntSet};

@@ -4,11 +4,11 @@
 //! edge cases (saturation, tiny exponents, all-zero blocks, non-finite
 //! inputs) must behave by design rather than by accident.
 
-use iswitch_core::{
+use iswitch::core::{
     num_segments, topk_indices, Accelerator, AcceleratorConfig, AggregationCodec, CodecKind,
     DataSegment, EncodedGradient, SegmentMeta, FIXED_POINT, FLOATS_PER_SEGMENT, TOPK_DIVISOR,
 };
-use iswitch_netsim::IpAddr;
+use iswitch::netsim::IpAddr;
 
 /// Deterministic xorshift values in `[-scale, scale]` — random tensors
 /// without dragging an RNG crate into the core's dev-deps.
