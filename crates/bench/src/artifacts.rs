@@ -9,14 +9,15 @@ use iswitch_cluster::experiments::{
 };
 use iswitch_cluster::report::{fmt_bytes, fmt_secs, fmt_speedup, render_ascii_chart, render_table};
 use iswitch_cluster::{
-    run_chaos, run_cosim, AggregationMode, Fidelity, Strategy, TimingConfig, TimingResult,
+    mean_gradient_step, run_chaos, run_cosim, AggregationMode, Fidelity, Strategy, TimingConfig,
+    TimingResult,
 };
 use iswitch_core::{
     decode_data_meta, Accelerator, AcceleratorConfig, CodecKind, DataSegment, EncodedGradient,
 };
 use iswitch_netsim::{IpAddr, LinkSpec, SimDuration};
 use iswitch_obs::JsonValue;
-use iswitch_rl::{make_lite_agent_scaled, paper_model, Algorithm};
+use iswitch_rl::{paper_model, Algorithm};
 
 use crate::paper;
 
@@ -940,22 +941,7 @@ fn fidelity_check(algorithm: Algorithm) -> FidelityCheck {
         target_reward: None,
     };
     let cosim = run_cosim(&cfg);
-
-    let mut agents: Vec<_> = (0..cfg.workers)
-        .map(|w| make_lite_agent_scaled(algorithm, cfg.seed.wrapping_add(w as u64), 1.0))
-        .collect();
-    let mut params = agents[0].params();
-    for a in agents.iter_mut().skip(1) {
-        a.set_params(&params);
-    }
-    let grads: Vec<Vec<f32>> = agents.iter_mut().map(|a| a.compute_gradient()).collect();
-    let n = grads.len() as f32;
-    let mean: Vec<f32> = (0..params.len())
-        .map(|i| grads.iter().map(|g| g[i]).sum::<f32>() / n)
-        .collect();
-    let mut opt = agents[0].make_optimizer();
-    opt.step(&mut params, &mean);
-
+    let (_, params) = mean_gradient_step(&cfg);
     assert_eq!(cosim.params.len(), params.len());
     let max_abs_diff = cosim
         .params

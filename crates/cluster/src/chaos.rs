@@ -42,19 +42,17 @@
 //! pipeline, which has no retransmission path) get latency spikes, which
 //! every protocol must absorb.
 
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use iswitch_core::{CodecKind, EncodedGradient};
-use iswitch_netsim::{FaultAction, IpAddr, LinkId, LossModel, SimDuration, SimTime};
+use iswitch_core::CodecKind;
+use iswitch_netsim::{FaultAction, LinkId, LossModel, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
 use iswitch_rl::Algorithm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::gradient_source::{live_sources, AgentGradients, GradientSource};
-use crate::lifecycle::{build, validate, Capture, Job};
+use crate::lifecycle::{build, Capture, Job};
 use crate::tenancy::{run_multi_tenant, MultiJobConfig, TenantRun, TenantSpec};
 use crate::timing_runner::{Fidelity, Strategy, TimingConfig};
 
@@ -490,107 +488,6 @@ impl ChaosReport {
     }
 }
 
-/// Wraps a co-sim gradient source, recording every gradient the worker
-/// computed and every aggregate it applied — the evidence the conservation
-/// invariant is checked against.
-struct RecordingSource {
-    inner: AgentGradients,
-    /// `computed[i]` is the gradient of iteration `i`.
-    computed: Vec<Vec<f32>>,
-    /// `applied[r]` is the aggregate applied for round `r`.
-    applied: Vec<Vec<f32>>,
-}
-
-impl RecordingSource {
-    fn new(inner: AgentGradients) -> Self {
-        RecordingSource {
-            inner,
-            computed: Vec::new(),
-            applied: Vec::new(),
-        }
-    }
-}
-
-impl GradientSource for RecordingSource {
-    fn grad_len(&self) -> usize {
-        self.inner.grad_len()
-    }
-
-    fn wants_values(&self) -> bool {
-        self.inner.wants_values()
-    }
-
-    fn compute(&mut self) {
-        self.inner.compute();
-        self.computed.push(self.inner.gradient().to_vec());
-    }
-
-    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient {
-        self.inner.encoded(src, codec, exp_bias)
-    }
-
-    fn apply_aggregate(&mut self, mean: &[f32]) {
-        self.applied.push(mean.to_vec());
-        self.inner.apply_aggregate(mean);
-    }
-
-    fn params(&self) -> &[f32] {
-        self.inner.params()
-    }
-
-    fn updates_applied(&self) -> u64 {
-        self.inner.updates_applied()
-    }
-
-    fn reward_curve(&self) -> &[(u64, f32)] {
-        self.inner.reward_curve()
-    }
-
-    fn final_average_reward(&self) -> Option<f32> {
-        self.inner.final_average_reward()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Does `applied` equal the mean of some non-empty subset of `candidates`
-/// (each counted at most once)? Sums are f32 like the accelerator's.
-/// `codec_tol` widens the base tolerance by the codec's quantization
-/// error bound (zero for f32), so I1 stays exact where the wire is exact.
-fn matches_some_subset(applied: &[f32], candidates: &[&[f32]], codec_tol: f32) -> bool {
-    let n = candidates.len();
-    debug_assert!(n <= 16, "subset enumeration is exponential");
-    'mask: for mask in 1u32..(1u32 << n) {
-        let k = mask.count_ones() as f32;
-        for (i, &a) in applied.iter().enumerate() {
-            let mut sum = 0.0f32;
-            for (j, g) in candidates.iter().enumerate() {
-                if mask & (1 << j) != 0 {
-                    sum += g[i];
-                }
-            }
-            let mean = sum / k;
-            if (a - mean).abs() > 1e-3 + 1e-3 * mean.abs() + codec_tol {
-                continue 'mask;
-            }
-        }
-        return true;
-    }
-    false
-}
-
-/// The I1 tolerance slack for one segment's candidate set: the codec's
-/// worst-case decoded-aggregate error given the segment's value range.
-fn codec_tolerance(codec: CodecKind, seg_cands: &[&[f32]]) -> f32 {
-    let max_abs = seg_cands
-        .iter()
-        .flat_map(|c| c.iter())
-        .fold(0.0f32, |m, &v| m.max(v.abs()));
-    codec.codec().error_bound(max_abs, seg_cands.len())
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -660,14 +557,12 @@ fn check_barrier(completed: &[usize], iterations: usize, violations: &mut Vec<St
 /// configurations [`crate::run_timing`] rejects, and on schedules naming
 /// workers outside the cluster.
 pub fn run_chaos(cfg: &TimingConfig) -> ChaosReport {
-    validate(cfg);
     let faults = (cfg.faults.as_ref()).expect("a chaos run injects a fault schedule");
-    let schedule = faults.schedule(cfg.strategy, cfg.workers);
     let sync_isw = cfg.strategy == Strategy::SyncIsw;
     // Which invariants apply, in one place: I2 to the sync strategies, I3
     // to the async ones, and the value checks to the iSwitch strategies'
-    // live replicas, which record what they computed and applied — I1 and
-    // I4 per round for sync iSW, I4 as "some aggregate" for async iSW.
+    // live replicas — I1 and I4 per round for sync iSW, read from the
+    // job's live-run record, and I4 as "some aggregate" for async iSW.
     let live = matches!(cfg.fidelity, Fidelity::Cosim { .. });
     let value_checked = live && sync_isw;
     assert!(
@@ -676,13 +571,13 @@ pub fn run_chaos(cfg: &TimingConfig) -> ChaosReport {
          invariant's subset-mean statement does not apply; chaos-check \
          the dense codecs"
     );
-    let sources = live_sources(cfg, |agent| Box::new(RecordingSource::new(agent)));
     let trace = live.then(|| Arc::new(Trace::bounded(CHAOS_TRACE_EVENTS)));
     let capture = Capture {
         trace: trace.clone(),
         ..Capture::default()
     };
-    let mut job = build(cfg, sources, 0, capture);
+    let mut job = build(cfg, 0, capture);
+    let schedule = faults.schedule(cfg.strategy, cfg.workers);
 
     // Stop rules: sync iSW waits for its slowest worker, so the barrier is
     // checked at quiescence; async iSW for its probe, worker 0; PS, AR and
@@ -727,62 +622,22 @@ pub fn run_chaos(cfg: &TimingConfig) -> ChaosReport {
             .sum();
     }
     if value_checked {
-        // Pull each worker's recorded evidence out of the simulator.
-        let records: Vec<&RecordingSource> = (0..cfg.workers)
-            .map(|w| {
-                (job.worker(w)
-                    .source()
-                    .as_any()
-                    .downcast_ref::<RecordingSource>())
-                .expect("live chaos workers record")
-            })
-            .collect();
+        let mut record = job.record().expect("a live sync iSW job keeps a record");
         // I4: one aggregate applied per completed iteration.
-        for (w, rec) in records.iter().enumerate() {
-            if rec.applied.len() != completed[w] {
+        for (w, &c) in completed.iter().enumerate() {
+            let applied = record.applies(w);
+            rounds_checked += applied;
+            if applied != c {
                 violations.push(format!(
-                    "I4 updates: worker {w} applied {} aggregates over {} iterations",
-                    rec.applied.len(),
-                    completed[w]
+                    "I4 updates: worker {w} applied {applied} aggregates over {c} iterations"
                 ));
             }
         }
-        // I1: conservation — every segment of each applied aggregate
-        // is the mean of a non-empty subset of that round's gradients
-        // over that segment (the accelerator aggregates and flushes at
-        // segment granularity).
-        for (w, rec) in records.iter().enumerate() {
-            for (r, agg) in rec.applied.iter().enumerate() {
-                let candidates: Vec<&[f32]> = (records.iter())
-                    .filter(|c| c.computed.len() > r)
-                    .map(|c| c.computed[r].as_slice())
-                    .collect();
-                rounds_checked += 1;
-                if candidates.is_empty() {
-                    violations.push(format!(
-                        "I1 conservation: worker {w} round {r} applied an aggregate \
-                         no worker computed a gradient for"
-                    ));
-                    offending_rounds.insert(r as u64);
-                    continue;
-                }
-                let seg_elems = cfg.codec.elems_per_segment();
-                for (s, chunk) in agg.chunks(seg_elems).enumerate() {
-                    let lo = s * seg_elems;
-                    let seg_cands: Vec<&[f32]> = candidates
-                        .iter()
-                        .map(|c| &c[lo..lo + chunk.len()])
-                        .collect();
-                    let tol = codec_tolerance(cfg.codec, &seg_cands);
-                    if !matches_some_subset(chunk, &seg_cands, tol) {
-                        violations.push(format!(
-                            "I1 conservation: worker {w} round {r} segment {s} applied \
-                             an aggregate matching no subset of that round's gradients"
-                        ));
-                        offending_rounds.insert(r as u64);
-                    }
-                }
-            }
+        // I1: conservation, checked by the record as the rounds closed,
+        // and now for the rounds that never did.
+        for (r, line) in record.close() {
+            violations.push(line);
+            offending_rounds.insert(r as u64);
         }
     }
     if cfg.strategy.is_async() {
@@ -993,6 +848,7 @@ pub fn run_chaos_isolation(cfg: &MultiJobConfig) -> IsolationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iswitch_netsim::FattreeShape;
 
     #[test]
     fn schedule_json_round_trips() {
@@ -1040,21 +896,41 @@ mod tests {
     }
 
     #[test]
-    fn subset_matching_accepts_partials_and_rejects_duplicates() {
-        let g0 = vec![1.0f32, 2.0];
-        let g1 = vec![3.0f32, 4.0];
-        let g2 = vec![5.0f32, 6.0];
-        let cands: Vec<&[f32]> = vec![&g0, &g1, &g2];
-        // Full mean.
-        assert!(matches_some_subset(&[3.0, 4.0], &cands, 0.0));
-        // Partial flush {g1, g2}.
-        assert!(matches_some_subset(&[4.0, 5.0], &cands, 0.0));
-        // Double-counted g0: (2*g0 + g1)/3.
-        assert!(!matches_some_subset(&[5.0 / 3.0, 8.0 / 3.0], &cands, 0.0));
-        // A codec tolerance admits quantization-sized error but not the
-        // double-count.
-        assert!(matches_some_subset(&[3.1, 4.1], &cands, 0.2));
-        assert!(!matches_some_subset(&[5.0 / 3.0, 8.0 / 3.0], &cands, 0.2));
+    fn a_stalled_run_checks_the_rounds_it_never_finished() {
+        // Seeds 1 and 23 stall sync iSW on the tree and on the fat-tree: a
+        // worker falls behind for good, so the rounds the others finish
+        // without it never close in the record. Collection checks what they
+        // applied against the workers that computed those rounds.
+        let shape = FattreeShape {
+            aggs: 2,
+            racks_per_agg: 1,
+            hosts_per_rack: 2,
+        };
+        for seed in [1, 23] {
+            let mut tree = TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, seed);
+            (tree.workers, tree.workers_per_rack) = (4, Some(2));
+            let mut fattree = TimingConfig::chaos(Algorithm::Ppo, Strategy::SyncIsw, seed);
+            (fattree.workers, fattree.fattree) = (shape.workers(), Some(shape));
+            for cfg in [tree, fattree] {
+                let report = run_chaos(&cfg);
+                let lines = &report.violations;
+                assert!(lines[0].starts_with("progress: run stalled"), "{lines:?}");
+                assert!(lines
+                    .iter()
+                    .all(|v| v.starts_with("I2") || v.starts_with("progress")));
+                let applied: usize = report.completed.iter().sum();
+                assert_eq!(report.rounds_checked, applied, "seed {seed}: {lines:?}");
+
+                // The same drive, stopped before collection.
+                let mut job = build(&cfg, 0, Capture::default());
+                let finished = |job: &Job| (0..cfg.workers).all(|w| job.progress(w) >= 10);
+                assert!(job.run_until(finished).is_err(), "seed {seed}: no stall");
+                let mut record = job.record().expect("a live sync iSW job keeps a record");
+                assert!(record.held_rounds() > 0, "seed {seed}: every round closed");
+                assert_eq!(record.close(), []);
+                assert_eq!(record.held_rounds(), 0);
+            }
+        }
     }
 
     #[test]

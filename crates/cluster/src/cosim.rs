@@ -10,14 +10,11 @@
 //! strategies are co-simulated: they are the ones whose arithmetic happens
 //! in the network.
 
-use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
-use iswitch_core::{CodecKind, EncodedGradient};
-use iswitch_netsim::{IpAddr, SimDuration};
+use iswitch_netsim::SimDuration;
+use iswitch_rl::make_lite_agent_scaled;
 
-use crate::gradient_source::{live_sources, AgentGradients, GradientSource};
 use crate::lifecycle::{build, Capture, Job};
 use crate::timing_runner::{Fidelity, Strategy, TimingConfig};
 
@@ -41,152 +38,13 @@ pub struct CosimResult {
     pub per_iteration: SimDuration,
     /// Worker 0's final weight replica.
     pub params: Vec<f32>,
-    /// Mean over rounds of the decoded aggregate's relative error against
-    /// the exact host-side mean of the same contributions (synchronous
-    /// strategy only; `None` for async, whose staleness makes the
-    /// round↔gradient pairing ambiguous).
+    /// Mean over applied aggregates of their relative error against the
+    /// exact host-side mean of the same contributions, as the job's
+    /// live-run record measured it (synchronous strategy only; `None` for
+    /// async, whose staleness makes the round↔gradient pairing ambiguous).
     pub ref_error_mean: Option<f64>,
-    /// Worst-round relative error (see [`CosimResult::ref_error_mean`]).
+    /// Worst relative error (see [`CosimResult::ref_error_mean`]).
     pub ref_error_max: Option<f64>,
-}
-
-/// Cross-worker reference state for the aggregate-error probe: per-round
-/// exact `f64` gradient sums, plus the error statistics accumulated as
-/// workers consume their rounds' broadcasts.
-struct RefErrorShared {
-    workers: usize,
-    rounds: BTreeMap<u64, RoundRef>,
-    sum_rel: f64,
-    max_rel: f64,
-    samples: u64,
-}
-
-struct RoundRef {
-    sum: Vec<f64>,
-    contributed: usize,
-    consumed: usize,
-}
-
-impl RefErrorShared {
-    fn new(workers: usize) -> Self {
-        RefErrorShared {
-            workers,
-            rounds: BTreeMap::new(),
-            sum_rel: 0.0,
-            max_rel: 0.0,
-            samples: 0,
-        }
-    }
-}
-
-/// Wraps a co-sim worker's [`AgentGradients`] and measures, per completed
-/// round, how far the decoded in-network aggregate lands from the exact
-/// mean of the contributions that went in — the codec's end-to-end
-/// gradient error. Synchronous strategy only: lock-step rounds make the
-/// `compute` count the round index on every worker.
-struct RefErrorRecorder {
-    inner: AgentGradients,
-    shared: Arc<Mutex<RefErrorShared>>,
-    computes: u64,
-    applies: u64,
-}
-
-impl RefErrorRecorder {
-    fn new(inner: AgentGradients, shared: Arc<Mutex<RefErrorShared>>) -> Self {
-        RefErrorRecorder {
-            inner,
-            shared,
-            computes: 0,
-            applies: 0,
-        }
-    }
-}
-
-impl GradientSource for RefErrorRecorder {
-    fn grad_len(&self) -> usize {
-        self.inner.grad_len()
-    }
-
-    fn wants_values(&self) -> bool {
-        true
-    }
-
-    fn compute(&mut self) {
-        self.inner.compute();
-        let round = self.computes;
-        self.computes += 1;
-        let mut s = self.shared.lock().expect("ref-error lock");
-        let len = self.inner.grad_len();
-        let entry = s.rounds.entry(round).or_insert_with(|| RoundRef {
-            sum: vec![0.0; len],
-            contributed: 0,
-            consumed: 0,
-        });
-        for (acc, &g) in entry.sum.iter_mut().zip(self.inner.gradient()) {
-            *acc += g as f64;
-        }
-        entry.contributed += 1;
-    }
-
-    fn encoded(&self, src: IpAddr, codec: CodecKind, exp_bias: i8) -> EncodedGradient {
-        self.inner.encoded(src, codec, exp_bias)
-    }
-
-    fn apply_aggregate(&mut self, mean: &[f32]) {
-        let round = self.applies;
-        self.applies += 1;
-        let mut s = self.shared.lock().expect("ref-error lock");
-        let workers = s.workers;
-        if let Some(entry) = s.rounds.get_mut(&round) {
-            // A sync round only completes once every worker contributed,
-            // so the reference mean is whole by the time anyone applies.
-            if entry.contributed == workers {
-                let n = workers as f64;
-                let mut max_abs = 0.0f64;
-                let mut max_err = 0.0f64;
-                for (&a, &r) in mean.iter().zip(&entry.sum) {
-                    let reference = r / n;
-                    max_abs = max_abs.max(reference.abs());
-                    max_err = max_err.max((a as f64 - reference).abs());
-                }
-                let rel = if max_abs > 0.0 {
-                    max_err / max_abs
-                } else {
-                    0.0
-                };
-                entry.consumed += 1;
-                let drop_round = entry.consumed == workers;
-                s.sum_rel += rel;
-                s.max_rel = s.max_rel.max(rel);
-                s.samples += 1;
-                if drop_round {
-                    s.rounds.remove(&round);
-                }
-            }
-        }
-        drop(s);
-        self.inner.apply_aggregate(mean);
-    }
-
-    fn params(&self) -> &[f32] {
-        self.inner.params()
-    }
-
-    fn updates_applied(&self) -> u64 {
-        self.inner.updates_applied()
-    }
-
-    fn reward_curve(&self) -> &[(u64, f32)] {
-        self.inner.reward_curve()
-    }
-
-    fn final_average_reward(&self) -> Option<f32> {
-        self.inner.final_average_reward()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Pooled average reward, once every worker has one to report.
@@ -204,9 +62,9 @@ fn pooled(job: &Job) -> Option<f32> {
 ///
 /// # Panics
 ///
-/// Panics on a timing-fidelity configuration, non-iSwitch strategies,
-/// degenerate worker counts, and simulations that stall short of the
-/// iteration budget.
+/// Panics on a timing-fidelity configuration, non-iSwitch strategies, the
+/// configurations [`crate::run_timing`] rejects, and simulations that stall
+/// short of the iteration budget.
 pub fn run_cosim(cfg: &TimingConfig) -> CosimResult {
     let Fidelity::Cosim { target_reward } = cfg.fidelity else {
         panic!("co-sim trains live replicas: give the run Fidelity::Cosim");
@@ -216,17 +74,7 @@ pub fn run_cosim(cfg: &TimingConfig) -> CosimResult {
         "co-sim drives gradients through the in-switch datapath; use \
          convergence mode for host-side strategies"
     );
-    assert!(cfg.workers >= 1, "need at least one worker");
-
-    // Aggregate-error probe (sync only: async staleness decouples the
-    // round a broadcast answers from the gradient last computed).
-    let ref_shared = matches!(cfg.strategy, Strategy::SyncIsw)
-        .then(|| Arc::new(Mutex::new(RefErrorShared::new(cfg.workers))));
-    let sources = live_sources(cfg, |agent| match &ref_shared {
-        Some(shared) => Box::new(RefErrorRecorder::new(agent, Arc::clone(shared))),
-        None => Box::new(agent),
-    });
-    let mut job = build(cfg, sources, 0, Capture::default());
+    let mut job = build(cfg, 0, Capture::default());
 
     // Stop policy: the reward target or the iteration budget, checked at
     // the shared 200 ms check points.
@@ -274,17 +122,9 @@ pub fn run_cosim(cfg: &TimingConfig) -> CosimResult {
     let updates = probe.source().updates_applied();
     let params = probe.source().params().to_vec();
 
-    let (ref_error_mean, ref_error_max) = match &ref_shared {
-        Some(shared) => {
-            let s = shared.lock().expect("ref-error lock");
-            if s.samples > 0 {
-                (Some(s.sum_rel / s.samples as f64), Some(s.max_rel))
-            } else {
-                (None, None)
-            }
-        }
-        None => (None, None),
-    };
+    // Only a sync job keeps a record: async staleness decouples the round
+    // a broadcast answers from the gradient last computed.
+    let ref_error = job.record().and_then(|record| record.ref_error());
 
     CosimResult {
         iterations,
@@ -294,7 +134,30 @@ pub fn run_cosim(cfg: &TimingConfig) -> CosimResult {
         curve,
         per_iteration,
         params,
-        ref_error_mean,
-        ref_error_max,
+        ref_error_mean: ref_error.map(|(mean, _)| mean),
+        ref_error_max: ref_error.map(|(_, max)| max),
     }
+}
+
+/// The single-process reference for one synchronous co-sim step of `cfg`,
+/// built without the simulator or the co-sim replicas: the same agents
+/// (worker `w` seeded `seed + w`, each set to worker 0's weights), their
+/// gradients averaged worker by worker and applied once through worker 0's
+/// optimizer. Returns worker 0's weights before that step and after it.
+pub fn mean_gradient_step(cfg: &TimingConfig) -> (Vec<f32>, Vec<f32>) {
+    let mut agents: Vec<_> = (0..cfg.workers)
+        .map(|w| make_lite_agent_scaled(cfg.algorithm, cfg.seed.wrapping_add(w as u64), 1.0))
+        .collect();
+    let mut params = agents[0].params();
+    for a in agents.iter_mut().skip(1) {
+        a.set_params(&params);
+    }
+    let grads: Vec<Vec<f32>> = agents.iter_mut().map(|a| a.compute_gradient()).collect();
+    let n = grads.len() as f32;
+    let mean: Vec<f32> = (0..params.len())
+        .map(|i| grads.iter().map(|g| g[i]).sum::<f32>() / n)
+        .collect();
+    let mut opt = agents[0].make_optimizer();
+    opt.step(&mut params, &mean);
+    (agents[0].params(), params)
 }

@@ -12,17 +12,19 @@
 //!   [`iswitch_rl::LocalReplica`] computes gradients that are packetized,
 //!   summed by the in-switch datapath on actual f32 segments, reassembled,
 //!   and applied — reward curve and per-iteration timing from one run.
+//!   Under synchronous iSwitch each one reports what it computed and
+//!   applied to its job's live-run record (`live_record`).
 //!
 //! Convergence mode needs no source: it steps the same replicas
 //! (`cluster_replicas`) directly, with no network in between.
 
-use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use iswitch_core::{CodecKind, EncodedGradient};
 use iswitch_netsim::IpAddr;
 use iswitch_rl::{make_lite_agent_scaled, Algorithm, LocalReplica};
 
+use crate::live_record::LiveRecord;
 use crate::timing_runner::{Fidelity, TimingConfig};
 
 /// Where a worker's gradient comes from and where aggregates go.
@@ -74,10 +76,6 @@ pub trait GradientSource: Send + 'static {
     fn final_average_reward(&self) -> Option<f32> {
         None
     }
-
-    /// Downcast support: harnesses that wrap a source (e.g. the chaos
-    /// recorder) recover the concrete type after a run through this.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Timing-mode source: a fixed synthetic vector of ones. Packet sizes and
@@ -130,21 +128,20 @@ impl GradientSource for SyntheticGradients {
         assert_eq!(*encoded_as, codec, "one synthetic source serves one codec");
         store.with_src(src)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Co-simulation source: a real agent replica whose gradients ride the
 /// simulated datapath and whose weights advance on reassembled aggregates.
 pub struct AgentGradients {
     replica: LocalReplica,
-    grad: Vec<f32>,
+    /// The most recently computed gradient, shared with the record.
+    grad: Arc<Vec<f32>>,
     /// The current gradient's payloads, encoded on the round's first send
     /// and shared by its resends; cleared by [`GradientSource::compute`].
     encoded: OnceLock<(CodecKind, i8, EncodedGradient)>,
     curve: Vec<(u64, f32)>,
+    /// This worker's index and its job's record, if the job keeps one.
+    record: Option<(usize, Arc<Mutex<LiveRecord>>)>,
 }
 
 impl AgentGradients {
@@ -153,15 +150,17 @@ impl AgentGradients {
         let len = replica.param_count();
         AgentGradients {
             replica,
-            grad: vec![0.0; len],
+            grad: Arc::new(vec![0.0; len]),
             encoded: OnceLock::new(),
             curve: Vec::new(),
+            record: None,
         }
     }
 
-    /// The most recently computed gradient.
-    pub fn gradient(&self) -> &[f32] {
-        &self.grad
+    /// This worker's index and its job's record, locked.
+    fn locked_record(&self) -> Option<(usize, MutexGuard<'_, LiveRecord>)> {
+        let (w, record) = self.record.as_ref()?;
+        Some((*w, record.lock().expect("live record lock")))
     }
 }
 
@@ -189,11 +188,17 @@ impl GradientSource for AgentGradients {
     }
 
     fn compute(&mut self) {
-        self.grad = self.replica.compute_gradient();
+        self.grad = Arc::new(self.replica.compute_gradient());
         self.encoded.take();
+        if let Some((w, mut record)) = self.locked_record() {
+            record.computed(w, Arc::clone(&self.grad));
+        }
     }
 
     fn apply_aggregate(&mut self, mean: &[f32]) {
+        if let Some((w, mut record)) = self.locked_record() {
+            record.applied(w, mean);
+        }
         self.replica.apply_mean(mean);
         if let Some(r) = self.replica.final_average_reward() {
             self.curve.push((self.replica.updates(), r));
@@ -215,31 +220,24 @@ impl GradientSource for AgentGradients {
     fn final_average_reward(&self) -> Option<f32> {
         self.replica.final_average_reward()
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// The live sources of a [`Fidelity::Cosim`] run, one per worker, each
-/// wrapped by `wrap` (chaos and co-sim record through it): the cluster's
-/// replicas at the lite workload's own learning rate. `None` for a
-/// timing-fidelity run.
+/// reporting to `record` if given: the cluster's replicas at the lite
+/// workload's own learning rate. `None` for a timing-fidelity run.
 pub(crate) fn live_sources(
     cfg: &TimingConfig,
-    wrap: impl FnMut(AgentGradients) -> Box<dyn GradientSource>,
-) -> Option<Vec<Box<dyn GradientSource>>> {
+    record: Option<&Arc<Mutex<LiveRecord>>>,
+) -> Option<Vec<AgentGradients>> {
     let Fidelity::Cosim { .. } = cfg.fidelity else {
         return None;
     };
     let replicas = cluster_replicas(cfg.algorithm, cfg.workers, cfg.seed, 1.0);
-    Some(
-        replicas
-            .into_iter()
-            .map(AgentGradients::new)
-            .map(wrap)
-            .collect(),
-    )
+    let source = |(w, replica)| AgentGradients {
+        record: record.map(|r| (w, Arc::clone(r))),
+        ..AgentGradients::new(replica)
+    };
+    Some(replicas.into_iter().enumerate().map(source).collect())
 }
 
 /// The replicas of one cluster (convergence, co-sim, chaos): worker `w`'s
@@ -298,7 +296,7 @@ mod tests {
         let mut s = AgentGradients::new(LocalReplica::new(make_lite_agent(Algorithm::A2c, 3)));
         let before = s.params().to_vec();
         s.compute();
-        let g = s.gradient().to_vec();
+        let g = s.grad.to_vec();
         assert_eq!(g.len(), s.grad_len());
         let (head, _) = sent(&s, 1);
         assert_eq!(head, g[..head.len()]);
@@ -309,7 +307,7 @@ mod tests {
         assert_eq!(resent.payload.as_ptr(), first.payload.as_ptr());
         s.compute();
         let (next, _) = sent(&s, 1);
-        assert_eq!(next, s.gradient()[..next.len()]);
+        assert_eq!(next, s.grad[..next.len()]);
         s.apply_aggregate(&g);
         assert_eq!(s.updates_applied(), 1);
         assert_ne!(s.params(), &before[..]);

@@ -39,6 +39,7 @@ mod cosim;
 pub mod experiments;
 mod gradient_source;
 mod lifecycle;
+mod live_record;
 pub mod report;
 mod staleness;
 mod tenancy;
@@ -54,7 +55,7 @@ pub use convergence::{
     default_max_iterations, default_target, run_convergence, AggregationSemantics,
     ConvergenceConfig, ConvergenceResult,
 };
-pub use cosim::{run_cosim, CosimResult};
+pub use cosim::{mean_gradient_step, run_cosim, CosimResult};
 pub use gradient_source::{AgentGradients, GradientSource, SyntheticGradients};
 pub use staleness::{StalenessDistribution, StalenessLedger};
 pub use tenancy::{

@@ -16,7 +16,7 @@
 //! `(domain, id)`.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use iswitch_core::{Accelerator, AggregationRole, CodecKind, ExtensionConfig, IswitchExtension};
 use iswitch_netsim::{
@@ -33,7 +33,8 @@ use crate::apps::{
     WorkerView,
 };
 use crate::chaos::SeededBug;
-use crate::gradient_source::{GradientSource, SyntheticGradients};
+use crate::gradient_source::{live_sources, GradientSource, SyntheticGradients};
+use crate::live_record::LiveRecord;
 use crate::timing_runner::{
     Breakdown, Fidelity, PerfSample, Strategy, TimingConfig, TimingObservation, TimingResult,
 };
@@ -88,7 +89,7 @@ pub(crate) fn rack_sizes(workers: usize, per_rack: usize) -> Vec<usize> {
 }
 
 /// Rejects configurations no strategy can run, by panicking.
-pub(crate) fn validate(cfg: &TimingConfig) {
+fn validate(cfg: &TimingConfig) {
     assert!(
         cfg.workers >= 2,
         "distributed training needs at least two workers"
@@ -175,6 +176,9 @@ pub(crate) struct Job {
     pub(crate) placed: Placed,
     view: ViewFn,
     capture: Capture,
+    /// What a synchronous iSwitch job's live replicas computed and applied;
+    /// `None` for every other job.
+    record: Option<Arc<Mutex<LiveRecord>>>,
     /// What the job owes: rounds per worker (synchronous, done once the
     /// queue has also drained) or updates on its update clock
     /// (asynchronous, done at the first check point that sees them).
@@ -208,6 +212,13 @@ impl Job {
     /// Post-run (or between-steps) view of worker `w`.
     pub(crate) fn worker(&self, w: usize) -> &dyn WorkerView {
         (self.view)(self.host(self.placed.workers[w]))
+    }
+
+    /// The job's live-run record, locked; `None` unless the job is
+    /// synchronous iSwitch with live replicas.
+    pub(crate) fn record(&self) -> Option<MutexGuard<'_, LiveRecord>> {
+        let record = self.record.as_deref()?;
+        Some(record.lock().expect("live record lock"))
     }
 
     /// The in-switch extension of every switch the job aggregates on,
@@ -417,20 +428,18 @@ impl Job {
     }
 }
 
-/// Builds one job: run metadata into the trace, the strategy's workers
-/// (and server) with any seeded bug, the topology with its in-switch
-/// extensions, then the tenant id (0 outside multi-tenant runs), sinks,
-/// event cap and fault schedule.
+/// Builds one job, after [`validate`] (a refused configuration panics):
+/// run metadata into the trace, the strategy's workers (and server) with
+/// any seeded bug, the topology with its in-switch extensions, then the
+/// tenant id (0 outside multi-tenant runs), sinks, event cap and fault
+/// schedule.
 ///
-/// `sources` is what a [`Fidelity::Cosim`] run's harness (chaos, co-sim)
-/// wraps around its live replicas, one per worker of an iSwitch strategy;
-/// `None` is timing fidelity (synthetic paper-sized gradients).
-pub(crate) fn build(
-    cfg: &TimingConfig,
-    sources: Option<Vec<Box<dyn GradientSource>>>,
-    tenant: u64,
-    capture: Capture,
-) -> Job {
+/// A [`Fidelity::Cosim`] run's workers get live replicas, made here; a
+/// synchronous iSwitch one also gets the job's [`LiveRecord`], which its
+/// replicas report to and [`Job::record`] reads. Timing fidelity pushes
+/// synthetic paper-sized gradients and reaches no RL code.
+pub(crate) fn build(cfg: &TimingConfig, tenant: u64, capture: Capture) -> Job {
+    validate(cfg);
     // Workers per rack, in rack order (pod-major on the fat-tree, exactly
     // like build_tree3/build_fattree); a star is one rack.
     let racks = match (cfg.fattree, cfg.workers_per_rack) {
@@ -445,11 +454,10 @@ pub(crate) fn build(
     // extra host of the first rack on a tree or fat-tree.
     let server_ip = host_ip(0, racks[0]);
     emit_run_meta(cfg, &worker_ips, server_ip, capture.trace.as_deref());
-    assert!(
-        sources.is_some() || cfg.fidelity == Fidelity::Timing,
-        "a co-sim run's replicas come from its harness: run it with run_cosim or run_chaos"
-    );
-    let apps = make_apps(cfg, &worker_ips, server_ip, sources);
+    let live = matches!(cfg.fidelity, Fidelity::Cosim { .. });
+    let record = (live && cfg.strategy == Strategy::SyncIsw)
+        .then(|| Arc::new(Mutex::new(LiveRecord::new(cfg.workers, cfg.codec))));
+    let apps = make_apps(cfg, &worker_ips, server_ip, record.as_ref());
     let (mut sim, placed) = build_topology(cfg, &racks, apps.grad_len, apps.workers, apps.server);
     // The tenant id goes in before the trace, so no traced event can
     // predate its stamp.
@@ -468,6 +476,7 @@ pub(crate) fn build(
         placed,
         view: apps.view,
         capture,
+        record,
         // An update interval needs two updates: one more than the rounds.
         target: cfg.warmup + cfg.iterations + usize::from(cfg.strategy.is_async()),
         done: false,
@@ -514,14 +523,17 @@ fn workers_of<P: StrategyProtocol>(
 /// The worker + server factory: the only place a run's host applications
 /// are constructed. Every worker is one [`WorkerCore`] (jitter seeded
 /// `seed + w`), its protocol's one constructor over a transport configured
-/// here, and a gradient source, joined by [`StrategyRuntime::from_parts`];
-/// the server seeds its jitter with `seed + 0xFF`.
+/// here, and a gradient source — worker `w`'s live replica, reporting to
+/// `record` if given, or the job's synthetic one — joined by
+/// [`StrategyRuntime::from_parts`]; the server seeds its jitter with
+/// `seed + 0xFF`.
 fn make_apps(
     cfg: &TimingConfig,
     worker_ips: &[IpAddr],
     server_ip: IpAddr,
-    sources: Option<Vec<Box<dyn GradientSource>>>,
+    record: Option<&Arc<Mutex<LiveRecord>>>,
 ) -> Apps {
+    let sources = live_sources(cfg, record);
     let paper = paper_model(cfg.algorithm);
     let model = cfg.compute_model();
     let bytes = paper.bytes() as u64;
@@ -538,7 +550,7 @@ fn make_apps(
     let mut sources = sources.map(Vec::into_iter);
     let mut source = || -> Box<dyn GradientSource> {
         match &mut sources {
-            Some(live) => live.next().expect("one gradient source per worker"),
+            Some(live) => Box::new(live.next().expect("one gradient source per worker")),
             None => Box::new(synthetic.clone()),
         }
     };
@@ -1086,7 +1098,7 @@ mod tests {
             trace: Some(Arc::default()),
             timeseries: Some(Arc::default()),
         };
-        let mut job = build(&cfg, None, 0, capture);
+        let mut job = build(&cfg, 0, capture);
         drive(&mut job);
         assert!(job.done, "{strategy:?}: the drive must finish the job");
         let (obs, _) = job.collect();
@@ -1103,7 +1115,7 @@ mod tests {
     fn quick_job(strategy: Strategy) -> Job {
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, strategy);
         (cfg.iterations, cfg.warmup) = (4, 1);
-        build(&cfg, None, 0, Capture::default())
+        build(&cfg, 0, Capture::default())
     }
 
     #[test]
@@ -1130,7 +1142,7 @@ mod tests {
         // `Help` for it by asking for that worker's contribution back.
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
         (cfg.iterations, cfg.edge_loss, cfg.seed) = (30, 0.05, 2);
-        let mut job = build(&cfg, None, 0, Capture::default());
+        let mut job = build(&cfg, 0, Capture::default());
         assert_eq!(job.run_until(|_| false), Ok(()));
         let rounds = cfg.warmup + cfg.iterations;
         assert!((0..job.workers()).all(|w| job.progress(w) == rounds));
@@ -1148,7 +1160,7 @@ mod tests {
         // `STALL_LIMIT` past that (and past the fault).
         let mut cfg = TimingConfig::main_cluster(Algorithm::Ppo, Strategy::SyncIsw);
         (cfg.iterations, cfg.warmup, cfg.faulted) = (4, 1, true);
-        let mut job = build(&cfg, None, 0, Capture::default());
+        let mut job = build(&cfg, 0, Capture::default());
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         let (domain, link) = job.placed.worker_links[0];
         job.schedule_fault(domain, at(30), FaultAction::LinkDown { link });

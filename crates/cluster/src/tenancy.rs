@@ -50,7 +50,7 @@ use iswitch_core::FAULT_RESET_TOKEN;
 use iswitch_netsim::{FaultAction, SimDuration, SimTime};
 use iswitch_obs::{JsonValue, Trace};
 
-use crate::lifecycle::{self, build, Capture, Job};
+use crate::lifecycle::{build, Capture, Job};
 use crate::timing_runner::{PerfSample, TimingConfig, TimingObservation};
 
 /// Guaranteed minimum fabric share of one tenant. Zero means best-effort:
@@ -283,6 +283,8 @@ pub fn run_multi_tenant_perf(cfg: &MultiJobConfig) -> MultiTenantOutcome {
     run_multi(cfg, false)
 }
 
+/// Rejects a tenant set the fabric cannot host; each tenant's job is
+/// validated by its own build.
 fn validate(cfg: &MultiJobConfig) {
     assert!(!cfg.tenants.is_empty(), "a multi-tenant run needs tenants");
     assert!(cfg.threads >= 1, "a run needs at least one thread");
@@ -302,9 +304,6 @@ fn validate(cfg: &MultiJobConfig) {
         cfg.tenants.iter().all(|t| t.id != 0),
         "tenant id 0 is reserved for single-tenant runs"
     );
-    for t in &cfg.tenants {
-        lifecycle::validate(&t.job);
-    }
     let slot_sum: u64 = cfg.tenants.iter().map(|t| u64::from(t.quota.slots)).sum();
     assert!(
         slot_sum <= u64::from(cfg.fabric.slots),
@@ -516,7 +515,7 @@ fn build_tenant(spec: &TenantSpec, observed: bool) -> TenantJob<'_> {
     };
     let mut cfg = spec.job.clone();
     cfg.faulted = spec.reset_at.is_some();
-    let mut job = build(&cfg, None, spec.id, capture);
+    let mut job = build(&cfg, spec.id, capture);
     if let Some(at) = spec.reset_at {
         assert!(
             !job.placed.switches.is_empty(),

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::chaos::{Faults, SeededBug};
 use crate::compute_model::{CommCosts, ComputeModel};
 use crate::convergence::default_target;
-use crate::lifecycle::{build, validate, Capture};
+use crate::lifecycle::{build, Capture};
 use crate::transport::{make_transport, TransportKind, TransportStats};
 
 /// A distributed-training strategy from the paper's evaluation (§5.2).
@@ -116,12 +116,13 @@ pub struct TimingConfig {
     /// Per-packet random loss probability on edge links (failure
     /// injection). iSwitch workers recover via `Help`/`FBcast`.
     pub edge_loss: f64,
-    /// Wire policy of every worker: reliability and congestion reaction
-    /// (`GoBack` reproduces the pre-transport behaviour bit-for-bit).
+    /// Wire policy of every worker: reliability and congestion reaction.
+    /// The default, [`TransportKind::GoBack`], recovers a lost round by
+    /// timeout (`Help`/`FBcast` under iSwitch) and never throttles.
     pub transport: TransportKind,
     /// `Some(q)` installs a bounded egress queue (tail-drop + ECN marking)
-    /// on every edge and uplink direction. `None` keeps the legacy
-    /// infinite FIFOs.
+    /// on every edge and uplink direction. `None`, the default, gives every
+    /// link direction an unbounded FIFO: nothing is dropped or marked.
     pub queue: Option<EgressQueue>,
     /// Incast workload: zeroes compute jitter so all workers flush their
     /// gradients into the switch simultaneously — the synchronized-burst
@@ -132,11 +133,11 @@ pub struct TimingConfig {
     /// dedicated sink host appended after the protocol hosts.
     pub background_flows: usize,
     /// Aggregation codec of the iSwitch strategies: how gradient values
-    /// are laid out on the wire and summed inside the switch.
-    /// [`CodecKind::F32`] reproduces the legacy format bit-for-bit; the
-    /// quantized codecs shrink contribution packets (and so serialization
-    /// time) at a bounded precision cost. Ignored by the PS/AR baselines,
-    /// which aggregate on hosts.
+    /// are laid out on the wire and summed inside the switch. The default,
+    /// [`CodecKind::F32`], sends plain f32 values, which the switch adds in
+    /// f32 in arrival order; the quantized codecs shrink contribution
+    /// packets (and so serialization time) at a bounded precision cost.
+    /// Ignored by the PS/AR baselines, which aggregate on hosts.
     pub codec: CodecKind,
     /// Host-aggregation fallback for the iSwitch strategies: a contribution
     /// denied an aggregation slot (per-tenant slot grant or buffer budget
@@ -144,8 +145,8 @@ pub struct TimingConfig {
     /// — numerically identical, but charged
     /// [`iswitch_core::HOST_PATH_LATENCY_FACTOR`]× the datapath latency —
     /// instead of being dropped for the transport to recover. Multi-tenant
-    /// runs enable this; the default `false` keeps the legacy
-    /// drop-on-overflow behaviour bit-for-bit.
+    /// runs enable this; by default (`false`) such a contribution is
+    /// dropped, and the transport recovers the round.
     pub host_fallback: bool,
     /// Seed for compute-time jitter.
     pub seed: u64,
@@ -518,11 +519,11 @@ pub fn run_timing_perf(cfg: &TimingConfig) -> (TimingResult, PerfSample) {
     (observation.result, perf)
 }
 
-/// The solo lifecycle: validate, build, drive to completion, collect. A
-/// job the drive gives up on is refused by panicking with the stall.
+/// The solo lifecycle: build (which validates), drive to completion,
+/// collect. A job the drive gives up on is refused by panicking with the
+/// stall.
 fn run(cfg: &TimingConfig, capture: Capture) -> (TimingObservation, PerfSample) {
-    validate(cfg);
-    let mut job = build(cfg, None, 0, capture);
+    let mut job = build(cfg, 0, capture);
     if let Err(stall) = job.run_until(|_| false) {
         panic!("{} job stalled: {stall}", cfg.strategy.label());
     }

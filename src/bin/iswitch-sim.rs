@@ -380,7 +380,7 @@ fn cmd_cosim(args: &Args, alg: Algorithm, strategy: Strategy) {
         cfg.workers,
         target_reward
     );
-    let r = run_cosim(&cfg);
+    let r = run_or_refuse(|| run_cosim(&cfg));
     let stride = (r.curve.len() / 20).max(1);
     for (i, (update, reward)) in r.curve.iter().enumerate() {
         if i % stride == 0 || i + 1 == r.curve.len() {
@@ -860,7 +860,7 @@ fn cmd_chaos(args: &Args) {
             chaos_seed,
             schedule: schedule.clone(),
         });
-        let report = run_chaos(&cfg);
+        let report = run_or_refuse(|| run_chaos(&cfg));
         println!(
             "{:<9} faults={:<2} completed={:?} rounds_checked={} help={} — {}",
             strategy.label(),

@@ -11,7 +11,19 @@ use iswitch_bench::{ALL, ARTIFACTS};
 
 #[test]
 fn timing_rejects_flags_the_strategy_cannot_honour() {
-    let rows: [(&[&str], &str); 5] = [
+    // A co-sim is validated like every other run: one worker is not
+    // distributed training.
+    let one_worker_cosim = [
+        "--fidelity",
+        "cosim",
+        "--strategy",
+        "isw",
+        "--workers",
+        "1",
+        "--iterations",
+        "5",
+    ];
+    let rows: [(&[&str], &str); 6] = [
         (&["--strategy", "ps", "--edge-loss", "0.01"], "--edge-loss"),
         (&["--strategy", "ar", "--edge-loss", "0.01"], "--edge-loss"),
         (
@@ -23,6 +35,10 @@ fn timing_rejects_flags_the_strategy_cannot_honour() {
             "--edge-loss",
         ),
         (&["--strategy", "ps", "--codec", "top-k"], "--codec"),
+        (
+            &one_worker_cosim,
+            "distributed training needs at least two workers",
+        ),
     ];
     for (args, flag) in rows {
         let out = Command::new(env!("CARGO_BIN_EXE_iswitch-sim"))

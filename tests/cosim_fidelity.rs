@@ -3,10 +3,11 @@
 //! does, up to f32 summation-order effects.
 
 use iswitch::cluster::{
-    run_convergence, run_cosim, ConvergenceConfig, Fidelity, Strategy, TimingConfig,
+    mean_gradient_step, run_convergence, run_cosim, ConvergenceConfig, Fidelity, Strategy,
+    TimingConfig,
 };
 use iswitch::netsim::SimDuration;
-use iswitch::rl::{make_lite_agent_scaled, Algorithm};
+use iswitch::rl::Algorithm;
 
 fn lite(strategy: Strategy) -> TimingConfig {
     TimingConfig::cosim_lite(Algorithm::A2c, strategy)
@@ -28,20 +29,7 @@ fn one_step_matches_single_process_mean_gradient() {
 
     // Single-process reference: same agents, same shared initial weights,
     // mean gradient applied through the same optimizer.
-    let mut agents: Vec<_> = (0..cfg.workers)
-        .map(|w| make_lite_agent_scaled(cfg.algorithm, cfg.seed.wrapping_add(w as u64), 1.0))
-        .collect();
-    let mut params = agents[0].params();
-    for a in agents.iter_mut().skip(1) {
-        a.set_params(&params);
-    }
-    let grads: Vec<Vec<f32>> = agents.iter_mut().map(|a| a.compute_gradient()).collect();
-    let n = grads.len() as f32;
-    let mean: Vec<f32> = (0..params.len())
-        .map(|i| grads.iter().map(|g| g[i]).sum::<f32>() / n)
-        .collect();
-    let mut opt = agents[0].make_optimizer();
-    opt.step(&mut params, &mean);
+    let (initial, params) = mean_gradient_step(&cfg);
 
     assert_eq!(cosim.params.len(), params.len());
     let worst = cosim
@@ -56,11 +44,7 @@ fn one_step_matches_single_process_mean_gradient() {
         worst <= 1e-4,
         "co-sim weights diverged from the mean-gradient reference: {worst}"
     );
-    let moved = cosim
-        .params
-        .iter()
-        .zip(&agents[0].params())
-        .any(|(a, b)| a != b);
+    let moved = cosim.params.iter().zip(&initial).any(|(a, b)| a != b);
     assert!(moved, "one aggregated step must change the weights");
 }
 

@@ -17,6 +17,7 @@ use iswitch_netsim::{
 };
 use proptest::prelude::*;
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{switch_counter, Puppet};
 

@@ -26,6 +26,7 @@ use iswitch_netsim::{
     Simulator, Switch,
 };
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{switch_counter, Puppet};
 
